@@ -10,11 +10,11 @@ columns the cross-check error.
 import argparse
 
 from phasenu import (
+    BRANCHES,
     PhysicalParams,
     RadialGrid,
     closed_form_energy,
     fd_spectrum,
-    perfect_square_alphadelta,
     solve_energy,
 )
 from phasenu.errors import GridTooCoarse
@@ -57,7 +57,7 @@ def main():
     r_min, r_max, n_points = args.grid.split(",")
     grid = RadialGrid(float(r_min), float(r_max), int(n_points))
 
-    for alphadelta in perfect_square_alphadelta():
+    for alphadelta in BRANCHES:
         scan_branch(alphadelta, args.n_max, args.L_max, args.fd, grid)
 
 

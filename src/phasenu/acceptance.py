@@ -44,6 +44,13 @@ def _solved_spectrum(alphadelta: float) -> dict[tuple[int, int], float]:
     }
 
 
+def _solved_state(n: int, L: int, alphadelta: float) -> nu.NuState:
+    """Level (n, L) in atomic units, quantized and assembled."""
+    params = hydrogen.PhysicalParams(angular_momentum=L)
+    family = hydrogen.build_radial_family(hydrogen.derived_constants(params), alphadelta)
+    return nu.solve_state(family, n)
+
+
 def _spectrum_rows(
     criterion: str,
     alphadelta: float,
@@ -117,15 +124,8 @@ def check_ground_state_chain() -> list[CheckResult]:
     """
     crit = "ground-state-chain"
     tol = 1e-12
-    params = hydrogen.PhysicalParams(angular_momentum=0)
-    family = hydrogen.build_radial_family(hydrogen.derived_constants(params), -3.0)
-    kappa = nu.solve_kappa(family, 0)
-    problem = family.at(kappa)
-    branch = nu.select_branch(problem)
-    phi = nu.phi_of(problem, branch)
-    rho = nu.rho_of(problem, branch)
-    lam = nu.lambda_of(branch)
-    lam_n = nu.lambda_n_of(problem, branch, 0)
+    state = _solved_state(0, 0, -3.0)
+    branch, phi, rho = state.branch, state.phi, state.rho
 
     def gap_poly(p: Poly, want: tuple[complex, ...]) -> float:
         return max(
@@ -133,11 +133,11 @@ def check_ground_state_chain() -> list[CheckResult]:
         )
 
     rows = [
-        ("kappa", abs(kappa - 0.25)),
+        ("kappa", abs(state.kappa - 0.25)),
         ("K", abs(branch.K - 0.5)),
         ("pi", gap_poly(branch.pi, (1.0, -0.5))),
         ("tau", gap_poly(branch.tau, (4.0, -1.0))),
-        ("lambda and lambda_0", max(abs(lam), abs(lam_n))),
+        ("lambda and lambda_0", max(abs(state.lam), abs(state.lam_n))),
         (
             "phi",
             max(abs(phi.rate - (-1.0 / 6.0)), abs(phi.power - (1.0 / 3.0))),
@@ -165,20 +165,15 @@ def check_residual_detector() -> list[CheckResult]:
     weakest_detuned = float("inf")
     weakest_at = ("", 0, 0)
     for alphadelta in (-3.0, -1.0):
-        config = hydrogen.canonical_config(alphadelta)
         for n in range(6):
             for L in range(3):
-                params = hydrogen.PhysicalParams(angular_momentum=L)
-                family = hydrogen.build_radial_family(
-                    hydrogen.derived_constants(params), alphadelta
-                )
-                kappa = nu.solve_kappa(family, n)
+                state = _solved_state(n, L, alphadelta)
                 tag = (f"alphadelta={alphadelta:g}", n, L)
-                solved = hydrogen.ode_residual(params, config, n, samples, kappa=kappa)
+                solved = hydrogen.ode_residual(state, samples)
                 if solved > worst_solved:
                     worst_solved, worst_solved_at = solved, tag
                 detuned = hydrogen.ode_residual(
-                    params, config, n, samples, kappa=1.1 * kappa
+                    nu.assemble(state.family, 1.1 * state.kappa, n), samples
                 )
                 if detuned < weakest_detuned:
                     weakest_detuned, weakest_at = detuned, tag
@@ -214,17 +209,10 @@ def check_rodrigues_laguerre() -> list[CheckResult]:
     points = [0.3 + 2.7 * j / 19.0 for j in range(20)]
     for n in range(9):
         for L in (0, 1, 2):
-            params = hydrogen.PhysicalParams(angular_momentum=L)
-            family = hydrogen.build_radial_family(
-                hydrogen.derived_constants(params), -3.0
-            )
-            kappa = nu.solve_kappa(family, n)
-            problem = family.at(kappa)
-            branch = nu.select_branch(problem)
-            rho = nu.rho_of(problem, branch)
-            y = nu.rodrigues_y(problem, rho, n, 1.0)
+            state = _solved_state(n, L, -3.0)
+            y = state.y
             a = (2 * L + 1) / 3.0
-            scale = 2.0 * kappa**0.5 / 3.0
+            scale = 2.0 * state.kappa**0.5 / 3.0
             ratios = [
                 y(A) / oracle.laguerre(n, a, scale * A) for A in points
             ]
@@ -394,11 +382,10 @@ def check_recovery_rule() -> list[CheckResult]:
     all_ok = True
     notes: list[str] = []
     for p in points:
-        # snap the product to its branch label; constructor points carry
-        # a rounding ulp that would otherwise fail the exact branch test
-        alphadelta = -3.0 if abs(p.alpha * p.delta + 3.0) < 1e-9 else -1.0
-        config = hydrogen.PhaseSpaceConfig(p, alphadelta)
-        wf = hydrogen.assemble_wavefunction(params, config, 0)
+        alphadelta = p.alpha * p.delta
+        wf = hydrogen.assemble_wavefunction(
+            params, hydrogen.PhaseSpaceConfig(p, alphadelta), 0
+        )
         should_recover = abs(p.beta) <= 1e-12 and abs(p.gamma) <= 1e-12
         try:
             recovered = hydrogen.recover_configuration_space(wf)

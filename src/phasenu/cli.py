@@ -40,6 +40,16 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad {what}: {err}") from None
 
 
+def _count_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _point_arg(text: str) -> opspace.OpPoint:
     return opspace.OpPoint(*_parse_floats(text, 4, "--point"))
 
@@ -119,12 +129,6 @@ def _load_params(config_path: str | None, L: int) -> hydrogen.PhysicalParams:
     )
 
 
-def _config_for(point: opspace.OpPoint | None, alphadelta: float) -> hydrogen.PhaseSpaceConfig:
-    if point is None:
-        return hydrogen.canonical_config(alphadelta)
-    return hydrogen.PhaseSpaceConfig(point, alphadelta)
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -135,32 +139,26 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     params = _load_params(args.config, args.L)
-    config = _config_for(args.point, args.alphadelta)
+    alphadelta = hydrogen.branch_of(args.alphadelta)
+    if args.point is not None:
+        hydrogen.PhaseSpaceConfig(args.point, alphadelta)  # rejects a point off the branch
     constants = hydrogen.derived_constants(params)
-    family = hydrogen.build_radial_family(constants, args.alphadelta)
-    kappa = nu.solve_kappa(family, args.n)
-    problem = family.at(kappa)
-    branch = nu.select_branch(problem)
-    phi = nu.phi_of(problem, branch)
-    rho = nu.rho_of(problem, branch)
-    y = nu.rodrigues_y(problem, rho, args.n, 1.0)
-    residual = hydrogen.ode_residual(
-        params, config, args.n, hydrogen.annulus_samples(100), kappa=kappa
-    )
+    state = nu.solve_state(hydrogen.build_radial_family(constants, alphadelta), args.n)
+    branch, phi, rho = state.branch, state.phi, state.rho
     document = {
         "n": args.n,
         "L": args.L,
-        "alphadelta": args.alphadelta,
-        "kappa": kappa,
-        "energy": constants.energy_of_kappa(kappa),
-        "energy_closed_form": hydrogen.closed_form_energy(params, args.n, args.alphadelta),
+        "alphadelta": alphadelta,
+        "kappa": state.kappa,
+        "energy": constants.energy_of_kappa(state.kappa),
+        "energy_closed_form": hydrogen.closed_form_energy(params, args.n, alphadelta),
         "K": _pair(branch.K),
         "pi": _poly_pairs(branch.pi),
         "tau": _poly_pairs(branch.tau),
         "phi": {"rate": _pair(phi.rate), "power": _pair(phi.power)},
         "rho": {"rate": _pair(rho.rate), "power": _pair(rho.power)},
-        "y": _poly_pairs(y),
-        "residual": residual,
+        "y": _poly_pairs(state.y),
+        "residual": hydrogen.ode_residual(state, hydrogen.annulus_samples(100)),
     }
     _emit(json.dumps(document, indent=2) + "\n", args.out)
     return 0
@@ -169,15 +167,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     lines = ["n,L,energy,residual"]
     samples = hydrogen.annulus_samples(100)
-    config = hydrogen.canonical_config(args.alphadelta)
+    alphadelta = hydrogen.branch_of(args.alphadelta)
     for n in range(args.n_max + 1):
         for L in range(args.L_max + 1):
-            params = _load_params(args.config, L)
-            constants = hydrogen.derived_constants(params)
-            family = hydrogen.build_radial_family(constants, args.alphadelta)
-            kappa = nu.solve_kappa(family, n)
-            energy = constants.energy_of_kappa(kappa)
-            residual = hydrogen.ode_residual(params, config, n, samples, kappa=kappa)
+            constants = hydrogen.derived_constants(_load_params(args.config, L))
+            state = nu.solve_state(hydrogen.build_radial_family(constants, alphadelta), n)
+            energy = constants.energy_of_kappa(state.kappa)
+            residual = hydrogen.ode_residual(state, samples)
             lines.append(f"{n},{L},{energy!r},{residual!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -202,7 +198,7 @@ def _cmd_manifold(args: argparse.Namespace) -> int:
 
 def _cmd_wavefunction(args: argparse.Namespace) -> int:
     params = _load_params(args.config, args.L)
-    config = _config_for(None, args.alphadelta)
+    config = hydrogen.canonical_config(args.alphadelta)
     wf = hydrogen.assemble_wavefunction(params, config, args.n)
     rmin, rmax, steps = args.grid
     header = (
@@ -254,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(handler=_cmd_solve)
 
     scan = sub.add_parser("scan", help="energy table over an (n, L) grid")
-    scan.add_argument("--n-max", dest="n_max", type=int, required=True)
-    scan.add_argument("--L-max", dest="L_max", type=int, required=True)
+    scan.add_argument("--n-max", dest="n_max", type=_count_arg, required=True)
+    scan.add_argument("--L-max", dest="L_max", type=_count_arg, required=True)
     scan.add_argument("--alphadelta", type=float, required=True)
     scan.add_argument("--config", default=None)
     scan.add_argument("--out", default=None)

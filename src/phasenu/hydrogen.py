@@ -20,14 +20,12 @@ from __future__ import annotations
 import cmath
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import nu
 from .errors import UnsupportedBranch, UnsupportedRecovery
 from .numeric import ExpPowerTerm, Poly
 from .opspace import MANIFOLD_TOL, OpPoint, is_on_manifold
-
-#: alphadelta values for which the radical is a perfect square at every L.
-SQUARE_BRANCHES = (-1.0, -3.0)
 
 
 @dataclass(frozen=True)
@@ -83,14 +81,39 @@ def derived_constants(params: PhysicalParams) -> DerivedConstants:
     return DerivedConstants(omega=omega, zeta=zeta, mass=params.mass, hbar=params.hbar)
 
 
-def perfect_square_alphadelta() -> tuple[float, float]:
-    """Both alphadelta roots of (alphadelta + 2)^2 = 1.
+#: Configuration space: beta = gamma = 0, A degenerates to r.
+CONFIG_SPACE_POINT = OpPoint(1.0, 0.0, 0.0, -1.0)
 
-    These are the only values for which the radicand constant
-    (alphadelta + 2)^2 + 4*omega equals (2L+1)^2 for every integer L, so
-    the square root resolves without any condition on L.
-    """
-    return SQUARE_BRANCHES
+#: The worked deep-branch point with alphadelta = -3.
+DEEP_BRANCH_POINT = OpPoint(-3.0, 1.0, -2.0, 1.0)
+
+
+class Branch(NamedTuple):
+    """A solvable alphadelta: its canonical point and the closed-form
+    denominator d(n, L) of E_n = -e^4 k^2 m / (2 hbar^2 d^2)."""
+
+    point: OpPoint
+    denominator: Callable[[int, int], int]
+
+
+#: The roots of (alphadelta + 2)^2 = 1, the only products for which the
+#: radicand constant (alphadelta + 2)^2 + 4*omega equals (2L+1)^2 at every
+#: integer L, so the radical resolves without any condition on L.
+BRANCHES: dict[float, Branch] = {
+    -1.0: Branch(CONFIG_SPACE_POINT, lambda n, L: n + L + 1),
+    -3.0: Branch(DEEP_BRANCH_POINT, lambda n, L: L + 3 * n + 2),
+}
+
+
+def branch_of(alphadelta: float) -> float:
+    """The label in BRANCHES within MANIFOLD_TOL relative of alphadelta."""
+    for label in BRANCHES:
+        if abs(alphadelta - label) <= MANIFOLD_TOL * abs(label):
+            return label
+    supported = ", ".join(f"{label:g}" for label in BRANCHES)
+    raise UnsupportedBranch(
+        f"no solvable branch at alphadelta={alphadelta}; supported: {supported}"
+    )
 
 
 def build_radial_family(
@@ -107,25 +130,12 @@ def build_radial_family(
     )
 
 
-def _branch_denominator(n: int, L: int, alphadelta: float) -> float:
-    if alphadelta == -3.0:
-        return float(L + 3 * n + 2)
-    if alphadelta == -1.0:
-        return float(n + L + 1)
-    raise UnsupportedBranch(
-        f"no closed form for alphadelta={alphadelta}; supported: -1, -3"
-    )
-
-
 def closed_form_energy(params: PhysicalParams, n: int, alphadelta: float) -> float:
-    """Reference spectrum, used only to cross-check the generic solver.
-
-    alphadelta=-3: E_n = -e^4 k^2 m / (2 hbar^2 (L+3n+2)^2);
-    alphadelta=-1: same prefactor over (n+L+1)^2.
-    """
+    """Reference spectrum, used only to cross-check the generic solver:
+    E_n = -e^4 k^2 m / (2 hbar^2 d^2), d from the branch's table entry."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    d = _branch_denominator(n, params.angular_momentum, alphadelta)
+    d = BRANCHES[branch_of(alphadelta)].denominator(n, params.angular_momentum)
     num = params.charge_squared**2 * params.coulomb_constant**2 * params.mass
     return -num / (2.0 * params.hbar**2 * d * d)
 
@@ -162,22 +172,10 @@ class PhaseSpaceConfig:
             )
 
 
-#: Configuration space: beta = gamma = 0, A degenerates to r.
-CONFIG_SPACE_POINT = OpPoint(1.0, 0.0, 0.0, -1.0)
-
-#: The worked deep-branch point with alphadelta = -3.
-DEEP_BRANCH_POINT = OpPoint(-3.0, 1.0, -2.0, 1.0)
-
-
 def canonical_config(alphadelta: float) -> PhaseSpaceConfig:
-    """Default representative point for each perfect-square branch."""
-    if alphadelta == -1.0:
-        return PhaseSpaceConfig(CONFIG_SPACE_POINT, -1.0)
-    if alphadelta == -3.0:
-        return PhaseSpaceConfig(DEEP_BRANCH_POINT, -3.0)
-    raise UnsupportedBranch(
-        f"no canonical point for alphadelta={alphadelta}; supported: -1, -3"
-    )
+    """Default representative point of the branch at alphadelta."""
+    label = branch_of(alphadelta)
+    return PhaseSpaceConfig(BRANCHES[label].point, label)
 
 
 @dataclass(frozen=True)
@@ -197,36 +195,18 @@ class WavefunctionForm:
     kappa: float
 
 
-def _solved_body(
-    params: PhysicalParams, alphadelta: float, n: int, kappa: float
-) -> ExpPowerTerm:
-    constants = derived_constants(params)
-    family = build_radial_family(constants, alphadelta)
-    problem = family.at(kappa)
-    branch = nu.select_branch(problem)
-    phi = nu.phi_of(problem, branch)
-    rho = nu.rho_of(problem, branch)
-    y = nu.rodrigues_y(problem, rho, n, 1.0)
-    return phi.times_poly(y)
-
-
 def assemble_wavefunction(
     params: PhysicalParams, config: PhaseSpaceConfig, n: int
 ) -> WavefunctionForm:
     """Quantize level n on the config's branch and build phi*y in A."""
-    if config.alphadelta not in SQUARE_BRANCHES:
-        raise UnsupportedBranch(
-            f"alphadelta={config.alphadelta} does not keep the radical square"
-        )
+    label = branch_of(config.alphadelta)
     if config.point.delta == 0.0:
         raise ValueError("delta must be nonzero to define the prefactor")
-    constants = derived_constants(params)
-    family = build_radial_family(constants, config.alphadelta)
-    kappa = nu.solve_kappa(family, n)
-    body = _solved_body(params, config.alphadelta, n, kappa)
+    family = build_radial_family(derived_constants(params), label)
+    state = nu.solve_state(family, n)
     rate = complex(config.point.gamma / config.point.delta)
     return WavefunctionForm(
-        prefactor_rate=rate, body=body, config=config, n=n, kappa=kappa
+        prefactor_rate=rate, body=state.body, config=config, n=n, kappa=state.kappa
     )
 
 
@@ -255,28 +235,17 @@ def annulus_samples(
     return out
 
 
-def ode_residual(
-    params: PhysicalParams,
-    config: PhaseSpaceConfig,
-    n: int,
-    samples: list[complex],
-    kappa: float | None = None,
-) -> float:
-    """Worst relative defect of the transformed radial equation over samples.
+def ode_residual(state: nu.NuState, samples: list[complex]) -> float:
+    """Worst relative defect of the state's own equation over samples.
 
-    The full construction (branch, integrating factor, Rodrigues
-    polynomial) is rebuilt at the kappa in use, so passing a detuned kappa
-    measures how far the assembled state drifts from solving its own
-    equation -- the quantized value is not reused anywhere.
+    A state assembled at a detuned kappa (``nu.assemble``) carries the
+    equation at that kappa, so its residual measures how far the assembly
+    drifts from solving it.
     """
-    constants = derived_constants(params)
-    family = build_radial_family(constants, config.alphadelta)
-    if kappa is None:
-        kappa = nu.solve_kappa(family, n)
-    body = _solved_body(params, config.alphadelta, n, kappa)
+    body = state.body
     d1 = body.derivative()
     d2 = d1.derivative()
-    problem = family.at(kappa)
+    problem = state.problem
     worst = 0.0
     for z in samples:
         sig = problem.sigma(z)

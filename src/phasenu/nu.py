@@ -92,19 +92,6 @@ class NuBranch:
 
 
 @dataclass(frozen=True)
-class NuSolution:
-    """Fully assembled state at a quantized kappa."""
-
-    lam: complex
-    lam_n: complex
-    phi: ExpPowerTerm
-    rho: ExpPowerTerm
-    y: Poly
-    n: int
-    b_n: complex
-
-
-@dataclass(frozen=True)
 class EnergyParametrizedProblem:
     """Family of NuProblems indexed by kappa.
 
@@ -120,6 +107,38 @@ class EnergyParametrizedProblem:
     def at(self, kappa: float) -> NuProblem:
         sigma_tilde = self.sigma_tilde_base + kappa * self.sigma_tilde_kappa_coeff
         return NuProblem(self.sigma, sigma_tilde, self.tau_tilde)
+
+
+@dataclass(frozen=True)
+class NuState:
+    """Level n of a family, assembled at one kappa.
+
+    Built only by :func:`assemble` (or :func:`solve_state`, at the
+    quantized kappa): the equation at kappa, the selected branch, the
+    factors phi and rho, and the Rodrigues polynomial y.
+    """
+
+    family: EnergyParametrizedProblem
+    n: int
+    kappa: float
+    problem: NuProblem
+    branch: NuBranch
+    phi: ExpPowerTerm
+    rho: ExpPowerTerm
+    y: Poly
+
+    @property
+    def lam(self) -> complex:
+        return lambda_of(self.branch)
+
+    @property
+    def lam_n(self) -> complex:
+        return lambda_n_of(self.problem, self.branch, self.n)
+
+    @property
+    def body(self) -> ExpPowerTerm:
+        """The solution psi = phi * y of the original equation."""
+        return self.phi.times_poly(self.y)
 
 
 def _radical_base(problem: NuProblem) -> Poly:
@@ -404,23 +423,27 @@ def solve_kappa(family: EnergyParametrizedProblem, n: int) -> float:
     return kappa
 
 
-def solve_state(
-    family: EnergyParametrizedProblem, n: int, b_n: complex = 1.0
-) -> tuple[float, NuProblem, NuBranch, NuSolution]:
-    """Quantize level n and assemble the full solution at the root."""
-    kappa = solve_kappa(family, n)
+def assemble(family: EnergyParametrizedProblem, kappa: float, n: int) -> NuState:
+    """Level n at this kappa: branch, phi, rho and the Rodrigues y.
+
+    Off the quantized kappa the parts still assemble, but phi * y no
+    longer solves the equation; residual checks rely on that.
+    """
     problem = family.at(kappa)
     branch = select_branch(problem)
-    phi = phi_of(problem, branch)
     rho = rho_of(problem, branch)
-    y = rodrigues_y(problem, rho, n, b_n)
-    solution = NuSolution(
-        lam=lambda_of(branch),
-        lam_n=lambda_n_of(problem, branch, n),
-        phi=phi,
-        rho=rho,
-        y=y,
+    return NuState(
+        family=family,
         n=n,
-        b_n=as_finite_complex(b_n),
+        kappa=kappa,
+        problem=problem,
+        branch=branch,
+        phi=phi_of(problem, branch),
+        rho=rho,
+        y=rodrigues_y(problem, rho, n),
     )
-    return kappa, problem, branch, solution
+
+
+def solve_state(family: EnergyParametrizedProblem, n: int) -> NuState:
+    """Quantize level n and assemble the state at the root."""
+    return assemble(family, solve_kappa(family, n), n)

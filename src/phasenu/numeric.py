@@ -17,8 +17,8 @@ from .errors import BranchPointError, DegreeError
 #: Relative magnitude below which a coefficient counts as zero.
 ZERO_TOL = 1e-14
 
-#: Absolute slack when deciding whether a power is a non-negative integer.
-_INT_TOL = 1e-12
+#: Absolute slack when deciding whether a power is zero.
+_ZERO_POWER_TOL = 1e-12
 
 
 def as_finite_complex(value: complex | float | int) -> complex:
@@ -206,15 +206,17 @@ class ExpPowerTerm:
     def evaluate(self, z: complex) -> complex:
         """Evaluate at ``z`` on the principal branch of ``z**power``.
 
-        At ``z = 0`` the value exists only for non-negative integer powers;
-        anything else raises :class:`BranchPointError`.
+        At ``z = 0`` the value is ``P(0)`` for power zero and the limit
+        0 for Re(power) > 0; any other power raises
+        :class:`BranchPointError`, since ``z**power`` has no limit there.
         """
         z = complex(z)
         if z == 0:
             b = self.power
-            rounded = round(b.real)
-            if abs(b.imag) <= _INT_TOL and abs(b.real - rounded) <= _INT_TOL and rounded >= 0:
-                return self.poly(0j) if rounded == 0 else 0j
+            if abs(b) <= _ZERO_POWER_TOL:
+                return self.poly(0j)
+            if b.real > 0.0:
+                return 0j
             raise BranchPointError(
                 f"z = 0 is a branch point for power {b}"
             )

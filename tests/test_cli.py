@@ -1,11 +1,15 @@
-"""End-to-end command-line checks through the installed entry point."""
+"""End-to-end command-line checks: the entry point as a subprocess, and
+main() in process where a test counts calls or compares two runs."""
 
+import collections
 import json
 import re
 import subprocess
 import sys
 
 import pytest
+
+from phasenu import cli, hydrogen, nu
 
 EXPECTED_SOLVE_KEYS = {
     "n", "L", "alphadelta", "kappa", "energy", "energy_closed_form",
@@ -77,6 +81,41 @@ class TestSolve:
         proc = run_cli("solve", "--n", "0")
         assert proc.returncode == 2
 
+    def test_state_is_assembled_once(self, monkeypatch, capsys):
+        """One solve quantizes once and assembles the state once."""
+        counts = collections.Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("rodrigues_y", "phi_of", "select_branch", "eigen_residual"):
+            count(nu, name)
+        for name in ("derived_constants", "build_radial_family"):
+            count(hydrogen, name)
+        assert cli.main(["solve", "--n", "2", "--L", "1", "--alphadelta", "-3"]) == 0
+        assert json.loads(capsys.readouterr().out)["residual"] < 1e-8
+        assert counts["rodrigues_y"] == 1
+        assert counts["phi_of"] == 1
+        # every residual evaluation, the final check in solve_kappa, the assembly
+        assert counts["select_branch"] == counts["eigen_residual"] + 2
+        assert counts["derived_constants"] == 1
+        assert counts["build_radial_family"] == 1
+
+    def test_product_one_ulp_off_the_branch(self, capsys):
+        base = ["solve", "--n", "1", "--L", "0", "--alphadelta"]
+        assert cli.main([*base, "-3"]) == 0
+        exact = json.loads(capsys.readouterr().out)
+        assert cli.main([*base, "-3.0000000000000004"]) == 0
+        assert json.loads(capsys.readouterr().out)["kappa"] == exact["kappa"]
+        assert cli.main([*base, "-2"]) == 3
+        assert "UnsupportedBranch" in capsys.readouterr().err
+
 
 class TestScan:
     def test_grid_table(self):
@@ -98,6 +137,17 @@ class TestScan:
         value = proc.stdout.strip().splitlines()[1].split(",")[2]
         assert float(value) == pytest.approx(-0.5, rel=1e-9)
         assert repr(float(value)) == value
+
+    def test_negative_bounds_are_usage_errors(self):
+        for option in ("--n-max", "--L-max"):
+            args = {"--n-max": "1", "--L-max": "1", option: "-1"}
+            proc = run_cli(
+                "scan", "--n-max", args["--n-max"], "--L-max", args["--L-max"],
+                "--alphadelta", "-3",
+            )
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert f"argument {option}: must be non-negative" in proc.stderr
 
 
 class TestManifold:
@@ -158,6 +208,16 @@ class TestWavefunction:
         first = proc.stdout.strip().splitlines()[2].split(",")
         assert float(first[1]) == pytest.approx(-2.5)
         assert float(first[2]) == pytest.approx(0.0, abs=1e-15)
+
+    def test_grid_from_the_origin(self):
+        """The deep-branch body carries A**(1/3), which vanishes at A = 0."""
+        proc = run_cli(
+            "wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-3",
+            "--grid", "0,1,3",
+        )
+        assert proc.returncode == 0
+        first = proc.stdout.strip().splitlines()[2].split(",")
+        assert [float(x) for x in first] == [0.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_bad_grid_is_a_usage_error(self):
         proc = run_cli(

@@ -7,6 +7,7 @@ import pytest
 
 from phasenu.errors import UnsupportedBranch, UnsupportedRecovery
 from phasenu.hydrogen import (
+    BRANCHES,
     CONFIG_SPACE_POINT,
     DEEP_BRANCH_POINT,
     PhaseSpaceConfig,
@@ -14,19 +15,24 @@ from phasenu.hydrogen import (
     WavefunctionForm,
     annulus_samples,
     assemble_wavefunction,
+    branch_of,
     build_radial_family,
     canonical_config,
     closed_form_energy,
     derived_constants,
     eval_wavefunction,
     ode_residual,
-    perfect_square_alphadelta,
     recover_configuration_space,
     solve_energy,
 )
+from phasenu.nu import assemble, solve_state
 from phasenu.opspace import OpPoint, manifold_point
 
 ATOMIC = PhysicalParams()
+
+
+def radial_family(params, alphadelta):
+    return build_radial_family(derived_constants(params), alphadelta)
 
 
 class TestParams:
@@ -65,12 +71,12 @@ class TestParams:
 
 class TestBranches:
     def test_perfect_square_products(self):
-        branches = perfect_square_alphadelta()
+        branches = tuple(BRANCHES)
         assert -1.0 in branches
         assert -3.0 in branches
 
     def test_radicand_is_odd_square(self):
-        for alphadelta in perfect_square_alphadelta():
+        for alphadelta in BRANCHES:
             for L in range(6):
                 omega = L * (L + 1)
                 assert (alphadelta + 2) ** 2 + 4 * omega == (2 * L + 1) ** 2
@@ -90,6 +96,14 @@ class TestBranches:
         constants = derived_constants(PhysicalParams(angular_momentum=1))
         family = build_radial_family(constants, -3.0)
         assert family.sigma_tilde_base.coefficient(0) == -2 + 0j
+
+    def test_branch_of_tolerates_rounding(self):
+        assert branch_of(-3.0) == -3.0
+        assert branch_of(-3.0000000000000004) == -3.0
+        assert branch_of(-1.0 + 1e-13) == -1.0
+        for far in (-2.0, -3.0 + 1e-9, 0.0, float("nan")):
+            with pytest.raises(UnsupportedBranch):
+                branch_of(far)
 
     def test_family_rejects_zero_product(self):
         with pytest.raises(ValueError):
@@ -128,6 +142,7 @@ class TestConfigs:
     def test_canonical_points(self):
         assert canonical_config(-3.0).point == DEEP_BRANCH_POINT
         assert canonical_config(-1.0).point == CONFIG_SPACE_POINT
+        assert canonical_config(-3.0000000000000004) == canonical_config(-3.0)
         with pytest.raises(UnsupportedBranch):
             canonical_config(-2.0)
 
@@ -207,13 +222,14 @@ class TestSamplesAndResiduals:
 
     def test_solved_states_have_tiny_residual(self):
         samples = annulus_samples()
-        assert ode_residual(ATOMIC, canonical_config(-3.0), 0, samples) < 1e-10
+        ground = solve_state(radial_family(ATOMIC, -3.0), 0)
+        assert ode_residual(ground, samples) < 1e-10
         p1 = PhysicalParams(angular_momentum=1)
-        assert ode_residual(p1, canonical_config(-3.0), 2, samples) < 1e-8
+        assert ode_residual(solve_state(radial_family(p1, -3.0), 2), samples) < 1e-8
 
     def test_detuned_kappa_is_detected(self):
         samples = annulus_samples()
-        drift = ode_residual(ATOMIC, canonical_config(-3.0), 0, samples, kappa=0.275)
+        drift = ode_residual(assemble(radial_family(ATOMIC, -3.0), 0.275, 0), samples)
         assert drift > 1e-3
 
 

@@ -28,6 +28,7 @@ from phasenu.nu import (
     rho_of,
     rodrigues_y,
     select_branch,
+    assemble,
     solve_kappa,
     solve_state,
     tau_of,
@@ -345,18 +346,30 @@ class TestQuantization:
             solve_kappa(radial_family(2.0, 0.0, -1.0), 0)
 
     def test_solve_state_assembly(self):
-        kappa, problem, branch, sol = solve_state(radial_family(0.0, 2.0, -3.0), 2)
+        state = solve_state(radial_family(0.0, 2.0, -3.0), 2)
+        kappa, problem = state.kappa, state.problem
         assert kappa == pytest.approx(1.0 / 64.0, rel=1e-10)
-        assert sol.n == 2
-        assert sol.y.degree == 2
-        assert abs(sol.lam - sol.lam_n) <= 1e-10 * (1.0 + abs(sol.lam_n))
-        assert branch.tau.coefficient(1).real < 0.0
+        assert state.n == 2
+        assert state.y.degree == 2
+        assert abs(state.lam - state.lam_n) <= 1e-10 * (1.0 + abs(state.lam_n))
+        assert state.branch.tau.coefficient(1).real < 0.0
         assert problem.sigma_tilde.coefficient(2) == pytest.approx(-kappa)
+
+    def test_assemble_at_the_root_is_the_solved_state(self):
+        family = radial_family(0.0, 2.0, -3.0)
+        state = solve_state(family, 1)
+        assert assemble(family, state.kappa, 1) == state
+        detuned = assemble(family, 1.1 * state.kappa, 1)
+        assert detuned.kappa == 1.1 * state.kappa
+        assert detuned.y.degree == 1
+        assert abs(detuned.lam - detuned.lam_n) > 1e-3
 
     def test_full_state_solves_the_transformed_equation(self):
         family = radial_family(0.0, 2.0, -3.0)
-        kappa, problem, branch, sol = solve_state(family, 1)
-        psi = sol.phi.times_poly(sol.y)
+        state = solve_state(family, 1)
+        problem = state.problem
+        psi = state.body
+        assert psi == state.phi.times_poly(state.y)
         d1 = psi.derivative()
         d2 = d1.derivative()
         for z in (0.5, 1.2, 2.6, 4.8, 2.0 + 1.5j):

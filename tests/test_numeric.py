@@ -159,12 +159,16 @@ class TestExpPowerTerm:
         assert v.imag == pytest.approx(0.0, abs=1e-15)
 
     def test_branch_point_rejected(self):
-        t = ExpPowerTerm(Poly((1.0,)), rate=0.0, power=0.5)
-        with pytest.raises(BranchPointError):
-            t.evaluate(0.0)
-        neg = ExpPowerTerm(Poly((1.0,)), rate=0.0, power=-1.0)
-        with pytest.raises(BranchPointError):
-            neg.evaluate(0.0)
+        """Re(power) <= 0 (power nonzero) has no limit at the origin."""
+        for power in (-1.0, -0.5, 0.5j):
+            t = ExpPowerTerm(Poly((1.0,)), rate=0.0, power=power)
+            with pytest.raises(BranchPointError):
+                t.evaluate(0.0)
+
+    def test_positive_power_vanishes_at_origin(self):
+        for power in (0.5, 1.0 / 3.0, 0.5 + 2.0j):
+            t = ExpPowerTerm(Poly((2.0, 1.0)), rate=-1.0, power=power)
+            assert t.evaluate(0.0) == 0j
 
     def test_integer_power_at_origin(self):
         assert ExpPowerTerm(Poly((3.0,)), 1.0, 0.0).evaluate(0.0) == 3 + 0j
