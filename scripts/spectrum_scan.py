@@ -2,7 +2,7 @@
 """Scan bound-state energies on both solvable branches.
 
 For every (n, L) in the requested window the script reports the
-closed-form energy, the bisection result, and their relative gap.
+closed-form energy, the solved energy, and their relative gap.
 With --fd it also runs the finite-difference oracle for L <= 1 and
 columns the cross-check error.
 """
@@ -22,7 +22,7 @@ from phasenu.errors import GridTooCoarse
 
 def scan_branch(alphadelta, n_max, L_max, want_fd, grid):
     print(f"branch alphadelta = {alphadelta:g}")
-    header = f"{'n':>3} {'L':>3} {'E_closed':>16} {'E_bisect':>16} {'rel_gap':>10}"
+    header = f"{'n':>3} {'L':>3} {'E_closed':>16} {'E_solved':>16} {'rel_gap':>10}"
     if want_fd:
         header += f" {'E_fd':>16} {'fd_rel':>10}"
     print(header)
@@ -36,9 +36,9 @@ def scan_branch(alphadelta, n_max, L_max, want_fd, grid):
                 print(f"  fd oracle unavailable for L={L}: {exc}")
         for n in range(n_max + 1):
             e_closed = closed_form_energy(params, n, alphadelta)
-            e_bisect = solve_energy(params, n, alphadelta)
-            gap = abs(e_bisect - e_closed) / abs(e_closed)
-            line = f"{n:>3} {L:>3} {e_closed:>16.10f} {e_bisect:>16.10f} {gap:>10.2e}"
+            e_solved = solve_energy(params, n, alphadelta)
+            gap = abs(e_solved - e_closed) / abs(e_closed)
+            line = f"{n:>3} {L:>3} {e_closed:>16.10f} {e_solved:>16.10f} {gap:>10.2e}"
             if want_fd and L in fd_cache and alphadelta == -1.0:
                 e_fd = fd_cache[L][n]
                 line += f" {e_fd:>16.10f} {abs(e_fd - e_closed) / abs(e_closed):>10.2e}"

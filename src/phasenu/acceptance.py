@@ -34,7 +34,7 @@ def _row(criterion: str, detail: str, passed: bool, measure: str) -> CheckResult
 
 
 def _solved_spectrum(alphadelta: float) -> dict[tuple[int, int], float]:
-    """Bisection energies for n <= 5, L <= 3, keyed by (n, L)."""
+    """Solved energies for n <= 5, L <= 3, keyed by (n, L)."""
     return {
         (n, L): hydrogen.solve_energy(
             hydrogen.PhysicalParams(angular_momentum=L), n, alphadelta
@@ -66,7 +66,7 @@ def _spectrum_rows(
             worst, worst_at = rel, (n, L)
     return _row(
         criterion,
-        f"bisection spectrum vs closed form, n<=5, L<=3, alphadelta={alphadelta:g}",
+        f"solved spectrum vs closed form, n<=5, L<=3, alphadelta={alphadelta:g}",
         worst <= 1e-10,
         f"max rel err {worst:.3e} at (n,L)={worst_at} (tol 1e-10)",
     )

@@ -9,6 +9,7 @@ shortest-round-trip formatting.  Exit codes: 0 success, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -168,9 +169,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     lines = ["n,L,energy,residual"]
     samples = hydrogen.annulus_samples(100)
     alphadelta = hydrogen.branch_of(args.alphadelta)
+    units = _load_params(args.config, 0)
     for n in range(args.n_max + 1):
         for L in range(args.L_max + 1):
-            constants = hydrogen.derived_constants(_load_params(args.config, L))
+            params = dataclasses.replace(units, angular_momentum=L)
+            constants = hydrogen.derived_constants(params)
             state = nu.solve_state(hydrogen.build_radial_family(constants, alphadelta), n)
             energy = constants.energy_of_kappa(state.kappa)
             residual = hydrogen.ode_residual(state, samples)

@@ -11,8 +11,9 @@ carries the energy.  The radical in the generic pipeline stays a perfect
 square for every integer L only when (alphadelta + 2)^2 = 1, i.e.
 alphadelta in {-1, -3}: the -1 branch reproduces the standard spectrum
 -zeta^2/(8(n+L+1)^2) * hbar^2/(2m)-scaled, the -3 branch yields the deeper
-1/(L+3n+2)^2 family.  Everything here goes through the generic bisection
-solver; the closed forms are kept only as cross-check targets.
+1/(L+3n+2)^2 family.  Everything here goes through the generic NU solver
+(kappa by a bracketed Brent-Dekker root search); the closed forms are kept
+only as cross-check targets.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def closed_form_energy(params: PhysicalParams, n: int, alphadelta: float) -> flo
 
 
 def solve_energy(params: PhysicalParams, n: int, alphadelta: float) -> float:
-    """Energy from the generic bisection pipeline, no closed form consulted."""
+    """Energy from the generic NU pipeline, no closed form consulted."""
     constants = derived_constants(params)
     family = build_radial_family(constants, alphadelta)
     kappa = nu.solve_kappa(family, n)

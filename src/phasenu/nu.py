@@ -19,15 +19,18 @@ solutions exist exactly when ``lambda`` equals
 
 and are produced by the Rodrigues formula with weight rho satisfying
 ``(sigma rho)' = tau rho``.  Quantization of an energy-like parameter kappa
-is the root of ``lambda(kappa) - lambda_n(kappa)``, located by bisection --
-deliberately independent of any closed-form spectrum a particular family
-may admit.
+is the root of ``lambda(kappa) - lambda_n(kappa)``, bracketed and refined
+by Brent-Dekker -- deliberately independent of any closed-form spectrum a
+particular family may admit.  The root search resolves the branch on
+scalar coefficients; polynomials are built once, for the solved state.
 """
 
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     AmbiguousBranch,
@@ -39,7 +42,14 @@ from .errors import (
     NotPerfectSquare,
     UnsupportedSigma,
 )
-from .numeric import ExpPowerTerm, Poly, as_finite_complex, quadratic_roots
+from .numeric import (
+    ExpPowerTerm,
+    Poly,
+    _exact,
+    as_finite_complex,
+    normal_coeffs,
+    quadratic_roots,
+)
 
 #: Relative tolerance for the perfect-square (vanishing discriminant) check.
 SQUARE_TOL = 1e-9
@@ -47,7 +57,7 @@ SQUARE_TOL = 1e-9
 #: Tolerance on leftover exponential rate / power after the Rodrigues division.
 CANCEL_TOL = 1e-9
 
-#: Bisection terminates when the bracket has this relative width.
+#: The kappa search stops when its bracket has this relative width.
 KAPPA_REL_WIDTH = 1e-12
 
 #: The converged kappa must satisfy |lambda - lambda_n| below this (scaled).
@@ -104,9 +114,24 @@ class EnergyParametrizedProblem:
     sigma_tilde_base: Poly
     sigma_tilde_kappa_coeff: Poly
 
+    def __post_init__(self) -> None:
+        NuProblem(self.sigma, self.sigma_tilde_base, self.tau_tilde)  # degree bounds
+        if self.sigma_tilde_kappa_coeff.degree > 2:
+            raise DegreeError(
+                f"sigma_tilde kappa coefficient degree "
+                f"{self.sigma_tilde_kappa_coeff.degree} > 2"
+            )
+
     def at(self, kappa: float) -> NuProblem:
         sigma_tilde = self.sigma_tilde_base + kappa * self.sigma_tilde_kappa_coeff
         return NuProblem(self.sigma, sigma_tilde, self.tau_tilde)
+
+    def sigma_tilde_at(self, kappa: float) -> tuple[complex, complex, complex]:
+        """The coefficients of ``at(kappa).sigma_tilde`` as scalars."""
+        k = as_finite_complex(kappa)
+        base, slope = self.sigma_tilde_base, self.sigma_tilde_kappa_coeff
+        c0, c1, c2 = (base.coefficient(j) + k * slope.coefficient(j) for j in range(3))
+        return c0, c1, c2
 
 
 @dataclass(frozen=True)
@@ -141,15 +166,47 @@ class NuState:
         return self.phi.times_poly(self.y)
 
 
-def _radical_base(problem: NuProblem) -> Poly:
-    """(sigma' - tau_tilde) / 2, a polynomial of degree at most one."""
-    return 0.5 * (problem.sigma.derivative() - problem.tau_tilde)
+class _Radical(NamedTuple):
+    """The radical of pi = base +/- sqrt(q + K sigma) on scalars: base =
+    (sigma' - tau_tilde)/2 as (b0, b1), q = base**2 - sigma_tilde as
+    (q0, q1, q2), beside the equation's sigma and tau_tilde."""
+
+    sigma: Poly
+    tau_tilde: Poly
+    base: tuple[complex, complex]
+    q: tuple[complex, complex, complex]
 
 
-def _radicand_constant_part(problem: NuProblem) -> Poly:
-    """K-free part of the radicand: base**2 - sigma_tilde."""
-    base = _radical_base(problem)
-    return base * base - problem.sigma_tilde
+def _radical(sigma: Poly, sigma_tilde: Sequence[complex], tau_tilde: Poly) -> _Radical:
+    b0 = 0.5 * (sigma.coefficient(1) - tau_tilde.coefficient(0))
+    b1 = 0.5 * (2.0 * sigma.coefficient(2) - tau_tilde.coefficient(1))
+    st0, st1, st2 = sigma_tilde
+    # summed from 0j as Poly's product is, which turns -0.0 into 0.0: signed
+    # zeros decide which side of a square root's branch cut is taken later
+    q = (0j + b0 * b0 - st0, 0j + b0 * b1 + b1 * b0 - st1, 0j + b1 * b1 - st2)
+    return _Radical(sigma, tau_tilde, (b0, b1), q)
+
+
+def _problem_radical(problem: NuProblem) -> _Radical:
+    sigma_tilde = tuple(problem.sigma_tilde.coefficient(k) for k in range(3))
+    return _radical(problem.sigma, sigma_tilde, problem.tau_tilde)
+
+
+def _k_roots(rad: _Radical) -> tuple[complex, complex]:
+    s0, s1, s2 = (rad.sigma.coefficient(k) for k in range(3))
+    q0, q1, q2 = rad.q
+    disc_in_k = normal_coeffs(
+        (
+            q1 * q1 - 4.0 * q2 * q0,
+            2.0 * q1 * s1 - 4.0 * (q2 * s0 + q0 * s2),
+            s1 * s1 - 4.0 * s2 * s0,
+        )
+    )
+    if len(disc_in_k) < 2:
+        raise DegenerateDiscriminant(
+            "discriminant does not depend on K for this coefficient triple"
+        )
+    return quadratic_roots(disc_in_k)
 
 
 def k_candidates(problem: NuProblem) -> tuple[complex, complex]:
@@ -160,35 +217,13 @@ def k_candidates(problem: NuProblem) -> tuple[complex, complex]:
     two roots come back sorted by real part then imaginary part; a linear
     condition yields its single root twice.
     """
-    q = _radicand_constant_part(problem)
-    s0, s1, s2 = (problem.sigma.coefficient(k) for k in range(3))
-    q0, q1, q2 = (q.coefficient(k) for k in range(3))
-    disc_in_k = Poly(
-        (
-            q1 * q1 - 4.0 * q2 * q0,
-            2.0 * q1 * s1 - 4.0 * (q2 * s0 + q0 * s2),
-            s1 * s1 - 4.0 * s2 * s0,
-        )
-    )
-    if disc_in_k.degree < 1:
-        raise DegenerateDiscriminant(
-            "discriminant does not depend on K for this coefficient triple"
-        )
-    return quadratic_roots(disc_in_k)
+    return _k_roots(_problem_radical(problem))
 
 
-def pi_from_k(problem: NuProblem, K: complex, sign: int) -> Poly:
-    """Resolve the radical for one K and sign into the linear pi.
-
-    The radicand must be a perfect square within ``SQUARE_TOL`` relative to
-    its coefficient scale; the square root is written ``u*A + v`` with the
-    canonical choice Re(u) >= 0.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+def _pi_coeffs(rad: _Radical, K: complex, sign: int) -> tuple[complex, complex]:
+    """Coefficients (pi0, pi1) of pi = base + sign * sqrt(q + K sigma)."""
     K = as_finite_complex(K)
-    r = _radicand_constant_part(problem) + K * problem.sigma
-    r0, r1, r2 = (r.coefficient(k) for k in range(3))
+    r0, r1, r2 = (rad.q[k] + K * rad.sigma.coefficient(k) for k in range(3))
     scale = max(abs(r0), abs(r1), abs(r2))
     disc = r1 * r1 - 4.0 * r2 * r0
     if abs(disc) > SQUARE_TOL * max(scale * scale, 1e-300):
@@ -207,7 +242,21 @@ def pi_from_k(problem: NuProblem, K: complex, sign: int) -> Poly:
         u = r1 / (2.0 * v)
         if u.real < 0.0 or (u.real == 0.0 and u.imag < 0.0):
             u, v = -u, -v
-    return _radical_base(problem) + sign * Poly((v, u))
+    # a u at rounding level next to v is dropped, as Poly((v, u)) would
+    v, u = (normal_coeffs((v, u)) + (0j, 0j))[:2]
+    return rad.base[0] + sign * v, rad.base[1] + sign * u
+
+
+def pi_from_k(problem: NuProblem, K: complex, sign: int) -> Poly:
+    """Resolve the radical for one K and sign into the linear pi.
+
+    The radicand must be a perfect square within ``SQUARE_TOL`` relative to
+    its coefficient scale; the square root is written ``u*A + v`` with the
+    canonical choice Re(u) >= 0.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    return _exact(_pi_coeffs(_problem_radical(problem), K, sign))
 
 
 def tau_of(problem: NuProblem, pi: Poly) -> Poly:
@@ -220,13 +269,16 @@ def lambda_of(branch: NuBranch) -> complex:
     return branch.K + branch.pi.coefficient(1)
 
 
-def lambda_n_of(problem: NuProblem, branch: NuBranch, n: int) -> complex:
-    """Polynomial eigenvalue lambda_n = -n tau' - n(n-1)/2 sigma''."""
+def _lambda_n(tau1: complex, sigma: Poly, n: int) -> complex:
     if n < 0:
         raise ValueError("n must be non-negative")
-    tau_prime = branch.tau.coefficient(1)
-    sigma_pp = 2.0 * problem.sigma.coefficient(2)
-    return -n * tau_prime - 0.5 * n * (n - 1) * sigma_pp
+    sigma_pp = 2.0 * sigma.coefficient(2)
+    return -n * tau1 - 0.5 * n * (n - 1) * sigma_pp
+
+
+def lambda_n_of(problem: NuProblem, branch: NuBranch, n: int) -> complex:
+    """Polynomial eigenvalue lambda_n = -n tau' - n(n-1)/2 sigma''."""
+    return _lambda_n(branch.tau.coefficient(1), problem.sigma, n)
 
 
 def _linear_sigma_scale(sigma: Poly) -> complex:
@@ -249,6 +301,11 @@ def phi_of(problem: NuProblem, branch: NuBranch) -> ExpPowerTerm:
     return ExpPowerTerm(Poly((1.0,)), p1 / c, p0 / c)
 
 
+def _rho_exponents(c: complex, t0: complex, t1: complex) -> tuple[complex, complex]:
+    """(rate, power) of rho for sigma = c*A and tau = t1*A + t0."""
+    return t1 / c, (t0 - c) / c
+
+
 def rho_of(problem: NuProblem, branch: NuBranch) -> ExpPowerTerm:
     """Weight rho solving the Pearson equation (sigma rho)' = tau rho.
 
@@ -256,18 +313,65 @@ def rho_of(problem: NuProblem, branch: NuBranch) -> ExpPowerTerm:
     ``exp((t1/c) A) * A**((t0 - c)/c)``.
     """
     c = _linear_sigma_scale(problem.sigma)
-    t0, t1 = branch.tau.coefficient(0), branch.tau.coefficient(1)
-    return ExpPowerTerm(Poly((1.0,)), t1 / c, (t0 - c) / c)
+    rate, power = _rho_exponents(c, branch.tau.coefficient(0), branch.tau.coefficient(1))
+    return ExpPowerTerm(Poly((1.0,)), rate, power)
 
 
-def _weight_admissible(problem: NuProblem, branch: NuBranch) -> bool:
-    # The screen needs the closed-form weight; when sigma is not c*A the
-    # screen is inapplicable and the combo is kept.
+class _Combo(NamedTuple):
+    """One (K, sign) combination on scalars: pi = pi0 + pi1*A, tau likewise."""
+
+    K: complex
+    k_index: int
+    pi_sign: int
+    pi0: complex
+    pi1: complex
+    tau0: complex
+    tau1: complex
+
+
+def _select(
+    rad: _Radical, k_index: int | None = None, pi_sign: int | None = None
+) -> _Combo:
+    """The branch screen of :func:`select_branch`, on scalar coefficients."""
+    t0, t1 = rad.tau_tilde.coefficient(0), rad.tau_tilde.coefficient(1)
+    decaying: list[_Combo] = []
+    for ki, K in enumerate(_k_roots(rad)):
+        if k_index is not None and ki != k_index:
+            continue
+        for sign in (-1, 1):
+            if pi_sign is not None and sign != pi_sign:
+                continue
+            try:
+                p0, p1 = _pi_coeffs(rad, K, sign)
+            except NotPerfectSquare:
+                continue
+            tau1 = t1 + 2.0 * p1
+            if tau1.real < 0.0:
+                decaying.append(_Combo(K, ki, sign, p0, p1, t0 + 2.0 * p0, tau1))
+    if not decaying:
+        raise NoBranch("no (K, sign) combination gives Re(tau') < 0")
     try:
-        rho = rho_of(problem, branch)
+        c = _linear_sigma_scale(rad.sigma)
     except UnsupportedSigma:
-        return True
-    return rho.rate.real < 0.0 and rho.power.real > -1.0
+        # the screen needs the closed-form weight; when sigma is not c*A
+        # the screen is inapplicable and every combo is kept
+        admissible = decaying
+    else:
+        admissible = []
+        for b in decaying:
+            rate, power = _rho_exponents(c, b.tau0, b.tau1)
+            if rate.real < 0.0 and power.real > -1.0:
+                admissible.append(b)
+    if not admissible:
+        raise NoBranch("no decaying combination has an admissible weight")
+    if admissible[0] is decaying[0] or len(admissible) == 1:
+        return admissible[0]
+    listing = ", ".join(
+        f"(k_index={b.k_index}, sign={b.pi_sign:+d}, K={b.K})" for b in admissible
+    )
+    raise AmbiguousBranch(
+        f"admissibility screen removed the preferred combo; survivors: {listing}"
+    )
 
 
 def select_branch(
@@ -283,38 +387,16 @@ def select_branch(
     winner must additionally pass the weight-admissibility screen
     (Re(rate) < 0 and Re(power) > -1 for rho).  ``k_index`` / ``pi_sign``
     restrict the candidate set explicitly, exposing the non-preferred K
-    root and its alternative spectrum on request.
+    root and its alternative spectrum on request.  The screen runs on
+    scalar coefficients; only the winner is built into polynomials.
     """
-    ks = k_candidates(problem)
-    decaying: list[NuBranch] = []
-    for ki, K in enumerate(ks):
-        if k_index is not None and ki != k_index:
-            continue
-        for sign in (-1, 1):
-            if pi_sign is not None and sign != pi_sign:
-                continue
-            try:
-                pi = pi_from_k(problem, K, sign)
-            except NotPerfectSquare:
-                continue
-            tau = tau_of(problem, pi)
-            if tau.coefficient(1).real < 0.0:
-                decaying.append(NuBranch(K=K, pi=pi, tau=tau, k_index=ki, pi_sign=sign))
-    if not decaying:
-        raise NoBranch("no (K, sign) combination gives Re(tau') < 0")
-    decaying.sort(key=lambda b: (b.k_index, 0 if b.pi_sign == -1 else 1))
-    admissible = [b for b in decaying if _weight_admissible(problem, b)]
-    if not admissible:
-        raise NoBranch("no decaying combination has an admissible weight")
-    if admissible[0] is decaying[0]:
-        return admissible[0]
-    if len(admissible) == 1:
-        return admissible[0]
-    listing = ", ".join(
-        f"(k_index={b.k_index}, sign={b.pi_sign:+d}, K={b.K})" for b in admissible
-    )
-    raise AmbiguousBranch(
-        f"admissibility screen removed the preferred combo; survivors: {listing}"
+    b = _select(_problem_radical(problem), k_index, pi_sign)
+    return NuBranch(
+        K=b.K,
+        pi=_exact((b.pi0, b.pi1)),
+        tau=_exact((b.tau0, b.tau1)),
+        k_index=b.k_index,
+        pi_sign=b.pi_sign,
     )
 
 
@@ -352,13 +434,20 @@ def rodrigues_y(
     return y
 
 
+def _lambdas(
+    family: EnergyParametrizedProblem, kappa: float, n: int
+) -> tuple[complex, complex]:
+    """lambda and lambda_n of the branch selected at kappa, on scalars."""
+    b = _select(_radical(family.sigma, family.sigma_tilde_at(kappa), family.tau_tilde))
+    return b.K + b.pi1, _lambda_n(b.tau1, family.sigma, n)
+
+
 def eigen_residual(family: EnergyParametrizedProblem, kappa: float, n: int) -> float:
     """Re(lambda - lambda_n) for the branch selected at this kappa."""
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    problem = family.at(kappa)
-    branch = select_branch(problem)
-    return (lambda_of(branch) - lambda_n_of(problem, branch, n)).real
+    lam, lam_n = _lambdas(family, kappa, n)
+    return (lam - lam_n).real
 
 
 def _family_kappa_ceiling(family: EnergyParametrizedProblem) -> float:
@@ -366,13 +455,59 @@ def _family_kappa_ceiling(family: EnergyParametrizedProblem) -> float:
     return max(10.0 * zeta * zeta, 1.0)
 
 
+def _brent(f: Callable[[float], float], a: float, fa: float, b: float, fb: float) -> float:
+    """Root of f between a and b, where fa and fb differ in sign, by Brent-Dekker.
+
+    Secant or inverse quadratic steps are taken while they shrink the
+    bracket fast enough, bisection steps otherwise (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4).  ``b``
+    is the iterate, ``a`` the one before and ``c`` the far end of the
+    bracket.  Stops on an exact zero, or when the bracket is narrower than
+    ``KAPPA_REL_WIDTH`` relative (or floating-point resolution) and then
+    returns the secant root of the final bracket, as bisection returned
+    its midpoint.
+    """
+    c, fc = a, fa
+    step = prev_step = b - a
+    while True:
+        if fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0):
+            c, fc = a, fa
+            step = prev_step = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        if fb == 0.0:
+            return b
+        tol = (2.0 * sys.float_info.epsilon + 0.5 * KAPPA_REL_WIDTH) * abs(b)
+        half = 0.5 * (c - b)
+        if abs(half) < tol:
+            return b - fb * (b - c) / (fb - fc)
+        if abs(prev_step) > tol and abs(fb) < abs(fa):
+            if a == c:  # secant
+                trial = -fb * (b - a) / (fb - fa)
+            else:  # inverse quadratic interpolation
+                da = (fa - fb) / (a - b)
+                dc = (fc - fb) / (c - b)
+                trial = -fb * (fc * dc - fa * da) / (dc * da * (fc - fa))
+            if 2.0 * abs(trial) < min(abs(prev_step), 3.0 * abs(half) - tol):
+                prev_step, step = step, trial
+            else:
+                prev_step = step = half
+        else:
+            prev_step = step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else (tol if half > 0.0 else -tol)
+        fb = f(b)
+
+
 def solve_kappa(family: EnergyParametrizedProblem, n: int) -> float:
-    """Quantized kappa for level n, by bisection on the eigenvalue residual.
+    """Quantized kappa for level n: the root of the eigenvalue residual.
 
     Brackets a sign change of ``eigen_residual`` on
     ``[KAPPA_FLOOR, max(10 zeta**2, 1)]`` (falling back to a geometric scan
-    when the endpoints agree in sign) and bisects to relative width
-    ``KAPPA_REL_WIDTH``.  No closed-form spectrum is consulted.
+    when the endpoints agree in sign), refines it by Brent-Dekker to
+    relative width ``KAPPA_REL_WIDTH``, and requires |lambda - lambda_n|
+    below ``RESIDUAL_TOL`` there.  No closed-form spectrum is consulted.
     """
     lo = KAPPA_FLOOR
     hi = _family_kappa_ceiling(family)
@@ -398,26 +533,12 @@ def solve_kappa(family: EnergyParametrizedProblem, n: int) -> float:
                 f"for n={n}"
             )
         lo, f_lo, hi, f_hi = bracket
-    while hi - lo > KAPPA_REL_WIDTH * max(lo, 1e-300):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket at floating-point resolution
-            break
-        f_mid = eigen_residual(family, mid, n)
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    kappa = 0.5 * (lo + hi)
-    problem = family.at(kappa)
-    branch = select_branch(problem)
-    lam_n = lambda_n_of(problem, branch, n)
-    residual = abs((lambda_of(branch) - lam_n).real)
+    kappa = _brent(lambda k: eigen_residual(family, k, n), lo, f_lo, hi, f_hi)
+    lam, lam_n = _lambdas(family, kappa, n)
+    residual = abs((lam - lam_n).real)
     if residual > RESIDUAL_TOL * (1.0 + abs(lam_n)):
         raise NoSignChange(
-            f"bisection converged to kappa={kappa!r} but the eigenvalue "
+            f"the kappa search converged to kappa={kappa!r} but the eigenvalue "
             f"residual {residual:.3e} is out of tolerance"
         )
     return kappa
@@ -445,5 +566,9 @@ def assemble(family: EnergyParametrizedProblem, kappa: float, n: int) -> NuState
 
 
 def solve_state(family: EnergyParametrizedProblem, n: int) -> NuState:
-    """Quantize level n and assemble the state at the root."""
+    """Quantize level n and assemble the state at the root.
+
+    The root search and its gate run on scalars, so the branch is built
+    once, by the assembly.
+    """
     return assemble(family, solve_kappa(family, n), n)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BranchPointError, DegreeError
 
@@ -29,6 +29,16 @@ def as_finite_complex(value: complex | float | int) -> complex:
     return z
 
 
+def normal_coeffs(coeffs: Iterable[complex]) -> tuple[complex, ...]:
+    """Raw coefficients in :class:`Poly`'s normal form, without the Poly:
+    finite, with trailing ``|c| <= ZERO_TOL * max|c|`` dropped."""
+    cs = [as_finite_complex(c) for c in coeffs]
+    peak = max((abs(c) for c in cs), default=0.0)
+    while cs and abs(cs[-1]) <= ZERO_TOL * peak:
+        cs.pop()
+    return tuple(cs)
+
+
 @dataclass(frozen=True)
 class Poly:
     """Polynomial with complex coefficients, ascending degree order.
@@ -45,11 +55,7 @@ class Poly:
     coeffs: tuple[complex, ...] = ()
 
     def __init__(self, coeffs: Iterable[complex] = ()) -> None:
-        cs = [as_finite_complex(c) for c in coeffs]
-        peak = max((abs(c) for c in cs), default=0.0)
-        while cs and abs(cs[-1]) <= ZERO_TOL * peak:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", normal_coeffs(coeffs))
 
     @property
     def degree(self) -> int:
@@ -125,20 +131,22 @@ def _exact(coeffs: Iterable[complex]) -> Poly:
     return p
 
 
-def quadratic_roots(p: Poly) -> tuple[complex, complex]:
-    """Roots of a degree-1 or degree-2 polynomial.
+def quadratic_roots(p: Poly | Sequence[complex]) -> tuple[complex, complex]:
+    """Roots of a degree-1 or degree-2 polynomial, given as a Poly or as
+    its ascending coefficients in normal form (:func:`normal_coeffs`).
 
     A degree-1 input returns its single root twice.  Roots are sorted by
     real part, then by imaginary part, so callers see a deterministic
     order.  Uses the numerically stable quadratic formula (the larger of
     ``-b -/+ sqrt(disc)`` is divided first).
     """
-    if p.degree == 1:
-        root = -p.coefficient(0) / p.coefficient(1)
+    cs = tuple(p)
+    if len(cs) == 2:
+        root = -cs[0] / cs[1]
         return (root, root)
-    if p.degree != 2:
-        raise DegreeError(f"need degree 1 or 2, got degree {p.degree}")
-    c0, c1, c2 = p.coefficient(0), p.coefficient(1), p.coefficient(2)
+    if len(cs) != 3:
+        raise DegreeError(f"need degree 1 or 2, got degree {len(cs) - 1}")
+    c0, c1, c2 = cs
     sq = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
     q = -(c1 + sq) if abs(c1 + sq) >= abs(c1 - sq) else -(c1 - sq)
     q *= 0.5

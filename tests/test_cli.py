@@ -1,6 +1,7 @@
 """End-to-end command-line checks: the entry point as a subprocess, and
 main() in process where a test counts calls or compares two runs."""
 
+import builtins
 import collections
 import json
 import re
@@ -102,8 +103,8 @@ class TestSolve:
         assert json.loads(capsys.readouterr().out)["residual"] < 1e-8
         assert counts["rodrigues_y"] == 1
         assert counts["phi_of"] == 1
-        # every residual evaluation, the final check in solve_kappa, the assembly
-        assert counts["select_branch"] == counts["eigen_residual"] + 2
+        # the assembly only: residual evaluations and the gate run on scalars
+        assert counts["select_branch"] == 1
         assert counts["derived_constants"] == 1
         assert counts["build_radial_family"] == 1
 
@@ -137,6 +138,24 @@ class TestScan:
         value = proc.stdout.strip().splitlines()[1].split(",")[2]
         assert float(value) == pytest.approx(-0.5, rel=1e-9)
         assert repr(float(value)) == value
+
+    def test_config_is_read_once(self, monkeypatch, tmp_path, capsys):
+        config = tmp_path / "units.json"
+        config.write_text(json.dumps({"unit_system": "atomic"}))
+        opened = []
+        original = builtins.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return original(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        args = ["scan", "--n-max", "2", "--L-max", "2", "--alphadelta", "-3"]
+        assert cli.main([*args, "--config", str(config)]) == 0
+        with_config = capsys.readouterr().out
+        assert opened == [str(config)]
+        assert cli.main(args) == 0
+        assert capsys.readouterr().out == with_config
 
     def test_negative_bounds_are_usage_errors(self):
         for option in ("--n-max", "--L-max"):

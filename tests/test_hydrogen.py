@@ -1,10 +1,15 @@
 """Phase-space hydrogen pipeline: radial family, spectra on both
 perfect-square branches, wavefunction assembly, and the recovery rule."""
 
+import dataclasses
 import math
+import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from phasenu import nu
 from phasenu.errors import UnsupportedBranch, UnsupportedRecovery
 from phasenu.hydrogen import (
     BRANCHES,
@@ -136,6 +141,61 @@ class TestSpectra:
         want = closed_form_energy(params, 0, -1.0)
         assert want == pytest.approx(-2.0)
         assert solve_energy(params, 0, -1.0) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("units", [ATOMIC, PhysicalParams(hbar=30.0)])
+    def test_deep_levels_track_the_closed_form(self, units):
+        for alphadelta in BRANCHES:
+            for L in (0, 3):
+                params = dataclasses.replace(units, angular_momentum=L)
+                for n in (0, 5, 20, 40):
+                    want = closed_form_energy(params, n, alphadelta)
+                    got = solve_energy(params, n, alphadelta)
+                    assert got == pytest.approx(want, rel=1e-10), (alphadelta, L, n)
+
+    def test_median_residual_evaluations_per_state(self, monkeypatch):
+        """The two endpoint evaluations included.  A few deep-branch L = 0
+        states take many more (51 at n = 38, where the root sits near 6e-5
+        in a bracket reaching 40), so the median is pinned, not the maximum."""
+        counts = []
+        original = nu.eigen_residual
+
+        def counted(family, kappa, n):
+            counts[-1] += 1
+            return original(family, kappa, n)
+
+        monkeypatch.setattr(nu, "eigen_residual", counted)
+        for alphadelta in BRANCHES:
+            for L in range(6):
+                params = PhysicalParams(angular_momentum=L)
+                for n in range(41):
+                    counts.append(0)
+                    solve_energy(params, n, alphadelta)
+        assert statistics.median(counts) <= 10
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mass=st.floats(0.5, 2.0),
+        hbar=st.floats(0.5, 30.0),
+        coulomb=st.floats(0.5, 2.0),
+        e2=st.floats(0.5, 2.0),
+        n=st.integers(0, 10),
+        L=st.integers(0, 3),
+        alphadelta=st.sampled_from(sorted(BRANCHES)),
+    )
+    def test_solved_energies_scale_with_the_units(
+        self, mass, hbar, coulomb, e2, n, L, alphadelta
+    ):
+        """E = e2^2 k^2 m / hbar^2 times the atomic-unit level, both solved.
+
+        zeta = 2 e2 k m / hbar^2 stays at most 64 here: from about 130 on,
+        the L = 0 levels of the -1 branch fail with NoBranch at the kappa
+        floor, a separate defect of the floor evaluation.
+        """
+        params = PhysicalParams(mass, hbar, coulomb, e2, L)
+        atomic = solve_energy(PhysicalParams(angular_momentum=L), n, alphadelta)
+        scale = e2**2 * coulomb**2 * mass / hbar**2
+        got = solve_energy(params, n, alphadelta)
+        assert got == pytest.approx(scale * atomic, rel=1e-9)
 
 
 class TestConfigs:

@@ -5,6 +5,8 @@ import math
 
 import pytest
 
+from phasenu import nu
+
 from phasenu.errors import (
     CancellationFailure,
     DegenerateDiscriminant,
@@ -51,6 +53,27 @@ def radial_family(omega, zeta, alphadelta):
         sigma_tilde_base=Poly((-omega, zeta)),
         sigma_tilde_kappa_coeff=Poly((0.0, 0.0, -1.0)),
     )
+
+
+def reference_choice(problem):
+    """(k_index, pi_sign) by select_branch's documented rule, composed from
+    the public pieces: Re(tau') < 0, the first K root then sign -1, and
+    Re(rate) < 0 and Re(power) > -1 for rho."""
+    decaying = []
+    for ki, K in enumerate(k_candidates(problem)):
+        for sign in (-1, 1):
+            try:
+                pi = pi_from_k(problem, K, sign)
+            except NotPerfectSquare:
+                continue
+            tau = tau_of(problem, pi)
+            if tau.coefficient(1).real < 0.0:
+                decaying.append(NuBranch(K, pi, tau, ki, sign))
+    for branch in decaying:
+        rho = rho_of(problem, branch)
+        if rho.rate.real < 0.0 and rho.power.real > -1.0:
+            return branch.k_index, branch.pi_sign
+    return None
 
 
 DEEP = radial_problem(0.0, 2.0, 0.25, -3.0)
@@ -342,8 +365,53 @@ class TestQuantization:
         )
 
     def test_no_root_without_attractive_term(self):
-        with pytest.raises(NoSignChange):
+        with pytest.raises(NoSignChange, match="keeps one sign"):
             solve_kappa(radial_family(2.0, 0.0, -1.0), 0)
+
+    def test_exact_zero_at_an_endpoint_is_returned(self, monkeypatch):
+        """sigma = A/4, tau_tilde = 1/4 and sigma_tilde = A/4 - kappa A^2
+        give the ground-state residual 1 - sqrt(kappa), exactly 0 at the
+        ceiling kappa = 1; the root search is never entered."""
+        family = EnergyParametrizedProblem(
+            sigma=Poly((0.0, 0.25)),
+            tau_tilde=Poly((0.25,)),
+            sigma_tilde_base=Poly((0.0, 0.25)),
+            sigma_tilde_kappa_coeff=Poly((0.0, 0.0, -1.0)),
+        )
+        seen = []
+        original = nu.eigen_residual
+
+        def recorded(family, kappa, n):
+            seen.append(kappa)
+            return original(family, kappa, n)
+
+        monkeypatch.setattr(nu, "eigen_residual", recorded)
+        assert solve_kappa(family, 0) == 1.0
+        assert seen == [nu.KAPPA_FLOOR, 1.0]
+
+    def test_configuration_ground_state_is_exact(self):
+        state = solve_state(radial_family(0.0, 2.0, -1.0), 0)
+        assert state.kappa == 1.0
+
+    def test_residual_is_that_of_the_selected_branch(self):
+        """eigen_residual, computed on scalars, equals lambda - lambda_n of
+        the NuBranch select_branch builds, on a log grid of kappa from 1e-6
+        to 10, and select_branch picks what the documented rule picks."""
+        for omega in (0.0, 2.0, 12.0):
+            for zeta in (2.0, 2.0 / 900.0):
+                for alphadelta in (-1.0, -3.0):
+                    family = radial_family(omega, zeta, alphadelta)
+                    for i in range(57):
+                        kappa = 10.0 ** (-6.0 + i / 8.0)
+                        problem = family.at(kappa)
+                        branch = select_branch(problem)
+                        for n in (0, 3):
+                            lam_n = lambda_n_of(problem, branch, n)
+                            want = (lambda_of(branch) - lam_n).real
+                            got = eigen_residual(family, kappa, n)
+                            assert abs(got - want) <= 1e-14 * abs(want)
+                        choice = (branch.k_index, branch.pi_sign)
+                        assert choice == reference_choice(problem)
 
     def test_solve_state_assembly(self):
         state = solve_state(radial_family(0.0, 2.0, -3.0), 2)

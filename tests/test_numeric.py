@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasenu.errors import BranchPointError, DegreeError
-from phasenu.numeric import ExpPowerTerm, Poly, quadratic_roots
+from phasenu.numeric import ExpPowerTerm, Poly, normal_coeffs, quadratic_roots
 
 unit_coeff = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=1.0, allow_nan=False, allow_infinity=False
@@ -89,6 +89,12 @@ class TestPoly:
 class TestQuadraticRoots:
     def test_symmetric_real_pair(self):
         assert quadratic_roots(Poly((-1.0, 0.0, 1.0))) == (-1 + 0j, 1 + 0j)
+
+    def test_coefficients_in_normal_form(self):
+        coeffs = normal_coeffs((4.0, 2.0, 1e-16))
+        assert coeffs == Poly((4.0, 2.0, 1e-16)).coeffs == (4 + 0j, 2 + 0j)
+        assert quadratic_roots(coeffs) == quadratic_roots(Poly(coeffs))
+        assert quadratic_roots((-1.0, 0.0, 1.0)) == (-1 + 0j, 1 + 0j)
 
     def test_linear_root_twice(self):
         assert quadratic_roots(Poly((4.0, 2.0))) == (-2 + 0j, -2 + 0j)
