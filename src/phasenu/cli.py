@@ -110,6 +110,8 @@ def _load_params(config_path: str | None, L: int) -> hydrogen.PhysicalParams:
         return hydrogen.PhysicalParams(angular_momentum=L)
     with open(config_path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     unit = data.get("unit_system", "atomic")
     if unit == "atomic":
         return hydrogen.PhysicalParams(angular_momentum=L)
@@ -118,7 +120,10 @@ def _load_params(config_path: str | None, L: int) -> hydrogen.PhysicalParams:
     missing = [key for key in _CUSTOM_KEYS if key not in data]
     if missing:
         raise ValueError(f"custom unit system requires {_CUSTOM_KEYS}; missing {missing}")
-    values = {key: float(data[key]) for key in _CUSTOM_KEYS}
+    try:
+        values = {key: float(data[key]) for key in _CUSTOM_KEYS}
+    except TypeError as err:
+        raise ValueError(f"custom constants must be numbers: {err}") from None
     if any(v <= 0.0 for v in values.values()):
         raise ValueError("custom constants must all be positive")
     return hydrogen.PhysicalParams(

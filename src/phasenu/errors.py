@@ -36,7 +36,7 @@ class AmbiguousBranch(PhasenuError):
 
 
 class UnsupportedSigma(PhasenuError, ValueError):
-    """The closed-form factor requires sigma proportional to the variable."""
+    """The solver requires sigma proportional to the variable."""
 
 
 class CancellationFailure(PhasenuError):

@@ -4,8 +4,9 @@ Solves equations of the form
 
     psi'' + (tau_tilde / sigma) psi' + (sigma_tilde / sigma**2) psi = 0
 
-by the substitution ``psi = phi * y``:  a constant K is chosen so that the
-radicand of
+with ``sigma = c * A``, the shape the half-transform gives the phase-space
+hydrogen equation, by the substitution ``psi = phi * y``:  a constant K is
+chosen so that the radicand of
 
     pi = (sigma' - tau_tilde)/2 +/- sqrt(((sigma' - tau_tilde)/2)**2
                                          - sigma_tilde + K * sigma)
@@ -15,8 +16,9 @@ remaining function ``y`` then satisfies ``sigma y'' + tau y' + lambda y = 0``
 with ``tau = tau_tilde + 2 pi`` and ``lambda = K + pi'``, whose polynomial
 solutions exist exactly when ``lambda`` equals
 
-    lambda_n = -n tau' - n (n - 1) / 2 * sigma''
+    lambda_n = -n tau'
 
+(the ``- n (n - 1) / 2 * sigma''`` term of the general method vanishes),
 and are produced by the Rodrigues formula with weight rho satisfying
 ``(sigma rho)' = tau rho``.  Quantization of an energy-like parameter kappa
 is the root of ``lambda(kappa) - lambda_n(kappa)``, bracketed and refined
@@ -73,6 +75,8 @@ class NuProblem:
 
     Degrees are bounded by the hypergeometric-type form: sigma and
     sigma_tilde at most quadratic, tau_tilde at most linear, sigma nonzero.
+    The solver further needs ``sigma = c * A``; any other sigma raises
+    :class:`UnsupportedSigma` here.
     """
 
     sigma: Poly
@@ -88,6 +92,11 @@ class NuProblem:
             raise DegreeError(f"sigma_tilde degree {self.sigma_tilde.degree} > 2")
         if self.tau_tilde.degree > 1:
             raise DegreeError(f"tau_tilde degree {self.tau_tilde.degree} > 1")
+        c = self.sigma.coefficient(1)
+        if self.sigma.degree != 1 or abs(self.sigma.coefficient(0)) > 1e-14 * abs(c):
+            raise UnsupportedSigma(
+                f"sigma must be proportional to the variable, got {self.sigma.coeffs}"
+            )
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,7 @@ class EnergyParametrizedProblem:
     sigma_tilde_kappa_coeff: Poly
 
     def __post_init__(self) -> None:
-        NuProblem(self.sigma, self.sigma_tilde_base, self.tau_tilde)  # degree bounds
+        NuProblem(self.sigma, self.sigma_tilde_base, self.tau_tilde)  # shape checks
         if self.sigma_tilde_kappa_coeff.degree > 2:
             raise DegreeError(
                 f"sigma_tilde kappa coefficient degree "
@@ -158,7 +167,7 @@ class NuState:
 
     @property
     def lam_n(self) -> complex:
-        return lambda_n_of(self.problem, self.branch, self.n)
+        return lambda_n_of(self.branch, self.n)
 
     @property
     def body(self) -> ExpPowerTerm:
@@ -167,41 +176,36 @@ class NuState:
 
 
 class _Radical(NamedTuple):
-    """The radical of pi = base +/- sqrt(q + K sigma) on scalars: base =
-    (sigma' - tau_tilde)/2 as (b0, b1), q = base**2 - sigma_tilde as
-    (q0, q1, q2), beside the equation's sigma and tau_tilde."""
+    """The radical of pi = base +/- sqrt(q + K c A) on scalars: base =
+    (c - tau_tilde)/2 as (b0, b1), q = base**2 - sigma_tilde as
+    (q0, q1, q2), beside the equation's c and tau_tilde."""
 
-    sigma: Poly
+    c: complex
     tau_tilde: Poly
     base: tuple[complex, complex]
     q: tuple[complex, complex, complex]
 
 
-def _radical(sigma: Poly, sigma_tilde: Sequence[complex], tau_tilde: Poly) -> _Radical:
-    b0 = 0.5 * (sigma.coefficient(1) - tau_tilde.coefficient(0))
-    b1 = 0.5 * (2.0 * sigma.coefficient(2) - tau_tilde.coefficient(1))
+def _radical(c: complex, sigma_tilde: Sequence[complex], tau_tilde: Poly) -> _Radical:
+    # b1 is taken from 0j as sigma' - tau_tilde is, q summed from 0j as
+    # Poly's product is: both turn -0.0 into 0.0, and signed zeros decide
+    # which side of a square root's branch cut is taken later
+    b0 = 0.5 * (c - tau_tilde.coefficient(0))
+    b1 = 0.5 * (0j - tau_tilde.coefficient(1))
     st0, st1, st2 = sigma_tilde
-    # summed from 0j as Poly's product is, which turns -0.0 into 0.0: signed
-    # zeros decide which side of a square root's branch cut is taken later
     q = (0j + b0 * b0 - st0, 0j + b0 * b1 + b1 * b0 - st1, 0j + b1 * b1 - st2)
-    return _Radical(sigma, tau_tilde, (b0, b1), q)
+    return _Radical(c, tau_tilde, (b0, b1), q)
 
 
 def _problem_radical(problem: NuProblem) -> _Radical:
     sigma_tilde = tuple(problem.sigma_tilde.coefficient(k) for k in range(3))
-    return _radical(problem.sigma, sigma_tilde, problem.tau_tilde)
+    return _radical(problem.sigma.coefficient(1), sigma_tilde, problem.tau_tilde)
 
 
 def _k_roots(rad: _Radical) -> tuple[complex, complex]:
-    s0, s1, s2 = (rad.sigma.coefficient(k) for k in range(3))
+    c = rad.c
     q0, q1, q2 = rad.q
-    disc_in_k = normal_coeffs(
-        (
-            q1 * q1 - 4.0 * q2 * q0,
-            2.0 * q1 * s1 - 4.0 * (q2 * s0 + q0 * s2),
-            s1 * s1 - 4.0 * s2 * s0,
-        )
-    )
+    disc_in_k = normal_coeffs((q1 * q1 - 4.0 * q2 * q0, 2.0 * q1 * c, c * c))
     if len(disc_in_k) < 2:
         raise DegenerateDiscriminant(
             "discriminant does not depend on K for this coefficient triple"
@@ -212,7 +216,7 @@ def _k_roots(rad: _Radical) -> tuple[complex, complex]:
 def k_candidates(problem: NuProblem) -> tuple[complex, complex]:
     """Both K values that collapse the radicand to a perfect square.
 
-    The radicand ``q + K sigma`` is quadratic in the variable; requiring
+    The radicand ``q + K c A`` is quadratic in the variable; requiring
     its discriminant to vanish is itself (at most) a quadratic in K.  The
     two roots come back sorted by real part then imaginary part; a linear
     condition yields its single root twice.
@@ -221,9 +225,9 @@ def k_candidates(problem: NuProblem) -> tuple[complex, complex]:
 
 
 def _pi_coeffs(rad: _Radical, K: complex, sign: int) -> tuple[complex, complex]:
-    """Coefficients (pi0, pi1) of pi = base + sign * sqrt(q + K sigma)."""
+    """Coefficients (pi0, pi1) of pi = base + sign * sqrt(q + K c A)."""
     K = as_finite_complex(K)
-    r0, r1, r2 = (rad.q[k] + K * rad.sigma.coefficient(k) for k in range(3))
+    r0, r1, r2 = rad.q[0], rad.q[1] + K * rad.c, rad.q[2]
     scale = max(abs(r0), abs(r1), abs(r2))
     disc = r1 * r1 - 4.0 * r2 * r0
     if abs(disc) > SQUARE_TOL * max(scale * scale, 1e-300):
@@ -269,26 +273,15 @@ def lambda_of(branch: NuBranch) -> complex:
     return branch.K + branch.pi.coefficient(1)
 
 
-def _lambda_n(tau1: complex, sigma: Poly, n: int) -> complex:
+def _lambda_n(tau1: complex, n: int) -> complex:
     if n < 0:
         raise ValueError("n must be non-negative")
-    sigma_pp = 2.0 * sigma.coefficient(2)
-    return -n * tau1 - 0.5 * n * (n - 1) * sigma_pp
+    return -n * tau1
 
 
-def lambda_n_of(problem: NuProblem, branch: NuBranch, n: int) -> complex:
-    """Polynomial eigenvalue lambda_n = -n tau' - n(n-1)/2 sigma''."""
-    return _lambda_n(branch.tau.coefficient(1), problem.sigma, n)
-
-
-def _linear_sigma_scale(sigma: Poly) -> complex:
-    """Coefficient c for sigma = c * A; UnsupportedSigma otherwise."""
-    c = sigma.coefficient(1)
-    if sigma.degree != 1 or abs(sigma.coefficient(0)) > 1e-14 * abs(c):
-        raise UnsupportedSigma(
-            f"closed form needs sigma proportional to the variable, got {sigma.coeffs}"
-        )
-    return c
+def lambda_n_of(branch: NuBranch, n: int) -> complex:
+    """Polynomial eigenvalue lambda_n = -n tau' (sigma'' = 0 for sigma = c*A)."""
+    return _lambda_n(branch.tau.coefficient(1), n)
 
 
 def phi_of(problem: NuProblem, branch: NuBranch) -> ExpPowerTerm:
@@ -296,7 +289,7 @@ def phi_of(problem: NuProblem, branch: NuBranch) -> ExpPowerTerm:
 
     For pi = p1*A + p0 this is ``exp((p1/c) A) * A**(p0/c)``.
     """
-    c = _linear_sigma_scale(problem.sigma)
+    c = problem.sigma.coefficient(1)
     p0, p1 = branch.pi.coefficient(0), branch.pi.coefficient(1)
     return ExpPowerTerm(Poly((1.0,)), p1 / c, p0 / c)
 
@@ -312,7 +305,7 @@ def rho_of(problem: NuProblem, branch: NuBranch) -> ExpPowerTerm:
     For sigma = c*A and tau = t1*A + t0 this is
     ``exp((t1/c) A) * A**((t0 - c)/c)``.
     """
-    c = _linear_sigma_scale(problem.sigma)
+    c = problem.sigma.coefficient(1)
     rate, power = _rho_exponents(c, branch.tau.coefficient(0), branch.tau.coefficient(1))
     return ExpPowerTerm(Poly((1.0,)), rate, power)
 
@@ -329,18 +322,12 @@ class _Combo(NamedTuple):
     tau1: complex
 
 
-def _select(
-    rad: _Radical, k_index: int | None = None, pi_sign: int | None = None
-) -> _Combo:
+def _select(rad: _Radical) -> _Combo:
     """The branch screen of :func:`select_branch`, on scalar coefficients."""
     t0, t1 = rad.tau_tilde.coefficient(0), rad.tau_tilde.coefficient(1)
     decaying: list[_Combo] = []
     for ki, K in enumerate(_k_roots(rad)):
-        if k_index is not None and ki != k_index:
-            continue
         for sign in (-1, 1):
-            if pi_sign is not None and sign != pi_sign:
-                continue
             try:
                 p0, p1 = _pi_coeffs(rad, K, sign)
             except NotPerfectSquare:
@@ -350,18 +337,11 @@ def _select(
                 decaying.append(_Combo(K, ki, sign, p0, p1, t0 + 2.0 * p0, tau1))
     if not decaying:
         raise NoBranch("no (K, sign) combination gives Re(tau') < 0")
-    try:
-        c = _linear_sigma_scale(rad.sigma)
-    except UnsupportedSigma:
-        # the screen needs the closed-form weight; when sigma is not c*A
-        # the screen is inapplicable and every combo is kept
-        admissible = decaying
-    else:
-        admissible = []
-        for b in decaying:
-            rate, power = _rho_exponents(c, b.tau0, b.tau1)
-            if rate.real < 0.0 and power.real > -1.0:
-                admissible.append(b)
+    admissible = []
+    for b in decaying:
+        rate, power = _rho_exponents(rad.c, b.tau0, b.tau1)
+        if rate.real < 0.0 and power.real > -1.0:
+            admissible.append(b)
     if not admissible:
         raise NoBranch("no decaying combination has an admissible weight")
     if admissible[0] is decaying[0] or len(admissible) == 1:
@@ -374,23 +354,17 @@ def _select(
     )
 
 
-def select_branch(
-    problem: NuProblem,
-    *,
-    k_index: int | None = None,
-    pi_sign: int | None = None,
-) -> NuBranch:
+def select_branch(problem: NuProblem) -> NuBranch:
     """Pick the physical (K, sign) combination.
 
     All four combinations are formed; those with Re(tau') < 0 survive.
     Among survivors the first K root is preferred, then sign -1, and the
     winner must additionally pass the weight-admissibility screen
-    (Re(rate) < 0 and Re(power) > -1 for rho).  ``k_index`` / ``pi_sign``
-    restrict the candidate set explicitly, exposing the non-preferred K
-    root and its alternative spectrum on request.  The screen runs on
-    scalar coefficients; only the winner is built into polynomials.
+    (Re(rate) < 0 and Re(power) > -1 for rho, with sigma = c*A).  The
+    screen runs on scalar coefficients; only the winner is built into
+    polynomials.
     """
-    b = _select(_problem_radical(problem), k_index, pi_sign)
+    b = _select(_problem_radical(problem))
     return NuBranch(
         K=b.K,
         pi=_exact((b.pi0, b.pi1)),
@@ -400,10 +374,8 @@ def select_branch(
     )
 
 
-def rodrigues_y(
-    problem: NuProblem, rho: ExpPowerTerm, n: int, b_n: complex = 1.0
-) -> Poly:
-    """n-th Rodrigues polynomial ``(b_n / rho) d^n/dA^n [sigma**n rho]``.
+def rodrigues_y(problem: NuProblem, rho: ExpPowerTerm, n: int) -> Poly:
+    """n-th Rodrigues polynomial ``(1 / rho) d^n/dA^n [sigma**n rho]``.
 
     The n-fold exact derivative stays in the exponential-power family; the
     division by rho must cancel the exponential rate and the power within
@@ -414,7 +386,7 @@ def rodrigues_y(
         raise ValueError("n must be non-negative")
     if rho.poly.degree != 0:
         raise ValueError("weight must be a pure exponential-power term")
-    c = _linear_sigma_scale(problem.sigma)
+    c = problem.sigma.coefficient(1)
     sigma_n = Poly((0j,) * n + (c**n,))
     term = rho.times_poly(sigma_n)
     for _ in range(n):
@@ -426,7 +398,7 @@ def rodrigues_y(
             f"quotient keeps rate {rate_gap:.3e} / power {power_gap:.3e}; "
             "branch inconsistent with polynomial solutions"
         )
-    y = (as_finite_complex(b_n) / rho.poly.coefficient(0)) * term.poly
+    y = (1.0 / rho.poly.coefficient(0)) * term.poly
     if y.degree != n:
         raise CancellationFailure(
             f"Rodrigues output has degree {y.degree}, expected {n}"
@@ -438,8 +410,9 @@ def _lambdas(
     family: EnergyParametrizedProblem, kappa: float, n: int
 ) -> tuple[complex, complex]:
     """lambda and lambda_n of the branch selected at kappa, on scalars."""
-    b = _select(_radical(family.sigma, family.sigma_tilde_at(kappa), family.tau_tilde))
-    return b.K + b.pi1, _lambda_n(b.tau1, family.sigma, n)
+    c = family.sigma.coefficient(1)
+    b = _select(_radical(c, family.sigma_tilde_at(kappa), family.tau_tilde))
+    return b.K + b.pi1, _lambda_n(b.tau1, n)
 
 
 def eigen_residual(family: EnergyParametrizedProblem, kappa: float, n: int) -> float:
@@ -503,9 +476,9 @@ def _brent(f: Callable[[float], float], a: float, fa: float, b: float, fb: float
 def solve_kappa(family: EnergyParametrizedProblem, n: int) -> float:
     """Quantized kappa for level n: the root of the eigenvalue residual.
 
-    Brackets a sign change of ``eigen_residual`` on
-    ``[KAPPA_FLOOR, max(10 zeta**2, 1)]`` (falling back to a geometric scan
-    when the endpoints agree in sign), refines it by Brent-Dekker to
+    Brackets a sign change of ``eigen_residual`` between its values at
+    the ends of ``[KAPPA_FLOOR, max(10 zeta**2, 1)]`` (``NoSignChange``
+    when they agree in sign), refines it by Brent-Dekker to
     relative width ``KAPPA_REL_WIDTH``, and requires |lambda - lambda_n|
     below ``RESIDUAL_TOL`` there.  No closed-form spectrum is consulted.
     """
@@ -518,21 +491,9 @@ def solve_kappa(family: EnergyParametrizedProblem, n: int) -> float:
     if f_hi == 0.0:
         return hi
     if f_lo * f_hi > 0.0:
-        grid = [lo * (hi / lo) ** (i / 63.0) for i in range(64)]
-        bracket = None
-        prev_x, prev_f = grid[0], eigen_residual(family, grid[0], n)
-        for x in grid[1:]:
-            fx = eigen_residual(family, x, n)
-            if prev_f * fx <= 0.0:
-                bracket = (prev_x, prev_f, x, fx)
-                break
-            prev_x, prev_f = x, fx
-        if bracket is None:
-            raise NoSignChange(
-                f"eigenvalue residual keeps one sign on [{KAPPA_FLOOR:g}, {hi:g}] "
-                f"for n={n}"
-            )
-        lo, f_lo, hi, f_hi = bracket
+        raise NoSignChange(
+            f"eigenvalue residual keeps one sign on [{lo:g}, {hi:g}] for n={n}"
+        )
     kappa = _brent(lambda k: eigen_residual(family, k, n), lo, f_lo, hi, f_hi)
     lam, lam_n = _lambdas(family, kappa, n)
     residual = abs((lam - lam_n).real)

@@ -318,6 +318,30 @@ class TestConfigFile:
         )
         assert proc.returncode == 2
 
+    def test_config_that_is_not_an_object_rejected(self, tmp_path):
+        config = tmp_path / "units.json"
+        for document in ([1, 2], "atomic"):
+            config.write_text(json.dumps(document))
+            proc = run_cli(
+                "solve", "--n", "0", "--L", "0", "--alphadelta", "-1",
+                "--config", str(config),
+            )
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error:")
+
+    def test_non_numeric_constant_rejected(self, tmp_path):
+        config = tmp_path / "units.json"
+        for m in (None, [1]):
+            config.write_text(
+                json.dumps({"unit_system": "custom", "m": m, "hbar": 1, "k": 1, "e2": 1})
+            )
+            proc = run_cli(
+                "solve", "--n", "0", "--L", "0", "--alphadelta", "-1",
+                "--config", str(config),
+            )
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error:")
+
     def test_missing_config_file(self):
         proc = run_cli(
             "solve", "--n", "0", "--L", "0", "--alphadelta", "-1",

@@ -76,6 +76,19 @@ def reference_choice(problem):
     return None
 
 
+def record_residuals(monkeypatch):
+    """The kappa of every eigen_residual call, in call order."""
+    seen = []
+    original = nu.eigen_residual
+
+    def recorded(family, kappa, n):
+        seen.append(kappa)
+        return original(family, kappa, n)
+
+    monkeypatch.setattr(nu, "eigen_residual", recorded)
+    return seen
+
+
 DEEP = radial_problem(0.0, 2.0, 0.25, -3.0)
 
 
@@ -111,7 +124,9 @@ class TestKCandidates:
         assert k_candidates(problem) == (0j, 0j)
 
     def test_constant_discriminant_rejected(self):
-        problem = NuProblem(Poly((1.0,)), Poly((0.0, 1.0)), Poly((0.0,)))
+        """sigma = 1e-9 A against sigma_tilde = 1 + A^2: the K^2 term of the
+        discriminant is trimmed below the rest, which does not depend on K."""
+        problem = NuProblem(Poly((0.0, 1e-9)), Poly((1.0, 0.0, 1.0)), Poly(()))
         with pytest.raises(DegenerateDiscriminant):
             k_candidates(problem)
 
@@ -159,16 +174,6 @@ class TestSelectBranch:
         with pytest.raises(NoBranch):
             select_branch(problem)
 
-    def test_second_root_reachable_by_override(self):
-        branch = select_branch(DEEP, k_index=1)
-        assert branch.K == pytest.approx(5.0 / 6.0)
-        assert branch.pi_sign == -1
-        assert tuple(branch.tau) == pytest.approx((2 + 0j, -1 + 0j))
-
-    def test_sign_override_can_empty_the_candidate_set(self):
-        with pytest.raises(NoBranch):
-            select_branch(DEEP, k_index=1, pi_sign=1)
-
 
 class TestTauLambda:
     def test_tau_combination(self):
@@ -185,18 +190,11 @@ class TestTauLambda:
         branch = select_branch(problem)
         assert branch.K == pytest.approx(0.6)
         assert lambda_of(branch) == pytest.approx(0.4)
-        assert lambda_n_of(problem, branch, 1) == pytest.approx(0.4)
+        assert lambda_n_of(branch, 1) == pytest.approx(0.4)
 
     def test_lambda_n_zero_at_ground(self):
         branch = select_branch(DEEP)
-        assert lambda_n_of(DEEP, branch, 0) == 0j
-
-    def test_lambda_n_with_curved_sigma(self):
-        problem = NuProblem(Poly((0.0, 0.0, 1.0)), Poly((1.0,)), Poly((1.0,)))
-        branch = NuBranch(
-            K=0j, pi=Poly(()), tau=Poly((0.0, -1.0)), k_index=0, pi_sign=-1
-        )
-        assert lambda_n_of(problem, branch, 2) == pytest.approx(0.0)
+        assert lambda_n_of(branch, 0) == 0j
 
 
 class TestIntegratingFactors:
@@ -261,15 +259,15 @@ class TestIntegratingFactors:
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
     def test_unsupported_sigma_shapes(self):
-        shifted = NuProblem(Poly((1.0, 1.0)), Poly((0.0, 1.0)), Poly((2.0,)))
-        branch = NuBranch(
-            K=0j, pi=Poly((0.0, -1.0)), tau=Poly((2.0, -2.0)), k_index=0, pi_sign=-1
-        )
-        with pytest.raises(UnsupportedSigma):
-            phi_of(shifted, branch)
-        curved = NuProblem(Poly((0.0, 0.0, 1.0)), Poly((0.0, 1.0)), Poly((2.0,)))
-        with pytest.raises(UnsupportedSigma):
-            rho_of(curved, branch)
+        """Only sigma = c*A is solved; any other sigma is refused when the
+        problem, or a family through it, is built."""
+        for sigma in ((1.0,), (1.0, 1.0), (0.0, 0.0, 1.0)):
+            with pytest.raises(UnsupportedSigma):
+                NuProblem(Poly(sigma), Poly((0.0, 1.0)), Poly((2.0,)))
+            with pytest.raises(UnsupportedSigma):
+                EnergyParametrizedProblem(
+                    Poly(sigma), Poly((2.0,)), Poly((0.0, 1.0)), Poly((0.0, 0.0, -1.0))
+                )
 
 
 class TestRodrigues:
@@ -294,13 +292,6 @@ class TestRodrigues:
         y = rodrigues_y(problem, rho, 1)
         assert y.coefficient(0) / y.coefficient(1) == pytest.approx(-1.0)
 
-    def test_scaling_by_normalization(self):
-        branch = select_branch(DEEP)
-        rho = rho_of(DEEP, branch)
-        doubled = rodrigues_y(DEEP, rho, 1, b_n=2.0)
-        single = rodrigues_y(DEEP, rho, 1)
-        assert doubled.coefficient(1) == pytest.approx(2.0 * single.coefficient(1))
-
     def test_weight_mismatch_fails_cancellation(self):
         problem = radial_problem(0.0, 2.0, 1.0, -1.0)
         bad_rho = ExpPowerTerm(Poly((1.0,)), rate=-2.0, power=-1.0)
@@ -314,7 +305,7 @@ class TestRodrigues:
         rho = rho_of(problem, branch)
         for n in (1, 2, 3):
             y = rodrigues_y(problem, rho, n)
-            lam_n = lambda_n_of(problem, branch, n)
+            lam_n = lambda_n_of(branch, n)
             for z in (0.5, 1.4, 2.8, 4.9, 1.0 + 1.0j):
                 value = (
                     problem.sigma(z) * y.derivative().derivative()(z)
@@ -378,15 +369,25 @@ class TestQuantization:
             sigma_tilde_base=Poly((0.0, 0.25)),
             sigma_tilde_kappa_coeff=Poly((0.0, 0.0, -1.0)),
         )
-        seen = []
-        original = nu.eigen_residual
-
-        def recorded(family, kappa, n):
-            seen.append(kappa)
-            return original(family, kappa, n)
-
-        monkeypatch.setattr(nu, "eigen_residual", recorded)
+        seen = record_residuals(monkeypatch)
         assert solve_kappa(family, 0) == 1.0
+        assert seen == [nu.KAPPA_FLOOR, 1.0]
+
+    def test_endpoints_of_one_sign_raise_at_once(self, monkeypatch):
+        """sigma = A, tau_tilde = 2 and sigma_tilde = 2e-9 A - kappa A^2 put
+        the ground-state root near 1e-18, below KAPPA_FLOOR: both endpoint
+        residuals are negative, and nothing is searched between them."""
+        family = EnergyParametrizedProblem(
+            sigma=Poly((0.0, 1.0)),
+            tau_tilde=Poly((2.0,)),
+            sigma_tilde_base=Poly((0.0, 2e-9)),
+            sigma_tilde_kappa_coeff=Poly((0.0, 0.0, -1.0)),
+        )
+        seen = record_residuals(monkeypatch)
+        with pytest.raises(
+            NoSignChange, match=r"keeps one sign on \[1e-12, 1\] for n=0$"
+        ):
+            solve_kappa(family, 0)
         assert seen == [nu.KAPPA_FLOOR, 1.0]
 
     def test_configuration_ground_state_is_exact(self):
@@ -406,7 +407,7 @@ class TestQuantization:
                         problem = family.at(kappa)
                         branch = select_branch(problem)
                         for n in (0, 3):
-                            lam_n = lambda_n_of(problem, branch, n)
+                            lam_n = lambda_n_of(branch, n)
                             want = (lambda_of(branch) - lam_n).real
                             got = eigen_residual(family, kappa, n)
                             assert abs(got - want) <= 1e-14 * abs(want)
