@@ -21,18 +21,12 @@ from phasenu import (
     is_on_manifold,
     manifold_point,
     phase_angle,
-    satisfies_legacy_sum,
 )
 from phasenu.errors import WavefunctionDependentAngle
 
 
 def show_point(label, p):
-    flags = []
-    if is_on_manifold(p):
-        flags.append("manifold")
-    if satisfies_legacy_sum(p):
-        flags.append("legacy-sum")
-    tag = ", ".join(flags) if flags else "off-manifold"
+    tag = "manifold" if is_on_manifold(p) else "off-manifold"
     print(f"  {label}: {p.as_tuple()}  c = {commutator_coefficient(p):+.3f}  [{tag}]")
 
 

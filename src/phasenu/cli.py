@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -109,7 +110,7 @@ def _load_params(config_path: str | None, L: int) -> hydrogen.PhysicalParams:
     if config_path is None:
         return hydrogen.PhysicalParams(angular_momentum=L)
     with open(config_path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_int=float)  # an int too large for a float reads inf
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     unit = data.get("unit_system", "atomic")
@@ -120,12 +121,10 @@ def _load_params(config_path: str | None, L: int) -> hydrogen.PhysicalParams:
     missing = [key for key in _CUSTOM_KEYS if key not in data]
     if missing:
         raise ValueError(f"custom unit system requires {_CUSTOM_KEYS}; missing {missing}")
-    try:
-        values = {key: float(data[key]) for key in _CUSTOM_KEYS}
-    except TypeError as err:
-        raise ValueError(f"custom constants must be numbers: {err}") from None
-    if any(v <= 0.0 for v in values.values()):
-        raise ValueError("custom constants must all be positive")
+    values = {key: data[key] for key in _CUSTOM_KEYS}
+    bad = {k: v for k, v in values.items() if type(v) is not float or not 0.0 < v < math.inf}
+    if bad:
+        raise ValueError(f"custom constants must be finite positive numbers: {bad}")
     return hydrogen.PhysicalParams(
         mass=values["m"],
         hbar=values["hbar"],

@@ -3,13 +3,19 @@
 Two closed families carry all symbolic work in this package: plain
 polynomials ``P(A)``, and terms ``P(A) * exp(rate*A) * A**power`` which are
 closed under differentiation.  Coefficients are stored in ascending degree
-order and kept canonical by trimming trailing near-zeros.
+order and kept canonical by trimming trailing near-zeros.  Horner
+evaluation runs on floats when every coefficient and the point have
+imaginary part +0.0.  That is exact: the complex recursion then keeps its
+imaginary part at +0.0 and does the same float operations on its real part.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BranchPointError, DegreeError
@@ -70,13 +76,24 @@ class Poly:
         """Coefficient of degree ``k`` (zero beyond the stored length)."""
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0j
 
+    @cached_property
+    def _top_down(self) -> tuple[tuple[complex, ...], tuple[float, ...] | None]:
+        """Coefficients top down; their real parts if all imag parts are +0.0."""
+        cs = self.coeffs[::-1]
+        real = all(c.imag == 0.0 and math.copysign(1.0, c.imag) > 0.0 for c in cs)
+        return cs, (tuple(c.real for c in cs) if real else None)
+
     def __call__(self, z: complex) -> complex:
-        """Evaluate by Horner recursion."""
+        """Evaluate by Horner recursion, on floats when every coefficient and
+        ``z`` have imaginary part +0.0: the complex recursion's imaginary part
+        then stays +0.0, so the bits are the same.  A -0.0 part, which can
+        flip a zero's sign, or a non-finite float result goes complex."""
         z = complex(z)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        top_down, real = self._top_down
+        if real is not None and z.imag == 0.0 and math.copysign(1.0, z.imag) > 0.0:
+            if math.isfinite(value := _horner(real, z.real, 0.0)):
+                return complex(value)
+        return _horner(top_down, z, 0j)
 
     def derivative(self) -> "Poly":
         """Formal derivative; degree drops by exactly one when nonconstant."""
@@ -88,8 +105,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return _exact(self.coefficient(k) + other.coefficient(k) for k in range(n))
+        return _exact(_sum(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -121,13 +137,29 @@ class Poly:
         return _exact((0j,) + self.coeffs)
 
 
-def _exact(coeffs: Iterable[complex]) -> Poly:
-    """Poly from already-computed coefficients, dropping only exact zeros."""
-    cs = list(coeffs)
+def _horner(top_down: Sequence, z, acc):
+    """Horner recursion in the type of ``z`` and ``acc``."""
+    for c in top_down:
+        acc = acc * z + c
+    return acc
+
+
+def _trim(cs: list[complex]) -> list[complex]:
+    """Drop the exact-zero tail of ``cs`` in place."""
     while cs and cs[-1] == 0j:
         cs.pop()
+    return cs
+
+
+def _sum(xs: Sequence[complex], ys: Sequence[complex]) -> list[complex]:
+    """Coefficients of ``_exact(xs) + _exact(ys)``; trims lists in place."""
+    return _trim([a + b for a, b in zip_longest(_trim(xs), _trim(ys), fillvalue=0j)])
+
+
+def _exact(coeffs: Iterable[complex]) -> Poly:
+    """Poly from already-computed coefficients, dropping only exact zeros."""
     p = object.__new__(Poly)
-    object.__setattr__(p, "coeffs", tuple(cs))
+    object.__setattr__(p, "coeffs", tuple(_trim(list(coeffs))))
     return p
 
 
@@ -205,11 +237,16 @@ class ExpPowerTerm:
         ``d/dA [P e^{aA} A^b] = [A (P' + a P) + b P] e^{aA} A^{b-1}``;
         the power drops by at most one per derivative (folding may give it
         back when the polynomial picks up a factor of ``A``).
+        Formed on coefficient lists with the operations and exact-zero trims
+        of ``(P.derivative() + a*P).shifted_up() + b*P`` in the same order,
+        so the same bits, without its five intermediate ``Poly`` objects.
         """
         if self.is_zero:
             return self
-        inner = (self.poly.derivative() + self.rate * self.poly).shifted_up()
-        return ExpPowerTerm(inner + self.power * self.poly, self.rate, self.power - 1)
+        p, rate, power = self.poly.coeffs, self.rate, self.power
+        inner = _sum([k * p[k] for k in range(1, len(p))], [rate * c for c in p])
+        bracket = _sum([0j] + inner, [power * c for c in p])
+        return ExpPowerTerm(_exact(bracket), rate, power - 1)
 
     def evaluate(self, z: complex) -> complex:
         """Evaluate at ``z`` on the principal branch of ``z**power``.

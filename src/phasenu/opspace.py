@@ -63,11 +63,6 @@ def is_on_manifold(p: OpPoint, tol: float = MANIFOLD_TOL) -> bool:
     return abs(commutator_coefficient(p) - 1.0) <= tol
 
 
-def satisfies_legacy_sum(p: OpPoint, tol: float = MANIFOLD_TOL) -> bool:
-    """Older constraint alpha + gamma = 1, kept distinct from the commutator one."""
-    return abs(p.alpha + p.gamma - 1.0) <= tol
-
-
 @dataclass(frozen=True)
 class GEta:
     """Diagonal integer transform matrix, stored as its diagonal."""

@@ -342,6 +342,26 @@ class TestConfigFile:
             assert proc.returncode == 2
             assert proc.stderr.startswith("error:")
 
+    def test_non_finite_bool_or_string_constant_rejected(self, tmp_path):
+        """Only finite JSON numbers pass: Infinity used to reach the solver
+        (exit 3), and true or "2" solved as 1 and 2."""
+        config = tmp_path / "units.json"
+        cases = (
+            ("hbar", "Infinity"), ("hbar", "NaN"), ("k", "-Infinity"),
+            ("m", "true"), ("hbar", '"2"'), ("e2", "1" + "0" * 400),
+        )
+        for key, text in cases:
+            constants = {"m": "1", "hbar": "1", "k": "1", "e2": "1", key: text}
+            body = ", ".join(f'"{k}": {v}' for k, v in constants.items())
+            config.write_text('{"unit_system": "custom", ' + body + "}")
+            proc = run_cli(
+                "solve", "--n", "0", "--L", "0", "--alphadelta", "-1",
+                "--config", str(config),
+            )
+            assert proc.returncode == 2, text
+            assert proc.stderr.startswith("error:"), text
+            assert f"'{key}'" in proc.stderr, text
+
     def test_missing_config_file(self):
         proc = run_cli(
             "solve", "--n", "0", "--L", "0", "--alphadelta", "-1",

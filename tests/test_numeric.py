@@ -1,18 +1,51 @@
 """Complex polynomial and exponential-power term arithmetic."""
 
 import cmath
+import dataclasses
 import math
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phasenu import numeric
 from phasenu.errors import BranchPointError, DegreeError
 from phasenu.numeric import ExpPowerTerm, Poly, normal_coeffs, quadratic_roots
 
 unit_coeff = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=1.0, allow_nan=False, allow_infinity=False
 )
+
+#: Parts with signed zeros, exact cancellations, underflow and overflow.
+part = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -0.5, 1e-200, -1e-200, 1e200]),
+    st.floats(-1e3, 1e3),
+)
+signed_zero = st.sampled_from([0.0, -0.0])
+coeff = st.builds(complex, part, st.one_of(signed_zero, part))
+point = st.one_of(st.builds(complex, part, signed_zero), st.builds(complex, part, part))
+
+
+def bits(z: complex) -> bytes:
+    """Both parts bit for bit, signs of zero and NaN payloads included."""
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def complex_horner(coeffs, z):
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def poly_derivative(t: ExpPowerTerm) -> ExpPowerTerm:
+    """The term derivative composed from Poly arithmetic."""
+    if t.is_zero:
+        return t
+    p = t.poly
+    inner = (p.derivative() + t.rate * p).shifted_up()
+    return ExpPowerTerm(inner + t.power * p, t.rate, t.power - 1)
 
 
 class TestPoly:
@@ -84,6 +117,66 @@ class TestPoly:
         fd = (p(z + h) - p(z - h)) / (2.0 * h)
         exact = p.derivative()(z)
         assert abs(exact - fd) <= 1e-6 * (1.0 + abs(exact))
+
+
+class TestBitIdentity:
+    """The float Horner path and the list-based term derivative give the
+    bits of the complex arithmetic they replace."""
+
+    @given(st.lists(coeff, max_size=8), point)
+    # a -0.0 imaginary part of z or of a coefficient flips a zero's sign
+    @example([complex(-0.0, 0.0), 1 + 0j], complex(-0.0, -0.0))
+    @example([complex(-0.0, 0.0), complex(1.0, -0.0), -1 + 0j], complex(-0.0, 0.0))
+    @example([1 + 0j, 1 + 0j, 1e200 + 0j], 1e200 + 0j)  # overflow: inf + nanj
+    @settings(max_examples=400, deadline=None)
+    def test_horner_matches_complex_recursion(self, coeffs, z):
+        p = Poly(coeffs)
+        assert bits(p(z)) == bits(complex_horner(p.coeffs, z))
+
+    @given(st.lists(coeff, min_size=1, max_size=6), coeff, coeff, st.integers(1, 6))
+    # a rate or power times P that ends in exact zeros, which the sums must trim
+    @example([-0.5 - 1j, 2 + 0j, complex(-0.0, 2.0)], complex(-0.0, 0.0), 1 + 0j, 1)
+    @example([complex(-0.0, 2.0), complex(-1.0, -0.0), 1 + 2j], complex(-0.0, 1.0), 0j, 1)
+    @settings(max_examples=300, deadline=None)
+    def test_derivative_chain_matches_poly_arithmetic(self, coeffs, rate, power, steps):
+        fast = slow = ExpPowerTerm(Poly(coeffs), rate, power)
+        for _ in range(steps):
+            fast, slow = fast.derivative(), poly_derivative(slow)
+            assert [bits(c) for c in fast.poly] == [bits(c) for c in slow.poly]
+            assert bits(fast.rate) == bits(slow.rate)
+            assert bits(fast.power) == bits(slow.power)
+
+    def test_float_path_needs_plus_zero_imaginary_parts(self, monkeypatch):
+        kinds = []
+        horner = numeric._horner
+
+        def spy(top_down, z, acc):
+            kinds.append(type(acc))
+            return horner(top_down, z, acc)
+
+        monkeypatch.setattr(numeric, "_horner", spy)
+        real = Poly((1.0, -2.0, 0.5))
+        cases = (
+            (real, 1.5, [float]),
+            (real, complex(1.5, 0.0), [float]),
+            (real, complex(1.5, -0.0), [complex]),
+            (real, 1.5 + 1j, [complex]),
+            (Poly((1.0, complex(-2.0, -0.0))), 1.5, [complex]),
+            (Poly((1.0, 1e-3j)), 1.5, [complex]),
+            # overflow: the float result is not finite, so the complex recursion decides
+            (Poly((1.0, 1e200)), 1e200, [float, complex]),
+        )
+        for p, z, want in cases:
+            kinds.clear()
+            p(z)
+            assert kinds == want, (p, z)
+
+    def test_cache_is_not_a_field(self):
+        p = Poly((1.0, -2.0, 0.5))
+        fresh = Poly((1.0, -2.0, 0.5))
+        p(1.5)
+        assert [f.name for f in dataclasses.fields(Poly)] == ["coeffs"]
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
 
 
 class TestQuadraticRoots:

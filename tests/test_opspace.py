@@ -22,7 +22,6 @@ from phasenu.opspace import (
     is_on_manifold,
     manifold_point,
     phase_angle,
-    satisfies_legacy_sum,
 )
 
 diag4 = st.tuples(
@@ -47,10 +46,6 @@ class TestManifold:
         assert commutator_coefficient(OpPoint(1.0, 0.0, 0.0, -1.0)) == 1.0
         assert commutator_coefficient(OpPoint(-3.0, 1.0, -2.0, 1.0)) == 1.0
         assert commutator_coefficient(OpPoint(1.0, 0.0, 0.0, -2.0)) == 2.0
-
-    def test_legacy_sum_predicate(self):
-        assert satisfies_legacy_sum(OpPoint(1.0, 0.0, 0.0, -1.0))
-        assert not satisfies_legacy_sum(OpPoint(-3.0, 1.0, -2.0, 1.0))
 
     def test_constructor_fills_gamma(self):
         p = manifold_point(-3.0, 1.0, 1.0)
