@@ -15,7 +15,7 @@ class DegreeError(PhasenuError, ValueError):
 
 class BranchPointError(PhasenuError, ValueError):
     """Evaluation requested at the branch point z = 0 of a fractional or
-    negative power."""
+    negative power, or where sigma vanishes in the equation."""
 
 
 class DegenerateDiscriminant(PhasenuError):

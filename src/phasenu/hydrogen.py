@@ -19,13 +19,14 @@ only as cross-check targets.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import nu
-from .errors import UnsupportedBranch, UnsupportedRecovery
-from .numeric import ExpPowerTerm, Poly
+from .errors import BranchPointError, UnsupportedBranch, UnsupportedRecovery
+from .numeric import ExpPowerTerm, Poly, _horner
 from .opspace import MANIFOLD_TOL, OpPoint, is_on_manifold
 
 
@@ -241,22 +242,40 @@ def ode_residual(state: nu.NuState, samples: list[complex]) -> float:
 
     A state assembled at a detuned kappa (``nu.assemble``) carries the
     equation at that kappa, so its residual measures how far the assembly
-    drifts from solving it.
+    drifts from solving it.  A non-finite defect reads inf; a sample
+    where sigma vanishes (A = 0) raises :class:`BranchPointError`.
+
+    psi, psi' and psi'' share their rate, so each sample takes one
+    exponential; the six polynomials go through ``_horner`` on their
+    coefficients.  The bits are those of ``ExpPowerTerm.evaluate`` and
+    ``Poly.__call__``, whose float path gives the complex recursion's bits.
     """
     body = state.body
     d1 = body.derivative()
     d2 = d1.derivative()
     problem = state.problem
+    rate, p0, p1, p2 = body.rate, body.power, d1.power, d2.power
+    c0, c1, c2 = (term.poly.coeffs[::-1] for term in (body, d1, d2))
+    c_sig, c_tau, c_st = (
+        p.coeffs[::-1]
+        for p in (problem.sigma, problem.tau_tilde, problem.sigma_tilde)
+    )
     worst = 0.0
     for z in samples:
-        sig = problem.sigma(z)
-        omega_val = body.evaluate(z)
+        z = complex(z)
+        exp_z = cmath.exp(rate * z)
+        sig = _horner(c_sig, z, 0j)
+        if sig == 0:
+            raise BranchPointError(f"sigma vanishes at A = {z}")
+        omega_val = _horner(c0, z, 0j) * exp_z * z**p0
         lhs = (
-            d2.evaluate(z)
-            + problem.tau_tilde(z) / sig * d1.evaluate(z)
-            + problem.sigma_tilde(z) / (sig * sig) * omega_val
+            _horner(c2, z, 0j) * exp_z * z**p2
+            + _horner(c_tau, z, 0j) / sig * (_horner(c1, z, 0j) * exp_z * z**p1)
+            + _horner(c_st, z, 0j) / (sig * sig) * omega_val
         )
-        worst = max(worst, abs(lhs) / (1.0 + abs(omega_val)))
+        defect = abs(lhs) / (1.0 + abs(omega_val))
+        if not defect <= worst:  # larger, or NaN
+            worst = defect if math.isfinite(defect) else math.inf
     return worst
 
 

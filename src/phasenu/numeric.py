@@ -270,6 +270,3 @@ class ExpPowerTerm:
     def times_poly(self, q: Poly) -> "ExpPowerTerm":
         """Multiply the polynomial factor by ``q``."""
         return ExpPowerTerm(self.poly * q, self.rate, self.power)
-
-    def scaled(self, c: complex) -> "ExpPowerTerm":
-        return ExpPowerTerm(self.poly * c, self.rate, self.power)

@@ -1,7 +1,9 @@
 """Phase-space hydrogen pipeline: radial family, spectra on both
 perfect-square branches, wavefunction assembly, and the recovery rule."""
 
+import collections
 import dataclasses
+import functools
 import math
 import statistics
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasenu import nu
-from phasenu.errors import UnsupportedBranch, UnsupportedRecovery
+from phasenu.errors import BranchPointError, UnsupportedBranch, UnsupportedRecovery
 from phasenu.hydrogen import (
     BRANCHES,
     CONFIG_SPACE_POINT,
@@ -30,14 +32,69 @@ from phasenu.hydrogen import (
     recover_configuration_space,
     solve_energy,
 )
+from phasenu.numeric import ExpPowerTerm, Poly
 from phasenu.nu import assemble, solve_state
 from phasenu.opspace import OpPoint, manifold_point
 
 ATOMIC = PhysicalParams()
 
+RESIDUAL_UNITS = {
+    "atomic": ATOMIC,
+    "hbar30": PhysicalParams(hbar=30.0),
+    "scaled": PhysicalParams(
+        mass=2.5, hbar=1.7, coulomb_constant=0.8, charge_squared=1.3
+    ),
+}
+
+#: Real points with an imaginary part of +0.0 and of -0.0, and Re A < 0.
+EDGE_SAMPLES = (
+    0.7 + 0j,
+    2.5 + 0j,
+    4.0 + 0j,
+    complex(0.7, -0.0),
+    complex(3.0, -0.0),
+    -1.5 + 0.3j,
+    -0.8 - 1.1j,
+    -2.0 + 0j,
+    complex(-2.0, -0.0),
+)
+
 
 def radial_family(params, alphadelta):
     return build_radial_family(derived_constants(params), alphadelta)
+
+
+@functools.cache
+def solved_and_detuned(units, alphadelta):
+    """Solved and 1.1*kappa-detuned states, L 0..5, n in {0, 1, 5, 20, 40}."""
+    states = []
+    for L in range(6):
+        params = dataclasses.replace(RESIDUAL_UNITS[units], angular_momentum=L)
+        family = radial_family(params, alphadelta)
+        for n in (0, 1, 5, 20, 40):
+            state = solve_state(family, n)
+            states += [state, assemble(family, 1.1 * state.kappa, n)]
+    return states
+
+
+def reference_residual(state, samples):
+    """ode_residual written with ExpPowerTerm.evaluate and Poly.__call__."""
+    body = state.body
+    d1 = body.derivative()
+    d2 = d1.derivative()
+    problem = state.problem
+    worst = 0.0
+    for z in samples:
+        sig = problem.sigma(z)
+        omega_val = body.evaluate(z)
+        lhs = (
+            d2.evaluate(z)
+            + problem.tau_tilde(z) / sig * d1.evaluate(z)
+            + problem.sigma_tilde(z) / (sig * sig) * omega_val
+        )
+        defect = abs(lhs) / (1.0 + abs(omega_val))
+        worst = max(worst, defect if math.isfinite(defect) else math.inf)
+    return worst
 
 
 class TestParams:
@@ -291,6 +348,59 @@ class TestSamplesAndResiduals:
         samples = annulus_samples()
         drift = ode_residual(assemble(radial_family(ATOMIC, -3.0), 0.275, 0), samples)
         assert drift > 1e-3
+
+    @pytest.mark.parametrize("alphadelta", sorted(BRANCHES))
+    @pytest.mark.parametrize("units", sorted(RESIDUAL_UNITS))
+    def test_residual_has_the_bits_of_term_evaluation(self, units, alphadelta):
+        annulus = annulus_samples(100)
+        for state in solved_and_detuned(units, alphadelta):
+            tag = (state.kappa, state.n)
+            for samples in [annulus, *([z] for z in EDGE_SAMPLES)]:
+                got = ode_residual(state, samples)
+                want = reference_residual(state, samples)
+                assert got.hex() == want.hex(), (tag, samples[0])
+
+    def test_residual_makes_no_term_or_poly_calls(self, monkeypatch):
+        """Spied the way test_state_is_assembled_once spies the solve; the
+        reference shows that the spy sees the calls it is meant to count."""
+        state = solved_and_detuned("atomic", -3.0)[0]
+        samples = annulus_samples(100)
+        counts = collections.Counter()
+
+        def spy(cls, name):
+            original = getattr(cls, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        spy(ExpPowerTerm, "evaluate")
+        spy(Poly, "__call__")
+        got = ode_residual(state, samples)
+        assert counts == {}
+        assert reference_residual(state, samples) == got
+        assert counts == {"evaluate": 300, "__call__": 600}
+
+    @pytest.mark.parametrize("detuned", [False, True])
+    def test_non_finite_defect_reads_inf(self, detuned):
+        """At A = 1e10 the n = 40 body overflows to nan, and so does its
+        defect; max() would drop it and read 0."""
+        state = solve_state(radial_family(ATOMIC, -1.0), 40)
+        if detuned:
+            state = assemble(state.family, 1.1 * state.kappa, 40)
+        far = 1e10 + 0j
+        assert ode_residual(state, [far]) == math.inf
+        assert ode_residual(state, [*annulus_samples(100), far]) == math.inf
+        assert ode_residual(state, [far, *annulus_samples(100)]) == math.inf
+
+    @pytest.mark.parametrize("alphadelta", sorted(BRANCHES))
+    def test_sample_where_sigma_vanishes_raises(self, alphadelta):
+        for state in solved_and_detuned("atomic", alphadelta)[:4]:
+            for zero in (0j, complex(0.0, -0.0), complex(-0.0, 0.0)):
+                with pytest.raises(BranchPointError):
+                    ode_residual(state, [1e10 + 0j, zero])
 
 
 class TestRecovery:

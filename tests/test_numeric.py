@@ -273,12 +273,11 @@ class TestExpPowerTerm:
         assert ExpPowerTerm(Poly((3.0,)), 1.0, 0.0).evaluate(0.0) == 3 + 0j
         assert ExpPowerTerm(Poly((3.0,)), 1.0, 2.0).evaluate(0.0) == 0j
 
-    def test_times_poly_and_scaled(self):
+    def test_times_poly(self):
         t = ExpPowerTerm(Poly((1.0,)), rate=-1.0, power=0.5)
         grown = t.times_poly(Poly((0.0, 2.0)))
         assert grown.power == pytest.approx(1.5)
         assert grown.poly.coefficient(0) == pytest.approx(2.0)
-        assert t.scaled(3.0).poly.coefficient(0) == pytest.approx(3.0)
 
     def test_derivative_matches_central_difference_on_annulus(self):
         t = ExpPowerTerm(Poly((1.0, 0.5)), rate=-0.3 + 0.1j, power=1.0 / 3.0)
