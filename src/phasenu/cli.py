@@ -16,7 +16,7 @@ import sys
 from typing import Sequence
 
 from . import hydrogen, nu, opspace
-from .acceptance import run_suite
+from .acceptance import SUITES, run_suite
 from .errors import PhasenuError
 from .numeric import Poly
 
@@ -282,11 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     wavefunction.set_defaults(handler=_cmd_wavefunction)
 
     verify = sub.add_parser("verify", help="run the acceptance checks")
-    verify.add_argument(
-        "--suite",
-        choices=("nu", "opspace", "hta", "oracle", "all"),
-        default="all",
-    )
+    verify.add_argument("--suite", choices=tuple(SUITES), default="all")
     verify.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -30,11 +30,6 @@ class NoBranch(PhasenuError):
     """No (K, sign) combination yields a decaying, weight-admissible tau."""
 
 
-class AmbiguousBranch(PhasenuError):
-    """The admissibility screen removed the preferred combination and more
-    than one alternative survives."""
-
-
 class UnsupportedSigma(PhasenuError, ValueError):
     """The solver requires sigma proportional to the variable."""
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from . import nu
@@ -293,10 +293,4 @@ def recover_configuration_space(wf: WavefunctionForm) -> WavefunctionForm:
             "recovery needs gamma = 0 and beta = 0; point has "
             f"gamma={point.gamma}, beta={point.beta}"
         )
-    return WavefunctionForm(
-        prefactor_rate=0j,
-        body=wf.body,
-        config=wf.config,
-        n=wf.n,
-        kappa=wf.kappa,
-    )
+    return replace(wf, prefactor_rate=0j)

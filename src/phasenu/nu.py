@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
-    AmbiguousBranch,
     CancellationFailure,
     DegenerateDiscriminant,
     DegreeError,
@@ -101,13 +100,11 @@ class NuProblem:
 
 @dataclass(frozen=True)
 class NuBranch:
-    """One resolved (K, sign) choice: pi, tau, and its provenance indices."""
+    """The selected combination: the constant K, pi, and tau = tau_tilde + 2 pi."""
 
     K: complex
     pi: Poly
     tau: Poly
-    k_index: int
-    pi_sign: int
 
 
 @dataclass(frozen=True)
@@ -163,11 +160,13 @@ class NuState:
 
     @property
     def lam(self) -> complex:
-        return lambda_of(self.branch)
+        """Eigenvalue parameter lambda = K + pi'."""
+        return self.branch.K + self.branch.pi.coefficient(1)
 
     @property
     def lam_n(self) -> complex:
-        return lambda_n_of(self.branch, self.n)
+        """Polynomial eigenvalue lambda_n = -n tau' (sigma'' = 0 for sigma = c*A)."""
+        return _lambda_n(self.branch.tau.coefficient(1), self.n)
 
     @property
     def body(self) -> ExpPowerTerm:
@@ -197,11 +196,6 @@ def _radical(c: complex, sigma_tilde: Sequence[complex], tau_tilde: Poly) -> _Ra
     return _Radical(c, tau_tilde, (b0, b1), q)
 
 
-def _problem_radical(problem: NuProblem) -> _Radical:
-    sigma_tilde = tuple(problem.sigma_tilde.coefficient(k) for k in range(3))
-    return _radical(problem.sigma.coefficient(1), sigma_tilde, problem.tau_tilde)
-
-
 def _k_roots(rad: _Radical) -> tuple[complex, complex]:
     c = rad.c
     q0, q1, q2 = rad.q
@@ -210,23 +204,13 @@ def _k_roots(rad: _Radical) -> tuple[complex, complex]:
         raise DegenerateDiscriminant(
             "discriminant does not depend on K for this coefficient triple"
         )
-    return quadratic_roots(disc_in_k)
+    # checked up front: a non-finite second root raises even if the first wins
+    K0, K1 = quadratic_roots(disc_in_k)
+    return as_finite_complex(K0), as_finite_complex(K1)
 
 
-def k_candidates(problem: NuProblem) -> tuple[complex, complex]:
-    """Both K values that collapse the radicand to a perfect square.
-
-    The radicand ``q + K c A`` is quadratic in the variable; requiring
-    its discriminant to vanish is itself (at most) a quadratic in K.  The
-    two roots come back sorted by real part then imaginary part; a linear
-    condition yields its single root twice.
-    """
-    return _k_roots(_problem_radical(problem))
-
-
-def _pi_coeffs(rad: _Radical, K: complex, sign: int) -> tuple[complex, complex]:
-    """Coefficients (pi0, pi1) of pi = base + sign * sqrt(q + K c A)."""
-    K = as_finite_complex(K)
+def _pi_coeffs(rad: _Radical, K: complex) -> tuple[complex, complex]:
+    """Coefficients (pi0, pi1) of pi = base - sqrt(q + K c A)."""
     r0, r1, r2 = rad.q[0], rad.q[1] + K * rad.c, rad.q[2]
     scale = max(abs(r0), abs(r1), abs(r2))
     disc = r1 * r1 - 4.0 * r2 * r0
@@ -248,40 +232,14 @@ def _pi_coeffs(rad: _Radical, K: complex, sign: int) -> tuple[complex, complex]:
             u, v = -u, -v
     # a u at rounding level next to v is dropped, as Poly((v, u)) would
     v, u = (normal_coeffs((v, u)) + (0j, 0j))[:2]
-    return rad.base[0] + sign * v, rad.base[1] + sign * u
-
-
-def pi_from_k(problem: NuProblem, K: complex, sign: int) -> Poly:
-    """Resolve the radical for one K and sign into the linear pi.
-
-    The radicand must be a perfect square within ``SQUARE_TOL`` relative to
-    its coefficient scale; the square root is written ``u*A + v`` with the
-    canonical choice Re(u) >= 0.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return _exact(_pi_coeffs(_problem_radical(problem), K, sign))
-
-
-def tau_of(problem: NuProblem, pi: Poly) -> Poly:
-    """tau = tau_tilde + 2 pi."""
-    return problem.tau_tilde + 2.0 * pi
-
-
-def lambda_of(branch: NuBranch) -> complex:
-    """Eigenvalue parameter lambda = K + pi'."""
-    return branch.K + branch.pi.coefficient(1)
+    # a complex product by -1, not a negation: they differ in signed zeros
+    return rad.base[0] + -1 * v, rad.base[1] + -1 * u
 
 
 def _lambda_n(tau1: complex, n: int) -> complex:
     if n < 0:
         raise ValueError("n must be non-negative")
     return -n * tau1
-
-
-def lambda_n_of(branch: NuBranch, n: int) -> complex:
-    """Polynomial eigenvalue lambda_n = -n tau' (sigma'' = 0 for sigma = c*A)."""
-    return _lambda_n(branch.tau.coefficient(1), n)
 
 
 def phi_of(problem: NuProblem, branch: NuBranch) -> ExpPowerTerm:
@@ -311,11 +269,9 @@ def rho_of(problem: NuProblem, branch: NuBranch) -> ExpPowerTerm:
 
 
 class _Combo(NamedTuple):
-    """One (K, sign) combination on scalars: pi = pi0 + pi1*A, tau likewise."""
+    """The selected combination on scalars: pi = pi0 + pi1*A, tau likewise."""
 
     K: complex
-    k_index: int
-    pi_sign: int
     pi0: complex
     pi1: complex
     tau0: complex
@@ -325,53 +281,38 @@ class _Combo(NamedTuple):
 def _select(rad: _Radical) -> _Combo:
     """The branch screen of :func:`select_branch`, on scalar coefficients."""
     t0, t1 = rad.tau_tilde.coefficient(0), rad.tau_tilde.coefficient(1)
-    decaying: list[_Combo] = []
-    for ki, K in enumerate(_k_roots(rad)):
-        for sign in (-1, 1):
-            try:
-                p0, p1 = _pi_coeffs(rad, K, sign)
-            except NotPerfectSquare:
-                continue
-            tau1 = t1 + 2.0 * p1
-            if tau1.real < 0.0:
-                decaying.append(_Combo(K, ki, sign, p0, p1, t0 + 2.0 * p0, tau1))
-    if not decaying:
+    decays = False
+    for K in _k_roots(rad):
+        try:
+            p0, p1 = _pi_coeffs(rad, K)
+        except NotPerfectSquare:
+            continue
+        tau1 = t1 + 2.0 * p1
+        if tau1.real < 0.0:
+            decays = True
+            tau0 = t0 + 2.0 * p0
+            rate, power = _rho_exponents(rad.c, tau0, tau1)
+            if rate.real < 0.0 and power.real > -1.0:
+                return _Combo(K, p0, p1, tau0, tau1)
+    if not decays:
         raise NoBranch("no (K, sign) combination gives Re(tau') < 0")
-    admissible = []
-    for b in decaying:
-        rate, power = _rho_exponents(rad.c, b.tau0, b.tau1)
-        if rate.real < 0.0 and power.real > -1.0:
-            admissible.append(b)
-    if not admissible:
-        raise NoBranch("no decaying combination has an admissible weight")
-    if admissible[0] is decaying[0] or len(admissible) == 1:
-        return admissible[0]
-    listing = ", ".join(
-        f"(k_index={b.k_index}, sign={b.pi_sign:+d}, K={b.K})" for b in admissible
-    )
-    raise AmbiguousBranch(
-        f"admissibility screen removed the preferred combo; survivors: {listing}"
-    )
+    raise NoBranch("no decaying combination has an admissible weight")
 
 
 def select_branch(problem: NuProblem) -> NuBranch:
     """Pick the physical (K, sign) combination.
 
-    All four combinations are formed; those with Re(tau') < 0 survive.
-    Among survivors the first K root is preferred, then sign -1, and the
-    winner must additionally pass the weight-admissibility screen
-    (Re(rate) < 0 and Re(power) > -1 for rho, with sigma = c*A).  The
-    screen runs on scalar coefficients; only the winner is built into
-    polynomials.
+    Only the sign -1 can give Re(tau') < 0: pi' = -t1/2 +/- u with
+    Re(u) >= 0, where t1 = tau_tilde', so the sign +1 gives
+    Re(tau') = Re(t1 + 2 pi') >= 0 whenever t1 is zero or a normal float.
+    The K roots are tried in order, each with sign -1; the first whose
+    tau decays and whose weight is admissible (Re(rate) < 0 and
+    Re(power) > -1 for rho, with sigma = c*A) wins.  The screen runs on
+    scalar coefficients; only the winner is built into polynomials.
     """
-    b = _select(_problem_radical(problem))
-    return NuBranch(
-        K=b.K,
-        pi=_exact((b.pi0, b.pi1)),
-        tau=_exact((b.tau0, b.tau1)),
-        k_index=b.k_index,
-        pi_sign=b.pi_sign,
-    )
+    sigma_tilde = tuple(problem.sigma_tilde.coefficient(k) for k in range(3))
+    b = _select(_radical(problem.sigma.coefficient(1), sigma_tilde, problem.tau_tilde))
+    return NuBranch(K=b.K, pi=_exact((b.pi0, b.pi1)), tau=_exact((b.tau0, b.tau1)))
 
 
 def rodrigues_y(problem: NuProblem, rho: ExpPowerTerm, n: int) -> Poly:

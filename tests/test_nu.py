@@ -1,7 +1,9 @@
 """Generic hypergeometric-type pipeline: branch selection, integrating
 factors, Rodrigues polynomials, and eigenvalue quantization."""
 
+import cmath
 import math
+import random
 
 import pytest
 
@@ -13,7 +15,6 @@ from phasenu.errors import (
     DegreeError,
     NoBranch,
     NoSignChange,
-    NotPerfectSquare,
     UnsupportedSigma,
 )
 from phasenu.numeric import ExpPowerTerm, Poly
@@ -22,18 +23,13 @@ from phasenu.nu import (
     NuBranch,
     NuProblem,
     eigen_residual,
-    k_candidates,
-    lambda_n_of,
-    lambda_of,
     phi_of,
-    pi_from_k,
     rho_of,
     rodrigues_y,
     select_branch,
     assemble,
     solve_kappa,
     solve_state,
-    tau_of,
 )
 
 
@@ -55,25 +51,66 @@ def radial_family(omega, zeta, alphadelta):
     )
 
 
-def reference_choice(problem):
-    """(k_index, pi_sign) by select_branch's documented rule, composed from
-    the public pieces: Re(tau') < 0, the first K root then sign -1, and
-    Re(rate) < 0 and Re(power) > -1 for rho."""
-    decaying = []
-    for ki, K in enumerate(k_candidates(problem)):
+def reference_combinations(problem):
+    """Every (K, sign) combination with Re(tau') < 0, in the documented
+    order (K roots by real then imaginary part, then sign -1 before +1),
+    as (K, sign, pi, tau, admissible); built from Poly arithmetic and
+    cmath alone.  K zeroes the discriminant of the radicand
+    ((sigma' - tau_tilde)/2)**2 - sigma_tilde + K sigma, whose square root
+    u A + v is taken with Re(u) >= 0, from its larger end."""
+    c = problem.sigma.coefficient(1)
+    base = 0.5 * (problem.sigma.derivative() - problem.tau_tilde)
+    q = base * base - problem.sigma_tilde
+    q0, q1, q2 = (q.coefficient(k) for k in range(3))
+    # (q1 + K c)**2 - 4 q2 q0 = 0, by the stable quadratic formula
+    k0, k1, k2 = q1 * q1 - 4.0 * q2 * q0, 2.0 * q1 * c, c * c
+    sq = cmath.sqrt(k1 * k1 - 4.0 * k2 * k0)
+    big = -0.5 * (k1 + sq if abs(k1 + sq) >= abs(k1 - sq) else k1 - sq)
+    roots = (big / k2, k0 / big) if big else (0j, 0j)
+    found = []
+    for K in sorted(roots, key=lambda z: (z.real, z.imag)):
+        r0, r1, r2 = ((q + K * problem.sigma).coefficient(k) for k in range(3))
+        if abs(r2) >= abs(r0):
+            u = cmath.sqrt(r2)
+            v = r1 / (2.0 * u)
+        else:
+            v = cmath.sqrt(r0)
+            u = r1 / (2.0 * v)
+            if u.real < 0.0:
+                u, v = -u, -v
         for sign in (-1, 1):
-            try:
-                pi = pi_from_k(problem, K, sign)
-            except NotPerfectSquare:
-                continue
-            tau = tau_of(problem, pi)
-            if tau.coefficient(1).real < 0.0:
-                decaying.append(NuBranch(K, pi, tau, ki, sign))
-    for branch in decaying:
-        rho = rho_of(problem, branch)
-        if rho.rate.real < 0.0 and rho.power.real > -1.0:
-            return branch.k_index, branch.pi_sign
-    return None
+            pi = base + sign * Poly((v, u))
+            tau = problem.tau_tilde + 2.0 * pi
+            t0, t1 = tau.coefficient(0), tau.coefficient(1)
+            if t1.real < 0.0:
+                admissible = (t1 / c).real < 0.0 and ((t0 - c) / c).real > -1.0
+                found.append((K, sign, pi, tau, admissible))
+    return found
+
+
+def grid_problems():
+    """The transformed Coulomb problem on a log grid of kappa, 1e-6 to 10."""
+    for omega in (0.0, 2.0, 12.0):
+        for zeta in (2.0, 2.0 / 900.0):
+            for alphadelta in (-1.0, -3.0):
+                family = radial_family(omega, zeta, alphadelta)
+                for i in range(57):
+                    yield family, 10.0 ** (-6.0 + i / 8.0)
+
+
+def random_problems(count, seed):
+    """Seeded problems with complex c, sigma_tilde and tau_tilde."""
+    rng = random.Random(seed)
+
+    def z():
+        return complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+
+    for _ in range(count):
+        yield NuProblem(Poly((0.0, z())), Poly((z(), z(), z())), Poly((z(), z())))
+
+
+def close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want)
 
 
 def record_residuals(monkeypatch):
@@ -110,51 +147,33 @@ class TestProblemValidation:
 
 
 class TestKCandidates:
+    """The K roots select_branch tries, and the one it takes."""
+
     def test_deep_branch_pair(self):
-        first, second = k_candidates(DEEP)
-        assert first == pytest.approx(0.5)
-        assert second == pytest.approx(5.0 / 6.0)
+        roots = [K for K, *_ in reference_combinations(DEEP)]
+        assert roots == [pytest.approx(0.5), pytest.approx(5.0 / 6.0)]
+        assert select_branch(DEEP).K == pytest.approx(0.5)
 
     def test_higher_angular_momentum(self):
-        first, _ = k_candidates(radial_problem(2.0, 2.0, 1.0 / 9.0, -3.0))
-        assert first == pytest.approx(1.0 / 3.0)
+        branch = select_branch(radial_problem(2.0, 2.0, 1.0 / 9.0, -3.0))
+        assert branch.K == pytest.approx(1.0 / 3.0)
 
     def test_already_square_radicand(self):
         problem = NuProblem(Poly((0.0, 1.0)), Poly((0.0, 0.0, -1.0)), Poly((1.0,)))
-        assert k_candidates(problem) == (0j, 0j)
+        assert select_branch(problem).K == 0j
+        assert [K for K, *_ in reference_combinations(problem)] == [0j, 0j]
 
     def test_constant_discriminant_rejected(self):
         """sigma = 1e-9 A against sigma_tilde = 1 + A^2: the K^2 term of the
         discriminant is trimmed below the rest, which does not depend on K."""
         problem = NuProblem(Poly((0.0, 1e-9)), Poly((1.0, 0.0, 1.0)), Poly(()))
         with pytest.raises(DegenerateDiscriminant):
-            k_candidates(problem)
-
-
-class TestPiFromK:
-    def test_first_root_minus_sign(self):
-        pi = pi_from_k(DEEP, 0.5, -1)
-        assert tuple(pi) == pytest.approx((1 + 0j, -0.5 + 0j))
-
-    def test_first_root_plus_sign(self):
-        pi = pi_from_k(DEEP, 0.5, 1)
-        assert tuple(pi) == pytest.approx((0j, 0.5 + 0j))
-
-    def test_second_root_minus_sign(self):
-        pi = pi_from_k(DEEP, 5.0 / 6.0, -1)
-        assert pi.coefficient(0) == pytest.approx(0.0, abs=1e-12)
-        assert pi.coefficient(1) == pytest.approx(-0.5)
-
-    def test_non_candidate_k_rejected(self):
-        with pytest.raises(NotPerfectSquare):
-            pi_from_k(DEEP, 0.7, -1)
+            select_branch(problem)
 
 
 class TestSelectBranch:
     def test_deep_branch_preferred_combo(self):
         branch = select_branch(DEEP)
-        assert branch.k_index == 0
-        assert branch.pi_sign == -1
         assert branch.K == pytest.approx(0.5)
         assert tuple(branch.pi) == pytest.approx((1 + 0j, -0.5 + 0j))
         assert tuple(branch.tau) == pytest.approx((4 + 0j, -1 + 0j))
@@ -171,30 +190,78 @@ class TestSelectBranch:
 
     def test_growing_tau_has_no_branch(self):
         problem = NuProblem(Poly((0.0, 1.0)), Poly((0.0, 0.0, 1.0)), Poly((2.0,)))
-        with pytest.raises(NoBranch):
+        with pytest.raises(
+            NoBranch, match=r"no \(K, sign\) combination gives Re\(tau'\) < 0"
+        ):
             select_branch(problem)
+
+    def test_no_admissible_weight_has_no_branch(self):
+        """sigma = A, sigma_tilde = -2 - 2A + A^2, tau_tilde = 1: a
+        combination decays, but its weight is not admissible."""
+        problem = NuProblem(Poly((0.0, 1.0)), Poly((-2.0, -2.0, 1.0)), Poly((1.0,)))
+        with pytest.raises(
+            NoBranch, match="no decaying combination has an admissible weight"
+        ):
+            select_branch(problem)
+
+    def test_subnormal_tau_slope_tries_only_the_minus_sign(self):
+        """With a subnormal tau_tilde' = t1, 0.5 * t1 rounds, and the +1
+        sign's tau' is one subnormal step below zero.  Only the -1 sign is
+        tried, and neither K root's -1 combination has an admissible weight."""
+        problem = NuProblem(Poly((0.0, 1.0)), Poly((-1.0, 1.0)), Poly((0.0, 1.5e-323)))
+        with pytest.raises(
+            NoBranch, match="no decaying combination has an admissible weight"
+        ):
+            select_branch(problem)
+
+    def test_pi_keeps_the_signed_zero_of_a_product_by_minus_one(self):
+        """sigma = A, sigma_tilde = 0, tau_tilde = (1 + 5e-324j) A: pi' is
+        -0.5 - 0j plus (-1) * (0.5 + 0j), a complex product whose imaginary
+        part is +0.0; negating 0.5 + 0j would leave pi' = -1 - 0j."""
+        problem = NuProblem(Poly((0.0, 1.0)), Poly(()), Poly((0.0, 1.0 + 5e-324j)))
+        pi1 = select_branch(problem).pi.coefficient(1)
+        assert pi1 == -1.0
+        assert math.copysign(1.0, pi1.imag) == 1.0
+
+    def test_matches_the_reference_rule(self):
+        """select_branch returns the first admissible combination the
+        reference finds, and no sign +1 combination decays, on the kappa
+        grid and on seeded random complex problems."""
+        problems = [family.at(kappa) for family, kappa in grid_problems()]
+        problems += random_problems(400, seed=8)
+        selected = refused = 0
+        for problem in problems:
+            found = reference_combinations(problem)
+            assert all(sign == -1 for _, sign, *_ in found)
+            admissible = [combo for combo in found if combo[4]]
+            if not admissible:
+                with pytest.raises(NoBranch):
+                    select_branch(problem)
+                refused += 1
+                continue
+            K, _, pi, tau, _ = admissible[0]
+            branch = select_branch(problem)
+            assert close(branch.K, K)
+            for k in range(2):
+                assert close(branch.pi.coefficient(k), pi.coefficient(k))
+                assert close(branch.tau.coefficient(k), tau.coefficient(k))
+            selected += 1
+        assert selected > 800 and refused > 100
 
 
 class TestTauLambda:
-    def test_tau_combination(self):
-        assert tuple(tau_of(DEEP, Poly((1.0, -0.5)))) == (4 + 0j, -1 + 0j)
-        assert tuple(tau_of(DEEP, Poly(()))) == (2 + 0j,)
-        assert tuple(tau_of(DEEP, Poly((0.0, -0.5)))) == (2 + 0j, -1 + 0j)
-
     def test_lambda_ground(self):
-        branch = select_branch(DEEP)
-        assert lambda_of(branch) == pytest.approx(0.0, abs=1e-14)
+        state = assemble(radial_family(0.0, 2.0, -3.0), 0.25, 0)
+        assert state.lam == pytest.approx(0.0, abs=1e-14)
 
     def test_lambda_excited(self):
-        problem = radial_problem(0.0, 2.0, 0.04, -3.0)
-        branch = select_branch(problem)
-        assert branch.K == pytest.approx(0.6)
-        assert lambda_of(branch) == pytest.approx(0.4)
-        assert lambda_n_of(branch, 1) == pytest.approx(0.4)
+        state = assemble(radial_family(0.0, 2.0, -3.0), 0.04, 1)
+        assert state.branch.K == pytest.approx(0.6)
+        assert state.lam == pytest.approx(0.4)
+        assert state.lam_n == pytest.approx(0.4)
 
     def test_lambda_n_zero_at_ground(self):
-        branch = select_branch(DEEP)
-        assert lambda_n_of(branch, 0) == 0j
+        assert assemble(radial_family(0.0, 2.0, -3.0), 0.25, 0).lam_n == 0j
 
 
 class TestIntegratingFactors:
@@ -205,7 +272,7 @@ class TestIntegratingFactors:
         assert phi.power == pytest.approx(1.0 / 3.0)
 
     def test_phi_trivial_for_zero_pi(self):
-        branch = NuBranch(K=0j, pi=Poly(()), tau=Poly((2.0,)), k_index=0, pi_sign=-1)
+        branch = NuBranch(K=0j, pi=Poly(()), tau=Poly((2.0,)))
         phi = phi_of(DEEP, branch)
         assert phi.rate == 0j
         assert phi.power == 0j
@@ -213,9 +280,7 @@ class TestIntegratingFactors:
 
     def test_phi_configuration_branch_inputs(self):
         problem = radial_problem(0.0, 2.0, 1.0, -1.0)
-        branch = NuBranch(
-            K=0j, pi=Poly((1.0, -1.0)), tau=Poly((2.0,)), k_index=0, pi_sign=-1
-        )
+        branch = NuBranch(K=0j, pi=Poly((1.0, -1.0)), tau=Poly((2.0,)))
         phi = phi_of(problem, branch)
         assert phi.rate == pytest.approx(-1.0)
         assert phi.power == pytest.approx(1.0)
@@ -236,7 +301,7 @@ class TestIntegratingFactors:
         assert rho.power == pytest.approx(1.0 / 3.0)
 
     def test_rho_trivial_when_tau_is_sigma_prime(self):
-        branch = NuBranch(K=0j, pi=Poly(()), tau=Poly((3.0,)), k_index=0, pi_sign=-1)
+        branch = NuBranch(K=0j, pi=Poly(()), tau=Poly((3.0,)))
         rho = rho_of(DEEP, branch)
         assert rho.rate == 0j
         assert rho.power == pytest.approx(0.0)
@@ -305,7 +370,7 @@ class TestRodrigues:
         rho = rho_of(problem, branch)
         for n in (1, 2, 3):
             y = rodrigues_y(problem, rho, n)
-            lam_n = lambda_n_of(branch, n)
+            lam_n = -n * branch.tau.coefficient(1)
             for z in (0.5, 1.4, 2.8, 4.9, 1.0 + 1.0j):
                 value = (
                     problem.sigma(z) * y.derivative().derivative()(z)
@@ -395,24 +460,16 @@ class TestQuantization:
         assert state.kappa == 1.0
 
     def test_residual_is_that_of_the_selected_branch(self):
-        """eigen_residual, computed on scalars, equals lambda - lambda_n of
-        the NuBranch select_branch builds, on a log grid of kappa from 1e-6
-        to 10, and select_branch picks what the documented rule picks."""
-        for omega in (0.0, 2.0, 12.0):
-            for zeta in (2.0, 2.0 / 900.0):
-                for alphadelta in (-1.0, -3.0):
-                    family = radial_family(omega, zeta, alphadelta)
-                    for i in range(57):
-                        kappa = 10.0 ** (-6.0 + i / 8.0)
-                        problem = family.at(kappa)
-                        branch = select_branch(problem)
-                        for n in (0, 3):
-                            lam_n = lambda_n_of(branch, n)
-                            want = (lambda_of(branch) - lam_n).real
-                            got = eigen_residual(family, kappa, n)
-                            assert abs(got - want) <= 1e-14 * abs(want)
-                        choice = (branch.k_index, branch.pi_sign)
-                        assert choice == reference_choice(problem)
+        """eigen_residual, computed on scalars, equals lambda - lambda_n =
+        K + pi' + n tau' of the NuBranch select_branch builds, on a log grid
+        of kappa from 1e-6 to 10."""
+        for family, kappa in grid_problems():
+            branch = select_branch(family.at(kappa))
+            for n in (0, 3):
+                lam_n = -n * branch.tau.coefficient(1)
+                want = (branch.K + branch.pi.coefficient(1) - lam_n).real
+                got = eigen_residual(family, kappa, n)
+                assert abs(got - want) <= 1e-14 * abs(want)
 
     def test_solve_state_assembly(self):
         state = solve_state(radial_family(0.0, 2.0, -3.0), 2)
