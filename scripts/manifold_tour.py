@@ -11,7 +11,6 @@ from phasenu import (
     DEEP_BRANCH_POINT,
     AngleKind,
     OpPoint,
-    PhaseAngleSpec,
     classify,
     commutator_coefficient,
     complement,
@@ -52,9 +51,8 @@ def main():
     print("phase angles at r = 1, p = 2, hbar = 1")
     for label, point in (("config", CONFIG_SPACE_POINT), ("deep  ", DEEP_BRANCH_POINT)):
         for kind in AngleKind:
-            spec = PhaseAngleSpec(kind)
             try:
-                angle = phase_angle(spec, 1.0, 2.0, point, 1.0)
+                angle = phase_angle(kind, 1.0, 2.0, point, 1.0)
                 print(f"  {label} {kind.name}: {angle.real:+.6f}")
             except WavefunctionDependentAngle:
                 print(f"  {label} {kind.name}: depends on the state, no pointwise value")

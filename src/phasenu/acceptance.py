@@ -47,8 +47,7 @@ def _solved_spectrum(alphadelta: float) -> dict[tuple[int, int], float]:
 def _solved_state(n: int, L: int, alphadelta: float) -> nu.NuState:
     """Level (n, L) in atomic units, quantized and assembled."""
     params = hydrogen.PhysicalParams(angular_momentum=L)
-    family = hydrogen.build_radial_family(hydrogen.derived_constants(params), alphadelta)
-    return nu.solve_state(family, n)
+    return nu.solve_state(hydrogen.build_radial_family(params, alphadelta), n)
 
 
 def _spectrum_rows(
@@ -255,14 +254,14 @@ def check_transform_algebra() -> list[CheckResult]:
     for _ in range(1000):
         diag = tuple(rng.randint(-5, 5) for _ in range(4))
         g = opspace.GEta(diag)
-        back = opspace.complement(opspace.complement(g).as_transform())
+        back = opspace.complement(opspace.complement(g))
         involution_ok = involution_ok and back.diag == g.diag
         # one-group complement, random counts, split vs merged application
         group = rng.choice(((0, 1), (2, 3)))
         cd = [0, 0, 0, 0]
         for slot in group:
             cd[slot] = rng.randint(-3, 3)
-        comp = opspace.GComplement(tuple(cd))
+        comp = opspace.GEta(tuple(cd))
         a, b = rng.randint(-4, 4), rng.randint(-4, 4)
         split = opspace.compose(g, [(comp, a), (comp, b)])
         merged = opspace.compose(g, [(comp, a + b)])

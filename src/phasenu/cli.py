@@ -147,15 +147,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     alphadelta = hydrogen.branch_of(args.alphadelta)
     if args.point is not None:
         hydrogen.PhaseSpaceConfig(args.point, alphadelta)  # rejects a point off the branch
-    constants = hydrogen.derived_constants(params)
-    state = nu.solve_state(hydrogen.build_radial_family(constants, alphadelta), args.n)
+    state = nu.solve_state(hydrogen.build_radial_family(params, alphadelta), args.n)
     branch, phi, rho = state.branch, state.phi, state.rho
     document = {
         "n": args.n,
         "L": args.L,
         "alphadelta": alphadelta,
         "kappa": state.kappa,
-        "energy": constants.energy_of_kappa(state.kappa),
+        "energy": params.energy_of_kappa(state.kappa),
         "energy_closed_form": hydrogen.closed_form_energy(params, args.n, alphadelta),
         "K": _pair(branch.K),
         "pi": _poly_pairs(branch.pi),
@@ -172,14 +171,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     lines = ["n,L,energy,residual"]
     samples = hydrogen.annulus_samples(100)
-    alphadelta = hydrogen.branch_of(args.alphadelta)
     units = _load_params(args.config, 0)
     for n in range(args.n_max + 1):
         for L in range(args.L_max + 1):
             params = dataclasses.replace(units, angular_momentum=L)
-            constants = hydrogen.derived_constants(params)
-            state = nu.solve_state(hydrogen.build_radial_family(constants, alphadelta), n)
-            energy = constants.energy_of_kappa(state.kappa)
+            family = hydrogen.build_radial_family(params, args.alphadelta)
+            state = nu.solve_state(family, n)
+            energy = params.energy_of_kappa(state.kappa)
             residual = hydrogen.ode_residual(state, samples)
             lines.append(f"{n},{L},{energy!r},{residual!r}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -296,10 +294,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except PhasenuError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 3
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -53,34 +53,20 @@ class PhysicalParams:
         if not isinstance(L, int) or L < 0:
             raise ValueError("angular_momentum must be a non-negative integer")
 
+    @property
+    def omega(self) -> float:
+        """L(L+1), minus the constant term of sigma_tilde."""
+        L = self.angular_momentum
+        return float(L * (L + 1))
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """omega, zeta, and the affine energy <-> kappa maps."""
-
-    omega: float
-    zeta: float
-    mass: float
-    hbar: float
-
-    def kappa_of_energy(self, energy: float) -> float:
-        return -2.0 * self.mass * energy / self.hbar**2
+    @property
+    def zeta(self) -> float:
+        """2 e^2 k m / hbar^2, the linear coefficient of sigma_tilde."""
+        return 2.0 * self.charge_squared * self.coulomb_constant * self.mass / self.hbar**2
 
     def energy_of_kappa(self, kappa: float) -> float:
+        """E from kappa = -2 m E / hbar^2."""
         return -self.hbar**2 * kappa / (2.0 * self.mass)
-
-
-def derived_constants(params: PhysicalParams) -> DerivedConstants:
-    L = params.angular_momentum
-    omega = float(L * (L + 1))
-    zeta = (
-        2.0
-        * params.charge_squared
-        * params.coulomb_constant
-        * params.mass
-        / params.hbar**2
-    )
-    return DerivedConstants(omega=omega, zeta=zeta, mass=params.mass, hbar=params.hbar)
 
 
 #: Configuration space: beta = gamma = 0, A degenerates to r.
@@ -119,15 +105,16 @@ def branch_of(alphadelta: float) -> float:
 
 
 def build_radial_family(
-    constants: DerivedConstants, alphadelta: float
+    params: PhysicalParams, alphadelta: float
 ) -> nu.EnergyParametrizedProblem:
-    """Kappa-indexed coefficient family of the transformed radial equation."""
-    if alphadelta == 0.0:
-        raise ValueError("alphadelta must be nonzero")
+    """Kappa-indexed coefficient family of the transformed radial equation
+    on the branch of alphadelta; the one place a branch label is resolved
+    for the solver, so an unsupported product raises UnsupportedBranch."""
+    label = branch_of(alphadelta)
     return nu.EnergyParametrizedProblem(
-        sigma=Poly((0.0, -alphadelta)),
+        sigma=Poly((0.0, -label)),
         tau_tilde=Poly((2.0,)),
-        sigma_tilde_base=Poly((-constants.omega, constants.zeta)),
+        sigma_tilde_base=Poly((-params.omega, params.zeta)),
         sigma_tilde_kappa_coeff=Poly((0.0, 0.0, -1.0)),
     )
 
@@ -144,10 +131,8 @@ def closed_form_energy(params: PhysicalParams, n: int, alphadelta: float) -> flo
 
 def solve_energy(params: PhysicalParams, n: int, alphadelta: float) -> float:
     """Energy from the generic NU pipeline, no closed form consulted."""
-    constants = derived_constants(params)
-    family = build_radial_family(constants, alphadelta)
-    kappa = nu.solve_kappa(family, n)
-    return constants.energy_of_kappa(kappa)
+    kappa = nu.solve_kappa(build_radial_family(params, alphadelta), n)
+    return params.energy_of_kappa(kappa)
 
 
 @dataclass(frozen=True)
@@ -201,10 +186,9 @@ def assemble_wavefunction(
     params: PhysicalParams, config: PhaseSpaceConfig, n: int
 ) -> WavefunctionForm:
     """Quantize level n on the config's branch and build phi*y in A."""
-    label = branch_of(config.alphadelta)
+    family = build_radial_family(params, config.alphadelta)
     if config.point.delta == 0.0:
         raise ValueError("delta must be nonzero to define the prefactor")
-    family = build_radial_family(derived_constants(params), label)
     state = nu.solve_state(family, n)
     rate = complex(config.point.gamma / config.point.delta)
     return WavefunctionForm(

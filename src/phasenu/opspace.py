@@ -65,7 +65,9 @@ def is_on_manifold(p: OpPoint, tol: float = MANIFOLD_TOL) -> bool:
 
 @dataclass(frozen=True)
 class GEta:
-    """Diagonal integer transform matrix, stored as its diagonal."""
+    """Diagonal integer transform matrix, stored as its diagonal.  The
+    complement I - g of a transform is one too: for a fundamental
+    transform it has a single 1 marking the coefficient g zeroes."""
 
     diag: tuple[int, int, int, int]
 
@@ -74,27 +76,6 @@ class GEta:
         if len(d) != 4:
             raise ValueError("diagonal must have four entries")
         object.__setattr__(self, "diag", d)
-
-
-@dataclass(frozen=True)
-class GComplement:
-    """Complement diagonal I - g; for a fundamental transform this has a
-    single 1 marking the coefficient the transform zeroes."""
-
-    diag: tuple[int, int, int, int]
-
-    def __post_init__(self) -> None:
-        d = tuple(int(x) for x in self.diag)
-        if len(d) != 4:
-            raise ValueError("diagonal must have four entries")
-        object.__setattr__(self, "diag", d)
-
-    def as_transform(self) -> GEta:
-        return GEta(self.diag)
-
-    def touched(self) -> frozenset[int]:
-        """Indices of nonzero entries: the coefficients this would shift."""
-        return frozenset(i for i, x in enumerate(self.diag) if x != 0)
 
 
 def identity() -> GEta:
@@ -110,9 +91,9 @@ def fundamental(kind: int) -> GEta:
     return GEta(tuple(diag))
 
 
-def complement(g: GEta) -> GComplement:
+def complement(g: GEta) -> GEta:
     """Entrywise I - g."""
-    return GComplement(tuple(1 - x for x in g.diag))
+    return GEta(tuple(1 - x for x in g.diag))
 
 
 def can_combine(kinds: Iterable[int]) -> bool:
@@ -124,18 +105,14 @@ def can_combine(kinds: Iterable[int]) -> bool:
     return ks <= {1, 2} or ks <= {3, 4}
 
 
-def compose(
-    g0: GEta, applications: Sequence[tuple[GComplement, int]]
-) -> GEta:
+def compose(g0: GEta, applications: Sequence[tuple[GEta, int]]) -> GEta:
     """Apply counted complement shifts to g0: g' = g0 - sum(count * c).
 
     Negative counts undo applications.  Every complement in the list must
     touch only the (alpha, beta) slots or only the (gamma, delta) slots;
     mixing the two groups in one composition is rejected.
     """
-    touched: set[int] = set()
-    for c, _count in applications:
-        touched |= c.touched()
+    touched = {i for c, _count in applications for i, x in enumerate(c.diag) if x != 0}
     if not (touched <= _POSITION_GROUP or touched <= _MOMENTUM_GROUP):
         raise ForbiddenCombination(
             f"composition touches coefficient slots {sorted(touched)}; "
@@ -183,17 +160,8 @@ class AngleKind(enum.Enum):
     PHI4 = 4
 
 
-@dataclass(frozen=True)
-class PhaseAngleSpec:
-    """Which rotation angle to evaluate; the arbitrary constant only enters
-    the two wavefunction-dependent kinds."""
-
-    kind: AngleKind
-    constant_C: complex = 0j
-
-
 def phase_angle(
-    spec: PhaseAngleSpec, r: float, p: float, point: OpPoint, hbar: float
+    kind: AngleKind, r: float, p: float, point: OpPoint, hbar: float
 ) -> complex:
     """Rotation angle attached to a fundamental transform at (r, p).
 
@@ -201,11 +169,11 @@ def phase_angle(
     involve the logarithm of the state being transformed and cannot be
     evaluated without one; they are descriptors only.
     """
-    if spec.kind is AngleKind.PHI1:
+    if kind is AngleKind.PHI1:
         return complex((p * r / hbar) * (point.alpha / point.beta))
-    if spec.kind is AngleKind.PHI3:
+    if kind is AngleKind.PHI3:
         return complex((p * r / hbar) * (point.gamma / point.delta))
     raise WavefunctionDependentAngle(
-        f"{spec.kind.name.lower()} depends on the transformed state and has "
+        f"{kind.name.lower()} depends on the transformed state and has "
         "no state-free value"
     )

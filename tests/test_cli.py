@@ -97,15 +97,13 @@ class TestSolve:
 
         for name in ("rodrigues_y", "phi_of", "select_branch", "eigen_residual"):
             count(nu, name)
-        for name in ("derived_constants", "build_radial_family"):
-            count(hydrogen, name)
+        count(hydrogen, "build_radial_family")
         assert cli.main(["solve", "--n", "2", "--L", "1", "--alphadelta", "-3"]) == 0
         assert json.loads(capsys.readouterr().out)["residual"] < 1e-8
         assert counts["rodrigues_y"] == 1
         assert counts["phi_of"] == 1
         # the assembly only: residual evaluations and the gate run on scalars
         assert counts["select_branch"] == 1
-        assert counts["derived_constants"] == 1
         assert counts["build_radial_family"] == 1
 
     def test_product_one_ulp_off_the_branch(self, capsys):

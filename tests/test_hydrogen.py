@@ -26,7 +26,6 @@ from phasenu.hydrogen import (
     build_radial_family,
     canonical_config,
     closed_form_energy,
-    derived_constants,
     eval_wavefunction,
     ode_residual,
     recover_configuration_space,
@@ -60,17 +59,13 @@ EDGE_SAMPLES = (
 )
 
 
-def radial_family(params, alphadelta):
-    return build_radial_family(derived_constants(params), alphadelta)
-
-
 @functools.cache
 def solved_and_detuned(units, alphadelta):
     """Solved and 1.1*kappa-detuned states, L 0..5, n in {0, 1, 5, 20, 40}."""
     states = []
     for L in range(6):
         params = dataclasses.replace(RESIDUAL_UNITS[units], angular_momentum=L)
-        family = radial_family(params, alphadelta)
+        family = build_radial_family(params, alphadelta)
         for n in (0, 1, 5, 20, 40):
             state = solve_state(family, n)
             states += [state, assemble(family, 1.1 * state.kappa, n)]
@@ -118,17 +113,16 @@ class TestParams:
             PhysicalParams(angular_momentum=1.5)
 
     def test_derived_constants(self):
-        c0 = derived_constants(ATOMIC)
-        assert c0.omega == 0.0
-        assert c0.zeta == pytest.approx(2.0)
-        c1 = derived_constants(PhysicalParams(angular_momentum=1))
-        assert c1.omega == pytest.approx(2.0)
+        assert ATOMIC.omega == 0.0
+        assert ATOMIC.zeta == pytest.approx(2.0)
+        assert PhysicalParams(angular_momentum=1).omega == pytest.approx(2.0)
 
     def test_kappa_energy_maps_are_inverse(self):
-        c = derived_constants(ATOMIC)
-        assert c.kappa_of_energy(-0.5) == pytest.approx(1.0)
-        assert c.energy_of_kappa(1.0) == pytest.approx(-0.5)
-        assert c.energy_of_kappa(c.kappa_of_energy(-0.37)) == pytest.approx(-0.37)
+        """energy_of_kappa inverts kappa = -2 m E / hbar^2."""
+        assert ATOMIC.energy_of_kappa(1.0) == pytest.approx(-0.5)
+        params = PhysicalParams(mass=2.5, hbar=1.7)
+        kappa = -2.0 * params.mass * -0.37 / params.hbar**2
+        assert params.energy_of_kappa(kappa) == pytest.approx(-0.37)
 
 
 class TestBranches:
@@ -144,19 +138,18 @@ class TestBranches:
                 assert (alphadelta + 2) ** 2 + 4 * omega == (2 * L + 1) ** 2
 
     def test_family_coefficients(self):
-        family = build_radial_family(derived_constants(ATOMIC), -3.0)
+        family = build_radial_family(ATOMIC, -3.0)
         assert tuple(family.sigma) == (0j, 3 + 0j)
         assert tuple(family.tau_tilde) == (2 + 0j,)
         problem = family.at(0.25)
         assert tuple(problem.sigma_tilde) == (0j, 2 + 0j, -0.25 + 0j)
 
     def test_family_shallow_branch(self):
-        family = build_radial_family(derived_constants(ATOMIC), -1.0)
+        family = build_radial_family(ATOMIC, -1.0)
         assert tuple(family.sigma) == (0j, 1 + 0j)
 
     def test_family_higher_angular_momentum(self):
-        constants = derived_constants(PhysicalParams(angular_momentum=1))
-        family = build_radial_family(constants, -3.0)
+        family = build_radial_family(PhysicalParams(angular_momentum=1), -3.0)
         assert family.sigma_tilde_base.coefficient(0) == -2 + 0j
 
     def test_branch_of_tolerates_rounding(self):
@@ -168,8 +161,24 @@ class TestBranches:
                 branch_of(far)
 
     def test_family_rejects_zero_product(self):
-        with pytest.raises(ValueError):
-            build_radial_family(derived_constants(ATOMIC), 0.0)
+        with pytest.raises(UnsupportedBranch):
+            build_radial_family(ATOMIC, 0.0)
+
+    @pytest.mark.parametrize("alphadelta", [-2.0, 0.0, 1.0])
+    def test_solver_refuses_products_off_the_branches(self, alphadelta):
+        """build_radial_family resolves the branch, so the solver refuses
+        what closed_form_energy and the CLI refuse."""
+        with pytest.raises(UnsupportedBranch):
+            build_radial_family(ATOMIC, alphadelta)
+        with pytest.raises(UnsupportedBranch):
+            solve_energy(ATOMIC, 0, alphadelta)
+
+    def test_solver_snaps_a_product_one_ulp_off_the_branch(self):
+        for L in range(3):
+            params = PhysicalParams(angular_momentum=L)
+            for n in (0, 1, 5):
+                exact = solve_energy(params, n, -3.0)
+                assert solve_energy(params, n, -3.0000000000000004).hex() == exact.hex()
 
 
 class TestSpectra:
@@ -314,6 +323,27 @@ class TestWavefunctions:
         wf = assemble_wavefunction(ATOMIC, canonical_config(-1.0), 0)
         assert eval_wavefunction(wf, 1.0, 0.0, 1.0) == pytest.approx(math.exp(-1.0))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alphadelta=st.sampled_from(sorted(BRANCHES)),
+        beta=st.one_of(st.floats(-2.0, -0.5), st.floats(0.5, 2.0)),
+        delta=st.one_of(st.floats(-2.0, -0.5), st.floats(0.5, 2.0)),
+        n=st.integers(0, 5),
+        L=st.integers(0, 3),
+    )
+    def test_state_is_unchanged_along_the_manifold(self, alphadelta, beta, delta, n, L):
+        """The point enters the state only through its branch label."""
+        point = manifold_point(alphadelta / delta, beta, delta)
+        params = PhysicalParams(angular_momentum=L)
+        config = PhaseSpaceConfig(point, point.alpha * point.delta)
+        moved = assemble_wavefunction(params, config, n)
+        canonical = assemble_wavefunction(params, canonical_config(alphadelta), n)
+        assert moved.kappa.hex() == canonical.kappa.hex()
+        body, want = moved.body, canonical.body
+        assert repr((body.rate, body.power, tuple(body.poly))) == repr(
+            (want.rate, want.power, tuple(want.poly))
+        )
+
     def test_assembly_rejects_unsupported_product(self):
         config = PhaseSpaceConfig(manifold_point(2.0, 1.0, -1.0), -2.0)
         with pytest.raises(UnsupportedBranch):
@@ -339,14 +369,14 @@ class TestSamplesAndResiduals:
 
     def test_solved_states_have_tiny_residual(self):
         samples = annulus_samples()
-        ground = solve_state(radial_family(ATOMIC, -3.0), 0)
+        ground = solve_state(build_radial_family(ATOMIC, -3.0), 0)
         assert ode_residual(ground, samples) < 1e-10
         p1 = PhysicalParams(angular_momentum=1)
-        assert ode_residual(solve_state(radial_family(p1, -3.0), 2), samples) < 1e-8
+        assert ode_residual(solve_state(build_radial_family(p1, -3.0), 2), samples) < 1e-8
 
     def test_detuned_kappa_is_detected(self):
         samples = annulus_samples()
-        drift = ode_residual(assemble(radial_family(ATOMIC, -3.0), 0.275, 0), samples)
+        drift = ode_residual(assemble(build_radial_family(ATOMIC, -3.0), 0.275, 0), samples)
         assert drift > 1e-3
 
     @pytest.mark.parametrize("alphadelta", sorted(BRANCHES))
@@ -387,7 +417,7 @@ class TestSamplesAndResiduals:
     def test_non_finite_defect_reads_inf(self, detuned):
         """At A = 1e10 the n = 40 body overflows to nan, and so does its
         defect; max() would drop it and read 0."""
-        state = solve_state(radial_family(ATOMIC, -1.0), 40)
+        state = solve_state(build_radial_family(ATOMIC, -1.0), 40)
         if detuned:
             state = assemble(state.family, 1.1 * state.kappa, 40)
         far = 1e10 + 0j
