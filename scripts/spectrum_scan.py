@@ -3,8 +3,9 @@
 
 For every (n, L) in the requested window the script reports the
 closed-form energy, the solved energy, and their relative gap.
-With --fd it also runs the finite-difference oracle for L <= 1 and
-columns the cross-check error.
+With --fd it also runs the finite-difference oracle for L <= 1 on the
+-1 branch, the configuration-space limit, and columns the cross-check
+error.
 """
 
 import argparse
@@ -21,6 +22,8 @@ from phasenu.errors import GridTooCoarse
 
 
 def scan_branch(alphadelta, n_max, L_max, want_fd, grid):
+    # the oracle solves configuration space, which is the -1 branch only
+    want_fd = want_fd and alphadelta == -1.0
     print(f"branch alphadelta = {alphadelta:g}")
     header = f"{'n':>3} {'L':>3} {'E_closed':>16} {'E_solved':>16} {'rel_gap':>10}"
     if want_fd:
@@ -31,7 +34,7 @@ def scan_branch(alphadelta, n_max, L_max, want_fd, grid):
         params = PhysicalParams(angular_momentum=L)
         if want_fd and L <= 1:
             try:
-                fd_cache[L] = fd_spectrum(params, L, grid, n_states=n_max + 1)
+                fd_cache[L] = fd_spectrum(params, grid, n_states=n_max + 1)
             except GridTooCoarse as exc:
                 print(f"  fd oracle unavailable for L={L}: {exc}")
         for n in range(n_max + 1):
@@ -39,7 +42,7 @@ def scan_branch(alphadelta, n_max, L_max, want_fd, grid):
             e_solved = solve_energy(params, n, alphadelta)
             gap = abs(e_solved - e_closed) / abs(e_closed)
             line = f"{n:>3} {L:>3} {e_closed:>16.10f} {e_solved:>16.10f} {gap:>10.2e}"
-            if want_fd and L in fd_cache and alphadelta == -1.0:
+            if L in fd_cache:
                 e_fd = fd_cache[L][n]
                 line += f" {e_fd:>16.10f} {abs(e_fd - e_closed) / abs(e_closed):>10.2e}"
             print(line)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import hydrogen, nu, opspace, oracle
-from .errors import PhasenuError, UnsupportedRecovery
+from .errors import ForbiddenCombination, PhasenuError, UnsupportedRecovery
 from .numeric import Poly
 
 
@@ -24,10 +24,6 @@ class CheckResult:
     detail: str
     passed: bool
     measure: str
-
-
-def _row(criterion: str, detail: str, passed: bool, measure: str) -> CheckResult:
-    return CheckResult(criterion, detail, bool(passed), measure)
 
 
 # ---------------------------------------------------------------- spectra
@@ -63,7 +59,7 @@ def _spectrum_rows(
         rel = abs(got - want) / abs(want)
         if rel > worst:
             worst, worst_at = rel, (n, L)
-    return _row(
+    return CheckResult(
         criterion,
         f"solved spectrum vs closed form, n<=5, L<=3, alphadelta={alphadelta:g}",
         worst <= 1e-10,
@@ -97,17 +93,17 @@ def check_configuration_limit() -> list[CheckResult]:
         params = hydrogen.PhysicalParams(angular_momentum=L)
         detail = f"finite-difference oracle vs solver, 3 lowest states, L={L}"
         try:
-            fd = oracle.fd_spectrum(params, L, grid, 3, tolerance=1e-4)
+            fd = oracle.fd_spectrum(params, grid, 3, tolerance=1e-4)
         except PhasenuError as err:
-            rows.append(_row(crit, detail, False, f"{type(err).__name__}: {err}"))
+            measure = f"{type(err).__name__}: {err}"
+            rows.append(CheckResult(crit, detail, False, measure))
             continue
         worst = 0.0
         for idx, fd_val in enumerate(fd):
             want = solved[idx, L]
             worst = max(worst, abs(fd_val - want) / abs(want))
-        rows.append(
-            _row(crit, detail, worst <= 1e-4, f"max rel err {worst:.3e} (tol 1e-4)")
-        )
+        measure = f"max rel err {worst:.3e} (tol 1e-4)"
+        rows.append(CheckResult(crit, detail, worst <= 1e-4, measure))
     return rows
 
 
@@ -147,7 +143,7 @@ def check_ground_state_chain() -> list[CheckResult]:
         ),
     ]
     return [
-        _row(crit, name, gap <= tol, f"abs gap {gap:.3e} (tol 1e-12)")
+        CheckResult(crit, name, gap <= tol, f"abs gap {gap:.3e} (tol 1e-12)")
         for name, gap in rows
     ]
 
@@ -158,7 +154,6 @@ def check_ground_state_chain() -> list[CheckResult]:
 def check_residual_detector() -> list[CheckResult]:
     """Solved states satisfy their equation; detuned ones visibly fail."""
     crit = "residual-detector"
-    samples = hydrogen.annulus_samples(100)
     worst_solved = 0.0
     worst_solved_at = ("", 0, 0)
     weakest_detuned = float("inf")
@@ -168,22 +163,22 @@ def check_residual_detector() -> list[CheckResult]:
             for L in range(3):
                 state = _solved_state(n, L, alphadelta)
                 tag = (f"alphadelta={alphadelta:g}", n, L)
-                solved = hydrogen.ode_residual(state, samples)
+                solved = hydrogen.ode_residual(state, hydrogen.ANNULUS)
                 if solved > worst_solved:
                     worst_solved, worst_solved_at = solved, tag
                 detuned = hydrogen.ode_residual(
-                    nu.assemble(state.family, 1.1 * state.kappa, n), samples
+                    nu.assemble(state.family, 1.1 * state.kappa, n), hydrogen.ANNULUS
                 )
                 if detuned < weakest_detuned:
                     weakest_detuned, weakest_at = detuned, tag
     return [
-        _row(
+        CheckResult(
             crit,
             "equation residual at quantized kappa, n<=5, L<=2, both branches",
             worst_solved <= 1e-8,
             f"max residual {worst_solved:.3e} at {worst_solved_at} (tol 1e-8)",
         ),
-        _row(
+        CheckResult(
             crit,
             "residual under a 10% kappa detuning",
             weakest_detuned > 1e-4,
@@ -220,7 +215,7 @@ def check_rodrigues_laguerre() -> list[CheckResult]:
             if spread > worst_spread:
                 worst_spread, worst_at = spread, (n, L)
     return [
-        _row(
+        CheckResult(
             crit,
             "y_n / L_n ratio flatness, n<=8, L<=2, 20 points",
             worst_spread < 1e-9,
@@ -240,7 +235,7 @@ def check_transform_algebra() -> list[CheckResult]:
         opspace.identity(), [(opspace.complement(opspace.fundamental(3)), 2)]
     )
     rows.append(
-        _row(
+        CheckResult(
             crit,
             "double application of the third shift",
             double_shift.diag == (1, 1, -1, 1),
@@ -270,23 +265,28 @@ def check_transform_algebra() -> list[CheckResult]:
             additivity_ok and split.diag == merged.diag and undone.diag == g.diag
         )
     rows.append(
-        _row(crit, "complement involution, 1000 random diagonals", involution_ok,
-             "exact equality" if involution_ok else "mismatch found")
+        CheckResult(crit, "complement involution, 1000 random diagonals", involution_ok,
+                    "exact equality" if involution_ok else "mismatch found")
     )
     rows.append(
-        _row(crit, "composition additivity and inverses, 1000 random cases",
-             additivity_ok, "exact equality" if additivity_ok else "mismatch found")
+        CheckResult(crit, "composition additivity and inverses, 1000 random cases",
+                    additivity_ok, "exact equality" if additivity_ok else "mismatch found")
     )
 
     table_ok = True
     for mask in range(1, 16):
-        kinds = {k for k in (1, 2, 3, 4) if mask & (1 << (k - 1))}
-        want = kinds <= {1, 2} or kinds <= {3, 4}
-        if opspace.can_combine(kinds) != want:
-            table_ok = False
+        kinds = [k for k in (1, 2, 3, 4) if mask & (1 << (k - 1))]
+        mixed = not (set(kinds) <= {1, 2} or set(kinds) <= {3, 4})
+        shifts = [(opspace.complement(opspace.fundamental(k)), 1) for k in kinds]
+        try:
+            opspace.compose(opspace.identity(), shifts)
+            refused = False
+        except ForbiddenCombination:
+            refused = True
+        table_ok = table_ok and refused == mixed
     rows.append(
-        _row(crit, "combination rule on all 15 nonempty kind subsets", table_ok,
-             "truth table matches" if table_ok else "truth table mismatch")
+        CheckResult(crit, "combination rule on all 15 nonempty kind subsets", table_ok,
+                    "truth table matches" if table_ok else "truth table mismatch")
     )
 
     kinds_ok = (
@@ -297,8 +297,8 @@ def check_transform_algebra() -> list[CheckResult]:
         and opspace.classify(double_shift) is opspace.SpaceKind.OTHER
     )
     rows.append(
-        _row(crit, "named phase-space masks", kinds_ok,
-             "all four classifications correct" if kinds_ok else "misclassification")
+        CheckResult(crit, "named phase-space masks", kinds_ok,
+                    "all four classifications correct" if kinds_ok else "misclassification")
     )
     return rows
 
@@ -319,8 +319,8 @@ def check_manifold_invariants() -> list[CheckResult]:
         p = opspace.manifold_point(alpha, beta, delta)
         worst = max(worst, abs(opspace.commutator_coefficient(p) - 1.0))
     rows.append(
-        _row(crit, "constraint residual on 1000 constructor points",
-             worst <= 1e-12, f"max |bg-ad-1| = {worst:.3e} (tol 1e-12)")
+        CheckResult(crit, "constraint residual on 1000 constructor points",
+                    worst <= 1e-12, f"max |bg-ad-1| = {worst:.3e} (tol 1e-12)")
     )
 
     worst = 0.0
@@ -330,8 +330,8 @@ def check_manifold_invariants() -> list[CheckResult]:
         p = opspace.manifold_point(-3.0 / delta, beta, delta)
         worst = max(worst, abs(p.beta * p.gamma - (-2.0)))
     rows.append(
-        _row(crit, "beta*gamma = -2 on alphadelta=-3 manifold points",
-             worst <= 1e-12, f"max |bg+2| = {worst:.3e} (tol 1e-12)")
+        CheckResult(crit, "beta*gamma = -2 on alphadelta=-3 manifold points",
+                    worst <= 1e-12, f"max |bg+2| = {worst:.3e} (tol 1e-12)")
     )
 
     probes = [(0.3, -0.4), (-0.9, 0.2), (0.5, 1.1), (-1.2, -0.7), (0.0, 0.6)]
@@ -351,10 +351,12 @@ def check_manifold_invariants() -> list[CheckResult]:
         got = oracle.commutator_check(p, 1.0, probes)
         worst = max(worst, abs(got - opspace.commutator_coefficient(p)))
     rows.append(
-        _row(crit,
-             f"finite-difference commutator vs coefficient, 10 points ({off_n} off-manifold)",
-             worst < 1e-6 and off_n >= 1,
-             f"max gap {worst:.3e} (tol 1e-6)")
+        CheckResult(
+            crit,
+            f"finite-difference commutator vs coefficient, 10 points ({off_n} off-manifold)",
+            worst < 1e-6 and off_n >= 1,
+            f"max gap {worst:.3e} (tol 1e-6)",
+        )
     )
     return rows
 
@@ -400,8 +402,8 @@ def check_recovery_rule() -> list[CheckResult]:
                 f"recovered={did}, expected={should_recover}"
             )
     return [
-        _row(crit, "degenerate-prefactor recovery over 20 manifold points",
-             all_ok, "success iff beta=gamma=0" if all_ok else "; ".join(notes))
+        CheckResult(crit, "degenerate-prefactor recovery over 20 manifold points",
+                    all_ok, "success iff beta=gamma=0" if all_ok else "; ".join(notes))
     ]
 
 

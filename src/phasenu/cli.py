@@ -162,7 +162,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "phi": {"rate": _pair(phi.rate), "power": _pair(phi.power)},
         "rho": {"rate": _pair(rho.rate), "power": _pair(rho.power)},
         "y": _poly_pairs(state.y),
-        "residual": hydrogen.ode_residual(state, hydrogen.annulus_samples(100)),
+        "residual": hydrogen.ode_residual(state, hydrogen.ANNULUS),
     }
     _emit(json.dumps(document, indent=2) + "\n", args.out)
     return 0
@@ -170,7 +170,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     lines = ["n,L,energy,residual"]
-    samples = hydrogen.annulus_samples(100)
     units = _load_params(args.config, 0)
     for n in range(args.n_max + 1):
         for L in range(args.L_max + 1):
@@ -178,7 +177,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             family = hydrogen.build_radial_family(params, args.alphadelta)
             state = nu.solve_state(family, n)
             energy = params.energy_of_kappa(state.kappa)
-            residual = hydrogen.ode_residual(state, samples)
+            residual = hydrogen.ode_residual(state, hydrogen.ANNULUS)
             lines.append(f"{n},{L},{energy!r},{residual!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -22,10 +22,6 @@ class DegenerateDiscriminant(PhasenuError):
     """The discriminant's K-dependence cancels; no K-quadratic to solve."""
 
 
-class NotPerfectSquare(PhasenuError):
-    """The radicand is not a perfect square for the supplied K."""
-
-
 class NoBranch(PhasenuError):
     """No (K, sign) combination yields a decaying, weight-admissible tau."""
 

@@ -7,13 +7,18 @@ The radial Coulomb problem, written in the collective variable
     sigma_tilde(A) = -omega + zeta*A - kappa*A**2,
 
 where omega = L(L+1), zeta = 2 e^2 k m / hbar^2, and kappa = -2 m E / hbar^2
-carries the energy.  The radical in the generic pipeline stays a perfect
-square for every integer L only when (alphadelta + 2)^2 = 1, i.e.
-alphadelta in {-1, -3}: the -1 branch reproduces the standard spectrum
--zeta^2/(8(n+L+1)^2) * hbar^2/(2m)-scaled, the -3 branch yields the deeper
-1/(L+3n+2)^2 family.  Everything here goes through the generic NU solver
-(kappa by a bracketed Brent-Dekker root search); the closed forms are kept
-only as cross-check targets.
+carries the energy.  The constant K of the generic pipeline makes the
+radical a perfect square for any c = -alphadelta > 0, and the levels are
+kappa = zeta^2 / (4 d^2) with
+
+    d(n, L) = [c (2n + 1) + sqrt((c - 2)^2 + 4 L(L+1))] / 2.
+
+Only (alphadelta + 2)^2 = 1, i.e. alphadelta in {-1, -3}, makes d an
+integer for every L: the -1 branch reproduces the standard spectrum with
+d = n + L + 1, the -3 branch yields the deeper d = L + 3n + 2 family.
+These two are the products solved here.  Everything goes through the
+generic NU solver (kappa by a bracketed Brent-Dekker root search); the
+closed forms are kept only as cross-check targets.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from . import nu
 from .errors import BranchPointError, UnsupportedBranch, UnsupportedRecovery
@@ -84,9 +89,10 @@ class Branch(NamedTuple):
     denominator: Callable[[int, int], int]
 
 
-#: The roots of (alphadelta + 2)^2 = 1, the only products for which the
-#: radicand constant (alphadelta + 2)^2 + 4*omega equals (2L+1)^2 at every
-#: integer L, so the radical resolves without any condition on L.
+#: The roots of (alphadelta + 2)^2 = 1, the only products for which
+#: (alphadelta + 2)^2 + 4*omega equals (2L+1)^2 at every integer L, so that
+#: the closed-form denominator d(n, L) is an integer; the solver itself
+#: would take any product, and branch_of refuses the others.
 BRANCHES: dict[float, Branch] = {
     -1.0: Branch(CONFIG_SPACE_POINT, lambda n, L: n + L + 1),
     -3.0: Branch(DEEP_BRANCH_POINT, lambda n, L: L + 3 * n + 2),
@@ -104,18 +110,14 @@ def branch_of(alphadelta: float) -> float:
     )
 
 
-def build_radial_family(
-    params: PhysicalParams, alphadelta: float
-) -> nu.EnergyParametrizedProblem:
-    """Kappa-indexed coefficient family of the transformed radial equation
-    on the branch of alphadelta; the one place a branch label is resolved
-    for the solver, so an unsupported product raises UnsupportedBranch."""
+def build_radial_family(params: PhysicalParams, alphadelta: float) -> nu.NuProblem:
+    """The transformed radial equation at kappa = 0 on the branch of
+    alphadelta, which ``nu`` quantizes in kappa; the one place a branch
+    label is resolved for the solver, so an unsupported product raises
+    UnsupportedBranch."""
     label = branch_of(alphadelta)
-    return nu.EnergyParametrizedProblem(
-        sigma=Poly((0.0, -label)),
-        tau_tilde=Poly((2.0,)),
-        sigma_tilde_base=Poly((-params.omega, params.zeta)),
-        sigma_tilde_kappa_coeff=Poly((0.0, 0.0, -1.0)),
+    return nu.NuProblem(
+        Poly((0.0, -label)), Poly((-params.omega, params.zeta)), Poly((2.0,))
     )
 
 
@@ -205,23 +207,20 @@ def eval_wavefunction(
     return wf.body.evaluate(a_val)
 
 
-def annulus_samples(
-    count: int = 100,
-    seed: int = 20260822,
-    radius_lo: float = 0.5,
-    radius_hi: float = 5.0,
-) -> list[complex]:
-    """Deterministic sample points with radius_lo <= |A| <= radius_hi, Re A > 0."""
-    rng = random.Random(seed)
-    out: list[complex] = []
-    while len(out) < count:
-        radius = rng.uniform(radius_lo, radius_hi)
-        angle = rng.uniform(-0.499 * cmath.pi, 0.499 * cmath.pi)
-        out.append(cmath.rect(radius, angle))
-    return out
+def _annulus() -> tuple[complex, ...]:
+    rng = random.Random(20260822)
+    return tuple(
+        cmath.rect(rng.uniform(0.5, 5.0), rng.uniform(-0.499 * cmath.pi, 0.499 * cmath.pi))
+        for _ in range(100)
+    )
 
 
-def ode_residual(state: nu.NuState, samples: list[complex]) -> float:
+#: Sample points of the residual check: 100 seeded points with
+#: 0.5 <= |A| <= 5 and Re A > 0.
+ANNULUS = _annulus()
+
+
+def ode_residual(state: nu.NuState, samples: Sequence[complex]) -> float:
     """Worst relative defect of the state's own equation over samples.
 
     A state assembled at a detuned kappa (``nu.assemble``) carries the

@@ -40,7 +40,6 @@ from .errors import (
     DegreeError,
     NoBranch,
     NoSignChange,
-    NotPerfectSquare,
     UnsupportedSigma,
 )
 from .numeric import (
@@ -76,6 +75,10 @@ class NuProblem:
     sigma_tilde at most quadratic, tau_tilde at most linear, sigma nonzero.
     The solver further needs ``sigma = c * A``; any other sigma raises
     :class:`UnsupportedSigma` here.
+
+    The energy-like parameter kappa enters as ``-kappa * A**2`` added to
+    sigma_tilde (:meth:`at`); the problem itself is the one at kappa = 0,
+    and the quantization functions take it in that role.
     """
 
     sigma: Poly
@@ -97,6 +100,23 @@ class NuProblem:
                 f"sigma must be proportional to the variable, got {self.sigma.coeffs}"
             )
 
+    def at(self, kappa: float) -> NuProblem:
+        """The equation with ``-kappa * A**2`` added to sigma_tilde."""
+        return NuProblem(self.sigma, _exact(self.sigma_tilde_at(kappa)), self.tau_tilde)
+
+    def sigma_tilde_at(self, kappa: float) -> tuple[complex, complex, complex]:
+        """The coefficients of ``at(kappa).sigma_tilde`` as scalars.
+
+        Each adds kappa times its coefficient in -A**2 as a complex
+        product, the operations of ``sigma_tilde + kappa * Poly((0, 0, -1))``:
+        adding a product by zero turns a -0.0 into 0.0, and signed zeros
+        decide which side of a branch cut is taken later.
+        """
+        k = as_finite_complex(kappa)
+        base = self.sigma_tilde
+        c0, c1, c2 = (base.coefficient(j) + k * s for j, s in enumerate((0j, 0j, -1 + 0j)))
+        return c0, c1, c2
+
 
 @dataclass(frozen=True)
 class NuBranch:
@@ -108,39 +128,6 @@ class NuBranch:
 
 
 @dataclass(frozen=True)
-class EnergyParametrizedProblem:
-    """Family of NuProblems indexed by kappa.
-
-    Only sigma_tilde depends on kappa, affinely:
-    ``sigma_tilde(kappa) = base + kappa * kappa_coeff``.
-    """
-
-    sigma: Poly
-    tau_tilde: Poly
-    sigma_tilde_base: Poly
-    sigma_tilde_kappa_coeff: Poly
-
-    def __post_init__(self) -> None:
-        NuProblem(self.sigma, self.sigma_tilde_base, self.tau_tilde)  # shape checks
-        if self.sigma_tilde_kappa_coeff.degree > 2:
-            raise DegreeError(
-                f"sigma_tilde kappa coefficient degree "
-                f"{self.sigma_tilde_kappa_coeff.degree} > 2"
-            )
-
-    def at(self, kappa: float) -> NuProblem:
-        sigma_tilde = self.sigma_tilde_base + kappa * self.sigma_tilde_kappa_coeff
-        return NuProblem(self.sigma, sigma_tilde, self.tau_tilde)
-
-    def sigma_tilde_at(self, kappa: float) -> tuple[complex, complex, complex]:
-        """The coefficients of ``at(kappa).sigma_tilde`` as scalars."""
-        k = as_finite_complex(kappa)
-        base, slope = self.sigma_tilde_base, self.sigma_tilde_kappa_coeff
-        c0, c1, c2 = (base.coefficient(j) + k * slope.coefficient(j) for j in range(3))
-        return c0, c1, c2
-
-
-@dataclass(frozen=True)
 class NuState:
     """Level n of a family, assembled at one kappa.
 
@@ -149,7 +136,7 @@ class NuState:
     factors phi and rho, and the Rodrigues polynomial y.
     """
 
-    family: EnergyParametrizedProblem
+    family: NuProblem
     n: int
     kappa: float
     problem: NuProblem
@@ -209,15 +196,14 @@ def _k_roots(rad: _Radical) -> tuple[complex, complex]:
     return as_finite_complex(K0), as_finite_complex(K1)
 
 
-def _pi_coeffs(rad: _Radical, K: complex) -> tuple[complex, complex]:
-    """Coefficients (pi0, pi1) of pi = base - sqrt(q + K c A)."""
+def _pi_coeffs(rad: _Radical, K: complex) -> tuple[complex, complex] | None:
+    """Coefficients (pi0, pi1) of pi = base - sqrt(q + K c A); None when
+    the radicand q + K c A is not a perfect square within SQUARE_TOL."""
     r0, r1, r2 = rad.q[0], rad.q[1] + K * rad.c, rad.q[2]
     scale = max(abs(r0), abs(r1), abs(r2))
     disc = r1 * r1 - 4.0 * r2 * r0
     if abs(disc) > SQUARE_TOL * max(scale * scale, 1e-300):
-        raise NotPerfectSquare(
-            f"radicand discriminant {abs(disc):.3e} exceeds tolerance for K={K}"
-        )
+        return None
     # resolve sqrt(r2 A^2 + r1 A + r0) = u A + v from the dominant end,
     # so a tiny genuine r2 is not amplified through r1/(2 sqrt(r2))
     if scale == 0.0:
@@ -283,10 +269,9 @@ def _select(rad: _Radical) -> _Combo:
     t0, t1 = rad.tau_tilde.coefficient(0), rad.tau_tilde.coefficient(1)
     decays = False
     for K in _k_roots(rad):
-        try:
-            p0, p1 = _pi_coeffs(rad, K)
-        except NotPerfectSquare:
+        if (pi := _pi_coeffs(rad, K)) is None:
             continue
+        p0, p1 = pi
         tau1 = t1 + 2.0 * p1
         if tau1.real < 0.0:
             decays = True
@@ -347,16 +332,14 @@ def rodrigues_y(problem: NuProblem, rho: ExpPowerTerm, n: int) -> Poly:
     return y
 
 
-def _lambdas(
-    family: EnergyParametrizedProblem, kappa: float, n: int
-) -> tuple[complex, complex]:
+def _lambdas(family: NuProblem, kappa: float, n: int) -> tuple[complex, complex]:
     """lambda and lambda_n of the branch selected at kappa, on scalars."""
     c = family.sigma.coefficient(1)
     b = _select(_radical(c, family.sigma_tilde_at(kappa), family.tau_tilde))
     return b.K + b.pi1, _lambda_n(b.tau1, n)
 
 
-def eigen_residual(family: EnergyParametrizedProblem, kappa: float, n: int) -> float:
+def eigen_residual(family: NuProblem, kappa: float, n: int) -> float:
     """Re(lambda - lambda_n) for the branch selected at this kappa."""
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
@@ -364,8 +347,8 @@ def eigen_residual(family: EnergyParametrizedProblem, kappa: float, n: int) -> f
     return (lam - lam_n).real
 
 
-def _family_kappa_ceiling(family: EnergyParametrizedProblem) -> float:
-    zeta = abs(family.sigma_tilde_base.coefficient(1))
+def _family_kappa_ceiling(family: NuProblem) -> float:
+    zeta = abs(family.sigma_tilde.coefficient(1))
     return max(10.0 * zeta * zeta, 1.0)
 
 
@@ -414,7 +397,7 @@ def _brent(f: Callable[[float], float], a: float, fa: float, b: float, fb: float
         fb = f(b)
 
 
-def solve_kappa(family: EnergyParametrizedProblem, n: int) -> float:
+def solve_kappa(family: NuProblem, n: int) -> float:
     """Quantized kappa for level n: the root of the eigenvalue residual.
 
     Brackets a sign change of ``eigen_residual`` between its values at
@@ -446,7 +429,7 @@ def solve_kappa(family: EnergyParametrizedProblem, n: int) -> float:
     return kappa
 
 
-def assemble(family: EnergyParametrizedProblem, kappa: float, n: int) -> NuState:
+def assemble(family: NuProblem, kappa: float, n: int) -> NuState:
     """Level n at this kappa: branch, phi, rho and the Rodrigues y.
 
     Off the quantized kappa the parts still assemble, but phi * y no
@@ -467,7 +450,7 @@ def assemble(family: EnergyParametrizedProblem, kappa: float, n: int) -> NuState
     )
 
 
-def solve_state(family: EnergyParametrizedProblem, n: int) -> NuState:
+def solve_state(family: NuProblem, n: int) -> NuState:
     """Quantize level n and assemble the state at the root.
 
     The root search and its gate run on scalars, so the branch is built

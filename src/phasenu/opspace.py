@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ForbiddenCombination, WavefunctionDependentAngle
 
@@ -58,9 +58,9 @@ def commutator_coefficient(p: OpPoint) -> float:
     return p.beta * p.gamma - p.alpha * p.delta
 
 
-def is_on_manifold(p: OpPoint, tol: float = MANIFOLD_TOL) -> bool:
-    """Whether beta*gamma - alpha*delta = 1 within tol."""
-    return abs(commutator_coefficient(p) - 1.0) <= tol
+def is_on_manifold(p: OpPoint) -> bool:
+    """Whether beta*gamma - alpha*delta = 1 within MANIFOLD_TOL."""
+    return abs(commutator_coefficient(p) - 1.0) <= MANIFOLD_TOL
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,6 @@ def fundamental(kind: int) -> GEta:
 def complement(g: GEta) -> GEta:
     """Entrywise I - g."""
     return GEta(tuple(1 - x for x in g.diag))
-
-
-def can_combine(kinds: Iterable[int]) -> bool:
-    """Whether the fundamental transforms named by ``kinds`` may share one
-    composition: all within {1,2} or all within {3,4}."""
-    ks = set(kinds)
-    if not ks <= {1, 2, 3, 4}:
-        raise ValueError(f"kinds must be drawn from 1..4, got {sorted(ks)}")
-    return ks <= {1, 2} or ks <= {3, 4}
 
 
 def compose(g0: GEta, applications: Sequence[tuple[GEta, int]]) -> GEta:

@@ -55,7 +55,7 @@ class RadialGrid:
 
 
 def _inner_ratio(
-    params: PhysicalParams, L: int, grid: RadialGrid, energy: float | None = None
+    params: PhysicalParams, grid: RadialGrid, energy: float | None = None
 ) -> float:
     """u(r_min) / u(r_min + h) for the regular solution near the origin.
 
@@ -66,6 +66,7 @@ def _inner_ratio(
     The boundary keeps the terms up to c1; with ``energy`` given, c2 is
     added as well, which is how the guard sizes the term left out.
     """
+    L = params.angular_momentum
     a = params.hbar**2 / (
         params.mass * params.coulomb_constant * params.charge_squared
     )
@@ -85,9 +86,7 @@ def _inner_ratio(
     )
 
 
-def _tridiag_coulomb(
-    params: PhysicalParams, L: int, grid: RadialGrid
-) -> tuple[list[float], float]:
+def _tridiag_coulomb(params: PhysicalParams, grid: RadialGrid) -> tuple[list[float], float]:
     """Diagonal and off-diagonal magnitude of the reduced-radial operator.
 
     Unknowns are the interior nodes of u = r*R; the operator is
@@ -99,13 +98,14 @@ def _tridiag_coulomb(
     """
     h = grid.spacing
     kin = params.hbar**2 / (2.0 * params.mass * h * h)
+    L = params.angular_momentum
     cent = params.hbar**2 * L * (L + 1) / (2.0 * params.mass)
     coul = params.coulomb_constant * params.charge_squared
     diag: list[float] = []
     for i in range(1, grid.n_points - 1):
         r = grid.r_min + i * h
         diag.append(2.0 * kin + cent / (r * r) - coul / r)
-    diag[0] -= kin * _inner_ratio(params, L, grid)
+    diag[0] -= kin * _inner_ratio(params, grid)
     return diag, kin
 
 
@@ -127,11 +127,6 @@ def _sturm(rows: Sequence[float], b2: float, x: float) -> tuple[int, float]:
         # an exact zero pivot: x is an eigenvalue of a leading block
         return _sturm(rows, b2, nextafter(x, inf))
     return count, q
-
-
-def _count_below(diag: Sequence[float], b2: float, x: float) -> int:
-    """Number of eigenvalues of the tridiagonal matrix strictly below x."""
-    return _sturm(diag, b2, x)[0]
 
 
 def _first_weight(diag: Sequence[float], b2: float, level: float) -> float:
@@ -168,7 +163,7 @@ def _levels(
         raise ValueError("more states requested than interior nodes")
     b2 = kin * kin
     floor, ceiling = min(diag) - 2.0 * kin, max(diag) + 2.0 * kin
-    bound = _count_below(diag, b2, 0.0) if seeds is None else 0
+    bound = _sturm(diag, b2, 0.0)[0] if seeds is None else 0
     levels: list[float] = []
     for j in range(n_states):
         if seeds is None:
@@ -178,10 +173,10 @@ def _levels(
             near, scale = seeds[j], max(1.0, abs(seeds[j]))
             step = 2.0 * abs(levels[-1] - seeds[j - 1]) if levels else 1e-4 * scale
             step = max(step, 1e-14 * scale)
-            below = _count_below(diag, b2, near) > j
+            below = _sturm(diag, b2, near)[0] > j
             while True:
                 far = min(max(near - step if below else near + step, floor), ceiling)
-                if (_count_below(diag, b2, far) > j) != below:
+                if (_sturm(diag, b2, far)[0] > j) != below:
                     break
                 near, step = far, 4.0 * step
             lo, hi = (far, near) if below else (near, far)
@@ -189,7 +184,7 @@ def _levels(
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            if _count_below(diag, b2, mid) > j:
+            if _sturm(diag, b2, mid)[0] > j:
                 hi = mid
             else:
                 lo = mid
@@ -197,22 +192,20 @@ def _levels(
     return levels
 
 
-def _raw_spectrum(
-    params: PhysicalParams, L: int, grid: RadialGrid, n_states: int
-) -> list[float]:
+def _raw_spectrum(params: PhysicalParams, grid: RadialGrid, n_states: int) -> list[float]:
     """Lowest n_states levels of the three-point scheme on one grid."""
-    diag, kin = _tridiag_coulomb(params, L, grid)
+    diag, kin = _tridiag_coulomb(params, grid)
     return _levels(diag, kin, n_states)
 
 
 def fd_spectrum(
     params: PhysicalParams,
-    L: int,
     grid: RadialGrid,
     n_states: int,
     tolerance: float = 1e-4,
 ) -> list[float]:
-    """Lowest n_states eigenvalues, ascending, with self-consistency guards.
+    """Lowest n_states eigenvalues at the angular momentum of ``params``,
+    ascending, with self-consistency guards.
 
     Each level is the Richardson extrapolation of the three-point scheme
     on ``grid`` and on its companion at doubled spacing: with s the true
@@ -240,8 +233,8 @@ def fd_spectrum(
         raise GridTooCoarse(
             f"grid too small for the halved-spacing companion check: {exc}"
         ) from exc
-    coarse = _raw_spectrum(params, L, companion, n_states)
-    diag, kin = _tridiag_coulomb(params, L, grid)
+    coarse = _raw_spectrum(params, companion, n_states)
+    diag, kin = _tridiag_coulomb(params, grid)
     fine = _levels(diag, kin, n_states, seeds=coarse)
     s2 = (companion.spacing / grid.spacing) ** 2
     levels = [f + (f - c) / (s2 - 1.0) for f, c in zip(fine, coarse)]
@@ -257,10 +250,10 @@ def fd_spectrum(
             f"estimated discretization error {spacing_error:.3e} "
             f"exceeds tolerance {tolerance:.3e}; refine the grid"
         )
-    rho = _inner_ratio(params, L, grid)
+    rho = _inner_ratio(params, grid)
     boundary_error = max(
         kin
-        * abs(_inner_ratio(params, L, grid, f) - rho)
+        * abs(_inner_ratio(params, grid, f) - rho)
         * abs(_first_weight(diag, kin * kin, f))
         for f in fine
     )

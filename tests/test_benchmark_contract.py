@@ -1,0 +1,62 @@
+"""The package surface the benchmark in ``perfbench/`` relies on.
+
+One seed-1 pass of each workload's deck runs through the workload's own
+``deck``, ``run`` and ``check``, on the modules imported here.  A renamed
+function, a changed signature or a changed acceptance row count (the
+verify workload pins the rows of every criterion) then fails here, not
+only in a benchmark run.  ``perfbench/run.py`` is not used: its set-up
+re-imports the package.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from phasenu import acceptance, cli, hydrogen
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the class is built
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def env(workloads, tmp_path_factory):
+    config_dir = tmp_path_factory.mktemp("configs")
+    paths = {}
+    for name, config in workloads.CONFIGS.items():
+        path = config_dir / f"{name}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        paths[name] = str(path)
+    return SimpleNamespace(
+        config_paths=paths, cli=cli, hydrogen=hydrogen, acceptance=acceptance
+    )
+
+
+@pytest.mark.parametrize("name", ["solve-mix", "tabulate", "verify"])
+def test_one_pass_has_only_expected_outcomes(workloads, env, name):
+    workload = workloads.WORKLOADS[name]
+    unexpected = []
+    for op in workload.deck(1, env):
+        try:
+            result, error = workload.run(env, op), None
+        except Exception as exc:  # a raising op is checked like any other
+            result, error = None, exc
+        outcome = workload.check(op, result, error)
+        if not outcome.expected:
+            unexpected.append((op, outcome.detail))
+    assert unexpected == []

@@ -19,7 +19,6 @@ from phasenu.errors import (
 )
 from phasenu.numeric import ExpPowerTerm, Poly
 from phasenu.nu import (
-    EnergyParametrizedProblem,
     NuBranch,
     NuProblem,
     eigen_residual,
@@ -43,12 +42,8 @@ def radial_problem(omega, zeta, kappa, alphadelta):
 
 
 def radial_family(omega, zeta, alphadelta):
-    return EnergyParametrizedProblem(
-        sigma=Poly((0.0, -alphadelta)),
-        tau_tilde=Poly((2.0,)),
-        sigma_tilde_base=Poly((-omega, zeta)),
-        sigma_tilde_kappa_coeff=Poly((0.0, 0.0, -1.0)),
-    )
+    """The same problem at kappa = 0, the form the quantization takes."""
+    return radial_problem(omega, zeta, 0.0, alphadelta)
 
 
 def reference_combinations(problem):
@@ -126,6 +121,20 @@ def record_residuals(monkeypatch):
     return seen
 
 
+def record_pi_coeffs(monkeypatch):
+    """(K, result) of every _pi_coeffs call of the branch screen, in order."""
+    seen = []
+    original = nu._pi_coeffs
+
+    def recorded(rad, K):
+        pi = original(rad, K)
+        seen.append((K, pi))
+        return pi
+
+    monkeypatch.setattr(nu, "_pi_coeffs", recorded)
+    return seen
+
+
 DEEP = radial_problem(0.0, 2.0, 0.25, -3.0)
 
 
@@ -144,6 +153,21 @@ class TestProblemValidation:
         family = radial_family(0.0, 2.0, -3.0)
         problem = family.at(0.25)
         assert tuple(problem.sigma_tilde) == (0j, 2 + 0j, -0.25 + 0j)
+
+    def test_kappa_shift_has_the_bits_of_poly_arithmetic(self):
+        """at(kappa) gives the coefficients of sigma_tilde + kappa *
+        Poly((0, 0, -1)), signed zeros included (repr shows them), on the
+        kappa grid and at a few kappa of either sign."""
+        cases = list(grid_problems())
+        cases += [
+            (radial_family(0.0, zeta, -1.0), k)
+            for zeta in (0.0, 2.0)
+            for k in (0.0, -0.5, 3.0)
+        ]
+        for family, kappa in cases:
+            want = family.sigma_tilde + kappa * Poly((0.0, 0.0, -1.0))
+            got = family.at(kappa).sigma_tilde
+            assert [repr(c) for c in got] == [repr(c) for c in want]
 
 
 class TestKCandidates:
@@ -194,6 +218,32 @@ class TestSelectBranch:
             NoBranch, match=r"no \(K, sign\) combination gives Re\(tau'\) < 0"
         ):
             select_branch(problem)
+
+    def test_radicand_off_the_square_has_no_branch(self, monkeypatch):
+        """sigma = 1e-9 A, sigma_tilde = 1 + A + A^2: the K^2 term of the
+        discriminant is trimmed, which leaves the single root K = -1.5e9,
+        tried twice.  The radicand is not a perfect square there, so
+        neither try yields a pi, and no tau decays."""
+        problem = NuProblem(Poly((0.0, 1e-9)), Poly((1.0, 1.0, 1.0)), Poly(()))
+        seen = record_pi_coeffs(monkeypatch)
+        with pytest.raises(
+            NoBranch, match=r"no \(K, sign\) combination gives Re\(tau'\) < 0"
+        ):
+            select_branch(problem)
+        assert [K for K, _ in seen] == [pytest.approx(-1.5e9)] * 2
+        assert [pi for _, pi in seen] == [None, None]
+
+    def test_vanishing_radicand_has_no_branch(self, monkeypatch):
+        """sigma = A, sigma_tilde = 0, tau_tilde = 1: the radicand is
+        identically zero, so u = v = 0, pi = 0 and tau' = 0, which does
+        not decay."""
+        problem = NuProblem(Poly((0.0, 1.0)), Poly(()), Poly((1.0,)))
+        seen = record_pi_coeffs(monkeypatch)
+        with pytest.raises(
+            NoBranch, match=r"no \(K, sign\) combination gives Re\(tau'\) < 0"
+        ):
+            select_branch(problem)
+        assert seen == [(0j, (0j, 0j)), (0j, (0j, 0j))]
 
     def test_no_admissible_weight_has_no_branch(self):
         """sigma = A, sigma_tilde = -2 - 2A + A^2, tau_tilde = 1: a
@@ -325,14 +375,10 @@ class TestIntegratingFactors:
 
     def test_unsupported_sigma_shapes(self):
         """Only sigma = c*A is solved; any other sigma is refused when the
-        problem, or a family through it, is built."""
+        problem is built."""
         for sigma in ((1.0,), (1.0, 1.0), (0.0, 0.0, 1.0)):
             with pytest.raises(UnsupportedSigma):
                 NuProblem(Poly(sigma), Poly((0.0, 1.0)), Poly((2.0,)))
-            with pytest.raises(UnsupportedSigma):
-                EnergyParametrizedProblem(
-                    Poly(sigma), Poly((2.0,)), Poly((0.0, 1.0)), Poly((0.0, 0.0, -1.0))
-                )
 
 
 class TestRodrigues:
@@ -428,12 +474,7 @@ class TestQuantization:
         """sigma = A/4, tau_tilde = 1/4 and sigma_tilde = A/4 - kappa A^2
         give the ground-state residual 1 - sqrt(kappa), exactly 0 at the
         ceiling kappa = 1; the root search is never entered."""
-        family = EnergyParametrizedProblem(
-            sigma=Poly((0.0, 0.25)),
-            tau_tilde=Poly((0.25,)),
-            sigma_tilde_base=Poly((0.0, 0.25)),
-            sigma_tilde_kappa_coeff=Poly((0.0, 0.0, -1.0)),
-        )
+        family = NuProblem(Poly((0.0, 0.25)), Poly((0.0, 0.25)), Poly((0.25,)))
         seen = record_residuals(monkeypatch)
         assert solve_kappa(family, 0) == 1.0
         assert seen == [nu.KAPPA_FLOOR, 1.0]
@@ -442,12 +483,7 @@ class TestQuantization:
         """sigma = A, tau_tilde = 2 and sigma_tilde = 2e-9 A - kappa A^2 put
         the ground-state root near 1e-18, below KAPPA_FLOOR: both endpoint
         residuals are negative, and nothing is searched between them."""
-        family = EnergyParametrizedProblem(
-            sigma=Poly((0.0, 1.0)),
-            tau_tilde=Poly((2.0,)),
-            sigma_tilde_base=Poly((0.0, 2e-9)),
-            sigma_tilde_kappa_coeff=Poly((0.0, 0.0, -1.0)),
-        )
+        family = NuProblem(Poly((0.0, 1.0)), Poly((0.0, 2e-9)), Poly((2.0,)))
         seen = record_residuals(monkeypatch)
         with pytest.raises(
             NoSignChange, match=r"keeps one sign on \[1e-12, 1\] for n=0$"

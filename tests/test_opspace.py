@@ -11,7 +11,6 @@ from phasenu.opspace import (
     OpPoint,
     SpaceKind,
     apply_to_point,
-    can_combine,
     classify,
     commutator_coefficient,
     complement,
@@ -110,7 +109,9 @@ class TestTransforms:
                 [(complement(fundamental(1)), 1), (complement(fundamental(3)), 1)],
             )
 
-    def test_can_combine_truth_table(self):
+    def test_compose_truth_table(self):
+        """compose refuses the complements of exactly the kind subsets that
+        mix the (alpha, beta) and (gamma, delta) groups."""
         allowed = {
             frozenset({1}),
             frozenset({2}),
@@ -124,12 +125,13 @@ class TestTransforms:
         for mask in range(1, 16):
             subset = frozenset(k for i, k in enumerate(kinds) if mask >> i & 1)
             seen += 1
-            assert can_combine(subset) == (subset in allowed)
+            shifts = [(complement(fundamental(k)), 1) for k in subset]
+            if subset in allowed:
+                compose(identity(), shifts)
+            else:
+                with pytest.raises(ForbiddenCombination):
+                    compose(identity(), shifts)
         assert seen == 15
-
-    def test_can_combine_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            can_combine({1, 7})
 
     def test_apply_zeroing_gamma_leaves_manifold(self):
         image, on_manifold = apply_to_point(fundamental(3), OpPoint(-3.0, 1.0, -2.0, 1.0))

@@ -11,9 +11,9 @@ from phasenu.hydrogen import PhysicalParams
 from phasenu.opspace import OpPoint, commutator_coefficient
 from phasenu.oracle import (
     RadialGrid,
-    _count_below,
     _levels,
     _raw_spectrum,
+    _sturm,
     _tridiag_coulomb,
     commutator_check,
     fd_spectrum,
@@ -57,35 +57,35 @@ class TestFdSpectrum:
         grid where a Dirichlet wall at r_min shifted the ground level by
         4e-3 relative.
         """
-        levels = fd_spectrum(ATOMIC, 0, RadialGrid(1e-3, 100.0, 4000), 2)
+        levels = fd_spectrum(ATOMIC, RadialGrid(1e-3, 100.0, 4000), 2)
         assert levels[0] == pytest.approx(-0.5, rel=1e-4)
         assert levels[1] == pytest.approx(-0.125, rel=1e-4)
 
     def test_centrifugal_barrier_suppresses_the_wall_shift(self):
         p1 = PhysicalParams(angular_momentum=1)
-        levels = fd_spectrum(p1, 1, RadialGrid(1e-3, 100.0, 4000), 1)
+        levels = fd_spectrum(p1, RadialGrid(1e-3, 100.0, 4000), 1)
         assert levels[0] == pytest.approx(-0.125, rel=1e-4)
 
     def test_resolving_grid_meets_the_tight_tolerance(self):
-        levels = fd_spectrum(ATOMIC, 0, RadialGrid(1e-5, 100.0, 16000), 2)
+        levels = fd_spectrum(ATOMIC, RadialGrid(1e-5, 100.0, 16000), 2)
         assert levels[0] == pytest.approx(-0.5, rel=1e-4)
         assert levels[1] == pytest.approx(-0.125, rel=1e-4)
 
     def test_levels_ascend(self):
-        levels = fd_spectrum(ATOMIC, 0, RadialGrid(1e-3, 100.0, 4000), 3)
+        levels = fd_spectrum(ATOMIC, RadialGrid(1e-3, 100.0, 4000), 3)
         assert levels == sorted(levels)
 
     def test_box_truncation_detected(self):
         with pytest.raises(GridTooCoarse):
-            fd_spectrum(ATOMIC, 0, RadialGrid(1e-3, 5.0, 500), 2)
+            fd_spectrum(ATOMIC, RadialGrid(1e-3, 5.0, 500), 2)
 
     def test_coarse_spacing_detected(self):
         with pytest.raises(GridTooCoarse):
-            fd_spectrum(ATOMIC, 0, RadialGrid(1e-3, 100.0, 250), 1)
+            fd_spectrum(ATOMIC, RadialGrid(1e-3, 100.0, 250), 1)
 
     def test_grid_too_small_for_companion_check(self):
         with pytest.raises(GridTooCoarse):
-            fd_spectrum(ATOMIC, 0, RadialGrid(1e-3, 100.0, 150), 1)
+            fd_spectrum(ATOMIC, RadialGrid(1e-3, 100.0, 150), 1)
 
     def test_second_order_convergence(self):
         """Halving the spacing shrinks the three-point ground-state error
@@ -94,12 +94,12 @@ class TestFdSpectrum:
         The Richardson weight in fd_spectrum relies on the raw scheme being
         second order, so both orders are checked on the same two grids.
         """
-        coarse = _raw_spectrum(ATOMIC, 0, RadialGrid(1e-6, 100.0, 1001), 1)
-        fine = _raw_spectrum(ATOMIC, 0, RadialGrid(1e-6, 100.0, 2001), 1)
+        coarse = _raw_spectrum(ATOMIC, RadialGrid(1e-6, 100.0, 1001), 1)
+        fine = _raw_spectrum(ATOMIC, RadialGrid(1e-6, 100.0, 2001), 1)
         ratio = (coarse[0] + 0.5) / (fine[0] + 0.5)
         assert 3.5 <= ratio <= 4.5
-        coarse = fd_spectrum(ATOMIC, 0, RadialGrid(1e-6, 100.0, 1001), 1, tolerance=1.0)
-        fine = fd_spectrum(ATOMIC, 0, RadialGrid(1e-6, 100.0, 2001), 1, tolerance=1.0)
+        coarse = fd_spectrum(ATOMIC, RadialGrid(1e-6, 100.0, 1001), 1, tolerance=1.0)
+        fine = fd_spectrum(ATOMIC, RadialGrid(1e-6, 100.0, 2001), 1, tolerance=1.0)
         ratio = (coarse[0] + 0.5) / (fine[0] + 0.5)
         assert 14.0 <= ratio <= 18.0
 
@@ -107,25 +107,25 @@ class TestFdSpectrum:
         """A large r_min leaves the two-term origin series too crude; the
         levels come back about 1e-3 off, so the call must refuse."""
         with pytest.raises(GridTooCoarse, match="inner-boundary"):
-            fd_spectrum(ATOMIC, 0, RadialGrid(0.05, 100.0, 4000), 3)
+            fd_spectrum(ATOMIC, RadialGrid(0.05, 100.0, 4000), 3)
         p1 = PhysicalParams(angular_momentum=1)
         with pytest.raises(GridTooCoarse, match="inner-boundary"):
-            fd_spectrum(p1, 1, RadialGrid(0.5, 100.0, 4000), 3)
+            fd_spectrum(p1, RadialGrid(0.5, 100.0, 4000), 3)
 
     def test_first_node_beyond_the_origin_series_detected(self):
         muonic = PhysicalParams(mass=186.0)
         with pytest.raises(GridTooCoarse, match="origin series"):
-            fd_spectrum(muonic, 0, RadialGrid(1e-3, 100.0, 4000), 1)
+            fd_spectrum(muonic, RadialGrid(1e-3, 100.0, 4000), 1)
 
     def test_count_survives_an_exact_zero_pivot(self):
         # [[1, -1], [-1, 1]] has eigenvalues 0 and 2; at x = 1 the first
         # pivot is exactly zero
-        assert _count_below([1.0, 1.0], 1.0, 1.0) == 1
-        assert _count_below([1.0, 1.0], 1.0, 2.5) == 2
-        assert _count_below([1.0, 1.0], 1.0, -0.5) == 0
+        assert _sturm([1.0, 1.0], 1.0, 1.0)[0] == 1
+        assert _sturm([1.0, 1.0], 1.0, 2.5)[0] == 2
+        assert _sturm([1.0, 1.0], 1.0, -0.5)[0] == 0
 
     def test_seeded_brackets_find_the_unseeded_levels(self):
-        diag, kin = _tridiag_coulomb(ATOMIC, 0, RadialGrid(1e-3, 100.0, 1000))
+        diag, kin = _tridiag_coulomb(ATOMIC, RadialGrid(1e-3, 100.0, 1000))
         plain = _levels(diag, kin, 4)
         for shift in (-0.3, 0.0, 1e-9, 0.3, 5.0):
             seeded = _levels(diag, kin, 4, seeds=[e + shift for e in plain])
@@ -133,7 +133,7 @@ class TestFdSpectrum:
 
     def test_state_count_validation(self):
         with pytest.raises(ValueError):
-            fd_spectrum(ATOMIC, 0, RadialGrid(1e-3, 100.0, 4000), 0)
+            fd_spectrum(ATOMIC, RadialGrid(1e-3, 100.0, 4000), 0)
 
 
 class TestLaguerre:
