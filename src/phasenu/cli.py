@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -237,7 +238,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if failed == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves
+    it unchanged, and each call of :func:`main` parses into a fresh
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="phasenu",
         description="Phase-space hydrogen solver and operator-manifold toolkit",

@@ -18,10 +18,6 @@ class BranchPointError(PhasenuError, ValueError):
     negative power, or where sigma vanishes in the equation."""
 
 
-class DegenerateDiscriminant(PhasenuError):
-    """The discriminant's K-dependence cancels; no K-quadratic to solve."""
-
-
 class NoBranch(PhasenuError):
     """No (K, sign) combination yields a decaying, weight-admissible tau."""
 
@@ -30,8 +26,9 @@ class UnsupportedSigma(PhasenuError, ValueError):
     """The solver requires sigma proportional to the variable."""
 
 
-class CancellationFailure(PhasenuError):
-    """The Rodrigues quotient did not reduce to a pure polynomial."""
+class RodriguesFailure(PhasenuError):
+    """The Rodrigues polynomial is not representable in floats: a
+    coefficient overflows, or its degree falls short of n."""
 
 
 class NoSignChange(PhasenuError):

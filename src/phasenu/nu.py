@@ -11,53 +11,48 @@ chosen so that the radicand of
     pi = (sigma' - tau_tilde)/2 +/- sqrt(((sigma' - tau_tilde)/2)**2
                                          - sigma_tilde + K * sigma)
 
-is a perfect square, which keeps ``pi`` a polynomial of degree one.  The
-remaining function ``y`` then satisfies ``sigma y'' + tau y' + lambda y = 0``
-with ``tau = tau_tilde + 2 pi`` and ``lambda = K + pi'``, whose polynomial
-solutions exist exactly when ``lambda`` equals
+is a perfect square, which keeps ``pi`` a polynomial of degree one.  With
+sigma = c*A the K-free radicand q0 + q1 A + q2 A**2 plus K c A is the
+square (u A + v)**2 exactly when u = sqrt(q2), v = +/-sqrt(q0) and
+K = (2 u v - q1) / c, so the two candidates are written down, not solved
+for.  The remaining function ``y`` then satisfies
+``sigma y'' + tau y' + lambda y = 0`` with ``tau = tau_tilde + 2 pi`` and
+``lambda = K + pi'``, whose polynomial solutions exist exactly when
+``lambda`` equals
 
     lambda_n = -n tau'
 
 (the ``- n (n - 1) / 2 * sigma''`` term of the general method vanishes),
 and are produced by the Rodrigues formula with weight rho satisfying
-``(sigma rho)' = tau rho``.  Quantization of an energy-like parameter kappa
-is the root of ``lambda(kappa) - lambda_n(kappa)``, bracketed and refined
-by Brent-Dekker -- deliberately independent of any closed-form spectrum a
-particular family may admit.  The root search resolves the branch on
-scalar coefficients; polynomials are built once, for the solved state.
+``(sigma rho)' = tau rho``.  For rho = exp(a A) A**b the Leibniz rule gives
+y coefficient by coefficient.  Quantization of an energy-like parameter
+kappa is the root of ``lambda(kappa) - lambda_n(kappa)``, bracketed and
+refined by Brent-Dekker in s = sqrt(kappa), in which the residual of the
+hydrogen family is affine -- deliberately independent of any closed-form
+spectrum a particular family may admit.  The root search resolves the
+branch on scalar coefficients; polynomials are built once, for the solved
+state.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
-    CancellationFailure,
-    DegenerateDiscriminant,
     DegreeError,
     NoBranch,
     NoSignChange,
+    RodriguesFailure,
     UnsupportedSigma,
 )
-from .numeric import (
-    ExpPowerTerm,
-    Poly,
-    _exact,
-    as_finite_complex,
-    normal_coeffs,
-    quadratic_roots,
-)
+from .numeric import ExpPowerTerm, Poly, _exact, as_finite_complex
 
-#: Relative tolerance for the perfect-square (vanishing discriminant) check.
-SQUARE_TOL = 1e-9
-
-#: Tolerance on leftover exponential rate / power after the Rodrigues division.
-CANCEL_TOL = 1e-9
-
-#: The kappa search stops when its bracket has this relative width.
+#: The kappa search stops when its bracket in sqrt(kappa) has this
+#: relative width.
 KAPPA_REL_WIDTH = 1e-12
 
 #: The converged kappa must satisfy |lambda - lambda_n| below this (scaled).
@@ -161,67 +156,6 @@ class NuState:
         return self.phi.times_poly(self.y)
 
 
-class _Radical(NamedTuple):
-    """The radical of pi = base +/- sqrt(q + K c A) on scalars: base =
-    (c - tau_tilde)/2 as (b0, b1), q = base**2 - sigma_tilde as
-    (q0, q1, q2), beside the equation's c and tau_tilde."""
-
-    c: complex
-    tau_tilde: Poly
-    base: tuple[complex, complex]
-    q: tuple[complex, complex, complex]
-
-
-def _radical(c: complex, sigma_tilde: Sequence[complex], tau_tilde: Poly) -> _Radical:
-    # b1 is taken from 0j as sigma' - tau_tilde is, q summed from 0j as
-    # Poly's product is: both turn -0.0 into 0.0, and signed zeros decide
-    # which side of a square root's branch cut is taken later
-    b0 = 0.5 * (c - tau_tilde.coefficient(0))
-    b1 = 0.5 * (0j - tau_tilde.coefficient(1))
-    st0, st1, st2 = sigma_tilde
-    q = (0j + b0 * b0 - st0, 0j + b0 * b1 + b1 * b0 - st1, 0j + b1 * b1 - st2)
-    return _Radical(c, tau_tilde, (b0, b1), q)
-
-
-def _k_roots(rad: _Radical) -> tuple[complex, complex]:
-    c = rad.c
-    q0, q1, q2 = rad.q
-    disc_in_k = normal_coeffs((q1 * q1 - 4.0 * q2 * q0, 2.0 * q1 * c, c * c))
-    if len(disc_in_k) < 2:
-        raise DegenerateDiscriminant(
-            "discriminant does not depend on K for this coefficient triple"
-        )
-    # checked up front: a non-finite second root raises even if the first wins
-    K0, K1 = quadratic_roots(disc_in_k)
-    return as_finite_complex(K0), as_finite_complex(K1)
-
-
-def _pi_coeffs(rad: _Radical, K: complex) -> tuple[complex, complex] | None:
-    """Coefficients (pi0, pi1) of pi = base - sqrt(q + K c A); None when
-    the radicand q + K c A is not a perfect square within SQUARE_TOL."""
-    r0, r1, r2 = rad.q[0], rad.q[1] + K * rad.c, rad.q[2]
-    scale = max(abs(r0), abs(r1), abs(r2))
-    disc = r1 * r1 - 4.0 * r2 * r0
-    if abs(disc) > SQUARE_TOL * max(scale * scale, 1e-300):
-        return None
-    # resolve sqrt(r2 A^2 + r1 A + r0) = u A + v from the dominant end,
-    # so a tiny genuine r2 is not amplified through r1/(2 sqrt(r2))
-    if scale == 0.0:
-        u = v = 0j
-    elif abs(r2) >= abs(r0):
-        u = cmath.sqrt(r2)  # principal: Re(u) >= 0
-        v = r1 / (2.0 * u)
-    else:
-        v = cmath.sqrt(r0)
-        u = r1 / (2.0 * v)
-        if u.real < 0.0 or (u.real == 0.0 and u.imag < 0.0):
-            u, v = -u, -v
-    # a u at rounding level next to v is dropped, as Poly((v, u)) would
-    v, u = (normal_coeffs((v, u)) + (0j, 0j))[:2]
-    # a complex product by -1, not a negation: they differ in signed zeros
-    return rad.base[0] + -1 * v, rad.base[1] + -1 * u
-
-
 def _lambda_n(tau1: complex, n: int) -> complex:
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -264,23 +198,40 @@ class _Combo(NamedTuple):
     tau1: complex
 
 
-def _select(rad: _Radical) -> _Combo:
-    """The branch screen of :func:`select_branch`, on scalar coefficients."""
-    t0, t1 = rad.tau_tilde.coefficient(0), rad.tau_tilde.coefficient(1)
-    decays = False
-    for K in _k_roots(rad):
-        if (pi := _pi_coeffs(rad, K)) is None:
-            continue
-        p0, p1 = pi
-        tau1 = t1 + 2.0 * p1
-        if tau1.real < 0.0:
-            decays = True
-            tau0 = t0 + 2.0 * p0
-            rate, power = _rho_exponents(rad.c, tau0, tau1)
-            if rate.real < 0.0 and power.real > -1.0:
-                return _Combo(K, p0, p1, tau0, tau1)
-    if not decays:
+def _select(c: complex, sigma_tilde: Sequence[complex], tau_tilde: Poly) -> _Combo:
+    """The branch screen of :func:`select_branch`, on scalar coefficients.
+
+    pi = base - (u A + v) with base = (c - tau_tilde)/2 as (b0, b1),
+    q = base**2 - sigma_tilde as (q0, q1, q2), u = sqrt(q2) and
+    v = +/-sqrt(q0): q + K c A is then (u A + v)**2 for K = (2 u v - q1)/c.
+    """
+    t0, t1 = tau_tilde.coefficient(0), tau_tilde.coefficient(1)
+    # b1 is taken from 0j and q summed from 0j: both turn -0.0 into 0.0,
+    # and signed zeros decide which side of a square root's branch cut is taken
+    b0 = 0.5 * (c - t0)
+    b1 = 0.5 * (0j - t1)
+    st0, st1, st2 = sigma_tilde
+    q0 = 0j + b0 * b0 - st0
+    q1 = 0j + b0 * b1 + b1 * b0 - st1
+    u = cmath.sqrt(0j + b1 * b1 - st2)  # principal: Re(u) >= 0
+    # a complex product by -1, not a negation: they differ in signed zeros
+    pi1 = b1 + -1 * u
+    tau1 = t1 + 2.0 * pi1
+    if not tau1.real < 0.0:
         raise NoBranch("no (K, sign) combination gives Re(tau') < 0")
+    root = cmath.sqrt(q0)
+    # both K made finite up front: a non-finite second K raises even if
+    # the first wins
+    candidates = [
+        (as_finite_complex((2.0 * u * v - q1) / c), v) for v in (root, -1 * root)
+    ]
+    candidates.sort(key=lambda kv: (kv[0].real, kv[0].imag))
+    for K, v in candidates:
+        pi0 = b0 + -1 * v
+        tau0 = t0 + 2.0 * pi0
+        rate, power = _rho_exponents(c, tau0, tau1)
+        if rate.real < 0.0 and power.real > -1.0:
+            return _Combo(K, pi0, pi1, tau0, tau1)
     raise NoBranch("no decaying combination has an admissible weight")
 
 
@@ -290,52 +241,57 @@ def select_branch(problem: NuProblem) -> NuBranch:
     Only the sign -1 can give Re(tau') < 0: pi' = -t1/2 +/- u with
     Re(u) >= 0, where t1 = tau_tilde', so the sign +1 gives
     Re(tau') = Re(t1 + 2 pi') >= 0 whenever t1 is zero or a normal float.
-    The K roots are tried in order, each with sign -1; the first whose
-    tau decays and whose weight is admissible (Re(rate) < 0 and
-    Re(power) > -1 for rho, with sigma = c*A) wins.  The screen runs on
-    scalar coefficients; only the winner is built into polynomials.
+    Both K candidates share u, and so tau'; they differ in the sign of
+    v = +/-sqrt(q0).  They are tried in order of K (real part, then
+    imaginary part), each with sign -1; the first whose tau decays and
+    whose weight is admissible (Re(rate) < 0 and Re(power) > -1 for rho,
+    with sigma = c*A) wins.  The screen runs on scalar coefficients; only
+    the winner is built into polynomials.
     """
     sigma_tilde = tuple(problem.sigma_tilde.coefficient(k) for k in range(3))
-    b = _select(_radical(problem.sigma.coefficient(1), sigma_tilde, problem.tau_tilde))
+    b = _select(problem.sigma.coefficient(1), sigma_tilde, problem.tau_tilde)
     return NuBranch(K=b.K, pi=_exact((b.pi0, b.pi1)), tau=_exact((b.tau0, b.tau1)))
 
 
-def rodrigues_y(problem: NuProblem, rho: ExpPowerTerm, n: int) -> Poly:
+def rodrigues_y(problem: NuProblem, branch: NuBranch, n: int) -> Poly:
     """n-th Rodrigues polynomial ``(1 / rho) d^n/dA^n [sigma**n rho]``.
 
-    The n-fold exact derivative stays in the exponential-power family; the
-    division by rho must cancel the exponential rate and the power within
-    ``CANCEL_TOL`` and leave a polynomial of degree exactly n, otherwise
-    the branch is inconsistent with polynomial solutions.
+    rho is the branch's weight ``exp(a A) * A**b`` (:func:`rho_of`), so by
+    the Leibniz rule the coefficient of A**j is
+
+        c**n * C(n, j) * a**j * (n + b)(n + b - 1)...(b + j + 1),
+
+    one product per coefficient, with the falling factorial carried from
+    j = n downward; the quotient by rho is a polynomial by construction.
+    A coefficient beyond the float range, or a degree short of n (a leading
+    c**n a**n that underflows to zero), raises :class:`RodriguesFailure`.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if rho.poly.degree != 0:
-        raise ValueError("weight must be a pure exponential-power term")
     c = problem.sigma.coefficient(1)
-    sigma_n = Poly((0j,) * n + (c**n,))
-    term = rho.times_poly(sigma_n)
+    a, b = _rho_exponents(c, branch.tau.coefficient(0), branch.tau.coefficient(1))
+    c_n = 1 + 0j
+    a_j = [1 + 0j]
     for _ in range(n):
-        term = term.derivative()
-    rate_gap = abs(term.rate - rho.rate)
-    power_gap = abs(term.power - rho.power)
-    if rate_gap > CANCEL_TOL or power_gap > CANCEL_TOL:
-        raise CancellationFailure(
-            f"quotient keeps rate {rate_gap:.3e} / power {power_gap:.3e}; "
-            "branch inconsistent with polynomial solutions"
-        )
-    y = (1.0 / rho.poly.coefficient(0)) * term.poly
+        c_n *= c
+        a_j.append(a_j[-1] * a)
+    coeffs = [0j] * (n + 1)
+    binomial, falling = 1.0, 1 + 0j
+    for j in range(n, -1, -1):
+        coeffs[j] = c_n * binomial * a_j[j] * falling
+        falling *= b + j
+        binomial = binomial * j / (n - j + 1)
+    if not all(map(cmath.isfinite, coeffs)):
+        raise RodriguesFailure(f"a Rodrigues coefficient overflows at n={n}")
+    y = _exact(coeffs)
     if y.degree != n:
-        raise CancellationFailure(
-            f"Rodrigues output has degree {y.degree}, expected {n}"
-        )
+        raise RodriguesFailure(f"Rodrigues output has degree {y.degree}, expected {n}")
     return y
 
 
 def _lambdas(family: NuProblem, kappa: float, n: int) -> tuple[complex, complex]:
     """lambda and lambda_n of the branch selected at kappa, on scalars."""
-    c = family.sigma.coefficient(1)
-    b = _select(_radical(c, family.sigma_tilde_at(kappa), family.tau_tilde))
+    b = _select(family.sigma.coefficient(1), family.sigma_tilde_at(kappa), family.tau_tilde)
     return b.K + b.pi1, _lambda_n(b.tau1, n)
 
 
@@ -400,25 +356,29 @@ def _brent(f: Callable[[float], float], a: float, fa: float, b: float, fb: float
 def solve_kappa(family: NuProblem, n: int) -> float:
     """Quantized kappa for level n: the root of the eigenvalue residual.
 
-    Brackets a sign change of ``eigen_residual`` between its values at
-    the ends of ``[KAPPA_FLOOR, max(10 zeta**2, 1)]`` (``NoSignChange``
-    when they agree in sign), refines it by Brent-Dekker to
-    relative width ``KAPPA_REL_WIDTH``, and requires |lambda - lambda_n|
-    below ``RESIDUAL_TOL`` there.  No closed-form spectrum is consulted.
+    Searches s = sqrt(kappa), in which the residual of the hydrogen family
+    is affine: brackets a sign change of ``eigen_residual`` at s**2 between
+    its values at the ends of ``[sqrt(KAPPA_FLOOR), sqrt(max(10 zeta**2,
+    1))]`` (``NoSignChange`` when they agree in sign), refines it by
+    Brent-Dekker to relative width ``KAPPA_REL_WIDTH`` in s, and requires
+    |lambda - lambda_n| below ``RESIDUAL_TOL`` at the returned kappa = s**2.
+    No closed-form spectrum is consulted.
     """
     lo = KAPPA_FLOOR
     hi = _family_kappa_ceiling(family)
-    f_lo = eigen_residual(family, lo, n)
-    f_hi = eigen_residual(family, hi, n)
+    s_lo, s_hi = math.sqrt(lo), math.sqrt(hi)
+    f_lo = eigen_residual(family, s_lo * s_lo, n)
+    f_hi = eigen_residual(family, s_hi * s_hi, n)
     if f_lo == 0.0:
-        return lo
+        return s_lo * s_lo
     if f_hi == 0.0:
-        return hi
+        return s_hi * s_hi
     if f_lo * f_hi > 0.0:
         raise NoSignChange(
             f"eigenvalue residual keeps one sign on [{lo:g}, {hi:g}] for n={n}"
         )
-    kappa = _brent(lambda k: eigen_residual(family, k, n), lo, f_lo, hi, f_hi)
+    s = _brent(lambda s: eigen_residual(family, s * s, n), s_lo, f_lo, s_hi, f_hi)
+    kappa = s * s
     lam, lam_n = _lambdas(family, kappa, n)
     residual = abs((lam - lam_n).real)
     if residual > RESIDUAL_TOL * (1.0 + abs(lam_n)):
@@ -437,7 +397,6 @@ def assemble(family: NuProblem, kappa: float, n: int) -> NuState:
     """
     problem = family.at(kappa)
     branch = select_branch(problem)
-    rho = rho_of(problem, branch)
     return NuState(
         family=family,
         n=n,
@@ -445,8 +404,8 @@ def assemble(family: NuProblem, kappa: float, n: int) -> NuState:
         problem=problem,
         branch=branch,
         phi=phi_of(problem, branch),
-        rho=rho,
-        y=rodrigues_y(problem, rho, n),
+        rho=rho_of(problem, branch),
+        y=rodrigues_y(problem, branch, n),
     )
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BranchPointError, DegreeError
+from .errors import BranchPointError
 
 #: Relative magnitude below which a coefficient counts as zero.
 ZERO_TOL = 1e-14
@@ -161,33 +161,6 @@ def _exact(coeffs: Iterable[complex]) -> Poly:
     p = object.__new__(Poly)
     object.__setattr__(p, "coeffs", tuple(_trim(list(coeffs))))
     return p
-
-
-def quadratic_roots(p: Poly | Sequence[complex]) -> tuple[complex, complex]:
-    """Roots of a degree-1 or degree-2 polynomial, given as a Poly or as
-    its ascending coefficients in normal form (:func:`normal_coeffs`).
-
-    A degree-1 input returns its single root twice.  Roots are sorted by
-    real part, then by imaginary part, so callers see a deterministic
-    order.  Uses the numerically stable quadratic formula (the larger of
-    ``-b -/+ sqrt(disc)`` is divided first).
-    """
-    cs = tuple(p)
-    if len(cs) == 2:
-        root = -cs[0] / cs[1]
-        return (root, root)
-    if len(cs) != 3:
-        raise DegreeError(f"need degree 1 or 2, got degree {len(cs) - 1}")
-    c0, c1, c2 = cs
-    sq = cmath.sqrt(c1 * c1 - 4.0 * c2 * c0)
-    q = -(c1 + sq) if abs(c1 + sq) >= abs(c1 - sq) else -(c1 - sq)
-    q *= 0.5
-    if q == 0:  # c1 == 0 and c0 == 0
-        roots = [0j, 0j]
-    else:
-        roots = [q / c2, c0 / q]
-    roots.sort(key=lambda z: (z.real, z.imag))
-    return (roots[0], roots[1])
 
 
 @dataclass(frozen=True)

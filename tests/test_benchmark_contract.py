@@ -8,6 +8,7 @@ only in a benchmark run.  ``perfbench/run.py`` is not used: its set-up
 re-imports the package.
 """
 
+import collections
 import importlib.util
 import json
 import sys
@@ -47,16 +48,35 @@ def env(workloads, tmp_path_factory):
     )
 
 
+@pytest.fixture(scope="module")
+def outcomes(workloads, env):
+    """Each workload's seed-1 deck as (op, outcome) pairs, run once."""
+    done = {}
+
+    def run(name):
+        if name not in done:
+            workload = workloads.WORKLOADS[name]
+            done[name] = []
+            for op in workload.deck(1, env):
+                try:
+                    result, error = workload.run(env, op), None
+                except Exception as exc:  # a raising op is checked like any other
+                    result, error = None, exc
+                done[name].append((op, workload.check(op, result, error)))
+        return done[name]
+
+    return run
+
+
 @pytest.mark.parametrize("name", ["solve-mix", "tabulate", "verify"])
-def test_one_pass_has_only_expected_outcomes(workloads, env, name):
-    workload = workloads.WORKLOADS[name]
-    unexpected = []
-    for op in workload.deck(1, env):
-        try:
-            result, error = workload.run(env, op), None
-        except Exception as exc:  # a raising op is checked like any other
-            result, error = None, exc
-        outcome = workload.check(op, result, error)
-        if not outcome.expected:
-            unexpected.append((op, outcome.detail))
+def test_one_pass_has_only_expected_outcomes(outcomes, name):
+    unexpected = [(op, out.detail) for op, out in outcomes(name) if not out.expected]
     assert unexpected == []
+
+
+def test_heavy_solves_find_their_branch(workloads, outcomes):
+    """No muonic solve-mix state fails with NoBranch at the kappa floor;
+    the annulus residual is the one heavy-mass failure left."""
+    defects = collections.Counter(out.defect for _, out in outcomes("solve-mix"))
+    assert defects[workloads.NOBRANCH_HEAVY] == 0
+    assert set(defects) <= {None, workloads.RESIDUAL_HEAVY}

@@ -3,6 +3,8 @@ main() in process where a test counts calls or compares two runs."""
 
 import builtins
 import collections
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -105,6 +107,22 @@ class TestSolve:
         # the assembly only: residual evaluations and the gate run on scalars
         assert counts["select_branch"] == 1
         assert counts["build_radial_family"] == 1
+
+    def test_overflowing_polynomial_is_a_solver_error(self, tmp_path, capsys):
+        """m = 1e6 puts zeta at 2e6: n = 40 solves, and at n = 70 a
+        coefficient of y is beyond the float range, which is named, not
+        printed as inf."""
+        config = tmp_path / "units.json"
+        config.write_text(
+            json.dumps({"unit_system": "custom", "m": 1e6, "hbar": 1, "k": 1, "e2": 1})
+        )
+        base = ["solve", "--L", "0", "--alphadelta", "-1", "--config", str(config)]
+        assert cli.main([*base, "--n", "40"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["y"]) == 41
+        assert cli.main([*base, "--n", "70"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("RodriguesFailure: ")
 
     def test_product_one_ulp_off_the_branch(self, capsys):
         base = ["solve", "--n", "1", "--L", "0", "--alphadelta"]
@@ -374,3 +392,40 @@ class TestTopLevel:
 
     def test_unknown_subcommand_is_a_usage_error(self):
         assert run_cli("frobnicate").returncode == 2
+
+    def test_parser_is_built_once_without_changing_output(self):
+        """Interleaved in-process calls give the same stdout, stderr and
+        exit codes with the one cached parser as with a parser built
+        afresh for every call."""
+        calls = (
+            ["solve", "--n", "0"],
+            ["--help"],
+            ["solve", "--n", "2", "--L", "1", "--alphadelta", "-3"],
+            ["scan", "--n-max", "1", "--L-max", "1", "--alphadelta", "-1"],
+            ["manifold", "--apply", "3:2"],
+            ["verify", "--suite", "hta"],
+            ["frobnicate"],
+            ["scan", "--n-max", "-1", "--L-max", "0", "--alphadelta", "-3"],
+            ["manifold", "--apply", "3:2"],
+            ["solve", "--help"],
+            ["solve", "--n", "2", "--L", "1", "--alphadelta", "-3"],
+        )
+
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as stop:
+                    code = stop.code
+            return code, out.getvalue(), err.getvalue()
+
+        cli.build_parser.cache_clear()
+        cached = [run(argv) for argv in calls]
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert cached == fresh
+        assert [code for code, _, _ in cached] == [2, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0]

@@ -220,9 +220,11 @@ class TestSpectra:
                     assert got == pytest.approx(want, rel=1e-10), (alphadelta, L, n)
 
     def test_median_residual_evaluations_per_state(self, monkeypatch):
-        """The two endpoint evaluations included.  A few deep-branch L = 0
-        states take many more (51 at n = 38, where the root sits near 6e-5
-        in a bracket reaching 40), so the median is pinned, not the maximum."""
+        """The two endpoint evaluations included, over n 0..40, L 0..5,
+        both branches, and masses 1, 186 and 900.  The residual is affine
+        in sqrt(kappa), where the search runs, so every state takes the
+        same few evaluations, however deep its root lies in the bracket
+        (a search in kappa itself took up to 51)."""
         counts = []
         original = nu.eigen_residual
 
@@ -231,17 +233,33 @@ class TestSpectra:
             return original(family, kappa, n)
 
         monkeypatch.setattr(nu, "eigen_residual", counted)
+        for mass in (1.0, 186.0, 900.0):
+            for alphadelta in BRANCHES:
+                for L in range(6):
+                    params = PhysicalParams(mass=mass, angular_momentum=L)
+                    for n in range(41):
+                        counts.append(0)
+                        got = solve_energy(params, n, alphadelta)
+                        want = closed_form_energy(params, n, alphadelta)
+                        assert got == pytest.approx(want, rel=1e-14), (mass, L, n)
+        assert len(counts) == 1476
+        assert statistics.median(counts) <= 4
+        assert max(counts) <= 4
+
+    def test_heavy_deep_levels_assemble_in_full_degree(self):
+        """m = 900, n = 40: y has degree 40 on both branches and every L."""
         for alphadelta in BRANCHES:
             for L in range(6):
-                params = PhysicalParams(angular_momentum=L)
-                for n in range(41):
-                    counts.append(0)
-                    solve_energy(params, n, alphadelta)
-        assert statistics.median(counts) <= 10
+                params = PhysicalParams(mass=900.0, angular_momentum=L)
+                state = solve_state(build_radial_family(params, alphadelta), 40)
+                assert state.y.degree == 40, (alphadelta, L)
+                assert state.kappa == pytest.approx(
+                    -2.0 * 900.0 * closed_form_energy(params, 40, alphadelta), rel=1e-14
+                )
 
     @settings(max_examples=40, deadline=None)
     @given(
-        mass=st.floats(0.5, 2.0),
+        mass=st.floats(0.5, 900.0),
         hbar=st.floats(0.5, 30.0),
         coulomb=st.floats(0.5, 2.0),
         e2=st.floats(0.5, 2.0),
@@ -252,12 +270,8 @@ class TestSpectra:
     def test_solved_energies_scale_with_the_units(
         self, mass, hbar, coulomb, e2, n, L, alphadelta
     ):
-        """E = e2^2 k^2 m / hbar^2 times the atomic-unit level, both solved.
-
-        zeta = 2 e2 k m / hbar^2 stays at most 64 here: from about 130 on,
-        the L = 0 levels of the -1 branch fail with NoBranch at the kappa
-        floor, a separate defect of the floor evaluation.
-        """
+        """E = e2^2 k^2 m / hbar^2 times the atomic-unit level, both solved,
+        for zeta = 2 e2 k m / hbar^2 from about 1/900 to about 29,000."""
         params = PhysicalParams(mass, hbar, coulomb, e2, L)
         atomic = solve_energy(PhysicalParams(angular_momentum=L), n, alphadelta)
         scale = e2**2 * coulomb**2 * mass / hbar**2

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasenu import numeric
-from phasenu.errors import BranchPointError, DegreeError
-from phasenu.numeric import ExpPowerTerm, Poly, normal_coeffs, quadratic_roots
+from phasenu.errors import BranchPointError
+from phasenu.numeric import ExpPowerTerm, Poly, normal_coeffs
 
 unit_coeff = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=1.0, allow_nan=False, allow_infinity=False
@@ -71,6 +71,10 @@ class TestPoly:
         p = Poly((1.0, 2.0, 1e-16, 3e-15))
         again = Poly(tuple(p))
         assert tuple(again) == tuple(p)
+
+    def test_coefficients_in_normal_form(self):
+        coeffs = normal_coeffs((4.0, 2.0, 1e-16))
+        assert coeffs == Poly((4.0, 2.0, 1e-16)).coeffs == (4 + 0j, 2 + 0j)
 
     def test_arithmetic_preserves_tiny_leading_coefficients(self):
         """Sums and products drop only exact-zero tails.
@@ -177,45 +181,6 @@ class TestBitIdentity:
         p(1.5)
         assert [f.name for f in dataclasses.fields(Poly)] == ["coeffs"]
         assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
-
-
-class TestQuadraticRoots:
-    def test_symmetric_real_pair(self):
-        assert quadratic_roots(Poly((-1.0, 0.0, 1.0))) == (-1 + 0j, 1 + 0j)
-
-    def test_coefficients_in_normal_form(self):
-        coeffs = normal_coeffs((4.0, 2.0, 1e-16))
-        assert coeffs == Poly((4.0, 2.0, 1e-16)).coeffs == (4 + 0j, 2 + 0j)
-        assert quadratic_roots(coeffs) == quadratic_roots(Poly(coeffs))
-        assert quadratic_roots((-1.0, 0.0, 1.0)) == (-1 + 0j, 1 + 0j)
-
-    def test_linear_root_twice(self):
-        assert quadratic_roots(Poly((4.0, 2.0))) == (-2 + 0j, -2 + 0j)
-
-    def test_double_root(self):
-        r = quadratic_roots(Poly((1.0, -2.0, 1.0)))
-        assert r == (1 + 0j, 1 + 0j)
-
-    def test_imaginary_pair_ordering(self):
-        assert quadratic_roots(Poly((1.0, 0.0, 1.0))) == (-1j, 1j)
-
-    def test_degree_bounds(self):
-        with pytest.raises(DegreeError):
-            quadratic_roots(Poly((3.0,)))
-        with pytest.raises(DegreeError):
-            quadratic_roots(Poly((0.0, 0.0, 0.0, 1.0)))
-
-    @given(
-        st.complex_numbers(min_magnitude=1e-3, max_magnitude=10, allow_nan=False),
-        st.complex_numbers(max_magnitude=10, allow_nan=False),
-        st.complex_numbers(max_magnitude=10, allow_nan=False),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_roots_reconstruct_the_quadratic(self, a, b, c):
-        r1, r2 = quadratic_roots(Poly((c, b, a)))
-        scale = max(abs(b / a), abs(c / a), 1.0)
-        assert abs((r1 + r2) + b / a) <= 1e-12 * scale
-        assert abs(r1 * r2 - c / a) <= 1e-12 * scale
 
 
 class TestExpPowerTerm:
