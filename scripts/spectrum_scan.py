@@ -49,19 +49,27 @@ def scan_branch(alphadelta, n_max, L_max, want_fd, grid):
     print()
 
 
+def radial_grid(text):
+    """argparse type: 'r_max,n_points' -> RadialGrid."""
+    try:
+        r_max, n_points = text.split(",")
+        return RadialGrid(float(r_max), int(n_points))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected r_max,n_points: {exc}") from exc
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n-max", type=int, default=3)
     ap.add_argument("--L-max", type=int, default=2)
     ap.add_argument("--fd", action="store_true", help="cross-check against the grid oracle")
-    ap.add_argument("--grid", default="1e-3,100,4000", help="r_min,r_max,n_points for --fd")
+    ap.add_argument(
+        "--grid", type=radial_grid, default="100,4000", help="r_max,n_points for --fd"
+    )
     args = ap.parse_args()
 
-    r_min, r_max, n_points = args.grid.split(",")
-    grid = RadialGrid(float(r_min), float(r_max), int(n_points))
-
     for alphadelta in BRANCHES:
-        scan_branch(alphadelta, args.n_max, args.L_max, args.fd, grid)
+        scan_branch(alphadelta, args.n_max, args.L_max, args.fd, args.grid)
 
 
 if __name__ == "__main__":

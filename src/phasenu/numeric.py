@@ -107,15 +107,6 @@ class Poly:
             return NotImplemented
         return _exact(_sum(self.coeffs, other.coeffs))
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return _exact(self.coefficient(k) - other.coefficient(k) for k in range(n))
-
-    def __neg__(self) -> "Poly":
-        return _exact(-c for c in self.coeffs)
-
     def __mul__(self, other: "Poly | complex | float | int") -> "Poly":
         if isinstance(other, Poly):
             if self.is_zero or other.is_zero:
@@ -129,12 +120,6 @@ class Poly:
         return _exact(scalar * c for c in self.coeffs)
 
     __rmul__ = __mul__
-
-    def shifted_up(self) -> "Poly":
-        """Multiply by the variable: ``A * P(A)``."""
-        if self.is_zero:
-            return self
-        return _exact((0j,) + self.coeffs)
 
 
 def _horner(top_down: Sequence, z, acc):
@@ -169,7 +154,9 @@ class ExpPowerTerm:
 
     ``A**power`` uses the principal branch.  Canonical form: a zero
     polynomial forces ``rate = power = 0`` (the zero term), and factors of
-    ``A`` dividing the polynomial are folded into ``power``.
+    ``A`` dividing the polynomial, its exactly zero low-order coefficients,
+    are folded into ``power``.  A merely tiny coefficient stays: whether
+    it is tiny depends on the scale of the others.
     """
 
     poly: Poly
@@ -191,8 +178,7 @@ class ExpPowerTerm:
             power = 0j
         else:
             cs = list(poly.coeffs)
-            peak = max(abs(c) for c in cs)
-            while len(cs) > 1 and abs(cs[0]) <= ZERO_TOL * peak:
+            while cs[0] == 0j:
                 cs.pop(0)
                 power += 1
             poly = _exact(cs)
@@ -211,8 +197,9 @@ class ExpPowerTerm:
         the power drops by at most one per derivative (folding may give it
         back when the polynomial picks up a factor of ``A``).
         Formed on coefficient lists with the operations and exact-zero trims
-        of ``(P.derivative() + a*P).shifted_up() + b*P`` in the same order,
-        so the same bits, without its five intermediate ``Poly`` objects.
+        of the ``Poly`` arithmetic ``P.derivative() + a*P``, shifted up one
+        degree, plus ``b*P``, in the same order, so the same bits, without
+        the intermediate ``Poly`` objects.
         """
         if self.is_zero:
             return self

@@ -3,17 +3,17 @@
 Three engines: a finite-difference eigensolver for the radial Coulomb
 problem in ordinary configuration space (Sturm-sequence bisection on the
 symmetric tridiagonal three-point discretization of the reduced radial
-function, whose inner end carries the regular solution near the origin,
-and Richardson extrapolation over two spacings), an associated Laguerre
-evaluator by three-term recurrence, and a finite-difference commutator
-probe for phase-space operator coefficient tuples.  Anything these
-confirm was arrived at twice.
+function between walls at the origin and at r_max, Richardson
+extrapolation over two spacings, guards on the spacing and outer-wall
+errors), an associated Laguerre evaluator by three-term recurrence, and
+a finite-difference commutator probe for phase-space operator
+coefficient tuples.  Anything these confirm was arrived at twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, nextafter
+from math import inf, nextafter, sqrt
 from statistics import fmean
 from typing import Callable, Sequence
 
@@ -27,74 +27,35 @@ FD_STEP = 1e-4
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid on [r_min, r_max].
+    """Uniform grid on [0, r_max], with Dirichlet zeros of u = r*R at both
+    ends: exact at the origin (u ~ r^(L+1)), bounded by ``fd_spectrum``
+    at r_max."""
 
-    The outer wall carries a Dirichlet zero; the inner end carries the
-    regular solution near the origin (see ``fd_spectrum``), not a wall.
-    """
-
-    r_min: float
     r_max: float
     n_points: int
 
     def __post_init__(self) -> None:
-        if not self.r_min > 0.0:
-            raise ValueError("r_min must be positive (the origin is singular)")
-        if not self.r_max > self.r_min:
-            raise ValueError("r_max must exceed r_min")
+        if not 0.0 < self.r_max < inf:
+            raise ValueError("r_max must be positive and finite")
         if self.n_points < 100:
             raise ValueError("n_points must be at least 100")
 
     @property
     def spacing(self) -> float:
-        return (self.r_max - self.r_min) / (self.n_points - 1)
+        return self.r_max / (self.n_points - 1)
 
     def halved(self) -> "RadialGrid":
         # companion grid with doubled spacing, same endpoints
-        return RadialGrid(self.r_min, self.r_max, (self.n_points - 1) // 2 + 1)
-
-
-def _inner_ratio(
-    params: PhysicalParams, grid: RadialGrid, energy: float | None = None
-) -> float:
-    """u(r_min) / u(r_min + h) for the regular solution near the origin.
-
-    The series u = r^(L+1) (1 + c1 r + c2 r^2 + ...) solves
-    u'' = [L(L+1)/r^2 - 2/(a r) + q^2] u with the Bohr radius
-    a = hbar^2/(m k e^2) and q^2 = -2 m E / hbar^2, giving
-    c1 = -1/((L+1) a) and c2 = (2/((L+1) a^2) + q^2) / (2 (2L+3)).
-    The boundary keeps the terms up to c1; with ``energy`` given, c2 is
-    added as well, which is how the guard sizes the term left out.
-    """
-    L = params.angular_momentum
-    a = params.hbar**2 / (
-        params.mass * params.coulomb_constant * params.charge_squared
-    )
-    c1 = -1.0 / ((L + 1) * a)
-    c2 = 0.0
-    if energy is not None:
-        q2 = -2.0 * params.mass * energy / params.hbar**2
-        c2 = (2.0 / ((L + 1) * a * a) + q2) / (2.0 * (2 * L + 3))
-    r0, r1 = grid.r_min, grid.r_min + grid.spacing
-    if not 1.0 + c1 * r1 > 0.0:
-        raise GridTooCoarse(
-            f"first interior node r={r1:.4g} lies beyond the reach of the "
-            f"origin series ((L+1)*a = {(L + 1) * a:.4g}); refine the grid"
-        )
-    return (r0 / r1) ** (L + 1) * (
-        (1.0 + c1 * r0 + c2 * r0 * r0) / (1.0 + c1 * r1 + c2 * r1 * r1)
-    )
+        return RadialGrid(self.r_max, (self.n_points - 1) // 2 + 1)
 
 
 def _tridiag_coulomb(params: PhysicalParams, grid: RadialGrid) -> tuple[list[float], float]:
     """Diagonal and off-diagonal magnitude of the reduced-radial operator.
 
-    Unknowns are the interior nodes of u = r*R; the operator is
+    Unknowns are the interior nodes r = i*h of u = r*R; the operator is
     -(hbar^2/2m) u'' + [hbar^2 L(L+1)/(2m r^2) - k e^2 / r] u, with every
-    off-diagonal entry equal to -kin.  The node at r_max is a Dirichlet
-    zero; the node at r_min is eliminated through u(r_min) =
-    _inner_ratio * u(r_min + h), which changes only the first diagonal
-    entry and keeps the matrix symmetric tridiagonal.
+    off-diagonal entry equal to -kin and Dirichlet zeros at r = 0 and
+    r = r_max.
     """
     h = grid.spacing
     kin = params.hbar**2 / (2.0 * params.mass * h * h)
@@ -103,9 +64,8 @@ def _tridiag_coulomb(params: PhysicalParams, grid: RadialGrid) -> tuple[list[flo
     coul = params.coulomb_constant * params.charge_squared
     diag: list[float] = []
     for i in range(1, grid.n_points - 1):
-        r = grid.r_min + i * h
+        r = i * h
         diag.append(2.0 * kin + cent / (r * r) - coul / r)
-    diag[0] -= kin * _inner_ratio(params, grid)
     return diag, kin
 
 
@@ -129,15 +89,18 @@ def _sturm(rows: Sequence[float], b2: float, x: float) -> tuple[int, float]:
     return count, q
 
 
-def _first_weight(diag: Sequence[float], b2: float, level: float) -> float:
-    """Squared first component of the unit eigenvector of ``level``.
+def _last_weight(diag: Sequence[float], b2: float, level: float) -> float:
+    """Squared last component w of the unit eigenvector of ``level``.
 
-    Factorized from the last row, the final pivot of T - x is
-    1 / (T - x)^{-1}_{00} = 1 / sum_k v_k[0]^2 / (lambda_k - x); just
-    below the level its own term dominates the sum.
+    The final pivot of T - x is 1 / (T - x)^{-1}_{-1,-1} =
+    1 / (w / (level - x) + B(x)), where B, the sum over the other levels,
+    is smooth near ``level``; the pivots a gap below and above it differ
+    by 2 gap / w in their reciprocals, and B cancels.
     """
     gap = 1e-8 * max(1.0, abs(level))
-    return gap / _sturm(diag[::-1], b2, level - gap)[1]
+    below = _sturm(diag, b2, level - gap)[1]
+    above = _sturm(diag, b2, level + gap)[1]
+    return 0.5 * gap * (1.0 / below - 1.0 / above)
 
 
 def _levels(
@@ -216,14 +179,17 @@ def fd_spectrum(
 
     - spacing: |E_fine - E_coarse| / (s^2 - 1), the error of the
       unextrapolated fine-grid level;
-    - inner boundary: the first-order shift of the fine-grid level when
-      the next series term (c2 r^2) is added to the regular solution that
-      the boundary at r_min carries.
+    - outer wall: the rise of the level caused by the Dirichlet zero at
+      R = r_max.  As dE/dR = -(hbar^2/2m) u'(R)^2 for a normalized u
+      (Hellmann-Feynman) and u' decays like exp(-q r), q^2 = -2mE/hbar^2,
+      the shift against an infinite box is (hbar^2/2m) u'(R)^2 / (2q),
+      with u'(R) = -u(R - h)/h from the fine-grid eigenvector.  It runs
+      up to about 2x low: the power of r in u slows the decay.
 
-    The call raises ``GridTooCoarse`` when either term exceeds
-    ``tolerance``, when the first interior node lies beyond the reach of
-    the origin series, and when any returned level is not bound, which
-    signals box truncation rather than physics.
+    The inner wall at the origin is exact, so it needs no guard.  The
+    call raises ``GridTooCoarse`` when either term exceeds ``tolerance``
+    and when any returned level is not bound, which signals box
+    truncation rather than physics.
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
@@ -250,17 +216,16 @@ def fd_spectrum(
             f"estimated discretization error {spacing_error:.3e} "
             f"exceeds tolerance {tolerance:.3e}; refine the grid"
         )
-    rho = _inner_ratio(params, grid)
-    boundary_error = max(
-        kin
-        * abs(_inner_ratio(params, grid, f) - rho)
-        * abs(_first_weight(diag, kin * kin, f))
-        for f in fine
+    # with w = v[-1]^2 of the unit eigenvector, u'(R)^2 = w / h^3 and
+    # (hbar^2/2m) u'(R)^2 / (2q) = kin w / (2 q h), where q h = sqrt(-E/kin)
+    wall_error = max(
+        kin * _last_weight(diag, kin * kin, f) / (2.0 * sqrt(-energy / kin))
+        for f, energy in zip(fine, levels)
     )
-    if boundary_error > tolerance:
+    if wall_error > tolerance:
         raise GridTooCoarse(
-            f"estimated inner-boundary error {boundary_error:.3e} "
-            f"exceeds tolerance {tolerance:.3e}; lower r_min or refine the grid"
+            f"estimated outer-wall error {wall_error:.3e} "
+            f"exceeds tolerance {tolerance:.3e}; enlarge r_max"
         )
     return levels
 

@@ -39,11 +39,12 @@ def test_configuration_limit():
     """Shallow-branch spectrum against both the closed form and the grid oracle.
 
     The L=0 comparison on the stated default grid was once a known red
-    row: a hard wall at r_min shifted every level by about
-    (u'(0))^2 * r_min / 2, 4e-3 relative, which no grid spacing could
-    reduce.  The oracle now carries the regular solution at r_min and
-    extrapolates over two spacings, so the row passes at the unchanged
-    grid and tolerance.  The criterion reports the measured gap either way.
+    row: a hard wall at r = 1e-3 shifted every level by about
+    (u'(0))^2 * 1e-3 / 2, 4e-3 relative, which no grid spacing could
+    reduce.  The oracle now puts its inner wall at the origin, where
+    u = r*R vanishes, and extrapolates over two spacings, so the row
+    passes at the unchanged r_max, point count and tolerance.  The
+    criterion reports the measured gap either way.
     """
     assert_all_passed(run_criterion("configuration-limit"))
 

@@ -274,8 +274,8 @@ class TestVerify:
         """Exit code mirrors the table: nonzero iff a FAIL row is printed.
 
         The grid-oracle comparison at L=0 used to be a known red row on
-        the default grid (wall shift at r_min); with the mended oracle the
-        full suite exits 0.  This test pins the exit-code contract, not the
+        the default grid (a wall at r = 1e-3 instead of the origin); with
+        the mended oracle the full suite exits 0.  This test pins the exit-code contract, not the
         count, and still names the only rows that were ever allowed to fail.
         """
         proc = run_cli("verify", "--suite", "all", timeout=300)

@@ -52,8 +52,8 @@ def reference_combinations(problem):
     u A + v is taken with Re(u) >= 0, from its larger end, and pi is
     (sigma' - tau_tilde)/2 + sign * (u A + v)."""
     c = problem.sigma.coefficient(1)
-    base = 0.5 * (problem.sigma.derivative() - problem.tau_tilde)
-    q = base * base - problem.sigma_tilde
+    base = 0.5 * (problem.sigma.derivative() + (-1) * problem.tau_tilde)
+    q = base * base + (-1) * problem.sigma_tilde
     q0, q1, q2 = (q.coefficient(k) for k in range(3))
     # (q1 + K c)**2 - 4 q2 q0 = 0, by the stable quadratic formula
     k0, k1, k2 = q1 * q1 - 4.0 * q2 * q0, 2.0 * q1 * c, c * c
@@ -277,9 +277,9 @@ class TestSelectBranch:
                 )
                 refused += 1
                 continue
-            base = 0.5 * (problem.sigma.derivative() - problem.tau_tilde)
-            root = branch.pi - base
-            radicand = base * base - problem.sigma_tilde + branch.K * problem.sigma
+            base = 0.5 * (problem.sigma.derivative() + (-1) * problem.tau_tilde)
+            root = branch.pi + (-1) * base
+            radicand = base * base + (-1) * problem.sigma_tilde + branch.K * problem.sigma
             scale = max(abs(z) for z in (*radicand, *(base * base), 1e-300))
             for k in range(3):
                 gap = (root * root).coefficient(k) - radicand.coefficient(k)

@@ -27,65 +27,72 @@ COMMUTATOR_SAMPLES = [(r / 2.0, p / 2.0) for r in (-2, 0, 1, 2) for p in (-1, 0,
 
 class TestRadialGrid:
     def test_spacing(self):
-        grid = RadialGrid(1.0, 3.0, 101)
+        grid = RadialGrid(2.0, 101)
         assert grid.spacing == pytest.approx(0.02)
 
     def test_halved_keeps_endpoints(self):
-        grid = RadialGrid(1e-3, 100.0, 4001)
+        grid = RadialGrid(100.0, 4001)
         half = grid.halved()
-        assert half.r_min == grid.r_min
         assert half.r_max == grid.r_max
         assert half.n_points == 2001
         assert half.spacing == pytest.approx(2.0 * grid.spacing)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RadialGrid(0.0, 100.0, 4000)
+            RadialGrid(0.0, 4000)
         with pytest.raises(ValueError):
-            RadialGrid(1.0, 0.5, 4000)
+            RadialGrid(-1.0, 4000)
         with pytest.raises(ValueError):
-            RadialGrid(1e-3, 100.0, 99)
+            RadialGrid(100.0, 99)
+        with pytest.raises(TypeError):  # the old (r_min, r_max, n) form
+            RadialGrid(1e-3, 100.0, 4000)
+
+    def test_r_max_must_be_finite(self):
+        with pytest.raises(ValueError):
+            RadialGrid(math.inf, 4000)
+        with pytest.raises(ValueError):
+            RadialGrid(math.nan, 4000)
 
 
 class TestFdSpectrum:
     def test_shallow_levels_in_a_large_box(self):
         """The default grid resolves the L=0 levels to 1e-4 relative.
 
-        The inner end carries the regular solution near the origin instead
-        of a wall at r_min, and each level is extrapolated over two grid
-        spacings, so the acceptance tolerance of 1e-4 is met on the very
-        grid where a Dirichlet wall at r_min shifted the ground level by
-        4e-3 relative.
+        The inner wall sits at the origin, where u = r*R vanishes, and
+        each level is extrapolated over two grid spacings, so the
+        acceptance tolerance of 1e-4 is met on the very grid where a
+        Dirichlet wall at r = 1e-3 once shifted the ground level by 4e-3
+        relative.
         """
-        levels = fd_spectrum(ATOMIC, RadialGrid(1e-3, 100.0, 4000), 2)
+        levels = fd_spectrum(ATOMIC, RadialGrid(100.0, 4000), 2)
         assert levels[0] == pytest.approx(-0.5, rel=1e-4)
         assert levels[1] == pytest.approx(-0.125, rel=1e-4)
 
     def test_centrifugal_barrier_suppresses_the_wall_shift(self):
         p1 = PhysicalParams(angular_momentum=1)
-        levels = fd_spectrum(p1, RadialGrid(1e-3, 100.0, 4000), 1)
+        levels = fd_spectrum(p1, RadialGrid(100.0, 4000), 1)
         assert levels[0] == pytest.approx(-0.125, rel=1e-4)
 
     def test_resolving_grid_meets_the_tight_tolerance(self):
-        levels = fd_spectrum(ATOMIC, RadialGrid(1e-5, 100.0, 16000), 2)
+        levels = fd_spectrum(ATOMIC, RadialGrid(100.0, 16000), 2)
         assert levels[0] == pytest.approx(-0.5, rel=1e-4)
         assert levels[1] == pytest.approx(-0.125, rel=1e-4)
 
     def test_levels_ascend(self):
-        levels = fd_spectrum(ATOMIC, RadialGrid(1e-3, 100.0, 4000), 3)
+        levels = fd_spectrum(ATOMIC, RadialGrid(100.0, 4000), 3)
         assert levels == sorted(levels)
 
     def test_box_truncation_detected(self):
         with pytest.raises(GridTooCoarse):
-            fd_spectrum(ATOMIC, RadialGrid(1e-3, 5.0, 500), 2)
+            fd_spectrum(ATOMIC, RadialGrid(5.0, 500), 2)
 
     def test_coarse_spacing_detected(self):
         with pytest.raises(GridTooCoarse):
-            fd_spectrum(ATOMIC, RadialGrid(1e-3, 100.0, 250), 1)
+            fd_spectrum(ATOMIC, RadialGrid(100.0, 250), 1)
 
     def test_grid_too_small_for_companion_check(self):
         with pytest.raises(GridTooCoarse):
-            fd_spectrum(ATOMIC, RadialGrid(1e-3, 100.0, 150), 1)
+            fd_spectrum(ATOMIC, RadialGrid(100.0, 150), 1)
 
     def test_second_order_convergence(self):
         """Halving the spacing shrinks the three-point ground-state error
@@ -94,28 +101,38 @@ class TestFdSpectrum:
         The Richardson weight in fd_spectrum relies on the raw scheme being
         second order, so both orders are checked on the same two grids.
         """
-        coarse = _raw_spectrum(ATOMIC, RadialGrid(1e-6, 100.0, 1001), 1)
-        fine = _raw_spectrum(ATOMIC, RadialGrid(1e-6, 100.0, 2001), 1)
+        coarse = _raw_spectrum(ATOMIC, RadialGrid(100.0, 1001), 1)
+        fine = _raw_spectrum(ATOMIC, RadialGrid(100.0, 2001), 1)
         ratio = (coarse[0] + 0.5) / (fine[0] + 0.5)
         assert 3.5 <= ratio <= 4.5
-        coarse = fd_spectrum(ATOMIC, RadialGrid(1e-6, 100.0, 1001), 1, tolerance=1.0)
-        fine = fd_spectrum(ATOMIC, RadialGrid(1e-6, 100.0, 2001), 1, tolerance=1.0)
+        coarse = fd_spectrum(ATOMIC, RadialGrid(100.0, 1001), 1, tolerance=1.0)
+        fine = fd_spectrum(ATOMIC, RadialGrid(100.0, 2001), 1, tolerance=1.0)
         ratio = (coarse[0] + 0.5) / (fine[0] + 0.5)
         assert 14.0 <= ratio <= 18.0
 
-    def test_inner_boundary_error_detected(self):
-        """A large r_min leaves the two-term origin series too crude; the
-        levels come back about 1e-3 off, so the call must refuse."""
-        with pytest.raises(GridTooCoarse, match="inner-boundary"):
-            fd_spectrum(ATOMIC, RadialGrid(0.05, 100.0, 4000), 3)
-        p1 = PhysicalParams(angular_momentum=1)
-        with pytest.raises(GridTooCoarse, match="inner-boundary"):
-            fd_spectrum(p1, RadialGrid(0.5, 100.0, 4000), 3)
-
-    def test_first_node_beyond_the_origin_series_detected(self):
+    def test_muonic_mass_on_the_default_grid_detected(self):
+        """The muonic Bohr radius, 1/186, is about a fifth of the default
+        grid's spacing, so the spacing guard refuses it (estimate 4.8)."""
         muonic = PhysicalParams(mass=186.0)
-        with pytest.raises(GridTooCoarse, match="origin series"):
-            fd_spectrum(muonic, RadialGrid(1e-3, 100.0, 4000), 1)
+        with pytest.raises(GridTooCoarse, match="discretization error"):
+            fd_spectrum(muonic, RadialGrid(100.0, 4000), 1)
+
+    @pytest.mark.parametrize(
+        "params, grid",
+        [
+            # third L=0 level with hbar = 2: 2.4e-4 off in a box 3x larger
+            (PhysicalParams(hbar=2.0), RadialGrid(100.0, 4000)),
+            # third L=1 level: 5.3e-3 off
+            (PhysicalParams(angular_momentum=1), RadialGrid(30.0, 1000)),
+            # third L=2 level: 2.2e-4 off, estimate 1.07e-4
+            (PhysicalParams(angular_momentum=2), RadialGrid(60.0, 4000)),
+        ],
+        ids=["hbar2-L0", "L1-box30", "L2-box60"],
+    )
+    def test_outer_wall_error_detected(self, params, grid):
+        """A level that stays bound but feels the wall at r_max is refused."""
+        with pytest.raises(GridTooCoarse, match="outer-wall"):
+            fd_spectrum(params, grid, 3)
 
     def test_count_survives_an_exact_zero_pivot(self):
         # [[1, -1], [-1, 1]] has eigenvalues 0 and 2; at x = 1 the first
@@ -125,7 +142,7 @@ class TestFdSpectrum:
         assert _sturm([1.0, 1.0], 1.0, -0.5)[0] == 0
 
     def test_seeded_brackets_find_the_unseeded_levels(self):
-        diag, kin = _tridiag_coulomb(ATOMIC, RadialGrid(1e-3, 100.0, 1000))
+        diag, kin = _tridiag_coulomb(ATOMIC, RadialGrid(100.0, 1000))
         plain = _levels(diag, kin, 4)
         for shift in (-0.3, 0.0, 1e-9, 0.3, 5.0):
             seeded = _levels(diag, kin, 4, seeds=[e + shift for e in plain])
@@ -133,7 +150,7 @@ class TestFdSpectrum:
 
     def test_state_count_validation(self):
         with pytest.raises(ValueError):
-            fd_spectrum(ATOMIC, RadialGrid(1e-3, 100.0, 4000), 0)
+            fd_spectrum(ATOMIC, RadialGrid(100.0, 4000), 0)
 
 
 class TestLaguerre:
