@@ -120,7 +120,7 @@ def check_ground_state_chain() -> list[CheckResult]:
     crit = "ground-state-chain"
     tol = 1e-12
     state = _solved_state(0, 0, -3.0)
-    branch, phi, rho = state.branch, state.phi, state.rho
+    branch, phi, rho = state.branch, state.branch.phi, state.branch.rho
 
     def gap_poly(p: Poly, want: tuple[complex, ...]) -> float:
         return max(
@@ -132,7 +132,7 @@ def check_ground_state_chain() -> list[CheckResult]:
         ("K", abs(branch.K - 0.5)),
         ("pi", gap_poly(branch.pi, (1.0, -0.5))),
         ("tau", gap_poly(branch.tau, (4.0, -1.0))),
-        ("lambda and lambda_0", max(abs(state.lam), abs(state.lam_n))),
+        ("lambda and lambda_0", max(abs(branch.lam), abs(branch.lam_n(state.n)))),
         (
             "phi",
             max(abs(phi.rate - (-1.0 / 6.0)), abs(phi.power - (1.0 / 3.0))),

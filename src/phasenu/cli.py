@@ -3,12 +3,13 @@
 Machine-readable output only: JSON documents for single results, CSV for
 grids.  Complex numbers serialize as [re, im] pairs; CSV floats use
 shortest-round-trip formatting.  Exit codes: 0 success, 2 usage error,
-3 domain/solver error (error class name on stderr).
+3 domain/solver error or a float overflow (error class name on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import functools
 import json
@@ -75,6 +76,8 @@ def _grid_arg(text: str) -> tuple[float, float, int]:
         rmin, rmax, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad --grid: {err}") from None
+    if not (math.isfinite(rmin) and math.isfinite(rmax)):
+        raise argparse.ArgumentTypeError("--grid bounds must be finite")
     if steps < 2 or not rmax > rmin:
         raise argparse.ArgumentTypeError("--grid needs rmax > rmin and steps >= 2")
     return rmin, rmax, steps
@@ -98,9 +101,12 @@ def _apply_arg(text: str) -> list[tuple[int, int]]:
 
 def _pbar_arg(text: str) -> complex:
     try:
-        return complex(text)
+        value = complex(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad --pbar value {text!r}") from None
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"--pbar must be finite, got {text!r}")
+    return value
 
 
 _CUSTOM_KEYS = ("m", "hbar", "k", "e2")
@@ -149,7 +155,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.point is not None:
         hydrogen.PhaseSpaceConfig(args.point, alphadelta)  # rejects a point off the branch
     state = nu.solve_state(hydrogen.build_radial_family(params, alphadelta), args.n)
-    branch, phi, rho = state.branch, state.phi, state.rho
+    branch, phi, rho = state.branch, state.branch.phi, state.branch.rho
     document = {
         "n": args.n,
         "L": args.L,
@@ -295,7 +301,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except PhasenuError as err:
+    except (PhasenuError, OverflowError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as err:

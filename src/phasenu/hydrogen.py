@@ -226,7 +226,8 @@ def ode_residual(state: nu.NuState, samples: Sequence[complex]) -> float:
     A state assembled at a detuned kappa (``nu.assemble``) carries the
     equation at that kappa, so its residual measures how far the assembly
     drifts from solving it.  A non-finite defect reads inf; a sample
-    where sigma vanishes (A = 0) raises :class:`BranchPointError`.
+    where sigma vanishes (A = 0) raises :class:`BranchPointError`, and
+    a power A**b beyond the float range raises ``OverflowError``.
 
     psi, psi' and psi'' share their rate, so each sample takes one
     exponential; the six polynomials go through ``_horner`` on their

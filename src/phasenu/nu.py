@@ -29,9 +29,9 @@ y coefficient by coefficient.  Quantization of an energy-like parameter
 kappa is the root of ``lambda(kappa) - lambda_n(kappa)``, bracketed and
 refined by Brent-Dekker in s = sqrt(kappa), in which the residual of the
 hydrogen family is affine -- deliberately independent of any closed-form
-spectrum a particular family may admit.  The root search resolves the
-branch on scalar coefficients; polynomials are built once, for the solved
-state.
+spectrum a particular family may admit.  The branch is resolved on scalar
+coefficients into one record, :class:`NuBranch`, from which pi, tau, phi,
+rho and both lambdas are read.
 """
 
 from __future__ import annotations
@@ -113,13 +113,52 @@ class NuProblem:
         return c0, c1, c2
 
 
-@dataclass(frozen=True)
-class NuBranch:
-    """The selected combination: the constant K, pi, and tau = tau_tilde + 2 pi."""
+class NuBranch(NamedTuple):
+    """The selected combination for sigma = c*A: the constant K,
+    pi = pi0 + pi1*A and tau = tau_tilde + 2 pi = tau0 + tau1*A, and
+    everything the chain derives from them alone."""
 
+    c: complex
     K: complex
-    pi: Poly
-    tau: Poly
+    pi0: complex
+    pi1: complex
+    tau0: complex
+    tau1: complex
+
+    @property
+    def pi(self) -> Poly:
+        return _exact((self.pi0, self.pi1))
+
+    @property
+    def tau(self) -> Poly:
+        return _exact((self.tau0, self.tau1))
+
+    @property
+    def phi(self) -> ExpPowerTerm:
+        """Integrating factor ``exp((pi1/c) A) * A**(pi0/c)``, phi'/phi = pi/sigma,
+        from the trimmed coefficients of pi (a trimmed zero reads +0.0)."""
+        p0, p1 = map(self.pi.coefficient, (0, 1))
+        return ExpPowerTerm(Poly((1.0,)), p1 / self.c, p0 / self.c)
+
+    @property
+    def rho(self) -> ExpPowerTerm:
+        """Weight ``exp((tau1/c) A) * A**((tau0 - c)/c)``, (sigma rho)' = tau rho."""
+        return ExpPowerTerm(Poly((1.0,)), *self._weight)
+
+    @property
+    def _weight(self) -> tuple[complex, complex]:
+        return self.tau1 / self.c, (self.tau0 - self.c) / self.c
+
+    @property
+    def lam(self) -> complex:
+        """lambda = K + pi'."""
+        return self.K + self.pi1
+
+    def lam_n(self, n: int) -> complex:
+        """lambda_n = -n tau' (the sigma'' term vanishes for sigma = c*A)."""
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        return -n * self.tau1
 
 
 @dataclass(frozen=True)
@@ -127,8 +166,8 @@ class NuState:
     """Level n of a family, assembled at one kappa.
 
     Built only by :func:`assemble` (or :func:`solve_state`, at the
-    quantized kappa): the equation at kappa, the selected branch, the
-    factors phi and rho, and the Rodrigues polynomial y.
+    quantized kappa): the equation at kappa, the selected branch, which
+    carries phi and rho, and the Rodrigues polynomial y.
     """
 
     family: NuProblem
@@ -136,69 +175,15 @@ class NuState:
     kappa: float
     problem: NuProblem
     branch: NuBranch
-    phi: ExpPowerTerm
-    rho: ExpPowerTerm
     y: Poly
-
-    @property
-    def lam(self) -> complex:
-        """Eigenvalue parameter lambda = K + pi'."""
-        return self.branch.K + self.branch.pi.coefficient(1)
-
-    @property
-    def lam_n(self) -> complex:
-        """Polynomial eigenvalue lambda_n = -n tau' (sigma'' = 0 for sigma = c*A)."""
-        return _lambda_n(self.branch.tau.coefficient(1), self.n)
 
     @property
     def body(self) -> ExpPowerTerm:
         """The solution psi = phi * y of the original equation."""
-        return self.phi.times_poly(self.y)
+        return self.branch.phi.times_poly(self.y)
 
 
-def _lambda_n(tau1: complex, n: int) -> complex:
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return -n * tau1
-
-
-def phi_of(problem: NuProblem, branch: NuBranch) -> ExpPowerTerm:
-    """Integrating factor phi with phi'/phi = pi/sigma, for sigma = c*A.
-
-    For pi = p1*A + p0 this is ``exp((p1/c) A) * A**(p0/c)``.
-    """
-    c = problem.sigma.coefficient(1)
-    p0, p1 = branch.pi.coefficient(0), branch.pi.coefficient(1)
-    return ExpPowerTerm(Poly((1.0,)), p1 / c, p0 / c)
-
-
-def _rho_exponents(c: complex, t0: complex, t1: complex) -> tuple[complex, complex]:
-    """(rate, power) of rho for sigma = c*A and tau = t1*A + t0."""
-    return t1 / c, (t0 - c) / c
-
-
-def rho_of(problem: NuProblem, branch: NuBranch) -> ExpPowerTerm:
-    """Weight rho solving the Pearson equation (sigma rho)' = tau rho.
-
-    For sigma = c*A and tau = t1*A + t0 this is
-    ``exp((t1/c) A) * A**((t0 - c)/c)``.
-    """
-    c = problem.sigma.coefficient(1)
-    rate, power = _rho_exponents(c, branch.tau.coefficient(0), branch.tau.coefficient(1))
-    return ExpPowerTerm(Poly((1.0,)), rate, power)
-
-
-class _Combo(NamedTuple):
-    """The selected combination on scalars: pi = pi0 + pi1*A, tau likewise."""
-
-    K: complex
-    pi0: complex
-    pi1: complex
-    tau0: complex
-    tau1: complex
-
-
-def _select(c: complex, sigma_tilde: Sequence[complex], tau_tilde: Poly) -> _Combo:
+def _select(c: complex, sigma_tilde: Sequence[complex], tau_tilde: Poly) -> NuBranch:
     """The branch screen of :func:`select_branch`, on scalar coefficients.
 
     pi = base - (u A + v) with base = (c - tau_tilde)/2 as (b0, b1),
@@ -228,10 +213,10 @@ def _select(c: complex, sigma_tilde: Sequence[complex], tau_tilde: Poly) -> _Com
     candidates.sort(key=lambda kv: (kv[0].real, kv[0].imag))
     for K, v in candidates:
         pi0 = b0 + -1 * v
-        tau0 = t0 + 2.0 * pi0
-        rate, power = _rho_exponents(c, tau0, tau1)
+        branch = NuBranch(c, K, pi0, pi1, t0 + 2.0 * pi0, tau1)
+        rate, power = branch._weight
         if rate.real < 0.0 and power.real > -1.0:
-            return _Combo(K, pi0, pi1, tau0, tau1)
+            return branch
     raise NoBranch("no decaying combination has an admissible weight")
 
 
@@ -245,18 +230,16 @@ def select_branch(problem: NuProblem) -> NuBranch:
     v = +/-sqrt(q0).  They are tried in order of K (real part, then
     imaginary part), each with sign -1; the first whose tau decays and
     whose weight is admissible (Re(rate) < 0 and Re(power) > -1 for rho,
-    with sigma = c*A) wins.  The screen runs on scalar coefficients; only
-    the winner is built into polynomials.
+    with sigma = c*A) wins.
     """
     sigma_tilde = tuple(problem.sigma_tilde.coefficient(k) for k in range(3))
-    b = _select(problem.sigma.coefficient(1), sigma_tilde, problem.tau_tilde)
-    return NuBranch(K=b.K, pi=_exact((b.pi0, b.pi1)), tau=_exact((b.tau0, b.tau1)))
+    return _select(problem.sigma.coefficient(1), sigma_tilde, problem.tau_tilde)
 
 
-def rodrigues_y(problem: NuProblem, branch: NuBranch, n: int) -> Poly:
+def rodrigues_y(branch: NuBranch, n: int) -> Poly:
     """n-th Rodrigues polynomial ``(1 / rho) d^n/dA^n [sigma**n rho]``.
 
-    rho is the branch's weight ``exp(a A) * A**b`` (:func:`rho_of`), so by
+    rho is the branch's weight ``exp(a A) * A**b`` and sigma = c*A, so by
     the Leibniz rule the coefficient of A**j is
 
         c**n * C(n, j) * a**j * (n + b)(n + b - 1)...(b + j + 1),
@@ -268,12 +251,11 @@ def rodrigues_y(problem: NuProblem, branch: NuBranch, n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    c = problem.sigma.coefficient(1)
-    a, b = _rho_exponents(c, branch.tau.coefficient(0), branch.tau.coefficient(1))
+    a, b = branch._weight
     c_n = 1 + 0j
     a_j = [1 + 0j]
     for _ in range(n):
-        c_n *= c
+        c_n *= branch.c
         a_j.append(a_j[-1] * a)
     coeffs = [0j] * (n + 1)
     binomial, falling = 1.0, 1 + 0j
@@ -289,18 +271,12 @@ def rodrigues_y(problem: NuProblem, branch: NuBranch, n: int) -> Poly:
     return y
 
 
-def _lambdas(family: NuProblem, kappa: float, n: int) -> tuple[complex, complex]:
-    """lambda and lambda_n of the branch selected at kappa, on scalars."""
-    b = _select(family.sigma.coefficient(1), family.sigma_tilde_at(kappa), family.tau_tilde)
-    return b.K + b.pi1, _lambda_n(b.tau1, n)
-
-
 def eigen_residual(family: NuProblem, kappa: float, n: int) -> float:
     """Re(lambda - lambda_n) for the branch selected at this kappa."""
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    lam, lam_n = _lambdas(family, kappa, n)
-    return (lam - lam_n).real
+    b = _select(family.sigma.coefficient(1), family.sigma_tilde_at(kappa), family.tau_tilde)
+    return (b.lam - b.lam_n(n)).real
 
 
 def _family_kappa_ceiling(family: NuProblem) -> float:
@@ -379,8 +355,9 @@ def solve_kappa(family: NuProblem, n: int) -> float:
         )
     s = _brent(lambda s: eigen_residual(family, s * s, n), s_lo, f_lo, s_hi, f_hi)
     kappa = s * s
-    lam, lam_n = _lambdas(family, kappa, n)
-    residual = abs((lam - lam_n).real)
+    b = _select(family.sigma.coefficient(1), family.sigma_tilde_at(kappa), family.tau_tilde)
+    lam_n = b.lam_n(n)
+    residual = abs((b.lam - lam_n).real)
     if residual > RESIDUAL_TOL * (1.0 + abs(lam_n)):
         raise NoSignChange(
             f"the kappa search converged to kappa={kappa!r} but the eigenvalue "
@@ -390,7 +367,7 @@ def solve_kappa(family: NuProblem, n: int) -> float:
 
 
 def assemble(family: NuProblem, kappa: float, n: int) -> NuState:
-    """Level n at this kappa: branch, phi, rho and the Rodrigues y.
+    """Level n at this kappa: the branch and the Rodrigues y.
 
     Off the quantized kappa the parts still assemble, but phi * y no
     longer solves the equation; residual checks rely on that.
@@ -403,16 +380,14 @@ def assemble(family: NuProblem, kappa: float, n: int) -> NuState:
         kappa=kappa,
         problem=problem,
         branch=branch,
-        phi=phi_of(problem, branch),
-        rho=rho_of(problem, branch),
-        y=rodrigues_y(problem, branch, n),
+        y=rodrigues_y(branch, n),
     )
 
 
 def solve_state(family: NuProblem, n: int) -> NuState:
     """Quantize level n and assemble the state at the root.
 
-    The root search and its gate run on scalars, so the branch is built
+    The root search and its gate run on scalars, so polynomials are built
     once, by the assembly.
     """
     return assemble(family, solve_kappa(family, n), n)

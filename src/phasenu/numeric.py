@@ -35,16 +35,6 @@ def as_finite_complex(value: complex | float | int) -> complex:
     return z
 
 
-def normal_coeffs(coeffs: Iterable[complex]) -> tuple[complex, ...]:
-    """Raw coefficients in :class:`Poly`'s normal form, without the Poly:
-    finite, with trailing ``|c| <= ZERO_TOL * max|c|`` dropped."""
-    cs = [as_finite_complex(c) for c in coeffs]
-    peak = max((abs(c) for c in cs), default=0.0)
-    while cs and abs(cs[-1]) <= ZERO_TOL * peak:
-        cs.pop()
-    return tuple(cs)
-
-
 @dataclass(frozen=True)
 class Poly:
     """Polynomial with complex coefficients, ascending degree order.
@@ -61,7 +51,11 @@ class Poly:
     coeffs: tuple[complex, ...] = ()
 
     def __init__(self, coeffs: Iterable[complex] = ()) -> None:
-        object.__setattr__(self, "coeffs", normal_coeffs(coeffs))
+        cs = [as_finite_complex(c) for c in coeffs]
+        peak = max((abs(c) for c in cs), default=0.0)
+        while cs and abs(cs[-1]) <= ZERO_TOL * peak:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     @property
     def degree(self) -> int:

@@ -97,13 +97,12 @@ class TestSolve:
 
             monkeypatch.setattr(module, name, counted)
 
-        for name in ("rodrigues_y", "phi_of", "select_branch", "eigen_residual"):
+        for name in ("rodrigues_y", "select_branch", "eigen_residual"):
             count(nu, name)
         count(hydrogen, "build_radial_family")
         assert cli.main(["solve", "--n", "2", "--L", "1", "--alphadelta", "-3"]) == 0
         assert json.loads(capsys.readouterr().out)["residual"] < 1e-8
         assert counts["rodrigues_y"] == 1
-        assert counts["phi_of"] == 1
         # the assembly only: residual evaluations and the gate run on scalars
         assert counts["select_branch"] == 1
         assert counts["build_radial_family"] == 1
@@ -123,6 +122,14 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("RodriguesFailure: ")
+
+    def test_overflowing_residual_is_a_solver_error(self, capsys):
+        """At L = 3000 the residual check's A**b with b = 3000 is beyond the
+        float range on the annulus; the overflow is named, exit 3."""
+        assert cli.main(["solve", "--n", "0", "--L", "3000", "--alphadelta", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("OverflowError: ")
 
     def test_product_one_ulp_off_the_branch(self, capsys):
         base = ["solve", "--n", "1", "--L", "0", "--alphadelta"]
@@ -260,6 +267,37 @@ class TestWavefunction:
             "--grid", "2.0,0.5,4",
         )
         assert proc.returncode == 2
+
+
+    def test_overflowing_value_is_a_solver_error(self, tmp_path, capsys):
+        """Muonic units on the deep branch: A = -3r, so exp(rate*A) grows
+        with r and leaves the float range before r = 40; exit 3."""
+        config = tmp_path / "units.json"
+        config.write_text(
+            json.dumps({"unit_system": "custom", "m": 186, "hbar": 1, "k": 1, "e2": 1})
+        )
+        argv = ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-3",
+                "--grid", "0.05,40,60", "--config", str(config)]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("OverflowError: ")
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--grid", "0,inf,3"], "--grid bounds must be finite"),
+            (["--grid", "0,1,3", "--pbar", "nan"], "--pbar must be finite, got 'nan'"),
+        ],
+    )
+    def test_non_finite_input_is_a_usage_error(self, option, message, capsys):
+        argv = ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-1", *option]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestVerify:

@@ -21,8 +21,6 @@ from phasenu.nu import (
     NuBranch,
     NuProblem,
     eigen_residual,
-    phi_of,
-    rho_of,
     rodrigues_y,
     select_branch,
     assemble,
@@ -299,42 +297,54 @@ class TestSelectBranch:
 class TestTauLambda:
     def test_lambda_ground(self):
         state = assemble(radial_family(0.0, 2.0, -3.0), 0.25, 0)
-        assert state.lam == pytest.approx(0.0, abs=1e-14)
+        assert state.branch.lam == pytest.approx(0.0, abs=1e-14)
 
     def test_lambda_excited(self):
         state = assemble(radial_family(0.0, 2.0, -3.0), 0.04, 1)
         assert state.branch.K == pytest.approx(0.6)
-        assert state.lam == pytest.approx(0.4)
-        assert state.lam_n == pytest.approx(0.4)
+        assert state.branch.lam == pytest.approx(0.4)
+        assert state.branch.lam_n(1) == pytest.approx(0.4)
 
     def test_lambda_n_zero_at_ground(self):
-        assert assemble(radial_family(0.0, 2.0, -3.0), 0.25, 0).lam_n == 0j
+        assert assemble(radial_family(0.0, 2.0, -3.0), 0.25, 0).branch.lam_n(0) == 0j
+
+    def test_lambdas_of_the_scalars(self):
+        """lambda = K + pi1 and lambda_n = -n tau1, read from the record."""
+        branch = NuBranch(3 + 0j, 0.75 + 0j, 1 + 0j, -0.25 + 0j, 4 + 0j, -0.5 + 0j)
+        assert branch.lam == 0.5 + 0j
+        assert branch.lam_n(3) == 1.5 + 0j
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            branch.lam_n(-1)
 
 
 class TestIntegratingFactors:
     def test_phi_deep_branch(self):
-        branch = select_branch(DEEP)
-        phi = phi_of(DEEP, branch)
+        phi = select_branch(DEEP).phi
         assert phi.rate == pytest.approx(-1.0 / 6.0)
         assert phi.power == pytest.approx(1.0 / 3.0)
 
     def test_phi_trivial_for_zero_pi(self):
-        branch = NuBranch(K=0j, pi=Poly(()), tau=Poly((2.0,)))
-        phi = phi_of(DEEP, branch)
-        assert phi.rate == 0j
-        assert phi.power == 0j
+        """phi reads the trimmed coefficients of pi: a pi of negative zeros
+        is the zero polynomial, so both exponents are +0.0 + 0.0j."""
+        zero = complex(-0.0, -0.0)
+        branch = NuBranch(c=3 + 0j, K=0j, pi0=zero, pi1=zero, tau0=2 + 0j, tau1=0j)
+        assert branch.pi.is_zero
+        phi = branch.phi
+        for exponent in (phi.rate, phi.power):
+            assert exponent == 0j
+            signs = [math.copysign(1.0, x) for x in (exponent.real, exponent.imag)]
+            assert signs == [1.0, 1.0]
         assert tuple(phi.poly) == (1 + 0j,)
 
     def test_phi_configuration_branch_inputs(self):
-        problem = radial_problem(0.0, 2.0, 1.0, -1.0)
-        branch = NuBranch(K=0j, pi=Poly((1.0, -1.0)), tau=Poly((2.0,)))
-        phi = phi_of(problem, branch)
+        branch = NuBranch(c=1 + 0j, K=0j, pi0=1 + 0j, pi1=-1 + 0j, tau0=2 + 0j, tau1=0j)
+        phi = branch.phi
         assert phi.rate == pytest.approx(-1.0)
         assert phi.power == pytest.approx(1.0)
 
     def test_phi_log_derivative_identity(self):
         branch = select_branch(DEEP)
-        phi = phi_of(DEEP, branch)
+        phi = branch.phi
         d = phi.derivative()
         for z in (0.7, 1.3, 2.9 + 0.4j):
             lhs = d.evaluate(z) / phi.evaluate(z)
@@ -342,27 +352,24 @@ class TestIntegratingFactors:
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
     def test_rho_deep_branch(self):
-        branch = select_branch(DEEP)
-        rho = rho_of(DEEP, branch)
+        rho = select_branch(DEEP).rho
         assert rho.rate == pytest.approx(-1.0 / 3.0)
         assert rho.power == pytest.approx(1.0 / 3.0)
 
     def test_rho_trivial_when_tau_is_sigma_prime(self):
-        branch = NuBranch(K=0j, pi=Poly(()), tau=Poly((3.0,)))
-        rho = rho_of(DEEP, branch)
+        branch = NuBranch(c=3 + 0j, K=0j, pi0=0j, pi1=0j, tau0=3 + 0j, tau1=0j)
+        rho = branch.rho
         assert rho.rate == 0j
         assert rho.power == pytest.approx(0.0)
 
     def test_rho_configuration_branch(self):
-        problem = radial_problem(0.0, 2.0, 1.0, -1.0)
-        branch = select_branch(problem)
-        rho = rho_of(problem, branch)
+        rho = select_branch(radial_problem(0.0, 2.0, 1.0, -1.0)).rho
         assert rho.rate == pytest.approx(-2.0)
         assert rho.power == pytest.approx(1.0)
 
     def test_rho_pearson_identity(self):
         branch = select_branch(DEEP)
-        rho = rho_of(DEEP, branch)
+        rho = branch.rho
         sigma_rho = rho.times_poly(DEEP.sigma)
         d = sigma_rho.derivative()
         for z in (0.6, 1.9, 1.1 - 0.8j):
@@ -380,19 +387,18 @@ class TestIntegratingFactors:
 
 class TestRodrigues:
     def test_degree_zero_is_one(self):
-        assert tuple(rodrigues_y(DEEP, select_branch(DEEP), 0)) == (1 + 0j,)
+        assert tuple(rodrigues_y(select_branch(DEEP), 0)) == (1 + 0j,)
 
     def test_first_polynomial_proportional_to_tau(self):
         branch = select_branch(DEEP)
-        y = rodrigues_y(DEEP, branch, 1)
+        y = rodrigues_y(branch, 1)
         ratio = y.coefficient(0) / branch.tau.coefficient(0)
         assert abs(y.coefficient(1) - ratio * branch.tau.coefficient(1)) <= 1e-10 * abs(
             ratio
         )
 
     def test_first_polynomial_on_configuration_branch(self):
-        problem = radial_problem(0.0, 2.0, 1.0, -1.0)
-        y = rodrigues_y(problem, select_branch(problem), 1)
+        y = rodrigues_y(select_branch(radial_problem(0.0, 2.0, 1.0, -1.0)), 1)
         assert y.coefficient(0) / y.coefficient(1) == pytest.approx(-1.0)
 
     def test_matches_the_derivative_chain(self):
@@ -400,7 +406,7 @@ class TestRodrigues:
         exponential-power family, for the weight of the branch."""
         for problem in (DEEP, radial_problem(2.0, 2.0, 2.0 / 81.0, -3.0)):
             branch = select_branch(problem)
-            rho = rho_of(problem, branch)
+            rho = branch.rho
             for n in range(7):
                 term = rho.times_poly(Poly((0.0,) * n + (problem.sigma.coefficient(1) ** n,)))
                 for _ in range(n):
@@ -408,7 +414,7 @@ class TestRodrigues:
                 assert term.rate == rho.rate
                 assert abs(term.power - rho.power) <= 1e-12
                 want = term.poly
-                y = rodrigues_y(problem, branch, n)
+                y = rodrigues_y(branch, n)
                 assert y.degree == n
                 scale = max(abs(z) for z in want)
                 for k in range(n + 1):
@@ -420,11 +426,11 @@ class TestRodrigues:
         the float range at n = 160."""
         problem = NuProblem(Poly((0.0, 1.0)), Poly((0.0, 0.0, -100.0)), Poly((1.0,)))
         branch = select_branch(problem)
-        y = rodrigues_y(problem, branch, 150)
+        y = rodrigues_y(branch, 150)
         assert y.degree == 150
         assert all(cmath.isfinite(z) for z in y)
         with pytest.raises(RodriguesFailure, match="overflows at n=160"):
-            rodrigues_y(problem, branch, 160)
+            rodrigues_y(branch, 160)
 
     def test_underflowing_leading_coefficient_is_an_error(self):
         """sigma = A, sigma_tilde = -1e-200 A^2, tau_tilde = 1: tau' = -2e-100,
@@ -432,15 +438,15 @@ class TestRodrigues:
         problem = NuProblem(Poly((0.0, 1.0)), Poly((0.0, 0.0, -1e-200)), Poly((1.0,)))
         branch = select_branch(problem)
         with pytest.raises(RodriguesFailure, match="degree 3, expected 4"):
-            rodrigues_y(problem, branch, 4)
+            rodrigues_y(branch, 4)
 
     def test_polynomial_solves_the_reduced_equation(self):
         """sigma y'' + tau y' + lambda_n y vanishes for Rodrigues output."""
         problem = radial_problem(2.0, 2.0, 2.0 / 81.0, -3.0)
         branch = select_branch(problem)
         for n in (1, 2, 3):
-            y = rodrigues_y(problem, branch, n)
-            lam_n = -n * branch.tau.coefficient(1)
+            y = rodrigues_y(branch, n)
+            lam_n = branch.lam_n(n)
             for z in (0.5, 1.4, 2.8, 4.9, 1.0 + 1.0j):
                 value = (
                     problem.sigma(z) * y.derivative().derivative()(z)
@@ -520,16 +526,14 @@ class TestQuantization:
         assert state.kappa == 1.0
 
     def test_residual_is_that_of_the_selected_branch(self):
-        """eigen_residual, computed on scalars, equals lambda - lambda_n =
-        K + pi' + n tau' of the NuBranch select_branch builds, on a log grid
-        of kappa from 1e-6 to 10."""
+        """eigen_residual, computed on scalars, equals lambda - lambda_n of
+        the NuBranch select_branch returns for the equation at kappa,
+        bit for bit, on a log grid of kappa from 1e-6 to 10."""
         for family, kappa in grid_problems():
             branch = select_branch(family.at(kappa))
             for n in (0, 3):
-                lam_n = -n * branch.tau.coefficient(1)
-                want = (branch.K + branch.pi.coefficient(1) - lam_n).real
-                got = eigen_residual(family, kappa, n)
-                assert abs(got - want) <= 1e-14 * abs(want)
+                want = (branch.lam - branch.lam_n(n)).real
+                assert eigen_residual(family, kappa, n) == want
 
     def test_solve_state_assembly(self):
         state = solve_state(radial_family(0.0, 2.0, -3.0), 2)
@@ -537,7 +541,8 @@ class TestQuantization:
         assert kappa == pytest.approx(1.0 / 64.0, rel=1e-10)
         assert state.n == 2
         assert state.y.degree == 2
-        assert abs(state.lam - state.lam_n) <= 1e-10 * (1.0 + abs(state.lam_n))
+        lam, lam_n = state.branch.lam, state.branch.lam_n(2)
+        assert abs(lam - lam_n) <= 1e-10 * (1.0 + abs(lam_n))
         assert state.branch.tau.coefficient(1).real < 0.0
         assert problem.sigma_tilde.coefficient(2) == pytest.approx(-kappa)
 
@@ -548,14 +553,14 @@ class TestQuantization:
         detuned = assemble(family, 1.1 * state.kappa, 1)
         assert detuned.kappa == 1.1 * state.kappa
         assert detuned.y.degree == 1
-        assert abs(detuned.lam - detuned.lam_n) > 1e-3
+        assert abs(detuned.branch.lam - detuned.branch.lam_n(1)) > 1e-3
 
     def test_full_state_solves_the_transformed_equation(self):
         family = radial_family(0.0, 2.0, -3.0)
         state = solve_state(family, 1)
         problem = state.problem
         psi = state.body
-        assert psi == state.phi.times_poly(state.y)
+        assert psi == state.branch.phi.times_poly(state.y)
         d1 = psi.derivative()
         d2 = d1.derivative()
         for z in (0.5, 1.2, 2.6, 4.8, 2.0 + 1.5j):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from phasenu import numeric
 from phasenu.errors import BranchPointError
-from phasenu.numeric import ExpPowerTerm, Poly, normal_coeffs
+from phasenu.numeric import ExpPowerTerm, Poly
 
 unit_coeff = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=1.0, allow_nan=False, allow_infinity=False
@@ -74,8 +74,7 @@ class TestPoly:
         assert tuple(again) == tuple(p)
 
     def test_coefficients_in_normal_form(self):
-        coeffs = normal_coeffs((4.0, 2.0, 1e-16))
-        assert coeffs == Poly((4.0, 2.0, 1e-16)).coeffs == (4 + 0j, 2 + 0j)
+        assert Poly((4.0, 2.0, 1e-16)).coeffs == (4 + 0j, 2 + 0j)
 
     def test_arithmetic_preserves_tiny_leading_coefficients(self):
         """Sums and products drop only exact-zero tails.
