@@ -8,11 +8,17 @@ extrapolation over two spacings, guards on the spacing and outer-wall
 errors), an associated Laguerre evaluator by three-term recurrence, and
 a finite-difference commutator probe for phase-space operator
 coefficient tuples.  Anything these confirm was arrived at twice.
+
+Each Sturm count stops once no later pivot q_k = d_k - x - b_{k-1}^2/q_{k-1}
+can turn negative: d_k - x >= |b_{k-1}| + |b_k| on every later row and
+q_k > |b_k| give q_{k+1} > |b_{k+1}| (as b_k^2/q_k < |b_k|), and so on.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from math import inf, nextafter, sqrt
 from statistics import fmean
 from typing import Callable, Sequence
@@ -37,8 +43,8 @@ class RadialGrid:
     def __post_init__(self) -> None:
         if not 0.0 < self.r_max < inf:
             raise ValueError("r_max must be positive and finite")
-        if self.n_points < 100:
-            raise ValueError("n_points must be at least 100")
+        if not isinstance(self.n_points, int) or self.n_points < 100:
+            raise ValueError("n_points must be an int of at least 100")
 
     @property
     def spacing(self) -> float:
@@ -69,27 +75,39 @@ def _tridiag_coulomb(params: PhysicalParams, grid: RadialGrid) -> tuple[list[flo
     return diag, kin
 
 
-def _sturm(rows: Sequence[float], b2: float, x: float) -> tuple[int, float]:
+def _sturm(
+    rows: Sequence[float], b: float, x: float, tail: Sequence[float] | None = None
+) -> tuple[int, float]:
     """Negative pivots and last pivot of the LDL^T factorization of T - x.
 
-    T is symmetric tridiagonal with diagonal ``rows``, factorized in the
-    order given, and every off-diagonal entry squared equal to ``b2``.
-    The negative pivots count the eigenvalues strictly below x.
+    T is symmetric tridiagonal with diagonal ``rows``, taken in order, and
+    off-diagonals of magnitude ``b``; the negative pivots count the levels
+    strictly below x.  With ``tail``, the suffix minima of ``rows``, the
+    sweep stops at the first pivot above b once every later d - x >= 2b,
+    and the pivot returned is then not the last.
     """
-    count = 0
-    q = inf  # makes b2 / q vanish on the first row
+    b2 = b * b
+    stop = None if tail is None else bisect_left(tail, x + 2.0 * b)
+    count, q = 0, inf  # b2 / q vanishes on the first row
+    sweep = iter(rows)
     try:
-        for d in rows:
+        for d in islice(sweep, stop):
             q = d - x - b2 / q
+            if q < 0.0:
+                count += 1
+        for d in sweep:
+            q = d - x - b2 / q
+            if q > b:
+                break
             if q < 0.0:
                 count += 1
     except ZeroDivisionError:
         # an exact zero pivot: x is an eigenvalue of a leading block
-        return _sturm(rows, b2, nextafter(x, inf))
+        return _sturm(rows, b, nextafter(x, inf), tail)
     return count, q
 
 
-def _last_weight(diag: Sequence[float], b2: float, level: float) -> float:
+def _last_weight(diag: Sequence[float], b: float, level: float) -> float:
     """Squared last component w of the unit eigenvector of ``level``.
 
     The final pivot of T - x is 1 / (T - x)^{-1}_{-1,-1} =
@@ -98,8 +116,8 @@ def _last_weight(diag: Sequence[float], b2: float, level: float) -> float:
     by 2 gap / w in their reciprocals, and B cancels.
     """
     gap = 1e-8 * max(1.0, abs(level))
-    below = _sturm(diag, b2, level - gap)[1]
-    above = _sturm(diag, b2, level + gap)[1]
+    below = _sturm(diag, b, level - gap)[1]
+    above = _sturm(diag, b, level + gap)[1]
     return 0.5 * gap * (1.0 / below - 1.0 / above)
 
 
@@ -120,13 +138,14 @@ def _levels(
     never past the Gershgorin bounds; the first step is 1e-4 * max(1,
     |seed|), later ones start at twice the previous level's distance from
     its seed.  Either way a level that is not bound is still found
-    wherever it lies.
+    wherever it lies.  Each count stops early on the suffix minima of
+    ``diag``: they do not decrease, so a bisection finds the exit row.
     """
     if n_states > len(diag):
         raise ValueError("more states requested than interior nodes")
-    b2 = kin * kin
-    floor, ceiling = min(diag) - 2.0 * kin, max(diag) + 2.0 * kin
-    bound = _sturm(diag, b2, 0.0)[0] if seeds is None else 0
+    tail = list(accumulate(reversed(diag), min))[::-1]
+    floor, ceiling = tail[0] - 2.0 * kin, max(diag) + 2.0 * kin
+    bound = _sturm(diag, kin, 0.0, tail)[0] if seeds is None else 0
     levels: list[float] = []
     for j in range(n_states):
         if seeds is None:
@@ -136,10 +155,10 @@ def _levels(
             near, scale = seeds[j], max(1.0, abs(seeds[j]))
             step = 2.0 * abs(levels[-1] - seeds[j - 1]) if levels else 1e-4 * scale
             step = max(step, 1e-14 * scale)
-            below = _sturm(diag, b2, near)[0] > j
+            below = _sturm(diag, kin, near, tail)[0] > j
             while True:
                 far = min(max(near - step if below else near + step, floor), ceiling)
-                if (_sturm(diag, b2, far)[0] > j) != below:
+                if (_sturm(diag, kin, far, tail)[0] > j) != below:
                     break
                 near, step = far, 4.0 * step
             lo, hi = (far, near) if below else (near, far)
@@ -147,18 +166,12 @@ def _levels(
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            if _sturm(diag, b2, mid)[0] > j:
+            if _sturm(diag, kin, mid, tail)[0] > j:
                 hi = mid
             else:
                 lo = mid
         levels.append(0.5 * (lo + hi))
     return levels
-
-
-def _raw_spectrum(params: PhysicalParams, grid: RadialGrid, n_states: int) -> list[float]:
-    """Lowest n_states levels of the three-point scheme on one grid."""
-    diag, kin = _tridiag_coulomb(params, grid)
-    return _levels(diag, kin, n_states)
 
 
 def fd_spectrum(
@@ -193,13 +206,15 @@ def fd_spectrum(
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
+    if not 0.0 < tolerance < inf:
+        raise ValueError("tolerance must be positive and finite")
     try:
         companion = grid.halved()
     except ValueError as exc:
         raise GridTooCoarse(
             f"grid too small for the halved-spacing companion check: {exc}"
         ) from exc
-    coarse = _raw_spectrum(params, companion, n_states)
+    coarse = _levels(*_tridiag_coulomb(params, companion), n_states)
     diag, kin = _tridiag_coulomb(params, grid)
     fine = _levels(diag, kin, n_states, seeds=coarse)
     s2 = (companion.spacing / grid.spacing) ** 2
@@ -219,7 +234,7 @@ def fd_spectrum(
     # with w = v[-1]^2 of the unit eigenvector, u'(R)^2 = w / h^3 and
     # (hbar^2/2m) u'(R)^2 / (2q) = kin w / (2 q h), where q h = sqrt(-E/kin)
     wall_error = max(
-        kin * _last_weight(diag, kin * kin, f) / (2.0 * sqrt(-energy / kin))
+        kin * _last_weight(diag, kin, f) / (2.0 * sqrt(-energy / kin))
         for f, energy in zip(fine, levels)
     )
     if wall_error > tolerance:

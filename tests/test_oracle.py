@@ -3,6 +3,7 @@ finite-difference commutator probe."""
 
 import math
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -12,7 +13,6 @@ from phasenu.opspace import OpPoint, commutator_coefficient
 from phasenu.oracle import (
     RadialGrid,
     _levels,
-    _raw_spectrum,
     _sturm,
     _tridiag_coulomb,
     commutator_check,
@@ -46,6 +46,10 @@ class TestRadialGrid:
             RadialGrid(100.0, 99)
         with pytest.raises(TypeError):  # the old (r_min, r_max, n) form
             RadialGrid(1e-3, 100.0, 4000)
+
+    def test_point_count_must_be_an_int(self):
+        with pytest.raises(ValueError, match="int"):
+            RadialGrid(100.0, 4000.0)
 
     def test_r_max_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -101,8 +105,8 @@ class TestFdSpectrum:
         The Richardson weight in fd_spectrum relies on the raw scheme being
         second order, so both orders are checked on the same two grids.
         """
-        coarse = _raw_spectrum(ATOMIC, RadialGrid(100.0, 1001), 1)
-        fine = _raw_spectrum(ATOMIC, RadialGrid(100.0, 2001), 1)
+        coarse = _levels(*_tridiag_coulomb(ATOMIC, RadialGrid(100.0, 1001)), 1)
+        fine = _levels(*_tridiag_coulomb(ATOMIC, RadialGrid(100.0, 2001)), 1)
         ratio = (coarse[0] + 0.5) / (fine[0] + 0.5)
         assert 3.5 <= ratio <= 4.5
         coarse = fd_spectrum(ATOMIC, RadialGrid(100.0, 1001), 1, tolerance=1.0)
@@ -151,6 +155,73 @@ class TestFdSpectrum:
     def test_state_count_validation(self):
         with pytest.raises(ValueError):
             fd_spectrum(ATOMIC, RadialGrid(100.0, 4000), 0)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1e-4])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        # a NaN tolerance would pass both guards: every error > nan is False
+        with pytest.raises(ValueError, match="tolerance"):
+            fd_spectrum(ATOMIC, RadialGrid(100.0, 4000), 1, tolerance=tolerance)
+
+    @pytest.mark.parametrize(
+        "L, want",
+        [
+            (0, ["-0x1.fffff973095a9p-2", "-0x1.ffffff970a7fep-4", "-0x1.c71c71b4b0667p-5"]),
+            (1, ["-0x1.ffffffd5343edp-4", "-0x1.c71c71a446e72p-5", "-0x1.ffffffde979cap-6"]),
+            (2, ["-0x1.c71c71c725874p-5", "-0x1.ffffffffd467bp-6", "-0x1.47ae080b0113fp-6"]),
+        ],
+    )
+    def test_levels_keep_their_bits(self, L, want):
+        """The early-exit count changes no count, so no level moves."""
+        params = PhysicalParams(angular_momentum=L)
+        levels = fd_spectrum(params, RadialGrid(100.0, 4000), 3)
+        assert [e.hex() for e in levels] == want
+
+
+def _suffix_minima(rows):
+    return list(accumulate(reversed(rows), min))[::-1]
+
+
+class TestSturmExit:
+    """The count stops at the first pivot above b once every later
+    diagonal d satisfies d - x >= 2b, and still counts what the full
+    sweep counts."""
+
+    def test_early_and_full_counts_agree(self):
+        rng = random.Random(2718)
+        cases = [
+            (ATOMIC, RadialGrid(100.0, 1000)),
+            (PhysicalParams(angular_momentum=2), RadialGrid(60.0, 800)),
+            (PhysicalParams(mass=2.5, hbar=1.7, angular_momentum=1), RadialGrid(50.0, 600)),
+            (PhysicalParams(mass=186.0, angular_momentum=3), RadialGrid(1.0, 500)),
+        ]
+        for params, grid in cases:
+            diag, kin = _tridiag_coulomb(params, grid)
+            tail = _suffix_minima(diag)
+            xs = [rng.uniform(tail[0] - 2.0 * kin, max(diag) + 2.0 * kin) for _ in range(20)]
+            for level in _levels(diag, kin, 3):
+                xs += [level + k * math.ulp(level) for k in range(-3, 4)]
+                xs += [level * (1.0 + s * e) for s in (-1, 1) for e in (1e-15, 1e-9, 1e-3)]
+            for x in xs:
+                assert _sturm(diag, kin, x, tail)[0] == _sturm(diag, kin, x)[0]
+        for _ in range(100):
+            b = rng.uniform(0.01, 10.0)
+            diag = [rng.uniform(-20.0, 20.0) for _ in range(rng.randrange(2, 60))]
+            tail = _suffix_minima(diag)
+            for x in (rng.uniform(-30.0, 30.0) for _ in range(10)):
+                assert _sturm(diag, b, x, tail)[0] == _sturm(diag, b, x)[0]
+
+    def test_sweep_stops_before_the_last_row(self):
+        class Unread(float):
+            def __sub__(self, other):
+                raise AssertionError("a row past the exit was read")
+
+        diag, kin = _tridiag_coulomb(ATOMIC, RadialGrid(100.0, 1000))
+        rows = diag[:-1] + [Unread(diag[-1])]
+        tail = _suffix_minima(rows)
+        for x in (-0.6, -0.5, -0.2, -0.1251):
+            assert _sturm(rows, kin, x, tail)[0] == _sturm(diag, kin, x)[0]
+        with pytest.raises(AssertionError, match="past the exit"):
+            _sturm(rows, kin, -0.3)
 
 
 class TestLaguerre:
