@@ -9,10 +9,6 @@ class PhasenuError(Exception):
     """Base class for all solver-domain failures."""
 
 
-class DegreeError(PhasenuError, ValueError):
-    """A polynomial has the wrong degree for the requested operation."""
-
-
 class BranchPointError(PhasenuError, ValueError):
     """Evaluation requested at the branch point z = 0 of a fractional or
     negative power, or where sigma vanishes in the equation."""
@@ -20,10 +16,6 @@ class BranchPointError(PhasenuError, ValueError):
 
 class NoBranch(PhasenuError):
     """No (K, sign) combination yields a decaying, weight-admissible tau."""
-
-
-class UnsupportedSigma(PhasenuError, ValueError):
-    """The solver requires sigma proportional to the variable."""
 
 
 class RodriguesFailure(PhasenuError):

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import nu
 from .errors import BranchPointError, UnsupportedBranch, UnsupportedRecovery
-from .numeric import ExpPowerTerm, Poly, _horner
+from .numeric import ExpPowerTerm, _horner, _trim
 from .opspace import MANIFOLD_TOL, OpPoint, is_on_manifold
 
 
@@ -52,8 +52,8 @@ class PhysicalParams:
 
     def __post_init__(self) -> None:
         for name in ("mass", "hbar", "coulomb_constant", "charge_squared"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         L = self.angular_momentum
         if not isinstance(L, int) or L < 0:
             raise ValueError("angular_momentum must be a non-negative integer")
@@ -116,9 +116,7 @@ def build_radial_family(params: PhysicalParams, alphadelta: float) -> nu.NuProbl
     label is resolved for the solver, so an unsupported product raises
     UnsupportedBranch."""
     label = branch_of(alphadelta)
-    return nu.NuProblem(
-        Poly((0.0, -label)), Poly((-params.omega, params.zeta)), Poly((2.0,))
-    )
+    return nu.NuProblem(-label, (-params.omega, params.zeta, 0.0), (2.0, 0.0))
 
 
 def closed_form_energy(params: PhysicalParams, n: int, alphadelta: float) -> float:
@@ -154,7 +152,7 @@ class PhaseSpaceConfig:
                 f"point {self.point.as_tuple()} violates the commutator constraint"
             )
         product = self.point.alpha * self.point.delta
-        if abs(product - self.alphadelta) > MANIFOLD_TOL * max(1.0, abs(product)):
+        if not abs(product - self.alphadelta) <= MANIFOLD_TOL * max(1.0, abs(product)):
             raise ValueError(
                 f"alphadelta={self.alphadelta} does not match the point "
                 f"product {product}"
@@ -231,8 +229,10 @@ def ode_residual(state: nu.NuState, samples: Sequence[complex]) -> float:
 
     psi, psi' and psi'' share their rate, so each sample takes one
     exponential; the six polynomials go through ``_horner`` on their
-    coefficients.  The bits are those of ``ExpPowerTerm.evaluate`` and
-    ``Poly.__call__``, whose float path gives the complex recursion's bits.
+    coefficients, those of the equation with their exact-zero tail dropped
+    as ``Poly`` drops it.  The bits are those of ``ExpPowerTerm.evaluate``
+    and ``Poly.__call__``, whose float path gives the complex recursion's
+    bits.
     """
     body = state.body
     d1 = body.derivative()
@@ -240,10 +240,8 @@ def ode_residual(state: nu.NuState, samples: Sequence[complex]) -> float:
     problem = state.problem
     rate, p0, p1, p2 = body.rate, body.power, d1.power, d2.power
     c0, c1, c2 = (term.poly.coeffs[::-1] for term in (body, d1, d2))
-    c_sig, c_tau, c_st = (
-        p.coeffs[::-1]
-        for p in (problem.sigma, problem.tau_tilde, problem.sigma_tilde)
-    )
+    c_sig = (problem.c, 0j)
+    c_tau, c_st = (_trim(list(p))[::-1] for p in (problem.tau_tilde, problem.sigma_tilde))
     worst = 0.0
     for z in samples:
         z = complex(z)

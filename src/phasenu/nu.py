@@ -29,9 +29,10 @@ y coefficient by coefficient.  Quantization of an energy-like parameter
 kappa is the root of ``lambda(kappa) - lambda_n(kappa)``, bracketed and
 refined by Brent-Dekker in s = sqrt(kappa), in which the residual of the
 hydrogen family is affine -- deliberately independent of any closed-form
-spectrum a particular family may admit.  The branch is resolved on scalar
-coefficients into one record, :class:`NuBranch`, from which pi, tau, phi,
-rho and both lambdas are read.
+spectrum a particular family may admit.  The equation is one record of
+scalars, :class:`NuProblem`, and :func:`select_branch` resolves it into
+another, :class:`NuBranch`, from which pi, tau, phi, rho and both lambdas
+are read.
 """
 
 from __future__ import annotations
@@ -40,15 +41,9 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
-from .errors import (
-    DegreeError,
-    NoBranch,
-    NoSignChange,
-    RodriguesFailure,
-    UnsupportedSigma,
-)
+from .errors import NoBranch, NoSignChange, RodriguesFailure
 from .numeric import ExpPowerTerm, Poly, _exact, as_finite_complex
 
 #: The kappa search stops when its bracket in sqrt(kappa) has this
@@ -64,53 +59,40 @@ KAPPA_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class NuProblem:
-    """Coefficient triple (sigma, sigma_tilde, tau_tilde) of the equation.
-
-    Degrees are bounded by the hypergeometric-type form: sigma and
-    sigma_tilde at most quadratic, tau_tilde at most linear, sigma nonzero.
-    The solver further needs ``sigma = c * A``; any other sigma raises
-    :class:`UnsupportedSigma` here.
+    """The equation with sigma = c*A, as the six scalars the solver reads:
+    c, sigma_tilde = s0 + s1 A + s2 A**2 as (s0, s1, s2) and
+    tau_tilde = t0 + t1 A as (t0, t1), each finite, and c nonzero.
 
     The energy-like parameter kappa enters as ``-kappa * A**2`` added to
     sigma_tilde (:meth:`at`); the problem itself is the one at kappa = 0,
     and the quantization functions take it in that role.
     """
 
-    sigma: Poly
-    sigma_tilde: Poly
-    tau_tilde: Poly
+    c: complex
+    sigma_tilde: tuple[complex, complex, complex]
+    tau_tilde: tuple[complex, complex]
 
     def __post_init__(self) -> None:
-        if self.sigma.is_zero:
-            raise DegreeError("sigma must be nonzero")
-        if self.sigma.degree > 2:
-            raise DegreeError(f"sigma degree {self.sigma.degree} > 2")
-        if self.sigma_tilde.degree > 2:
-            raise DegreeError(f"sigma_tilde degree {self.sigma_tilde.degree} > 2")
-        if self.tau_tilde.degree > 1:
-            raise DegreeError(f"tau_tilde degree {self.tau_tilde.degree} > 1")
-        c = self.sigma.coefficient(1)
-        if self.sigma.degree != 1 or abs(self.sigma.coefficient(0)) > 1e-14 * abs(c):
-            raise UnsupportedSigma(
-                f"sigma must be proportional to the variable, got {self.sigma.coeffs}"
-            )
+        c = as_finite_complex(self.c)
+        if c == 0:
+            raise ValueError("c must be nonzero")
+        s0, s1, s2 = map(as_finite_complex, self.sigma_tilde)
+        t0, t1 = map(as_finite_complex, self.tau_tilde)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "sigma_tilde", (s0, s1, s2))
+        object.__setattr__(self, "tau_tilde", (t0, t1))
 
     def at(self, kappa: float) -> NuProblem:
-        """The equation with ``-kappa * A**2`` added to sigma_tilde."""
-        return NuProblem(self.sigma, _exact(self.sigma_tilde_at(kappa)), self.tau_tilde)
+        """The equation with ``-kappa * A**2`` added to sigma_tilde.
 
-    def sigma_tilde_at(self, kappa: float) -> tuple[complex, complex, complex]:
-        """The coefficients of ``at(kappa).sigma_tilde`` as scalars.
-
-        Each adds kappa times its coefficient in -A**2 as a complex
-        product, the operations of ``sigma_tilde + kappa * Poly((0, 0, -1))``:
-        adding a product by zero turns a -0.0 into 0.0, and signed zeros
-        decide which side of a branch cut is taken later.
+        Each coefficient adds kappa times its coefficient in -A**2 as a
+        complex product, the operations of ``sigma_tilde + kappa *
+        Poly((0, 0, -1))``: adding a product by zero turns a -0.0 into 0.0,
+        and signed zeros decide which side of a branch cut is taken later.
         """
         k = as_finite_complex(kappa)
-        base = self.sigma_tilde
-        c0, c1, c2 = (base.coefficient(j) + k * s for j, s in enumerate((0j, 0j, -1 + 0j)))
-        return c0, c1, c2
+        st = tuple(a + k * s for a, s in zip(self.sigma_tilde, (0j, 0j, -1 + 0j)))
+        return NuProblem(self.c, st, self.tau_tilde)
 
 
 class NuBranch(NamedTuple):
@@ -166,16 +148,20 @@ class NuState:
     """Level n of a family, assembled at one kappa.
 
     Built only by :func:`assemble` (or :func:`solve_state`, at the
-    quantized kappa): the equation at kappa, the selected branch, which
-    carries phi and rho, and the Rodrigues polynomial y.
+    quantized kappa): the selected branch, which carries phi and rho, and
+    the Rodrigues polynomial y; the equation at kappa is derived.
     """
 
     family: NuProblem
     n: int
     kappa: float
-    problem: NuProblem
     branch: NuBranch
     y: Poly
+
+    @property
+    def problem(self) -> NuProblem:
+        """The equation at this kappa."""
+        return self.family.at(self.kappa)
 
     @property
     def body(self) -> ExpPowerTerm:
@@ -183,19 +169,29 @@ class NuState:
         return self.branch.phi.times_poly(self.y)
 
 
-def _select(c: complex, sigma_tilde: Sequence[complex], tau_tilde: Poly) -> NuBranch:
-    """The branch screen of :func:`select_branch`, on scalar coefficients.
+def select_branch(problem: NuProblem) -> NuBranch:
+    """Pick the physical (K, sign) combination.
 
     pi = base - (u A + v) with base = (c - tau_tilde)/2 as (b0, b1),
     q = base**2 - sigma_tilde as (q0, q1, q2), u = sqrt(q2) and
     v = +/-sqrt(q0): q + K c A is then (u A + v)**2 for K = (2 u v - q1)/c.
+
+    Only the sign -1 can give Re(tau') < 0: pi' = -t1/2 +/- u with
+    Re(u) >= 0, where t1 = tau_tilde', so the sign +1 gives
+    Re(tau') = Re(t1 + 2 pi') >= 0 whenever t1 is zero or a normal float.
+    Both K candidates share u, and so tau'; they differ in the sign of
+    v = +/-sqrt(q0).  They are tried in order of K (real part, then
+    imaginary part), each with sign -1; the first whose tau decays and
+    whose weight is admissible (Re(rate) < 0 and Re(power) > -1 for rho,
+    with sigma = c*A) wins.
     """
-    t0, t1 = tau_tilde.coefficient(0), tau_tilde.coefficient(1)
+    c = problem.c
+    t0, t1 = problem.tau_tilde
     # b1 is taken from 0j and q summed from 0j: both turn -0.0 into 0.0,
     # and signed zeros decide which side of a square root's branch cut is taken
     b0 = 0.5 * (c - t0)
     b1 = 0.5 * (0j - t1)
-    st0, st1, st2 = sigma_tilde
+    st0, st1, st2 = problem.sigma_tilde
     q0 = 0j + b0 * b0 - st0
     q1 = 0j + b0 * b1 + b1 * b0 - st1
     u = cmath.sqrt(0j + b1 * b1 - st2)  # principal: Re(u) >= 0
@@ -218,22 +214,6 @@ def _select(c: complex, sigma_tilde: Sequence[complex], tau_tilde: Poly) -> NuBr
         if rate.real < 0.0 and power.real > -1.0:
             return branch
     raise NoBranch("no decaying combination has an admissible weight")
-
-
-def select_branch(problem: NuProblem) -> NuBranch:
-    """Pick the physical (K, sign) combination.
-
-    Only the sign -1 can give Re(tau') < 0: pi' = -t1/2 +/- u with
-    Re(u) >= 0, where t1 = tau_tilde', so the sign +1 gives
-    Re(tau') = Re(t1 + 2 pi') >= 0 whenever t1 is zero or a normal float.
-    Both K candidates share u, and so tau'; they differ in the sign of
-    v = +/-sqrt(q0).  They are tried in order of K (real part, then
-    imaginary part), each with sign -1; the first whose tau decays and
-    whose weight is admissible (Re(rate) < 0 and Re(power) > -1 for rho,
-    with sigma = c*A) wins.
-    """
-    sigma_tilde = tuple(problem.sigma_tilde.coefficient(k) for k in range(3))
-    return _select(problem.sigma.coefficient(1), sigma_tilde, problem.tau_tilde)
 
 
 def rodrigues_y(branch: NuBranch, n: int) -> Poly:
@@ -275,12 +255,12 @@ def eigen_residual(family: NuProblem, kappa: float, n: int) -> float:
     """Re(lambda - lambda_n) for the branch selected at this kappa."""
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    b = _select(family.sigma.coefficient(1), family.sigma_tilde_at(kappa), family.tau_tilde)
+    b = select_branch(family.at(kappa))
     return (b.lam - b.lam_n(n)).real
 
 
 def _family_kappa_ceiling(family: NuProblem) -> float:
-    zeta = abs(family.sigma_tilde.coefficient(1))
+    zeta = abs(family.sigma_tilde[1])
     return max(10.0 * zeta * zeta, 1.0)
 
 
@@ -355,7 +335,7 @@ def solve_kappa(family: NuProblem, n: int) -> float:
         )
     s = _brent(lambda s: eigen_residual(family, s * s, n), s_lo, f_lo, s_hi, f_hi)
     kappa = s * s
-    b = _select(family.sigma.coefficient(1), family.sigma_tilde_at(kappa), family.tau_tilde)
+    b = select_branch(family.at(kappa))
     lam_n = b.lam_n(n)
     residual = abs((b.lam - lam_n).real)
     if residual > RESIDUAL_TOL * (1.0 + abs(lam_n)):
@@ -372,16 +352,8 @@ def assemble(family: NuProblem, kappa: float, n: int) -> NuState:
     Off the quantized kappa the parts still assemble, but phi * y no
     longer solves the equation; residual checks rely on that.
     """
-    problem = family.at(kappa)
-    branch = select_branch(problem)
-    return NuState(
-        family=family,
-        n=n,
-        kappa=kappa,
-        problem=problem,
-        branch=branch,
-        y=rodrigues_y(branch, n),
-    )
+    branch = select_branch(family.at(kappa))
+    return NuState(family=family, n=n, kappa=kappa, branch=branch, y=rodrigues_y(branch, n))
 
 
 def solve_state(family: NuProblem, n: int) -> NuState:

@@ -103,8 +103,8 @@ class TestSolve:
         assert cli.main(["solve", "--n", "2", "--L", "1", "--alphadelta", "-3"]) == 0
         assert json.loads(capsys.readouterr().out)["residual"] < 1e-8
         assert counts["rodrigues_y"] == 1
-        # the assembly only: residual evaluations and the gate run on scalars
-        assert counts["select_branch"] == 1
+        # one branch screen per residual evaluation, the gate and the assembly
+        assert counts["select_branch"] == counts["eigen_residual"] + 2
         assert counts["build_radial_family"] == 1
 
     def test_overflowing_polynomial_is_a_solver_error(self, tmp_path, capsys):

@@ -78,14 +78,16 @@ def reference_residual(state, samples):
     d1 = body.derivative()
     d2 = d1.derivative()
     problem = state.problem
+    sigma = Poly((0.0, problem.c))
+    sigma_tilde, tau_tilde = Poly(problem.sigma_tilde), Poly(problem.tau_tilde)
     worst = 0.0
     for z in samples:
-        sig = problem.sigma(z)
+        sig = sigma(z)
         omega_val = body.evaluate(z)
         lhs = (
             d2.evaluate(z)
-            + problem.tau_tilde(z) / sig * d1.evaluate(z)
-            + problem.sigma_tilde(z) / (sig * sig) * omega_val
+            + tau_tilde(z) / sig * d1.evaluate(z)
+            + sigma_tilde(z) / (sig * sig) * omega_val
         )
         defect = abs(lhs) / (1.0 + abs(omega_val))
         worst = max(worst, defect if math.isfinite(defect) else math.inf)
@@ -105,6 +107,14 @@ class TestParams:
             PhysicalParams(mass=0.0)
         with pytest.raises(ValueError):
             PhysicalParams(hbar=-1.0)
+
+    @pytest.mark.parametrize("name", ["mass", "hbar", "coulomb_constant", "charge_squared"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_constants_must_be_finite(self, name, value):
+        """An infinite hbar would give zeta = 0 and a misleading
+        NoSignChange, an infinite mass a late failure in the solver."""
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            PhysicalParams(**{name: value})
 
     def test_angular_momentum_must_be_whole(self):
         with pytest.raises(ValueError):
@@ -139,19 +149,19 @@ class TestBranches:
 
     def test_family_coefficients(self):
         family = build_radial_family(ATOMIC, -3.0)
-        assert tuple(family.sigma) == (0j, 3 + 0j)
-        assert tuple(family.tau_tilde) == (2 + 0j,)
-        assert tuple(family.sigma_tilde) == (0j, 2 + 0j)
+        assert family.c == 3 + 0j
+        assert family.tau_tilde == (2 + 0j, 0j)
+        assert family.sigma_tilde == (0j, 2 + 0j, 0j)
         problem = family.at(0.25)
-        assert tuple(problem.sigma_tilde) == (0j, 2 + 0j, -0.25 + 0j)
+        assert problem.sigma_tilde == (0j, 2 + 0j, -0.25 + 0j)
 
     def test_family_shallow_branch(self):
         family = build_radial_family(ATOMIC, -1.0)
-        assert tuple(family.sigma) == (0j, 1 + 0j)
+        assert family.c == 1 + 0j
 
     def test_family_higher_angular_momentum(self):
         family = build_radial_family(PhysicalParams(angular_momentum=1), -3.0)
-        assert family.sigma_tilde.coefficient(0) == -2 + 0j
+        assert family.sigma_tilde[0] == -2 + 0j
 
     def test_branch_of_tolerates_rounding(self):
         assert branch_of(-3.0) == -3.0
@@ -299,6 +309,11 @@ class TestConfigs:
     def test_config_requires_matching_product(self):
         with pytest.raises(ValueError):
             PhaseSpaceConfig(DEEP_BRANCH_POINT, -1.0)
+
+    def test_config_refuses_a_nan_product(self):
+        """The product check fails closed: NaN compares false."""
+        with pytest.raises(ValueError, match="does not match the point product"):
+            PhaseSpaceConfig(CONFIG_SPACE_POINT, float("nan"))
 
 
 class TestWavefunctions:

@@ -1,6 +1,12 @@
-"""The package's public surface: every exported name resolves."""
+"""The package's public surface: every exported name resolves, and every
+imported name is used."""
+
+import ast
+import pathlib
 
 import phasenu
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -12,3 +18,40 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from phasenu import *", namespace)
     assert set(phasenu.__all__) <= set(namespace)
+
+
+def unused_imports(source):
+    """Names a module imports and never uses; a name listed in ``__all__``
+    or read in a string annotation counts as used."""
+    tree = ast.parse(source)
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+        annotations = [getattr(node, key, None) for key in ("annotation", "returns")]
+        for annotation in filter(None, annotations):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    text = ast.parse(part.value, mode="eval")
+                    used.update(n.id for n in ast.walk(text) if isinstance(n, ast.Name))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_every_imported_name_is_used():
+    assert unused_imports("import os\nfrom typing import Sequence\nos.sep\n") == [
+        "Sequence (line 2)"
+    ]
+    assert unused_imports("from typing import Sequence\nx: 'Sequence[int]'\n") == []
+    files = sorted((ROOT / "src" / "phasenu").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    found = {f.name: unused_imports(f.read_text(encoding="utf-8")) for f in files}
+    assert {name: names for name, names in found.items() if names} == {}

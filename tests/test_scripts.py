@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -34,8 +35,20 @@ def test_scan_refuses_a_malformed_grid(grid):
     assert "Traceback" not in proc.stderr
 
 
-def _run(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def test_output_digest_is_stable():
+    """One 64-hex-digit line, the same under two hash seeds: the run set
+    has a fixed order and the digest sees no temporary path."""
+    digests = []
+    for seed in ("1", "2"):
+        proc = _run(["output_digest.py"], PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr
+        assert re.fullmatch(r"[0-9a-f]{64}\n", proc.stdout)
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+
+
+def _run(script, **env_extra):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env_extra)
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script[0]), *script[1:]],
         capture_output=True,
