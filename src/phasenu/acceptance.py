@@ -163,12 +163,10 @@ def check_residual_detector() -> list[CheckResult]:
             for L in range(3):
                 state = _solved_state(n, L, alphadelta)
                 tag = (f"alphadelta={alphadelta:g}", n, L)
-                solved = hydrogen.ode_residual(state, hydrogen.ANNULUS)
+                solved = hydrogen.ode_residual(state)
                 if solved > worst_solved:
                     worst_solved, worst_solved_at = solved, tag
-                detuned = hydrogen.ode_residual(
-                    nu.assemble(state.family, 1.1 * state.kappa, n), hydrogen.ANNULUS
-                )
+                detuned = hydrogen.ode_residual(nu.assemble(state.family, 1.1 * state.kappa, n))
                 if detuned < weakest_detuned:
                     weakest_detuned, weakest_at = detuned, tag
     return [

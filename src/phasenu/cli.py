@@ -169,7 +169,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "phi": {"rate": _pair(phi.rate), "power": _pair(phi.power)},
         "rho": {"rate": _pair(rho.rate), "power": _pair(rho.power)},
         "y": _poly_pairs(state.y),
-        "residual": hydrogen.ode_residual(state, hydrogen.ANNULUS),
+        "residual": hydrogen.ode_residual(state),
     }
     _emit(json.dumps(document, indent=2) + "\n", args.out)
     return 0
@@ -184,7 +184,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             family = hydrogen.build_radial_family(params, args.alphadelta)
             state = nu.solve_state(family, n)
             energy = params.energy_of_kappa(state.kappa)
-            residual = hydrogen.ode_residual(state, hydrogen.ANNULUS)
+            residual = hydrogen.ode_residual(state)
             lines.append(f"{n},{L},{energy!r},{residual!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -23,7 +23,6 @@ closed forms are kept only as cross-check targets.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass, replace
@@ -31,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import nu
 from .errors import BranchPointError, UnsupportedBranch, UnsupportedRecovery
-from .numeric import ExpPowerTerm, _horner, _trim
+from .numeric import ExpPowerTerm
 from .opspace import MANIFOLD_TOL, OpPoint, is_on_manifold
 
 
@@ -205,57 +204,91 @@ def eval_wavefunction(
     return wf.body.evaluate(a_val)
 
 
-def _annulus() -> tuple[complex, ...]:
+def _fractions() -> tuple[float, ...]:
     rng = random.Random(20260822)
-    return tuple(
-        cmath.rect(rng.uniform(0.5, 5.0), rng.uniform(-0.499 * cmath.pi, 0.499 * cmath.pi))
-        for _ in range(100)
-    )
+    return tuple(rng.uniform(0.01, 1.0) for _ in range(64))
 
 
-#: Sample points of the residual check: 100 seeded points with
-#: 0.5 <= |A| <= 5 and Re A > 0.
-ANNULUS = _annulus()
+#: Sample fractions of the residual check: 64 seeded u in [0.01, 1], each
+#: mapped per state to x = u * (4n + 2|b| + 10) on the support of its
+#: Laguerre factor.
+SAMPLE_FRACTIONS = _fractions()
 
 
-def ode_residual(state: nu.NuState, samples: Sequence[complex]) -> float:
-    """Worst relative defect of the state's own equation over samples.
+def _real(z: complex) -> complex | float:
+    """z as a float when its imaginary part is zero, so that a real equation
+    runs on floats and any other takes the same code in complex arithmetic."""
+    return z.real if z.imag == 0.0 else z
+
+
+def _laguerre_steps(n: int, beta: complex | float) -> list[tuple]:
+    """Per-k constants (p, q, r) of the forward recurrence
+    (k+1) L_{k+1} = (2k + 1 + beta - x) L_k - (k + beta) L_{k-1}, k < n,
+    written L_{k+1} = (p - q x) L_k - r L_{k-1}."""
+    return [((2 * k + 1 + beta) / (k + 1), 1.0 / (k + 1), (k + beta) / (k + 1)) for k in range(n)]
+
+
+def _laguerre_pair(steps: list[tuple], x: complex | float) -> tuple:
+    """(L_{n-1}, L_n) of order beta at x, from ``_laguerre_steps(n, beta)``;
+    L_{-1} = 0."""
+    l1, l0 = 0.0, 1.0
+    for p, q, r in steps:
+        l1, l0 = l0, (p - q * x) * l0 - r * l1
+    return l1, l0
+
+
+def ode_residual(state: nu.NuState, fractions: Sequence[float] = SAMPLE_FRACTIONS) -> float:
+    """Worst relative defect of the state's own equation where it lives.
+
+    With sigma = c A and rho = e^{aA} A^b, the branch's weight, the
+    Rodrigues polynomial is y_n(A) = c^n n! L_n^(b)(-aA).  Each fraction u
+    gives a sample x = u (4n + 2|b| + 10), A = x / (-a), on the real support
+    of the Laguerre factor, among its nodes and into its decay, at every
+    mass.  The equation is analytic in A, so an identity that holds on a
+    real interval holds everywhere.
+
+    phi is divided out analytically: with g = pi / sigma, psi'/phi =
+    y' + g y and psi''/phi = y'' + 2 g y' + (g' + g^2) y.  The defect is
+    |T1 + T2 + T3| / (|T1| + |T2| + |T3|) over the terms psi'',
+    (tau_tilde / sigma) psi' and (sigma_tilde / sigma^2) psi, each times
+    sigma^2 / (phi c^n n!): polynomials in A, with no exponential and no
+    power to overflow.  y, y' and y'' come from one recurrence in
+    beta = b + 1 (``_laguerre_pair``), by L_n^(b) = L_n^(beta) -
+    L_{n-1}^(beta), L_n^(b)' = -L_{n-1}^(beta) and x L_{n-1}^(beta)' =
+    (n-1) L_{n-1}^(beta) - (n-1+beta) L_{n-2}^(beta), with L_{n-2} taken
+    from the recurrence; never from the equation under test.  Real
+    coefficients run on floats, others in complex arithmetic, by the same
+    code.
 
     A state assembled at a detuned kappa (``nu.assemble``) carries the
-    equation at that kappa, so its residual measures how far the assembly
-    drifts from solving it.  A non-finite defect reads inf; a sample
-    where sigma vanishes (A = 0) raises :class:`BranchPointError`, and
-    a power A**b beyond the float range raises ``OverflowError``.
-
-    psi, psi' and psi'' share their rate, so each sample takes one
-    exponential; the six polynomials go through ``_horner`` on their
-    coefficients, those of the equation with their exact-zero tail dropped
-    as ``Poly`` drops it.  The bits are those of ``ExpPowerTerm.evaluate``
-    and ``Poly.__call__``, whose float path gives the complex recursion's
-    bits.
+    equation at that kappa, whose branch has lambda != lambda_n, so its
+    defect is large.  A non-finite defect reads inf; a sample where sigma
+    vanishes (A = 0) raises :class:`BranchPointError`.
     """
-    body = state.body
-    d1 = body.derivative()
-    d2 = d1.derivative()
-    problem = state.problem
-    rate, p0, p1, p2 = body.rate, body.power, d1.power, d2.power
-    c0, c1, c2 = (term.poly.coeffs[::-1] for term in (body, d1, d2))
-    c_sig = (problem.c, 0j)
-    c_tau, c_st = (_trim(list(p))[::-1] for p in (problem.tau_tilde, problem.sigma_tilde))
+    n, branch, problem = state.n, state.branch, state.problem
+    c, pi0, pi1 = map(_real, (branch.c, branch.pi0, branch.pi1))
+    a, b = map(_real, branch._weight)
+    t0, t1 = map(_real, problem.tau_tilde)
+    s0, s1, s2 = map(_real, problem.sigma_tilde)
+    steps = _laguerre_steps(n, b + 1.0)
+    span = 4 * n + 2 * abs(b) + 10
+    ca, c_pi0, n_beta = c * a, c * pi0, n + b + 1.0
     worst = 0.0
-    for z in samples:
-        z = complex(z)
-        exp_z = cmath.exp(rate * z)
-        sig = _horner(c_sig, z, 0j)
-        if sig == 0:
-            raise BranchPointError(f"sigma vanishes at A = {z}")
-        omega_val = _horner(c0, z, 0j) * exp_z * z**p0
-        lhs = (
-            _horner(c2, z, 0j) * exp_z * z**p2
-            + _horner(c_tau, z, 0j) / sig * (_horner(c1, z, 0j) * exp_z * z**p1)
-            + _horner(c_st, z, 0j) / (sig * sig) * omega_val
-        )
-        defect = abs(lhs) / (1.0 + abs(omega_val))
+    for u in fractions:
+        x = u * span
+        A = x / -a
+        if A == 0:
+            raise BranchPointError(f"sigma vanishes at A = {A}")
+        l1, l0 = _laguerre_pair(steps, x)
+        # y and y' over c^n n!, and sigma^2 y'' = c a sigma x_d2
+        y, dy, x_d2 = l0 - l1, a * l1, n * l0 - (n_beta - x) * l1
+        sig, p = c * A, pi0 + pi1 * A
+        # sigma^2 (g' + g^2) = pi^2 - c pi0
+        t_1 = sig * (ca * x_d2 + 2.0 * p * dy) + (p * p - c_pi0) * y
+        t_2 = (t0 + t1 * A) * (sig * dy + p * y)
+        t_3 = (s0 + (s1 + s2 * A) * A) * y
+        total = abs(t_1) + abs(t_2) + abs(t_3)
+        defect = abs(t_1 + t_2 + t_3) / total if total else math.inf
         if not defect <= worst:  # larger, or NaN
             worst = defect if math.isfinite(defect) else math.inf
     return worst

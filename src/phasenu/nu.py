@@ -89,10 +89,16 @@ class NuProblem:
         complex product, the operations of ``sigma_tilde + kappa *
         Poly((0, 0, -1))``: adding a product by zero turns a -0.0 into 0.0,
         and signed zeros decide which side of a branch cut is taken later.
+        c and tau_tilde are carried over as this record validated them, so
+        only the three sums, which can overflow, are checked again.
         """
         k = as_finite_complex(kappa)
-        st = tuple(a + k * s for a, s in zip(self.sigma_tilde, (0j, 0j, -1 + 0j)))
-        return NuProblem(self.c, st, self.tau_tilde)
+        st = tuple(
+            as_finite_complex(a + k * s) for a, s in zip(self.sigma_tilde, (0j, 0j, -1 + 0j))
+        )
+        shifted = object.__new__(NuProblem)
+        vars(shifted).update(vars(self), sigma_tilde=st)
+        return shifted
 
 
 class NuBranch(NamedTuple):

@@ -123,13 +123,13 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("RodriguesFailure: ")
 
-    def test_overflowing_residual_is_a_solver_error(self, capsys):
-        """At L = 3000 the residual check's A**b with b = 3000 is beyond the
-        float range on the annulus; the overflow is named, exit 3."""
-        assert cli.main(["solve", "--n", "0", "--L", "3000", "--alphadelta", "-1"]) == 3
+    def test_large_L_state_keeps_its_residual(self, capsys):
+        """At L = 3000 the body carries A**3000; the residual divides it out,
+        so the solved state is printed with its residual, exit 0."""
+        assert cli.main(["solve", "--n", "0", "--L", "3000", "--alphadelta", "-1"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("OverflowError: ")
+        assert captured.err == ""
+        assert json.loads(captured.out)["residual"] <= 1e-8
 
     def test_product_one_ulp_off_the_branch(self, capsys):
         base = ["solve", "--n", "1", "--L", "0", "--alphadelta"]

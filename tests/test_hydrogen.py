@@ -6,18 +6,19 @@ import dataclasses
 import functools
 import math
 import statistics
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasenu import nu
+from phasenu import hydrogen, nu
 from phasenu.errors import BranchPointError, UnsupportedBranch, UnsupportedRecovery
 from phasenu.hydrogen import (
-    ANNULUS,
     BRANCHES,
     CONFIG_SPACE_POINT,
     DEEP_BRANCH_POINT,
+    SAMPLE_FRACTIONS,
     PhaseSpaceConfig,
     PhysicalParams,
     WavefunctionForm,
@@ -45,20 +46,6 @@ RESIDUAL_UNITS = {
     ),
 }
 
-#: Real points with an imaginary part of +0.0 and of -0.0, and Re A < 0.
-EDGE_SAMPLES = (
-    0.7 + 0j,
-    2.5 + 0j,
-    4.0 + 0j,
-    complex(0.7, -0.0),
-    complex(3.0, -0.0),
-    -1.5 + 0.3j,
-    -0.8 - 1.1j,
-    -2.0 + 0j,
-    complex(-2.0, -0.0),
-)
-
-
 @functools.cache
 def solved_and_detuned(units, alphadelta):
     """Solved and 1.1*kappa-detuned states, L 0..5, n in {0, 1, 5, 20, 40}."""
@@ -72,26 +59,14 @@ def solved_and_detuned(units, alphadelta):
     return states
 
 
-def reference_residual(state, samples):
-    """ode_residual written with ExpPowerTerm.evaluate and Poly.__call__."""
-    body = state.body
-    d1 = body.derivative()
-    d2 = d1.derivative()
-    problem = state.problem
-    sigma = Poly((0.0, problem.c))
-    sigma_tilde, tau_tilde = Poly(problem.sigma_tilde), Poly(problem.tau_tilde)
-    worst = 0.0
-    for z in samples:
-        sig = sigma(z)
-        omega_val = body.evaluate(z)
-        lhs = (
-            d2.evaluate(z)
-            + tau_tilde(z) / sig * d1.evaluate(z)
-            + sigma_tilde(z) / (sig * sig) * omega_val
-        )
-        defect = abs(lhs) / (1.0 + abs(omega_val))
-        worst = max(worst, defect if math.isfinite(defect) else math.inf)
-    return worst
+def exact_laguerre(n, alpha, x):
+    """L_n^(alpha)(x) in Fractions from its explicit sum
+    sum_j (-1)^j C(n + alpha, n - j) x^j / j!; zero for n < 0."""
+    total, binomial = Fraction(0), Fraction(1)
+    for j in range(n, -1, -1):
+        total += (-1) ** j * binomial * x**j / math.factorial(j)
+        binomial = binomial * (alpha + j) / (n - j + 1)
+    return total
 
 
 class TestParams:
@@ -386,42 +361,75 @@ class TestWavefunctions:
 
 
 class TestSamplesAndResiduals:
-    def test_annulus_samples_deterministic(self):
+    def test_sample_fractions_deterministic(self):
         """The residual measures depend on the sample set, so it is pinned."""
-        assert len(set(ANNULUS)) == 100
-        assert ANNULUS[0] == 1.1298281888424133 - 2.6417038935210853j
-        assert ANNULUS[-1] == 0.8880322057401165 + 3.3520812174603725j
+        assert len(set(SAMPLE_FRACTIONS)) == 64
+        assert SAMPLE_FRACTIONS[0] == 0.5320976047665532
+        assert SAMPLE_FRACTIONS[-1] == 0.6177330015458498
+        assert all(0.01 <= u <= 1.0 for u in SAMPLE_FRACTIONS)
 
-    def test_annulus_samples_land_in_half_annulus(self):
-        for z in ANNULUS:
-            assert 0.5 <= abs(z) <= 5.0
-            assert z.real > 0.0
+    @pytest.mark.parametrize("alphadelta", sorted(BRANCHES))
+    @pytest.mark.parametrize("mass", [1.0, 186.0])
+    def test_samples_land_on_the_support(self, monkeypatch, mass, alphadelta):
+        """x = u (4n + 2b + 10) on the real axis, past the last node of y:
+        at n <= 5 the samples see all n sign changes of L_n^(b)(x)."""
+        seen, pair_of = [], hydrogen._laguerre_pair
+
+        def spy(steps, x):
+            pair = pair_of(steps, x)
+            seen.append((x, pair[1] - pair[0]))
+            return pair
+
+        monkeypatch.setattr(hydrogen, "_laguerre_pair", spy)
+        for L in (0, 2):
+            family = build_radial_family(PhysicalParams(mass=mass, angular_momentum=L), alphadelta)
+            for n in (0, 1, 5, 40):
+                seen.clear()
+                state = solve_state(family, n)
+                ode_residual(state)
+                a, b = (w.real for w in state.branch._weight)
+                span = 4 * n + 2 * b + 10
+                assert len(seen) == 64 and a < 0.0
+                assert all(type(x) is float and 0.01 * span <= x <= span for x, _ in seen)
+                if n <= 5:
+                    ys = [y for _, y in sorted(seen)]
+                    assert sum(u * v < 0.0 for u, v in zip(ys, ys[1:])) == n
 
     def test_solved_states_have_tiny_residual(self):
         ground = solve_state(build_radial_family(ATOMIC, -3.0), 0)
-        assert ode_residual(ground, ANNULUS) < 1e-10
+        assert ode_residual(ground) < 1e-10
         p1 = PhysicalParams(angular_momentum=1)
-        assert ode_residual(solve_state(build_radial_family(p1, -3.0), 2), ANNULUS) < 1e-8
+        assert ode_residual(solve_state(build_radial_family(p1, -3.0), 2)) < 1e-8
 
     def test_detuned_kappa_is_detected(self):
-        drift = ode_residual(assemble(build_radial_family(ATOMIC, -3.0), 0.275, 0), ANNULUS)
+        drift = ode_residual(assemble(build_radial_family(ATOMIC, -3.0), 0.275, 0))
         assert drift > 1e-3
 
     @pytest.mark.parametrize("alphadelta", sorted(BRANCHES))
     @pytest.mark.parametrize("units", sorted(RESIDUAL_UNITS))
-    def test_residual_has_the_bits_of_term_evaluation(self, units, alphadelta):
-        for state in solved_and_detuned(units, alphadelta):
-            tag = (state.kappa, state.n)
-            for samples in [ANNULUS, *([z] for z in EDGE_SAMPLES)]:
-                got = ode_residual(state, samples)
-                want = reference_residual(state, samples)
-                assert got.hex() == want.hex(), (tag, samples[0])
+    def test_solved_and_detuned_states_separate(self, units, alphadelta):
+        """Up to n = 40, where the monomial coefficients of y are noise, a
+        solved state reads at most 1e-12 and a 1.1*kappa one at least 1e-3."""
+        states = solved_and_detuned(units, alphadelta)
+        assert max(map(ode_residual, states[0::2])) <= 1e-12
+        assert min(map(ode_residual, states[1::2])) >= 1e-3
+
+    @pytest.mark.parametrize("alphadelta", sorted(BRANCHES))
+    @pytest.mark.parametrize("units", sorted(RESIDUAL_UNITS))
+    def test_floats_give_the_complex_bits(self, monkeypatch, units, alphadelta):
+        """Real coefficients run on floats: the same code in complex
+        arithmetic, with every imaginary part zero, gives the same bits,
+        also where a term overflows (a fraction of 1e10)."""
+        states = solved_and_detuned(units, alphadelta)
+        samples = [SAMPLE_FRACTIONS, [1e10], [0.5, 1e10]]
+        floats = [ode_residual(s, f).hex() for s in states for f in samples]
+        monkeypatch.setattr(hydrogen, "_real", complex)
+        assert [ode_residual(s, f).hex() for s in states for f in samples] == floats
 
     def test_residual_makes_no_term_or_poly_calls(self, monkeypatch):
-        """Spied the way test_state_is_assembled_once spies the solve; the
-        reference shows that the spy sees the calls it is meant to count."""
+        """Spied the way test_state_is_assembled_once spies the solve; a body
+        evaluation afterwards shows that the spy sees the calls it counts."""
         state = solved_and_detuned("atomic", -3.0)[0]
-        samples = ANNULUS
         counts = collections.Counter()
 
         def spy(cls, name):
@@ -434,30 +442,69 @@ class TestSamplesAndResiduals:
             monkeypatch.setattr(cls, name, counted)
 
         spy(ExpPowerTerm, "evaluate")
+        spy(ExpPowerTerm, "derivative")
         spy(Poly, "__call__")
-        got = ode_residual(state, samples)
+        ode_residual(state)
         assert counts == {}
-        assert reference_residual(state, samples) == got
-        assert counts == {"evaluate": 300, "__call__": 600}
+        state.body.evaluate(0.5)
+        assert counts == {"evaluate": 1, "__call__": 1}
 
     @pytest.mark.parametrize("detuned", [False, True])
     def test_non_finite_defect_reads_inf(self, detuned):
-        """At A = 1e10 the n = 40 body overflows to nan, and so does its
-        defect; max() would drop it and read 0."""
+        """At u = 1e10 the n = 40 Laguerre values overflow, and the defect
+        is nan; max() would drop it and read 0."""
         state = solve_state(build_radial_family(ATOMIC, -1.0), 40)
         if detuned:
             state = assemble(state.family, 1.1 * state.kappa, 40)
-        far = 1e10 + 0j
-        assert ode_residual(state, [far]) == math.inf
-        assert ode_residual(state, [*ANNULUS, far]) == math.inf
-        assert ode_residual(state, [far, *ANNULUS]) == math.inf
+        assert ode_residual(state, [1e10]) == math.inf
+        assert ode_residual(state, [*SAMPLE_FRACTIONS, 1e10]) == math.inf
+        assert ode_residual(state, [1e10, *SAMPLE_FRACTIONS]) == math.inf
 
     @pytest.mark.parametrize("alphadelta", sorted(BRANCHES))
     def test_sample_where_sigma_vanishes_raises(self, alphadelta):
         for state in solved_and_detuned("atomic", alphadelta)[:4]:
-            for zero in (0j, complex(0.0, -0.0), complex(-0.0, 0.0)):
+            for zero in (0.0, -0.0):
                 with pytest.raises(BranchPointError):
-                    ode_residual(state, [1e10 + 0j, zero])
+                    ode_residual(state, [1e10, zero])
+
+    @pytest.mark.parametrize("mass", [186.0, 1e4, 1e6])
+    def test_heavy_mass_detuning_is_seen(self, mass):
+        """The annulus check read 0.0 for both states at mass 1e6: psi
+        underflowed there.  On the support the scale drops out."""
+        family = build_radial_family(PhysicalParams(mass=mass), -1.0)
+        state = solve_state(family, 5)
+        assert ode_residual(state) <= 1e-10
+        assert ode_residual(assemble(family, 1.1 * state.kappa, 5)) > 1e-4
+
+
+class TestLaguerreRecurrence:
+    @pytest.mark.parametrize(
+        "b", [Fraction(1), Fraction(5), Fraction(1, 3), Fraction(11, 3)], ids=str
+    )
+    def test_recurrence_matches_exact_values(self, b):
+        """(L_{n-1}, L_n) of order b + 1, and y = L_n^(b), at rational x on
+        (0, 4n + 2b + 10) against the explicit sum in Fractions, for b of
+        both branches (2L + 1 and (2L + 1)/3); points next to a node of any
+        of the three are skipped, since a relative error has no meaning
+        there."""
+        worst = 0.0
+        for n in (0, 1, 2, 5, 10, 20, 40):
+            span = 4 * n + 2 * math.ceil(b) + 10
+            xs = [Fraction(j * span, 32) for j in range(1, 32)]
+            want = [
+                [exact_laguerre(m, b + beta, x) for x in xs]
+                for m, beta in ((n - 1, 1), (n, 1), (n, 0))
+            ]
+            steps = hydrogen._laguerre_steps(n, float(b) + 1.0)
+            for j, x in enumerate(xs):
+                windows = [row[max(j - 1, 0) : j + 2] for row in want if any(row)]
+                if any(min(w) <= 0 <= max(w) for w in windows):
+                    continue
+                l1, l0 = hydrogen._laguerre_pair(steps, float(x))
+                for got, row in zip((l1, l0, l0 - l1), want):
+                    if row[j]:
+                        worst = max(worst, abs(Fraction(got) - row[j]) / abs(row[j]))
+        assert worst <= 1.5e-12
 
 
 class TestRecovery:

@@ -134,6 +134,23 @@ class TestProblemValidation:
             with pytest.raises(ValueError, match="non-finite"):
                 radial_family(0.0, 2.0, -3.0).at(bad)
 
+    def test_kappa_shift_that_overflows_is_refused(self):
+        """at(kappa) re-checks only the sums, which alone can overflow."""
+        family = NuProblem(1.0, (0.0, 1.0, -1e308), (2.0, 0.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            family.at(1e308)
+        with pytest.raises(ValueError, match="non-finite"):
+            NuProblem(1.0, (0.0, 1.0, -math.inf), (2.0, 0.0))
+
+    def test_kappa_shift_is_one_validated_record(self):
+        family = radial_family(2.0, 2.0, -1.0)
+        shifted = family.at(0.25)
+        assert type(shifted) is NuProblem
+        assert shifted == NuProblem(family.c, shifted.sigma_tilde, family.tau_tilde)
+        assert shifted.c is family.c and shifted.tau_tilde is family.tau_tilde
+        assert all(type(s) is complex for s in shifted.sigma_tilde)
+        assert family.sigma_tilde == (-2 + 0j, 2 + 0j, 0j)
+
     def test_family_instantiation(self):
         family = radial_family(0.0, 2.0, -3.0)
         problem = family.at(0.25)
