@@ -117,7 +117,10 @@ def _load_params(config_path: str | None, L: int) -> hydrogen.PhysicalParams:
     if config_path is None:
         return hydrogen.PhysicalParams(angular_momentum=L)
     with open(config_path, encoding="utf-8") as fh:
-        data = json.load(fh, parse_int=float)  # an int too large for a float reads inf
+        try:
+            data = json.load(fh, parse_int=float)  # an int too large for a float reads inf
+        except RecursionError:
+            raise ValueError(f"config {config_path} nests too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     unit = data.get("unit_system", "atomic")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 from . import nu
 from .errors import BranchPointError, UnsupportedBranch, UnsupportedRecovery
@@ -56,6 +56,10 @@ class PhysicalParams:
         L = self.angular_momentum
         if not isinstance(L, int) or L < 0:
             raise ValueError("angular_momentum must be a non-negative integer")
+        if not 0.0 < self.zeta < math.inf:
+            raise ValueError(
+                f"zeta = 2 e2 k m / hbar^2 must be finite and positive, got {self.zeta!r}"
+            )
 
     @property
     def omega(self) -> float:
@@ -65,8 +69,11 @@ class PhysicalParams:
 
     @property
     def zeta(self) -> float:
-        """2 e^2 k m / hbar^2, the linear coefficient of sigma_tilde."""
-        return 2.0 * self.charge_squared * self.coulomb_constant * self.mass / self.hbar**2
+        """2 e^2 k m / hbar^2, the linear coefficient of sigma_tilde; inf
+        when hbar^2 underflows to zero."""
+        hbar2 = self.hbar * self.hbar
+        num = 2.0 * self.charge_squared * self.coulomb_constant * self.mass
+        return num / hbar2 if hbar2 else math.inf
 
     def energy_of_kappa(self, kappa: float) -> float:
         """E from kappa = -2 m E / hbar^2."""
@@ -80,22 +87,12 @@ CONFIG_SPACE_POINT = OpPoint(1.0, 0.0, 0.0, -1.0)
 DEEP_BRANCH_POINT = OpPoint(-3.0, 1.0, -2.0, 1.0)
 
 
-class Branch(NamedTuple):
-    """A solvable alphadelta: its canonical point and the closed-form
-    denominator d(n, L) of E_n = -e^4 k^2 m / (2 hbar^2 d^2)."""
-
-    point: OpPoint
-    denominator: Callable[[int, int], int]
-
-
-#: The roots of (alphadelta + 2)^2 = 1, the only products for which
-#: (alphadelta + 2)^2 + 4*omega equals (2L+1)^2 at every integer L, so that
-#: the closed-form denominator d(n, L) is an integer; the solver itself
-#: would take any product, and branch_of refuses the others.
-BRANCHES: dict[float, Branch] = {
-    -1.0: Branch(CONFIG_SPACE_POINT, lambda n, L: n + L + 1),
-    -3.0: Branch(DEEP_BRANCH_POINT, lambda n, L: L + 3 * n + 2),
-}
+#: Each solvable alphadelta and its canonical point: the roots of
+#: (alphadelta + 2)^2 = 1, the only products for which (alphadelta + 2)^2 +
+#: 4*omega equals (2L+1)^2 at every integer L, so that the closed-form
+#: denominator d(n, L; c) is an integer; the solver itself would take any
+#: product, and branch_of refuses the others.
+BRANCHES: dict[float, OpPoint] = {-1.0: CONFIG_SPACE_POINT, -3.0: DEEP_BRANCH_POINT}
 
 
 def branch_of(alphadelta: float) -> float:
@@ -120,10 +117,12 @@ def build_radial_family(params: PhysicalParams, alphadelta: float) -> nu.NuProbl
 
 def closed_form_energy(params: PhysicalParams, n: int, alphadelta: float) -> float:
     """Reference spectrum, used only to cross-check the generic solver:
-    E_n = -e^4 k^2 m / (2 hbar^2 d^2), d from the branch's table entry."""
+    E_n = -e^4 k^2 m / (2 hbar^2 d^2) with d = d(n, L; c), c = -alphadelta,
+    which is n + L + 1 and L + 3n + 2 exactly on the two branches."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    d = BRANCHES[branch_of(alphadelta)].denominator(n, params.angular_momentum)
+    c = -branch_of(alphadelta)
+    d = (c * (2 * n + 1) + math.sqrt((c - 2.0) ** 2 + 4.0 * params.omega)) / 2.0
     num = params.charge_squared**2 * params.coulomb_constant**2 * params.mass
     return -num / (2.0 * params.hbar**2 * d * d)
 
@@ -161,7 +160,7 @@ class PhaseSpaceConfig:
 def canonical_config(alphadelta: float) -> PhaseSpaceConfig:
     """Default representative point of the branch at alphadelta."""
     label = branch_of(alphadelta)
-    return PhaseSpaceConfig(BRANCHES[label].point, label)
+    return PhaseSpaceConfig(BRANCHES[label], label)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Dense complex polynomials and exponential-power terms.
 
-Two closed families carry all symbolic work in this package: plain
-polynomials ``P(A)``, and terms ``P(A) * exp(rate*A) * A**power`` which are
-closed under differentiation.  Coefficients are stored in ascending degree
-order and kept canonical by trimming trailing near-zeros.  Horner
-evaluation runs on floats when every coefficient and the point have
-imaginary part +0.0.  That is exact: the complex recursion then keeps its
-imaginary part at +0.0 and does the same float operations on its real part.
+Plain polynomials ``P(A)`` hold the pi, tau and y that ``solve`` prints,
+and terms ``P(A) * exp(rate*A) * A**power`` hold the phi, rho and body
+of a state.  Both evaluate by Horner recursion, and their algebra (sum,
+product, derivative) is what the tests build reference values from.
+Coefficients are stored in ascending degree order and kept canonical by
+trimming trailing near-zeros.  Horner evaluation runs on floats when
+every coefficient and the point have imaginary part +0.0.  That is
+exact: the complex recursion then keeps its imaginary part at +0.0 and
+does the same float operations on its real part.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        return _exact(_sum(self.coeffs, other.coeffs))
+        return _exact(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0j))
 
     def __mul__(self, other: "Poly | complex | float | int") -> "Poly":
         if isinstance(other, Poly):
@@ -123,22 +125,13 @@ def _horner(top_down: Sequence, z, acc):
     return acc
 
 
-def _trim(cs: list[complex]) -> list[complex]:
-    """Drop the exact-zero tail of ``cs`` in place."""
-    while cs and cs[-1] == 0j:
-        cs.pop()
-    return cs
-
-
-def _sum(xs: Sequence[complex], ys: Sequence[complex]) -> list[complex]:
-    """Coefficients of ``_exact(xs) + _exact(ys)``; trims lists in place."""
-    return _trim([a + b for a, b in zip_longest(_trim(xs), _trim(ys), fillvalue=0j)])
-
-
 def _exact(coeffs: Iterable[complex]) -> Poly:
     """Poly from already-computed coefficients, dropping only exact zeros."""
+    cs = list(coeffs)
+    while cs and cs[-1] == 0j:
+        cs.pop()
     p = object.__new__(Poly)
-    object.__setattr__(p, "coeffs", tuple(_trim(list(coeffs))))
+    object.__setattr__(p, "coeffs", tuple(cs))
     return p
 
 
@@ -190,17 +183,12 @@ class ExpPowerTerm:
         ``d/dA [P e^{aA} A^b] = [A (P' + a P) + b P] e^{aA} A^{b-1}``;
         the power drops by at most one per derivative (folding may give it
         back when the polynomial picks up a factor of ``A``).
-        Formed on coefficient lists with the operations and exact-zero trims
-        of the ``Poly`` arithmetic ``P.derivative() + a*P``, shifted up one
-        degree, plus ``b*P``, in the same order, so the same bits, without
-        the intermediate ``Poly`` objects.
         """
         if self.is_zero:
             return self
-        p, rate, power = self.poly.coeffs, self.rate, self.power
-        inner = _sum([k * p[k] for k in range(1, len(p))], [rate * c for c in p])
-        bracket = _sum([0j] + inner, [power * c for c in p])
-        return ExpPowerTerm(_exact(bracket), rate, power - 1)
+        p, rate, power = self.poly, self.rate, self.power
+        bracket = _exact((0j, *(p.derivative() + rate * p))) + power * p
+        return ExpPowerTerm(bracket, rate, power - 1)
 
     def evaluate(self, z: complex) -> complex:
         """Evaluate at ``z`` on the principal branch of ``z**power``.

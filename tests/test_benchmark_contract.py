@@ -8,7 +8,6 @@ only in a benchmark run.  ``perfbench/run.py`` is not used: its set-up
 re-imports the package.
 """
 
-import collections
 import importlib.util
 import json
 import sys
@@ -74,9 +73,9 @@ def test_one_pass_has_only_expected_outcomes(outcomes, name):
     assert unexpected == []
 
 
-def test_heavy_solves_find_their_branch(workloads, outcomes):
-    """No muonic solve-mix state fails with NoBranch at the kappa floor;
-    the annulus residual is the one heavy-mass failure left."""
-    defects = collections.Counter(out.defect for _, out in outcomes("solve-mix"))
-    assert defects[workloads.NOBRANCH_HEAVY] == 0
-    assert set(defects) <= {None, workloads.RESIDUAL_HEAVY}
+def test_heavy_solves_find_their_branch(outcomes):
+    """Every solve-mix op of the pass succeeds, the muonic states included:
+    none fails with NoBranch at the kappa floor, and the residual, sampled
+    on each state's own support, passes at every mass."""
+    failed = [(op, out.defect, out.detail) for op, out in outcomes("solve-mix") if not out.ok]
+    assert failed == []

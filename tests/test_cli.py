@@ -416,6 +416,37 @@ class TestConfigFile:
             assert proc.stderr.startswith("error:"), text
             assert f"'{key}'" in proc.stderr, text
 
+    @pytest.mark.parametrize(
+        "constants", [{"hbar": 1e-200}, {"m": 1e300, "hbar": 1e-10}, {"hbar": 1e200}]
+    )
+    def test_zeta_out_of_range_rejected(self, constants, tmp_path, capsys):
+        """Constants that pass one by one but give a zeta that is not finite
+        and positive exit 2 naming zeta: hbar = 1e-200 ended in a
+        ZeroDivisionError, m = 1e300 with hbar = 1e-10 named no constant,
+        and hbar = 1e200 exited 3 with an unnamed OverflowError."""
+        config = tmp_path / "units.json"
+        units = {"unit_system": "custom", "m": 1, "hbar": 1, "k": 1, "e2": 1, **constants}
+        config.write_text(json.dumps(units))
+        for argv in (
+            ["solve", "--n", "0", "--L", "0", "--alphadelta", "-1"],
+            ["scan", "--n-max", "1", "--L-max", "1", "--alphadelta", "-1"],
+            ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-1", "--grid", "0.01,1,3"],
+        ):
+            assert cli.main([*argv, "--config", str(config)]) == 2, argv
+            assert capsys.readouterr().err.startswith("error: zeta"), argv
+
+    def test_deeply_nested_config_rejected(self, tmp_path):
+        """JSON nested past the recursion limit is a config error, not a
+        RecursionError traceback."""
+        config = tmp_path / "units.json"
+        config.write_text("[" * 200_000 + "]" * 200_000)
+        proc = run_cli(
+            "solve", "--n", "0", "--L", "0", "--alphadelta", "-1",
+            "--config", str(config),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: config {config} nests too deeply\n"
+
     def test_missing_config_file(self):
         proc = run_cli(
             "solve", "--n", "0", "--L", "0", "--alphadelta", "-1",

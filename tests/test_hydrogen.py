@@ -91,6 +91,20 @@ class TestParams:
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             PhysicalParams(**{name: value})
 
+    @pytest.mark.parametrize(
+        "constants",
+        [
+            {"hbar": 1e-200},  # hbar^2 underflows to zero
+            {"mass": 1e300, "hbar": 1e-10},  # zeta overflows
+            {"hbar": 1e200},  # hbar^2 overflows, zeta underflows to zero
+        ],
+    )
+    def test_zeta_must_be_finite_and_positive(self, constants):
+        """Each constant passes its own check; the derived zeta is refused
+        by name instead of dividing by zero or overflowing later."""
+        with pytest.raises(ValueError, match="zeta = 2 e2 k m / hbar\\^2 must be finite"):
+            PhysicalParams(**constants)
+
     def test_angular_momentum_must_be_whole(self):
         with pytest.raises(ValueError):
             PhysicalParams(angular_momentum=-1)
@@ -174,6 +188,29 @@ class TestSpectra:
 
     def test_closed_form_shallow_branch(self):
         assert closed_form_energy(ATOMIC, 0, -1.0) == pytest.approx(-0.5)
+
+    @pytest.mark.parametrize(
+        "units",
+        [
+            ATOMIC,
+            PhysicalParams(hbar=30.0),
+            PhysicalParams(mass=2.5, hbar=1.7, coulomb_constant=0.8, charge_squared=1.3),
+            PhysicalParams(mass=186.0),
+        ],
+        ids=["atomic", "hbar30", "scaled", "muonic"],
+    )
+    def test_closed_form_denominator_is_the_integer_d(self, units):
+        """d(n, L; c) in floats is exactly n + L + 1 at c = 1 and L + 3n + 2
+        at c = 3, so the energy has the bits of the integer-d formula."""
+        integer_d = {-1.0: lambda n, L: n + L + 1, -3.0: lambda n, L: L + 3 * n + 2}
+        num = units.charge_squared**2 * units.coulomb_constant**2 * units.mass
+        for L in range(61):
+            params = dataclasses.replace(units, angular_momentum=L)
+            for alphadelta, d_of in integer_d.items():
+                for n in range(61):
+                    d = d_of(n, L)
+                    want = -num / (2.0 * params.hbar**2 * d * d)
+                    assert closed_form_energy(params, n, alphadelta) == want, (n, L)
 
     def test_closed_form_rejects_other_products(self):
         with pytest.raises(UnsupportedBranch):

@@ -39,16 +39,6 @@ def complex_horner(coeffs, z):
     return acc
 
 
-def poly_derivative(t: ExpPowerTerm) -> ExpPowerTerm:
-    """The term derivative composed from Poly arithmetic."""
-    if t.is_zero:
-        return t
-    p = t.poly
-    q = p.derivative() + t.rate * p
-    inner = numeric._exact((0j, *q.coeffs))  # A * q
-    return ExpPowerTerm(inner + t.power * p, t.rate, t.power - 1)
-
-
 class TestPoly:
     def test_zero_poly(self):
         p = Poly(())
@@ -122,8 +112,8 @@ class TestPoly:
 
 
 class TestBitIdentity:
-    """The float Horner path and the list-based term derivative give the
-    bits of the complex arithmetic they replace."""
+    """The float Horner path gives the bits of the complex recursion it
+    replaces."""
 
     @given(st.lists(coeff, max_size=8), point)
     # a -0.0 imaginary part of z or of a coefficient flips a zero's sign
@@ -134,19 +124,6 @@ class TestBitIdentity:
     def test_horner_matches_complex_recursion(self, coeffs, z):
         p = Poly(coeffs)
         assert bits(p(z)) == bits(complex_horner(p.coeffs, z))
-
-    @given(st.lists(coeff, min_size=1, max_size=6), coeff, coeff, st.integers(1, 6))
-    # a rate or power times P that ends in exact zeros, which the sums must trim
-    @example([-0.5 - 1j, 2 + 0j, complex(-0.0, 2.0)], complex(-0.0, 0.0), 1 + 0j, 1)
-    @example([complex(-0.0, 2.0), complex(-1.0, -0.0), 1 + 2j], complex(-0.0, 1.0), 0j, 1)
-    @settings(max_examples=300, deadline=None)
-    def test_derivative_chain_matches_poly_arithmetic(self, coeffs, rate, power, steps):
-        fast = slow = ExpPowerTerm(Poly(coeffs), rate, power)
-        for _ in range(steps):
-            fast, slow = fast.derivative(), poly_derivative(slow)
-            assert [bits(c) for c in fast.poly] == [bits(c) for c in slow.poly]
-            assert bits(fast.rate) == bits(slow.rate)
-            assert bits(fast.power) == bits(slow.power)
 
     def test_float_path_needs_plus_zero_imaginary_parts(self, monkeypatch):
         kinds = []
