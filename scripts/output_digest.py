@@ -2,8 +2,10 @@
 """One SHA-256 over the output of a fixed set of CLI runs.
 
 Runs the README examples, a scan/solve/wavefunction grid in four unit
-systems on both branches, ``verify --suite all`` and two edge inputs of
-``--alphadelta``, each in process through ``phasenu.cli.main``, and
+systems on both branches, ``verify --suite all``, two edge inputs of
+``--alphadelta`` and three edge grids of ``wavefunction`` (a body whose
+float Horner value overflows, and A = 0 at powers L and 0), each in
+process through ``phasenu.cli.main``, and
 prints the SHA-256 of every run's arguments, stdout, stderr and exit
 code.  A refactor that must not change what the CLI prints keeps the
 digest; compare two trees with
@@ -42,6 +44,9 @@ README = [
 EDGES = [
     ["solve", "--n", "0", "--L", "0", "--alphadelta", "-2"],
     ["solve", "--n", "1", "--L", "1", "--alphadelta", "-3.0000000000000004"],
+    ["wavefunction", "--n", "40", "--L", "0", "--alphadelta", "-1", "--grid", "0,1e12,3"],
+    ["wavefunction", "--n", "0", "--L", "2", "--alphadelta", "-3", "--grid", "0,4,3"],
+    ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-3", "--grid", "0,4,3"],
 ]
 
 

@@ -121,6 +121,8 @@ def _load_params(config_path: str | None, L: int) -> hydrogen.PhysicalParams:
             data = json.load(fh, parse_int=float)  # an int too large for a float reads inf
         except RecursionError:
             raise ValueError(f"config {config_path} nests too deeply") from None
+        except json.JSONDecodeError as err:
+            raise ValueError(f"config {config_path} is not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     unit = data.get("unit_system", "atomic")

@@ -60,6 +60,11 @@ class PhysicalParams:
             raise ValueError(
                 f"zeta = 2 e2 k m / hbar^2 must be finite and positive, got {self.zeta!r}"
             )
+        if nu._kappa_ceiling(self.zeta) == math.inf:
+            raise ValueError(
+                f"zeta = {self.zeta!r} is too large: the kappa search runs up to "
+                "10 zeta^2, which overflows"
+            )
 
     @property
     def omega(self) -> float:

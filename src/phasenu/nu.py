@@ -265,8 +265,9 @@ def eigen_residual(family: NuProblem, kappa: float, n: int) -> float:
     return (b.lam - b.lam_n(n)).real
 
 
-def _family_kappa_ceiling(family: NuProblem) -> float:
-    zeta = abs(family.sigma_tilde[1])
+def _kappa_ceiling(zeta: float) -> float:
+    """Upper end of the kappa search for linear coefficient ``zeta`` of
+    sigma_tilde; inf when 10 zeta**2 overflows."""
     return max(10.0 * zeta * zeta, 1.0)
 
 
@@ -321,13 +322,14 @@ def solve_kappa(family: NuProblem, n: int) -> float:
     Searches s = sqrt(kappa), in which the residual of the hydrogen family
     is affine: brackets a sign change of ``eigen_residual`` at s**2 between
     its values at the ends of ``[sqrt(KAPPA_FLOOR), sqrt(max(10 zeta**2,
-    1))]`` (``NoSignChange`` when they agree in sign), refines it by
+    1))]`` (``NoSignChange`` when they agree in sign, naming KAPPA_FLOOR
+    when the residual is nearer zero there), refines it by
     Brent-Dekker to relative width ``KAPPA_REL_WIDTH`` in s, and requires
     |lambda - lambda_n| below ``RESIDUAL_TOL`` at the returned kappa = s**2.
     No closed-form spectrum is consulted.
     """
     lo = KAPPA_FLOOR
-    hi = _family_kappa_ceiling(family)
+    hi = _kappa_ceiling(abs(family.sigma_tilde[1]))
     s_lo, s_hi = math.sqrt(lo), math.sqrt(hi)
     f_lo = eigen_residual(family, s_lo * s_lo, n)
     f_hi = eigen_residual(family, s_hi * s_hi, n)
@@ -336,8 +338,10 @@ def solve_kappa(family: NuProblem, n: int) -> float:
     if f_hi == 0.0:
         return s_hi * s_hi
     if f_lo * f_hi > 0.0:
+        # A monotone residual is nearer zero at the end nearer its root.
+        floor = f"no level at or above KAPPA_FLOOR = {lo:g}: " if abs(f_lo) < abs(f_hi) else ""
         raise NoSignChange(
-            f"eigenvalue residual keeps one sign on [{lo:g}, {hi:g}] for n={n}"
+            f"{floor}eigenvalue residual keeps one sign on [{lo:g}, {hi:g}] for n={n}"
         )
     s = _brent(lambda s: eigen_residual(family, s * s, n), s_lo, f_lo, s_hi, f_hi)
     kappa = s * s

@@ -14,10 +14,11 @@ does the same float operations on its real part.
 from __future__ import annotations
 
 import cmath
-import math
+from cmath import exp
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
+from math import copysign, isfinite
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BranchPointError
@@ -76,7 +77,7 @@ class Poly:
     def _top_down(self) -> tuple[tuple[complex, ...], tuple[float, ...] | None]:
         """Coefficients top down; their real parts if all imag parts are +0.0."""
         cs = self.coeffs[::-1]
-        real = all(c.imag == 0.0 and math.copysign(1.0, c.imag) > 0.0 for c in cs)
+        real = all(c.imag == 0.0 and copysign(1.0, c.imag) > 0.0 for c in cs)
         return cs, (tuple(c.real for c in cs) if real else None)
 
     def __call__(self, z: complex) -> complex:
@@ -86,8 +87,8 @@ class Poly:
         flip a zero's sign, or a non-finite float result goes complex."""
         z = complex(z)
         top_down, real = self._top_down
-        if real is not None and z.imag == 0.0 and math.copysign(1.0, z.imag) > 0.0:
-            if math.isfinite(value := _horner(real, z.real, 0.0)):
+        if real is not None and z.imag == 0.0 and copysign(1.0, z.imag) > 0.0:
+            if isfinite(value := _horner(real, z.real, 0.0)):
                 return complex(value)
         return _horner(top_down, z, 0j)
 
@@ -190,12 +191,20 @@ class ExpPowerTerm:
         bracket = _exact((0j, *(p.derivative() + rate * p))) + power * p
         return ExpPowerTerm(bracket, rate, power - 1)
 
+    @cached_property
+    def _kernel(self) -> tuple:
+        """What :meth:`evaluate` reads per point: ``Poly._top_down``, rate, power."""
+        return (*self.poly._top_down, self.rate, self.power)
+
     def evaluate(self, z: complex) -> complex:
         """Evaluate at ``z`` on the principal branch of ``z**power``.
 
         At ``z = 0`` the value is ``P(0)`` for power zero and the limit
         0 for Re(power) > 0; any other power raises
         :class:`BranchPointError`, since ``z**power`` has no limit there.
+        Elsewhere the value has the bits of ``poly(z) * exp(rate*z) *
+        z**power``: the Horner recursion of ``Poly.__call__`` runs inline,
+        which saves two calls on every point of a tabulated body.
         """
         z = complex(z)
         if z == 0:
@@ -207,7 +216,18 @@ class ExpPowerTerm:
             raise BranchPointError(
                 f"z = 0 is a branch point for power {b}"
             )
-        return self.poly(z) * cmath.exp(self.rate * z) * z ** self.power
+        top_down, real, rate, power = self._kernel
+        if real is not None and z.imag == 0.0 and copysign(1.0, z.imag) > 0.0:
+            x = z.real
+            value = 0.0
+            for c in real:
+                value = value * x + c
+            if isfinite(value):
+                return complex(value) * exp(rate * z) * z ** power
+        value = 0j
+        for c in top_down:
+            value = value * z + c
+        return value * exp(rate * z) * z ** power
 
     def times_poly(self, q: Poly) -> "ExpPowerTerm":
         """Multiply the polynomial factor by ``q``."""

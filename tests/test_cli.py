@@ -417,13 +417,18 @@ class TestConfigFile:
             assert f"'{key}'" in proc.stderr, text
 
     @pytest.mark.parametrize(
-        "constants", [{"hbar": 1e-200}, {"m": 1e300, "hbar": 1e-10}, {"hbar": 1e200}]
+        "constants",
+        [
+            {"hbar": 1e-200}, {"m": 1e300, "hbar": 1e-10}, {"hbar": 1e200},
+            {"hbar": 1e-150}, {"hbar": 2e-77},
+        ],
     )
     def test_zeta_out_of_range_rejected(self, constants, tmp_path, capsys):
         """Constants that pass one by one but give a zeta that is not finite
-        and positive exit 2 naming zeta: hbar = 1e-200 ended in a
-        ZeroDivisionError, m = 1e300 with hbar = 1e-10 named no constant,
-        and hbar = 1e200 exited 3 with an unnamed OverflowError."""
+        and positive, or whose 10 zeta^2 overflows, exit 2 naming zeta:
+        hbar = 1e-200 ended in a ZeroDivisionError, m = 1e300 with hbar =
+        1e-10, hbar = 1e-150 and hbar = 2e-77 named no constant, and hbar =
+        1e200 exited 3 with an unnamed OverflowError."""
         config = tmp_path / "units.json"
         units = {"unit_system": "custom", "m": 1, "hbar": 1, "k": 1, "e2": 1, **constants}
         config.write_text(json.dumps(units))
@@ -446,6 +451,17 @@ class TestConfigFile:
         )
         assert proc.returncode == 2
         assert proc.stderr == f"error: config {config} nests too deeply\n"
+
+    def test_invalid_json_names_the_file(self, tmp_path, capsys):
+        """The decoder's message alone named neither the file nor the config."""
+        config = tmp_path / "units.json"
+        config.write_text('{"unit_system": ')
+        argv = ["solve", "--n", "0", "--L", "0", "--alphadelta", "-1", "--config", str(config)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: config {config} is not valid JSON: "
+            "Expecting value: line 1 column 17 (char 16)\n"
+        )
 
     def test_missing_config_file(self):
         proc = run_cli(

@@ -13,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasenu import hydrogen, nu
-from phasenu.errors import BranchPointError, UnsupportedBranch, UnsupportedRecovery
+from phasenu.errors import (
+    BranchPointError,
+    NoSignChange,
+    UnsupportedBranch,
+    UnsupportedRecovery,
+)
 from phasenu.hydrogen import (
     BRANCHES,
     CONFIG_SPACE_POINT,
@@ -104,6 +109,29 @@ class TestParams:
         by name instead of dividing by zero or overflowing later."""
         with pytest.raises(ValueError, match="zeta = 2 e2 k m / hbar\\^2 must be finite"):
             PhysicalParams(**constants)
+
+    @pytest.mark.parametrize("hbar", [1e-150, 2e-77])
+    def test_zeta_whose_search_ceiling_overflows_is_refused(self, hbar):
+        """hbar = 1e-150 gives zeta = 2e300, whose square overflows; hbar =
+        2e-77 leaves zeta^2 finite but not 10 zeta^2, the top of the kappa
+        search.  Both ended in "non-finite value not admitted: inf", which
+        names no constant.  hbar = 2.3e-77 still solves."""
+        with pytest.raises(ValueError, match=r"^zeta = \S+ is too large"):
+            PhysicalParams(hbar=hbar)
+        params = PhysicalParams(hbar=2.3e-77)
+        assert solve_energy(params, 0, -1.0) == pytest.approx(
+            closed_form_energy(params, 0, -1.0), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("constants", [{"hbar": 1e150}, {"mass": 1e-300, "hbar": 1e10}])
+    def test_level_below_the_kappa_floor_is_named(self, constants):
+        """zeta = 2e-300 puts the level kappa = zeta^2 / 4 far below
+        KAPPA_FLOOR; the search, whose bracket stays, says so."""
+        with pytest.raises(
+            NoSignChange,
+            match=r"^no level at or above KAPPA_FLOOR = 1e-12: .* on \[1e-12, 1\] for n=0$",
+        ):
+            solve_energy(PhysicalParams(**constants), 0, -1.0)
 
     def test_angular_momentum_must_be_whole(self):
         with pytest.raises(ValueError):
@@ -465,7 +493,9 @@ class TestSamplesAndResiduals:
 
     def test_residual_makes_no_term_or_poly_calls(self, monkeypatch):
         """Spied the way test_state_is_assembled_once spies the solve; a body
-        evaluation afterwards shows that the spy sees the calls it counts."""
+        evaluation and a y evaluation afterwards show that the spy sees the
+        calls it counts.  A body evaluation runs its Horner recursion
+        inline and calls no Poly."""
         state = solved_and_detuned("atomic", -3.0)[0]
         counts = collections.Counter()
 
@@ -484,6 +514,8 @@ class TestSamplesAndResiduals:
         ode_residual(state)
         assert counts == {}
         state.body.evaluate(0.5)
+        assert counts == {"evaluate": 1}
+        state.y(0.5)
         assert counts == {"evaluate": 1, "__call__": 1}
 
     @pytest.mark.parametrize("detuned", [False, True])

@@ -158,6 +158,61 @@ class TestBitIdentity:
         assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
 
 
+def outcome(f, *args):
+    """Bits of f(*args), or the type of the error it raises."""
+    try:
+        return bits(f(*args))
+    except (ArithmeticError, BranchPointError) as err:
+        return type(err)
+
+
+def term_reference(t: ExpPowerTerm, z: complex) -> complex:
+    """ExpPowerTerm.evaluate as poly(z) * exp(rate*z) * z**power."""
+    z = complex(z)
+    if z == 0:
+        if abs(t.power) <= 1e-12:
+            return t.poly(0j)
+        if t.power.real > 0.0:
+            return 0j
+        raise BranchPointError
+    return t.poly(z) * cmath.exp(t.rate * z) * z ** t.power
+
+
+rate = st.builds(complex, st.floats(-3.0, 3.0), st.one_of(signed_zero, st.floats(-3.0, 3.0)))
+power = st.one_of(
+    st.integers(-3, 4).map(complex),
+    st.builds(complex, st.floats(-3.0, 4.0), st.one_of(signed_zero, st.floats(-2.0, 2.0))),
+)
+
+
+class TestTermBitIdentity:
+    """The inline Horner recursion of ExpPowerTerm.evaluate gives the bits
+    of the Poly call, exponential and power it replaces."""
+
+    @given(st.lists(coeff, max_size=8), rate, power, point)
+    @example([complex(-0.0, 0.0), 1 + 0j], 0.5 + 0j, 0j, complex(-0.0, -0.0))
+    @example([1 + 0j, complex(1.0, -0.0)], -0.5 + 0j, 2 + 0j, 2 + 0j)  # -0.0 in a coefficient
+    @example([1 + 0j, 1 + 0j], -0.5 + 0j, 0.5 + 0j, complex(2.0, -0.0))  # -0.0 in z
+    # float overflow: inf + 0j times the factors would read nan - infj, not nan + nanj
+    @example([1 + 0j, 1 + 0j, 1e200 + 0j], complex(-1e-200, 1e-200), 0.5j, 1e200 + 0j)
+    @example([3 + 0j, 1 + 0j], 1 + 0j, 0j, 0j)  # z = 0, power zero: P(0)
+    @example([3 + 0j], 1 + 0j, 2 + 0j, complex(-0.0, 0.0))  # z = 0, integer power
+    @example([3 + 0j], 1 + 0j, 1.0 / 3.0 + 0j, 0j)  # z = 0, fractional power
+    @example([3 + 0j], 1 + 0j, -0.5 + 0j, 0j)  # z = 0, branch point
+    @settings(max_examples=400, deadline=None)
+    def test_evaluate_matches_poly_exp_power(self, coeffs, rate, power, z):
+        t = ExpPowerTerm(Poly(coeffs), rate, power)
+        assert outcome(t.evaluate, z) == outcome(term_reference, t, z)
+
+    def test_kernel_is_not_a_field(self):
+        t = ExpPowerTerm(Poly((1.0, -2.0, 0.5)), -0.5, 1.5)
+        fresh = ExpPowerTerm(Poly((1.0, -2.0, 0.5)), -0.5, 1.5)
+        t.evaluate(1.5)
+        assert "_kernel" in vars(t)
+        assert [f.name for f in dataclasses.fields(ExpPowerTerm)] == ["poly", "rate", "power"]
+        assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+
+
 class TestExpPowerTerm:
     def test_leading_zero_folds_into_power(self):
         t = ExpPowerTerm(Poly((0.0, 1.0)), rate=-2.0, power=0.0)
