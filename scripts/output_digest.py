@@ -4,7 +4,7 @@
 Runs the README examples, a scan/solve/wavefunction grid in four unit
 systems on both branches, ``verify --suite all``, two edge inputs of
 ``--alphadelta`` and three edge grids of ``wavefunction`` (a body whose
-float Horner value overflows, and A = 0 at powers L and 0), each in
+Horner value overflows, an error, and A = 0 at powers L and 0), each in
 process through ``phasenu.cli.main``, and
 prints the SHA-256 of every run's arguments, stdout, stderr and exit
 code.  A refactor that must not change what the CLI prints keeps the

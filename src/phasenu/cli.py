@@ -55,7 +55,10 @@ def _count_arg(text: str) -> int:
 
 
 def _point_arg(text: str) -> opspace.OpPoint:
-    return opspace.OpPoint(*_parse_floats(text, 4, "--point"))
+    values = _parse_floats(text, 4, "--point")
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"--point must be finite, got {text!r}")
+    return opspace.OpPoint(*values)
 
 
 def _g0_arg(text: str) -> opspace.GEta:
@@ -121,7 +124,7 @@ def _load_params(config_path: str | None, L: int) -> hydrogen.PhysicalParams:
             data = json.load(fh, parse_int=float)  # an int too large for a float reads inf
         except RecursionError:
             raise ValueError(f"config {config_path} nests too deeply") from None
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ValueError(f"config {config_path} is not valid JSON: {err}") from None
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
@@ -227,6 +230,8 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         r = rmin + j * (rmax - rmin) / (steps - 1)
         a_val = point.alpha * r + 1j * params.hbar * point.beta * args.pbar
         psi = wf.body.evaluate(a_val)
+        if not cmath.isfinite(psi):  # overflowed, or an infinite P(A) met e^{aA} = 0
+            raise OverflowError(f"psi is not finite at r = {r!r}: {psi!r}")
         lines.append(
             f"{r!r},{a_val.real!r},{a_val.imag!r},{psi.real!r},{psi.imag!r}"
         )

@@ -5,10 +5,10 @@ and terms ``P(A) * exp(rate*A) * A**power`` hold the phi, rho and body
 of a state.  Both evaluate by Horner recursion, and their algebra (sum,
 product, derivative) is what the tests build reference values from.
 Coefficients are stored in ascending degree order and kept canonical by
-trimming trailing near-zeros.  Horner evaluation runs on floats when
-every coefficient and the point have imaginary part +0.0.  That is
-exact: the complex recursion then keeps its imaginary part at +0.0 and
-does the same float operations on its real part.
+trimming trailing near-zeros.  ``Poly`` evaluates by the complex
+recursion; a term runs it on floats when every coefficient has imaginary
+part +0.0 and the point is real.  That is exact: the complex recursion
+then does the same float operations on its real part.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
 from math import copysign, isfinite
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import BranchPointError
 
@@ -73,24 +73,13 @@ class Poly:
         """Coefficient of degree ``k`` (zero beyond the stored length)."""
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0j
 
-    @cached_property
-    def _top_down(self) -> tuple[tuple[complex, ...], tuple[float, ...] | None]:
-        """Coefficients top down; their real parts if all imag parts are +0.0."""
-        cs = self.coeffs[::-1]
-        real = all(c.imag == 0.0 and copysign(1.0, c.imag) > 0.0 for c in cs)
-        return cs, (tuple(c.real for c in cs) if real else None)
-
     def __call__(self, z: complex) -> complex:
-        """Evaluate by Horner recursion, on floats when every coefficient and
-        ``z`` have imaginary part +0.0: the complex recursion's imaginary part
-        then stays +0.0, so the bits are the same.  A -0.0 part, which can
-        flip a zero's sign, or a non-finite float result goes complex."""
+        """Evaluate by Horner recursion in complex arithmetic."""
         z = complex(z)
-        top_down, real = self._top_down
-        if real is not None and z.imag == 0.0 and copysign(1.0, z.imag) > 0.0:
-            if isfinite(value := _horner(real, z.real, 0.0)):
-                return complex(value)
-        return _horner(top_down, z, 0j)
+        value = 0j
+        for c in reversed(self.coeffs):
+            value = value * z + c
+        return value
 
     def derivative(self) -> "Poly":
         """Formal derivative; degree drops by exactly one when nonconstant."""
@@ -117,13 +106,6 @@ class Poly:
         return _exact(scalar * c for c in self.coeffs)
 
     __rmul__ = __mul__
-
-
-def _horner(top_down: Sequence, z, acc):
-    """Horner recursion in the type of ``z`` and ``acc``."""
-    for c in top_down:
-        acc = acc * z + c
-    return acc
 
 
 def _exact(coeffs: Iterable[complex]) -> Poly:
@@ -193,8 +175,11 @@ class ExpPowerTerm:
 
     @cached_property
     def _kernel(self) -> tuple:
-        """What :meth:`evaluate` reads per point: ``Poly._top_down``, rate, power."""
-        return (*self.poly._top_down, self.rate, self.power)
+        """What :meth:`evaluate` reads per point: the coefficients top down,
+        their real parts if every imaginary part is +0.0, rate, power."""
+        cs = self.poly.coeffs[::-1]
+        real = all(c.imag == 0.0 and copysign(1.0, c.imag) > 0.0 for c in cs)
+        return cs, (tuple(c.real for c in cs) if real else None), self.rate, self.power
 
     def evaluate(self, z: complex) -> complex:
         """Evaluate at ``z`` on the principal branch of ``z**power``.
@@ -204,7 +189,9 @@ class ExpPowerTerm:
         :class:`BranchPointError`, since ``z**power`` has no limit there.
         Elsewhere the value has the bits of ``poly(z) * exp(rate*z) *
         z**power``: the Horner recursion of ``Poly.__call__`` runs inline,
-        which saves two calls on every point of a tabulated body.
+        on floats for a real term at a real ``z``.  A -0.0 imaginary part
+        of ``z`` changes no bits there: folding leaves a nonzero constant
+        coefficient, whose addition erases the sign of any zero.
         """
         z = complex(z)
         if z == 0:
@@ -217,7 +204,7 @@ class ExpPowerTerm:
                 f"z = 0 is a branch point for power {b}"
             )
         top_down, real, rate, power = self._kernel
-        if real is not None and z.imag == 0.0 and copysign(1.0, z.imag) > 0.0:
+        if real is not None and z.imag == 0.0:
             x = z.real
             value = 0.0
             for c in real:

@@ -20,6 +20,10 @@ EXPECTED_SOLVE_KEYS = {
 }
 
 
+SOLVE = ["solve", "--n", "0", "--L", "0", "--alphadelta", "-1"]
+WAVEFUNCTION = ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-1"]
+
+
 def run_cli(*args, timeout=120):
     return subprocess.run(
         [sys.executable, "-m", "phasenu", *args],
@@ -283,17 +287,43 @@ class TestWavefunction:
         assert captured.out == ""
         assert captured.err.startswith("OverflowError: ")
 
+    def test_non_finite_value_is_a_solver_error(self, tmp_path, capsys):
+        """A psi that is not finite exits 3 naming r; it printed with exit 0."""
+        muonic = tmp_path / "units.json"
+        muonic.write_text(
+            json.dumps({"unit_system": "custom", "m": 186, "hbar": 1, "k": 1, "e2": 1})
+        )
+        cases = (
+            # P(A) overflows where e^{aA} underflows: psi read nan,nan
+            (["--n", "40", "--L", "0", "--alphadelta", "-1", "--grid", "0,1e12,3"],
+             "r = 500000000000.0: (nan+nanj)"),
+            # psi overflows one grid step before exp(rate*A) does: it read inf,inf
+            (["--n", "0", "--L", "0", "--alphadelta", "-3", "--grid", "7.5,7.63,3",
+              "--config", str(muonic)], "r = 7.63: (inf+infj)"),
+        )
+        for argv, where in cases:
+            assert cli.main(["wavefunction", *argv]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"OverflowError: psi is not finite at {where}\n"
+
     @pytest.mark.parametrize(
         "option, message",
         [
-            (["--grid", "0,inf,3"], "--grid bounds must be finite"),
-            (["--grid", "0,1,3", "--pbar", "nan"], "--pbar must be finite, got 'nan'"),
+            ([*WAVEFUNCTION, "--grid", "0,inf,3"], "--grid bounds must be finite"),
+            ([*WAVEFUNCTION, "--grid", "0,1,3", "--pbar", "nan"],
+             "--pbar must be finite, got 'nan'"),
+            # --point=nan printed NaN into manifold's JSON; solve blamed the commutator
+            (["manifold", "--apply", "3:1", "--point=nan,1,1,1"],
+             "--point must be finite, got 'nan,1,1,1'"),
+            ([*SOLVE, "--point=inf,1,1,1"], "--point must be finite, got 'inf,1,1,1'"),
+            ([*SOLVE, "--point=-3,1,-2,-inf"], "--point must be finite"),
         ],
     )
     def test_non_finite_input_is_a_usage_error(self, option, message, capsys):
-        argv = ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-1", *option]
+        """``option`` is the whole command line, ending with the bad option."""
         with pytest.raises(SystemExit) as exit_info:
-            cli.main(argv)
+            cli.main(option)
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -455,13 +485,14 @@ class TestConfigFile:
     def test_invalid_json_names_the_file(self, tmp_path, capsys):
         """The decoder's message alone named neither the file nor the config."""
         config = tmp_path / "units.json"
-        config.write_text('{"unit_system": ')
-        argv = ["solve", "--n", "0", "--L", "0", "--alphadelta", "-1", "--config", str(config)]
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().err == (
-            f"error: config {config} is not valid JSON: "
-            "Expecting value: line 1 column 17 (char 16)\n"
-        )
+        for content, reason in (
+            (b'{"unit_system": ', "Expecting value: line 1 column 17 (char 16)"),
+            (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ):
+            config.write_bytes(content)
+            assert cli.main([*SOLVE, "--config", str(config)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: config {config} is not valid JSON: {reason}\n"
 
     def test_missing_config_file(self):
         proc = run_cli(

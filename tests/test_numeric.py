@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phasenu import numeric
 from phasenu.errors import BranchPointError
 from phasenu.numeric import ExpPowerTerm, Poly
 
@@ -112,8 +111,8 @@ class TestPoly:
 
 
 class TestBitIdentity:
-    """The float Horner path gives the bits of the complex recursion it
-    replaces."""
+    """Poly evaluation is the complex Horner recursion, bit for bit: the
+    reference the term evaluator's float path is held to."""
 
     @given(st.lists(coeff, max_size=8), point)
     # a -0.0 imaginary part of z or of a coefficient flips a zero's sign
@@ -124,31 +123,6 @@ class TestBitIdentity:
     def test_horner_matches_complex_recursion(self, coeffs, z):
         p = Poly(coeffs)
         assert bits(p(z)) == bits(complex_horner(p.coeffs, z))
-
-    def test_float_path_needs_plus_zero_imaginary_parts(self, monkeypatch):
-        kinds = []
-        horner = numeric._horner
-
-        def spy(top_down, z, acc):
-            kinds.append(type(acc))
-            return horner(top_down, z, acc)
-
-        monkeypatch.setattr(numeric, "_horner", spy)
-        real = Poly((1.0, -2.0, 0.5))
-        cases = (
-            (real, 1.5, [float]),
-            (real, complex(1.5, 0.0), [float]),
-            (real, complex(1.5, -0.0), [complex]),
-            (real, 1.5 + 1j, [complex]),
-            (Poly((1.0, complex(-2.0, -0.0))), 1.5, [complex]),
-            (Poly((1.0, 1e-3j)), 1.5, [complex]),
-            # overflow: the float result is not finite, so the complex recursion decides
-            (Poly((1.0, 1e200)), 1e200, [float, complex]),
-        )
-        for p, z, want in cases:
-            kinds.clear()
-            p(z)
-            assert kinds == want, (p, z)
 
     def test_cache_is_not_a_field(self):
         p = Poly((1.0, -2.0, 0.5))
@@ -192,6 +166,7 @@ class TestTermBitIdentity:
     @given(st.lists(coeff, max_size=8), rate, power, point)
     @example([complex(-0.0, 0.0), 1 + 0j], 0.5 + 0j, 0j, complex(-0.0, -0.0))
     @example([1 + 0j, complex(1.0, -0.0)], -0.5 + 0j, 2 + 0j, 2 + 0j)  # -0.0 in a coefficient
+    @example([complex(-2.0, -0.0), -1 + 0j], 0j, 0j, -1.5 + 0j)  # ... which reads -0.5 - 0j
     @example([1 + 0j, 1 + 0j], -0.5 + 0j, 0.5 + 0j, complex(2.0, -0.0))  # -0.0 in z
     # float overflow: inf + 0j times the factors would read nan - infj, not nan + nanj
     @example([1 + 0j, 1 + 0j, 1e200 + 0j], complex(-1e-200, 1e-200), 0.5j, 1e200 + 0j)
@@ -203,6 +178,15 @@ class TestTermBitIdentity:
     def test_evaluate_matches_poly_exp_power(self, coeffs, rate, power, z):
         t = ExpPowerTerm(Poly(coeffs), rate, power)
         assert outcome(t.evaluate, z) == outcome(term_reference, t, z)
+
+    def test_kernel_has_floats_exactly_for_plus_zero_imaginary_parts(self):
+        def real_parts(coeffs):
+            return ExpPowerTerm(Poly(coeffs), -0.5, 1.5)._kernel[1]
+
+        floats = real_parts((1.0, complex(-2.0, 0.0), 0.5))
+        assert floats == (0.5, -2.0, 1.0) and all(type(c) is float for c in floats)
+        assert real_parts((1.0, complex(-2.0, -0.0))) is None
+        assert real_parts((1.0, 1e-3j)) is None
 
     def test_kernel_is_not_a_field(self):
         t = ExpPowerTerm(Poly((1.0, -2.0, 0.5)), -0.5, 1.5)

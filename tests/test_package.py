@@ -52,6 +52,7 @@ def test_every_imported_name_is_used():
         "Sequence (line 2)"
     ]
     assert unused_imports("from typing import Sequence\nx: 'Sequence[int]'\n") == []
-    files = sorted((ROOT / "src" / "phasenu").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-    found = {f.name: unused_imports(f.read_text(encoding="utf-8")) for f in files}
+    dirs = ("src/phasenu", "scripts", "tests")
+    files = [f for d in dirs for f in sorted((ROOT / d).glob("*.py"))]
+    found = {str(f.relative_to(ROOT)): unused_imports(f.read_text(encoding="utf-8")) for f in files}
     assert {name: names for name, names in found.items() if names} == {}
