@@ -3,9 +3,11 @@
 
 Runs the README examples, a scan/solve/wavefunction grid in four unit
 systems on both branches, ``verify --suite all``, two edge inputs of
-``--alphadelta`` and three edge grids of ``wavefunction`` (a body whose
-Horner value overflows, an error, and A = 0 at powers L and 0), each in
-process through ``phasenu.cli.main``, and
+``--alphadelta``, three edge grids of ``wavefunction`` (a body whose
+Horner value overflows, an error, and A = 0 at powers L and 0) and three
+``manifold`` compositions (a forbidden mix, a custom start matrix with a
+point, an image that overflows), each in process through
+``phasenu.cli.main``, and
 prints the SHA-256 of every run's arguments, stdout, stderr and exit
 code.  A refactor that must not change what the CLI prints keeps the
 digest; compare two trees with
@@ -47,6 +49,9 @@ EDGES = [
     ["wavefunction", "--n", "40", "--L", "0", "--alphadelta", "-1", "--grid", "0,1e12,3"],
     ["wavefunction", "--n", "0", "--L", "2", "--alphadelta", "-3", "--grid", "0,4,3"],
     ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-3", "--grid", "0,4,3"],
+    ["manifold", "--apply", "1:1,3:1"],
+    ["manifold", "--apply", "3:1,4:-2", "--g0", "2,-1,3,0", "--point=-3,1,-2,1"],
+    ["manifold", "--apply", "3:-100000", "--point=1,1,1e305,1"],
 ]
 
 

@@ -208,6 +208,8 @@ def _cmd_manifold(args: argparse.Namespace) -> int:
     document: dict[str, object] = {"g": list(composed.diag)}
     if args.point is not None:
         image, member = opspace.apply_to_point(composed, args.point)
+        if not all(map(math.isfinite, image.as_tuple())):
+            raise OverflowError(f"transformed point is not finite: {image.as_tuple()!r}")
         document["point"] = list(args.point.as_tuple())
         document["transformed"] = list(image.as_tuple())
         document["on_manifold"] = member

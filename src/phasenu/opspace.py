@@ -18,15 +18,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ForbiddenCombination, WavefunctionDependentAngle
 
 #: Tolerance on |beta*gamma - alpha*delta - 1| for manifold membership.
 MANIFOLD_TOL = 1e-12
-
-_POSITION_GROUP = frozenset({0, 1})
-_MOMENTUM_GROUP = frozenset({2, 3})
 
 
 @dataclass(frozen=True)
@@ -67,15 +64,30 @@ def is_on_manifold(p: OpPoint) -> bool:
 class GEta:
     """Diagonal integer transform matrix, stored as its diagonal.  The
     complement I - g of a transform is one too: for a fundamental
-    transform it has a single 1 marking the coefficient g zeroes."""
+    transform it has a single 1 marking the coefficient g zeroes.  Each
+    entry must equal its ``int``; ``complement`` and ``compose`` skip
+    this check, building their results from ints."""
 
     diag: tuple[int, int, int, int]
 
-    def __post_init__(self) -> None:
-        d = tuple(int(x) for x in self.diag)
+    def __init__(self, diag: Iterable[int]) -> None:
+        raw = tuple(diag)
+        try:
+            d = tuple(map(int, raw))
+        except (TypeError, ValueError, OverflowError):
+            d = None
+        if d != raw:
+            raise ValueError(f"diagonal entries must be integers, got {raw!r}")
         if len(d) != 4:
             raise ValueError("diagonal must have four entries")
         object.__setattr__(self, "diag", d)
+
+
+def _geta(diag: tuple[int, int, int, int]) -> GEta:
+    """GEta from four ints already known to be valid, skipping the checks."""
+    g = object.__new__(GEta)
+    object.__setattr__(g, "diag", diag)
+    return g
 
 
 def identity() -> GEta:
@@ -93,7 +105,8 @@ def fundamental(kind: int) -> GEta:
 
 def complement(g: GEta) -> GEta:
     """Entrywise I - g."""
-    return GEta(tuple(1 - x for x in g.diag))
+    a, b, c, d = g.diag
+    return _geta((1 - a, 1 - b, 1 - c, 1 - d))
 
 
 def compose(g0: GEta, applications: Sequence[tuple[GEta, int]]) -> GEta:
@@ -103,19 +116,25 @@ def compose(g0: GEta, applications: Sequence[tuple[GEta, int]]) -> GEta:
     touch only the (alpha, beta) slots or only the (gamma, delta) slots;
     mixing the two groups in one composition is rejected.
     """
-    touched = {i for c, _count in applications for i, x in enumerate(c.diag) if x != 0}
-    if not (touched <= _POSITION_GROUP or touched <= _MOMENTUM_GROUP):
+    position = momentum = False
+    for shift, _count in applications:
+        a, b, c, d = shift.diag
+        position = position or a != 0 or b != 0
+        momentum = momentum or c != 0 or d != 0
+    if position and momentum:
+        touched = {i for s, _count in applications for i, x in enumerate(s.diag) if x != 0}
         raise ForbiddenCombination(
             f"composition touches coefficient slots {sorted(touched)}; "
             "only the (alpha, beta) pair or the (gamma, delta) pair may mix"
         )
-    diag = list(g0.diag)
-    for c, count in applications:
-        if count != int(count):
+    a, b, c, d = g0.diag
+    for shift, count in applications:
+        k = int(count)
+        if count != k:
             raise ValueError("application counts must be integers")
-        for i, x in enumerate(c.diag):
-            diag[i] -= int(count) * x
-    return GEta(tuple(diag))
+        sa, sb, sc, sd = shift.diag
+        a, b, c, d = a - k * sa, b - k * sb, c - k * sc, d - k * sd
+    return _geta((a, b, c, d))
 
 
 def apply_to_point(g: GEta, p: OpPoint) -> tuple[OpPoint, bool]:

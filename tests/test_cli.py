@@ -224,6 +224,16 @@ class TestManifold:
         assert proc.returncode == 3
         assert "ForbiddenCombination" in proc.stderr
 
+    def test_overflowing_image_is_a_solver_error(self, capsys):
+        # the image of a finite point read inf in the JSON, with exit 0
+        argv = ["manifold", "--apply", "3:-100000", "--point=1,1,1e305,1"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "OverflowError: transformed point is not finite: (1.0, 1.0, inf, 1.0)\n"
+        )
+
     def test_bad_kind_is_a_usage_error(self):
         proc = run_cli("manifold", "--apply", "5:1")
         assert proc.returncode == 2

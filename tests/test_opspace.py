@@ -1,7 +1,10 @@
 """Coefficient manifold and the diagonal transform algebra."""
 
+import math
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasenu.errors import ForbiddenCombination, WavefunctionDependentAngle
@@ -25,6 +28,19 @@ from phasenu.opspace import (
 diag4 = st.tuples(
     st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)
 )
+
+#: Application counts: ints and the integral floats compose admits.
+counts = st.one_of(st.integers(-6, 6), st.integers(-6, 6).map(float))
+
+
+def assert_same_geta(got, diag):
+    """``got`` is indistinguishable from the validated ``GEta(diag)``."""
+    want = GEta(diag)
+    assert type(got) is GEta
+    assert got == want
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    assert all(type(x) is int for x in got.diag)
 
 
 class TestManifold:
@@ -79,6 +95,22 @@ class TestTransforms:
         with pytest.raises(ValueError):
             fundamental(5)
 
+    @pytest.mark.parametrize(
+        "diag",
+        [(1.5, 1, 1, 1), "1234", (math.nan, 1, 1, 1), (1, 1, math.inf, 1), ("1", 1, 1, 1)],
+    )
+    def test_non_integer_entries_are_refused(self, diag):
+        # 1.5 read as 1, "1234" as (1, 2, 3, 4); NaN and inf raised unnamed errors
+        with pytest.raises(ValueError, match="diagonal entries must be integers, got"):
+            GEta(diag)
+
+    def test_integral_entries_read_as_ints(self):
+        g = GEta((1.0, 0, -2.0, 1))
+        assert g.diag == (1, 0, -2, 1)
+        assert all(type(x) is int for x in g.diag)
+        with pytest.raises(ValueError, match="four entries"):
+            GEta((1, 1, 1))
+
     def test_complement_of_fundamental_is_single_slot(self):
         assert complement(fundamental(3)).diag == (0, 0, 1, 0)
 
@@ -108,6 +140,38 @@ class TestTransforms:
                 identity(),
                 [(complement(fundamental(1)), 1), (complement(fundamental(3)), 1)],
             )
+
+    def test_group_rule_precedes_the_count_check(self):
+        mixed = [(complement(fundamental(1)), 1), (complement(fundamental(3)), 1.5)]
+        message = (
+            "composition touches coefficient slots [0, 2]; "
+            "only the (alpha, beta) pair or the (gamma, delta) pair may mix"
+        )
+        with pytest.raises(ForbiddenCombination, match=re.escape(message)):
+            compose(identity(), mixed)
+        with pytest.raises(ValueError, match="application counts must be integers"):
+            compose(identity(), mixed[1:])
+
+    @given(
+        diag4,
+        st.sampled_from(((0, 1), (2, 3))),
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), counts), max_size=4),
+    )
+    @example((1, 1, 1, 1), (0, 1), [])
+    @example((2, -1, 3, 0), (2, 3), [(1, 0, 0), (0, 1, -2), (1, 1, 2.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_results_equal_validated_transforms(self, diag, group, apps):
+        """complement and compose skip validation; their results must not
+        differ from a GEta built from the same diagonal."""
+        g0 = GEta(diag)
+        assert_same_geta(complement(g0), tuple(1 - x for x in diag))
+        applications, want = [], list(diag)
+        for u, v, count in apps:
+            shift = [0, 0, 0, 0]
+            shift[group[0]], shift[group[1]] = u, v
+            applications.append((GEta(shift), count))
+            want = [w - int(count) * x for w, x in zip(want, shift)]
+        assert_same_geta(compose(g0, applications), tuple(want))
 
     def test_compose_truth_table(self):
         """compose refuses the complements of exactly the kind subsets that

@@ -1,5 +1,5 @@
-"""The package's public surface: every exported name resolves, and every
-imported name is used."""
+"""The package's public surface: every exported name resolves, every
+imported name is used, and every private module-level name is read."""
 
 import ast
 import pathlib
@@ -56,3 +56,37 @@ def test_every_imported_name_is_used():
     files = [f for d in dirs for f in sorted((ROOT / d).glob("*.py"))]
     found = {str(f.relative_to(ROOT)): unused_imports(f.read_text(encoding="utf-8")) for f in files}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def dead_private_names(sources):
+    """Private module-level functions, classes and assignments of the
+    modules in ``sources`` (name -> source text) that no module reads."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in read)
+
+
+def test_every_private_name_is_read():
+    assert dead_private_names(
+        {"a.py": "_GROUP = frozenset({0, 1})\n_used = 2\ndef _f(): return _used\n"}
+    ) == ["_GROUP (a.py:1)", "_f (a.py:3)"]
+    assert dead_private_names({"a.py": "def _f(): pass\n", "b.py": "import a\na._f()\n"}) == []
+    files = sorted((ROOT / "src/phasenu").glob("*.py"))
+    assert dead_private_names({f.name: f.read_text(encoding="utf-8") for f in files}) == []
