@@ -1,9 +1,11 @@
 """Command-line surface: solve, scan, manifold, wavefunction, verify.
 
 Machine-readable output only: JSON documents for single results, CSV for
-grids.  Complex numbers serialize as [re, im] pairs; CSV floats use
-shortest-round-trip formatting.  Exit codes: 0 success, 2 usage error,
-3 domain/solver error or a float overflow (error class name on stderr).
+grids.  JSON documents come from :func:`_json`, byte-identical to
+``json.dumps(indent=2)``.  Complex numbers serialize as [re, im] pairs;
+CSV floats use shortest-round-trip formatting.  Exit codes: 0 success,
+2 usage error, 3 domain/solver error or a float overflow (error class
+name on stderr).
 """
 
 from __future__ import annotations
@@ -30,6 +32,27 @@ def _pair(z: complex) -> list[float]:
 
 def _poly_pairs(p: Poly) -> list[list[float]]:
     return [_pair(c) for c in p]
+
+
+def _json(value: object, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for a document with str keys, where
+    ``pad`` is the newline and indent of the enclosing level.  json runs
+    its pure-Python encoder whenever ``indent`` is set; this writer joins
+    non-empty containers itself, writes finite floats and ints with
+    ``repr`` as json does, and leaves every other value and every key to
+    plain ``json.dumps``."""
+    kind = type(value)
+    if kind is float and math.isfinite(value) or kind is int:
+        return repr(value)
+    if value and isinstance(value, (list, tuple)):
+        inner = pad + "  "
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if value and isinstance(value, dict):
+        inner = pad + "  "
+        items = [json.dumps(key) + ": " + _json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(value)
 
 
 def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
@@ -179,7 +202,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "y": _poly_pairs(state.y),
         "residual": hydrogen.ode_residual(state),
     }
-    _emit(json.dumps(document, indent=2) + "\n", args.out)
+    _emit(_json(document) + "\n", args.out)
     return 0
 
 
@@ -213,7 +236,7 @@ def _cmd_manifold(args: argparse.Namespace) -> int:
         document["point"] = list(args.point.as_tuple())
         document["transformed"] = list(image.as_tuple())
         document["on_manifold"] = member
-    _emit(json.dumps(document, indent=2) + "\n", args.out)
+    _emit(_json(document) + "\n", args.out)
     return 0
 
 

@@ -137,10 +137,24 @@ def compose(g0: GEta, applications: Sequence[tuple[GEta, int]]) -> GEta:
     return _geta((a, b, c, d))
 
 
+#: The least int magnitude that ``float`` refuses: halfway from the
+#: largest float to 2**1024, from where rounding goes up.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
 def apply_to_point(g: GEta, p: OpPoint) -> tuple[OpPoint, bool]:
-    """Componentwise image g·(alpha,beta,gamma,delta) and its membership."""
+    """Componentwise image g·(alpha,beta,gamma,delta) and its membership.
+    An entry beyond the float range raises OverflowError naming its slot."""
     a, b, c, d = p.as_tuple()
-    image = OpPoint(g.diag[0] * a, g.diag[1] * b, g.diag[2] * c, g.diag[3] * d)
+    try:
+        image = OpPoint(g.diag[0] * a, g.diag[1] * b, g.diag[2] * c, g.diag[3] * d)
+    except OverflowError:
+        slots = zip(("alpha", "beta", "gamma", "delta"), g.diag)
+        slot = next(name for name, k in slots if abs(k) >= _FLOAT_OVERFLOW)
+        raise OverflowError(
+            f"transform entry {slot} does not fit a float; cannot apply it to "
+            f"the point {p.as_tuple()!r}"
+        ) from None
     return image, is_on_manifold(image)
 
 

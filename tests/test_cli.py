@@ -11,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from phasenu import cli, hydrogen, nu
 
@@ -232,6 +234,17 @@ class TestManifold:
         assert captured.out == ""
         assert captured.err == (
             "OverflowError: transformed point is not finite: (1.0, 1.0, inf, 1.0)\n"
+        )
+
+    def test_entry_beyond_float_range_names_its_slot(self, capsys):
+        # the bare "int too large to convert to float" named neither
+        argv = ["manifold", "--apply", "3:-1" + "0" * 400, "--point=1,1,1,1"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "OverflowError: transform entry gamma does not fit a float; "
+            "cannot apply it to the point (1.0, 1.0, 1.0, 1.0)\n"
         )
 
     def test_bad_kind_is_a_usage_error(self):
@@ -555,3 +568,48 @@ class TestTopLevel:
             fresh.append(run(argv))
         assert cached == fresh
         assert [code for code, _, _ in cached] == [2, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+)
+
+
+class TestJsonWriter:
+    @given(JSON_VALUES)
+    @example(-0.0)
+    @example(5e-324)
+    @example(1e300)
+    @example(2**200)
+    @example([[], {}, [[]], {"a": {}}])
+    @example({"": [{"b": []}], "\u00e9\n": {}})
+    @example(10**400)
+    @example((1.5, [2.0, ()]))
+    def test_writes_what_json_writes(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    def test_refuses_an_int_json_refuses(self):
+        value = [10**4300]  # 4,301 digits, past the int-to-str limit
+        with pytest.raises(ValueError) as ours:
+            cli._json(value)
+        with pytest.raises(ValueError) as theirs:
+            json.dumps(value, indent=2)
+        assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize("argv", [
+        SOLVE,
+        ["manifold", "--apply", "3:1", "--point=-3,1,-2,1"],
+    ])
+    def test_commands_never_ask_json_to_indent(self, argv, monkeypatch, capsys):
+        """json runs its pure-Python encoder whenever ``indent`` is set."""
+        dumps, calls = json.dumps, []
+
+        def spy(value, **kwargs):
+            calls.append(kwargs)
+            return dumps(value, **kwargs)
+
+        monkeypatch.setattr(cli.json, "dumps", spy)
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)
+        assert calls and all("indent" not in kwargs for kwargs in calls)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -213,6 +214,19 @@ class TestTransforms:
         )
         assert image.as_tuple() == (-3.0, 1.0, 2.0, 1.0)
         assert not on_manifold
+
+    @pytest.mark.parametrize("slot, name", enumerate(("alpha", "beta", "gamma", "delta")))
+    def test_apply_names_the_entry_beyond_float_range(self, slot, name):
+        limit = 2**1024 - 2**970  # halfway to 2**1024: float() rounds up from here
+        point = OpPoint(1.0, 1.0, 1.0, 1.0)
+        diag = [1, 1, 1, 1]
+        diag[slot] = limit - 1
+        image, _ = apply_to_point(GEta(diag), point)
+        assert image.as_tuple()[slot] == sys.float_info.max
+        for entry in (limit, -limit):
+            diag[slot] = entry
+            with pytest.raises(OverflowError, match=f"^transform entry {name} does not fit"):
+                apply_to_point(GEta(diag), point)
 
     def test_classification(self):
         assert classify(GEta((1, 0, 0, 1))) is SpaceKind.POSITION_LIKE
