@@ -4,25 +4,31 @@
 Runs the README examples, a scan/solve/wavefunction grid in four unit
 systems on both branches, ``verify --suite all``, two edge inputs of
 ``--alphadelta``, three edge grids of ``wavefunction`` (a body whose
-Horner value overflows, an error, and A = 0 at powers L and 0) and three
+Horner value overflows, an error, and A = 0 at powers L and 0) and four
 ``manifold`` compositions (a forbidden mix, a custom start matrix with a
-point, an image that overflows), each in process through
-``phasenu.cli.main``, and
-prints the SHA-256 of every run's arguments, stdout, stderr and exit
-code.  A refactor that must not change what the CLI prints keeps the
-digest; compare two trees with
+point, an image that overflows, an entry of more digits than an int may
+print), each in process through ``phasenu.cli.main``, and prints the
+SHA-256 of every run's arguments, stdout, stderr and exit code.  A
+refactor that must not change what the CLI prints keeps the digest;
+compare two trees with
 
     PYTHONPATH=<tree>/src python3 scripts/output_digest.py
+
+``--per-run`` first prints one line per run, the SHA-256 of what that run
+adds to the digest and its arguments, so that two trees' lines show which
+runs differ.
 
 Unit-system config files are written to a temporary directory, and the
 digest sees their unit-system names, never their paths.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
+import shlex
 import tempfile
 
 from phasenu import cli
@@ -52,6 +58,7 @@ EDGES = [
     ["manifold", "--apply", "1:1,3:1"],
     ["manifold", "--apply", "3:1,4:-2", "--g0", "2,-1,3,0", "--point=-3,1,-2,1"],
     ["manifold", "--apply", "3:-100000", "--point=1,1,1e305,1"],
+    ["manifold", "--apply", "3:-" + "9" * 4300],
 ]
 
 
@@ -80,6 +87,12 @@ def run(argv):
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--per-run", action="store_true",
+        help="print each run's digest and arguments before the overall digest",
+    )
+    per_run = parser.parse_args().per_run
     runs = [*README, *EDGES, *grid(None), *(argv for unit in UNITS for argv in grid(unit))]
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
@@ -90,11 +103,15 @@ def main():
                 json.dump(constants, fh)
         for argv in runs:
             stdout, stderr, code = run([paths.get(arg, arg) for arg in argv])
+            record = b""
             for text in (stdout, stderr):
                 for unit, path in paths.items():
                     text = text.replace(path, unit)
-                digest.update(text.encode() + b"\0")
-            digest.update(f"{argv!r} {code!r}\n".encode())
+                record += text.encode() + b"\0"
+            record += f"{argv!r} {code!r}\n".encode()
+            digest.update(record)
+            if per_run:
+                print(hashlib.sha256(record).hexdigest(), shlex.join(argv))
     print(digest.hexdigest())
 
 

@@ -2,10 +2,10 @@
 
 Machine-readable output only: JSON documents for single results, CSV for
 grids.  JSON documents come from :func:`_json`, byte-identical to
-``json.dumps(indent=2)``.  Complex numbers serialize as [re, im] pairs;
-CSV floats use shortest-round-trip formatting.  Exit codes: 0 success,
-2 usage error, 3 domain/solver error or a float overflow (error class
-name on stderr).
+``json.dumps(indent=2)``.  Coefficients serialize as [re, im] pairs (im
+is 0.0 for the real ones of ``solve``); CSV floats use shortest-round-trip
+formatting.  Exit codes: 0 success, 2 usage error, 3 domain/solver error
+or a float overflow (error class name on stderr).
 """
 
 from __future__ import annotations
@@ -22,16 +22,6 @@ from typing import Sequence
 from . import hydrogen, nu, opspace
 from .acceptance import SUITES, run_suite
 from .errors import PhasenuError
-from .numeric import Poly
-
-
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _poly_pairs(p: Poly) -> list[list[float]]:
-    return [_pair(c) for c in p]
 
 
 def _json(value: object, pad: str = "\n") -> str:
@@ -186,7 +176,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.point is not None:
         hydrogen.PhaseSpaceConfig(args.point, alphadelta)  # rejects a point off the branch
     state = nu.solve_state(hydrogen.build_radial_family(params, alphadelta), args.n)
-    branch, phi, rho = state.branch, state.branch.phi, state.branch.rho
+    branch = state.branch
+    (phi_rate, phi_power), (rho_rate, rho_power) = branch._factor, branch._weight
     document = {
         "n": args.n,
         "L": args.L,
@@ -194,12 +185,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "kappa": state.kappa,
         "energy": params.energy_of_kappa(state.kappa),
         "energy_closed_form": hydrogen.closed_form_energy(params, args.n, alphadelta),
-        "K": _pair(branch.K),
-        "pi": _poly_pairs(branch.pi),
-        "tau": _poly_pairs(branch.tau),
-        "phi": {"rate": _pair(phi.rate), "power": _pair(phi.power)},
-        "rho": {"rate": _pair(rho.rate), "power": _pair(rho.power)},
-        "y": _poly_pairs(state.y),
+        "K": [branch.K, 0.0],
+        "pi": [[x, 0.0] for x in branch.pi],
+        "tau": [[x, 0.0] for x in branch.tau],
+        "phi": {"rate": [phi_rate, 0.0], "power": [phi_power, 0.0]},
+        "rho": {"rate": [rho_rate, 0.0], "power": [rho_power, 0.0]},
+        "y": [[x, 0.0] for x in state.y],
         "residual": hydrogen.ode_residual(state),
     }
     _emit(_json(document) + "\n", args.out)
@@ -228,6 +219,14 @@ def _cmd_manifold(args: argparse.Namespace) -> int:
     ]
     g0 = args.g0 if args.g0 is not None else opspace.identity()
     composed = opspace.compose(g0, applications)
+    # 0 means no limit, as before 3.10.7; 10**limit > 2**(3 limit) spares short entries the power
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for slot, entry in zip(opspace.SLOTS, composed.diag):
+        if limit and abs(entry).bit_length() > 3 * limit and abs(entry) >= 10**limit:
+            raise OverflowError(
+                f"transform entry {slot} has more than {limit} digits, the limit "
+                "of sys.get_int_max_str_digits() for printing an int"
+            )
     document: dict[str, object] = {"g": list(composed.diag)}
     if args.point is not None:
         image, member = opspace.apply_to_point(composed, args.point)

@@ -219,20 +219,14 @@ def _fractions() -> tuple[float, ...]:
 SAMPLE_FRACTIONS = _fractions()
 
 
-def _real(z: complex) -> complex | float:
-    """z as a float when its imaginary part is zero, so that a real equation
-    runs on floats and any other takes the same code in complex arithmetic."""
-    return z.real if z.imag == 0.0 else z
-
-
-def _laguerre_steps(n: int, beta: complex | float) -> list[tuple]:
+def _laguerre_steps(n: int, beta: float) -> list[tuple]:
     """Per-k constants (p, q, r) of the forward recurrence
     (k+1) L_{k+1} = (2k + 1 + beta - x) L_k - (k + beta) L_{k-1}, k < n,
     written L_{k+1} = (p - q x) L_k - r L_{k-1}."""
     return [((2 * k + 1 + beta) / (k + 1), 1.0 / (k + 1), (k + beta) / (k + 1)) for k in range(n)]
 
 
-def _laguerre_pair(steps: list[tuple], x: complex | float) -> tuple:
+def _laguerre_pair(steps: list[tuple], x: float) -> tuple:
     """(L_{n-1}, L_n) of order beta at x, from ``_laguerre_steps(n, beta)``;
     L_{-1} = 0."""
     l1, l0 = 0.0, 1.0
@@ -260,9 +254,7 @@ def ode_residual(state: nu.NuState, fractions: Sequence[float] = SAMPLE_FRACTION
     beta = b + 1 (``_laguerre_pair``), by L_n^(b) = L_n^(beta) -
     L_{n-1}^(beta), L_n^(b)' = -L_{n-1}^(beta) and x L_{n-1}^(beta)' =
     (n-1) L_{n-1}^(beta) - (n-1+beta) L_{n-2}^(beta), with L_{n-2} taken
-    from the recurrence; never from the equation under test.  Real
-    coefficients run on floats, others in complex arithmetic, by the same
-    code.
+    from the recurrence; never from the equation under test.
 
     A state assembled at a detuned kappa (``nu.assemble``) carries the
     equation at that kappa, whose branch has lambda != lambda_n, so its
@@ -270,10 +262,10 @@ def ode_residual(state: nu.NuState, fractions: Sequence[float] = SAMPLE_FRACTION
     vanishes (A = 0) raises :class:`BranchPointError`.
     """
     n, branch, problem = state.n, state.branch, state.problem
-    c, pi0, pi1 = map(_real, (branch.c, branch.pi0, branch.pi1))
-    a, b = map(_real, branch._weight)
-    t0, t1 = map(_real, problem.tau_tilde)
-    s0, s1, s2 = map(_real, problem.sigma_tilde)
+    c, pi0, pi1 = branch.c, branch.pi0, branch.pi1
+    a, b = branch._weight
+    t0, t1 = problem.tau_tilde
+    s0, s1, s2 = problem.sigma_tilde
     steps = _laguerre_steps(n, b + 1.0)
     span = 4 * n + 2 * abs(b) + 10
     ca, c_pi0, n_beta = c * a, c * pi0, n + b + 1.0

@@ -4,8 +4,9 @@ Solves equations of the form
 
     psi'' + (tau_tilde / sigma) psi' + (sigma_tilde / sigma**2) psi = 0
 
-with ``sigma = c * A``, the shape the half-transform gives the phase-space
-hydrogen equation, by the substitution ``psi = phi * y``:  a constant K is
+with ``sigma = c * A`` and real coefficients, the shape the half-transform
+gives the phase-space hydrogen equation, in float arithmetic, by the
+substitution ``psi = phi * y``:  a constant K is
 chosen so that the radicand of
 
     pi = (sigma' - tau_tilde)/2 +/- sqrt(((sigma' - tau_tilde)/2)**2
@@ -37,14 +38,13 @@ are read.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import NoBranch, NoSignChange, RodriguesFailure
-from .numeric import ExpPowerTerm, Poly, _exact, as_finite_complex
+from .numeric import ExpPowerTerm, Poly, _exact
 
 #: The kappa search stops when its bracket in sqrt(kappa) has this
 #: relative width.
@@ -57,10 +57,20 @@ RESIDUAL_TOL = 1e-10
 KAPPA_FLOOR = 1e-12
 
 
+def _finite_real(name: str, value: float) -> float:
+    """``value`` as a float; complex or non-finite input raises ValueError."""
+    if isinstance(value, complex):
+        raise ValueError(f"{name} must be real, got {value!r}")
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value not admitted: {name} = {value!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class NuProblem:
-    """The equation with sigma = c*A, as the six scalars the solver reads:
-    c, sigma_tilde = s0 + s1 A + s2 A**2 as (s0, s1, s2) and
+    """The equation with sigma = c*A, as the six real scalars the solver
+    reads: c, sigma_tilde = s0 + s1 A + s2 A**2 as (s0, s1, s2) and
     tau_tilde = t0 + t1 A as (t0, t1), each finite, and c nonzero.
 
     The energy-like parameter kappa enters as ``-kappa * A**2`` added to
@@ -68,34 +78,28 @@ class NuProblem:
     and the quantization functions take it in that role.
     """
 
-    c: complex
-    sigma_tilde: tuple[complex, complex, complex]
-    tau_tilde: tuple[complex, complex]
+    c: float
+    sigma_tilde: tuple[float, float, float]
+    tau_tilde: tuple[float, float]
 
     def __post_init__(self) -> None:
-        c = as_finite_complex(self.c)
+        c = _finite_real("c", self.c)
         if c == 0:
             raise ValueError("c must be nonzero")
-        s0, s1, s2 = map(as_finite_complex, self.sigma_tilde)
-        t0, t1 = map(as_finite_complex, self.tau_tilde)
+        st = tuple(_finite_real("sigma_tilde", s) for s in self.sigma_tilde)
+        tt = tuple(_finite_real("tau_tilde", t) for t in self.tau_tilde)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "sigma_tilde", (s0, s1, s2))
-        object.__setattr__(self, "tau_tilde", (t0, t1))
+        object.__setattr__(self, "sigma_tilde", st)
+        object.__setattr__(self, "tau_tilde", tt)
 
     def at(self, kappa: float) -> NuProblem:
         """The equation with ``-kappa * A**2`` added to sigma_tilde.
 
-        Each coefficient adds kappa times its coefficient in -A**2 as a
-        complex product, the operations of ``sigma_tilde + kappa *
-        Poly((0, 0, -1))``: adding a product by zero turns a -0.0 into 0.0,
-        and signed zeros decide which side of a branch cut is taken later.
-        c and tau_tilde are carried over as this record validated them, so
-        only the three sums, which can overflow, are checked again.
+        c, tau_tilde, s0 and s1 are carried over as this record validated
+        them; only the new A**2 coefficient, which can overflow, is checked.
         """
-        k = as_finite_complex(kappa)
-        st = tuple(
-            as_finite_complex(a + k * s) for a, s in zip(self.sigma_tilde, (0j, 0j, -1 + 0j))
-        )
+        s0, s1, s2 = self.sigma_tilde
+        st = (s0, s1, _finite_real("sigma_tilde[2] - kappa", s2 - kappa))
         shifted = object.__new__(NuProblem)
         vars(shifted).update(vars(self), sigma_tilde=st)
         return shifted
@@ -106,12 +110,12 @@ class NuBranch(NamedTuple):
     pi = pi0 + pi1*A and tau = tau_tilde + 2 pi = tau0 + tau1*A, and
     everything the chain derives from them alone."""
 
-    c: complex
-    K: complex
-    pi0: complex
-    pi1: complex
-    tau0: complex
-    tau1: complex
+    c: float
+    K: float
+    pi0: float
+    pi1: float
+    tau0: float
+    tau1: float
 
     @property
     def pi(self) -> Poly:
@@ -123,10 +127,12 @@ class NuBranch(NamedTuple):
 
     @property
     def phi(self) -> ExpPowerTerm:
-        """Integrating factor ``exp((pi1/c) A) * A**(pi0/c)``, phi'/phi = pi/sigma,
-        from the trimmed coefficients of pi (a trimmed zero reads +0.0)."""
-        p0, p1 = map(self.pi.coefficient, (0, 1))
-        return ExpPowerTerm(Poly((1.0,)), p1 / self.c, p0 / self.c)
+        """Integrating factor ``exp((pi1/c) A) * A**(pi0/c)``, phi'/phi = pi/sigma."""
+        return ExpPowerTerm(Poly((1.0,)), *self._factor)
+
+    @property
+    def _factor(self) -> tuple[float, float]:
+        return self.pi1 / self.c, self.pi0 / self.c
 
     @property
     def rho(self) -> ExpPowerTerm:
@@ -134,15 +140,15 @@ class NuBranch(NamedTuple):
         return ExpPowerTerm(Poly((1.0,)), *self._weight)
 
     @property
-    def _weight(self) -> tuple[complex, complex]:
+    def _weight(self) -> tuple[float, float]:
         return self.tau1 / self.c, (self.tau0 - self.c) / self.c
 
     @property
-    def lam(self) -> complex:
+    def lam(self) -> float:
         """lambda = K + pi'."""
         return self.K + self.pi1
 
-    def lam_n(self, n: int) -> complex:
+    def lam_n(self, n: int) -> float:
         """lambda_n = -n tau' (the sigma'' term vanishes for sigma = c*A)."""
         if n < 0:
             raise ValueError("n must be non-negative")
@@ -181,43 +187,43 @@ def select_branch(problem: NuProblem) -> NuBranch:
     pi = base - (u A + v) with base = (c - tau_tilde)/2 as (b0, b1),
     q = base**2 - sigma_tilde as (q0, q1, q2), u = sqrt(q2) and
     v = +/-sqrt(q0): q + K c A is then (u A + v)**2 for K = (2 u v - q1)/c.
+    A negative q2 or q0 leaves no real pi and raises :class:`NoBranch`.
 
-    Only the sign -1 can give Re(tau') < 0: pi' = -t1/2 +/- u with
-    Re(u) >= 0, where t1 = tau_tilde', so the sign +1 gives
-    Re(tau') = Re(t1 + 2 pi') >= 0 whenever t1 is zero or a normal float.
-    Both K candidates share u, and so tau'; they differ in the sign of
-    v = +/-sqrt(q0).  They are tried in order of K (real part, then
-    imaginary part), each with sign -1; the first whose tau decays and
-    whose weight is admissible (Re(rate) < 0 and Re(power) > -1 for rho,
-    with sigma = c*A) wins.
+    Only the sign -1 can give tau' < 0: pi' = -t1/2 +/- u with u >= 0,
+    where t1 = tau_tilde', so the sign +1 gives tau' = t1 + 2 pi' >= 0
+    whenever t1 is zero or a normal float.  Both K candidates share u, and
+    so tau'; they differ in the sign of v = +/-sqrt(q0).  They are tried
+    in order of K, each with sign -1; the first whose tau decays and whose
+    weight is admissible (rate < 0 and power > -1 for rho, with
+    sigma = c*A) wins.
     """
     c = problem.c
     t0, t1 = problem.tau_tilde
-    # b1 is taken from 0j and q summed from 0j: both turn -0.0 into 0.0,
-    # and signed zeros decide which side of a square root's branch cut is taken
+    s0, s1, s2 = problem.sigma_tilde
     b0 = 0.5 * (c - t0)
-    b1 = 0.5 * (0j - t1)
-    st0, st1, st2 = problem.sigma_tilde
-    q0 = 0j + b0 * b0 - st0
-    q1 = 0j + b0 * b1 + b1 * b0 - st1
-    u = cmath.sqrt(0j + b1 * b1 - st2)  # principal: Re(u) >= 0
-    # a complex product by -1, not a negation: they differ in signed zeros
-    pi1 = b1 + -1 * u
+    b1 = -0.5 * t1
+    q2 = b1 * b1 - s2
+    if q2 < 0.0:
+        raise NoBranch(f"the radicand q2 = b1**2 - s2 = {q2!r} is negative: pi' is not real")
+    u = math.sqrt(q2)
+    pi1 = b1 - u
     tau1 = t1 + 2.0 * pi1
-    if not tau1.real < 0.0:
-        raise NoBranch("no (K, sign) combination gives Re(tau') < 0")
-    root = cmath.sqrt(q0)
+    if not tau1 < 0.0:
+        raise NoBranch("no (K, sign) combination gives tau' < 0")
+    q0 = b0 * b0 - s0
+    if q0 < 0.0:
+        raise NoBranch(f"the radicand q0 = b0**2 - s0 = {q0!r} is negative: no real K")
+    q1 = b0 * b1 + b1 * b0 - s1
+    root = math.sqrt(q0)
     # both K made finite up front: a non-finite second K raises even if
     # the first wins
-    candidates = [
-        (as_finite_complex((2.0 * u * v - q1) / c), v) for v in (root, -1 * root)
-    ]
-    candidates.sort(key=lambda kv: (kv[0].real, kv[0].imag))
+    candidates = [(_finite_real("K", (2.0 * u * v - q1) / c), v) for v in (root, -root)]
+    candidates.sort(key=lambda kv: kv[0])
     for K, v in candidates:
-        pi0 = b0 + -1 * v
+        pi0 = b0 - v
         branch = NuBranch(c, K, pi0, pi1, t0 + 2.0 * pi0, tau1)
         rate, power = branch._weight
-        if rate.real < 0.0 and power.real > -1.0:
+        if rate < 0.0 and power > -1.0:
             return branch
     raise NoBranch("no decaying combination has an admissible weight")
 
@@ -238,18 +244,17 @@ def rodrigues_y(branch: NuBranch, n: int) -> Poly:
     if n < 0:
         raise ValueError("n must be non-negative")
     a, b = branch._weight
-    c_n = 1 + 0j
-    a_j = [1 + 0j]
+    c_n, a_j = 1.0, [1.0]
     for _ in range(n):
         c_n *= branch.c
         a_j.append(a_j[-1] * a)
-    coeffs = [0j] * (n + 1)
-    binomial, falling = 1.0, 1 + 0j
+    coeffs = [0.0] * (n + 1)
+    binomial, falling = 1.0, 1.0
     for j in range(n, -1, -1):
         coeffs[j] = c_n * binomial * a_j[j] * falling
         falling *= b + j
         binomial = binomial * j / (n - j + 1)
-    if not all(map(cmath.isfinite, coeffs)):
+    if not all(map(math.isfinite, coeffs)):
         raise RodriguesFailure(f"a Rodrigues coefficient overflows at n={n}")
     y = _exact(coeffs)
     if y.degree != n:
@@ -258,11 +263,11 @@ def rodrigues_y(branch: NuBranch, n: int) -> Poly:
 
 
 def eigen_residual(family: NuProblem, kappa: float, n: int) -> float:
-    """Re(lambda - lambda_n) for the branch selected at this kappa."""
+    """lambda - lambda_n for the branch selected at this kappa."""
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
     b = select_branch(family.at(kappa))
-    return (b.lam - b.lam_n(n)).real
+    return b.lam - b.lam_n(n)
 
 
 def _kappa_ceiling(zeta: float) -> float:
@@ -347,7 +352,7 @@ def solve_kappa(family: NuProblem, n: int) -> float:
     kappa = s * s
     b = select_branch(family.at(kappa))
     lam_n = b.lam_n(n)
-    residual = abs((b.lam - lam_n).real)
+    residual = abs(b.lam - lam_n)
     if residual > RESIDUAL_TOL * (1.0 + abs(lam_n)):
         raise NoSignChange(
             f"the kappa search converged to kappa={kappa!r} but the eigenvalue "

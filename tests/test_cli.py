@@ -247,6 +247,26 @@ class TestManifold:
             "cannot apply it to the point (1.0, 1.0, 1.0, 1.0)\n"
         )
 
+    def test_entry_beyond_the_int_print_limit_names_its_slot(self, capsys):
+        # exited 2 with the interpreter's bare "Exceeds the limit (4300 digits)"
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            assert cli.main(["manifold", "--apply", "3:-" + "9" * 4299]) == 0
+            assert json.loads(capsys.readouterr().out)["g"] == [1, 1, 10**4299, 1]
+            assert cli.main(["manifold", "--apply", "3:-" + "9" * 4300]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "OverflowError: transform entry gamma has more than 4300 digits, "
+                "the limit of sys.get_int_max_str_digits() for printing an int\n"
+            )
+            sys.set_int_max_str_digits(0)  # no limit
+            assert cli.main(["manifold", "--apply", "3:-" + "9" * 4300]) == 0
+            assert capsys.readouterr().out.count("0" * 4300) == 1
+        finally:
+            sys.set_int_max_str_digits(old)
+
     def test_bad_kind_is_a_usage_error(self):
         proc = run_cli("manifold", "--apply", "5:1")
         assert proc.returncode == 2

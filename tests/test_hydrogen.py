@@ -1,6 +1,7 @@
 """Phase-space hydrogen pipeline: radial family, spectra on both
 perfect-square branches, wavefunction assembly, and the recovery rule."""
 
+import cmath
 import collections
 import dataclasses
 import functools
@@ -50,6 +51,64 @@ RESIDUAL_UNITS = {
         mass=2.5, hbar=1.7, coulomb_constant=0.8, charge_squared=1.3
     ),
 }
+
+#: The unit systems of scripts/output_digest.py.
+DIGEST_UNITS = {**RESIDUAL_UNITS, "muonic": PhysicalParams(mass=186.0)}
+
+
+def complex_chain(family, n):
+    """kappa, (K, pi0, pi1, tau0, tau1) and the y coefficients of level n
+    by the operations of the chain in complex arithmetic that the float
+    chain replaced: the family's scalars as complex numbers, sums from 0j,
+    products by -1, cmath.sqrt and complex quotients, with the kappa
+    search's bracket and Brent-Dekker steps in sqrt(kappa)."""
+    c = complex(family.c)
+    t0, t1 = map(complex, family.tau_tilde)
+
+    def branch_at(kappa):
+        k = complex(kappa)
+        st0, st1, st2 = (complex(a) + k * s for a, s in zip(family.sigma_tilde, (0j, 0j, -1 + 0j)))
+        b0, b1 = 0.5 * (c - t0), 0.5 * (0j - t1)
+        q0 = 0j + b0 * b0 - st0
+        q1 = 0j + b0 * b1 + b1 * b0 - st1
+        u = cmath.sqrt(0j + b1 * b1 - st2)
+        pi1 = b1 + -1 * u
+        tau1 = t1 + 2.0 * pi1
+        assert tau1.real < 0.0
+        root = cmath.sqrt(q0)
+        candidates = [((2.0 * u * v - q1) / c, v) for v in (root, -1 * root)]
+        candidates.sort(key=lambda kv: (kv[0].real, kv[0].imag))
+        for K, v in candidates:
+            pi0 = b0 + -1 * v
+            tau0 = t0 + 2.0 * pi0
+            if (tau1 / c).real < 0.0 and ((tau0 - c) / c).real > -1.0:
+                return K, pi0, pi1, tau0, tau1
+        raise AssertionError("no admissible weight")
+
+    def residual(s):
+        K, _, pi1, _, tau1 = branch_at(s * s)
+        return ((K + pi1) - (-n * tau1)).real
+
+    s_lo = math.sqrt(nu.KAPPA_FLOOR)
+    s_hi = math.sqrt(nu._kappa_ceiling(abs(complex(family.sigma_tilde[1]))))
+    f_lo, f_hi = residual(s_lo), residual(s_hi)
+    assert f_lo * f_hi < 0.0
+    kappa = nu._brent(residual, s_lo, f_lo, s_hi, f_hi) ** 2
+    branch = branch_at(kappa)
+    _, _, _, tau0, tau1 = branch
+    a, b = tau1 / c, (tau0 - c) / c
+    c_n, a_j = 1 + 0j, [1 + 0j]
+    for _ in range(n):
+        c_n *= c
+        a_j.append(a_j[-1] * a)
+    y = [0j] * (n + 1)
+    binomial, falling = 1.0, 1 + 0j
+    for j in range(n, -1, -1):
+        y[j] = c_n * binomial * a_j[j] * falling
+        falling *= b + j
+        binomial = binomial * j / (n - j + 1)
+    return kappa, branch, y
+
 
 @functools.cache
 def solved_and_detuned(units, alphadelta):
@@ -480,16 +539,22 @@ class TestSamplesAndResiduals:
         assert min(map(ode_residual, states[1::2])) >= 1e-3
 
     @pytest.mark.parametrize("alphadelta", sorted(BRANCHES))
-    @pytest.mark.parametrize("units", sorted(RESIDUAL_UNITS))
-    def test_floats_give_the_complex_bits(self, monkeypatch, units, alphadelta):
-        """Real coefficients run on floats: the same code in complex
-        arithmetic, with every imaginary part zero, gives the same bits,
-        also where a term overflows (a fraction of 1e10)."""
-        states = solved_and_detuned(units, alphadelta)
-        samples = [SAMPLE_FRACTIONS, [1e10], [0.5, 1e10]]
-        floats = [ode_residual(s, f).hex() for s in states for f in samples]
-        monkeypatch.setattr(hydrogen, "_real", complex)
-        assert [ode_residual(s, f).hex() for s in states for f in samples] == floats
+    @pytest.mark.parametrize("units", sorted(DIGEST_UNITS))
+    def test_floats_give_the_complex_bits(self, units, alphadelta):
+        """The float chain has the bits of the complex one it replaced, whose
+        imaginary parts all read +0.0: kappa, K, pi, tau and every y
+        coefficient, at L 0..5 and n 0..40."""
+        for L in range(6):
+            params = dataclasses.replace(DIGEST_UNITS[units], angular_momentum=L)
+            family = build_radial_family(params, alphadelta)
+            for n in range(41):
+                state = solve_state(family, n)
+                kappa, branch, y = complex_chain(family, n)
+                assert state.kappa.hex() == kappa.hex(), (L, n)
+                got = [*state.branch[1:], *state.y]
+                assert len(got) == 5 + len(y) == 6 + n
+                assert [x.hex() for x in got] == [z.real.hex() for z in (*branch, *y)]
+                assert {z.imag.hex() for z in (*branch, *y)} == {(0.0).hex()}
 
     def test_residual_makes_no_term_or_poly_calls(self, monkeypatch):
         """Spied the way test_state_is_assembled_once spies the solve; a body

@@ -94,14 +94,19 @@ def grid_problems():
 
 
 def random_problems(count, seed):
-    """Seeded problems with complex c, sigma_tilde and tau_tilde."""
+    """Seeded real problems with c > 0.  The constant of sigma_tilde is
+    at most zero, as -omega is for hydrogen, so q0 = b0**2 - s0 >= 0: a
+    negative q0 has complex K, which the complex reference would offer
+    and a real equation does not have (test_negative_radicand_has_no_branch
+    covers it).  q2 = b1**2 - s2 takes either sign."""
     rng = random.Random(seed)
 
-    def z():
-        return complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+    def x():
+        return rng.uniform(-3.0, 3.0)
 
     for _ in range(count):
-        yield NuProblem(z(), (z(), z(), z()), (z(), z()))
+        c, s0 = rng.uniform(0.1, 3.0), -rng.uniform(0.0, 3.0)
+        yield NuProblem(c, (s0, x(), x()), (x(), x()))
 
 
 def record_residuals(monkeypatch):
@@ -124,7 +129,7 @@ class TestProblemValidation:
     def test_c_zero_and_non_finite_scalars_are_refused(self):
         with pytest.raises(ValueError, match="c must be nonzero"):
             NuProblem(0.0, (0.0, 1.0, 0.0), (2.0, 0.0))
-        for bad in (math.nan, math.inf, complex(1.0, -math.inf)):
+        for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 NuProblem(bad, (0.0, 1.0, 0.0), (2.0, 0.0))
             with pytest.raises(ValueError, match="non-finite"):
@@ -132,6 +137,19 @@ class TestProblemValidation:
             with pytest.raises(ValueError, match="non-finite"):
                 NuProblem(1.0, (0.0, 1.0, 0.0), (2.0, bad))
             with pytest.raises(ValueError, match="non-finite"):
+                radial_family(0.0, 2.0, -3.0).at(bad)
+
+    def test_complex_scalars_are_refused_by_name(self):
+        """nu solves real equations: a complex scalar is refused, even one
+        whose imaginary part is zero, and the message names its field."""
+        for bad in (1 + 2j, complex(2.0, 0.0), complex(1.0, -math.inf)):
+            with pytest.raises(ValueError, match="c must be real"):
+                NuProblem(bad, (0.0, 1.0, 0.0), (2.0, 0.0))
+            with pytest.raises(ValueError, match="sigma_tilde must be real"):
+                NuProblem(1.0, (0.0, bad, 0.0), (2.0, 0.0))
+            with pytest.raises(ValueError, match="tau_tilde must be real"):
+                NuProblem(1.0, (0.0, 1.0, 0.0), (2.0, bad))
+            with pytest.raises(ValueError, match=r"sigma_tilde\[2\] - kappa must be real"):
                 radial_family(0.0, 2.0, -3.0).at(bad)
 
     def test_kappa_shift_that_overflows_is_refused(self):
@@ -148,21 +166,20 @@ class TestProblemValidation:
         assert type(shifted) is NuProblem
         assert shifted == NuProblem(family.c, shifted.sigma_tilde, family.tau_tilde)
         assert shifted.c is family.c and shifted.tau_tilde is family.tau_tilde
-        assert all(type(s) is complex for s in shifted.sigma_tilde)
-        assert family.sigma_tilde == (-2 + 0j, 2 + 0j, 0j)
+        assert all(type(s) is float for s in shifted.sigma_tilde)
+        assert family.sigma_tilde == (-2.0, 2.0, 0.0)
 
     def test_family_instantiation(self):
         family = radial_family(0.0, 2.0, -3.0)
         problem = family.at(0.25)
-        assert problem.sigma_tilde == (0j, 2 + 0j, -0.25 + 0j)
+        assert problem.sigma_tilde == (0.0, 2.0, -0.25)
 
     def test_kappa_shift_has_the_bits_of_poly_arithmetic(self):
         """at(kappa) gives the coefficients of Poly(sigma_tilde) + kappa *
-        Poly((0, 0, -1)), signed zeros included (repr shows them), on the
-        kappa grid and at a few kappa of either sign.  The one difference:
-        a sigma_tilde of zeros is the zero Poly, whose constant reads +0.0,
-        while the record keeps its -0.0, and -0.0 plus the product -0.0
-        of a negative kappa and 0j stays -0.0."""
+        Poly((0, 0, -1)), on the kappa grid and at a few kappa of either
+        sign: the A**2 coefficient has the bits of the sum's real part, and
+        s0 and s1 are carried over bit for bit, so a -0.0 constant (-omega
+        at L = 0) stays -0.0 where the complex sum reads +0.0."""
         cases = list(grid_problems())
         cases += [
             (radial_family(0.0, zeta, -1.0), k)
@@ -172,10 +189,10 @@ class TestProblemValidation:
         for family, kappa in cases:
             want = Poly(family.sigma_tilde) + kappa * Poly((0.0, 0.0, -1.0))
             got = family.at(kappa).sigma_tilde
-            want = [repr(want.coefficient(k)) for k in range(3)]
-            if not any(family.sigma_tilde) and kappa < 0.0:
-                want[0] = "(-0+0j)"
-            assert [repr(c) for c in got] == want
+            assert got == tuple(want.coefficient(k) for k in range(3))
+            s0, s1, _ = family.sigma_tilde
+            bits = [s0.hex(), s1.hex(), want.coefficient(2).real.hex()]
+            assert [c.hex() for c in got] == bits
 
 
 class TestKCandidates:
@@ -214,46 +231,50 @@ class TestSelectBranch:
                 branch = select_branch(radial_problem(2.0, 2.0, kappa, alphadelta))
                 assert branch.tau.coefficient(1).real < 0.0
 
-    def test_growing_tau_has_no_branch(self):
-        problem = NuProblem(1.0, (0.0, 0.0, 1.0), (2.0, 0.0))
-        with pytest.raises(
-            NoBranch, match=r"no \(K, sign\) combination gives Re\(tau'\) < 0"
-        ):
-            select_branch(problem)
+    def test_negative_radicand_has_no_branch(self):
+        """A real equation has a real pi only where both radicands are
+        non-negative.  sigma = A, sigma_tilde = A^2, tau_tilde = 2 has
+        q2 = b1**2 - s2 = -1 (pi' would be -i, whose tau' = -2i never
+        decays); sigma = A, sigma_tilde = 1 - A^2, tau_tilde = 1 has
+        q2 = 1 but q0 = b0**2 - s0 = -1, so K would be complex."""
+        with pytest.raises(NoBranch, match=r"radicand q2 = b1\*\*2 - s2 = -1\.0 is negative"):
+            select_branch(NuProblem(1.0, (0.0, 0.0, 1.0), (2.0, 0.0)))
+        with pytest.raises(NoBranch, match=r"radicand q0 = b0\*\*2 - s0 = -1\.0 is negative"):
+            select_branch(NuProblem(1.0, (1.0, 0.0, -1.0), (1.0, 0.0)))
 
     def test_vanishing_radicand_has_no_branch(self):
         """sigma = A, sigma_tilde = 0, tau_tilde = 1: the radicand is
         identically zero, so u = v = 0, pi = 0 and tau' = 0, which does
         not decay."""
         problem = NuProblem(1.0, (0.0, 0.0, 0.0), (1.0, 0.0))
-        with pytest.raises(
-            NoBranch, match=r"no \(K, sign\) combination gives Re\(tau'\) < 0"
-        ):
+        with pytest.raises(NoBranch, match=r"no \(K, sign\) combination gives tau' < 0"):
             select_branch(problem)
 
     def test_no_admissible_weight_has_no_branch(self):
-        """sigma = -A, sigma_tilde = (2-3i) + (2+3i) A + (-3-2i) A^2,
-        tau_tilde = (3+i) - (3+i) A: both combinations decay, but neither
-        weight is admissible, in exact arithmetic too."""
-        problem = NuProblem(-1.0, (2 - 3j, 2 + 3j, -3 - 2j), (3 + 1j, -3 - 1j))
+        """sigma = -A, sigma_tilde = -A^2, tau_tilde = 0: tau' = -2 decays
+        for both combinations, but over c = -1 the rate of rho is +2, so
+        neither weight is admissible, in exact arithmetic too."""
+        problem = NuProblem(-1.0, (0.0, 0.0, -1.0), (0.0, 0.0))
         with pytest.raises(
             NoBranch, match="no decaying combination has an admissible weight"
         ):
             select_branch(problem)
 
     def test_subnormal_tau_slope_tries_only_the_minus_sign(self):
-        """sigma = A, sigma_tilde = A^2, tau_tilde = t1 A with a subnormal
-        t1: 0.5 * t1 rounds, so with u = sqrt(-1) = i the +1 sign's tau'
-        is -5e-324 + 2i, one subnormal step below zero.  Only the -1 sign
-        is tried, and it wins with tau' = -5e-324 - 2i."""
+        """sigma = A, sigma_tilde = 0, tau_tilde = t1 A with a subnormal
+        t1: 0.5 * t1 rounds, and u = sqrt(b1**2) underflows to 0, so the +1
+        sign's tau' would be -5e-324, one subnormal step below zero.  Only
+        the -1 sign is tried: its first K candidate has power -1, and the
+        second wins with tau' = -5e-324."""
         t1 = 1.5e-323
-        problem = NuProblem(1.0, (0.0, 0.0, 1.0), (0.0, t1))
-        plus_tau1 = t1 + 2.0 * (0.5 * (0j - t1) + 1j)
-        assert plus_tau1.real < 0.0
+        problem = NuProblem(1.0, (0.0, 0.0, 0.0), (0.0, t1))
+        plus_tau1 = t1 + 2.0 * (-0.5 * t1 + 0.0)
+        assert plus_tau1 < 0.0
         branch = select_branch(problem)
-        assert branch.pi.coefficient(1) == -1e-323 - 1j
-        assert branch.tau.coefficient(1) == -5e-324 - 2j
-        assert branch.K == 1e-323 - 1j
+        assert branch.pi.coefficient(1) == -1e-323
+        assert branch.tau.coefficient(1) == -5e-324
+        assert branch.K == 1e-323
+        assert tuple(branch.tau) == (2.0, -5e-324)
 
     def test_pi_slope_keeps_its_digits_at_small_kappa(self):
         """sigma = A, sigma_tilde = 2A - kappa A^2, tau_tilde = 2: pi' is
@@ -266,17 +287,8 @@ class TestSelectBranch:
             want = -math.sqrt(kappa)
             assert abs(pi1 - want) <= 4.0 * math.ulp(want), kappa
 
-    def test_pi_keeps_the_signed_zero_of_a_product_by_minus_one(self):
-        """sigma = A, sigma_tilde = 0, tau_tilde = (1 + 5e-324j) A: pi' is
-        -0.5 - 0j plus (-1) * (0.5 + 0j), a complex product whose imaginary
-        part is +0.0; negating 0.5 + 0j would leave pi' = -1 - 0j."""
-        problem = NuProblem(1.0, (0.0, 0.0, 0.0), (0.0, 1.0 + 5e-324j))
-        pi1 = select_branch(problem).pi.coefficient(1)
-        assert pi1 == -1.0
-        assert math.copysign(1.0, pi1.imag) == 1.0
-
     def test_matches_the_reference_rule(self):
-        """On the kappa grid and on seeded random complex problems, the
+        """On the kappa grid and on seeded random real problems, the
         returned combination has the defining properties of the choice:
         (pi - base)**2 is the radicand q + K c A to rounding, tau decays
         and the weight is admissible, and no combination of the reference
@@ -332,7 +344,7 @@ class TestTauLambda:
 
     def test_lambdas_of_the_scalars(self):
         """lambda = K + pi1 and lambda_n = -n tau1, read from the record."""
-        branch = NuBranch(3 + 0j, 0.75 + 0j, 1 + 0j, -0.25 + 0j, 4 + 0j, -0.5 + 0j)
+        branch = NuBranch(3.0, 0.75, 1.0, -0.25, 4.0, -0.5)
         assert branch.lam == 0.5 + 0j
         assert branch.lam_n(3) == 1.5 + 0j
         with pytest.raises(ValueError, match="n must be non-negative"):
@@ -346,10 +358,9 @@ class TestIntegratingFactors:
         assert phi.power == pytest.approx(1.0 / 3.0)
 
     def test_phi_trivial_for_zero_pi(self):
-        """phi reads the trimmed coefficients of pi: a pi of negative zeros
-        is the zero polynomial, so both exponents are +0.0 + 0.0j."""
-        zero = complex(-0.0, -0.0)
-        branch = NuBranch(c=3 + 0j, K=0j, pi0=zero, pi1=zero, tau0=2 + 0j, tau1=0j)
+        """A pi of zeros is the zero polynomial, and phi is the constant 1:
+        both exponents are +0.0 + 0.0j."""
+        branch = NuBranch(c=3.0, K=0.0, pi0=0.0, pi1=0.0, tau0=2.0, tau1=0.0)
         assert branch.pi.is_zero
         phi = branch.phi
         for exponent in (phi.rate, phi.power):
@@ -359,7 +370,7 @@ class TestIntegratingFactors:
         assert tuple(phi.poly) == (1 + 0j,)
 
     def test_phi_configuration_branch_inputs(self):
-        branch = NuBranch(c=1 + 0j, K=0j, pi0=1 + 0j, pi1=-1 + 0j, tau0=2 + 0j, tau1=0j)
+        branch = NuBranch(c=1.0, K=0.0, pi0=1.0, pi1=-1.0, tau0=2.0, tau1=0.0)
         phi = branch.phi
         assert phi.rate == pytest.approx(-1.0)
         assert phi.power == pytest.approx(1.0)
@@ -379,7 +390,7 @@ class TestIntegratingFactors:
         assert rho.power == pytest.approx(1.0 / 3.0)
 
     def test_rho_trivial_when_tau_is_sigma_prime(self):
-        branch = NuBranch(c=3 + 0j, K=0j, pi0=0j, pi1=0j, tau0=3 + 0j, tau1=0j)
+        branch = NuBranch(c=3.0, K=0.0, pi0=0.0, pi1=0.0, tau0=3.0, tau1=0.0)
         rho = branch.rho
         assert rho.rate == 0j
         assert rho.power == pytest.approx(0.0)

@@ -90,3 +90,20 @@ def test_every_private_name_is_read():
     assert dead_private_names({"a.py": "def _f(): pass\n", "b.py": "import a\na._f()\n"}) == []
     files = sorted((ROOT / "src/phasenu").glob("*.py"))
     assert dead_private_names({f.name: f.read_text(encoding="utf-8") for f in files}) == []
+
+
+def imported_modules(source):
+    """Top-level names of the modules a source imports from."""
+    tree = ast.parse(source)
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+    return {name.split(".")[0] for name in names}
+
+
+def test_the_solver_runs_on_floats():
+    """nu and hydrogen solve real equations: complex arithmetic is left to
+    evaluating psi at a complex A, in numeric."""
+    assert imported_modules("import cmath.x\nfrom math import sqrt\n") == {"cmath", "math"}
+    for name in ("nu.py", "hydrogen.py"):
+        source = (ROOT / "src/phasenu" / name).read_text(encoding="utf-8")
+        assert "cmath" not in imported_modules(source), name

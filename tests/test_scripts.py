@@ -37,14 +37,19 @@ def test_scan_refuses_a_malformed_grid(grid):
 
 def test_output_digest_is_stable():
     """One 64-hex-digit line, the same under two hash seeds: the run set
-    has a fixed order and the digest sees no temporary path."""
+    has a fixed order and the digest sees no temporary path.  --per-run
+    puts one line per run, its digest and arguments, before that line."""
     digests = []
-    for seed in ("1", "2"):
-        proc = _run(["output_digest.py"], PYTHONHASHSEED=seed)
+    for seed, flags in (("1", []), ("2", ["--per-run"])):
+        proc = _run(["output_digest.py", *flags], PYTHONHASHSEED=seed)
         assert proc.returncode == 0, proc.stderr
-        assert re.fullmatch(r"[0-9a-f]{64}\n", proc.stdout)
-        digests.append(proc.stdout)
+        *runs, last = proc.stdout.splitlines()
+        assert re.fullmatch(r"[0-9a-f]{64}", last)
+        digests.append(last)
     assert digests[0] == digests[1]
+    assert len(runs) > 100
+    assert all(re.fullmatch(r"[0-9a-f]{64} [a-z]+ --.*", line) for line in runs)
+    assert runs[0].endswith(" solve --n 0 --L 0 --alphadelta -3")
 
 
 def _run(script, **env_extra):
