@@ -3,9 +3,10 @@
 
 Runs the README examples, a scan/solve/wavefunction grid in four unit
 systems on both branches, ``verify --suite all``, two edge inputs of
-``--alphadelta``, three edge grids of ``wavefunction`` (a body whose
-Horner value overflows, an error, and A = 0 at powers L and 0) and four
-``manifold`` compositions (a forbidden mix, a custom start matrix with a
+``--alphadelta``, four ``solve --point`` refusals (a point off the
+manifold, and three whose alpha*delta is not the branch's), three edge
+grids of ``wavefunction`` (a body whose Horner value overflows, an
+error, and A = 0 at powers L and 0) and four ``manifold`` compositions (a forbidden mix, a custom start matrix with a
 point, an image that overflows, an entry of more digits than an int may
 print), each in process through ``phasenu.cli.main``, and prints the
 SHA-256 of every run's arguments, stdout, stderr and exit code.  A
@@ -52,6 +53,10 @@ README = [
 EDGES = [
     ["solve", "--n", "0", "--L", "0", "--alphadelta", "-2"],
     ["solve", "--n", "1", "--L", "1", "--alphadelta", "-3.0000000000000004"],
+    ["solve", "--n", "0", "--L", "0", "--alphadelta", "-3", "--point=1,0,0,-2"],
+    ["solve", "--n", "0", "--L", "0", "--alphadelta", "-3", "--point=1,0,0,-1"],
+    ["solve", "--n", "0", "--L", "0", "--alphadelta", "-3", "--point=2,1,-1,-1"],
+    ["solve", "--n", "0", "--L", "0", "--alphadelta", "-1", "--point=0,1,1,0"],
     ["wavefunction", "--n", "40", "--L", "0", "--alphadelta", "-1", "--grid", "0,1e12,3"],
     ["wavefunction", "--n", "0", "--L", "2", "--alphadelta", "-3", "--grid", "0,4,3"],
     ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-3", "--grid", "0,4,3"],

@@ -174,7 +174,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     params = _load_params(args.config, args.L)
     alphadelta = hydrogen.branch_of(args.alphadelta)
     if args.point is not None:
-        hydrogen.PhaseSpaceConfig(args.point, alphadelta)  # rejects a point off the branch
+        hydrogen.check_point(args.point, alphadelta)
     state = nu.solve_state(hydrogen.build_radial_family(params, alphadelta), args.n)
     branch = state.branch
     (phi_rate, phi_power), (rho_rate, rho_power) = branch._factor, branch._weight
@@ -241,15 +241,14 @@ def _cmd_manifold(args: argparse.Namespace) -> int:
 
 def _cmd_wavefunction(args: argparse.Namespace) -> int:
     params = _load_params(args.config, args.L)
-    config = hydrogen.canonical_config(args.alphadelta)
-    wf = hydrogen.assemble_wavefunction(params, config, args.n)
+    point = hydrogen.canonical_config(args.alphadelta)
+    wf = hydrogen.assemble_wavefunction(params, point, args.n)
     rmin, rmax, steps = args.grid
     header = (
         f"# prefactor_rate={wf.prefactor_rate!r}"
         f" kappa={wf.kappa!r} n={args.n} L={args.L} alphadelta={args.alphadelta!r}"
     )
     lines = [header, "r,A_re,A_im,psi_re,psi_im"]
-    point = config.point
     for j in range(steps):
         r = rmin + j * (rmax - rmin) / (steps - 1)
         a_val = point.alpha * r + 1j * params.hbar * point.beta * args.pbar

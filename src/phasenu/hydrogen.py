@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import nu
@@ -138,74 +138,74 @@ def solve_energy(params: PhysicalParams, n: int, alphadelta: float) -> float:
     return params.energy_of_kappa(kappa)
 
 
-@dataclass(frozen=True)
-class PhaseSpaceConfig:
-    """A manifold point together with its alpha*delta product.
-
-    The product is stored separately because it is the branch label the
-    radial family depends on; construction checks it against the point.
-    """
-
-    point: OpPoint
-    alphadelta: float
-
-    def __post_init__(self) -> None:
-        if not is_on_manifold(self.point):
-            raise ValueError(
-                f"point {self.point.as_tuple()} violates the commutator constraint"
-            )
-        product = self.point.alpha * self.point.delta
-        if not abs(product - self.alphadelta) <= MANIFOLD_TOL * max(1.0, abs(product)):
-            raise ValueError(
-                f"alphadelta={self.alphadelta} does not match the point "
-                f"product {product}"
-            )
+def check_point(point: OpPoint, alphadelta: float) -> None:
+    """Refuse a point off the manifold, or one whose alpha*delta is not
+    alphadelta (the branch label the radial family depends on)."""
+    if not is_on_manifold(point):
+        raise ValueError(f"point {point.as_tuple()} violates the commutator constraint")
+    product = point.alpha * point.delta
+    if not abs(product - alphadelta) <= MANIFOLD_TOL * max(1.0, abs(product)):
+        raise ValueError(
+            f"alphadelta={alphadelta} does not match the point product {product}"
+        )
 
 
-def canonical_config(alphadelta: float) -> PhaseSpaceConfig:
+def canonical_config(alphadelta: float) -> OpPoint:
     """Default representative point of the branch at alphadelta."""
-    label = branch_of(alphadelta)
-    return PhaseSpaceConfig(BRANCHES[label], label)
+    return BRANCHES[branch_of(alphadelta)]
 
 
 @dataclass(frozen=True)
 class WavefunctionForm:
-    """Assembled eigenstate: exponential-power body in A plus the
-    untransformed-phase metadata.
+    """Assembled eigenstate: a manifold point and the state solved on its
+    branch, whose body phi*y is a function of A = alpha*r + i*hbar*beta*pbar.
 
     ``prefactor_rate`` is gamma/delta, the coefficient of i*p*r/hbar in the
     prefactor exponent.  The prefactor lives in the untransformed momentum
     and is never folded into numerical evaluation of the body.
     """
 
-    prefactor_rate: complex
-    body: ExpPowerTerm
-    config: PhaseSpaceConfig
-    n: int
-    kappa: float
+    point: OpPoint
+    state: nu.NuState
+
+    @property
+    def prefactor_rate(self) -> complex:
+        return complex(self.point.gamma / self.point.delta)
+
+    @property
+    def body(self) -> ExpPowerTerm:
+        return self.state.body
+
+    @property
+    def kappa(self) -> float:
+        return self.state.kappa
+
+    @property
+    def config(self) -> WavefunctionForm:
+        """The record itself, so that ``wf.config.point`` still reads the
+        point; it goes with the benchmark change of ROADMAP item 2, which
+        drops that read from ``perfbench/workloads.py``."""
+        return self
 
 
 def assemble_wavefunction(
-    params: PhysicalParams, config: PhaseSpaceConfig, n: int
+    params: PhysicalParams, point: OpPoint, n: int
 ) -> WavefunctionForm:
-    """Quantize level n on the config's branch and build phi*y in A."""
-    family = build_radial_family(params, config.alphadelta)
-    if config.point.delta == 0.0:
-        raise ValueError("delta must be nonzero to define the prefactor")
-    state = nu.solve_state(family, n)
-    rate = complex(config.point.gamma / config.point.delta)
-    return WavefunctionForm(
-        prefactor_rate=rate, body=state.body, config=config, n=n, kappa=state.kappa
-    )
+    """Quantize level n on the branch of the point's alpha*delta and build
+    phi*y in A; a point off the manifold raises ValueError."""
+    alphadelta = point.alpha * point.delta
+    check_point(point, alphadelta)
+    family = build_radial_family(params, alphadelta)
+    return WavefunctionForm(point, nu.solve_state(family, n))
 
 
 def eval_wavefunction(
     wf: WavefunctionForm, r: float, pbar: complex, hbar: float
 ) -> complex:
     """Body value at A = alpha*r + i*hbar*beta*pbar (prefactor excluded)."""
-    point = wf.config.point
+    point = wf.point
     a_val = point.alpha * r + 1j * hbar * point.beta * pbar
-    return wf.body.evaluate(a_val)
+    return wf.state.body.evaluate(a_val)
 
 
 def _fractions() -> tuple[float, ...]:
@@ -290,18 +290,20 @@ def ode_residual(state: nu.NuState, fractions: Sequence[float] = SAMPLE_FRACTION
     return worst
 
 
-def recover_configuration_space(wf: WavefunctionForm) -> WavefunctionForm:
-    """Drop the prefactor when it is exactly absent.
+def recover_configuration_space(point: OpPoint) -> OpPoint:
+    """The configuration-space point (alpha, 0, 0, delta) when the
+    prefactor is exactly absent.
 
     Legitimate only when gamma = 0 (no phase prefactor) and beta = 0
     (A degenerates to alpha*r): then the body is already a configuration-
     space radial function.  Any other point would need the inverse
     transform back to the untransformed momentum, which is out of scope.
+    A point off the manifold raises ValueError.
     """
-    point = wf.config.point
+    check_point(point, point.alpha * point.delta)
     if abs(point.gamma) > MANIFOLD_TOL or abs(point.beta) > MANIFOLD_TOL:
         raise UnsupportedRecovery(
             "recovery needs gamma = 0 and beta = 0; point has "
             f"gamma={point.gamma}, beta={point.beta}"
         )
-    return replace(wf, prefactor_rate=0j)
+    return OpPoint(point.alpha, 0.0, 0.0, point.delta)

@@ -38,6 +38,7 @@ are read.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -175,9 +176,10 @@ class NuState:
         """The equation at this kappa."""
         return self.family.at(self.kappa)
 
-    @property
+    @functools.cached_property
     def body(self) -> ExpPowerTerm:
-        """The solution psi = phi * y of the original equation."""
+        """The solution psi = phi * y of the original equation, built on
+        first read and kept, so that its per-term kernel is kept too."""
         return self.branch.phi.times_poly(self.y)
 
 

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from phasenu import acceptance
+from phasenu import acceptance, nu
 
 
 def run_criterion(name):
@@ -69,8 +69,12 @@ def test_manifold_invariants():
     assert_all_passed(run_criterion("manifold-invariants"))
 
 
-def test_recovery_rule():
+def test_recovery_rule(monkeypatch):
+    """The rule reads beta and gamma off each point, so it solves nothing."""
+    calls = []
+    monkeypatch.setattr(nu, "solve_state", lambda *args: calls.append(args))
     assert_all_passed(run_criterion("recovery-rule"))
+    assert calls == []
 
 
 def test_registry_and_suites_are_consistent():

@@ -146,6 +146,22 @@ class TestSolve:
         assert cli.main([*base, "-2"]) == 3
         assert "UnsupportedBranch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "alphadelta, point, message",
+        [
+            ("-3", "1,0,0,-2", "point (1.0, 0.0, 0.0, -2.0) violates the commutator constraint"),
+            ("-3", "1,0,0,-1", "alphadelta=-3.0 does not match the point product -1.0"),
+            ("-3", "2,1,-1,-1", "alphadelta=-3.0 does not match the point product -2.0"),
+            ("-1", "0,1,1,0", "alphadelta=-1.0 does not match the point product 0.0"),
+        ],
+    )
+    def test_point_off_the_branch_is_refused(self, capsys, alphadelta, point, message):
+        """A --point off the manifold, or whose alpha*delta is not the
+        branch of --alphadelta, is bad input: exit 2 and nothing on stdout."""
+        argv = ["solve", "--n", "0", "--L", "0", "--alphadelta", alphadelta, f"--point={point}"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestScan:
     def test_grid_table(self):

@@ -25,13 +25,12 @@ from phasenu.hydrogen import (
     CONFIG_SPACE_POINT,
     DEEP_BRANCH_POINT,
     SAMPLE_FRACTIONS,
-    PhaseSpaceConfig,
     PhysicalParams,
-    WavefunctionForm,
     assemble_wavefunction,
     branch_of,
     build_radial_family,
     canonical_config,
+    check_point,
     closed_form_energy,
     eval_wavefunction,
     ode_residual,
@@ -390,9 +389,9 @@ class TestSpectra:
 
 class TestConfigs:
     def test_canonical_points(self):
-        assert canonical_config(-3.0).point == DEEP_BRANCH_POINT
-        assert canonical_config(-1.0).point == CONFIG_SPACE_POINT
-        assert canonical_config(-3.0000000000000004) == canonical_config(-3.0)
+        assert canonical_config(-3.0) == DEEP_BRANCH_POINT
+        assert canonical_config(-1.0) == CONFIG_SPACE_POINT
+        assert canonical_config(-3.0000000000000004) == DEEP_BRANCH_POINT
         with pytest.raises(UnsupportedBranch):
             canonical_config(-2.0)
 
@@ -402,22 +401,28 @@ class TestConfigs:
         assert p.beta * p.gamma == -2.0
 
     def test_config_requires_manifold_membership(self):
-        with pytest.raises(ValueError):
-            PhaseSpaceConfig(OpPoint(1.0, 0.0, 0.0, -2.0), -2.0)
+        with pytest.raises(ValueError, match="violates the commutator constraint"):
+            check_point(OpPoint(1.0, 0.0, 0.0, -2.0), -2.0)
+        with pytest.raises(ValueError, match="violates the commutator constraint"):
+            assemble_wavefunction(ATOMIC, OpPoint(1.0, 0.0, 0.0, -2.0), 0)
+        with pytest.raises(ValueError, match="violates the commutator constraint"):
+            recover_configuration_space(OpPoint(1.0, 0.0, 0.0, -2.0))
 
     def test_config_requires_matching_product(self):
-        with pytest.raises(ValueError):
-            PhaseSpaceConfig(DEEP_BRANCH_POINT, -1.0)
+        with pytest.raises(ValueError, match="does not match the point product"):
+            check_point(DEEP_BRANCH_POINT, -1.0)
+        check_point(DEEP_BRANCH_POINT, -3.0)
 
     def test_config_refuses_a_nan_product(self):
         """The product check fails closed: NaN compares false."""
         with pytest.raises(ValueError, match="does not match the point product"):
-            PhaseSpaceConfig(CONFIG_SPACE_POINT, float("nan"))
+            check_point(CONFIG_SPACE_POINT, float("nan"))
 
 
 class TestWavefunctions:
     def test_deep_ground_state(self):
         wf = assemble_wavefunction(ATOMIC, canonical_config(-3.0), 0)
+        assert [f.name for f in dataclasses.fields(wf)] == ["point", "state"]
         assert wf.prefactor_rate == pytest.approx(-2.0)
         assert wf.kappa == pytest.approx(0.25, rel=1e-10)
         assert wf.body.rate == pytest.approx(-1.0 / 6.0)
@@ -464,8 +469,7 @@ class TestWavefunctions:
         """The point enters the state only through its branch label."""
         point = manifold_point(alphadelta / delta, beta, delta)
         params = PhysicalParams(angular_momentum=L)
-        config = PhaseSpaceConfig(point, point.alpha * point.delta)
-        moved = assemble_wavefunction(params, config, n)
+        moved = assemble_wavefunction(params, point, n)
         canonical = assemble_wavefunction(params, canonical_config(alphadelta), n)
         assert moved.kappa.hex() == canonical.kappa.hex()
         body, want = moved.body, canonical.body
@@ -474,14 +478,31 @@ class TestWavefunctions:
         )
 
     def test_assembly_rejects_unsupported_product(self):
-        config = PhaseSpaceConfig(manifold_point(2.0, 1.0, -1.0), -2.0)
         with pytest.raises(UnsupportedBranch):
-            assemble_wavefunction(ATOMIC, config, 0)
+            assemble_wavefunction(ATOMIC, manifold_point(2.0, 1.0, -1.0), 0)
 
     def test_assembly_rejects_momentum_point(self):
-        config = PhaseSpaceConfig(OpPoint(0.0, 1.0, 1.0, 0.0), 0.0)
+        """delta = 0 gives alpha*delta = 0, which no branch takes, so the
+        prefactor rate gamma/delta is never formed."""
         with pytest.raises(UnsupportedBranch):
-            assemble_wavefunction(ATOMIC, config, 0)
+            assemble_wavefunction(ATOMIC, OpPoint(0.0, 1.0, 1.0, 0.0), 0)
+
+    def test_body_is_built_once(self, monkeypatch):
+        """Evaluation reads the state's kept body: tabulating a grid must
+        not rebuild phi*y, or its per-term kernel, at every point."""
+        calls = []
+        times_poly = ExpPowerTerm.times_poly
+
+        def counted(self, poly):
+            calls.append(poly)
+            return times_poly(self, poly)
+
+        monkeypatch.setattr(ExpPowerTerm, "times_poly", counted)
+        wf = assemble_wavefunction(ATOMIC, canonical_config(-1.0), 5)
+        for j in range(1000):
+            eval_wavefunction(wf, 0.01 * (j + 1), 0.0, 1.0)
+        assert wf.body.poly.degree == 5
+        assert len(calls) == 1
 
 
 class TestSamplesAndResiduals:
@@ -643,24 +664,17 @@ class TestLaguerreRecurrence:
 
 class TestRecovery:
     def test_configuration_point_recovers(self):
-        wf = assemble_wavefunction(ATOMIC, canonical_config(-1.0), 0)
-        recovered = recover_configuration_space(wf)
-        assert recovered.prefactor_rate == 0j
-        assert recovered.body is wf.body
+        assert recover_configuration_space(CONFIG_SPACE_POINT) == CONFIG_SPACE_POINT
+        # beta and gamma within MANIFOLD_TOL of zero become exact zeros
+        recovered = recover_configuration_space(OpPoint(2.0, 1e-13, -1e-13, -0.5))
+        assert recovered == OpPoint(2.0, 0.0, 0.0, -0.5)
+        wf = assemble_wavefunction(ATOMIC, recovered, 0)
+        assert wf.prefactor_rate == 0j
 
     def test_deep_point_is_not_recoverable(self):
-        wf = assemble_wavefunction(ATOMIC, canonical_config(-3.0), 0)
         with pytest.raises(UnsupportedRecovery):
-            recover_configuration_space(wf)
+            recover_configuration_space(DEEP_BRANCH_POINT)
 
     def test_momentum_point_is_not_recoverable(self):
-        body = assemble_wavefunction(ATOMIC, canonical_config(-1.0), 0).body
-        momentum = WavefunctionForm(
-            prefactor_rate=0j,
-            body=body,
-            config=PhaseSpaceConfig(OpPoint(0.0, 1.0, 1.0, 0.0), 0.0),
-            n=0,
-            kappa=1.0,
-        )
         with pytest.raises(UnsupportedRecovery):
-            recover_configuration_space(momentum)
+            recover_configuration_space(OpPoint(0.0, 1.0, 1.0, 0.0))
