@@ -4,11 +4,15 @@
 Runs the README examples, a scan/solve/wavefunction grid in four unit
 systems on both branches, ``verify --suite all``, two edge inputs of
 ``--alphadelta``, four ``solve --point`` refusals (a point off the
-manifold, and three whose alpha*delta is not the branch's), three edge
+manifold, and three whose alpha*delta is not the branch's), four edge
 grids of ``wavefunction`` (a body whose Horner value overflows, an
-error, and A = 0 at powers L and 0) and four ``manifold`` compositions (a forbidden mix, a custom start matrix with a
-point, an image that overflows, an entry of more digits than an int may
-print), each in process through ``phasenu.cli.main``, and prints the
+error, A = 0 at powers L and 0, and a purely imaginary A = 0.7i at
+r = 0), three ``--grid`` refusals whose span (steps - 1) * (rmax - rmin)
+overflows (a span of inf, a last point that would read inf, and a step
+count beyond the float range) and four ``manifold`` compositions (a
+forbidden mix, a custom start matrix with a point, an image that
+overflows, an entry of more digits than an int may print), each in
+process through ``phasenu.cli.main``, and prints the
 SHA-256 of every run's arguments, stdout, stderr and exit code.  A
 refactor that must not change what the CLI prints keeps the digest;
 compare two trees with
@@ -20,7 +24,9 @@ adds to the digest and its arguments, so that two trees' lines show which
 runs differ.
 
 Unit-system config files are written to a temporary directory, and the
-digest sees their unit-system names, never their paths.
+digest sees their unit-system names, never their paths.  Usage errors
+are wrapped at 80 columns whatever the terminal; their wrapping differs
+from Python 3.13 on, so the digest does too.
 """
 
 import argparse
@@ -60,6 +66,10 @@ EDGES = [
     ["wavefunction", "--n", "40", "--L", "0", "--alphadelta", "-1", "--grid", "0,1e12,3"],
     ["wavefunction", "--n", "0", "--L", "2", "--alphadelta", "-3", "--grid", "0,4,3"],
     ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-3", "--grid", "0,4,3"],
+    ["wavefunction", "--n", "3", "--L", "1", "--alphadelta", "-3", "--grid", "0,3,4", "--pbar", "0.7"],
+    ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-1", "--grid=-1e308,1e308,3"],
+    ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-1", "--grid", "0,1e308,3"],
+    ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-1", "--grid", "0,1," + "9" * 400],
     ["manifold", "--apply", "1:1,3:1"],
     ["manifold", "--apply", "3:1,4:-2", "--g0", "2,-1,3,0", "--point=-3,1,-2,1"],
     ["manifold", "--apply", "3:-100000", "--point=1,1,1e305,1"],
@@ -98,6 +108,7 @@ def main():
         help="print each run's digest and arguments before the overall digest",
     )
     per_run = parser.parse_args().per_run
+    os.environ["COLUMNS"] = "80"  # argparse wraps its usage errors to this width
     runs = [*README, *EDGES, *grid(None), *(argv for unit in UNITS for argv in grid(unit))]
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:

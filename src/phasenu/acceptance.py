@@ -122,7 +122,7 @@ def check_ground_state_chain() -> list[CheckResult]:
     state = _solved_state(0, 0, -3.0)
     branch, phi, rho = state.branch, state.branch.phi, state.branch.rho
 
-    def gap_poly(p: Poly, want: tuple[complex, ...]) -> float:
+    def gap_poly(p: Poly, want: tuple[float, ...]) -> float:
         return max(
             abs(p.coefficient(k) - w) for k, w in enumerate(want)
         )

@@ -96,6 +96,12 @@ def _grid_arg(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError("--grid bounds must be finite")
     if steps < 2 or not rmax > rmin:
         raise argparse.ArgumentTypeError("--grid needs rmax > rmin and steps >= 2")
+    try:
+        span = (steps - 1) * (rmax - rmin)
+    except OverflowError:  # a step count beyond the float range
+        span = math.inf
+    if not math.isfinite(span):
+        raise argparse.ArgumentTypeError("--grid span (steps - 1) * (rmax - rmin) overflows")
     return rmin, rmax, steps
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import NoBranch, NoSignChange, RodriguesFailure
-from .numeric import ExpPowerTerm, Poly, _exact
+from .numeric import ExpPowerTerm, Poly, _exact, _finite_real
 
 #: The kappa search stops when its bracket in sqrt(kappa) has this
 #: relative width.
@@ -56,16 +56,6 @@ RESIDUAL_TOL = 1e-10
 
 #: Lower end of the kappa scan interval.
 KAPPA_FLOOR = 1e-12
-
-
-def _finite_real(name: str, value: float) -> float:
-    """``value`` as a float; complex or non-finite input raises ValueError."""
-    if isinstance(value, complex):
-        raise ValueError(f"{name} must be real, got {value!r}")
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value not admitted: {name} = {value!r}")
-    return x
 
 
 @dataclass(frozen=True)

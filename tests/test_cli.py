@@ -377,6 +377,11 @@ class TestWavefunction:
              "--point must be finite, got 'nan,1,1,1'"),
             ([*SOLVE, "--point=inf,1,1,1"], "--point must be finite, got 'inf,1,1,1'"),
             ([*SOLVE, "--point=-3,1,-2,-inf"], "--point must be finite"),
+            # r = rmin + j (rmax - rmin) / (steps - 1) read nan, reached inf, or
+            # raised OverflowError at the first point
+            ([*WAVEFUNCTION, "--grid=-1e308,1e308,3"], "--grid span"),
+            ([*WAVEFUNCTION, "--grid", "0,1e308,3"], "--grid span"),
+            ([*WAVEFUNCTION, "--grid", "0,1," + "9" * 400], "--grid span"),
         ],
     )
     def test_non_finite_input_is_a_usage_error(self, option, message, capsys):

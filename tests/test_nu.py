@@ -40,11 +40,13 @@ def polys(problem):
 
 
 def reference_combinations(problem):
-    """Every (K, sign) combination as (K, sign, pi, tau), built from Poly
-    arithmetic and cmath alone: K zeroes the discriminant of the radicand
+    """Every (K, sign) combination as (K, sign, pi, tau), pi and tau as
+    (constant, slope) pairs, built from real Poly arithmetic and cmath
+    alone: K zeroes the discriminant of the radicand
     ((sigma' - tau_tilde)/2)**2 - sigma_tilde + K sigma, whose square root
     u A + v is taken with Re(u) >= 0, from its larger end, and pi is
-    (sigma' - tau_tilde)/2 + sign * (u A + v)."""
+    (sigma' - tau_tilde)/2 + sign * (u A + v).  K, u and v may be complex,
+    so the terms with them are summed coefficient by coefficient."""
     c = problem.c
     sigma, sigma_tilde, tau_tilde = polys(problem)
     base = 0.5 * (sigma.derivative() + (-1) * tau_tilde)
@@ -57,7 +59,8 @@ def reference_combinations(problem):
     roots = (big / k2, k0 / big) if big else (0j, 0j)
     found = []
     for K in sorted(roots, key=lambda z: (z.real, z.imag)):
-        r0, r1, r2 = ((q + K * sigma).coefficient(k) for k in range(3))
+        # q + K sigma, with sigma = c A
+        r0, r1, r2 = q0, q1 + K * c, q2
         if abs(r2) >= abs(r0):
             u = cmath.sqrt(r2)
             v = r1 / (2.0 * u)
@@ -67,15 +70,17 @@ def reference_combinations(problem):
             if u.real < 0.0:
                 u, v = -u, -v
         for sign in (-1, 1):
-            pi = base + sign * Poly((v, u))
-            found.append((K, sign, pi, tau_tilde + 2.0 * pi))
+            pi = tuple(base.coefficient(k) + sign * w for k, w in enumerate((v, u)))
+            tau = tuple(tau_tilde.coefficient(k) + 2.0 * p for k, p in enumerate(pi))
+            found.append((K, sign, pi, tau))
     return found
 
 
 def decays_with_admissible_weight(c, tau, margin=0.0):
     """Re(tau') < 0 and rho = exp((tau'/c) A) A**((tau(0) - c)/c) admissible:
-    Re(rate) < 0 and Re(power) > -1, each by more than ``margin``."""
-    t0, t1 = tau.coefficient(0), tau.coefficient(1)
+    Re(rate) < 0 and Re(power) > -1, each by more than ``margin``; tau is
+    a (constant, slope) pair."""
+    t0, t1 = tau
     return (
         t1.real < -margin
         and (t1 / c).real < -margin
@@ -177,9 +182,9 @@ class TestProblemValidation:
     def test_kappa_shift_has_the_bits_of_poly_arithmetic(self):
         """at(kappa) gives the coefficients of Poly(sigma_tilde) + kappa *
         Poly((0, 0, -1)), on the kappa grid and at a few kappa of either
-        sign: the A**2 coefficient has the bits of the sum's real part, and
+        sign: the A**2 coefficient has the bits of the sum's, and
         s0 and s1 are carried over bit for bit, so a -0.0 constant (-omega
-        at L = 0) stays -0.0 where the complex sum reads +0.0."""
+        at L = 0) stays -0.0 where the Poly sum reads +0.0."""
         cases = list(grid_problems())
         cases += [
             (radial_family(0.0, zeta, -1.0), k)
@@ -191,7 +196,7 @@ class TestProblemValidation:
             got = family.at(kappa).sigma_tilde
             assert got == tuple(want.coefficient(k) for k in range(3))
             s0, s1, _ = family.sigma_tilde
-            bits = [s0.hex(), s1.hex(), want.coefficient(2).real.hex()]
+            bits = [s0.hex(), s1.hex(), want.coefficient(2).hex()]
             assert [c.hex() for c in got] == bits
 
 
@@ -317,7 +322,7 @@ class TestSelectBranch:
                 gap = (root * root).coefficient(k) - radicand.coefficient(k)
                 assert abs(gap) <= 1e-12 * scale
             assert branch.tau == tau_tilde + 2.0 * branch.pi
-            assert decays_with_admissible_weight(c, branch.tau)
+            assert decays_with_admissible_weight(c, (branch.tau0, branch.tau1))
             slack = 1e-9 * (1.0 + abs(branch.K))
             for K, _, _, tau in found:
                 smaller = K.real < branch.K.real - slack or (
@@ -359,15 +364,13 @@ class TestIntegratingFactors:
 
     def test_phi_trivial_for_zero_pi(self):
         """A pi of zeros is the zero polynomial, and phi is the constant 1:
-        both exponents are +0.0 + 0.0j."""
+        both exponents are +0.0."""
         branch = NuBranch(c=3.0, K=0.0, pi0=0.0, pi1=0.0, tau0=2.0, tau1=0.0)
         assert branch.pi.is_zero
         phi = branch.phi
         for exponent in (phi.rate, phi.power):
-            assert exponent == 0j
-            signs = [math.copysign(1.0, x) for x in (exponent.real, exponent.imag)]
-            assert signs == [1.0, 1.0]
-        assert tuple(phi.poly) == (1 + 0j,)
+            assert exponent == 0.0 and math.copysign(1.0, exponent) == 1.0
+        assert phi.poly.coeffs == (1.0,)
 
     def test_phi_configuration_branch_inputs(self):
         branch = NuBranch(c=1.0, K=0.0, pi0=1.0, pi1=-1.0, tau0=2.0, tau1=0.0)
