@@ -4,10 +4,11 @@
 Runs the README examples, a scan/solve/wavefunction grid in four unit
 systems on both branches, ``verify --suite all``, two edge inputs of
 ``--alphadelta``, four ``solve --point`` refusals (a point off the
-manifold, and three whose alpha*delta is not the branch's), four edge
+manifold, and three whose alpha*delta is not the branch's), five edge
 grids of ``wavefunction`` (a body whose Horner value overflows, an
-error, A = 0 at powers L and 0, and a purely imaginary A = 0.7i at
-r = 0), three ``--grid`` refusals whose span (steps - 1) * (rmax - rmin)
+error, A = 0 at powers L and 0, a purely imaginary A = 0.7i at r = 0,
+and an A = -3r that overflows to -inf, whose power raises), three
+``--grid`` refusals whose span (steps - 1) * (rmax - rmin)
 overflows (a span of inf, a last point that would read inf, and a step
 count beyond the float range) and four ``manifold`` compositions (a
 forbidden mix, a custom start matrix with a point, an image that
@@ -67,6 +68,7 @@ EDGES = [
     ["wavefunction", "--n", "0", "--L", "2", "--alphadelta", "-3", "--grid", "0,4,3"],
     ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-3", "--grid", "0,4,3"],
     ["wavefunction", "--n", "3", "--L", "1", "--alphadelta", "-3", "--grid", "0,3,4", "--pbar", "0.7"],
+    ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-3", "--grid=0,1e308,2"],
     ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-1", "--grid=-1e308,1e308,3"],
     ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-1", "--grid", "0,1e308,3"],
     ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-1", "--grid", "0,1," + "9" * 400],

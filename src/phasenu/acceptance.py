@@ -120,27 +120,19 @@ def check_ground_state_chain() -> list[CheckResult]:
     crit = "ground-state-chain"
     tol = 1e-12
     state = _solved_state(0, 0, -3.0)
-    branch, phi, rho = state.branch, state.branch.phi, state.branch.rho
+    branch = state.branch
 
-    def gap_poly(p: Poly, want: tuple[float, ...]) -> float:
-        return max(
-            abs(p.coefficient(k) - w) for k, w in enumerate(want)
-        )
+    def max_gap(got: tuple[float, ...], want: tuple[float, ...]) -> float:
+        return max(abs(g - w) for g, w in zip(got, want))
 
     rows = [
         ("kappa", abs(state.kappa - 0.25)),
         ("K", abs(branch.K - 0.5)),
-        ("pi", gap_poly(branch.pi, (1.0, -0.5))),
-        ("tau", gap_poly(branch.tau, (4.0, -1.0))),
+        ("pi", max_gap((branch.pi0, branch.pi1), (1.0, -0.5))),
+        ("tau", max_gap((branch.tau0, branch.tau1), (4.0, -1.0))),
         ("lambda and lambda_0", max(abs(branch.lam), abs(branch.lam_n(state.n)))),
-        (
-            "phi",
-            max(abs(phi.rate - (-1.0 / 6.0)), abs(phi.power - (1.0 / 3.0))),
-        ),
-        (
-            "rho",
-            max(abs(rho.rate - (-1.0 / 3.0)), abs(rho.power - (1.0 / 3.0))),
-        ),
+        ("phi", max_gap(branch._factor, (-1.0 / 6.0, 1.0 / 3.0))),
+        ("rho", max_gap(branch._weight, (-1.0 / 3.0, 1.0 / 3.0))),
     ]
     return [
         CheckResult(crit, name, gap <= tol, f"abs gap {gap:.3e} (tol 1e-12)")
@@ -202,7 +194,7 @@ def check_rodrigues_laguerre() -> list[CheckResult]:
     for n in range(9):
         for L in (0, 1, 2):
             state = _solved_state(n, L, -3.0)
-            y = state.y
+            y = Poly(state.y)
             a = (2 * L + 1) / 3.0
             scale = 2.0 * state.kappa**0.5 / 3.0
             ratios = [

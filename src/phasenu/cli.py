@@ -192,8 +192,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "energy": params.energy_of_kappa(state.kappa),
         "energy_closed_form": hydrogen.closed_form_energy(params, args.n, alphadelta),
         "K": [branch.K, 0.0],
-        "pi": [[x, 0.0] for x in branch.pi],
-        "tau": [[x, 0.0] for x in branch.tau],
+        "pi": [[branch.pi0, 0.0], [branch.pi1, 0.0]],
+        "tau": [[branch.tau0, 0.0], [branch.tau1, 0.0]],
         "phi": {"rate": [phi_rate, 0.0], "power": [phi_power, 0.0]},
         "rho": {"rate": [rho_rate, 0.0], "power": [rho_power, 0.0]},
         "y": [[x, 0.0] for x in state.y],
@@ -258,7 +258,10 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     for j in range(steps):
         r = rmin + j * (rmax - rmin) / (steps - 1)
         a_val = point.alpha * r + 1j * params.hbar * point.beta * args.pbar
-        psi = wf.body.evaluate(a_val)
+        try:
+            psi = wf.body.evaluate(a_val)
+        except OverflowError as err:  # exp or z**power beyond the float range
+            raise OverflowError(f"psi overflows at r = {r!r}: {err}") from None
         if not cmath.isfinite(psi):  # overflowed, or an infinite P(A) met e^{aA} = 0
             raise OverflowError(f"psi is not finite at r = {r!r}: {psi!r}")
         lines.append(

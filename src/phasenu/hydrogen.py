@@ -23,6 +23,7 @@ closed forms are kept only as cross-check targets.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -172,9 +173,11 @@ class WavefunctionForm:
     def prefactor_rate(self) -> complex:
         return complex(self.point.gamma / self.point.delta)
 
-    @property
+    @functools.cached_property
     def body(self) -> ExpPowerTerm:
-        return self.state.body
+        """psi = phi * y as one term, built on first read and kept, so that
+        its per-term kernel is kept too."""
+        return ExpPowerTerm(self.state.y, *self.state.branch._factor)
 
     @property
     def kappa(self) -> float:
@@ -205,7 +208,7 @@ def eval_wavefunction(
     """Body value at A = alpha*r + i*hbar*beta*pbar (prefactor excluded)."""
     point = wf.point
     a_val = point.alpha * r + 1j * hbar * point.beta * pbar
-    return wf.state.body.evaluate(a_val)
+    return wf.body.evaluate(a_val)
 
 
 def _fractions() -> tuple[float, ...]:

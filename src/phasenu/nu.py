@@ -32,20 +32,20 @@ refined by Brent-Dekker in s = sqrt(kappa), in which the residual of the
 hydrogen family is affine -- deliberately independent of any closed-form
 spectrum a particular family may admit.  The equation is one record of
 scalars, :class:`NuProblem`, and :func:`select_branch` resolves it into
-another, :class:`NuBranch`, from which pi, tau, phi, rho and both lambdas
-are read.
+another, :class:`NuBranch`, whose scalars give pi, tau, phi, rho and both
+lambdas; a solved level, :class:`NuState`, adds kappa and the coefficients
+of y.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, NamedTuple
 
 from .errors import NoBranch, NoSignChange, RodriguesFailure
-from .numeric import ExpPowerTerm, Poly, _exact, _finite_real
 
 #: The kappa search stops when its bracket in sqrt(kappa) has this
 #: relative width.
@@ -56,6 +56,20 @@ RESIDUAL_TOL = 1e-10
 
 #: Lower end of the kappa scan interval.
 KAPPA_FLOOR = 1e-12
+
+
+def _finite_real(name: str, value: float) -> float:
+    """``value`` as a float; anything but a finite real number raises
+    ValueError naming ``name``."""
+    if type(value) is float:  # skips the far slower ABC check
+        x = value
+    elif isinstance(value, Real):
+        x = float(value)
+    else:
+        raise ValueError(f"{name} must be real, got {value!r}")
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value not admitted: {name} = {value!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -109,29 +123,15 @@ class NuBranch(NamedTuple):
     tau1: float
 
     @property
-    def pi(self) -> Poly:
-        return _exact((self.pi0, self.pi1))
-
-    @property
-    def tau(self) -> Poly:
-        return _exact((self.tau0, self.tau1))
-
-    @property
-    def phi(self) -> ExpPowerTerm:
-        """Integrating factor ``exp((pi1/c) A) * A**(pi0/c)``, phi'/phi = pi/sigma."""
-        return ExpPowerTerm(Poly((1.0,)), *self._factor)
-
-    @property
     def _factor(self) -> tuple[float, float]:
+        """Rate and power of the integrating factor phi =
+        ``exp((pi1/c) A) * A**(pi0/c)``, phi'/phi = pi/sigma."""
         return self.pi1 / self.c, self.pi0 / self.c
 
     @property
-    def rho(self) -> ExpPowerTerm:
-        """Weight ``exp((tau1/c) A) * A**((tau0 - c)/c)``, (sigma rho)' = tau rho."""
-        return ExpPowerTerm(Poly((1.0,)), *self._weight)
-
-    @property
     def _weight(self) -> tuple[float, float]:
+        """Rate and power of the weight rho =
+        ``exp((tau1/c) A) * A**((tau0 - c)/c)``, (sigma rho)' = tau rho."""
         return self.tau1 / self.c, (self.tau0 - self.c) / self.c
 
     @property
@@ -152,25 +152,20 @@ class NuState:
 
     Built only by :func:`assemble` (or :func:`solve_state`, at the
     quantized kappa): the selected branch, which carries phi and rho, and
-    the Rodrigues polynomial y; the equation at kappa is derived.
+    the coefficients of the Rodrigues polynomial y in ascending degree
+    order; the equation at kappa is derived.
     """
 
     family: NuProblem
     n: int
     kappa: float
     branch: NuBranch
-    y: Poly
+    y: tuple[float, ...]
 
     @property
     def problem(self) -> NuProblem:
         """The equation at this kappa."""
         return self.family.at(self.kappa)
-
-    @functools.cached_property
-    def body(self) -> ExpPowerTerm:
-        """The solution psi = phi * y of the original equation, built on
-        first read and kept, so that its per-term kernel is kept too."""
-        return self.branch.phi.times_poly(self.y)
 
 
 def select_branch(problem: NuProblem) -> NuBranch:
@@ -220,8 +215,9 @@ def select_branch(problem: NuProblem) -> NuBranch:
     raise NoBranch("no decaying combination has an admissible weight")
 
 
-def rodrigues_y(branch: NuBranch, n: int) -> Poly:
-    """n-th Rodrigues polynomial ``(1 / rho) d^n/dA^n [sigma**n rho]``.
+def rodrigues_y(branch: NuBranch, n: int) -> tuple[float, ...]:
+    """Coefficients, in ascending degree order, of the n-th Rodrigues
+    polynomial ``(1 / rho) d^n/dA^n [sigma**n rho]``.
 
     rho is the branch's weight ``exp(a A) * A**b`` and sigma = c*A, so by
     the Leibniz rule the coefficient of A**j is
@@ -248,10 +244,10 @@ def rodrigues_y(branch: NuBranch, n: int) -> Poly:
         binomial = binomial * j / (n - j + 1)
     if not all(map(math.isfinite, coeffs)):
         raise RodriguesFailure(f"a Rodrigues coefficient overflows at n={n}")
-    y = _exact(coeffs)
-    if y.degree != n:
-        raise RodriguesFailure(f"Rodrigues output has degree {y.degree}, expected {n}")
-    return y
+    if coeffs[n] == 0.0:
+        degree = max((j for j, x in enumerate(coeffs) if x), default=-1)
+        raise RodriguesFailure(f"Rodrigues output has degree {degree}, expected {n}")
+    return tuple(coeffs)
 
 
 def eigen_residual(family: NuProblem, kappa: float, n: int) -> float:
@@ -366,7 +362,7 @@ def assemble(family: NuProblem, kappa: float, n: int) -> NuState:
 def solve_state(family: NuProblem, n: int) -> NuState:
     """Quantize level n and assemble the state at the root.
 
-    The root search and its gate run on scalars, so polynomials are built
-    once, by the assembly.
+    The root search and its gate run on scalars, and so does the
+    assembly: a state holds floats only.
     """
     return assemble(family, solve_kappa(family, n), n)

@@ -1,8 +1,8 @@
 """Dense real polynomials and exponential-power terms.
 
-Plain polynomials ``P(A)`` hold the pi, tau and y that ``solve`` prints,
-and terms ``P(A) * exp(rate*A) * A**power`` hold the phi, rho and body
-of a state.  The half-transform gives a real equation in A, so every
+A term ``P(A) * exp(rate*A) * A**power`` holds the wavefunction body
+psi = phi * y of a solved state, and a plain polynomial ``P(A)`` its
+factor y.  The half-transform gives a real equation in A, so every
 coefficient, rate and power is a finite float; complex arithmetic is
 left to evaluating at a complex A.  Both evaluate by Horner recursion,
 and their algebra (sum, product, derivative) is what the tests build
@@ -20,19 +20,10 @@ from math import isfinite
 from typing import Iterable, Iterator
 
 from .errors import BranchPointError
+from .nu import _finite_real
 
 #: Absolute slack when deciding whether a power is zero.
 _ZERO_POWER_TOL = 1e-12
-
-
-def _finite_real(name: str, value: float) -> float:
-    """``value`` as a float; complex or non-finite input raises ValueError."""
-    if isinstance(value, complex):
-        raise ValueError(f"{name} must be real, got {value!r}")
-    x = float(value)
-    if not isfinite(x):
-        raise ValueError(f"non-finite value not admitted: {name} = {value!r}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -210,7 +201,3 @@ class ExpPowerTerm:
         for c in top_down:
             value = value * z + c
         return value * exp(rate * z) * z ** power
-
-    def times_poly(self, q: Poly) -> "ExpPowerTerm":
-        """Multiply the polynomial factor by ``q``."""
-        return ExpPowerTerm(self.poly * q, self.rate, self.power)

@@ -366,6 +366,18 @@ class TestWavefunction:
             assert captured.out == ""
             assert captured.err == f"OverflowError: psi is not finite at {where}\n"
 
+    def test_overflowing_power_names_r(self, capsys):
+        """A = -3r overflows to -inf at r = 1e308, where A**(1/3) raises;
+        the bare "complex exponentiation" becomes an error naming r."""
+        argv = ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-3",
+                "--grid=0,1e308,2"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "OverflowError: psi overflows at r = 1e+308: complex exponentiation\n"
+        )
+
     @pytest.mark.parametrize(
         "option, message",
         [

@@ -360,7 +360,7 @@ class TestSpectra:
             for L in range(6):
                 params = PhysicalParams(mass=900.0, angular_momentum=L)
                 state = solve_state(build_radial_family(params, alphadelta), 40)
-                assert state.y.degree == 40, (alphadelta, L)
+                assert len(state.y) == 41 and state.y[-1] != 0.0, (alphadelta, L)
                 assert state.kappa == pytest.approx(
                     -2.0 * 900.0 * closed_form_energy(params, 40, alphadelta), rel=1e-14
                 )
@@ -488,21 +488,25 @@ class TestWavefunctions:
             assemble_wavefunction(ATOMIC, OpPoint(0.0, 1.0, 1.0, 0.0), 0)
 
     def test_body_is_built_once(self, monkeypatch):
-        """Evaluation reads the state's kept body: tabulating a grid must
-        not rebuild phi*y, or its per-term kernel, at every point."""
+        """Evaluation reads the record's kept body: tabulating a grid builds
+        one term per WavefunctionForm, not phi*y, or its per-term kernel,
+        at every point."""
         calls = []
-        times_poly = ExpPowerTerm.times_poly
+        init = ExpPowerTerm.__init__
 
-        def counted(self, poly):
-            calls.append(poly)
-            return times_poly(self, poly)
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(ExpPowerTerm, "times_poly", counted)
-        wf = assemble_wavefunction(ATOMIC, canonical_config(-1.0), 5)
-        for j in range(1000):
-            eval_wavefunction(wf, 0.01 * (j + 1), 0.0, 1.0)
-        assert wf.body.poly.degree == 5
-        assert len(calls) == 1
+        monkeypatch.setattr(ExpPowerTerm, "__init__", counted)
+        for n in (0, 5):
+            calls.clear()
+            wf = assemble_wavefunction(ATOMIC, canonical_config(-1.0), n)
+            assert calls == []
+            for j in range(1000):
+                eval_wavefunction(wf, 0.01 * (j + 1), 0.0, 1.0)
+            assert wf.body.poly.degree == n
+            assert len(calls) == 1
 
 
 class TestSamplesAndResiduals:
@@ -576,6 +580,14 @@ class TestSamplesAndResiduals:
                 assert len(got) == 5 + len(y) == 6 + n
                 assert [x.hex() for x in got] == [z.real.hex() for z in (*branch, *y)]
                 assert {z.imag.hex() for z in (*branch, *y)} == {(0.0).hex()}
+                # what lets solve print pi, tau and y untrimmed
+                assert state.branch.pi1 < 0.0 and state.branch.tau1 < 0.0
+                assert state.y[-1] != 0.0
+                body = hydrogen.WavefunctionForm(canonical_config(alphadelta), state).body
+                want = ExpPowerTerm(Poly((1.0,)) * Poly(state.y), *state.branch._factor)
+                assert [x.hex() for x in (body.rate, body.power, *body.poly.coeffs)] == [
+                    x.hex() for x in (want.rate, want.power, *want.poly.coeffs)
+                ]
 
     def test_residual_makes_no_term_or_poly_calls(self, monkeypatch):
         """Spied the way test_state_is_assembled_once spies the solve; a body
@@ -599,9 +611,9 @@ class TestSamplesAndResiduals:
         spy(Poly, "__call__")
         ode_residual(state)
         assert counts == {}
-        state.body.evaluate(0.5)
+        hydrogen.WavefunctionForm(canonical_config(-3.0), state).body.evaluate(0.5)
         assert counts == {"evaluate": 1}
-        state.y(0.5)
+        Poly(state.y)(0.5)
         assert counts == {"evaluate": 1, "__call__": 1}
 
     @pytest.mark.parametrize("detuned", [False, True])

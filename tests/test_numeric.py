@@ -69,6 +69,11 @@ class TestPoly:
         [
             (lambda: Poly((1 + 0j,)), "coeffs must be real"),
             (lambda: Poly((1j,)), "coeffs must be real"),
+            (lambda: Poly(("1", " 2e0 ")), "coeffs must be real, got '1'"),
+            (lambda: Poly((1.0, None)), "coeffs must be real, got None"),
+            (lambda: ExpPowerTerm(Poly((1.0,)), rate="-1"), "rate must be real, got '-1'"),
+            (lambda: ExpPowerTerm((" 2e0 ",)), "coeffs must be real, got ' 2e0 '"),
+            (lambda: Poly((1.0,)) * "3", "scalar must be real, got '3'"),
             (lambda: ExpPowerTerm(Poly((1.0,)), rate=1j), "rate must be real"),
             (lambda: ExpPowerTerm(Poly((1.0,)), power=0.5 + 0j), "power must be real"),
             (lambda: 2j * Poly((1.0,)), "scalar must be real"),
@@ -275,12 +280,6 @@ class TestExpPowerTerm:
     def test_integer_power_at_origin(self):
         assert ExpPowerTerm(Poly((3.0,)), 1.0, 0.0).evaluate(0.0) == 3 + 0j
         assert ExpPowerTerm(Poly((3.0,)), 1.0, 2.0).evaluate(0.0) == 0j
-
-    def test_times_poly(self):
-        t = ExpPowerTerm(Poly((1.0,)), rate=-1.0, power=0.5)
-        grown = t.times_poly(Poly((0.0, 2.0)))
-        assert grown.power == pytest.approx(1.5)
-        assert grown.poly.coefficient(0) == pytest.approx(2.0)
 
     def test_derivative_matches_central_difference_on_annulus(self):
         t = ExpPowerTerm(Poly((1.0, 0.5)), rate=-0.3, power=1.0 / 3.0)

@@ -102,8 +102,12 @@ def imported_modules(source):
 
 def test_the_solver_runs_on_floats():
     """nu and hydrogen solve real equations: complex arithmetic is left to
-    evaluating psi at a complex A, in numeric."""
+    evaluating psi at a complex A, in numeric, which nu does not import:
+    a solved state holds floats only."""
     assert imported_modules("import cmath.x\nfrom math import sqrt\n") == {"cmath", "math"}
+    assert imported_modules("from .numeric import Poly\n") == {"numeric"}
     for name in ("nu.py", "hydrogen.py"):
         source = (ROOT / "src/phasenu" / name).read_text(encoding="utf-8")
         assert "cmath" not in imported_modules(source), name
+    nu_source = (ROOT / "src/phasenu/nu.py").read_text(encoding="utf-8")
+    assert "numeric" not in imported_modules(nu_source)
