@@ -259,7 +259,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         r = rmin + j * (rmax - rmin) / (steps - 1)
         a_val = point.alpha * r + 1j * params.hbar * point.beta * args.pbar
         try:
-            psi = wf.body.evaluate(a_val)
+            psi = hydrogen.eval_wavefunction(wf, r, args.pbar, params.hbar)
         except OverflowError as err:  # exp or z**power beyond the float range
             raise OverflowError(f"psi overflows at r = {r!r}: {err}") from None
         if not cmath.isfinite(psi):  # overflowed, or an infinite P(A) met e^{aA} = 0

@@ -27,7 +27,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import nu
 from .errors import BranchPointError, UnsupportedBranch, UnsupportedRecovery
@@ -175,9 +175,13 @@ class WavefunctionForm:
 
     @functools.cached_property
     def body(self) -> ExpPowerTerm:
-        """psi = phi * y as one term, built on first read and kept, so that
-        its per-term kernel is kept too."""
+        """psi = phi * y as one term, built on first read and kept."""
         return ExpPowerTerm(self.state.y, *self.state.branch._factor)
+
+    @functools.cached_property
+    def _psi(self) -> Callable[[float, complex, float], complex]:
+        """The body along this point's slice, bound on first read and kept."""
+        return self.body.along(self.point.alpha, self.point.beta)
 
     @property
     def kappa(self) -> float:
@@ -202,13 +206,9 @@ def assemble_wavefunction(
     return WavefunctionForm(point, nu.solve_state(family, n))
 
 
-def eval_wavefunction(
-    wf: WavefunctionForm, r: float, pbar: complex, hbar: float
-) -> complex:
+def eval_wavefunction(wf: WavefunctionForm, r: float, pbar: complex, hbar: float) -> complex:
     """Body value at A = alpha*r + i*hbar*beta*pbar (prefactor excluded)."""
-    point = wf.point
-    a_val = point.alpha * r + 1j * hbar * point.beta * pbar
-    return wf.body.evaluate(a_val)
+    return wf._psi(r, pbar, hbar)
 
 
 def _fractions() -> tuple[float, ...]:

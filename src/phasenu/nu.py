@@ -60,11 +60,14 @@ KAPPA_FLOOR = 1e-12
 
 def _finite_real(name: str, value: float) -> float:
     """``value`` as a float; anything but a finite real number raises
-    ValueError naming ``name``."""
+    ValueError naming ``name``, one beyond the float range included."""
     if type(value) is float:  # skips the far slower ABC check
         x = value
     elif isinstance(value, Real):
-        x = float(value)
+        try:
+            x = float(value)
+        except OverflowError as err:  # a huge int or Fraction
+            raise ValueError(f"{name} is beyond the float range: {err}") from None
     else:
         raise ValueError(f"{name} must be real, got {value!r}")
     if not math.isfinite(x):

@@ -4,20 +4,20 @@ A term ``P(A) * exp(rate*A) * A**power`` holds the wavefunction body
 psi = phi * y of a solved state, and a plain polynomial ``P(A)`` its
 factor y.  The half-transform gives a real equation in A, so every
 coefficient, rate and power is a finite float; complex arithmetic is
-left to evaluating at a complex A.  Both evaluate by Horner recursion,
-and their algebra (sum, product, derivative) is what the tests build
-reference values from.  Coefficients are stored in ascending degree
-order, without exact-zero trailing ones.
+left to evaluating at a complex A.  Both evaluate by Horner recursion
+(a term along a slice of operator space), and their algebra (sum,
+product, derivative) is what the tests build reference values from.
+Coefficients are stored in ascending degree order, without exact-zero
+trailing ones.
 """
 
 from __future__ import annotations
 
 from cmath import exp
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import zip_longest
 from math import isfinite
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import BranchPointError
 from .nu import _finite_real
@@ -157,47 +157,43 @@ class ExpPowerTerm:
         bracket = _exact((0.0, *(p.derivative() + rate * p))) + power * p
         return ExpPowerTerm(bracket, rate, power - 1)
 
-    @cached_property
-    def _kernel(self) -> tuple:
-        """What :meth:`evaluate` reads per point: the coefficients top
-        down, as floats for a real point and as complex numbers for a
-        complex one, then rate and power as complex numbers."""
-        cs = self.poly.coeffs[::-1]
-        return cs, tuple(map(complex, cs)), complex(self.rate), complex(self.power)
+    def along(self, alpha: float, beta: float) -> Callable[[float, complex, float], complex]:
+        """The term on the slice ``A = alpha*r + i*hbar*beta*pbar`` as
+        ``psi(r, pbar, hbar)``, with its constants bound once.
 
-    def evaluate(self, z: complex) -> complex:
-        """Evaluate at ``z`` on the principal branch of ``z**power``.
-
-        At ``z = 0`` the value is ``P(0)`` for power zero and the limit
-        0 for power > 0; any other power raises
-        :class:`BranchPointError`, since ``z**power`` has no limit there.
-        Elsewhere the value has the bits of ``poly(z) * exp(rate*z) *
-        z**power``: the Horner recursion of ``Poly.__call__`` runs inline,
-        on floats at a real ``z``.  That is exact: over the complex copy,
-        whose imaginary parts are +0.0, the complex recursion does the same
-        float operations on its real part, and a -0.0 imaginary part of ``z``
-        changes no bits, since folding leaves a nonzero constant
-        coefficient, whose addition erases the sign of any zero.
+        At ``A = 0`` the value is ``P(0)`` for power zero and the limit 0
+        for power > 0; any other power raises :class:`BranchPointError`,
+        since ``A**power`` has no limit there.  Elsewhere it has the bits
+        of ``poly(A) * exp(rate*A) * A**power`` (principal branch): the
+        recursion of ``Poly.__call__`` runs inline, on floats at a real
+        ``A``.  That is exact: the complex recursion over coefficients
+        with imaginary part +0.0 does the same float operations on its
+        real part, and a -0.0 imaginary part of ``A`` changes no bits, as
+        folding leaves a nonzero constant coefficient, whose addition
+        erases the sign of any zero.
         """
-        z = complex(z)
-        if z == 0:
-            b = self.power
-            if abs(b) <= _ZERO_POWER_TOL:
-                return self.poly(0j)
-            if b > 0.0:
-                return 0j
-            raise BranchPointError(
-                f"z = 0 is a branch point for power {b}"
-            )
-        real, top_down, rate, power = self._kernel
-        if z.imag == 0.0:
-            x = z.real
-            value = 0.0
-            for c in real:
-                value = value * x + c
-            if isfinite(value):
-                return complex(value) * exp(rate * z) * z ** power
-        value = 0j
-        for c in top_down:
-            value = value * z + c
-        return value * exp(rate * z) * z ** power
+        real = self.poly.coeffs[::-1]
+        top_down = tuple(map(complex, real))
+        rate, power = complex(self.rate), complex(self.power)
+        b = self.power
+        at_zero = self.poly(0j) if abs(b) <= _ZERO_POWER_TOL else 0j if b > 0.0 else None
+
+        def psi(r: float, pbar: complex, hbar: float) -> complex:
+            z = alpha * r + 1j * hbar * beta * pbar
+            if z == 0:
+                if at_zero is None:
+                    raise BranchPointError(f"z = 0 is a branch point for power {b}")
+                return at_zero
+            if z.imag == 0.0:
+                x = z.real
+                value = 0.0
+                for c in real:
+                    value = value * x + c
+                if isfinite(value):
+                    return complex(value) * exp(rate * z) * z ** power
+            value = 0j
+            for c in top_down:
+                value = value * z + c
+            return value * exp(rate * z) * z ** power
+
+        return psi

@@ -5,6 +5,7 @@ import cmath
 import collections
 import dataclasses
 import functools
+import inspect
 import math
 import statistics
 from fractions import Fraction
@@ -488,25 +489,30 @@ class TestWavefunctions:
             assemble_wavefunction(ATOMIC, OpPoint(0.0, 1.0, 1.0, 0.0), 0)
 
     def test_body_is_built_once(self, monkeypatch):
-        """Evaluation reads the record's kept body: tabulating a grid builds
-        one term per WavefunctionForm, not phi*y, or its per-term kernel,
-        at every point."""
-        calls = []
-        init = ExpPowerTerm.__init__
+        """Evaluation runs the record's kept evaluator: tabulating a grid
+        binds the body to the point's slice once per WavefunctionForm, not
+        phi*y, or its evaluator, at every point."""
+        calls = collections.Counter()
+        init, along = ExpPowerTerm.__init__, ExpPowerTerm.along
 
-        def counted(self, *args, **kwargs):
-            calls.append(args)
+        def counted_init(self, *args, **kwargs):
+            calls["__init__"] += 1
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(ExpPowerTerm, "__init__", counted)
+        def counted_along(self, *args):
+            calls["along"] += 1
+            return along(self, *args)
+
+        monkeypatch.setattr(ExpPowerTerm, "__init__", counted_init)
+        monkeypatch.setattr(ExpPowerTerm, "along", counted_along)
         for n in (0, 5):
             calls.clear()
             wf = assemble_wavefunction(ATOMIC, canonical_config(-1.0), n)
-            assert calls == []
-            for j in range(1000):
+            assert calls == {}
+            for j in range(100):
                 eval_wavefunction(wf, 0.01 * (j + 1), 0.0, 1.0)
             assert wf.body.poly.degree == n
-            assert len(calls) == 1
+            assert calls == {"__init__": 1, "along": 1}
 
 
 class TestSamplesAndResiduals:
@@ -590,10 +596,11 @@ class TestSamplesAndResiduals:
                 ]
 
     def test_residual_makes_no_term_or_poly_calls(self, monkeypatch):
-        """Spied the way test_state_is_assembled_once spies the solve; a body
-        evaluation and a y evaluation afterwards show that the spy sees the
-        calls it counts.  A body evaluation runs its Horner recursion
-        inline and calls no Poly."""
+        """Spied the way test_state_is_assembled_once spies the solve, on
+        every method of Poly and ExpPowerTerm.  Neither the residual nor
+        an evaluation through a bound evaluator calls one; binding it, and
+        a y evaluation afterwards, show that the spy sees the calls it
+        counts."""
         state = solved_and_detuned("atomic", -3.0)[0]
         counts = collections.Counter()
 
@@ -601,20 +608,25 @@ class TestSamplesAndResiduals:
             original = getattr(cls, name)
 
             def counted(*args, **kwargs):
-                counts[name] += 1
+                counts[f"{cls.__name__}.{name}"] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(cls, name, counted)
 
-        spy(ExpPowerTerm, "evaluate")
-        spy(ExpPowerTerm, "derivative")
-        spy(Poly, "__call__")
+        for cls in (Poly, ExpPowerTerm):
+            for name, value in list(vars(cls).items()):
+                if inspect.isfunction(value):
+                    spy(cls, name)
         ode_residual(state)
         assert counts == {}
-        hydrogen.WavefunctionForm(canonical_config(-3.0), state).body.evaluate(0.5)
-        assert counts == {"evaluate": 1}
+        wf = hydrogen.WavefunctionForm(canonical_config(-3.0), state)
+        eval_wavefunction(wf, 0.5, 0j, 1.0)
+        assert counts["ExpPowerTerm.along"] == 1
+        counts.clear()
+        eval_wavefunction(wf, 0.7, 0.3, 1.0)
+        assert counts == {}
         Poly(state.y)(0.5)
-        assert counts == {"evaluate": 1, "__call__": 1}
+        assert counts["Poly.__call__"] == 1
 
     @pytest.mark.parametrize("detuned", [False, True])
     def test_non_finite_defect_reads_inf(self, detuned):

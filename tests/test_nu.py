@@ -4,12 +4,13 @@ factors, Rodrigues polynomials, and eigenvalue quantization."""
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from phasenu import nu
 
-from phasenu.errors import NoBranch, NoSignChange, RodriguesFailure
+from phasenu.errors import BranchPointError, NoBranch, NoSignChange, RodriguesFailure
 from phasenu.numeric import ExpPowerTerm, Poly
 from phasenu.nu import (
     NuBranch,
@@ -47,6 +48,18 @@ def pi_tau(branch):
 def phi_rho(branch):
     """The integrating factor phi and the weight rho of the branch as terms."""
     return tuple(ExpPowerTerm(Poly((1.0,)), *ab) for ab in (branch._factor, branch._weight))
+
+
+def term_value(t, z):
+    """t at z as poly(z) * exp(rate*z) * z**power, with the rules at z = 0."""
+    z = complex(z)
+    if z == 0:
+        if abs(t.power) <= 1e-12:
+            return t.poly(0j)
+        if t.power > 0.0:
+            return 0j
+        raise BranchPointError
+    return t.poly(z) * cmath.exp(complex(t.rate) * z) * z ** complex(t.power)
 
 
 def reference_combinations(problem):
@@ -157,7 +170,8 @@ class TestProblemValidation:
     def test_complex_scalars_are_refused_by_name(self):
         """nu solves real equations: a complex scalar is refused, even one
         whose imaginary part is zero, and so is any other non-number, such
-        as a string that float() would parse; the message names the field."""
+        as a string that float() would parse, and a real number beyond the
+        float range; the message names the field."""
         for bad in (1 + 2j, complex(2.0, 0.0), complex(1.0, -math.inf), "1", " 2e0 ", None):
             with pytest.raises(ValueError, match="c must be real"):
                 NuProblem(bad, (0.0, 1.0, 0.0), (2.0, 0.0))
@@ -170,6 +184,13 @@ class TestProblemValidation:
                 radial_family(0.0, 2.0, -3.0).at(bad)
         with pytest.raises(ValueError, match="c must be real, got '1'"):
             NuProblem("1", ("0", "2", "-0.25"), ("2", "0"))
+        for bad in (10**400, -(10**400), Fraction(10**400, 3)):
+            with pytest.raises(ValueError, match="c is beyond the float range"):
+                NuProblem(bad, (0.0, 1.0, 0.0), (2.0, 0.0))
+            with pytest.raises(ValueError, match="sigma_tilde is beyond the float range"):
+                NuProblem(1.0, (0.0, bad, 0.0), (2.0, 0.0))
+            with pytest.raises(ValueError, match="tau_tilde is beyond the float range"):
+                NuProblem(1.0, (0.0, 1.0, 0.0), (2.0, bad))
 
     def test_kappa_shift_that_overflows_is_refused(self):
         """at(kappa) re-checks only the sums, which alone can overflow."""
@@ -395,7 +416,7 @@ class TestIntegratingFactors:
         pi, _ = pi_tau(branch)
         d = phi.derivative()
         for z in (0.7, 1.3, 2.9 + 0.4j):
-            lhs = d.evaluate(z) / phi.evaluate(z)
+            lhs = term_value(d, z) / term_value(phi, z)
             rhs = pi(z) / (DEEP.c * z)
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
@@ -422,8 +443,8 @@ class TestIntegratingFactors:
         sigma_rho = ExpPowerTerm(Poly((0.0, DEEP.c)), *branch._weight)
         d = sigma_rho.derivative()
         for z in (0.6, 1.9, 1.1 - 0.8j):
-            lhs = d.evaluate(z)
-            rhs = tau(z) * rho.evaluate(z)
+            lhs = term_value(d, z)
+            rhs = tau(z) * term_value(rho, z)
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
 
@@ -608,8 +629,8 @@ class TestQuantization:
         for z in (0.5, 1.2, 2.6, 4.8, 2.0 + 1.5j):
             sig = sigma(z)
             lhs = (
-                d2.evaluate(z)
-                + tau_tilde(z) / sig * d1.evaluate(z)
-                + sigma_tilde(z) / (sig * sig) * psi.evaluate(z)
+                term_value(d2, z)
+                + tau_tilde(z) / sig * term_value(d1, z)
+                + sigma_tilde(z) / (sig * sig) * term_value(psi, z)
             )
-            assert abs(lhs) <= 1e-8 * (1.0 + abs(psi.evaluate(z)))
+            assert abs(lhs) <= 1e-8 * (1.0 + abs(term_value(psi, z)))

@@ -4,13 +4,21 @@ import cmath
 import dataclasses
 import math
 import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasenu.errors import BranchPointError
+from phasenu.hydrogen import (
+    CONFIG_SPACE_POINT,
+    DEEP_BRANCH_POINT,
+    PhysicalParams,
+    assemble_wavefunction,
+)
 from phasenu.numeric import ExpPowerTerm, Poly
+from phasenu.opspace import OpPoint
 
 unit_coeff = st.floats(-1.0, 1.0)
 unit_point = st.complex_numbers(
@@ -79,6 +87,10 @@ class TestPoly:
             (lambda: 2j * Poly((1.0,)), "scalar must be real"),
             (lambda: Poly((1.0, math.nan)), "non-finite value not admitted: coeffs = nan"),
             (lambda: ExpPowerTerm(Poly((1.0,)), rate=math.inf), "non-finite value not admitted: rate"),
+            (lambda: Poly((10**400,)), "coeffs is beyond the float range"),
+            (lambda: Poly((1.0, Fraction(-(10**400), 3))), "coeffs is beyond the float range"),
+            (lambda: ExpPowerTerm(Poly((1.0,)), power=10**400), "power is beyond the float range"),
+            (lambda: Poly((1.0,)) * 10**400, "scalar is beyond the float range"),
         ],
     )
     def test_complex_and_non_finite_values_are_refused_by_name(self, make, message):
@@ -162,7 +174,7 @@ def outcome(f, *args):
 
 
 def term_reference(t: ExpPowerTerm, z: complex) -> complex:
-    """ExpPowerTerm.evaluate as poly(z) * exp(rate*z) * z**power."""
+    """t at z as poly(z) * exp(rate*z) * z**power, with the rules at z = 0."""
     z = complex(z)
     if z == 0:
         if abs(t.power) <= 1e-12:
@@ -173,47 +185,76 @@ def term_reference(t: ExpPowerTerm, z: complex) -> complex:
     return t.poly(z) * cmath.exp(complex(t.rate) * z) * z ** complex(t.power)
 
 
+def slice_reference(t: ExpPowerTerm, at: OpPoint, r: float, pbar: complex, hbar: float) -> complex:
+    """t at A = alpha*r + i*hbar*beta*pbar, A built here."""
+    return term_reference(t, at.alpha * r + 1j * hbar * at.beta * pbar)
+
+
+def value_at(t: ExpPowerTerm, z: complex) -> complex:
+    """t at A = z, on the slice A = r + i*pbar."""
+    z = complex(z)
+    return t.along(1.0, 1.0)(z.real, z.imag, 1.0)
+
+
 rate = st.one_of(signed_zero, st.floats(-3.0, 3.0))
 power = st.one_of(st.integers(-3, 4).map(float), st.floats(-3.0, 4.0))
+canonical = st.sampled_from([CONFIG_SPACE_POINT, DEEP_BRANCH_POINT])
+#: pbar real, imaginary, complex or a signed zero (float or complex).
+pbar = st.one_of(
+    st.builds(complex, part, signed_zero),
+    st.builds(complex, signed_zero, part),
+    st.builds(complex, part, part),
+    signed_zero,
+    st.builds(complex, signed_zero, signed_zero),
+)
+hbar = st.sampled_from([1.0, 0.5, 2.0])
+
+#: The n = 40 body of the configuration branch: its float Horner value
+#: overflows at r = 1e12, where exp(rate*A) underflows to 0.
+N40 = assemble_wavefunction(PhysicalParams(), CONFIG_SPACE_POINT, 40).body
 
 
 class TestTermBitIdentity:
-    """The inline Horner recursion of ExpPowerTerm.evaluate gives the bits
-    of the Poly call, exponential and power it replaces."""
+    """The evaluator ``along`` binds gives the bits of the Poly call,
+    exponential and power it replaces, at the A the test builds."""
 
-    @given(st.lists(part, max_size=8), rate, power, point)
-    @example([-0.0, 1.0], 0.5, 0.0, complex(-0.0, -0.0))
-    @example([1.0, -0.0, 1.0], -0.5, 2.0, 2 + 0j)  # -0.0 in a coefficient
-    @example([-2.0, -0.0, 1.0], 0.0, 0.0, complex(-1.5, -0.0))  # ... at a -0.0 in z
-    @example([1.0, 1.0], -0.5, 0.5, complex(2.0, -0.0))  # -0.0 in z
+    @given(st.lists(part, max_size=8), rate, power, canonical, part, pbar, hbar)
+    @example([1.0, -0.0, 1.0], -0.5, 2.0, CONFIG_SPACE_POINT, 2.0, 0j, 1.0)  # -0.0 in a coefficient
+    @example([-2.0, -0.0, 1.0], 0.0, 0.0, DEEP_BRANCH_POINT, 0.5, 1j, 1.0)  # ... at a real deep A
+    @example([1.0, 1.0], -0.5, 0.5, DEEP_BRANCH_POINT, 1.0, -0.0, 1.0)  # a -0.0 pbar
+    @example([1.0, 1.0], -0.5, 0.5, DEEP_BRANCH_POINT, -1.0, 2.0, 1.0)  # a complex A
     # float overflow: the float Horner value is inf, so the complex recursion runs
-    @example([1.0, 1.0, 1e200], -1e-200, 0.5, 1e200 + 0j)
-    @example([3.0, 1.0], 1.0, 0.0, 0j)  # z = 0, power zero: P(0)
-    @example([3.0], 1.0, 2.0, complex(-0.0, 0.0))  # z = 0, integer power
-    @example([3.0], 1.0, 1.0 / 3.0, 0j)  # z = 0, fractional power
-    @example([3.0], 1.0, -0.5, 0j)  # z = 0, branch point
+    @example([1.0, 1.0, 1e200], -1e-200, 0.5, CONFIG_SPACE_POINT, 1e200, 0j, 1.0)
+    @example(list(N40.poly.coeffs), N40.rate, N40.power, CONFIG_SPACE_POINT, 1e12, 0j, 1.0)
+    @example([-0.0, 1.0], 0.5, 0.0, CONFIG_SPACE_POINT, -0.0, -0.0, 1.0)  # A = 0 from signed zeros
+    @example([3.0, 1.0], 1.0, 0.0, CONFIG_SPACE_POINT, 0.0, 0j, 1.0)  # A = 0, power zero: P(0)
+    @example([3.0], 1.0, 2.0, DEEP_BRANCH_POINT, 0.0, -0.0, 1.0)  # A = 0, integer power
+    @example([3.0], 1.0, 1.0 / 3.0, DEEP_BRANCH_POINT, 0.0, 0j, 1.0)  # A = 0, fractional power
+    @example([3.0], 1.0, -0.5, CONFIG_SPACE_POINT, 0.0, 1j, 1.0)  # A = 0, branch point
     @settings(max_examples=400, deadline=None)
-    def test_evaluate_matches_poly_exp_power(self, coeffs, rate, power, z):
+    def test_along_matches_poly_exp_power(self, coeffs, rate, power, at, r, pbar, hbar):
         t = ExpPowerTerm(Poly(coeffs), rate, power)
-        assert outcome(t.evaluate, z) == outcome(term_reference, t, z)
+        psi = t.along(at.alpha, at.beta)
+        assert outcome(psi, r, pbar, hbar) == outcome(slice_reference, t, at, r, pbar, hbar)
+
+    def test_n40_overflow_is_nan(self):
+        """The example above does overflow: inf times exp(rate*A) = 0."""
+        value = N40.along(1.0, 0.0)(1e12, 0j, 1.0)
+        assert cmath.isnan(value.real) and cmath.isnan(value.imag)
 
     def test_negative_zero_coefficient_takes_the_float_path(self):
-        """The kernel keeps the coefficients as floats, a -0.0 one too, and
-        a real point runs the float recursion on them."""
+        """A -0.0 coefficient is kept, and a real A runs the float recursion
+        over it."""
         t = ExpPowerTerm(Poly((1.0, -0.0, 0.5)), -0.5, 1.5)
-        floats, complexes, rate, power = t._kernel
-        assert [c.hex() for c in floats] == [c.hex() for c in (0.5, -0.0, 1.0)]
-        assert all(type(c) is float for c in floats)
-        assert [bits(c) for c in complexes] == [bits(complex(c, 0.0)) for c in floats]
         value = (0.5 * 2.0 + -0.0) * 2.0 + 1.0
-        want = complex(value) * cmath.exp(rate * 2.0) * (2 + 0j) ** power
-        assert bits(t.evaluate(2.0)) == bits(want)
+        want = complex(value) * cmath.exp(complex(-0.5) * (2 + 0j)) * (2 + 0j) ** complex(1.5)
+        assert bits(t.along(1.0, 0.0)(2.0, 0j, 1.0)) == bits(want)
 
-    def test_kernel_is_not_a_field(self):
+    def test_binding_a_slice_keeps_the_term(self):
         t = ExpPowerTerm(Poly((1.0, -2.0, 0.5)), -0.5, 1.5)
         fresh = ExpPowerTerm(Poly((1.0, -2.0, 0.5)), -0.5, 1.5)
-        t.evaluate(1.5)
-        assert "_kernel" in vars(t)
+        t.along(-3.0, 1.0)(1.5, 0.5j, 1.0)
+        assert vars(t) == vars(fresh)
         assert [f.name for f in dataclasses.fields(ExpPowerTerm)] == ["poly", "rate", "power"]
         assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
 
@@ -258,11 +299,11 @@ class TestExpPowerTerm:
 
     def test_evaluate_at_one(self):
         t = ExpPowerTerm(Poly((1.0,)), rate=-1.0 / 6.0, power=1.0 / 3.0)
-        assert t.evaluate(1.0) == pytest.approx(math.exp(-1.0 / 6.0))
+        assert value_at(t, 1.0) == pytest.approx(math.exp(-1.0 / 6.0))
 
     def test_real_on_positive_axis(self):
         t = ExpPowerTerm(Poly((2.0, -1.0)), rate=-0.4, power=0.25)
-        v = t.evaluate(1.7)
+        v = value_at(t, 1.7)
         assert v.imag == pytest.approx(0.0, abs=1e-15)
 
     def test_branch_point_rejected(self):
@@ -270,16 +311,16 @@ class TestExpPowerTerm:
         for power in (-1.0, -0.5, -1.0 / 3.0):
             t = ExpPowerTerm(Poly((1.0,)), rate=0.0, power=power)
             with pytest.raises(BranchPointError):
-                t.evaluate(0.0)
+                value_at(t, 0.0)
 
     def test_positive_power_vanishes_at_origin(self):
         for power in (0.5, 1.0 / 3.0, 2.5):
             t = ExpPowerTerm(Poly((2.0, 1.0)), rate=-1.0, power=power)
-            assert t.evaluate(0.0) == 0j
+            assert value_at(t, 0.0) == 0j
 
     def test_integer_power_at_origin(self):
-        assert ExpPowerTerm(Poly((3.0,)), 1.0, 0.0).evaluate(0.0) == 3 + 0j
-        assert ExpPowerTerm(Poly((3.0,)), 1.0, 2.0).evaluate(0.0) == 0j
+        assert value_at(ExpPowerTerm(Poly((3.0,)), 1.0, 0.0), 0.0) == 3 + 0j
+        assert value_at(ExpPowerTerm(Poly((3.0,)), 1.0, 2.0), 0.0) == 0j
 
     def test_derivative_matches_central_difference_on_annulus(self):
         t = ExpPowerTerm(Poly((1.0, 0.5)), rate=-0.3, power=1.0 / 3.0)
@@ -290,5 +331,5 @@ class TestExpPowerTerm:
         ]
         h = 1e-6
         for z in rng_points:
-            fd = (t.evaluate(z + h) - t.evaluate(z - h)) / (2.0 * h)
-            assert abs(d.evaluate(z) - fd) <= 1e-6 * (1.0 + abs(fd))
+            fd = (value_at(t, z + h) - value_at(t, z - h)) / (2.0 * h)
+            assert abs(value_at(d, z) - fd) <= 1e-6 * (1.0 + abs(fd))
