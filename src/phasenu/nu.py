@@ -107,7 +107,12 @@ class NuProblem:
         them; only the new A**2 coefficient, which can overflow, is checked.
         """
         s0, s1, s2 = self.sigma_tilde
-        st = (s0, s1, _finite_real("sigma_tilde[2] - kappa", s2 - kappa))
+        try:
+            s2k = s2 - kappa
+        except (OverflowError, TypeError):  # a huge int, a string: name kappa
+            _finite_real("kappa", kappa)
+            raise
+        st = (s0, s1, _finite_real("sigma_tilde[2] - kappa", s2k))
         shifted = object.__new__(NuProblem)
         vars(shifted).update(vars(self), sigma_tilde=st)
         return shifted
@@ -255,7 +260,12 @@ def rodrigues_y(branch: NuBranch, n: int) -> tuple[float, ...]:
 
 def eigen_residual(family: NuProblem, kappa: float, n: int) -> float:
     """lambda - lambda_n for the branch selected at this kappa."""
-    if not kappa > 0.0:
+    try:
+        positive = kappa > 0.0
+    except TypeError:  # a string, a complex number: name kappa
+        _finite_real("kappa", kappa)
+        raise
+    if not positive:
         raise ValueError("kappa must be positive")
     b = select_branch(family.at(kappa))
     return b.lam - b.lam_n(n)

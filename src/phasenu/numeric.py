@@ -4,11 +4,9 @@ A term ``P(A) * exp(rate*A) * A**power`` holds the wavefunction body
 psi = phi * y of a solved state, and a plain polynomial ``P(A)`` its
 factor y.  The half-transform gives a real equation in A, so every
 coefficient, rate and power is a finite float; complex arithmetic is
-left to evaluating at a complex A.  Both evaluate by Horner recursion
-(a term along a slice of operator space), and their algebra (sum,
-product, derivative) is what the tests build reference values from.
-Coefficients are stored in ascending degree order, without exact-zero
-trailing ones.
+left to evaluating at a complex A.  Both evaluate by Horner recursion, a
+term along a slice of operator space.  Coefficients are stored in
+ascending degree order, without exact-zero trailing ones.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from cmath import exp
 from dataclasses import dataclass
 from itertools import zip_longest
 from math import isfinite
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import BranchPointError
 from .nu import _finite_real
@@ -30,30 +28,19 @@ _ZERO_POWER_TOL = 1e-12
 class Poly:
     """Polynomial with real coefficients, ascending degree order.
 
-    The empty tuple is the zero polynomial.  Construction and arithmetic
-    drop exact-zero trailing coefficients and nothing else: long
-    derivative chains produce genuinely tiny leading coefficients (ratios
-    below 1e-14 occur in high-order Rodrigues output), and trimming those
-    would change the polynomial, not clean it.
+    The empty tuple is the zero polynomial.  Construction drops exact-zero
+    trailing coefficients and nothing else: high-order Rodrigues output
+    has genuinely tiny leading coefficients (ratios below 1e-14 occur),
+    and trimming those would change the polynomial, not clean it.
     """
 
     coeffs: tuple[float, ...] = ()
 
     def __init__(self, coeffs: Iterable[float] = ()) -> None:
-        object.__setattr__(self, "coeffs", _trim([_finite_real("coeffs", c) for c in coeffs]))
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, k: int) -> float:
-        """Coefficient of degree ``k`` (zero beyond the stored length)."""
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0.0
+        cs = [_finite_real("coeffs", c) for c in coeffs]
+        while cs and cs[-1] == 0.0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def __call__(self, z: complex) -> complex:
         """Evaluate by Horner recursion in complex arithmetic."""
@@ -63,44 +50,11 @@ class Poly:
             value = value * z + complex(c)
         return value
 
-    def derivative(self) -> "Poly":
-        """Formal derivative; degree drops by exactly one when nonconstant."""
-        return _exact(k * self.coeffs[k] for k in range(1, len(self.coeffs)))
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.coeffs)
-
     def __add__(self, other: "Poly") -> "Poly":
+        """Coefficient-wise sum, kept for the benchmark's tracer test (ROADMAP item 1)."""
         if not isinstance(other, Poly):
             return NotImplemented
-        return _exact(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0.0))
-
-    def __mul__(self, other: "Poly | float | int") -> "Poly":
-        if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly()
-            out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return _exact(out)
-        scalar = _finite_real("scalar", other)
-        return _exact(scalar * c for c in self.coeffs)
-
-    __rmul__ = __mul__
-
-
-def _trim(cs: list[float]) -> tuple[float, ...]:
-    while cs and cs[-1] == 0.0:
-        cs.pop()
-    return tuple(cs)
-
-
-def _exact(coeffs: Iterable[float]) -> Poly:
-    """Poly from already-computed float coefficients, unchecked."""
-    p = object.__new__(Poly)
-    object.__setattr__(p, "coeffs", _trim(list(coeffs)))
-    return p
+        return Poly(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0.0))
 
 
 @dataclass(frozen=True)
@@ -128,34 +82,15 @@ class ExpPowerTerm:
             poly = Poly(poly)
         rate = _finite_real("rate", rate)
         power = _finite_real("power", power)
-        if poly.is_zero:
+        if not poly.coeffs:
             rate = power = 0.0
         else:
-            cs = list(poly.coeffs)
-            while cs[0] == 0.0:
-                cs.pop(0)
+            while poly.coeffs[0] == 0.0:
+                poly = Poly(poly.coeffs[1:])
                 power += 1
-            poly = _exact(cs)
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "rate", rate)
         object.__setattr__(self, "power", power)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.poly.is_zero
-
-    def derivative(self) -> "ExpPowerTerm":
-        """Exact derivative, staying inside the family.
-
-        ``d/dA [P e^{aA} A^b] = [A (P' + a P) + b P] e^{aA} A^{b-1}``;
-        the power drops by at most one per derivative (folding may give it
-        back when the polynomial picks up a factor of ``A``).
-        """
-        if self.is_zero:
-            return self
-        p, rate, power = self.poly, self.rate, self.power
-        bracket = _exact((0.0, *(p.derivative() + rate * p))) + power * p
-        return ExpPowerTerm(bracket, rate, power - 1)
 
     def along(self, alpha: float, beta: float) -> Callable[[float, complex, float], complex]:
         """The term on the slice ``A = alpha*r + i*hbar*beta*pbar`` as

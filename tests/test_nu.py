@@ -10,8 +10,7 @@ import pytest
 
 from phasenu import nu
 
-from phasenu.errors import BranchPointError, NoBranch, NoSignChange, RodriguesFailure
-from phasenu.numeric import ExpPowerTerm, Poly
+from phasenu.errors import NoBranch, NoSignChange, RodriguesFailure
 from phasenu.nu import (
     NuBranch,
     NuProblem,
@@ -22,6 +21,8 @@ from phasenu.nu import (
     solve_kappa,
     solve_state,
 )
+
+import exact
 
 
 def radial_family(omega, zeta, alphadelta):
@@ -36,45 +37,45 @@ def radial_problem(omega, zeta, kappa, alphadelta):
 
 
 def polys(problem):
-    """sigma = c A, sigma_tilde and tau_tilde of the record as Poly objects."""
-    return Poly((0.0, problem.c)), Poly(problem.sigma_tilde), Poly(problem.tau_tilde)
+    """sigma = c A, sigma_tilde and tau_tilde of the record as exact
+    polynomials."""
+    return exact.poly((0, problem.c)), exact.poly(problem.sigma_tilde), exact.poly(problem.tau_tilde)
 
 
 def pi_tau(branch):
-    """pi and tau of the branch as Poly objects."""
-    return Poly((branch.pi0, branch.pi1)), Poly((branch.tau0, branch.tau1))
+    """pi and tau of the branch as exact polynomials."""
+    return exact.poly((branch.pi0, branch.pi1)), exact.poly((branch.tau0, branch.tau1))
 
 
 def phi_rho(branch):
-    """The integrating factor phi and the weight rho of the branch as terms."""
-    return tuple(ExpPowerTerm(Poly((1.0,)), *ab) for ab in (branch._factor, branch._weight))
+    """The integrating factor phi and the weight rho of the branch as exact
+    terms."""
+    return tuple(exact.term((1,), *ab) for ab in (branch._factor, branch._weight))
 
 
-def term_value(t, z):
-    """t at z as poly(z) * exp(rate*z) * z**power, with the rules at z = 0."""
-    z = complex(z)
-    if z == 0:
-        if abs(t.power) <= 1e-12:
-            return t.poly(0j)
-        if t.power > 0.0:
-            return 0j
-        raise BranchPointError
-    return t.poly(z) * cmath.exp(complex(t.rate) * z) * z ** complex(t.power)
+def half_difference(problem):
+    """(sigma' - tau_tilde) / 2, exactly."""
+    sigma, _, tau_tilde = polys(problem)
+    return exact.mul((Fraction(1, 2),), exact.add(exact.derivative(sigma), exact.mul((-1,), tau_tilde)))
+
+
+#: Rational points of the annulus the identities are checked at.
+RATIONAL_POINTS = (Fraction(1, 2), Fraction(7, 10), Fraction(13, 10), Fraction(14, 5), Fraction(49, 10))
 
 
 def reference_combinations(problem):
     """Every (K, sign) combination as (K, sign, pi, tau), pi and tau as
-    (constant, slope) pairs, built from real Poly arithmetic and cmath
+    (constant, slope) pairs, built from exact polynomial arithmetic and cmath
     alone: K zeroes the discriminant of the radicand
     ((sigma' - tau_tilde)/2)**2 - sigma_tilde + K sigma, whose square root
     u A + v is taken with Re(u) >= 0, from its larger end, and pi is
     (sigma' - tau_tilde)/2 + sign * (u A + v).  K, u and v may be complex,
     so the terms with them are summed coefficient by coefficient."""
     c = problem.c
-    sigma, sigma_tilde, tau_tilde = polys(problem)
-    base = 0.5 * (sigma.derivative() + (-1) * tau_tilde)
-    q = base * base + (-1) * sigma_tilde
-    q0, q1, q2 = (q.coefficient(k) for k in range(3))
+    _, sigma_tilde, tau_tilde = polys(problem)
+    base = half_difference(problem)
+    q = exact.add(exact.mul(base, base), exact.mul((-1,), sigma_tilde))
+    q0, q1, q2 = (float(exact.coefficient(q, k)) for k in range(3))
     # (q1 + K c)**2 - 4 q2 q0 = 0, by the stable quadratic formula
     k0, k1, k2 = q1 * q1 - 4.0 * q2 * q0, 2.0 * q1 * c, c * c
     sq = cmath.sqrt(k1 * k1 - 4.0 * k2 * k0)
@@ -93,8 +94,8 @@ def reference_combinations(problem):
             if u.real < 0.0:
                 u, v = -u, -v
         for sign in (-1, 1):
-            pi = tuple(base.coefficient(k) + sign * w for k, w in enumerate((v, u)))
-            tau = tuple(tau_tilde.coefficient(k) + 2.0 * p for k, p in enumerate(pi))
+            pi = tuple(float(exact.coefficient(base, k)) + sign * w for k, w in enumerate((v, u)))
+            tau = tuple(float(exact.coefficient(tau_tilde, k)) + 2.0 * p for k, p in enumerate(pi))
             found.append((K, sign, pi, tau))
     return found
 
@@ -200,6 +201,20 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="non-finite"):
             NuProblem(1.0, (0.0, 1.0, -math.inf), (2.0, 0.0))
 
+    def test_kappa_the_subtraction_refuses_is_named(self):
+        """A kappa beyond the float range, or not a number at all, is
+        refused naming kappa, by at(kappa) and by eigen_residual, where the
+        subtraction or the sign test would raise a bare OverflowError or
+        TypeError."""
+        family = radial_family(0.0, 2.0, -1.0)
+        for shifted in (family.at, lambda kappa: eigen_residual(family, kappa, 0)):
+            for bad in (10**400, Fraction(10**400, 3)):
+                with pytest.raises(ValueError, match="kappa is beyond the float range"):
+                    shifted(bad)
+            for bad in ("x", None):
+                with pytest.raises(ValueError, match=f"kappa must be real, got {bad!r}"):
+                    shifted(bad)
+
     def test_kappa_shift_is_one_validated_record(self):
         family = radial_family(2.0, 2.0, -1.0)
         shifted = family.at(0.25)
@@ -215,11 +230,11 @@ class TestProblemValidation:
         assert problem.sigma_tilde == (0.0, 2.0, -0.25)
 
     def test_kappa_shift_has_the_bits_of_poly_arithmetic(self):
-        """at(kappa) gives the coefficients of Poly(sigma_tilde) + kappa *
-        Poly((0, 0, -1)), on the kappa grid and at a few kappa of either
-        sign: the A**2 coefficient has the bits of the sum's, and
-        s0 and s1 are carried over bit for bit, so a -0.0 constant (-omega
-        at L = 0) stays -0.0 where the Poly sum reads +0.0."""
+        """at(kappa) gives the coefficients of the exact sum sigma_tilde +
+        kappa * (0, 0, -1), on the kappa grid and at a few kappa of either
+        sign: the A**2 coefficient has the bits of the sum's, rounded once,
+        and s0 and s1 are carried over bit for bit, so a -0.0 constant
+        (-omega at L = 0) stays -0.0 where the rounded sum reads +0.0."""
         cases = list(grid_problems())
         cases += [
             (radial_family(0.0, zeta, -1.0), k)
@@ -227,12 +242,12 @@ class TestProblemValidation:
             for k in (0.0, -0.5, 3.0)
         ]
         for family, kappa in cases:
-            want = Poly(family.sigma_tilde) + kappa * Poly((0.0, 0.0, -1.0))
+            want = exact.add(family.sigma_tilde, exact.mul((kappa,), (0, 0, -1)))
+            want = tuple(float(exact.coefficient(want, k)) for k in range(3))
             got = family.at(kappa).sigma_tilde
-            assert got == tuple(want.coefficient(k) for k in range(3))
+            assert got == want
             s0, s1, _ = family.sigma_tilde
-            bits = [s0.hex(), s1.hex(), want.coefficient(2).hex()]
-            assert [c.hex() for c in got] == bits
+            assert [c.hex() for c in got] == [s0.hex(), s1.hex(), want[2].hex()]
 
 
 class TestKCandidates:
@@ -348,15 +363,22 @@ class TestSelectBranch:
                 refused += 1
                 continue
             sigma, sigma_tilde, tau_tilde = polys(problem)
-            base = 0.5 * (sigma.derivative() + (-1) * tau_tilde)
-            pi, tau = pi_tau(branch)
-            root = pi + (-1) * base
-            radicand = base * base + (-1) * sigma_tilde + branch.K * sigma
-            scale = max(abs(z) for z in (*radicand, *(base * base), 1e-300))
+            base = half_difference(problem)
+            pi, _ = pi_tau(branch)
+            root = exact.add(pi, exact.mul((-1,), base))
+            square = exact.mul(base, base)
+            radicand = exact.add(
+                exact.add(square, exact.mul((-1,), sigma_tilde)), exact.mul((branch.K,), sigma)
+            )
+            scale = max(abs(z) for z in (*radicand, *square, 1e-300))
             for k in range(3):
-                gap = (root * root).coefficient(k) - radicand.coefficient(k)
+                gap = exact.coefficient(exact.mul(root, root), k) - exact.coefficient(radicand, k)
                 assert abs(gap) <= 1e-12 * scale
-            assert tau == tau_tilde + 2.0 * pi
+            # tau = tau_tilde + 2 pi, rounded once per coefficient
+            tau = exact.add(tau_tilde, exact.mul((2,), pi))
+            assert (branch.tau0, branch.tau1) == tuple(
+                float(exact.coefficient(tau, k)) for k in range(2)
+            )
             assert decays_with_admissible_weight(c, (branch.tau0, branch.tau1))
             slack = 1e-9 * (1.0 + abs(branch.K))
             for K, _, _, tau in found:
@@ -411,14 +433,18 @@ class TestIntegratingFactors:
         assert power == pytest.approx(1.0)
 
     def test_phi_log_derivative_identity(self):
+        """phi'/phi = pi/sigma, with phi' the exact derivative: both terms
+        share exp(rate*A), and phi' has phi's power less one, so the
+        quotient is rational at a rational A."""
         branch = select_branch(DEEP)
         phi, _ = phi_rho(branch)
         pi, _ = pi_tau(branch)
-        d = phi.derivative()
-        for z in (0.7, 1.3, 2.9 + 0.4j):
-            lhs = term_value(d, z) / term_value(phi, z)
-            rhs = pi(z) / (DEEP.c * z)
-            assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
+        d = exact.term_derivative(phi)
+        assert d.rate == phi.rate
+        for z in RATIONAL_POINTS:
+            lhs = exact.scaled_value(d, phi.power, z) / exact.scaled_value(phi, phi.power, z)
+            rhs = exact.value(pi, z) / (Fraction(DEEP.c) * z)
+            assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
     def test_rho_deep_branch(self):
         rate, power = select_branch(DEEP)._weight
@@ -437,15 +463,17 @@ class TestIntegratingFactors:
         assert power == pytest.approx(1.0)
 
     def test_rho_pearson_identity(self):
+        """(sigma rho)' = tau rho, with the exact derivative, both sides
+        divided by rho's exp(rate*A) * A**power."""
         branch = select_branch(DEEP)
         _, rho = phi_rho(branch)
         _, tau = pi_tau(branch)
-        sigma_rho = ExpPowerTerm(Poly((0.0, DEEP.c)), *branch._weight)
-        d = sigma_rho.derivative()
-        for z in (0.6, 1.9, 1.1 - 0.8j):
-            lhs = term_value(d, z)
-            rhs = tau(z) * term_value(rho, z)
-            assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
+        d = exact.term_derivative(exact.term((0, DEEP.c), *branch._weight))
+        assert d.rate == rho.rate
+        for z in RATIONAL_POINTS:
+            lhs = exact.scaled_value(d, rho.power, z)
+            rhs = exact.value(tau, z) * exact.value(rho.poly, z)
+            assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
 
 class TestRodrigues:
@@ -463,23 +491,23 @@ class TestRodrigues:
         assert y[0] / y[1] == pytest.approx(-1.0)
 
     def test_matches_the_derivative_chain(self):
-        """(1 / rho) d^n/dA^n [sigma**n rho], the derivatives taken in the
-        exponential-power family, for the weight of the branch."""
+        """(1 / rho) d^n/dA^n [sigma**n rho], the derivatives taken exactly
+        in the exponential-power family, for the weight of the branch."""
         for problem in (DEEP, radial_problem(2.0, 2.0, 2.0 / 81.0, -3.0)):
             branch = select_branch(problem)
             rate, power = branch._weight
             for n in range(7):
-                term = ExpPowerTerm(Poly((0.0,) * n + (problem.c**n,)), rate, power)
+                term = exact.term((0,) * n + (problem.c**n,), rate, power)
                 for _ in range(n):
-                    term = term.derivative()
+                    term = exact.term_derivative(term)
                 assert term.rate == rate
-                assert abs(term.power - power) <= 1e-12
+                assert term.power == power
                 want = term.poly
                 y = rodrigues_y(branch, n)
                 assert type(y) is tuple and len(y) == n + 1 and y[-1] != 0.0
                 scale = max(abs(z) for z in want)
                 for k in range(n + 1):
-                    assert abs(y[k] - want.coefficient(k)) <= 1e-13 * scale
+                    assert abs(y[k] - exact.coefficient(want, k)) <= 1e-13 * scale
 
     def test_overflowing_coefficient_is_an_error(self):
         """sigma = A, sigma_tilde = -100 A^2, tau_tilde = 1: rho = e^{-20 A},
@@ -502,20 +530,23 @@ class TestRodrigues:
             rodrigues_y(branch, 4)
 
     def test_polynomial_solves_the_reduced_equation(self):
-        """sigma y'' + tau y' + lambda_n y vanishes for Rodrigues output."""
+        """sigma y'' + tau y' + lambda_n y vanishes for Rodrigues output, at
+        more rational points than the degree of y, so identically."""
         problem = radial_problem(2.0, 2.0, 2.0 / 81.0, -3.0)
         branch = select_branch(problem)
+        sigma, _, _ = polys(problem)
         _, tau = pi_tau(branch)
         for n in (1, 2, 3):
-            y = Poly(rodrigues_y(branch, n))
-            lam_n = branch.lam_n(n)
-            for z in (0.5, 1.4, 2.8, 4.9, 1.0 + 1.0j):
+            y = exact.poly(rodrigues_y(branch, n))
+            dy = exact.derivative(y)
+            lam_n = Fraction(branch.lam_n(n))
+            for z in RATIONAL_POINTS:
                 value = (
-                    problem.c * z * y.derivative().derivative()(z)
-                    + tau(z) * y.derivative()(z)
-                    + lam_n * y(z)
+                    exact.value(sigma, z) * exact.value(exact.derivative(dy), z)
+                    + exact.value(tau, z) * exact.value(dy, z)
+                    + lam_n * exact.value(y, z)
                 )
-                scale = max(abs(y(z)), 1.0)
+                scale = max(abs(exact.value(y, z)), 1)
                 assert abs(value) <= 1e-9 * scale
 
 
@@ -618,19 +649,19 @@ class TestQuantization:
         assert abs(detuned.branch.lam - detuned.branch.lam_n(1)) > 1e-3
 
     def test_full_state_solves_the_transformed_equation(self):
-        """psi = phi * y, built from the state's floats."""
+        """psi = phi * y, built exactly from the state's floats, with its
+        derivatives exact: every term of the equation, divided by psi's
+        exp(rate*A) * A**power, is rational at a rational A."""
         family = radial_family(0.0, 2.0, -3.0)
         state = solve_state(family, 1)
         sigma, sigma_tilde, tau_tilde = polys(state.problem)
         phi, _ = phi_rho(state.branch)
-        psi = ExpPowerTerm(phi.poly * Poly(state.y), phi.rate, phi.power)
-        d1 = psi.derivative()
-        d2 = d1.derivative()
-        for z in (0.5, 1.2, 2.6, 4.8, 2.0 + 1.5j):
-            sig = sigma(z)
-            lhs = (
-                term_value(d2, z)
-                + tau_tilde(z) / sig * term_value(d1, z)
-                + sigma_tilde(z) / (sig * sig) * term_value(psi, z)
-            )
-            assert abs(lhs) <= 1e-8 * (1.0 + abs(term_value(psi, z)))
+        psi = exact.term(exact.mul(phi.poly, state.y), phi.rate, phi.power)
+        d1 = exact.term_derivative(psi)
+        d2 = exact.term_derivative(d1)
+        assert psi.rate == d1.rate == d2.rate
+        for z in RATIONAL_POINTS:
+            sig = exact.value(sigma, z)
+            p0, p1, p2 = (exact.scaled_value(t, psi.power, z) for t in (psi, d1, d2))
+            lhs = p2 + exact.value(tau_tilde, z) / sig * p1 + exact.value(sigma_tilde, z) / (sig * sig) * p0
+            assert abs(lhs) <= 1e-8 * (1 + abs(p0))

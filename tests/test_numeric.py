@@ -1,4 +1,5 @@
-"""Real polynomial and exponential-power term arithmetic."""
+"""Real polynomials and exponential-power terms: construction, the normal
+form, and evaluation."""
 
 import cmath
 import dataclasses
@@ -19,11 +20,6 @@ from phasenu.hydrogen import (
 )
 from phasenu.numeric import ExpPowerTerm, Poly
 from phasenu.opspace import OpPoint
-
-unit_coeff = st.floats(-1.0, 1.0)
-unit_point = st.complex_numbers(
-    min_magnitude=0.0, max_magnitude=1.0, allow_nan=False, allow_infinity=False
-)
 
 #: Floats with signed zeros, exact cancellations, underflow and overflow.
 part = st.one_of(
@@ -49,8 +45,7 @@ def complex_horner(coeffs, z):
 class TestPoly:
     def test_zero_poly(self):
         p = Poly(())
-        assert p.is_zero
-        assert p.degree == -1
+        assert p.coeffs == ()
         assert p(5.0) == 0j
 
     def test_horner_at_root(self):
@@ -63,8 +58,7 @@ class TestPoly:
 
     def test_trim_idempotent(self):
         p = Poly((1.0, 2.0, 1e-16, 3e-15))
-        again = Poly(tuple(p))
-        assert tuple(again) == tuple(p)
+        assert Poly(p.coeffs).coeffs == p.coeffs
 
     def test_coefficients_in_normal_form(self):
         """Floats, with exact-zero trailing coefficients dropped."""
@@ -81,16 +75,13 @@ class TestPoly:
             (lambda: Poly((1.0, None)), "coeffs must be real, got None"),
             (lambda: ExpPowerTerm(Poly((1.0,)), rate="-1"), "rate must be real, got '-1'"),
             (lambda: ExpPowerTerm((" 2e0 ",)), "coeffs must be real, got ' 2e0 '"),
-            (lambda: Poly((1.0,)) * "3", "scalar must be real, got '3'"),
             (lambda: ExpPowerTerm(Poly((1.0,)), rate=1j), "rate must be real"),
             (lambda: ExpPowerTerm(Poly((1.0,)), power=0.5 + 0j), "power must be real"),
-            (lambda: 2j * Poly((1.0,)), "scalar must be real"),
             (lambda: Poly((1.0, math.nan)), "non-finite value not admitted: coeffs = nan"),
             (lambda: ExpPowerTerm(Poly((1.0,)), rate=math.inf), "non-finite value not admitted: rate"),
             (lambda: Poly((10**400,)), "coeffs is beyond the float range"),
             (lambda: Poly((1.0, Fraction(-(10**400), 3))), "coeffs is beyond the float range"),
             (lambda: ExpPowerTerm(Poly((1.0,)), power=10**400), "power is beyond the float range"),
-            (lambda: Poly((1.0,)) * 10**400, "scalar is beyond the float range"),
         ],
     )
     def test_complex_and_non_finite_values_are_refused_by_name(self, make, message):
@@ -98,49 +89,26 @@ class TestPoly:
             make()
 
     def test_arithmetic_preserves_tiny_leading_coefficients(self):
-        """Construction, sums and products drop only exact-zero tails.
+        """Construction and sums drop only exact-zero tails.
 
         A leading coefficient far below the peak is meaningful: high-order
         Rodrigues outputs carry such coefficients, and dividing them away
         would change the degree.
         """
         tiny = Poly((0.0, 1e-20))
-        assert tiny.degree == 1 and Poly((1.0, 1e-20)).degree == 1
-        assert (Poly((1.0,)) + tiny).degree == 1
-        assert (Poly((1.0,)) * tiny).degree == 1
+        assert tiny.coeffs == (0.0, 1e-20) and Poly((1.0, 1e-20)).coeffs == (1.0, 1e-20)
+        assert (Poly((1.0,)) + tiny).coeffs == (1.0, 1e-20)
 
     def test_exact_cancellation_drops_tail(self):
-        p = Poly((1.0, 2.0))
-        assert (p + (-1.0) * p).is_zero
-        assert (Poly((1.0, 2.0)) + Poly((0.0, -2.0))).degree == 0
-
-    def test_derivative_linear(self):
-        assert Poly((4.0, -1.0)).derivative().coeffs == (-1.0,)
-
-    def test_derivative_constant_is_zero(self):
-        assert Poly((7.0,)).derivative().is_zero
-
-    def test_derivative_square(self):
-        assert Poly((0.0, 0.0, 1.0)).derivative().coeffs == (0.0, 2.0)
+        assert (Poly((1.0, 2.0)) + Poly((-1.0, -2.0))).coeffs == ()
+        assert (Poly((1.0, 2.0)) + Poly((0.0, -2.0))).coeffs == (1.0,)
 
     def test_ring_operations(self):
-        p = Poly((1.0, 1.0))
-        q = Poly((-1.0, 1.0))
-        assert (p * q).coeffs == (-1.0, 0.0, 1.0)
-        assert (p + q).coeffs == (0.0, 2.0)
-        assert (2.0 * p).coeffs == (2.0, 2.0)
-
-    def test_coefficient_out_of_range(self):
-        assert Poly((1.0,)).coefficient(3) == 0.0
-
-    @given(st.lists(unit_coeff, min_size=1, max_size=9), unit_point)
-    @settings(max_examples=60, deadline=None)
-    def test_derivative_matches_central_difference(self, coeffs, z):
-        p = Poly(coeffs)
-        h = 1e-5
-        fd = (p(z + h) - p(z - h)) / (2.0 * h)
-        exact = p.derivative()(z)
-        assert abs(exact - fd) <= 1e-6 * (1.0 + abs(exact))
+        """The sum, coefficient by coefficient; one beyond the float range
+        is refused like a constructed one."""
+        assert (Poly((1.0, 1.0)) + Poly((-1.0, 1.0))).coeffs == (0.0, 2.0)
+        with pytest.raises(ValueError, match="non-finite value not admitted: coeffs = inf"):
+            Poly((1e308,)) + Poly((1e308,))
 
 
 class TestBitIdentity:
@@ -226,6 +194,9 @@ class TestTermBitIdentity:
     # float overflow: the float Horner value is inf, so the complex recursion runs
     @example([1.0, 1.0, 1e200], -1e-200, 0.5, CONFIG_SPACE_POINT, 1e200, 0j, 1.0)
     @example(list(N40.poly.coeffs), N40.rate, N40.power, CONFIG_SPACE_POINT, 1e12, 0j, 1.0)
+    # ... at a real A = -1e200, where A**power = 1/A**2: without the complex
+    # recursion the NaN's sign bit would be the opposite of the reference's
+    @example([1.0, 0.0, 0.0, 1.0], 0.0, -2.0, DEEP_BRANCH_POINT, 0.0, 1e200j, 1.0)
     @example([-0.0, 1.0], 0.5, 0.0, CONFIG_SPACE_POINT, -0.0, -0.0, 1.0)  # A = 0 from signed zeros
     @example([3.0, 1.0], 1.0, 0.0, CONFIG_SPACE_POINT, 0.0, 0j, 1.0)  # A = 0, power zero: P(0)
     @example([3.0], 1.0, 2.0, DEEP_BRANCH_POINT, 0.0, -0.0, 1.0)  # A = 0, integer power
@@ -270,32 +241,13 @@ class TestExpPowerTerm:
         to the others, and dropping it would change the term."""
         t = ExpPowerTerm(Poly((1e-20, 1.0)))
         assert t.power == 0.0
-        assert t.poly.degree == 1
-        assert t.poly.coeffs[0] == 1e-20
+        assert t.poly.coeffs == (1e-20, 1.0)
 
     def test_zero_poly_normalizes_to_zero_term(self):
         t = ExpPowerTerm(Poly(()), rate=3.0, power=1.5)
-        assert t.is_zero
+        assert t.poly.coeffs == ()
         assert t.rate == 0.0
         assert t.power == 0.0
-
-    def test_derivative_of_constant_is_zero(self):
-        assert ExpPowerTerm(Poly((1.0,)), 0.0, 0.0).derivative().is_zero
-
-    def test_derivative_hydrogen_weight_step(self):
-        t = ExpPowerTerm(Poly((1.0,)), rate=-1.0 / 3.0, power=4.0 / 3.0)
-        d = t.derivative()
-        assert d.rate == pytest.approx(-1.0 / 3.0)
-        assert d.power == pytest.approx(1.0 / 3.0)
-        assert d.poly.coefficient(0) == pytest.approx(4.0 / 3.0)
-        assert d.poly.coefficient(1) == pytest.approx(-1.0 / 3.0)
-
-    def test_pure_exponential_derivative_twice(self):
-        t = ExpPowerTerm(Poly((1.0,)), rate=2.0, power=0.0)
-        dd = t.derivative().derivative()
-        assert dd.power == 0.0
-        assert dd.rate == pytest.approx(2.0)
-        assert dd.poly.coefficient(0) == pytest.approx(4.0)
 
     def test_evaluate_at_one(self):
         t = ExpPowerTerm(Poly((1.0,)), rate=-1.0 / 6.0, power=1.0 / 3.0)
@@ -321,15 +273,3 @@ class TestExpPowerTerm:
     def test_integer_power_at_origin(self):
         assert value_at(ExpPowerTerm(Poly((3.0,)), 1.0, 0.0), 0.0) == 3 + 0j
         assert value_at(ExpPowerTerm(Poly((3.0,)), 1.0, 2.0), 0.0) == 0j
-
-    def test_derivative_matches_central_difference_on_annulus(self):
-        t = ExpPowerTerm(Poly((1.0, 0.5)), rate=-0.3, power=1.0 / 3.0)
-        d = t.derivative()
-        rng_points = [
-            cmath.rect(0.5 + 2.5 * (i / 19.0), -1.2 + 2.4 * ((7 * i) % 20) / 19.0)
-            for i in range(20)
-        ]
-        h = 1e-6
-        for z in rng_points:
-            fd = (value_at(t, z + h) - value_at(t, z - h)) / (2.0 * h)
-            assert abs(value_at(d, z) - fd) <= 1e-6 * (1.0 + abs(fd))

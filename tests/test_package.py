@@ -1,5 +1,6 @@
 """The package's public surface: every exported name resolves, every
-imported name is used, and every private module-level name is read."""
+imported name is used, and every private module-level name and every
+method of a class is read."""
 
 import ast
 import pathlib
@@ -83,13 +84,43 @@ def dead_private_names(sources):
     return sorted(f"{name} ({where})" for name, where in defined.items() if name not in read)
 
 
+def unread_methods(defining, reading):
+    """Methods and properties, special ones aside, of the module-level
+    classes in ``defining`` (name -> source text) that no source in
+    ``reading`` reads as an attribute."""
+    defined = {}
+    for module, source in defining.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    defined[f"{node.name}.{item.name}"] = f"{module}:{item.lineno}"
+    read = {
+        node.attr
+        for source in reading
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name.split(".")[1] not in read)
+
+
 def test_every_private_name_is_read():
+    """Every private module-level name of the package, and every method and
+    property of its classes, has a reader: a method read only by the tests
+    is code the package carries for them."""
     assert dead_private_names(
         {"a.py": "_GROUP = frozenset({0, 1})\n_used = 2\ndef _f(): return _used\n"}
     ) == ["_GROUP (a.py:1)", "_f (a.py:3)"]
     assert dead_private_names({"a.py": "def _f(): pass\n", "b.py": "import a\na._f()\n"}) == []
     files = sorted((ROOT / "src/phasenu").glob("*.py"))
-    assert dead_private_names({f.name: f.read_text(encoding="utf-8") for f in files}) == []
+    sources = {f.name: f.read_text(encoding="utf-8") for f in files}
+    assert dead_private_names(sources) == []
+    cls = "class C:\n    def __call__(self): pass\n    @property\n    def p(self): pass\n    def _m(self): pass\n"
+    assert unread_methods({"a.py": cls}, [cls, "C()._m = 1\n"]) == ["C._m (a.py:5)", "C.p (a.py:4)"]
+    assert unread_methods({"a.py": cls}, ["C().p\nC()._m()\n"]) == []
+    readers = [f for d in ("src/phasenu", "scripts", "perfbench") for f in sorted((ROOT / d).glob("*.py"))]
+    assert unread_methods(sources, [f.read_text(encoding="utf-8") for f in readers]) == []
 
 
 def imported_modules(source):
