@@ -12,8 +12,11 @@ and an A = -3r that overflows to -inf, whose power raises), three
 overflows (a span of inf, a last point that would read inf, and a step
 count beyond the float range) and four ``manifold`` compositions (a
 forbidden mix, a custom start matrix with a point, an image that
-overflows, an entry of more digits than an int may print), each in
-process through ``phasenu.cli.main``, and prints the
+overflows, an entry of more digits than an int may print) and four
+300-point ``wavefunction`` tables of the 31-coefficient n = 30, L = 2
+body over r in [0, 40/|rate|] (on each branch, and on ``-3`` with a real
+pbar, whose A is complex, and an imaginary one, whose A is negative
+real), each in process through ``phasenu.cli.main``, and prints the
 SHA-256 of every run's arguments, stdout, stderr and exit code.  A
 refactor that must not change what the CLI prints keeps the digest;
 compare two trees with
@@ -78,6 +81,14 @@ EDGES = [
     ["manifold", "--apply", "3:-" + "9" * 4300],
 ]
 
+#: Tabulate's degree: the long float Horner loop, and the complex one.
+HIGH_N = [
+    ["wavefunction", "--n", "30", "--L", "2", "--alphadelta", "-1", "--grid", "0,1320,300"],
+    ["wavefunction", "--n", "30", "--L", "2", "--alphadelta", "-3", "--grid", "0,11280,300"],
+    ["wavefunction", "--n", "30", "--L", "2", "--alphadelta", "-3", "--grid", "0,11280,300", "--pbar", "0.7"],
+    ["wavefunction", "--n", "30", "--L", "2", "--alphadelta", "-3", "--grid", "0,11280,300", "--pbar", "0.7j"],
+]
+
 
 def grid(unit):
     """The runs of one unit system (``unit`` is None for atomic units)."""
@@ -111,7 +122,7 @@ def main():
     )
     per_run = parser.parse_args().per_run
     os.environ["COLUMNS"] = "80"  # argparse wraps its usage errors to this width
-    runs = [*README, *EDGES, *grid(None), *(argv for unit in UNITS for argv in grid(unit))]
+    runs = [*README, *EDGES, *HIGH_N, *grid(None), *(argv for unit in UNITS for argv in grid(unit))]
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}

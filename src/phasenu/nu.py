@@ -105,14 +105,15 @@ class NuProblem:
 
         c, tau_tilde, s0 and s1 are carried over as this record validated
         them; only the new A**2 coefficient, which can overflow, is checked.
+        A refused coefficient names kappa when kappa is at fault, and the
+        difference only when a finite kappa overflows it.
         """
         s0, s1, s2 = self.sigma_tilde
         try:
-            s2k = s2 - kappa
-        except (OverflowError, TypeError):  # a huge int, a string: name kappa
+            st = (s0, s1, _finite_real("sigma_tilde[2] - kappa", s2 - kappa))
+        except (OverflowError, TypeError, ValueError):  # a huge int, a string, 1j, nan
             _finite_real("kappa", kappa)
             raise
-        st = (s0, s1, _finite_real("sigma_tilde[2] - kappa", s2k))
         shifted = object.__new__(NuProblem)
         vars(shifted).update(vars(self), sigma_tilde=st)
         return shifted
@@ -266,6 +267,7 @@ def eigen_residual(family: NuProblem, kappa: float, n: int) -> float:
         _finite_real("kappa", kappa)
         raise
     if not positive:
+        _finite_real("kappa", kappa)  # a nan: name it as at(kappa) does
         raise ValueError("kappa must be positive")
     b = select_branch(family.at(kappa))
     return b.lam - b.lam_n(n)

@@ -96,36 +96,36 @@ class ExpPowerTerm:
         """The term on the slice ``A = alpha*r + i*hbar*beta*pbar`` as
         ``psi(r, pbar, hbar)``, with its constants bound once.
 
-        At ``A = 0`` the value is ``P(0)`` for power zero and the limit 0
-        for power > 0; any other power raises :class:`BranchPointError`,
-        since ``A**power`` has no limit there.  Elsewhere it has the bits
-        of ``poly(A) * exp(rate*A) * A**power`` (principal branch): the
-        recursion of ``Poly.__call__`` runs inline, on floats at a real
-        ``A``.  That is exact: the complex recursion over coefficients
-        with imaginary part +0.0 does the same float operations on its
-        real part, and a -0.0 imaginary part of ``A`` changes no bits, as
-        folding leaves a nonzero constant coefficient, whose addition
-        erases the sign of any zero.
+        At ``A = 0`` the value is ``P(0)`` for power zero, the limit 0 for
+        power > 0, else :class:`BranchPointError`; elsewhere it has the
+        bits of ``poly(A) * exp(rate*A) * A**power``.  A real ``A = x``
+        runs the float recursion, the complex one's real part: the nonzero
+        constant coefficient left by folding erases the sign of a zero
+        imaginary part.  It starts at the leading coefficient c, since
+        ``0.0*x + c == c`` for finite x, and a constant at 0.0, so that a
+        non-finite x, like an overflow, falls back to the complex recursion.
+        Its value meets the tail as complex(value, 0.0) on CPython
+        3.10-3.13; 3.14 mixes them by C99 rules (gh-69639), and may differ.
         """
         real = self.poly.coeffs[::-1]
-        top_down = tuple(map(complex, real))
-        rate, power = complex(self.rate), complex(self.power)
-        b = self.power
+        top_down = tuple(map(complex, real))  # complex + complex is faster than + float
+        lead, *rest = real if len(real) > 1 else (0.0, *real)
+        rate, power, b = complex(self.rate), complex(self.power), self.power
         at_zero = self.poly(0j) if abs(b) <= _ZERO_POWER_TOL else 0j if b > 0.0 else None
 
         def psi(r: float, pbar: complex, hbar: float) -> complex:
             z = alpha * r + 1j * hbar * beta * pbar
-            if z == 0:
-                if at_zero is None:
-                    raise BranchPointError(f"z = 0 is a branch point for power {b}")
-                return at_zero
             if z.imag == 0.0:
                 x = z.real
-                value = 0.0
-                for c in real:
+                if x == 0.0:
+                    if at_zero is None:
+                        raise BranchPointError(f"z = 0 is a branch point for power {b}")
+                    return at_zero
+                value = lead
+                for c in rest:
                     value = value * x + c
                 if isfinite(value):
-                    return complex(value) * exp(rate * z) * z ** power
+                    return value * exp(rate * z) * z ** power
             value = 0j
             for c in top_down:
                 value = value * z + c

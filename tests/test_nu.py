@@ -181,7 +181,7 @@ class TestProblemValidation:
             with pytest.raises(ValueError, match="tau_tilde must be real"):
                 NuProblem(1.0, (0.0, 1.0, 0.0), (2.0, bad))
         for bad in (1 + 2j, complex(2.0, 0.0), complex(1.0, -math.inf)):
-            with pytest.raises(ValueError, match=r"sigma_tilde\[2\] - kappa must be real"):
+            with pytest.raises(ValueError, match=r"^kappa must be real"):
                 radial_family(0.0, 2.0, -3.0).at(bad)
         with pytest.raises(ValueError, match="c must be real, got '1'"):
             NuProblem("1", ("0", "2", "-0.25"), ("2", "0"))
@@ -194,25 +194,30 @@ class TestProblemValidation:
                 NuProblem(1.0, (0.0, 1.0, 0.0), (2.0, bad))
 
     def test_kappa_shift_that_overflows_is_refused(self):
-        """at(kappa) re-checks only the sums, which alone can overflow."""
+        """at(kappa) re-checks only the sums, which alone can overflow; a
+        finite kappa whose difference overflows names the difference."""
         family = NuProblem(1.0, (0.0, 1.0, -1e308), (2.0, 0.0))
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=r"^non-finite value not admitted: sigma_tilde\[2\] - kappa = -inf$"):
             family.at(1e308)
         with pytest.raises(ValueError, match="non-finite"):
             NuProblem(1.0, (0.0, 1.0, -math.inf), (2.0, 0.0))
 
     def test_kappa_the_subtraction_refuses_is_named(self):
-        """A kappa beyond the float range, or not a number at all, is
-        refused naming kappa, by at(kappa) and by eigen_residual, where the
-        subtraction or the sign test would raise a bare OverflowError or
-        TypeError."""
+        """A kappa beyond the float range, complex, non-finite or not a
+        number at all, is refused naming kappa, by at(kappa) and by
+        eigen_residual, where the subtraction or the sign test would raise
+        a bare OverflowError or TypeError, or name the difference
+        sigma_tilde[2] - kappa."""
         family = radial_family(0.0, 2.0, -1.0)
         for shifted in (family.at, lambda kappa: eigen_residual(family, kappa, 0)):
             for bad in (10**400, Fraction(10**400, 3)):
                 with pytest.raises(ValueError, match="kappa is beyond the float range"):
                     shifted(bad)
-            for bad in ("x", None):
-                with pytest.raises(ValueError, match=f"kappa must be real, got {bad!r}"):
+            for bad in ("x", None, 1j):
+                with pytest.raises(ValueError, match=f"^kappa must be real, got {bad!r}$"):
+                    shifted(bad)
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"^non-finite value not admitted: kappa = {bad!r}$"):
                     shifted(bad)
 
     def test_kappa_shift_is_one_validated_record(self):

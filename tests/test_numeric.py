@@ -17,6 +17,7 @@ from phasenu.hydrogen import (
     DEEP_BRANCH_POINT,
     PhysicalParams,
     assemble_wavefunction,
+    eval_wavefunction,
 )
 from phasenu.numeric import ExpPowerTerm, Poly
 from phasenu.opspace import OpPoint
@@ -202,11 +203,36 @@ class TestTermBitIdentity:
     @example([3.0], 1.0, 2.0, DEEP_BRANCH_POINT, 0.0, -0.0, 1.0)  # A = 0, integer power
     @example([3.0], 1.0, 1.0 / 3.0, DEEP_BRANCH_POINT, 0.0, 0j, 1.0)  # A = 0, fractional power
     @example([3.0], 1.0, -0.5, CONFIG_SPACE_POINT, 0.0, 1j, 1.0)  # A = 0, branch point
+    # a real A = -3e308 = -inf: the float Horner from the leading coefficient
+    # reads -inf where the recursion from 0.0 reads nan, and only the
+    # complex recursion gives the reference's NaN sign bits
+    @example([1.0, 1.0], 0.0, 0.0, DEEP_BRANCH_POINT, 1e308, 0j, 1.0)
+    # ... and a constant, whose float Horner never meets A: 0j, not NaN, if
+    # the constant were the starting value
+    @example([2.0], 0.5, 0.0, DEEP_BRANCH_POINT, 1e308, 0j, 1.0)
+    @example([1.0, 1.0], -0.5, 0.5, CONFIG_SPACE_POINT, math.nan, 0j, 1.0)  # a NaN real A
+    @example([], 0.5, 1.0, CONFIG_SPACE_POINT, 2.0, 0j, 1.0)  # the zero term at a real A
+    @example([], 0.5, 1.0, DEEP_BRANCH_POINT, 1.0, 0.5, 1.0)  # ... and at a complex A
     @settings(max_examples=400, deadline=None)
     def test_along_matches_poly_exp_power(self, coeffs, rate, power, at, r, pbar, hbar):
         t = ExpPowerTerm(Poly(coeffs), rate, power)
         psi = t.along(at.alpha, at.beta)
         assert outcome(psi, r, pbar, hbar) == outcome(slice_reference, t, at, r, pbar, hbar)
+
+    @pytest.mark.parametrize("point", [CONFIG_SPACE_POINT, DEEP_BRANCH_POINT], ids=["-1", "-3"])
+    def test_tabulate_degree_matches_reference(self, point):
+        """A solved n = 30, L = 2 body, 31 coefficients, at 500 points over
+        tabulate's span r in [0, 40/|rate|]: the Horner loops at the degree
+        the benchmark runs.  On the deep branch the three pbar give a real,
+        a complex and a negative real A."""
+        wf = assemble_wavefunction(PhysicalParams(angular_momentum=2), point, 30)
+        assert len(wf.body.poly.coeffs) == 31
+        step = 40.0 / abs(wf.body.rate) / 499
+        for pbar in (0j, 0.7 + 0j, 0.7j):
+            for j in range(500):
+                r = j * step
+                got = outcome(eval_wavefunction, wf, r, pbar, 1.0)
+                assert got == outcome(slice_reference, wf.body, point, r, pbar, 1.0), (pbar, r)
 
     def test_n40_overflow_is_nan(self):
         """The example above does overflow: inf times exp(rate*A) = 0."""
