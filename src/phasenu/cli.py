@@ -45,18 +45,6 @@ def _json(value: object, pad: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
-    parts = text.split(",")
-    if len(parts) != count:
-        raise argparse.ArgumentTypeError(
-            f"{what} needs {count} comma-separated values, got {len(parts)}"
-        )
-    try:
-        return tuple(float(x) for x in parts)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"bad {what}: {err}") from None
-
-
 def _count_arg(text: str) -> int:
     try:
         value = int(text)
@@ -68,7 +56,15 @@ def _count_arg(text: str) -> int:
 
 
 def _point_arg(text: str) -> opspace.OpPoint:
-    values = _parse_floats(text, 4, "--point")
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError(
+            f"--point needs 4 comma-separated values, got {len(parts)}"
+        )
+    try:
+        values = tuple(float(x) for x in parts)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"bad --point: {err}") from None
     if not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError(f"--point must be finite, got {text!r}")
     return opspace.OpPoint(*values)

@@ -11,7 +11,7 @@ class PhasenuError(Exception):
 
 class BranchPointError(PhasenuError, ValueError):
     """Evaluation requested at the branch point z = 0 of a fractional or
-    negative power, or where sigma vanishes in the equation."""
+    negative power."""
 
 
 class NoBranch(PhasenuError):

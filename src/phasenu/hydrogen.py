@@ -27,10 +27,11 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from numbers import Real
+from typing import Callable
 
 from . import nu
-from .errors import BranchPointError, UnsupportedBranch, UnsupportedRecovery
+from .errors import UnsupportedBranch, UnsupportedRecovery
 from .numeric import ExpPowerTerm
 from .opspace import MANIFOLD_TOL, OpPoint, is_on_manifold
 
@@ -52,8 +53,10 @@ class PhysicalParams:
 
     def __post_init__(self) -> None:
         for name in ("mass", "hbar", "coulomb_constant", "charge_squared"):
-            if not 0.0 < getattr(self, name) < math.inf:
+            value = getattr(self, name)
+            if isinstance(value, Real) and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+            nu._finite_real(name, value)  # names a non-number, or one beyond the float range
         L = self.angular_momentum
         if not isinstance(L, int) or L < 0:
             raise ValueError("angular_momentum must be a non-negative integer")
@@ -238,15 +241,16 @@ def _laguerre_pair(steps: list[tuple], x: float) -> tuple:
     return l1, l0
 
 
-def ode_residual(state: nu.NuState, fractions: Sequence[float] = SAMPLE_FRACTIONS) -> float:
+def ode_residual(state: nu.NuState) -> float:
     """Worst relative defect of the state's own equation where it lives.
 
     With sigma = c A and rho = e^{aA} A^b, the branch's weight, the
     Rodrigues polynomial is y_n(A) = c^n n! L_n^(b)(-aA).  Each fraction u
-    gives a sample x = u (4n + 2|b| + 10), A = x / (-a), on the real support
-    of the Laguerre factor, among its nodes and into its decay, at every
-    mass.  The equation is analytic in A, so an identity that holds on a
-    real interval holds everywhere.
+    of ``SAMPLE_FRACTIONS`` gives a sample x = u (4n + 2|b| + 10), A =
+    x / (-a), on the real support of the Laguerre factor, among its nodes
+    and into its decay, at every mass; as u >= 0.01 and a < 0, A > 0, so
+    sigma never vanishes there.  The equation is analytic in A, so an
+    identity that holds on a real interval holds everywhere.
 
     phi is divided out analytically: with g = pi / sigma, psi'/phi =
     y' + g y and psi''/phi = y'' + 2 g y' + (g' + g^2) y.  The defect is
@@ -261,8 +265,7 @@ def ode_residual(state: nu.NuState, fractions: Sequence[float] = SAMPLE_FRACTION
 
     A state assembled at a detuned kappa (``nu.assemble``) carries the
     equation at that kappa, whose branch has lambda != lambda_n, so its
-    defect is large.  A non-finite defect reads inf; a sample where sigma
-    vanishes (A = 0) raises :class:`BranchPointError`.
+    defect is large.  A non-finite defect reads inf.
     """
     n, branch, problem = state.n, state.branch, state.problem
     c, pi0, pi1 = branch.c, branch.pi0, branch.pi1
@@ -273,11 +276,9 @@ def ode_residual(state: nu.NuState, fractions: Sequence[float] = SAMPLE_FRACTION
     span = 4 * n + 2 * abs(b) + 10
     ca, c_pi0, n_beta = c * a, c * pi0, n + b + 1.0
     worst = 0.0
-    for u in fractions:
+    for u in SAMPLE_FRACTIONS:
         x = u * span
         A = x / -a
-        if A == 0:
-            raise BranchPointError(f"sigma vanishes at A = {A}")
         l1, l0 = _laguerre_pair(steps, x)
         # y and y' over c^n n!, and sigma^2 y'' = c a sigma x_d2
         y, dy, x_d2 = l0 - l1, a * l1, n * l0 - (n_beta - x) * l1

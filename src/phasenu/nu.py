@@ -104,16 +104,12 @@ class NuProblem:
         """The equation with ``-kappa * A**2`` added to sigma_tilde.
 
         c, tau_tilde, s0 and s1 are carried over as this record validated
-        them; only the new A**2 coefficient, which can overflow, is checked.
-        A refused coefficient names kappa when kappa is at fault, and the
-        difference only when a finite kappa overflows it.
+        them.  kappa is checked by name first, then the new A**2
+        coefficient, which a finite kappa can still overflow.
         """
+        kappa = _finite_real("kappa", kappa)
         s0, s1, s2 = self.sigma_tilde
-        try:
-            st = (s0, s1, _finite_real("sigma_tilde[2] - kappa", s2 - kappa))
-        except (OverflowError, TypeError, ValueError):  # a huge int, a string, 1j, nan
-            _finite_real("kappa", kappa)
-            raise
+        st = (s0, s1, _finite_real("sigma_tilde[2] - kappa", s2 - kappa))
         shifted = object.__new__(NuProblem)
         vars(shifted).update(vars(self), sigma_tilde=st)
         return shifted
@@ -260,16 +256,12 @@ def rodrigues_y(branch: NuBranch, n: int) -> tuple[float, ...]:
 
 
 def eigen_residual(family: NuProblem, kappa: float, n: int) -> float:
-    """lambda - lambda_n for the branch selected at this kappa."""
-    try:
-        positive = kappa > 0.0
-    except TypeError:  # a string, a complex number: name kappa
-        _finite_real("kappa", kappa)
-        raise
-    if not positive:
-        _finite_real("kappa", kappa)  # a nan: name it as at(kappa) does
+    """lambda - lambda_n for the branch selected at this kappa; ``at``
+    names a kappa that is not a finite real."""
+    problem = family.at(kappa)
+    if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    b = select_branch(family.at(kappa))
+    b = select_branch(problem)
     return b.lam - b.lam_n(n)
 
 

@@ -4,9 +4,10 @@ A term ``P(A) * exp(rate*A) * A**power`` holds the wavefunction body
 psi = phi * y of a solved state, and a plain polynomial ``P(A)`` its
 factor y.  The half-transform gives a real equation in A, so every
 coefficient, rate and power is a finite float; complex arithmetic is
-left to evaluating at a complex A.  Both evaluate by Horner recursion, a
-term along a slice of operator space.  Coefficients are stored in
-ascending degree order, without exact-zero trailing ones.
+left to evaluating at a complex A.  Only the term evaluates, by Horner
+recursion along a slice of operator space; a polynomial is a record of
+its coefficients, in ascending degree order without exact-zero trailing
+ones, with their sum.
 """
 
 from __future__ import annotations
@@ -41,14 +42,6 @@ class Poly:
         while cs and cs[-1] == 0.0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __call__(self, z: complex) -> complex:
-        """Evaluate by Horner recursion in complex arithmetic."""
-        z = complex(z)
-        value = 0j
-        for c in reversed(self.coeffs):
-            value = value * z + complex(c)
-        return value
 
     def __add__(self, other: "Poly") -> "Poly":
         """Coefficient-wise sum, kept for the benchmark's tracer test (ROADMAP item 1)."""
@@ -98,20 +91,22 @@ class ExpPowerTerm:
 
         At ``A = 0`` the value is ``P(0)`` for power zero, the limit 0 for
         power > 0, else :class:`BranchPointError`; elsewhere it has the
-        bits of ``poly(A) * exp(rate*A) * A**power``.  A real ``A = x``
-        runs the float recursion, the complex one's real part: the nonzero
-        constant coefficient left by folding erases the sign of a zero
-        imaginary part.  It starts at the leading coefficient c, since
-        ``0.0*x + c == c`` for finite x, and a constant at 0.0, so that a
-        non-finite x, like an overflow, falls back to the complex recursion.
-        Its value meets the tail as complex(value, 0.0) on CPython
-        3.10-3.13; 3.14 mixes them by C99 rules (gh-69639), and may differ.
+        bits of ``P(A) * exp(rate*A) * A**power``, P(A) by complex Horner
+        recursion.  A real ``A = x`` runs the float recursion, the complex
+        one's real part: the nonzero constant coefficient left by folding
+        erases the sign of a zero imaginary part.  It starts at the leading
+        coefficient c, since ``0.0*x + c == c`` for finite x, and a constant
+        at 0.0, so that a non-finite x, like an overflow, falls back to the
+        complex recursion.  Its value meets the tail as complex(value, 0.0)
+        on CPython 3.10-3.13; 3.14 mixes them by C99 rules (gh-69639), and
+        may differ.
         """
         real = self.poly.coeffs[::-1]
         top_down = tuple(map(complex, real))  # complex + complex is faster than + float
         lead, *rest = real if len(real) > 1 else (0.0, *real)
         rate, power, b = complex(self.rate), complex(self.power), self.power
-        at_zero = self.poly(0j) if abs(b) <= _ZERO_POWER_TOL else 0j if b > 0.0 else None
+        p0 = top_down[-1] if top_down else 0j  # P(0): c0 is nonzero in normal form
+        at_zero = p0 if abs(b) <= _ZERO_POWER_TOL else 0j if b > 0.0 else None
 
         def psi(r: float, pbar: complex, hbar: float) -> complex:
             z = alpha * r + 1j * hbar * beta * pbar

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from math import inf, nextafter, sqrt
+from math import exp, inf, nextafter, sqrt
 from statistics import fmean
 from typing import Callable, Sequence
 
@@ -29,6 +29,10 @@ from .opspace import OpPoint
 
 #: Central-difference step for the commutator probe.
 FD_STEP = 1e-4
+
+#: Largest error estimate ``fd_spectrum`` admits, in the energy units of
+#: its params (hartree in atomic units).
+FD_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -174,12 +178,7 @@ def _levels(
     return levels
 
 
-def fd_spectrum(
-    params: PhysicalParams,
-    grid: RadialGrid,
-    n_states: int,
-    tolerance: float = 1e-4,
-) -> list[float]:
+def fd_spectrum(params: PhysicalParams, grid: RadialGrid, n_states: int) -> list[float]:
     """Lowest n_states eigenvalues at the angular momentum of ``params``,
     ascending, with self-consistency guards.
 
@@ -188,7 +187,7 @@ def fd_spectrum(
     ratio of the two spacings, E = E_fine + (E_fine - E_coarse)/(s^2 - 1),
     which removes the second-order error.  Two error terms are bounded,
     both in the energy units of ``params`` (hartree in atomic units), like
-    ``tolerance``, and both taken as the largest over the returned levels:
+    ``FD_TOLERANCE``, and both taken as the largest over the returned levels:
 
     - spacing: |E_fine - E_coarse| / (s^2 - 1), the error of the
       unextrapolated fine-grid level;
@@ -200,14 +199,12 @@ def fd_spectrum(
       up to about 2x low: the power of r in u slows the decay.
 
     The inner wall at the origin is exact, so it needs no guard.  The
-    call raises ``GridTooCoarse`` when either term exceeds ``tolerance``
+    call raises ``GridTooCoarse`` when either term exceeds ``FD_TOLERANCE``
     and when any returned level is not bound, which signals box
     truncation rather than physics.
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
-    if not 0.0 < tolerance < inf:
-        raise ValueError("tolerance must be positive and finite")
     try:
         companion = grid.halved()
     except ValueError as exc:
@@ -226,10 +223,10 @@ def fd_spectrum(
                 "enlarge r_max"
             )
     spacing_error = max(abs(f - c) for f, c in zip(fine, coarse)) / (s2 - 1.0)
-    if spacing_error > tolerance:
+    if spacing_error > FD_TOLERANCE:
         raise GridTooCoarse(
             f"estimated discretization error {spacing_error:.3e} "
-            f"exceeds tolerance {tolerance:.3e}; refine the grid"
+            f"exceeds tolerance {FD_TOLERANCE:.3e}; refine the grid"
         )
     # with w = v[-1]^2 of the unit eigenvector, u'(R)^2 = w / h^3 and
     # (hbar^2/2m) u'(R)^2 / (2q) = kin w / (2 q h), where q h = sqrt(-E/kin)
@@ -237,10 +234,10 @@ def fd_spectrum(
         kin * _last_weight(diag, kin, f) / (2.0 * sqrt(-energy / kin))
         for f, energy in zip(fine, levels)
     )
-    if wall_error > tolerance:
+    if wall_error > FD_TOLERANCE:
         raise GridTooCoarse(
             f"estimated outer-wall error {wall_error:.3e} "
-            f"exceeds tolerance {tolerance:.3e}; enlarge r_max"
+            f"exceeds tolerance {FD_TOLERANCE:.3e}; enlarge r_max"
         )
     return levels
 
@@ -259,8 +256,6 @@ def laguerre(n: int, a: float, x: float) -> float:
 
 
 def _gaussian_state(r: float, p: float) -> float:
-    from math import exp
-
     return exp(-0.5 * (r * r + p * p))
 
 

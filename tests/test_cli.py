@@ -81,6 +81,22 @@ class TestSolve:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["kappa"] == pytest.approx(0.25, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ("-3,1,-2", "--point needs 4 comma-separated values, got 3"),
+            ("-3,1,a,1", "bad --point: could not convert string to float: 'a'"),
+        ],
+    )
+    def test_malformed_point_is_a_usage_error(self, capsys, point, message):
+        argv = ["solve", "--n", "0", "--L", "0", "--alphadelta", "-3", f"--point={point}"]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --point: {message}\n")
+
     def test_unsupported_branch_is_a_solver_error(self):
         proc = run_cli("solve", "--n", "0", "--L", "0", "--alphadelta", "-2")
         assert proc.returncode == 3

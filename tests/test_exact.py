@@ -70,13 +70,14 @@ class TestPoly:
 
     @given(st.lists(unit_coeff, max_size=9), unit_real)
     @settings(max_examples=100, deadline=None)
-    def test_value_matches_poly_call(self, coeffs, x):
+    def test_value_matches_float_horner(self, coeffs, x):
         """The exact value and the float Horner recursion agree to the
         recursion's rounding."""
-        got = Poly(coeffs)(x)
+        got = 0.0
+        for c in reversed(coeffs):
+            got = got * x + c
         scale = sum(abs(c) * abs(x) ** k for k, c in enumerate(coeffs))
-        assert got.imag == 0.0
-        assert abs(got.real - float(exact.value(coeffs, x))) <= 1e-14 * (1.0 + scale)
+        assert abs(got - float(exact.value(coeffs, x))) <= 1e-14 * (1.0 + scale)
 
 
 class TestTerm:

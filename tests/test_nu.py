@@ -207,7 +207,9 @@ class TestProblemValidation:
         number at all, is refused naming kappa, by at(kappa) and by
         eigen_residual, where the subtraction or the sign test would raise
         a bare OverflowError or TypeError, or name the difference
-        sigma_tilde[2] - kappa."""
+        sigma_tilde[2] - kappa.  A finite kappa whose difference overflows
+        is refused naming the difference, by eigen_residual too, which
+        tests the sign only after at(kappa)."""
         family = radial_family(0.0, 2.0, -1.0)
         for shifted in (family.at, lambda kappa: eigen_residual(family, kappa, 0)):
             for bad in (10**400, Fraction(10**400, 3)):
@@ -219,6 +221,11 @@ class TestProblemValidation:
             for bad in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"^non-finite value not admitted: kappa = {bad!r}$"):
                     shifted(bad)
+        huge = NuProblem(1.0, (0.0, 1.0, 1e308), (2.0, 0.0))
+        message = r"^non-finite value not admitted: sigma_tilde\[2\] - kappa = inf$"
+        for shifted in (huge.at, lambda kappa: eigen_residual(huge, kappa, 0)):
+            with pytest.raises(ValueError, match=message):
+                shifted(-1e308)
 
     def test_kappa_shift_is_one_validated_record(self):
         family = radial_family(2.0, 2.0, -1.0)

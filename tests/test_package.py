@@ -123,6 +123,80 @@ def test_every_private_name_is_read():
     assert unread_methods(sources, [f.read_text(encoding="utf-8") for f in readers]) == []
 
 
+def unvaried_defaults(defining, calling):
+    """Parameters with a default, of the functions and methods in
+    ``defining`` (name -> source text), for which no call in ``calling``
+    passes a value other than the default's source text, by keyword, by
+    position, or through ``*`` or ``**``.  A call matches by the name it
+    calls, a class's ``__init__`` by the class name."""
+    params = {}  # callee -> [(parameter, positional index or None, default text, where)]
+    for module, source in defining.items():
+        tree = ast.parse(source)
+        owner = {
+            item: node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            if node in owner:  # a method: the call binds self
+                positional = positional[1:]
+            callee = owner[node] if node.name == "__init__" and node in owner else node.name
+            pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults)]
+            pairs += [(a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for name, default in pairs:
+                index = positional.index(name) if name in positional else None
+                where = f"{module}:{node.lineno}"
+                params.setdefault(callee, []).append((name, index, ast.unparse(default), where))
+    varied = set()
+    for source in calling:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            star = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)), None)
+            double_star = any(kw.arg is None for kw in call.keywords)
+            for name, index, default, _ in params.get(callee, ()):
+                values = [kw.value for kw in call.keywords if kw.arg == name]
+                if index is not None and (star is None or index < star) and index < len(call.args):
+                    values.append(call.args[index])
+                through_star = index is not None and star is not None and star <= index
+                if double_star or through_star or any(ast.unparse(v) != default for v in values):
+                    varied.add((callee, name))
+    return sorted(
+        f"{callee}({name}) ({where})"
+        for callee, found in params.items()
+        for name, _, _, where in found
+        if (callee, name) not in varied
+    )
+
+
+def test_every_default_is_varied_by_a_caller():
+    """A default that no caller in the package, its scripts or its
+    benchmark ever replaces is an option only tests set: a constant does
+    the same with one configuration fewer."""
+    src = (
+        "def f(a, b=1, *, c=None): pass\n"
+        "class C:\n    def __init__(self, x=0): pass\n    def m(self, y=2): pass\n"
+    )
+    assert unvaried_defaults({"a.py": src}, ["f(0, 1, c=None)\nC()\nC().m(3)\n"]) == [
+        "C(x) (a.py:3)", "f(b) (a.py:1)", "f(c) (a.py:1)"
+    ]
+    assert unvaried_defaults({"a.py": src}, ["f(0, 2.0)\nf(**k)\nC(1)\nC().m(y=3)\n"]) == []
+    assert unvaried_defaults({"a.py": src}, ["f(*a, c=1)\nC(*a)\nC().m(*a)\n"]) == []
+    # a star after a reaches b, not c; g is no caller of f
+    assert unvaried_defaults({"a.py": src}, ["f(0, *a)\ng(0, 2, c=1)\n"]) == [
+        "C(x) (a.py:3)", "f(c) (a.py:1)", "m(y) (a.py:4)"
+    ]
+    sources = {f.name: f.read_text(encoding="utf-8") for f in sorted((ROOT / "src/phasenu").glob("*.py"))}
+    readers = [f for d in ("src/phasenu", "scripts", "perfbench") for f in sorted((ROOT / d).glob("*.py"))]
+    assert unvaried_defaults(sources, [f.read_text(encoding="utf-8") for f in readers]) == []
+
+
 def imported_modules(source):
     """Top-level names of the modules a source imports from."""
     tree = ast.parse(source)
