@@ -2,8 +2,7 @@
 
 Machine-readable output only: JSON documents for single results, CSV for
 grids.  JSON documents come from :func:`_json`, byte-identical to
-``json.dumps(indent=2)``.  Coefficients serialize as [re, im] pairs (im
-is 0.0 for the real ones of ``solve``); CSV floats use shortest-round-trip
+``json.dumps(indent=2)``; CSV floats use shortest-round-trip
 formatting.  Exit codes: 0 success, 2 usage error, 3 domain/solver error
 or a float overflow (error class name on stderr).
 """
@@ -187,12 +186,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "kappa": state.kappa,
         "energy": params.energy_of_kappa(state.kappa),
         "energy_closed_form": hydrogen.closed_form_energy(params, args.n, alphadelta),
-        "K": [branch.K, 0.0],
-        "pi": [[branch.pi0, 0.0], [branch.pi1, 0.0]],
-        "tau": [[branch.tau0, 0.0], [branch.tau1, 0.0]],
-        "phi": {"rate": [phi_rate, 0.0], "power": [phi_power, 0.0]},
-        "rho": {"rate": [rho_rate, 0.0], "power": [rho_power, 0.0]},
-        "y": [[x, 0.0] for x in state.y],
+        "K": branch.K,
+        "pi": [branch.pi0, branch.pi1],
+        "tau": [branch.tau0, branch.tau1],
+        "phi": {"rate": phi_rate, "power": phi_power},
+        "rho": {"rate": rho_rate, "power": rho_power},
+        "y": state.y,
         "residual": hydrogen.ode_residual(state),
     }
     _emit(_json(document) + "\n", args.out)

@@ -187,7 +187,9 @@ def select_branch(problem: NuProblem) -> NuBranch:
     so tau'; they differ in the sign of v = +/-sqrt(q0).  They are tried
     in order of K, each with sign -1; the first whose tau decays and whose
     weight is admissible (rate < 0 and power > -1 for rho, with
-    sigma = c*A) wins.
+    sigma = c*A) wins.  Two K that round to the same float are tried
+    v = -sqrt(q0) first: a weight's rate tau'/c < 0 needs c > 0, and then
+    that v has the smaller K in exact arithmetic.
     """
     c = problem.c
     t0, t1 = problem.tau_tilde
@@ -210,7 +212,7 @@ def select_branch(problem: NuProblem) -> NuBranch:
     # both K made finite up front: a non-finite second K raises even if
     # the first wins
     candidates = [(_finite_real("K", (2.0 * u * v - q1) / c), v) for v in (root, -root)]
-    candidates.sort(key=lambda kv: kv[0])
+    candidates.sort()
     for K, v in candidates:
         pi0 = b0 - v
         branch = NuBranch(c, K, pi0, pi1, t0 + 2.0 * pi0, tau1)

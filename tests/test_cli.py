@@ -46,17 +46,47 @@ class TestSolve:
         assert doc["kappa"] == pytest.approx(0.25, rel=1e-9)
         assert doc["energy"] == pytest.approx(-0.125, rel=1e-9)
         assert doc["energy_closed_form"] == pytest.approx(-0.125)
-        assert doc["K"][0] == pytest.approx(0.5)
-        assert doc["pi"][0][0] == pytest.approx(1.0)
-        assert doc["pi"][1][0] == pytest.approx(-0.5)
-        assert doc["tau"][0][0] == pytest.approx(4.0)
-        assert doc["tau"][1][0] == pytest.approx(-1.0)
-        assert doc["phi"]["rate"][0] == pytest.approx(-1.0 / 6.0)
-        assert doc["phi"]["power"][0] == pytest.approx(1.0 / 3.0)
-        assert doc["rho"]["rate"][0] == pytest.approx(-1.0 / 3.0)
-        assert doc["rho"]["power"][0] == pytest.approx(1.0 / 3.0)
-        assert doc["y"] == [[1.0, 0.0]]
+        assert doc["K"] == pytest.approx(0.5)
+        assert doc["pi"] == pytest.approx([1.0, -0.5])
+        assert doc["tau"] == pytest.approx([4.0, -1.0])
+        assert doc["phi"]["rate"] == pytest.approx(-1.0 / 6.0)
+        assert doc["phi"]["power"] == pytest.approx(1.0 / 3.0)
+        assert doc["rho"]["rate"] == pytest.approx(-1.0 / 3.0)
+        assert doc["rho"]["power"] == pytest.approx(1.0 / 3.0)
+        assert doc["y"] == [1.0]
         assert doc["residual"] < 1e-8
+
+    @pytest.mark.parametrize("alphadelta", [-1.0, -3.0])
+    def test_document_holds_the_state_as_numbers(self, capsys, alphadelta):
+        """Every leaf of the document is a JSON number, and the branch,
+        the factors and y read back with the bits of the solved state."""
+
+        def leaves(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, list):
+                return [leaf for item in value for leaf in leaves(item)]
+            return [value]
+
+        params = hydrogen.PhysicalParams(angular_momentum=1)
+        family = hydrogen.build_radial_family(params, alphadelta)
+        for n in range(9):
+            argv = ["solve", "--n", str(n), "--L", "1", "--alphadelta", str(alphadelta)]
+            assert cli.main(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert {type(leaf) for leaf in leaves(doc)} <= {int, float}
+            state = nu.solve_state(family, n)
+            b = state.branch
+            want = {
+                "K": b.K,
+                "pi": [b.pi0, b.pi1],
+                "tau": [b.tau0, b.tau1],
+                "phi": dict(zip(("rate", "power"), b._factor)),
+                "rho": dict(zip(("rate", "power"), b._weight)),
+                "y": list(state.y),
+            }
+            got = {key: doc[key] for key in want}
+            assert repr(got) == repr(want), n
 
     def test_output_is_reproducible(self):
         args = ("solve", "--n", "1", "--L", "1", "--alphadelta", "-3")
@@ -641,7 +671,9 @@ class TestTopLevel:
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    lambda children: (
+        st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(st.text(), children)
+    ),
 )
 
 
@@ -655,6 +687,7 @@ class TestJsonWriter:
     @example({"": [{"b": []}], "\u00e9\n": {}})
     @example(10**400)
     @example((1.5, [2.0, ()]))
+    @example({"y": (1.0, -0.0, 5e-324, 1e300)})
     def test_writes_what_json_writes(self, value):
         assert cli._json(value) == json.dumps(value, indent=2)
 

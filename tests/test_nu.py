@@ -342,6 +342,17 @@ class TestSelectBranch:
         assert branch.K == 1e-323
         assert (branch.tau0, branch.tau1) == (2.0, -5e-324)
 
+    def test_tied_K_takes_the_exact_order(self):
+        """sigma = 4A, sigma_tilde = 3 + 1e20 A - A^2, tau_tilde = 0: u = 1
+        and v = +/-1, so K = (1e20 +/- 2)/4, which round to the same float.
+        Exact arithmetic puts v = -1 first, and its weight power +0.5 is
+        admissible; v = +1 would give pi0 = 1 and power -0.5."""
+        problem = NuProblem(4.0, (3.0, 1e20, -1.0), (0.0, 0.0))
+        assert (1e20 + 2.0) / 4.0 == (1e20 - 2.0) / 4.0
+        branch = select_branch(problem)
+        assert (branch.pi0, branch.tau0) == (3.0, 6.0)
+        assert branch._weight == (-0.5, 0.5)
+
     def test_pi_slope_keeps_its_digits_at_small_kappa(self):
         """sigma = A, sigma_tilde = 2A - kappa A^2, tau_tilde = 2: pi' is
         -sqrt(kappa) exactly, and stays within a few ulps of it where the
