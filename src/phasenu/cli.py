@@ -28,8 +28,8 @@ def _json(value: object, pad: str = "\n") -> str:
     ``pad`` is the newline and indent of the enclosing level.  json runs
     its pure-Python encoder whenever ``indent`` is set; this writer joins
     non-empty containers itself, writes finite floats and ints with
-    ``repr`` as json does, and leaves every other value and every key to
-    plain ``json.dumps``."""
+    ``repr`` as json does, each key by the escaper ``json.dumps`` ends in
+    for a str, and every other value by plain ``json.dumps``."""
     kind = type(value)
     if kind is float and math.isfinite(value) or kind is int:
         return repr(value)
@@ -39,7 +39,10 @@ def _json(value: object, pad: str = "\n") -> str:
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if value and isinstance(value, dict):
         inner = pad + "  "
-        items = [json.dumps(key) + ": " + _json(item, inner) for key, item in value.items()]
+        items = [
+            json.encoder.encode_basestring_ascii(key) + ": " + _json(item, inner)
+            for key, item in value.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     return json.dumps(value)
 

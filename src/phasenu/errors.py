@@ -24,7 +24,8 @@ class RodriguesFailure(PhasenuError):
 
 
 class NoSignChange(PhasenuError):
-    """The eigenvalue residual never changes sign on the scan interval."""
+    """The eigenvalue residual has no zero at a positive kappa in the float
+    range, or fails its gate there."""
 
 
 class UnsupportedBranch(PhasenuError, ValueError):

@@ -17,8 +17,8 @@ Only (alphadelta + 2)^2 = 1, i.e. alphadelta in {-1, -3}, makes d an
 integer for every L: the -1 branch reproduces the standard spectrum with
 d = n + L + 1, the -3 branch yields the deeper d = L + 3n + 2 family.
 These two are the products solved here.  Everything goes through the
-generic NU solver (kappa by a bracketed Brent-Dekker root search); the
-closed forms are kept only as cross-check targets.
+generic NU solver (kappa as the written-down root of lambda = lambda_n in
+sqrt(kappa)); the closed forms are kept only as cross-check targets.
 """
 
 from __future__ import annotations
@@ -63,11 +63,6 @@ class PhysicalParams:
         if not 0.0 < self.zeta < math.inf:
             raise ValueError(
                 f"zeta = 2 e2 k m / hbar^2 must be finite and positive, got {self.zeta!r}"
-            )
-        if nu._kappa_ceiling(self.zeta) == math.inf:
-            raise ValueError(
-                f"zeta = {self.zeta!r} is too large: the kappa search runs up to "
-                "10 zeta^2, which overflows"
             )
 
     @property

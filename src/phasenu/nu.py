@@ -15,8 +15,9 @@ chosen so that the radicand of
 is a perfect square, which keeps ``pi`` a polynomial of degree one.  With
 sigma = c*A the K-free radicand q0 + q1 A + q2 A**2 plus K c A is the
 square (u A + v)**2 exactly when u = sqrt(q2), v = +/-sqrt(q0) and
-K = (2 u v - q1) / c, so the two candidates are written down, not solved
-for.  The remaining function ``y`` then satisfies
+K = (2 u v - q1) / c; of the two candidates only v = -sqrt(q0) can give
+a decaying tau with an admissible weight, and it is written down, not
+solved for.  The remaining function ``y`` then satisfies
 ``sigma y'' + tau y' + lambda y = 0`` with ``tau = tau_tilde + 2 pi`` and
 ``lambda = K + pi'``, whose polynomial solutions exist exactly when
 ``lambda`` equals
@@ -27,10 +28,10 @@ for.  The remaining function ``y`` then satisfies
 and are produced by the Rodrigues formula with weight rho satisfying
 ``(sigma rho)' = tau rho``.  For rho = exp(a A) A**b the Leibniz rule gives
 y coefficient by coefficient.  Quantization of an energy-like parameter
-kappa is the root of ``lambda(kappa) - lambda_n(kappa)``, bracketed and
-refined by Brent-Dekker in s = sqrt(kappa), in which the residual of the
-hydrogen family is affine -- deliberately independent of any closed-form
-spectrum a particular family may admit.  The equation is one record of
+kappa is the root of ``lambda(kappa) - lambda_n(kappa)``, which is affine
+in u = sqrt(q2), so the root is written down too -- deliberately
+independent of any closed-form spectrum a particular family may admit.
+The equation is one record of
 scalars, :class:`NuProblem`, and :func:`select_branch` resolves it into
 another, :class:`NuBranch`, whose scalars give pi, tau, phi, rho and both
 lambdas; a solved level, :class:`NuState`, adds kappa and the coefficients
@@ -40,22 +41,15 @@ of y.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from numbers import Real
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import NoBranch, NoSignChange, RodriguesFailure
 
-#: The kappa search stops when its bracket in sqrt(kappa) has this
-#: relative width.
-KAPPA_REL_WIDTH = 1e-12
-
-#: The converged kappa must satisfy |lambda - lambda_n| below this (scaled).
+#: The quantized kappa must satisfy |lambda - lambda_n| below this, relative
+#: to the terms of the sum.
 RESIDUAL_TOL = 1e-10
-
-#: Lower end of the kappa scan interval.
-KAPPA_FLOOR = 1e-12
 
 
 def _finite_real(name: str, value: float) -> float:
@@ -173,30 +167,43 @@ class NuState:
         return self.family.at(self.kappa)
 
 
+def _kappa_free(problem: NuProblem) -> tuple[float, float, float, float]:
+    """b0, b1, q1 and v of the problem, which kappa does not move: base =
+    (c - tau_tilde)/2 = b0 + b1 A, the K-free radicand q = base**2 -
+    sigma_tilde = q0 + q1 A + q2 A**2, and v = -sqrt(q0).  c <= 0 leaves
+    no admissible weight (its rate tau'/c < 0 needs c > 0), and q0 < 0 no
+    real K; each raises :class:`NoBranch`."""
+    c = problem.c
+    if not c > 0.0:
+        raise NoBranch("no decaying combination has an admissible weight")
+    t0, t1 = problem.tau_tilde
+    s0, s1, _ = problem.sigma_tilde
+    b0 = 0.5 * (c - t0)
+    b1 = -0.5 * t1
+    q0 = b0 * b0 - s0
+    if q0 < 0.0:
+        raise NoBranch(f"the radicand q0 = b0**2 - s0 = {q0!r} is negative: no real K")
+    return b0, b1, b0 * b1 + b1 * b0 - s1, -math.sqrt(q0)
+
+
 def select_branch(problem: NuProblem) -> NuBranch:
     """Pick the physical (K, sign) combination.
 
-    pi = base - (u A + v) with base = (c - tau_tilde)/2 as (b0, b1),
-    q = base**2 - sigma_tilde as (q0, q1, q2), u = sqrt(q2) and
-    v = +/-sqrt(q0): q + K c A is then (u A + v)**2 for K = (2 u v - q1)/c.
-    A negative q2 or q0 leaves no real pi and raises :class:`NoBranch`.
+    pi = base - (u A + v) with base, q and v from :func:`_kappa_free` and
+    u = sqrt(q2): q + K c A is then (u A + v)**2 for K = (2 u v - q1)/c.
+    A negative q2 leaves no real pi' and raises :class:`NoBranch`.
 
     Only the sign -1 can give tau' < 0: pi' = -t1/2 +/- u with u >= 0,
     where t1 = tau_tilde', so the sign +1 gives tau' = t1 + 2 pi' >= 0
-    whenever t1 is zero or a normal float.  Both K candidates share u, and
-    so tau'; they differ in the sign of v = +/-sqrt(q0).  They are tried
-    in order of K, each with sign -1; the first whose tau decays and whose
-    weight is admissible (rate < 0 and power > -1 for rho, with
-    sigma = c*A) wins.  Two K that round to the same float are tried
-    v = -sqrt(q0) first: a weight's rate tau'/c < 0 needs c > 0, and then
-    that v has the smaller K in exact arithmetic.
+    whenever t1 is zero or a normal float.  The weight's rate tau'/c < 0
+    needs c > 0, and then v = -sqrt(q0) gives the smaller of the two K,
+    whose weight power (tau0 - c)/c = -2v/c >= 0 is admissible: the
+    other root never wins in exact arithmetic, so it is not tried.
     """
+    b0, b1, q1, v = _kappa_free(problem)
     c = problem.c
     t0, t1 = problem.tau_tilde
-    s0, s1, s2 = problem.sigma_tilde
-    b0 = 0.5 * (c - t0)
-    b1 = -0.5 * t1
-    q2 = b1 * b1 - s2
+    q2 = b1 * b1 - problem.sigma_tilde[2]
     if q2 < 0.0:
         raise NoBranch(f"the radicand q2 = b1**2 - s2 = {q2!r} is negative: pi' is not real")
     u = math.sqrt(q2)
@@ -204,22 +211,9 @@ def select_branch(problem: NuProblem) -> NuBranch:
     tau1 = t1 + 2.0 * pi1
     if not tau1 < 0.0:
         raise NoBranch("no (K, sign) combination gives tau' < 0")
-    q0 = b0 * b0 - s0
-    if q0 < 0.0:
-        raise NoBranch(f"the radicand q0 = b0**2 - s0 = {q0!r} is negative: no real K")
-    q1 = b0 * b1 + b1 * b0 - s1
-    root = math.sqrt(q0)
-    # both K made finite up front: a non-finite second K raises even if
-    # the first wins
-    candidates = [(_finite_real("K", (2.0 * u * v - q1) / c), v) for v in (root, -root)]
-    candidates.sort()
-    for K, v in candidates:
-        pi0 = b0 - v
-        branch = NuBranch(c, K, pi0, pi1, t0 + 2.0 * pi0, tau1)
-        rate, power = branch._weight
-        if rate < 0.0 and power > -1.0:
-            return branch
-    raise NoBranch("no decaying combination has an admissible weight")
+    pi0 = b0 - v
+    K = _finite_real("K", (2.0 * u * v - q1) / c)
+    return NuBranch(c, K, pi0, pi1, t0 + 2.0 * pi0, tau1)
 
 
 def rodrigues_y(branch: NuBranch, n: int) -> tuple[float, ...]:
@@ -267,93 +261,44 @@ def eigen_residual(family: NuProblem, kappa: float, n: int) -> float:
     return b.lam - b.lam_n(n)
 
 
-def _kappa_ceiling(zeta: float) -> float:
-    """Upper end of the kappa search for linear coefficient ``zeta`` of
-    sigma_tilde; inf when 10 zeta**2 overflows."""
-    return max(10.0 * zeta * zeta, 1.0)
-
-
-def _brent(f: Callable[[float], float], a: float, fa: float, b: float, fb: float) -> float:
-    """Root of f between a and b, where fa and fb differ in sign, by Brent-Dekker.
-
-    Secant or inverse quadratic steps are taken while they shrink the
-    bracket fast enough, bisection steps otherwise (R. P. Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 4).  ``b``
-    is the iterate, ``a`` the one before and ``c`` the far end of the
-    bracket.  Stops on an exact zero, or when the bracket is narrower than
-    ``KAPPA_REL_WIDTH`` relative (or floating-point resolution) and then
-    returns the secant root of the final bracket, as bisection returned
-    its midpoint.
-    """
-    c, fc = a, fa
-    step = prev_step = b - a
-    while True:
-        if fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0):
-            c, fc = a, fa
-            step = prev_step = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        if fb == 0.0:
-            return b
-        tol = (2.0 * sys.float_info.epsilon + 0.5 * KAPPA_REL_WIDTH) * abs(b)
-        half = 0.5 * (c - b)
-        if abs(half) < tol:
-            return b - fb * (b - c) / (fb - fc)
-        if abs(prev_step) > tol and abs(fb) < abs(fa):
-            if a == c:  # secant
-                trial = -fb * (b - a) / (fb - fa)
-            else:  # inverse quadratic interpolation
-                da = (fa - fb) / (a - b)
-                dc = (fc - fb) / (c - b)
-                trial = -fb * (fc * dc - fa * da) / (dc * da * (fc - fa))
-            if 2.0 * abs(trial) < min(abs(prev_step), 3.0 * abs(half) - tol):
-                prev_step, step = step, trial
-            else:
-                prev_step = step = half
-        else:
-            prev_step = step = half
-        a, fa = b, fb
-        b += step if abs(step) > tol else (tol if half > 0.0 else -tol)
-        fb = f(b)
-
-
 def solve_kappa(family: NuProblem, n: int) -> float:
-    """Quantized kappa for level n: the root of the eigenvalue residual.
+    """Quantized kappa for level n: the root of the eigenvalue residual,
+    written down.
 
-    Searches s = sqrt(kappa), in which the residual of the hydrogen family
-    is affine: brackets a sign change of ``eigen_residual`` at s**2 between
-    its values at the ends of ``[sqrt(KAPPA_FLOOR), sqrt(max(10 zeta**2,
-    1))]`` (``NoSignChange`` when they agree in sign, naming KAPPA_FLOOR
-    when the residual is nearer zero there), refines it by
-    Brent-Dekker to relative width ``KAPPA_REL_WIDTH`` in s, and requires
-    |lambda - lambda_n| below ``RESIDUAL_TOL`` at the returned kappa = s**2.
-    No closed-form spectrum is consulted.
+    ``at(kappa)`` moves only s2, so u = sqrt(q2) = sqrt(b1**2 - s2 + kappa)
+    while b1, q1 and v stay, and tau' = -2u.  lambda - lambda_n =
+    K + pi' + n tau' is then affine in u,
+
+        u (2v/c - 1 - 2n) + (b1 - q1/c),
+
+    and its root u* = (q1/c - b1) / (2v/c - 1 - 2n) gives kappa =
+    (u*)**2 - b1**2 + s2 (Nikiforov and Uvarov solve lambda = lambda_n
+    for the parameter in the same way).  No closed-form spectrum is
+    consulted.  n < 0 raises ValueError and c <= 0 :class:`NoBranch`,
+    before anything is divided; a root u* <= 0, or a kappa that is not a
+    positive float ((u*)**2 overflows, or underflows to zero), raises
+    :class:`NoSignChange` naming n.  The gate evaluates the residual once
+    at kappa and requires it below ``RESIDUAL_TOL`` relative to the
+    terms it sums, 1 + |K| + |pi'| + |lambda_n|: float rounding of
+    K + pi' - lambda_n grows with them.
     """
-    lo = KAPPA_FLOOR
-    hi = _kappa_ceiling(abs(family.sigma_tilde[1]))
-    s_lo, s_hi = math.sqrt(lo), math.sqrt(hi)
-    f_lo = eigen_residual(family, s_lo * s_lo, n)
-    f_hi = eigen_residual(family, s_hi * s_hi, n)
-    if f_lo == 0.0:
-        return s_lo * s_lo
-    if f_hi == 0.0:
-        return s_hi * s_hi
-    if f_lo * f_hi > 0.0:
-        # A monotone residual is nearer zero at the end nearer its root.
-        floor = f"no level at or above KAPPA_FLOOR = {lo:g}: " if abs(f_lo) < abs(f_hi) else ""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    _, b1, q1, v = _kappa_free(family)
+    c = family.c
+    u = (q1 / c - b1) / (2.0 * v / c - 1.0 - 2.0 * n)
+    if not u > 0.0:
+        raise NoSignChange(f"no level n={n}: lambda - lambda_n vanishes at sqrt(q2) = {u!r}")
+    kappa = u * u - b1 * b1 + family.sigma_tilde[2]
+    if not 0.0 < kappa < math.inf:
         raise NoSignChange(
-            f"{floor}eigenvalue residual keeps one sign on [{lo:g}, {hi:g}] for n={n}"
+            f"level n={n} lies at kappa = {kappa!r}, outside the positive float range"
         )
-    s = _brent(lambda s: eigen_residual(family, s * s, n), s_lo, f_lo, s_hi, f_hi)
-    kappa = s * s
-    b = select_branch(family.at(kappa))
-    lam_n = b.lam_n(n)
-    residual = abs(b.lam - lam_n)
-    if residual > RESIDUAL_TOL * (1.0 + abs(lam_n)):
+    residual = abs(eigen_residual(family, kappa, n))
+    scale = 1.0 + abs((2.0 * u * v - q1) / c) + abs(b1 - u) + 2.0 * n * u
+    if not residual <= RESIDUAL_TOL * scale:
         raise NoSignChange(
-            f"the kappa search converged to kappa={kappa!r} but the eigenvalue "
-            f"residual {residual:.3e} is out of tolerance"
+            f"the eigenvalue residual {residual:.3e} at kappa={kappa!r} is out of tolerance"
         )
     return kappa
 
@@ -371,7 +316,7 @@ def assemble(family: NuProblem, kappa: float, n: int) -> NuState:
 def solve_state(family: NuProblem, n: int) -> NuState:
     """Quantize level n and assemble the state at the root.
 
-    The root search and its gate run on scalars, and so does the
+    The written-down root and its gate run on scalars, and so does the
     assembly: a state holds floats only.
     """
     return assemble(family, solve_kappa(family, n), n)

@@ -24,6 +24,12 @@ EXPECTED_SOLVE_KEYS = {
 
 SOLVE = ["solve", "--n", "0", "--L", "0", "--alphadelta", "-1"]
 WAVEFUNCTION = ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-1"]
+#: One run of each command that solves, for checks of the unit system.
+ZETA_RUNS = (
+    SOLVE,
+    ["scan", "--n-max", "1", "--L-max", "1", "--alphadelta", "-1"],
+    [*WAVEFUNCTION, "--grid", "0.01,1,3"],
+)
 
 
 def run_cli(*args, timeout=120):
@@ -155,8 +161,10 @@ class TestSolve:
         assert cli.main(["solve", "--n", "2", "--L", "1", "--alphadelta", "-3"]) == 0
         assert json.loads(capsys.readouterr().out)["residual"] < 1e-8
         assert counts["rodrigues_y"] == 1
-        # one branch screen per residual evaluation, the gate and the assembly
-        assert counts["select_branch"] == counts["eigen_residual"] + 2
+        # kappa is written down: one residual evaluation, the gate's, and one
+        # more branch screen, the assembly's
+        assert counts["eigen_residual"] == 1
+        assert counts["select_branch"] == 2
         assert counts["build_radial_family"] == 1
 
     def test_overflowing_polynomial_is_a_solver_error(self, tmp_path, capsys):
@@ -572,25 +580,33 @@ class TestConfigFile:
         "constants",
         [
             {"hbar": 1e-200}, {"m": 1e300, "hbar": 1e-10}, {"hbar": 1e200},
-            {"hbar": 1e-150}, {"hbar": 2e-77},
         ],
     )
     def test_zeta_out_of_range_rejected(self, constants, tmp_path, capsys):
         """Constants that pass one by one but give a zeta that is not finite
-        and positive, or whose 10 zeta^2 overflows, exit 2 naming zeta:
-        hbar = 1e-200 ended in a ZeroDivisionError, m = 1e300 with hbar =
-        1e-10, hbar = 1e-150 and hbar = 2e-77 named no constant, and hbar =
-        1e200 exited 3 with an unnamed OverflowError."""
+        and positive exit 2 naming zeta: hbar = 1e-200 ended in a
+        ZeroDivisionError, m = 1e300 with hbar = 1e-10 named no constant,
+        and hbar = 1e200 exited 3 with an unnamed OverflowError."""
         config = tmp_path / "units.json"
         units = {"unit_system": "custom", "m": 1, "hbar": 1, "k": 1, "e2": 1, **constants}
         config.write_text(json.dumps(units))
-        for argv in (
-            ["solve", "--n", "0", "--L", "0", "--alphadelta", "-1"],
-            ["scan", "--n-max", "1", "--L-max", "1", "--alphadelta", "-1"],
-            ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-1", "--grid", "0.01,1,3"],
-        ):
+        for argv in ZETA_RUNS:
             assert cli.main([*argv, "--config", str(config)]) == 2, argv
             assert capsys.readouterr().err.startswith("error: zeta"), argv
+
+    @pytest.mark.parametrize("hbar, kappa", [(1e-150, "inf"), (1e150, "0.0")])
+    def test_kappa_out_of_range_is_a_solver_error(self, hbar, kappa, tmp_path, capsys):
+        """A finite, positive zeta whose ground-state kappa = zeta^2 / 4
+        overflows (hbar = 1e-150) or underflows to zero (hbar = 1e150)
+        exits 3 naming kappa and n."""
+        config = tmp_path / "units.json"
+        units = {"unit_system": "custom", "m": 1, "hbar": hbar, "k": 1, "e2": 1}
+        config.write_text(json.dumps(units))
+        for argv in ZETA_RUNS:
+            assert cli.main([*argv, "--config", str(config)]) == 3, argv
+            assert capsys.readouterr().err == (
+                f"NoSignChange: level n=0 lies at kappa = {kappa}, outside the positive float range\n"
+            ), argv
 
     def test_deeply_nested_config_rejected(self, tmp_path):
         """JSON nested past the recursion limit is a config error, not a
@@ -714,4 +730,6 @@ class TestJsonWriter:
         monkeypatch.setattr(cli.json, "dumps", spy)
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)
-        assert calls and all("indent" not in kwargs for kwargs in calls)
+        # solve writes only numbers and str keys, which reach no json.dumps;
+        # the on_manifold bool does, with no indent, and shows the spy works
+        assert calls == ([] if argv is SOLVE else [{}])

@@ -1,14 +1,12 @@
 """Phase-space hydrogen pipeline: radial family, spectra on both
 perfect-square branches, wavefunction assembly, and the recovery rule."""
 
-import cmath
 import collections
 import dataclasses
 import functools
 import inspect
 import math
 import re
-import statistics
 from fractions import Fraction
 
 import pytest
@@ -54,58 +52,53 @@ RESIDUAL_UNITS = {
 DIGEST_UNITS = {**RESIDUAL_UNITS, "muonic": PhysicalParams(mass=186.0)}
 
 
-def complex_chain(family, n):
+def exact_chain(family, n):
     """kappa, (K, pi0, pi1, tau0, tau1) and the y coefficients of level n
-    by the operations of the chain in complex arithmetic that the float
-    chain replaced: the family's scalars as complex numbers, sums from 0j,
-    products by -1, cmath.sqrt and complex quotients, with the kappa
-    search's bracket and Brent-Dekker steps in sqrt(kappa)."""
-    c = complex(family.c)
-    t0, t1 = map(complex, family.tau_tilde)
-
-    def branch_at(kappa):
-        k = complex(kappa)
-        st0, st1, st2 = (complex(a) + k * s for a, s in zip(family.sigma_tilde, (0j, 0j, -1 + 0j)))
-        b0, b1 = 0.5 * (c - t0), 0.5 * (0j - t1)
-        q0 = 0j + b0 * b0 - st0
-        q1 = 0j + b0 * b1 + b1 * b0 - st1
-        u = cmath.sqrt(0j + b1 * b1 - st2)
-        pi1 = b1 + -1 * u
-        tau1 = t1 + 2.0 * pi1
-        assert tau1.real < 0.0
-        root = cmath.sqrt(q0)
-        candidates = [((2.0 * u * v - q1) / c, v) for v in (root, -1 * root)]
-        candidates.sort(key=lambda kv: (kv[0].real, kv[0].imag))
-        for K, v in candidates:
-            pi0 = b0 + -1 * v
-            tau0 = t0 + 2.0 * pi0
-            if (tau1 / c).real < 0.0 and ((tau0 - c) / c).real > -1.0:
-                return K, pi0, pi1, tau0, tau1
-        raise AssertionError("no admissible weight")
-
-    def residual(s):
-        K, _, pi1, _, tau1 = branch_at(s * s)
-        return ((K + pi1) - (-n * tau1)).real
-
-    s_lo = math.sqrt(nu.KAPPA_FLOOR)
-    s_hi = math.sqrt(nu._kappa_ceiling(abs(complex(family.sigma_tilde[1]))))
-    f_lo, f_hi = residual(s_lo), residual(s_hi)
-    assert f_lo * f_hi < 0.0
-    kappa = nu._brent(residual, s_lo, f_lo, s_hi, f_hi) ** 2
-    branch = branch_at(kappa)
-    _, _, _, tau0, tau1 = branch
-    a, b = tau1 / c, (tau0 - c) / c
-    c_n, a_j = 1 + 0j, [1 + 0j]
-    for _ in range(n):
-        c_n *= c
-        a_j.append(a_j[-1] * a)
-    y = [0j] * (n + 1)
-    binomial, falling = 1.0, 1 + 0j
+    as Fractions of the family's float scalars.  kappa = u*^2 with u* =
+    zeta / (2 d) and d = [c (2n + 1) + sqrt((c - 2)^2 + 4 omega)] / 2, the
+    closed form, whose square root is the integer 2L + 1 on both labels;
+    then K = (2 u v - q1) / c with v = -sqrt(q0) = -(2L + 1)/2 and q1 =
+    -zeta, pi = (b0 - v, -u) with b0 = (c - 2)/2, tau = 2 + 2 pi, and y by
+    the Leibniz rule for the weight exp((tau1/c) A) A**((tau0 - c)/c)."""
+    c, (s0, zeta, _) = Fraction(family.c), map(Fraction, family.sigma_tilde)
+    square = (c - 2) ** 2 - 4 * s0
+    root = math.isqrt(int(square))
+    assert root * root == square
+    u = zeta / (c * (2 * n + 1) + root)
+    v = Fraction(-root, 2)
+    pi0, pi1 = (c - 2) / 2 - v, -u
+    branch = ((2 * u * v + zeta) / c, pi0, pi1, 2 + 2 * pi0, 2 * pi1)
+    a, b = branch[4] / c, (branch[3] - c) / c
+    y = [Fraction(0)] * (n + 1)
+    binomial, falling = Fraction(1), Fraction(1)
     for j in range(n, -1, -1):
-        y[j] = c_n * binomial * a_j[j] * falling
+        y[j] = c**n * binomial * a**j * falling
         falling *= b + j
         binomial = binomial * j / (n - j + 1)
-    return kappa, branch, y
+    return u * u, branch, y
+
+
+def ulps(x, exact):
+    """|x - exact| in units in the last place of ``exact`` rounded."""
+    return abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact)))
+
+
+#: Half-decade masses from 1e6 to 1e12: zeta from 2e6 to 2e12, where the
+#: float rounding of K + pi' - lambda_n grows with K.
+HEAVY_MASSES = tuple(10.0 ** (6 + k / 2) for k in range(13))
+
+
+def heavy_levels():
+    """(family, n, kappa of the closed form) on both labels, L 0..5 and
+    n 0..10 at each of HEAVY_MASSES: 1,716 levels."""
+    for mass in HEAVY_MASSES:
+        for alphadelta in BRANCHES:
+            for L in range(6):
+                params = PhysicalParams(mass=mass, angular_momentum=L)
+                family = build_radial_family(params, alphadelta)
+                for n in range(11):
+                    energy = closed_form_energy(params, n, alphadelta)
+                    yield family, n, -2.0 * mass * energy
 
 
 @functools.cache
@@ -185,28 +178,29 @@ class TestParams:
         with pytest.raises(ValueError, match="zeta = 2 e2 k m / hbar\\^2 must be finite"):
             PhysicalParams(**constants)
 
-    @pytest.mark.parametrize("hbar", [1e-150, 2e-77])
-    def test_zeta_whose_search_ceiling_overflows_is_refused(self, hbar):
-        """hbar = 1e-150 gives zeta = 2e300, whose square overflows; hbar =
-        2e-77 leaves zeta^2 finite but not 10 zeta^2, the top of the kappa
-        search.  Both ended in "non-finite value not admitted: inf", which
-        names no constant.  hbar = 2.3e-77 still solves."""
-        with pytest.raises(ValueError, match=r"^zeta = \S+ is too large"):
-            PhysicalParams(hbar=hbar)
-        params = PhysicalParams(hbar=2.3e-77)
-        assert solve_energy(params, 0, -1.0) == pytest.approx(
-            closed_form_energy(params, 0, -1.0), rel=1e-12
-        )
-
-    @pytest.mark.parametrize("constants", [{"hbar": 1e150}, {"mass": 1e-300, "hbar": 1e10}])
-    def test_level_below_the_kappa_floor_is_named(self, constants):
-        """zeta = 2e-300 puts the level kappa = zeta^2 / 4 far below
-        KAPPA_FLOOR; the search, whose bracket stays, says so."""
+    @pytest.mark.parametrize(
+        "constants, kappa",
+        [({"hbar": 1e-150}, "inf"), ({"hbar": 1e150}, "0.0"), ({"mass": 1e-300, "hbar": 1e10}, "0.0")],
+    )
+    def test_kappa_beyond_the_float_range_is_named(self, constants, kappa):
+        """hbar = 1e-150 gives zeta = 2e300, and the ground-state kappa =
+        zeta^2 / 4 overflows; zeta = 2e-300 (or the subnormal 2e-320) puts
+        it far below the smallest float.  Either is named with n, where the
+        written-down kappa would read inf or be refused as not positive."""
         with pytest.raises(
             NoSignChange,
-            match=r"^no level at or above KAPPA_FLOOR = 1e-12: .* on \[1e-12, 1\] for n=0$",
+            match=f"^level n=0 lies at kappa = {kappa}, outside the positive float range$",
         ):
             solve_energy(PhysicalParams(**constants), 0, -1.0)
+
+    @pytest.mark.parametrize("hbar", [2e-77, 2.3e-77])
+    def test_kappa_near_the_float_limit_solves(self, hbar):
+        """hbar = 2e-77 leaves zeta^2 / 4 = 6.25e306 finite, which the
+        search's ceiling 10 zeta^2 refused."""
+        params = PhysicalParams(hbar=hbar)
+        assert solve_energy(params, 0, -1.0) == pytest.approx(
+            closed_form_energy(params, 0, -1.0), rel=1e-14
+        )
 
     def test_angular_momentum_must_be_whole(self):
         with pytest.raises(ValueError):
@@ -345,11 +339,10 @@ class TestSpectra:
                     assert got == pytest.approx(want, rel=1e-10), (alphadelta, L, n)
 
     def test_median_residual_evaluations_per_state(self, monkeypatch):
-        """The two endpoint evaluations included, over n 0..40, L 0..5,
-        both branches, and masses 1, 186 and 900.  The residual is affine
-        in sqrt(kappa), where the search runs, so every state takes the
-        same few evaluations, however deep its root lies in the bracket
-        (a search in kappa itself took up to 51)."""
+        """Over n 0..40, L 0..5, both branches, and masses 1, 186 and 900,
+        every state takes one evaluation, the gate's: the residual is
+        affine in sqrt(q2), so its root is written down (a Brent-Dekker
+        search in sqrt(kappa) took 3 or 4, one in kappa itself up to 51)."""
         counts = []
         original = nu.eigen_residual
 
@@ -368,8 +361,30 @@ class TestSpectra:
                         want = closed_form_energy(params, n, alphadelta)
                         assert got == pytest.approx(want, rel=1e-14), (mass, L, n)
         assert len(counts) == 1476
-        assert statistics.median(counts) <= 4
-        assert max(counts) <= 4
+        assert set(counts) == {1}
+
+    def test_heavy_levels_pass_the_gate(self):
+        """The gate scales with the terms of K + pi' - lambda_n, whose float
+        rounding grows with K ~ zeta: at m = 1e6, n = 0 and L = 2 on the -1
+        branch, kappa = 111111111111.1111 is right to every digit and
+        the residual reads 1.7e-10, which a bound of 1e-10 (1 +
+        |lambda_n|) refused."""
+        for family, n, want in heavy_levels():
+            assert nu.solve_kappa(family, n) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("detuning", [1e-9, -1e-9])
+    def test_detuned_heavy_levels_fail_the_gate(self, monkeypatch, detuning):
+        """The gate's residual, taken at kappa (1 + detuning) instead of
+        the written-down kappa, is out of tolerance at every heavy level."""
+        original = nu.eigen_residual
+
+        def detuned(family, kappa, n):
+            return original(family, kappa * (1.0 + detuning), n)
+
+        monkeypatch.setattr(nu, "eigen_residual", detuned)
+        for family, n, _ in heavy_levels():
+            with pytest.raises(NoSignChange, match="out of tolerance"):
+                nu.solve_kappa(family, n)
 
     def test_heavy_deep_levels_assemble_in_full_degree(self):
         """m = 900, n = 40: y has degree 40 on both branches and every L."""
@@ -587,21 +602,22 @@ class TestSamplesAndResiduals:
 
     @pytest.mark.parametrize("alphadelta", sorted(BRANCHES))
     @pytest.mark.parametrize("units", sorted(DIGEST_UNITS))
-    def test_floats_give_the_complex_bits(self, units, alphadelta):
-        """The float chain has the bits of the complex one it replaced, whose
-        imaginary parts all read +0.0: kappa, K, pi, tau and every y
-        coefficient, at L 0..5 and n 0..40."""
+    def test_floats_hold_the_exact_chain(self, units, alphadelta):
+        """kappa, K, pi, tau and every y coefficient, at L 0..5 and n
+        0..40, lie within a few ulps of ``exact_chain``: worst measured
+        kappa 3.62, K 6.67, pi1 and tau1 1.63, y 73.2, and pi0 and tau0
+        exact."""
+        bounds = {"kappa": 5, "K": 9, "pi0": 0, "pi1": 2.5, "tau0": 0, "tau1": 2.5}
         for L in range(6):
             params = dataclasses.replace(DIGEST_UNITS[units], angular_momentum=L)
             family = build_radial_family(params, alphadelta)
             for n in range(41):
                 state = solve_state(family, n)
-                kappa, branch, y = complex_chain(family, n)
-                assert state.kappa.hex() == kappa.hex(), (L, n)
-                got = [*state.branch[1:], *state.y]
-                assert len(got) == 5 + len(y) == 6 + n
-                assert [x.hex() for x in got] == [z.real.hex() for z in (*branch, *y)]
-                assert {z.imag.hex() for z in (*branch, *y)} == {(0.0).hex()}
+                kappa, branch, y = exact_chain(family, n)
+                for name, x, want in zip(bounds, (state.kappa, *state.branch[1:]), (kappa, *branch)):
+                    assert ulps(x, want) <= bounds[name], (name, L, n)
+                assert len(state.y) == len(y) == n + 1
+                assert all(ulps(x, want) <= 100 for x, want in zip(state.y, y)), (L, n)
                 # what lets solve print pi, tau and y untrimmed
                 assert state.branch.pi1 < 0.0 and state.branch.tau1 < 0.0
                 assert state.y[-1] != 0.0

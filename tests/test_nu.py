@@ -8,8 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from phasenu import nu
-
 from phasenu.errors import NoBranch, NoSignChange, RodriguesFailure
 from phasenu.nu import (
     NuBranch,
@@ -136,19 +134,6 @@ def random_problems(count, seed):
     for _ in range(count):
         c, s0 = rng.uniform(0.1, 3.0), -rng.uniform(0.0, 3.0)
         yield NuProblem(c, (s0, x(), x()), (x(), x()))
-
-
-def record_residuals(monkeypatch):
-    """The kappa of every eigen_residual call, in call order."""
-    seen = []
-    original = nu.eigen_residual
-
-    def recorded(family, kappa, n):
-        seen.append(kappa)
-        return original(family, kappa, n)
-
-    monkeypatch.setattr(nu, "eigen_residual", recorded)
-    return seen
 
 
 DEEP = radial_problem(0.0, 2.0, 0.25, -3.0)
@@ -613,29 +598,32 @@ class TestQuantization:
         )
 
     def test_no_root_without_attractive_term(self):
-        with pytest.raises(NoSignChange, match="keeps one sign"):
+        """zeta = 0 puts the root of the residual at sqrt(q2) = -0.0."""
+        with pytest.raises(NoSignChange, match=r"^no level n=0: .* sqrt\(q2\) = -0\.0$"):
             solve_kappa(radial_family(2.0, 0.0, -1.0), 0)
 
-    def test_exact_zero_at_an_endpoint_is_returned(self, monkeypatch):
-        """sigma = A/4, tau_tilde = 1/4 and sigma_tilde = A/4 - kappa A^2
-        give the ground-state residual 1 - sqrt(kappa), exactly 0 at the
-        ceiling kappa = 1; the root search is never entered."""
-        family = NuProblem(0.25, (0.0, 0.25, 0.0), (0.25, 0.0))
-        seen = record_residuals(monkeypatch)
-        assert solve_kappa(family, 0) == 1.0
-        assert seen == [nu.KAPPA_FLOOR, 1.0]
+    def test_root_with_a_tau_slope_and_a_quadratic_term(self):
+        """sigma = 2A, sigma_tilde = -2 + 3A + A**2/2, tau_tilde = 1 + A:
+        b = (1/2, -1/2), q0 = 9/4, q1 = -7/2 and v = -3/2, so the residual
+        vanishes at u* = (q1/c - b1) / (2v/c - 1 - 2n) = 5/(10 + 8n),
+        and kappa = (u*)**2 - b1**2 + s2: 1/2 at n = 0 and 53/162 at n = 1,
+        where both -b1**2 and s2 count."""
+        family = NuProblem(2.0, (-2.0, 3.0, 0.5), (1.0, 1.0))
+        assert solve_kappa(family, 0) == pytest.approx(0.5, rel=1e-15)
+        assert solve_kappa(family, 1) == pytest.approx(53.0 / 162.0, rel=1e-15)
 
-    def test_endpoints_of_one_sign_raise_at_once(self, monkeypatch):
-        """sigma = A, tau_tilde = 2 and sigma_tilde = 2e-9 A - kappa A^2 put
-        the ground-state root near 1e-18, below KAPPA_FLOOR: both endpoint
-        residuals are negative, and nothing is searched between them."""
-        family = NuProblem(1.0, (0.0, 2e-9, 0.0), (2.0, 0.0))
-        seen = record_residuals(monkeypatch)
-        with pytest.raises(
-            NoSignChange, match=r"keeps one sign on \[1e-12, 1\] for n=0$"
-        ):
-            solve_kappa(family, 0)
-        assert seen == [nu.KAPPA_FLOOR, 1.0]
+    def test_negative_n_is_refused_by_name(self):
+        """n = -1 makes the denominator 2v/c - 1 - 2n vanish on the -1
+        branch; it is refused first, as lambda_n refuses it."""
+        with pytest.raises(ValueError, match="^n must be non-negative$"):
+            solve_kappa(radial_family(0.0, 2.0, -1.0), -1)
+
+    def test_negative_c_is_refused_before_dividing(self):
+        """c = -1, sigma_tilde = 2 + A, tau_tilde = 2: v = -1/2 and
+        2v/c - 1 - 2n vanishes at n = 0.  No weight with c < 0 decays, and
+        the refusal is the one select_branch gives."""
+        with pytest.raises(NoBranch, match="^no decaying combination has an admissible weight$"):
+            solve_kappa(NuProblem(-1.0, (2.0, 1.0, 0.0), (2.0, 0.0)), 0)
 
     def test_configuration_ground_state_is_exact(self):
         state = solve_state(radial_family(0.0, 2.0, -1.0), 0)
