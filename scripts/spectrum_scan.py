@@ -18,7 +18,9 @@ from phasenu import (
     fd_spectrum,
     solve_energy,
 )
+from phasenu.cli import _count_arg
 from phasenu.errors import GridTooCoarse
+from phasenu.oracle import DEFAULT_GRID
 
 
 def scan_branch(alphadelta, n_max, L_max, want_fd, grid):
@@ -60,11 +62,14 @@ def radial_grid(text):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n-max", type=int, default=3)
-    ap.add_argument("--L-max", type=int, default=2)
+    ap.add_argument("--n-max", type=_count_arg, default=3)
+    ap.add_argument("--L-max", type=_count_arg, default=2)
     ap.add_argument("--fd", action="store_true", help="cross-check against the grid oracle")
     ap.add_argument(
-        "--grid", type=radial_grid, default="100,4000", help="r_max,n_points for --fd"
+        "--grid",
+        type=radial_grid,
+        default=DEFAULT_GRID,
+        help=f"r_max,n_points for --fd (default {DEFAULT_GRID.r_max:g},{DEFAULT_GRID.n_points})",
     )
     args = ap.parse_args()
 

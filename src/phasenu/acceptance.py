@@ -87,12 +87,11 @@ def check_configuration_limit() -> list[CheckResult]:
             crit, -1.0, lambda n, L: -1.0 / (2.0 * (n + L + 1) ** 2), solved
         )
     ]
-    grid = oracle.RadialGrid(100.0, 4000)
     for L in (0, 1):
         params = hydrogen.PhysicalParams(angular_momentum=L)
         detail = f"finite-difference oracle vs solver, 3 lowest states, L={L}"
         try:
-            fd = oracle.fd_spectrum(params, grid, 3)
+            fd = oracle.fd_spectrum(params, oracle.DEFAULT_GRID, 3)
         except PhasenuError as err:
             measure = f"{type(err).__name__}: {err}"
             rows.append(CheckResult(crit, detail, False, measure))

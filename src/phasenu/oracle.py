@@ -1,13 +1,13 @@
 """Independent numerical checks sharing no code with the solver modules.
 
-Three engines: a finite-difference eigensolver for the radial Coulomb
-problem in ordinary configuration space (Sturm-sequence bisection on the
-symmetric tridiagonal three-point discretization of the reduced radial
-function between walls at the origin and at r_max, Richardson
-extrapolation over two spacings, guards on the spacing and outer-wall
-errors), an associated Laguerre evaluator by three-term recurrence, and
-a finite-difference commutator probe for phase-space operator
-coefficient tuples.  Anything these confirm was arrived at twice.
+Three engines: a finite-volume eigensolver for the radial Coulomb problem
+in ordinary configuration space (Sturm-sequence bisection on a symmetric
+tridiagonal matrix for u = r^(L+1) w on a grid graded toward the origin,
+with a wall at r_max, Richardson extrapolation over N and N/2 cells,
+guards on the cell-size and outer-wall errors), an associated Laguerre
+evaluator by three-term recurrence, and a finite-difference commutator
+probe for phase-space operator coefficient tuples.  Anything these
+confirm was arrived at twice.
 
 Each Sturm count stops once no later pivot q_k = d_k - x - b_{k-1}^2/q_{k-1}
 can turn negative: d_k - x >= |b_{k-1}| + |b_k| on every later row and
@@ -34,12 +34,14 @@ FD_STEP = 1e-4
 #: its params (hartree in atomic units).
 FD_TOLERANCE = 1e-4
 
+Row = tuple[float, float, float]  # (d_k, b_{k-1}^2, |b_k|) of a tridiagonal matrix
+
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid on [0, r_max], with Dirichlet zeros of u = r*R at both
-    ends: exact at the origin (u ~ r^(L+1)), bounded by ``fd_spectrum``
-    at r_max."""
+    """Nodes r_i = r_max (i/N)^2, i = 0..N with N = n_points - 1: graded
+    toward the origin, where the Coulomb term is steepest.  The outer wall
+    w(r_max) = 0 is bounded by ``fd_spectrum``; the origin needs no wall."""
 
     r_max: float
     n_points: int
@@ -51,67 +53,84 @@ class RadialGrid:
             raise ValueError("n_points must be an int of at least 100")
 
     @property
-    def spacing(self) -> float:
-        return self.r_max / (self.n_points - 1)
+    def cells(self) -> int:
+        return self.n_points - 1
 
     def halved(self) -> "RadialGrid":
-        # companion grid with doubled spacing, same endpoints
-        return RadialGrid(self.r_max, (self.n_points - 1) // 2 + 1)
+        # companion grid with half the cells, same endpoints
+        return RadialGrid(self.r_max, self.cells // 2 + 1)
 
 
-def _tridiag_coulomb(params: PhysicalParams, grid: RadialGrid) -> tuple[list[float], float]:
-    """Diagonal and off-diagonal magnitude of the reduced-radial operator.
+#: The grid of the configuration-limit criterion and of ``spectrum_scan --fd``.
+DEFAULT_GRID = RadialGrid(100.0, 1000)
 
-    Unknowns are the interior nodes r = i*h of u = r*R; the operator is
-    -(hbar^2/2m) u'' + [hbar^2 L(L+1)/(2m r^2) - k e^2 / r] u, with every
-    off-diagonal entry equal to -kin and Dirichlet zeros at r = 0 and
-    r = r_max.
+
+def _weighted_coulomb(params: PhysicalParams, grid: RadialGrid) -> tuple[list[Row], float]:
+    """Rows of the weighted finite-volume operator, and u'(r_max)^2 per
+    unit squared last component of a unit eigenvector.
+
+    With u = r^s w, s = L + 1, the centrifugal term cancels: -(hbar^2/2m)
+    (r^2s w')' - k e^2 r^(2s-1) w = E r^2s w.  Cell i = 0..N-1 spans
+    [r_{i-1/2}, r_{i+1/2}], r_{i+1/2} = r_max ((i + 1/2)/N)^2 (cell 0 from
+    0), with exact integrals M_i of r^2s and V_i of r^(2s-1) and outer flux
+    F_i = (hbar^2/2m) r_{i+1/2}^2s / (r_{i+1} - r_i); the flux vanishes at
+    0 and w_N = 0.  Then d_i = (F_{i-1} + F_i - k e^2 V_i) / M_i and
+    b_i = F_i / sqrt(M_i M_{i+1}), the magnitude of the off-diagonal.
+    M (``vol``), V and F are scaled by r_{i+1/2}^(2s+1) and written in
+    p = r_{i-1/2} / r_{i+1/2}, so that no power of r over- or underflows.
     """
-    h = grid.spacing
-    kin = params.hbar**2 / (2.0 * params.mass * h * h)
-    L = params.angular_momentum
-    cent = params.hbar**2 * L * (L + 1) / (2.0 * params.mass)
+    s, n, R = params.angular_momentum + 1, grid.cells, grid.r_max
+    kin = params.hbar**2 / (2.0 * params.mass)
     coul = params.coulomb_constant * params.charge_squared
-    diag: list[float] = []
-    for i in range(1, grid.n_points - 1):
-        r = i * h
-        diag.append(2.0 * kin + cent / (r * r) - coul / r)
-    return diag, kin
+    r = [R * (i / n) ** 2 for i in range(n + 1)]
+    edge = [R * ((i + 0.5) / n) ** 2 for i in range(n)]
+    width = [b - a for a, b in zip(r, r[1:])]
+    ratio = [0.0] + [a / b for a, b in zip(edge, edge[1:])]
+    vol = [(1.0 - p ** (2 * s + 1)) / (2 * s + 1) for p in ratio]
+    inflow = [0.0] + [kin * p ** (2 * s) / h for p, h in zip(ratio[1:], width)]
+    diag = [
+        (f + kin / h - coul * (1.0 - p ** (2 * s)) / (2 * s)) / (e * m)
+        for f, h, p, e, m in zip(inflow, width, ratio, edge, vol)
+    ]
+    off = [
+        kin / h * p ** (s + 0.5) / (e * sqrt(m * m1))
+        for h, p, e, m, m1 in zip(width, ratio[1:], edge, vol, vol[1:])
+    ]
+    rows = list(zip(diag, [0.0] + [b * b for b in off], off + [0.0]))
+    slope = (r[-2] / edge[-1]) ** (2 * s) / (edge[-1] * vol[-1] * width[-1] ** 2)
+    return rows, slope
 
 
-def _sturm(
-    rows: Sequence[float], b: float, x: float, tail: Sequence[float] | None = None
-) -> tuple[int, float]:
+def _sturm(rows: Sequence[Row], x: float, tail: Sequence[float] | None = None) -> tuple[int, float]:
     """Negative pivots and last pivot of the LDL^T factorization of T - x.
 
-    T is symmetric tridiagonal with diagonal ``rows``, taken in order, and
-    off-diagonals of magnitude ``b``; the negative pivots count the levels
-    strictly below x.  With ``tail``, the suffix minima of ``rows``, the
-    sweep stops at the first pivot above b once every later d - x >= 2b,
-    and the pivot returned is then not the last.
+    T is symmetric tridiagonal with ``rows``, taken in order; the negative
+    pivots count the levels strictly below x.  With ``tail``, the suffix
+    minima of d_k - |b_{k-1}| - |b_k|, the sweep stops at the first pivot
+    q_k > |b_k| once every later row has d - x >= |b_{k-1}| + |b_k|, and
+    the pivot returned is then not the last.
     """
-    b2 = b * b
-    stop = None if tail is None else bisect_left(tail, x + 2.0 * b)
-    count, q = 0, inf  # b2 / q vanishes on the first row
+    stop = None if tail is None else bisect_left(tail, x)
+    count, q = 0, inf  # b_{-1}^2 / q vanishes on the first row
     sweep = iter(rows)
     try:
-        for d in islice(sweep, stop):
-            q = d - x - b2 / q
+        for d, c, _ in islice(sweep, stop):
+            q = d - x - c / q
             if q < 0.0:
                 count += 1
-        for d in sweep:
-            q = d - x - b2 / q
+        for d, c, b in sweep:
+            q = d - x - c / q
             if q > b:
                 break
             if q < 0.0:
                 count += 1
     except ZeroDivisionError:
         # an exact zero pivot: x is an eigenvalue of a leading block
-        return _sturm(rows, b, nextafter(x, inf), tail)
+        return _sturm(rows, nextafter(x, inf), tail)
     return count, q
 
 
-def _last_weight(diag: Sequence[float], b: float, level: float) -> float:
+def _last_weight(rows: Sequence[Row], level: float) -> float:
     """Squared last component w of the unit eigenvector of ``level``.
 
     The final pivot of T - x is 1 / (T - x)^{-1}_{-1,-1} =
@@ -120,16 +139,13 @@ def _last_weight(diag: Sequence[float], b: float, level: float) -> float:
     by 2 gap / w in their reciprocals, and B cancels.
     """
     gap = 1e-8 * max(1.0, abs(level))
-    below = _sturm(diag, b, level - gap)[1]
-    above = _sturm(diag, b, level + gap)[1]
+    below = _sturm(rows, level - gap)[1]
+    above = _sturm(rows, level + gap)[1]
     return 0.5 * gap * (1.0 / below - 1.0 / above)
 
 
 def _levels(
-    diag: Sequence[float],
-    kin: float,
-    n_states: int,
-    seeds: Sequence[float] | None = None,
+    rows: Sequence[Row], n_states: int, seeds: Sequence[float] | None = None
 ) -> list[float]:
     """Lowest n_states eigenvalues by bisection on the count function.
 
@@ -138,18 +154,17 @@ def _levels(
     at zero confirms that the level is bound, by the Gershgorin bound
     otherwise.  With seeds (the same levels on a nearby grid) the count at
     the seed tells on which side the level lies, and the bracket grows
-    from the seed to that side in steps of 4x until the count confirms it,
-    never past the Gershgorin bounds; the first step is 1e-4 * max(1,
+    from the seed to that side in steps of 4x until the count confirms it
+    or it reaches a Gershgorin bound; the first step is 1e-4 * max(1,
     |seed|), later ones start at twice the previous level's distance from
     its seed.  Either way a level that is not bound is still found
-    wherever it lies.  Each count stops early on the suffix minima of
-    ``diag``: they do not decrease, so a bisection finds the exit row.
+    wherever it lies.  Each count stops early on the suffix minima of the
+    rows' Gershgorin lower bounds: they do not decrease, so a bisection
+    finds the exit row.
     """
-    if n_states > len(diag):
-        raise ValueError("more states requested than interior nodes")
-    tail = list(accumulate(reversed(diag), min))[::-1]
-    floor, ceiling = tail[0] - 2.0 * kin, max(diag) + 2.0 * kin
-    bound = _sturm(diag, kin, 0.0, tail)[0] if seeds is None else 0
+    tail = list(accumulate((d - sqrt(c) - b for d, c, b in reversed(rows)), min))[::-1]
+    floor, ceiling = tail[0], max(d + sqrt(c) + b for d, c, b in rows)
+    bound = _sturm(rows, 0.0, tail)[0] if seeds is None else 0
     levels: list[float] = []
     for j in range(n_states):
         if seeds is None:
@@ -159,10 +174,10 @@ def _levels(
             near, scale = seeds[j], max(1.0, abs(seeds[j]))
             step = 2.0 * abs(levels[-1] - seeds[j - 1]) if levels else 1e-4 * scale
             step = max(step, 1e-14 * scale)
-            below = _sturm(diag, kin, near, tail)[0] > j
+            below = _sturm(rows, near, tail)[0] > j
             while True:
                 far = min(max(near - step if below else near + step, floor), ceiling)
-                if (_sturm(diag, kin, far, tail)[0] > j) != below:
+                if far == near or (_sturm(rows, far, tail)[0] > j) != below:
                     break
                 near, step = far, 4.0 * step
             lo, hi = (far, near) if below else (near, far)
@@ -170,7 +185,7 @@ def _levels(
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            if _sturm(diag, kin, mid, tail)[0] > j:
+            if _sturm(rows, mid, tail)[0] > j:
                 hi = mid
             else:
                 lo = mid
@@ -182,26 +197,26 @@ def fd_spectrum(params: PhysicalParams, grid: RadialGrid, n_states: int) -> list
     """Lowest n_states eigenvalues at the angular momentum of ``params``,
     ascending, with self-consistency guards.
 
-    Each level is the Richardson extrapolation of the three-point scheme
-    on ``grid`` and on its companion at doubled spacing: with s the true
-    ratio of the two spacings, E = E_fine + (E_fine - E_coarse)/(s^2 - 1),
+    Each level is the Richardson extrapolation of the weighted finite
+    volumes on ``grid`` and on its companion with half the cells: with
+    s = N_fine / N_coarse, E = E_fine + (E_fine - E_coarse)/(s^2 - 1),
     which removes the second-order error.  Two error terms are bounded,
     both in the energy units of ``params`` (hartree in atomic units), like
     ``FD_TOLERANCE``, and both taken as the largest over the returned levels:
 
-    - spacing: |E_fine - E_coarse| / (s^2 - 1), the error of the
+    - cell size: |E_fine - E_coarse| / (s^2 - 1), the error of the
       unextrapolated fine-grid level;
-    - outer wall: the rise of the level caused by the Dirichlet zero at
-      R = r_max.  As dE/dR = -(hbar^2/2m) u'(R)^2 for a normalized u
-      (Hellmann-Feynman) and u' decays like exp(-q r), q^2 = -2mE/hbar^2,
-      the shift against an infinite box is (hbar^2/2m) u'(R)^2 / (2q),
-      with u'(R) = -u(R - h)/h from the fine-grid eigenvector.  It runs
+    - outer wall: the rise of the level caused by the zero at R = r_max.
+      As dE/dR = -(hbar^2/2m) u'(R)^2 for a normalized u (Hellmann-Feynman)
+      and u' decays like exp(-q r), q^2 = -2mE/hbar^2, the shift against
+      an infinite box is (hbar^2/2m) u'(R)^2 / (2q), with u'(R) =
+      -u(r_{N-1}) / (R - r_{N-1}) from the fine-grid eigenvector.  It runs
       up to about 2x low: the power of r in u slows the decay.
 
-    The inner wall at the origin is exact, so it needs no guard.  The
-    call raises ``GridTooCoarse`` when either term exceeds ``FD_TOLERANCE``
-    and when any returned level is not bound, which signals box
-    truncation rather than physics.
+    The origin needs no guard: u = r^(L+1) w there exactly.  The call
+    raises ``GridTooCoarse`` when either term exceeds ``FD_TOLERANCE``,
+    when a returned level is not bound (box truncation, not physics), and
+    when the companion grid has fewer unknowns than n_states.
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")
@@ -209,12 +224,17 @@ def fd_spectrum(params: PhysicalParams, grid: RadialGrid, n_states: int) -> list
         companion = grid.halved()
     except ValueError as exc:
         raise GridTooCoarse(
-            f"grid too small for the halved-spacing companion check: {exc}"
+            f"grid too small for the half-cell companion check: {exc}"
         ) from exc
-    coarse = _levels(*_tridiag_coulomb(params, companion), n_states)
-    diag, kin = _tridiag_coulomb(params, grid)
-    fine = _levels(diag, kin, n_states, seeds=coarse)
-    s2 = (companion.spacing / grid.spacing) ** 2
+    if n_states > companion.cells:
+        raise GridTooCoarse(
+            f"{n_states} states requested, but the companion grid has only "
+            f"{companion.cells} unknowns"
+        )
+    coarse = _levels(_weighted_coulomb(params, companion)[0], n_states)
+    rows, slope = _weighted_coulomb(params, grid)
+    fine = _levels(rows, n_states, seeds=coarse)
+    s2 = (grid.cells / companion.cells) ** 2
     levels = [f + (f - c) / (s2 - 1.0) for f, c in zip(fine, coarse)]
     for j, energy in enumerate(levels):
         if energy >= 0.0:
@@ -228,10 +248,10 @@ def fd_spectrum(params: PhysicalParams, grid: RadialGrid, n_states: int) -> list
             f"estimated discretization error {spacing_error:.3e} "
             f"exceeds tolerance {FD_TOLERANCE:.3e}; refine the grid"
         )
-    # with w = v[-1]^2 of the unit eigenvector, u'(R)^2 = w / h^3 and
-    # (hbar^2/2m) u'(R)^2 / (2q) = kin w / (2 q h), where q h = sqrt(-E/kin)
+    # (hbar^2/2m) u'(R)^2 / (2q) with q = sqrt(-E / (hbar^2/2m))
+    kin = params.hbar**2 / (2.0 * params.mass)
     wall_error = max(
-        kin * _last_weight(diag, kin, f) / (2.0 * sqrt(-energy / kin))
+        kin * slope * _last_weight(rows, f) / (2.0 * sqrt(-energy / kin))
         for f, energy in zip(fine, levels)
     )
     if wall_error > FD_TOLERANCE:

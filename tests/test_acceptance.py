@@ -41,10 +41,11 @@ def test_configuration_limit():
     The L=0 comparison on the stated default grid was once a known red
     row: a hard wall at r = 1e-3 shifted every level by about
     (u'(0))^2 * 1e-3 / 2, 4e-3 relative, which no grid spacing could
-    reduce.  The oracle now puts its inner wall at the origin, where
-    u = r*R vanishes, and extrapolates over two spacings, so the row
-    passes at the unchanged r_max, point count and tolerance.  The
-    criterion reports the measured gap either way.
+    reduce.  The oracle now solves for w in u = r^(L+1) w, so u vanishes
+    at the origin exactly, on cells graded toward it, and extrapolates
+    over N and N/2 cells, so the row passes at the unchanged tolerance
+    on `oracle.DEFAULT_GRID`.  The criterion reports the measured gap
+    either way.
     """
     assert_all_passed(run_criterion("configuration-limit"))
 

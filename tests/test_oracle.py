@@ -12,10 +12,11 @@ from phasenu.errors import GridTooCoarse
 from phasenu.hydrogen import PhysicalParams
 from phasenu.opspace import OpPoint, commutator_coefficient
 from phasenu.oracle import (
+    DEFAULT_GRID,
     RadialGrid,
     _levels,
     _sturm,
-    _tridiag_coulomb,
+    _weighted_coulomb,
     commutator_check,
     fd_spectrum,
     laguerre,
@@ -27,16 +28,15 @@ COMMUTATOR_SAMPLES = [(r / 2.0, p / 2.0) for r in (-2, 0, 1, 2) for p in (-1, 0,
 
 
 class TestRadialGrid:
-    def test_spacing(self):
-        grid = RadialGrid(2.0, 101)
-        assert grid.spacing == pytest.approx(0.02)
+    def test_cells(self):
+        assert RadialGrid(2.0, 101).cells == 100
 
     def test_halved_keeps_endpoints(self):
         grid = RadialGrid(100.0, 4001)
         half = grid.halved()
         assert half.r_max == grid.r_max
         assert half.n_points == 2001
-        assert half.spacing == pytest.approx(2.0 * grid.spacing)
+        assert half.cells == grid.cells // 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -63,19 +63,31 @@ class TestFdSpectrum:
     def test_shallow_levels_in_a_large_box(self):
         """The default grid resolves the L=0 levels to 1e-4 relative.
 
-        The inner wall sits at the origin, where u = r*R vanishes, and
-        each level is extrapolated over two grid spacings, so the
-        acceptance tolerance of 1e-4 is met on the very grid where a
-        Dirichlet wall at r = 1e-3 once shifted the ground level by 4e-3
-        relative.
+        u = r*w vanishes at the origin exactly, and each level is
+        extrapolated over N and N/2 cells, so the acceptance tolerance of
+        1e-4 is met with room to spare; a Dirichlet wall at r = 1e-3 once
+        shifted the ground level by 4e-3 relative.
         """
-        levels = fd_spectrum(ATOMIC, RadialGrid(100.0, 4000), 2)
+        levels = fd_spectrum(ATOMIC, DEFAULT_GRID, 2)
         assert levels[0] == pytest.approx(-0.5, rel=1e-4)
         assert levels[1] == pytest.approx(-0.125, rel=1e-4)
 
+    @pytest.mark.parametrize("L, bound", [(0, 3e-8), (1, 3e-8), (2, 1.5e-6)])
+    def test_default_grid_matches_the_closed_form(self, L, bound):
+        """The three lowest levels on the default grid against
+        -1/(2(n+L+1)^2).  Measured: 1.27e-8 (L=0), 1.03e-8 (L=1) and
+        5.9e-7 (L=2, the third level, at r of about 50, feels the wall).
+        The flux taken at r_i instead of r_{i+1/2} cuts cell 0 loose
+        (F_0 = 0), which adds a level near -6e4 and moves the others by
+        1%, and the call raises."""
+        levels = fd_spectrum(PhysicalParams(angular_momentum=L), DEFAULT_GRID, 3)
+        for n, energy in enumerate(levels):
+            want = -1.0 / (2.0 * (n + L + 1) ** 2)
+            assert abs(energy - want) <= bound * abs(want)
+
     def test_centrifugal_barrier_suppresses_the_wall_shift(self):
         p1 = PhysicalParams(angular_momentum=1)
-        levels = fd_spectrum(p1, RadialGrid(100.0, 4000), 1)
+        levels = fd_spectrum(p1, DEFAULT_GRID, 1)
         assert levels[0] == pytest.approx(-0.125, rel=1e-4)
 
     def test_resolving_grid_meets_the_tight_tolerance(self):
@@ -84,7 +96,7 @@ class TestFdSpectrum:
         assert levels[1] == pytest.approx(-0.125, rel=1e-4)
 
     def test_levels_ascend(self):
-        levels = fd_spectrum(ATOMIC, RadialGrid(100.0, 4000), 3)
+        levels = fd_spectrum(ATOMIC, DEFAULT_GRID, 3)
         assert levels == sorted(levels)
 
     def test_box_truncation_detected(self):
@@ -92,22 +104,23 @@ class TestFdSpectrum:
             fd_spectrum(ATOMIC, RadialGrid(5.0, 500), 2)
 
     def test_coarse_spacing_detected(self):
-        with pytest.raises(GridTooCoarse):
-            fd_spectrum(ATOMIC, RadialGrid(100.0, 250), 1)
+        # estimate 2.1e-4
+        with pytest.raises(GridTooCoarse, match="discretization error"):
+            fd_spectrum(ATOMIC, RadialGrid(100.0, 200), 1)
 
     def test_grid_too_small_for_companion_check(self):
         with pytest.raises(GridTooCoarse):
             fd_spectrum(ATOMIC, RadialGrid(100.0, 150), 1)
 
     def test_second_order_convergence(self, monkeypatch):
-        """Halving the spacing shrinks the three-point ground-state error
+        """Doubling the cells shrinks the weighted ground-state error
         about 4x, and the extrapolated level's error about 16x.
 
         The Richardson weight in fd_spectrum relies on the raw scheme being
         second order, so both orders are checked on the same two grids.
         """
-        coarse = _levels(*_tridiag_coulomb(ATOMIC, RadialGrid(100.0, 1001)), 1)
-        fine = _levels(*_tridiag_coulomb(ATOMIC, RadialGrid(100.0, 2001)), 1)
+        coarse = _levels(_weighted_coulomb(ATOMIC, RadialGrid(100.0, 1001))[0], 1)
+        fine = _levels(_weighted_coulomb(ATOMIC, RadialGrid(100.0, 2001))[0], 1)
         ratio = (coarse[0] + 0.5) / (fine[0] + 0.5)
         assert 3.5 <= ratio <= 4.5
         monkeypatch.setattr(oracle, "FD_TOLERANCE", 1.0)
@@ -116,19 +129,22 @@ class TestFdSpectrum:
         ratio = (coarse[0] + 0.5) / (fine[0] + 0.5)
         assert 14.0 <= ratio <= 18.0
 
-    def test_muonic_mass_on_the_default_grid_detected(self):
-        """The muonic Bohr radius, 1/186, is about a fifth of the default
-        grid's spacing, so the spacing guard refuses it (estimate 4.8)."""
+    @pytest.mark.parametrize("n_points", [1000, 4000])
+    def test_muonic_mass_detected(self, n_points):
+        """The muonic ground level, -93 hartree, has its Bohr radius 1/186
+        inside the first 29 of 3,999 cells, so the spacing guard refuses
+        it in hartree (estimate 1.8e-2 at 4,000 points, 0.31 at 1,000)."""
         muonic = PhysicalParams(mass=186.0)
         with pytest.raises(GridTooCoarse, match="discretization error"):
-            fd_spectrum(muonic, RadialGrid(100.0, 4000), 1)
+            fd_spectrum(muonic, RadialGrid(100.0, n_points), 1)
 
     @pytest.mark.parametrize(
         "params, grid",
         [
-            # third L=0 level with hbar = 2: 2.4e-4 off in a box 3x larger
+            # third L=0 level with hbar = 2: 2.4e-4 off in a box 3x larger,
+            # estimate 1.36e-4
             (PhysicalParams(hbar=2.0), RadialGrid(100.0, 4000)),
-            # third L=1 level: 5.3e-3 off
+            # third L=1 level: 5.3e-3 off, estimate 2.46e-3
             (PhysicalParams(angular_momentum=1), RadialGrid(30.0, 1000)),
             # third L=2 level: 2.2e-4 off, estimate 1.07e-4
             (PhysicalParams(angular_momentum=2), RadialGrid(60.0, 4000)),
@@ -143,43 +159,65 @@ class TestFdSpectrum:
     def test_count_survives_an_exact_zero_pivot(self):
         # [[1, -1], [-1, 1]] has eigenvalues 0 and 2; at x = 1 the first
         # pivot is exactly zero
-        assert _sturm([1.0, 1.0], 1.0, 1.0)[0] == 1
-        assert _sturm([1.0, 1.0], 1.0, 2.5)[0] == 2
-        assert _sturm([1.0, 1.0], 1.0, -0.5)[0] == 0
+        rows = _rows([1.0, 1.0], [1.0])
+        assert _sturm(rows, 1.0)[0] == 1
+        assert _sturm(rows, 2.5)[0] == 2
+        assert _sturm(rows, -0.5)[0] == 0
 
     def test_seeded_brackets_find_the_unseeded_levels(self):
-        diag, kin = _tridiag_coulomb(ATOMIC, RadialGrid(100.0, 1000))
-        plain = _levels(diag, kin, 4)
+        rows = _weighted_coulomb(ATOMIC, DEFAULT_GRID)[0]
+        plain = _levels(rows, 4)
         for shift in (-0.3, 0.0, 1e-9, 0.3, 5.0):
-            seeded = _levels(diag, kin, 4, seeds=[e + shift for e in plain])
+            seeded = _levels(rows, 4, seeds=[e + shift for e in plain])
             assert seeded == pytest.approx(plain, rel=1e-13)
+
+    def test_seeded_level_on_a_gershgorin_bound(self):
+        # a decoupled row puts a level exactly on the lower bound, where
+        # the bracket stops growing instead of stepping in place
+        rows = _rows([0.0, 5.0], [0.0])
+        seeded = _levels(rows, 2, seeds=[0.5, 4.0])
+        assert seeded == pytest.approx([0.0, 5.0], abs=1e-13)
 
     def test_state_count_validation(self):
         with pytest.raises(ValueError):
-            fd_spectrum(ATOMIC, RadialGrid(100.0, 4000), 0)
+            fd_spectrum(ATOMIC, DEFAULT_GRID, 0)
+
+    def test_more_states_than_unknowns_detected(self):
+        with pytest.raises(GridTooCoarse, match="500 states requested.* 499 unknowns"):
+            fd_spectrum(ATOMIC, DEFAULT_GRID, 500)
 
     @pytest.mark.parametrize(
         "L, want",
         [
-            (0, ["-0x1.fffff973095a9p-2", "-0x1.ffffff970a7fep-4", "-0x1.c71c71b4b0667p-5"]),
-            (1, ["-0x1.ffffffd5343edp-4", "-0x1.c71c71a446e72p-5", "-0x1.ffffffde979cap-6"]),
-            (2, ["-0x1.c71c71c725874p-5", "-0x1.ffffffffd467bp-6", "-0x1.47ae080b0113fp-6"]),
+            (0, ["-0x1.ffffffcff993cp-2", "-0x1.ffffffa85968ap-4", "-0x1.c71c7165d01d0p-5"]),
+            (1, ["-0x1.ffffffd6f13bep-4", "-0x1.c71c718a05315p-5", "-0x1.ffffffa785e25p-6"]),
+            (2, ["-0x1.c71c71a371e38p-5", "-0x1.ffffffc35d624p-6", "-0x1.47ae07d9ed62ep-6"]),
         ],
     )
-    def test_levels_keep_their_bits(self, L, want):
-        """The early-exit count changes no count, so no level moves."""
+    def test_levels_keep_their_bits(self, L, want, monkeypatch):
+        """The early-exit count changes no count, so no level moves: full
+        sweeps give the same bits."""
         params = PhysicalParams(angular_momentum=L)
-        levels = fd_spectrum(params, RadialGrid(100.0, 4000), 3)
+        levels = fd_spectrum(params, DEFAULT_GRID, 3)
         assert [e.hex() for e in levels] == want
+        full = oracle._sturm
+        monkeypatch.setattr(oracle, "_sturm", lambda rows, x, tail=None: full(rows, x))
+        assert fd_spectrum(params, DEFAULT_GRID, 3) == levels
+
+
+def _rows(diag, off):
+    """Rows (d_k, b_{k-1}^2, |b_k|) of the matrix with diagonal ``diag``
+    and off-diagonals ``off``."""
+    return list(zip(diag, [0.0] + [b * b for b in off], [abs(b) for b in off] + [0.0]))
 
 
 def _suffix_minima(rows):
-    return list(accumulate(reversed(rows), min))[::-1]
+    return list(accumulate((d - c**0.5 - b for d, c, b in reversed(rows)), min))[::-1]
 
 
 class TestSturmExit:
-    """The count stops at the first pivot above b once every later
-    diagonal d satisfies d - x >= 2b, and still counts what the full
+    """The count stops at the first pivot q_k > |b_k| once every later row
+    satisfies d - x >= |b_{k-1}| + |b_k|, and still counts what the full
     sweep counts."""
 
     def test_early_and_full_counts_agree(self):
@@ -191,33 +229,36 @@ class TestSturmExit:
             (PhysicalParams(mass=186.0, angular_momentum=3), RadialGrid(1.0, 500)),
         ]
         for params, grid in cases:
-            diag, kin = _tridiag_coulomb(params, grid)
-            tail = _suffix_minima(diag)
-            xs = [rng.uniform(tail[0] - 2.0 * kin, max(diag) + 2.0 * kin) for _ in range(20)]
-            for level in _levels(diag, kin, 3):
+            rows = _weighted_coulomb(params, grid)[0]
+            tail = _suffix_minima(rows)
+            top = max(d + c**0.5 + b for d, c, b in rows)
+            xs = [rng.uniform(tail[0], top) for _ in range(20)]
+            for level in _levels(rows, 3):
                 xs += [level + k * math.ulp(level) for k in range(-3, 4)]
                 xs += [level * (1.0 + s * e) for s in (-1, 1) for e in (1e-15, 1e-9, 1e-3)]
             for x in xs:
-                assert _sturm(diag, kin, x, tail)[0] == _sturm(diag, kin, x)[0]
+                assert _sturm(rows, x, tail)[0] == _sturm(rows, x)[0]
         for _ in range(100):
-            b = rng.uniform(0.01, 10.0)
-            diag = [rng.uniform(-20.0, 20.0) for _ in range(rng.randrange(2, 60))]
-            tail = _suffix_minima(diag)
+            size = rng.randrange(2, 60)
+            diag = [rng.uniform(-20.0, 20.0) for _ in range(size)]
+            rows = _rows(diag, [rng.uniform(-10.0, 10.0) for _ in range(size - 1)])
+            tail = _suffix_minima(rows)
             for x in (rng.uniform(-30.0, 30.0) for _ in range(10)):
-                assert _sturm(diag, b, x, tail)[0] == _sturm(diag, b, x)[0]
+                assert _sturm(rows, x, tail)[0] == _sturm(rows, x)[0]
 
     def test_sweep_stops_before_the_last_row(self):
         class Unread(float):
             def __sub__(self, other):
                 raise AssertionError("a row past the exit was read")
 
-        diag, kin = _tridiag_coulomb(ATOMIC, RadialGrid(100.0, 1000))
-        rows = diag[:-1] + [Unread(diag[-1])]
+        rows = _weighted_coulomb(ATOMIC, DEFAULT_GRID)[0]
+        d, c, b = rows[-1]
+        unread = rows[:-1] + [(Unread(d), c, b)]
         tail = _suffix_minima(rows)
         for x in (-0.6, -0.5, -0.2, -0.1251):
-            assert _sturm(rows, kin, x, tail)[0] == _sturm(diag, kin, x)[0]
+            assert _sturm(unread, x, tail)[0] == _sturm(rows, x)[0]
         with pytest.raises(AssertionError, match="past the exit"):
-            _sturm(rows, kin, -0.3)
+            _sturm(unread, -0.3)
 
 
 class TestLaguerre:

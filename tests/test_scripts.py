@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from phasenu.acceptance import CRITERIA
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -33,6 +35,33 @@ def test_scan_refuses_a_malformed_grid(grid):
     assert proc.returncode == 2
     assert "usage:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--n-max", "--L-max"])
+def test_scan_refuses_a_negative_count(flag):
+    proc = _run(["spectrum_scan.py", flag, "-1"])
+    assert proc.returncode == 2
+    assert "must be non-negative" in proc.stderr
+    assert not proc.stdout
+
+
+def test_scan_reports_more_states_than_the_grid_holds():
+    """The companion grid of the default 1,000 points has 499 unknowns."""
+    proc = _run(["spectrum_scan.py", "--n-max", "4000", "--L-max", "0", "--fd"])
+    assert proc.returncode == 0, proc.stderr
+    assert (
+        "fd oracle unavailable for L=0: 4001 states requested, "
+        "but the companion grid has only 499 unknowns"
+    ) in proc.stdout
+
+
+def test_verify_times_names_every_criterion():
+    """One "<seconds> <criterion>" line per criterion, in suite order."""
+    proc = _run(["verify_times.py"])
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split(" ") for line in proc.stdout.splitlines()]
+    assert [name for _, name in lines] == list(CRITERIA)
+    assert all(re.fullmatch(r"\d+\.\d{6}", seconds) for seconds, _ in lines)
 
 
 def test_output_digest_is_stable():
