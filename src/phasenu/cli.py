@@ -3,8 +3,8 @@
 Machine-readable output only: JSON documents for single results, CSV for
 grids.  JSON documents come from :func:`_json`, byte-identical to
 ``json.dumps(indent=2)``; CSV floats use shortest-round-trip
-formatting.  Exit codes: 0 success, 2 usage error, 3 domain/solver error
-or a float overflow (error class name on stderr).
+formatting.  Exit codes: 0 success, 1 a failed ``verify`` row, 2 usage
+error, 3 domain/solver error or a float overflow (class name on stderr).
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ class PhysicalParams:
                 raise ValueError(f"{name} must be finite and positive")
             nu._finite_real(name, value)  # names a non-number, or one beyond the float range
         L = self.angular_momentum
-        if not isinstance(L, int) or L < 0:
+        if not isinstance(L, int) or type(L) is bool or L < 0:
             raise ValueError("angular_momentum must be a non-negative integer")
         if not 0.0 < self.zeta < math.inf:
             raise ValueError(
@@ -188,8 +188,8 @@ class WavefunctionForm:
     @property
     def config(self) -> WavefunctionForm:
         """The record itself, so that ``wf.config.point`` still reads the
-        point; it goes with the benchmark change of ROADMAP item 2, which
-        drops that read from ``perfbench/workloads.py``."""
+        point; it goes with the benchmark change of ROADMAP item 1, which
+        turns that read in ``perfbench/workloads.py`` into ``wf.point``."""
         return self
 
 

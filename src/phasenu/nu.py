@@ -57,7 +57,7 @@ def _finite_real(name: str, value: float) -> float:
     ValueError naming ``name``, one beyond the float range included."""
     if type(value) is float:  # skips the far slower ABC check
         x = value
-    elif isinstance(value, Real):
+    elif isinstance(value, Real) and type(value) is not bool:  # True is an int too
         try:
             x = float(value)
         except OverflowError as err:  # a huge int or Fraction

@@ -154,13 +154,15 @@ class TestParams:
             (1j, "must be real, got 1j"),
             (None, "must be real, got None"),
             (10**400, "is beyond the float range: int too large to convert to float"),
+            (True, "must be real, got True"),
         ],
-        ids=["str", "complex", "None", "huge-int"],
+        ids=["str", "complex", "None", "huge-int", "True"],
     )
     def test_constants_are_refused_by_name(self, name, value, message):
         """A string, a complex number or None failed on the comparison
         with a TypeError, and an int beyond the float range with a bare
-        OverflowError from zeta; each now names the constant."""
+        OverflowError from zeta; each now names the constant.  True is an
+        int, so a Real, and solved as 1."""
         with pytest.raises(ValueError, match=f"^{name} {re.escape(message)}$"):
             PhysicalParams(**{name: value})
 
@@ -207,6 +209,9 @@ class TestParams:
             PhysicalParams(angular_momentum=-1)
         with pytest.raises(ValueError):
             PhysicalParams(angular_momentum=1.5)
+        for flag in (True, False):  # ints too: True solved as L = 1
+            with pytest.raises(ValueError, match="^angular_momentum must be a non-negative integer$"):
+                PhysicalParams(angular_momentum=flag)
 
     def test_derived_constants(self):
         assert ATOMIC.omega == 0.0

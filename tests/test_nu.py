@@ -156,16 +156,19 @@ class TestProblemValidation:
     def test_complex_scalars_are_refused_by_name(self):
         """nu solves real equations: a complex scalar is refused, even one
         whose imaginary part is zero, and so is any other non-number, such
-        as a string that float() would parse, and a real number beyond the
-        float range; the message names the field."""
-        for bad in (1 + 2j, complex(2.0, 0.0), complex(1.0, -math.inf), "1", " 2e0 ", None):
+        as a string that float() would parse or a bool (True solved as 1),
+        and a real number beyond the float range; the message names the
+        field."""
+        for bad in (
+            1 + 2j, complex(2.0, 0.0), complex(1.0, -math.inf), "1", " 2e0 ", None, True, False
+        ):
             with pytest.raises(ValueError, match="c must be real"):
                 NuProblem(bad, (0.0, 1.0, 0.0), (2.0, 0.0))
             with pytest.raises(ValueError, match="sigma_tilde must be real"):
                 NuProblem(1.0, (0.0, bad, 0.0), (2.0, 0.0))
             with pytest.raises(ValueError, match="tau_tilde must be real"):
                 NuProblem(1.0, (0.0, 1.0, 0.0), (2.0, bad))
-        for bad in (1 + 2j, complex(2.0, 0.0), complex(1.0, -math.inf)):
+        for bad in (1 + 2j, complex(2.0, 0.0), complex(1.0, -math.inf), True):
             with pytest.raises(ValueError, match=r"^kappa must be real"):
                 radial_family(0.0, 2.0, -3.0).at(bad)
         with pytest.raises(ValueError, match="c must be real, got '1'"):

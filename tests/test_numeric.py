@@ -74,6 +74,8 @@ class TestPoly:
             (lambda: Poly((10**400,)), "coeffs is beyond the float range"),
             (lambda: Poly((1.0, Fraction(-(10**400), 3))), "coeffs is beyond the float range"),
             (lambda: ExpPowerTerm(Poly((1.0,)), power=10**400), "power is beyond the float range"),
+            (lambda: Poly((1.0, True)), "^coeffs must be real, got True$"),
+            (lambda: ExpPowerTerm(Poly((1.0,)), rate=False), "^rate must be real, got False$"),
         ],
     )
     def test_complex_and_non_finite_values_are_refused_by_name(self, make, message):
