@@ -194,10 +194,11 @@ def check_rodrigues_laguerre() -> list[CheckResult]:
             state = _solved_state(n, L, -3.0)
             a = (2 * L + 1) / 3.0
             scale = 2.0 * state.kappa**0.5 / 3.0
+            coeffs = nu.rodrigues_y(state.branch, n)
             ratios = []
             for A in points:
                 y = 0.0  # Horner over the solver's coefficients
-                for c in reversed(state.y):
+                for c in reversed(coeffs):
                     y = y * A + c
                 ratios.append(y / oracle.laguerre(n, a, scale * A))
             mean = sum(ratios) / len(ratios)

@@ -194,9 +194,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "tau": [branch.tau0, branch.tau1],
         "phi": {"rate": phi_rate, "power": phi_power},
         "rho": {"rate": rho_rate, "power": rho_power},
-        "y": state.y,
+        "y": nu.rodrigues_y(branch, args.n),
         "residual": hydrogen.ode_residual(state),
     }
+    if not math.isfinite(document["residual"]):
+        raise OverflowError(f"the residual of level n={args.n}, L={args.L} is not finite")
     _emit(_json(document) + "\n", args.out)
     return 0
 

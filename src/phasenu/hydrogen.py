@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from numbers import Real
 from typing import Callable
@@ -60,6 +61,8 @@ class PhysicalParams:
         L = self.angular_momentum
         if not isinstance(L, int) or type(L) is bool or L < 0:
             raise ValueError("angular_momentum must be a non-negative integer")
+        if L * (L + 1) > sys.float_info.max:  # not printed: L may pass the int-to-str limit
+            raise ValueError("angular_momentum is too large: L(L+1) is beyond the float range")
         if not 0.0 < self.zeta < math.inf:
             raise ValueError(
                 f"zeta = 2 e2 k m / hbar^2 must be finite and positive, got {self.zeta!r}"
@@ -174,7 +177,8 @@ class WavefunctionForm:
     @functools.cached_property
     def body(self) -> ExpPowerTerm:
         """psi = phi * y as one term, built on first read and kept."""
-        return ExpPowerTerm(self.state.y, *self.state.branch._factor)
+        branch = self.state.branch
+        return ExpPowerTerm(nu.rodrigues_y(branch, self.state.n), *branch._factor)
 
     @functools.cached_property
     def _psi(self) -> Callable[[float, complex, float], complex]:
@@ -229,10 +233,18 @@ def _laguerre_steps(n: int, beta: float) -> list[tuple]:
 
 def _laguerre_pair(steps: list[tuple], x: float) -> tuple:
     """(L_{n-1}, L_n) of order beta at x, from ``_laguerre_steps(n, beta)``;
-    L_{-1} = 0."""
+    L_{-1} = 0.  Where L_n leaves (-2**600, 2**600), a second pass scales
+    the pair by 2**-600 whenever L_k leaves it, an exact power of two."""
     l1, l0 = 0.0, 1.0
     for p, q, r in steps:
         l1, l0 = l0, (p - q * x) * l0 - r * l1
+    if -2.0**600 < l0 < 2.0**600:
+        return l1, l0
+    l1, l0 = 0.0, 1.0
+    for p, q, r in steps:
+        l1, l0 = l0, (p - q * x) * l0 - r * l1
+        if not -2.0**600 < l0 < 2.0**600:
+            l1, l0 = l1 * 2.0**-600, l0 * 2.0**-600
     return l1, l0
 
 
@@ -256,13 +268,15 @@ def ode_residual(state: nu.NuState) -> float:
     beta = b + 1 (``_laguerre_pair``), by L_n^(b) = L_n^(beta) -
     L_{n-1}^(beta), L_n^(b)' = -L_{n-1}^(beta) and x L_{n-1}^(beta)' =
     (n-1) L_{n-1}^(beta) - (n-1+beta) L_{n-2}^(beta), with L_{n-2} taken
-    from the recurrence; never from the equation under test.
+    from the recurrence; never from the equation under test.  The defect
+    is homogeneous in that pair, so the power of two by which its scaled
+    pass shrinks a pair beyond 2**600 drops out, bit for bit.
 
     A state assembled at a detuned kappa (``nu.assemble``) carries the
     equation at that kappa, whose branch has lambda != lambda_n, so its
     defect is large.  A non-finite defect reads inf.
     """
-    n, branch, problem = state.n, state.branch, state.problem
+    n, branch, problem = state.n, state.branch, state.family.at(state.kappa)
     c, pi0, pi1 = branch.c, branch.pi0, branch.pi1
     a, b = branch._weight
     t0, t1 = problem.tau_tilde

@@ -34,8 +34,9 @@ independent of any closed-form spectrum a particular family may admit.
 The equation is one record of
 scalars, :class:`NuProblem`, and :func:`select_branch` resolves it into
 another, :class:`NuBranch`, whose scalars give pi, tau, phi, rho and both
-lambdas; a solved level, :class:`NuState`, adds kappa and the coefficients
-of y.
+lambdas; a solved level, :class:`NuState`, adds n and kappa.  The
+coefficients of y come from :func:`rodrigues_y`, called only where y is
+printed or evaluated.
 """
 
 from __future__ import annotations
@@ -150,21 +151,15 @@ class NuState:
     """Level n of a family, assembled at one kappa.
 
     Built only by :func:`assemble` (or :func:`solve_state`, at the
-    quantized kappa): the selected branch, which carries phi and rho, and
-    the coefficients of the Rodrigues polynomial y in ascending degree
-    order; the equation at kappa is derived.
+    quantized kappa): the selected branch, which carries phi and rho; the
+    equation at kappa is ``family.at(kappa)``, and the Rodrigues y is
+    ``rodrigues_y(branch, n)``.
     """
 
     family: NuProblem
     n: int
     kappa: float
     branch: NuBranch
-    y: tuple[float, ...]
-
-    @property
-    def problem(self) -> NuProblem:
-        """The equation at this kappa."""
-        return self.family.at(self.kappa)
 
 
 def _kappa_free(problem: NuProblem) -> tuple[float, float, float, float]:
@@ -304,13 +299,12 @@ def solve_kappa(family: NuProblem, n: int) -> float:
 
 
 def assemble(family: NuProblem, kappa: float, n: int) -> NuState:
-    """Level n at this kappa: the branch and the Rodrigues y.
+    """Level n at this kappa: the branch selected there.
 
     Off the quantized kappa the parts still assemble, but phi * y no
     longer solves the equation; residual checks rely on that.
     """
-    branch = select_branch(family.at(kappa))
-    return NuState(family=family, n=n, kappa=kappa, branch=branch, y=rodrigues_y(branch, n))
+    return NuState(family, n, kappa, select_branch(family.at(kappa)))
 
 
 def solve_state(family: NuProblem, n: int) -> NuState:

@@ -54,12 +54,31 @@ def test_ground_state_chain():
     assert_all_passed(run_criterion("ground-state-chain"))
 
 
-def test_residual_detector():
+def count_rodrigues_y(monkeypatch):
+    """Record each nu.rodrigues_y call, and still make it."""
+    calls = []
+    original = nu.rodrigues_y
+
+    def counted(branch, n):
+        calls.append(n)
+        return original(branch, n)
+
+    monkeypatch.setattr(nu, "rodrigues_y", counted)
+    return calls
+
+
+def test_residual_detector(monkeypatch):
+    """The residual reads the branch only: no y is built."""
+    calls = count_rodrigues_y(monkeypatch)
     assert_all_passed(run_criterion("residual-detector"))
+    assert calls == []
 
 
-def test_rodrigues_laguerre():
+def test_rodrigues_laguerre(monkeypatch):
+    """y is built once per state, not once per sample point."""
+    calls = count_rodrigues_y(monkeypatch)
     assert_all_passed(run_criterion("rodrigues-laguerre"))
+    assert calls == [n for n in range(9) for _ in range(3)]
 
 
 def test_transform_algebra():

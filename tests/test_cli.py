@@ -89,7 +89,7 @@ class TestSolve:
                 "tau": [b.tau0, b.tau1],
                 "phi": dict(zip(("rate", "power"), b._factor)),
                 "rho": dict(zip(("rate", "power"), b._weight)),
-                "y": list(state.y),
+                "y": list(nu.rodrigues_y(state.branch, state.n)),
             }
             got = {key: doc[key] for key in want}
             assert repr(got) == repr(want), n
@@ -191,6 +191,23 @@ class TestSolve:
         assert captured.err == ""
         assert json.loads(captured.out)["residual"] <= 1e-8
 
+    def test_non_finite_residual_is_a_solver_error(self, capsys):
+        """At L = 10**154 the terms of the residual overflow.  The document
+        printed "residual": Infinity, which is not JSON; the level is named
+        instead, exit 3, with nothing on stdout."""
+        L = str(10**154)
+        assert cli.main(["solve", "--n", "0", "--L", L, "--alphadelta", "-1"]) == 3
+        message = f"OverflowError: the residual of level n=0, L={L} is not finite\n"
+        assert capsys.readouterr() == ("", message)
+
+    @pytest.mark.parametrize("L", [135 * 10**152, 10**4000], ids=["1.35e154", "1e4000"])
+    def test_L_beyond_the_float_range_is_a_usage_error(self, capsys, L):
+        """L(L+1) beyond the largest float raised a bare OverflowError from
+        omega, exit 3; it is refused by name, exit 2, without printing L."""
+        assert cli.main(["solve", "--n", "0", "--L", str(L), "--alphadelta", "-1"]) == 2
+        message = "error: angular_momentum is too large: L(L+1) is beyond the float range\n"
+        assert capsys.readouterr() == ("", message)
+
     def test_product_one_ulp_off_the_branch(self, capsys):
         base = ["solve", "--n", "1", "--L", "0", "--alphadelta"]
         assert cli.main([*base, "-3"]) == 0
@@ -231,6 +248,22 @@ class TestScan:
         assert energies[0] == pytest.approx(-0.125, rel=1e-9)
         assert energies[1] == pytest.approx(-1.0 / 18.0, rel=1e-9)
         assert all(float(r[3]) < 1e-8 for r in rows)
+
+    def test_table_goes_past_the_last_y_in_float_range(self, capsys):
+        """At n = 168 on the -1 branch the leading coefficient of y
+        underflows.  scan prints no y, so its table no longer stops there."""
+        assert cli.main(["scan", "--n-max", "170", "--L-max", "0", "--alphadelta", "-1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + 171
+        assert [line.split(",")[0] for line in lines[1:]] == [str(n) for n in range(171)]
+        assert all(float(line.split(",")[3]) <= 1e-8 for line in lines[1:])
+
+    def test_table_builds_no_y(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(nu, "rodrigues_y", lambda *args: calls.append(args))
+        assert cli.main(["scan", "--n-max", "3", "--L-max", "2", "--alphadelta", "-1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 12
+        assert calls == []
 
     def test_round_trip_formatting(self):
         proc = run_cli("scan", "--n-max", "0", "--L-max", "0", "--alphadelta", "-1")

@@ -7,6 +7,7 @@ import functools
 import inspect
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from phasenu.hydrogen import (
     solve_energy,
 )
 from phasenu.numeric import ExpPowerTerm, Poly
-from phasenu.nu import assemble, solve_state
+from phasenu.nu import assemble, rodrigues_y, solve_state
 from phasenu.opspace import OpPoint, manifold_point
 
 import exact
@@ -179,6 +180,20 @@ class TestParams:
         by name instead of dividing by zero or overflowing later."""
         with pytest.raises(ValueError, match="zeta = 2 e2 k m / hbar\\^2 must be finite"):
             PhysicalParams(**constants)
+
+    def test_angular_momentum_beyond_the_float_range_is_named(self):
+        """omega = L(L+1) raised a bare OverflowError once L(L+1) passed the
+        largest float.  The last L below it is admitted; the next, and an L
+        too long to print, are refused by name, and the message leaves L
+        out."""
+        top = math.isqrt(int(sys.float_info.max))
+        while top * (top + 1) > sys.float_info.max:
+            top -= 1
+        assert math.isfinite(PhysicalParams(angular_momentum=top).omega)
+        message = "^angular_momentum is too large: L\\(L\\+1\\) is beyond the float range$"
+        for L in (top + 1, 10**5000):
+            with pytest.raises(ValueError, match=message):
+                PhysicalParams(angular_momentum=L)
 
     @pytest.mark.parametrize(
         "constants, kappa",
@@ -397,7 +412,8 @@ class TestSpectra:
             for L in range(6):
                 params = PhysicalParams(mass=900.0, angular_momentum=L)
                 state = solve_state(build_radial_family(params, alphadelta), 40)
-                assert len(state.y) == 41 and state.y[-1] != 0.0, (alphadelta, L)
+                y = rodrigues_y(state.branch, state.n)
+                assert len(y) == 41 and y[-1] != 0.0, (alphadelta, L)
                 assert state.kappa == pytest.approx(
                     -2.0 * 900.0 * closed_form_energy(params, 40, alphadelta), rel=1e-14
                 )
@@ -618,16 +634,17 @@ class TestSamplesAndResiduals:
             family = build_radial_family(params, alphadelta)
             for n in range(41):
                 state = solve_state(family, n)
+                state_y = rodrigues_y(state.branch, state.n)
                 kappa, branch, y = exact_chain(family, n)
                 for name, x, want in zip(bounds, (state.kappa, *state.branch[1:]), (kappa, *branch)):
                     assert ulps(x, want) <= bounds[name], (name, L, n)
-                assert len(state.y) == len(y) == n + 1
-                assert all(ulps(x, want) <= 100 for x, want in zip(state.y, y)), (L, n)
+                assert len(state_y) == len(y) == n + 1
+                assert all(ulps(x, want) <= 100 for x, want in zip(state_y, y)), (L, n)
                 # what lets solve print pi, tau and y untrimmed
                 assert state.branch.pi1 < 0.0 and state.branch.tau1 < 0.0
-                assert state.y[-1] != 0.0
+                assert state_y[-1] != 0.0
                 body = hydrogen.WavefunctionForm(canonical_config(alphadelta), state).body
-                want = exact.term(exact.mul((1,), state.y), *state.branch._factor)
+                want = exact.term(exact.mul((1,), state_y), *state.branch._factor)
                 assert [x.hex() for x in (body.rate, body.power, *body.poly.coeffs)] == [
                     float(x).hex() for x in (want.rate, want.power, *want.poly)
                 ]
@@ -664,14 +681,40 @@ class TestSamplesAndResiduals:
 
     @pytest.mark.parametrize("detuned", [False, True])
     def test_non_finite_defect_reads_inf(self, monkeypatch, detuned):
-        """At u = 1e10 the n = 40 Laguerre values overflow, and the defect
-        is nan; max() would drop it and read 0."""
+        """At u = 1e200 the terms of the n = 40 defect overflow, though the
+        Laguerre pair is scaled, and the defect is nan; max() would drop it
+        and read 0."""
         state = solve_state(build_radial_family(ATOMIC, -1.0), 40)
         if detuned:
             state = assemble(state.family, 1.1 * state.kappa, 40)
-        for fractions in ([1e10], [*SAMPLE_FRACTIONS, 1e10], [1e10, *SAMPLE_FRACTIONS]):
+        for fractions in ([1e200], [*SAMPLE_FRACTIONS, 1e200], [1e200, *SAMPLE_FRACTIONS]):
             monkeypatch.setattr(hydrogen, "SAMPLE_FRACTIONS", fractions)
             assert ode_residual(state) == math.inf
+
+    @pytest.mark.parametrize("alphadelta", sorted(BRANCHES))
+    def test_levels_whose_y_leaves_the_float_range(self, alphadelta):
+        """Past n = 167 (-1) and 118 (-3) y has no float coefficients, and
+        from n = 350 the Laguerre pair leaves the float range unless it is
+        scaled.  The levels still solve to the closed form, and their
+        residuals stay below the detector's tolerance."""
+        for L in (0, 3):
+            params = PhysicalParams(angular_momentum=L)
+            family = build_radial_family(params, alphadelta)
+            for n in (200, 351, 500, 1000):
+                state = solve_state(family, n)
+                want = closed_form_energy(params, n, alphadelta)
+                assert params.energy_of_kappa(state.kappa) == pytest.approx(want, rel=1e-14)
+                assert ode_residual(state) <= 1e-8, (L, n)
+
+    @pytest.mark.parametrize("alphadelta", sorted(BRANCHES))
+    def test_small_detuning_is_seen_at_high_n(self, alphadelta):
+        """At n = 500 the scaled recurrence still separates a 0.1% detuned
+        kappa from the solved one: about 7e-2 against 1e-13."""
+        family = build_radial_family(PhysicalParams(angular_momentum=2), alphadelta)
+        state = solve_state(family, 500)
+        assert ode_residual(state) <= 1e-8
+        for factor in (0.999, 1.001):
+            assert ode_residual(assemble(family, factor * state.kappa, 500)) > 1e-4
 
     @pytest.mark.parametrize("mass", [186.0, 1e4, 1e6])
     def test_heavy_mass_detuning_is_seen(self, mass):
@@ -711,6 +754,34 @@ class TestLaguerreRecurrence:
                     if row[j]:
                         worst = max(worst, abs(Fraction(got) - row[j]) / abs(row[j]))
         assert worst <= 1.5e-12
+
+    @pytest.mark.parametrize("b", [Fraction(3), Fraction(4, 3)], ids=str)
+    def test_scaled_pair_matches_exact_values(self, b):
+        """At n = 400 and x from 3n to 4n, L_n overflows unless the pair is
+        scaled; the scaled pair times 2**(600 k), for the k that the exact
+        value's size gives, is the exact pair to 1e-13 relative."""
+        n = 400
+        steps = hydrogen._laguerre_steps(n, float(b) + 1.0)
+        for x in (Fraction(3 * n), Fraction(7 * n, 2), Fraction(4 * n)):
+            want = [exact_laguerre(m, b + 1, x) for m in (n - 1, n)]
+            l1, l0 = hydrogen._laguerre_pair(steps, float(x))
+            size = abs(want[1].numerator).bit_length() - want[1].denominator.bit_length()
+            k = round((size - math.frexp(l0)[1]) / 600)
+            assert k >= 1
+            for got, w in zip((l1, l0), want):
+                assert abs(Fraction(got) * 2 ** (600 * k) / w - 1) <= 1e-13, (x, k)
+
+    def test_scaled_pass_keeps_the_plain_bits(self):
+        """Where L_n lies between 2**600 and the float limit, the plain
+        loop is finite and the scaled pass runs: its pair is the plain one
+        times 2**-600, bit for bit, so no finite residual moves."""
+        steps = hydrogen._laguerre_steps(300, 3.0)
+        for x in range(850, 1201, 50):
+            l1, l0 = 0.0, 1.0
+            for p, q, r in steps:
+                l1, l0 = l0, (p - q * x) * l0 - r * l1
+            assert 2.0**600 <= abs(l0) < math.inf, x
+            assert hydrogen._laguerre_pair(steps, x) == (l1 * 2.0**-600, l0 * 2.0**-600)
 
 
 class TestRecovery:
