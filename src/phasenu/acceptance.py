@@ -235,26 +235,24 @@ def check_transform_algebra() -> list[CheckResult]:
     )
 
     rng = random.Random(4251)
-    involution_ok = True
-    additivity_ok = True
+    # randrange(lo, hi + 1) draws what randint(lo, hi) draws, in the same order
+    randrange, compose, complement = rng.randrange, opspace.compose, opspace.complement
+    involution_ok = additivity_ok = True
     for _ in range(1000):
-        diag = tuple(rng.randint(-5, 5) for _ in range(4))
-        g = opspace.GEta(diag)
-        back = opspace.complement(opspace.complement(g))
+        g = opspace.GEta((randrange(-5, 6), randrange(-5, 6), randrange(-5, 6), randrange(-5, 6)))
+        back = complement(complement(g))
         involution_ok = involution_ok and back.diag == g.diag
         # one-group complement, random counts, split vs merged application
         group = rng.choice(((0, 1), (2, 3)))
         cd = [0, 0, 0, 0]
         for slot in group:
-            cd[slot] = rng.randint(-3, 3)
+            cd[slot] = randrange(-3, 4)
         comp = opspace.GEta(tuple(cd))
-        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
-        split = opspace.compose(g, [(comp, a), (comp, b)])
-        merged = opspace.compose(g, [(comp, a + b)])
-        undone = opspace.compose(opspace.compose(g, [(comp, a)]), [(comp, -a)])
-        additivity_ok = (
-            additivity_ok and split.diag == merged.diag and undone.diag == g.diag
-        )
+        a, b = randrange(-4, 5), randrange(-4, 5)
+        split = compose(g, [(comp, a), (comp, b)])
+        merged = compose(g, [(comp, a + b)])
+        undone = compose(compose(g, [(comp, a)]), [(comp, -a)])
+        additivity_ok = additivity_ok and split.diag == merged.diag and undone.diag == g.diag
     rows.append(
         CheckResult(crit, "complement involution, 1000 random diagonals", involution_ok,
                     "exact equality" if involution_ok else "mismatch found")

@@ -26,7 +26,7 @@ from .errors import ForbiddenCombination, WavefunctionDependentAngle
 MANIFOLD_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpPoint:
     """Operator coefficient 4-tuple; membership of the constraint surface
     is a query, not a construction invariant, because transforms may move
@@ -60,7 +60,7 @@ def is_on_manifold(p: OpPoint) -> bool:
     return abs(commutator_coefficient(p) - 1.0) <= MANIFOLD_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GEta:
     """Diagonal integer transform matrix, stored as its diagonal.  The
     complement I - g of a transform is one too: for a fundamental

@@ -6,11 +6,12 @@ tolerances live in the acceptance module itself; these tests do not
 loosen or restate them.
 """
 
+import random
 import time
 
 import pytest
 
-from phasenu import acceptance, nu
+from phasenu import acceptance, nu, opspace
 
 
 def run_criterion(name):
@@ -83,6 +84,64 @@ def test_rodrigues_laguerre(monkeypatch):
 
 def test_transform_algebra():
     assert_all_passed(run_criterion("transform-algebra"))
+
+
+def test_transform_algebra_draws_its_cases_in_order(monkeypatch):
+    """The 1,000 random cases are those that ``randint`` draws from seed
+    4251 in this order: four diagonal entries, the group, one count per
+    slot of the group, then a and b."""
+    records = []
+    original = opspace.compose
+
+    def spy(g0, applications):
+        if len(applications) == 2 and applications[0][0] is applications[1][0]:
+            (comp, a), (_, b) = applications
+            records.append((g0.diag, comp.diag, a, b))
+        return original(g0, applications)
+
+    monkeypatch.setattr(opspace, "compose", spy)
+    assert_all_passed(run_criterion("transform-algebra"))
+    rng = random.Random(4251)
+    want = []
+    for _ in range(1000):
+        diag = tuple(rng.randint(-5, 5) for _ in range(4))
+        cd = [0, 0, 0, 0]
+        for slot in rng.choice(((0, 1), (2, 3))):
+            cd[slot] = rng.randint(-3, 3)
+        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+        want.append((diag, tuple(cd), a, b))
+    assert records == want
+
+
+def transform_rows(monkeypatch, name, mutant):
+    """transform-algebra's pass or fail per row, with ``opspace.<name>``
+    replaced by ``mutant``."""
+    monkeypatch.setattr(opspace, name, mutant)
+    return {row.detail: row.passed for row in acceptance.CRITERIA["transform-algebra"]()}
+
+
+def test_transform_algebra_catches_a_wrong_complement(monkeypatch):
+    """1 + d in the last slot: applied twice it gives d + 2, not d.  (A
+    swap of two slots would be its own inverse and pass the row.)"""
+
+    def mutant(g):
+        a, b, c, d = g.diag
+        return opspace.GEta((1 - a, 1 - b, 1 - c, 1 + d))
+
+    rows = transform_rows(monkeypatch, "complement", mutant)
+    assert rows["complement involution, 1000 random diagonals"] is False
+
+
+def test_transform_algebra_catches_a_dropped_application(monkeypatch):
+    """compose checks every application's group but adds only the first."""
+    original = opspace.compose
+
+    def mutant(g0, applications):
+        original(g0, applications)
+        return original(g0, applications[:1])
+
+    rows = transform_rows(monkeypatch, "compose", mutant)
+    assert rows["composition additivity and inverses, 1000 random cases"] is False
 
 
 def test_manifold_invariants():

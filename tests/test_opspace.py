@@ -1,8 +1,11 @@
 """Coefficient manifold and the diagonal transform algebra."""
 
+import copy
 import math
+import pickle
 import re
 import sys
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -260,6 +263,45 @@ class TestTransforms:
         forward = compose(g0, [(g3, m), (g4, n)])
         backward = compose(g0, [(g4, n), (g3, m)])
         assert forward.diag == backward.diag
+
+
+class TestRecords:
+    """OpPoint and GEta are frozen records with slots and no ``__dict__``."""
+
+    RECORDS = [OpPoint(-3.0, 1.0, -2.0, 1.0), GEta((1, 0, -1, 1)), complement(fundamental(3))]
+    IDS = ["OpPoint", "GEta", "complement"]
+
+    @pytest.mark.parametrize("record", RECORDS, ids=IDS)
+    def test_slotted_without_a_dict(self, record):
+        assert "__slots__" in vars(type(record))
+        assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize("record", RECORDS, ids=IDS)
+    def test_fields_are_frozen(self, record):
+        for field in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field.name, 0)
+        # no slot for a new name; which error says so depends on the Python
+        with pytest.raises((FrozenInstanceError, TypeError, AttributeError)):
+            record.extra = 0
+
+    @pytest.mark.parametrize("record", RECORDS, ids=IDS)
+    def test_pickle_and_deepcopy_round_trip(self, record):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(record, protocol))
+            assert type(again) is type(record) and again == record
+        again = copy.deepcopy(record)
+        assert type(again) is type(record) and again == record
+
+    def test_hash_and_repr_are_the_fields(self):
+        texts = [
+            "OpPoint(alpha=-3.0, beta=1.0, gamma=-2.0, delta=1.0)",
+            "GEta(diag=(1, 0, -1, 1))",
+            "GEta(diag=(0, 0, 1, 0))",
+        ]
+        for record, text in zip(self.RECORDS, texts):
+            assert hash(record) == hash(tuple(getattr(record, f.name) for f in fields(record)))
+            assert repr(record) == text
 
 
 class TestPhaseAngles:

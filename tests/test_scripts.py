@@ -3,6 +3,7 @@
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -79,6 +80,17 @@ def test_output_digest_is_stable():
     assert len(runs) > 100
     assert all(re.fullmatch(r"[0-9a-f]{64} [a-z]+ --.*", line) for line in runs)
     assert runs[0].endswith(" solve --n 0 --L 0 --alphadelta -3")
+
+
+def test_mutants_refuses_a_tree_without_a_target(tmp_path):
+    """A target that a refactor moved stops the script before any run."""
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "phasenu" / "opspace.py"
+    path.write_text(path.read_text().replace("1 - d))", "1 - d) )"))
+    proc = _run(["mutants.py", "--tree", str(tmp_path)])
+    assert proc.returncode == 1
+    assert "opspace.py: '1 - d))' occurs 0 times, not once" in proc.stderr
+    assert not proc.stdout
 
 
 def _run(script, **env_extra):
