@@ -15,8 +15,8 @@ directory and the one replacement made there.  Then
 
 run in the copy, one mutant at a time.  One line per mutant gives the
 first failing test or "survived", and whether the digest and the stdout
-of ``verify`` moved against an unmutated copy.  The script prints only
-and sets no bound; score two trees with
+of ``verify`` moved against an unmutated copy.  The script exits 1 if
+any mutant survives tier-1; score two trees with
 
     python3 scripts/mutants.py --tree <tree>
 
@@ -52,6 +52,9 @@ MUTANTS = [
      "complement's last slot is no involution"),
     ("opspace.py", "for shift, count in applications:", "for shift, count in applications[:1]:",
      "compose adds only the first application"),
+    ("acceptance.py", "(x, y, 0, 0) if group[0] == 0 else (0, 0, x, y)",
+     "(y, x, 0, 0) if group[0] == 0 else (0, 0, y, x)",
+     "transform-algebra's complement takes its two counts in the other order"),
 ]
 
 #: What the copy leaves out: history and what building and testing leave behind.
@@ -136,7 +139,8 @@ def main():
             )
             shutil.rmtree(copy)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed by tier-1")
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -26,11 +26,13 @@ from .errors import ForbiddenCombination, WavefunctionDependentAngle
 MANIFOLD_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class OpPoint:
     """Operator coefficient 4-tuple; membership of the constraint surface
     is a query, not a construction invariant, because transforms may move
     points off it."""
+
+    __slots__ = ("alpha", "beta", "gamma", "delta")
 
     alpha: float
     beta: float
@@ -39,6 +41,9 @@ class OpPoint:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.alpha, self.beta, self.gamma, self.delta)
+
+    def __reduce__(self):
+        return OpPoint, self.as_tuple()
 
 
 def manifold_point(alpha: float, beta: float, delta: float) -> OpPoint:
@@ -60,13 +65,15 @@ def is_on_manifold(p: OpPoint) -> bool:
     return abs(commutator_coefficient(p) - 1.0) <= MANIFOLD_TOL
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class GEta:
     """Diagonal integer transform matrix, stored as its diagonal.  The
     complement I - g of a transform is one too: for a fundamental
     transform it has a single 1 marking the coefficient g zeroes.  Each
     entry must equal its ``int``; ``complement`` and ``compose`` skip
     this check, building their results from ints."""
+
+    __slots__ = ("diag",)
 
     diag: tuple[int, int, int, int]
 
@@ -80,13 +87,20 @@ class GEta:
             raise ValueError(f"diagonal entries must be integers, got {raw!r}")
         if len(d) != 4:
             raise ValueError("diagonal must have four entries")
-        object.__setattr__(self, "diag", d)
+        _set_diag(self, d)
+
+    def __reduce__(self):
+        return GEta, (self.diag,)
+
+
+#: The slot's own setter, which the frozen ``__setattr__`` does not guard.
+_set_diag = GEta.diag.__set__
 
 
 def _geta(diag: tuple[int, int, int, int]) -> GEta:
     """GEta from four ints already known to be valid, skipping the checks."""
     g = object.__new__(GEta)
-    object.__setattr__(g, "diag", diag)
+    _set_diag(g, diag)
     return g
 
 

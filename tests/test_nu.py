@@ -2,6 +2,7 @@
 factors, Rodrigues polynomials, and eigenvalue quantization."""
 
 import cmath
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -137,6 +138,10 @@ def random_problems(count, seed):
 
 
 DEEP = radial_problem(0.0, 2.0, 0.25, -3.0)
+
+#: ``TestRodrigues.test_coefficient_bits_are_pinned``'s digest, as
+#: ``rodrigues_y`` computes it in one product per coefficient.
+RODRIGUES_DIGEST = "23cd413f80f199546bcf5ab34320abc7242ac1f5454f80c513c64b36c0267f23"
 
 
 class TestProblemValidation:
@@ -559,6 +564,25 @@ class TestRodrigues:
                 )
                 scale = max(abs(exact.value(y, z)), 1)
                 assert abs(value) <= 1e-9 * scale
+
+    def test_coefficient_bits_are_pinned(self):
+        """One SHA-256 over the ``float.hex`` of y at each level, taken at
+        the closed-form kappa = zeta^2 / (4 d^2) so that the solver's bits
+        do not enter.  A regrouped product moves the last bit of some
+        coefficients, within every tolerance above but not here."""
+        # atomic units, and e^2 = 1.7, k = 0.8, m = 0.5, hbar = 1.3
+        zetas = (2.0, 2.0 * 1.7 * 0.8 * 0.5 / 1.3**2)
+        digest = hashlib.sha256()
+        for zeta in zetas:
+            for alphadelta in (-1.0, -3.0):
+                for L in (0, 2, 5):
+                    for n in (0, 3, 20, 40):
+                        d = n + L + 1 if alphadelta == -1.0 else 3 * n + L + 2
+                        kappa = zeta**2 / (4 * d * d)
+                        problem = radial_problem(L * (L + 1), zeta, kappa, alphadelta)
+                        y = rodrigues_y(select_branch(problem), n)
+                        digest.update(" ".join(map(float.hex, y)).encode() + b"\n")
+        assert digest.hexdigest() == RODRIGUES_DIGEST
 
 
 class TestQuantization:

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under ``scripts/`` against the source tree."""
 
+import importlib.util
 import os
 import pathlib
 import re
@@ -91,6 +92,28 @@ def test_mutants_refuses_a_tree_without_a_target(tmp_path):
     assert proc.returncode == 1
     assert "opspace.py: '1 - d))' occurs 0 times, not once" in proc.stderr
     assert not proc.stdout
+
+
+@pytest.mark.parametrize("survivor", [None, 3])
+def test_mutants_exit_status_counts_survivors(tmp_path, monkeypatch, capsys, survivor):
+    """Exit 0 when tier-1 kills every row, 1 when one row survives; the
+    runs themselves are stubbed, so only the scoring is under test."""
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    results = iter(
+        "survived" if number == survivor else "killed: stub"
+        for number in range(1, len(mutants.MUTANTS) + 1)
+    )
+    monkeypatch.setattr(mutants, "first_failure", lambda copy: next(results))
+    monkeypatch.setattr(mutants, "outputs", lambda copy: ([], ""))
+    monkeypatch.setattr(sys, "argv", ["mutants.py", "--tree", str(tmp_path)])
+    assert mutants.main() == (0 if survivor is None else 1)
+    killed = len(mutants.MUTANTS) - (survivor is not None)
+    assert capsys.readouterr().out.endswith(
+        f"{killed} of {len(mutants.MUTANTS)} mutants killed by tier-1\n"
+    )
 
 
 def _run(script, **env_extra):
