@@ -44,6 +44,8 @@ MUTANTS = [
      "ode_residual's transformed equation scales pi0 by 0.999"),
     ("hydrogen.py", "span = 4 * n +", "span = 2 * n +",
      "the residual samples half the span where the state lives"),
+    ("hydrogen.py", "2.0 * (sig * dy + p * y)", "(sig * dy + p * y)",
+     "ode_residual's tau_tilde term loses its factor 2"),
     ("oracle.py", "((i + 0.5) / n)", "((i + 0.51) / n)",
      "the oracle's cell edges leave the midpoints"),
     ("nu.py", "c_n * binomial * a_j[j] * falling", "c_n * (binomial * (a_j[j] * falling))",

@@ -337,7 +337,7 @@ def check_manifold_invariants() -> list[CheckResult]:
     worst = 0.0
     off_n = sum(1 for p in pts if not opspace.is_on_manifold(p))
     for p in pts:
-        got = oracle.commutator_check(p, 1.0, probes)
+        got = oracle.commutator_check(p, probes)
         worst = max(worst, abs(got - opspace.commutator_coefficient(p)))
     rows.append(
         CheckResult(

@@ -7,7 +7,7 @@ The radial Coulomb problem, written in the collective variable
     sigma_tilde(A) = -omega + zeta*A - kappa*A**2,
 
 where omega = L(L+1), zeta = 2 e^2 k m / hbar^2, and kappa = -2 m E / hbar^2
-carries the energy.  The constant K of the generic pipeline makes the
+carries the energy.  The constant K of the NU pipeline makes the
 radical a perfect square for any c = -alphadelta > 0, and the levels are
 kappa = zeta^2 / (4 d^2) with
 
@@ -16,9 +16,9 @@ kappa = zeta^2 / (4 d^2) with
 Only (alphadelta + 2)^2 = 1, i.e. alphadelta in {-1, -3}, makes d an
 integer for every L: the -1 branch reproduces the standard spectrum with
 d = n + L + 1, the -3 branch yields the deeper d = L + 3n + 2 family.
-These two are the products solved here.  Everything goes through the
-generic NU solver (kappa as the written-down root of lambda = lambda_n in
-sqrt(kappa)); the closed forms are kept only as cross-check targets.
+These two are the products solved here.  Everything goes through
+``nu``, the NU solver of this equation for any c > 0 (kappa as the root
+of lambda = lambda_n in sqrt(kappa)); closed forms only cross-check.
 """
 
 from __future__ import annotations
@@ -119,11 +119,11 @@ def build_radial_family(params: PhysicalParams, alphadelta: float) -> nu.NuProbl
     label is resolved for the solver, so an unsupported product raises
     UnsupportedBranch."""
     label = branch_of(alphadelta)
-    return nu.NuProblem(-label, (-params.omega, params.zeta, 0.0), (2.0, 0.0))
+    return nu.NuProblem(-label, (-params.omega, params.zeta))
 
 
 def closed_form_energy(params: PhysicalParams, n: int, alphadelta: float) -> float:
-    """Reference spectrum, used only to cross-check the generic solver:
+    """Reference spectrum, used only to cross-check the NU solver:
     E_n = -e^4 k^2 m / (2 hbar^2 d^2) with d = d(n, L; c), c = -alphadelta,
     which is n + L + 1 and L + 3n + 2 exactly on the two branches."""
     if n < 0:
@@ -135,7 +135,7 @@ def closed_form_energy(params: PhysicalParams, n: int, alphadelta: float) -> flo
 
 
 def solve_energy(params: PhysicalParams, n: int, alphadelta: float) -> float:
-    """Energy from the generic NU pipeline, no closed form consulted."""
+    """Energy from the NU pipeline, no closed form consulted."""
     kappa = nu.solve_kappa(build_radial_family(params, alphadelta), n)
     return params.energy_of_kappa(kappa)
 
@@ -262,7 +262,7 @@ def ode_residual(state: nu.NuState) -> float:
     phi is divided out analytically: with g = pi / sigma, psi'/phi =
     y' + g y and psi''/phi = y'' + 2 g y' + (g' + g^2) y.  The defect is
     |T1 + T2 + T3| / (|T1| + |T2| + |T3|) over the terms psi'',
-    (tau_tilde / sigma) psi' and (sigma_tilde / sigma^2) psi, each times
+    (2 / sigma) psi' and (sigma_tilde / sigma^2) psi, each times
     sigma^2 / (phi c^n n!): polynomials in A, with no exponential and no
     power to overflow.  y, y' and y'' come from one recurrence in
     beta = b + 1 (``_laguerre_pair``), by L_n^(b) = L_n^(beta) -
@@ -276,11 +276,11 @@ def ode_residual(state: nu.NuState) -> float:
     equation at that kappa, whose branch has lambda != lambda_n, so its
     defect is large.  A non-finite defect reads inf.
     """
-    n, branch, problem = state.n, state.branch, state.family.at(state.kappa)
+    n, branch = state.n, state.branch
     c, pi0, pi1 = branch.c, branch.pi0, branch.pi1
     a, b = branch._weight
-    t0, t1 = problem.tau_tilde
-    s0, s1, s2 = problem.sigma_tilde
+    s0, s1 = state.family.sigma_tilde
+    s2 = -state.kappa
     steps = _laguerre_steps(n, b + 1.0)
     span = 4 * n + 2 * abs(b) + 10
     ca, c_pi0, n_beta = c * a, c * pi0, n + b + 1.0
@@ -294,7 +294,7 @@ def ode_residual(state: nu.NuState) -> float:
         sig, p = c * A, pi0 + pi1 * A
         # sigma^2 (g' + g^2) = pi^2 - c pi0
         t_1 = sig * (ca * x_d2 + 2.0 * p * dy) + (p * p - c_pi0) * y
-        t_2 = (t0 + t1 * A) * (sig * dy + p * y)
+        t_2 = 2.0 * (sig * dy + p * y)
         t_3 = (s0 + (s1 + s2 * A) * A) * y
         total = abs(t_1) + abs(t_2) + abs(t_3)
         defect = abs(t_1 + t_2 + t_3) / total if total else math.inf

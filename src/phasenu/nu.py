@@ -1,42 +1,34 @@
-"""Nikiforov-Uvarov pipeline for hypergeometric-type equations.
+"""Nikiforov-Uvarov pipeline for the half-transformed hydrogen equation.
 
-Solves equations of the form
+Solves
 
-    psi'' + (tau_tilde / sigma) psi' + (sigma_tilde / sigma**2) psi = 0
+    psi'' + (2 / sigma) psi' + (sigma_tilde / sigma**2) psi = 0,
+    sigma = c A,  sigma_tilde = s0 + s1 A - kappa A**2,
 
-with ``sigma = c * A`` and real coefficients, the shape the half-transform
-gives the phase-space hydrogen equation, in float arithmetic, by the
-substitution ``psi = phi * y``:  a constant K is
-chosen so that the radicand of
+with real coefficients, the shape the half-transform gives the phase-space
+hydrogen equation (tau_tilde = 2), in float arithmetic, by the substitution
+``psi = phi * y``.  A constant K makes the radicand of
 
-    pi = (sigma' - tau_tilde)/2 +/- sqrt(((sigma' - tau_tilde)/2)**2
-                                         - sigma_tilde + K * sigma)
+    pi = b0 +/- sqrt(b0**2 - sigma_tilde + K * sigma),  b0 = (c - 2)/2,
 
-is a perfect square, which keeps ``pi`` a polynomial of degree one.  With
-sigma = c*A the K-free radicand q0 + q1 A + q2 A**2 plus K c A is the
-square (u A + v)**2 exactly when u = sqrt(q2), v = +/-sqrt(q0) and
-K = (2 u v - q1) / c; of the two candidates only v = -sqrt(q0) can give
-a decaying tau with an admissible weight, and it is written down, not
-solved for.  The remaining function ``y`` then satisfies
-``sigma y'' + tau y' + lambda y = 0`` with ``tau = tau_tilde + 2 pi`` and
-``lambda = K + pi'``, whose polynomial solutions exist exactly when
-``lambda`` equals
-
-    lambda_n = -n tau'
-
-(the ``- n (n - 1) / 2 * sigma''`` term of the general method vanishes),
-and are produced by the Rodrigues formula with weight rho satisfying
-``(sigma rho)' = tau rho``.  For rho = exp(a A) A**b the Leibniz rule gives
-y coefficient by coefficient.  Quantization of an energy-like parameter
-kappa is the root of ``lambda(kappa) - lambda_n(kappa)``, which is affine
-in u = sqrt(q2), so the root is written down too -- deliberately
-independent of any closed-form spectrum a particular family may admit.
-The equation is one record of
-scalars, :class:`NuProblem`, and :func:`select_branch` resolves it into
-another, :class:`NuBranch`, whose scalars give pi, tau, phi, rho and both
-lambdas; a solved level, :class:`NuState`, adds n and kappa.  The
-coefficients of y come from :func:`rodrigues_y`, called only where y is
-printed or evaluated.
+a perfect square, which keeps ``pi`` a polynomial of degree one: the
+K-free radicand q0 + q1 A + kappa A**2, with q0 = b0**2 - s0 and q1 = -s1,
+plus K c A is (u A + v)**2 exactly when u = sqrt(kappa), v = +/-sqrt(q0)
+and K = (2 u v - q1) / c.  Only v = -sqrt(q0) can give a decaying tau with
+an admissible weight, and it is written down, not solved for:
+pi = b0 - v - u A.  y then satisfies ``sigma y'' + tau y' + lambda y = 0``
+with ``tau = 2 + 2 pi`` and ``lambda = K + pi'``, whose polynomial
+solutions exist exactly when lambda equals lambda_n = -n tau' = 2 n u (the
+``- n (n - 1) / 2 * sigma''`` term of the general method vanishes), and are
+produced by the Rodrigues formula with weight rho, ``(sigma rho)' = tau
+rho``; for rho = exp(a A) A**b the Leibniz rule gives y coefficient by
+coefficient.  kappa is quantized as the root of lambda - lambda_n, affine
+in u, so the root is written down too -- deliberately independent of any
+closed-form spectrum.  :class:`NuProblem` holds the equation less its
+kappa term, :func:`select_branch` resolves it at a kappa into
+:class:`NuBranch`, whose scalars give pi, tau, phi, rho and both lambdas,
+and :class:`NuState` adds n and kappa.  :func:`rodrigues_y` builds y, and
+is called only where y is printed or evaluated.
 """
 
 from __future__ import annotations
@@ -51,6 +43,12 @@ from .errors import NoBranch, NoSignChange, RodriguesFailure
 #: The quantized kappa must satisfy |lambda - lambda_n| below this, relative
 #: to the terms of the sum.
 RESIDUAL_TOL = 1e-10
+
+#: The highest level whose y is within the float range.  y's constant
+#: coefficient carries the falling factorial (b + n)...(b + 1), at least n!
+#: for the weight power b = -2v/c >= 0 of every branch, and 171! (about
+#: 1.2e309) is beyond the float range where 170! (about 7.3e306) is not.
+RODRIGUES_MAX_N = 170
 
 
 def _finite_real(name: str, value: float) -> float:
@@ -72,48 +70,32 @@ def _finite_real(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class NuProblem:
-    """The equation with sigma = c*A, as the six real scalars the solver
-    reads: c, sigma_tilde = s0 + s1 A + s2 A**2 as (s0, s1, s2) and
-    tau_tilde = t0 + t1 A as (t0, t1), each finite, and c nonzero.
+    """The equation with sigma = c*A, as the three real scalars the solver
+    reads: c and the kappa-free part of sigma_tilde, s0 + s1 A, as
+    (s0, s1), each finite, and c nonzero.
 
-    The energy-like parameter kappa enters as ``-kappa * A**2`` added to
-    sigma_tilde (:meth:`at`); the problem itself is the one at kappa = 0,
-    and the quantization functions take it in that role.
+    tau_tilde is 2, and kappa enters only as ``-kappa * A**2`` in
+    sigma_tilde; the functions that take a problem take kappa beside it.
     """
 
     c: float
-    sigma_tilde: tuple[float, float, float]
-    tau_tilde: tuple[float, float]
+    sigma_tilde: tuple[float, float]
 
     def __post_init__(self) -> None:
         c = _finite_real("c", self.c)
         if c == 0:
             raise ValueError("c must be nonzero")
         st = tuple(_finite_real("sigma_tilde", s) for s in self.sigma_tilde)
-        tt = tuple(_finite_real("tau_tilde", t) for t in self.tau_tilde)
+        if len(st) != 2:
+            raise ValueError(f"sigma_tilde must be (s0, s1), got {len(st)} entries")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "sigma_tilde", st)
-        object.__setattr__(self, "tau_tilde", tt)
-
-    def at(self, kappa: float) -> NuProblem:
-        """The equation with ``-kappa * A**2`` added to sigma_tilde.
-
-        c, tau_tilde, s0 and s1 are carried over as this record validated
-        them.  kappa is checked by name first, then the new A**2
-        coefficient, which a finite kappa can still overflow.
-        """
-        kappa = _finite_real("kappa", kappa)
-        s0, s1, s2 = self.sigma_tilde
-        st = (s0, s1, _finite_real("sigma_tilde[2] - kappa", s2 - kappa))
-        shifted = object.__new__(NuProblem)
-        vars(shifted).update(vars(self), sigma_tilde=st)
-        return shifted
 
 
 class NuBranch(NamedTuple):
     """The selected combination for sigma = c*A: the constant K,
-    pi = pi0 + pi1*A and tau = tau_tilde + 2 pi = tau0 + tau1*A, and
-    everything the chain derives from them alone."""
+    pi = pi0 + pi1*A and tau = 2 + 2 pi = tau0 + tau1*A, and everything
+    the chain derives from them alone."""
 
     c: float
     K: float
@@ -152,8 +134,8 @@ class NuState:
 
     Built only by :func:`assemble` (or :func:`solve_state`, at the
     quantized kappa): the selected branch, which carries phi and rho; the
-    equation at kappa is ``family.at(kappa)``, and the Rodrigues y is
-    ``rodrigues_y(branch, n)``.
+    equation at kappa is the family's with ``-kappa * A**2`` in
+    sigma_tilde, and the Rodrigues y is ``rodrigues_y(branch, n)``.
     """
 
     family: NuProblem
@@ -162,53 +144,45 @@ class NuState:
     branch: NuBranch
 
 
-def _kappa_free(problem: NuProblem) -> tuple[float, float, float, float]:
-    """b0, b1, q1 and v of the problem, which kappa does not move: base =
-    (c - tau_tilde)/2 = b0 + b1 A, the K-free radicand q = base**2 -
-    sigma_tilde = q0 + q1 A + q2 A**2, and v = -sqrt(q0).  c <= 0 leaves
-    no admissible weight (its rate tau'/c < 0 needs c > 0), and q0 < 0 no
+def _kappa_free(family: NuProblem) -> tuple[float, float, float]:
+    """b0, q1 and v of the family, which kappa does not move: base =
+    (c - 2)/2 = b0, the K-free radicand q = base**2 - sigma_tilde =
+    q0 + q1 A + kappa A**2, and v = -sqrt(q0).  c <= 0 leaves no
+    admissible weight (its rate tau'/c < 0 needs c > 0), and q0 < 0 no
     real K; each raises :class:`NoBranch`."""
-    c = problem.c
+    c = family.c
     if not c > 0.0:
         raise NoBranch("no decaying combination has an admissible weight")
-    t0, t1 = problem.tau_tilde
-    s0, s1, _ = problem.sigma_tilde
-    b0 = 0.5 * (c - t0)
-    b1 = -0.5 * t1
+    s0, s1 = family.sigma_tilde
+    b0 = 0.5 * (c - 2.0)
     q0 = b0 * b0 - s0
     if q0 < 0.0:
         raise NoBranch(f"the radicand q0 = b0**2 - s0 = {q0!r} is negative: no real K")
-    return b0, b1, b0 * b1 + b1 * b0 - s1, -math.sqrt(q0)
+    return b0, -s1, -math.sqrt(q0)
 
 
-def select_branch(problem: NuProblem) -> NuBranch:
-    """Pick the physical (K, sign) combination.
+def select_branch(family: NuProblem, kappa: float) -> NuBranch:
+    """Pick the physical (K, sign) combination of the equation at kappa.
 
-    pi = base - (u A + v) with base, q and v from :func:`_kappa_free` and
-    u = sqrt(q2): q + K c A is then (u A + v)**2 for K = (2 u v - q1)/c.
-    A negative q2 leaves no real pi' and raises :class:`NoBranch`.
+    pi = b0 - (u A + v) with b0, q1 and v from :func:`_kappa_free` and
+    u = sqrt(kappa): q + K c A is then (u A + v)**2 for K = (2 u v - q1)/c.
+    kappa is checked by name first; kappa <= 0 leaves no decaying tau and
+    raises ValueError.
 
-    Only the sign -1 can give tau' < 0: pi' = -t1/2 +/- u with u >= 0,
-    where t1 = tau_tilde', so the sign +1 gives tau' = t1 + 2 pi' >= 0
-    whenever t1 is zero or a normal float.  The weight's rate tau'/c < 0
+    Only the sign -1 gives tau' = -2u < 0.  The weight's rate tau'/c < 0
     needs c > 0, and then v = -sqrt(q0) gives the smaller of the two K,
     whose weight power (tau0 - c)/c = -2v/c >= 0 is admissible: the
     other root never wins in exact arithmetic, so it is not tried.
     """
-    b0, b1, q1, v = _kappa_free(problem)
-    c = problem.c
-    t0, t1 = problem.tau_tilde
-    q2 = b1 * b1 - problem.sigma_tilde[2]
-    if q2 < 0.0:
-        raise NoBranch(f"the radicand q2 = b1**2 - s2 = {q2!r} is negative: pi' is not real")
-    u = math.sqrt(q2)
-    pi1 = b1 - u
-    tau1 = t1 + 2.0 * pi1
-    if not tau1 < 0.0:
-        raise NoBranch("no (K, sign) combination gives tau' < 0")
+    kappa = _finite_real("kappa", kappa)
+    if not kappa > 0.0:
+        raise ValueError("kappa must be positive")
+    b0, q1, v = _kappa_free(family)
+    c = family.c
+    u = math.sqrt(kappa)
     pi0 = b0 - v
     K = _finite_real("K", (2.0 * u * v - q1) / c)
-    return NuBranch(c, K, pi0, pi1, t0 + 2.0 * pi0, tau1)
+    return NuBranch(c, K, pi0, -u, 2.0 + 2.0 * pi0, -2.0 * u)
 
 
 def rodrigues_y(branch: NuBranch, n: int) -> tuple[float, ...]:
@@ -223,10 +197,13 @@ def rodrigues_y(branch: NuBranch, n: int) -> tuple[float, ...]:
     one product per coefficient, with the falling factorial carried from
     j = n downward; the quotient by rho is a polynomial by construction.
     A coefficient beyond the float range, or a degree short of n (a leading
-    c**n a**n that underflows to zero), raises :class:`RodriguesFailure`.
+    c**n a**n that underflows to zero), raises :class:`RodriguesFailure`;
+    so does n above ``RODRIGUES_MAX_N``, before anything is allocated.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    if n > RODRIGUES_MAX_N:
+        raise RodriguesFailure(f"a Rodrigues coefficient overflows at n={n}")
     a, b = branch._weight
     c_n, a_j = 1.0, [1.0]
     for _ in range(n):
@@ -247,12 +224,9 @@ def rodrigues_y(branch: NuBranch, n: int) -> tuple[float, ...]:
 
 
 def eigen_residual(family: NuProblem, kappa: float, n: int) -> float:
-    """lambda - lambda_n for the branch selected at this kappa; ``at``
-    names a kappa that is not a finite real."""
-    problem = family.at(kappa)
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
-    b = select_branch(problem)
+    """lambda - lambda_n for the branch selected at this kappa, which
+    :func:`select_branch` checks."""
+    b = select_branch(family, kappa)
     return b.lam - b.lam_n(n)
 
 
@@ -260,37 +234,36 @@ def solve_kappa(family: NuProblem, n: int) -> float:
     """Quantized kappa for level n: the root of the eigenvalue residual,
     written down.
 
-    ``at(kappa)`` moves only s2, so u = sqrt(q2) = sqrt(b1**2 - s2 + kappa)
-    while b1, q1 and v stay, and tau' = -2u.  lambda - lambda_n =
-    K + pi' + n tau' is then affine in u,
+    kappa moves only u = sqrt(kappa), while b0, q1 and v stay, and
+    tau' = -2u.  lambda - lambda_n = K + pi' + n tau' is then affine in u,
 
-        u (2v/c - 1 - 2n) + (b1 - q1/c),
+        u (2v/c - 1 - 2n) - q1/c,
 
-    and its root u* = (q1/c - b1) / (2v/c - 1 - 2n) gives kappa =
-    (u*)**2 - b1**2 + s2 (Nikiforov and Uvarov solve lambda = lambda_n
-    for the parameter in the same way).  No closed-form spectrum is
-    consulted.  n < 0 raises ValueError and c <= 0 :class:`NoBranch`,
-    before anything is divided; a root u* <= 0, or a kappa that is not a
-    positive float ((u*)**2 overflows, or underflows to zero), raises
-    :class:`NoSignChange` naming n.  The gate evaluates the residual once
-    at kappa and requires it below ``RESIDUAL_TOL`` relative to the
-    terms it sums, 1 + |K| + |pi'| + |lambda_n|: float rounding of
-    K + pi' - lambda_n grows with them.
+    and its root u* = (q1/c) / (2v/c - 1 - 2n) gives kappa = (u*)**2
+    (Nikiforov and Uvarov solve lambda = lambda_n for the parameter in
+    the same way).  No closed-form spectrum is consulted.  n < 0 raises
+    ValueError and c <= 0 :class:`NoBranch`, before anything is divided;
+    a root u* <= 0, or a kappa that is not a positive float ((u*)**2
+    overflows, or underflows to zero), raises :class:`NoSignChange`
+    naming n.  The gate evaluates the residual once at kappa and requires
+    it below ``RESIDUAL_TOL`` relative to the terms it sums,
+    1 + |K| + |pi'| + |lambda_n|: float rounding of K + pi' - lambda_n
+    grows with them.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    _, b1, q1, v = _kappa_free(family)
+    _, q1, v = _kappa_free(family)
     c = family.c
-    u = (q1 / c - b1) / (2.0 * v / c - 1.0 - 2.0 * n)
+    u = q1 / c / (2.0 * v / c - 1.0 - 2.0 * n)
     if not u > 0.0:
         raise NoSignChange(f"no level n={n}: lambda - lambda_n vanishes at sqrt(q2) = {u!r}")
-    kappa = u * u - b1 * b1 + family.sigma_tilde[2]
+    kappa = u * u
     if not 0.0 < kappa < math.inf:
         raise NoSignChange(
             f"level n={n} lies at kappa = {kappa!r}, outside the positive float range"
         )
     residual = abs(eigen_residual(family, kappa, n))
-    scale = 1.0 + abs((2.0 * u * v - q1) / c) + abs(b1 - u) + 2.0 * n * u
+    scale = 1.0 + abs((2.0 * u * v - q1) / c) + u + 2.0 * n * u
     if not residual <= RESIDUAL_TOL * scale:
         raise NoSignChange(
             f"the eigenvalue residual {residual:.3e} at kappa={kappa!r} is out of tolerance"
@@ -304,7 +277,7 @@ def assemble(family: NuProblem, kappa: float, n: int) -> NuState:
     Off the quantized kappa the parts still assemble, but phi * y no
     longer solves the equation; residual checks rely on that.
     """
-    return NuState(family, n, kappa, select_branch(family.at(kappa)))
+    return NuState(family, n, kappa, select_branch(family, kappa))
 
 
 def solve_state(family: NuProblem, n: int) -> NuState:

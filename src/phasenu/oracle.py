@@ -279,13 +279,12 @@ def _gaussian_state(r: float, p: float) -> float:
     return exp(-0.5 * (r * r + p * p))
 
 
-def commutator_check(
-    point: OpPoint, hbar: float, samples: Sequence[tuple[float, float]]
-) -> complex:
-    """Mean of ([r_op, p_op] psi) / (i hbar psi) over the samples.
+def commutator_check(point: OpPoint, samples: Sequence[tuple[float, float]]) -> complex:
+    """Mean of ([r_op, p_op] psi) / (i psi) over the samples, in units of
+    hbar (hbar = 1).
 
-    The operators r_op = alpha*r + i*hbar*beta*d/dp and
-    p_op = gamma*p + i*hbar*delta*d/dr act on a Gaussian test state through
+    The operators r_op = alpha*r + i*beta*d/dp and
+    p_op = gamma*p + i*delta*d/dr act on a Gaussian test state through
     central differences, so the result is a measurement, not algebra; it
     should land on beta*gamma - alpha*delta regardless of the state.
     """
@@ -294,21 +293,21 @@ def commutator_check(
     def r_op(f: Callable[[float, float], complex]) -> Callable[[float, float], complex]:
         def out(r: float, p: float) -> complex:
             deriv = (f(r, p + h) - f(r, p - h)) / (2.0 * h)
-            return point.alpha * r * f(r, p) + 1j * hbar * point.beta * deriv
+            return point.alpha * r * f(r, p) + 1j * point.beta * deriv
 
         return out
 
     def p_op(f: Callable[[float, float], complex]) -> Callable[[float, float], complex]:
         def out(r: float, p: float) -> complex:
             deriv = (f(r + h, p) - f(r - h, p)) / (2.0 * h)
-            return point.gamma * p * f(r, p) + 1j * hbar * point.delta * deriv
+            return point.gamma * p * f(r, p) + 1j * point.delta * deriv
 
         return out
 
     rp = r_op(p_op(_gaussian_state))
     pr = p_op(r_op(_gaussian_state))
     values = [
-        (rp(r, p) - pr(r, p)) / (1j * hbar * _gaussian_state(r, p))
+        (rp(r, p) - pr(r, p)) / (1j * _gaussian_state(r, p))
         for r, p in samples
     ]
     return complex(fmean(v.real for v in values), fmean(v.imag for v in values))

@@ -183,6 +183,26 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("RodriguesFailure: ")
 
+    @pytest.mark.parametrize("command", [["solve"], ["wavefunction", "--grid", "0.01,1,3"]])
+    def test_huge_level_is_refused_before_y_is_allocated(self, command):
+        """No y above n = nu.RODRIGUES_MAX_N is within the float range, so
+        at n = 10**12 solve and wavefunction refuse the level, exit 3,
+        before a list of 10**12 coefficients is asked for: under a 1 GiB
+        address-space cap that list would raise MemoryError."""
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            _, hard = resource.getrlimit(resource.RLIMIT_AS)
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+
+        argv = [*command, "--n", str(10**12), "--L", "0", "--alphadelta", "-1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "phasenu", *argv],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+        )
+        message = "RodriguesFailure: a Rodrigues coefficient overflows at n=1000000000000\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", message)
+
     def test_large_L_state_keeps_its_residual(self, capsys):
         """At L = 3000 the body carries A**3000; the residual divides it out,
         so the solved state is printed with its residual, exit 0."""

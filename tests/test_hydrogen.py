@@ -4,6 +4,7 @@ perfect-square branches, wavefunction assembly, and the recovery rule."""
 import collections
 import dataclasses
 import functools
+import hashlib
 import inspect
 import math
 import re
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasenu import hydrogen, nu
-from phasenu.errors import NoSignChange, UnsupportedBranch, UnsupportedRecovery
+from phasenu.errors import NoSignChange, RodriguesFailure, UnsupportedBranch, UnsupportedRecovery
 from phasenu.hydrogen import (
     BRANCHES,
     CONFIG_SPACE_POINT,
@@ -61,7 +62,7 @@ def exact_chain(family, n):
     then K = (2 u v - q1) / c with v = -sqrt(q0) = -(2L + 1)/2 and q1 =
     -zeta, pi = (b0 - v, -u) with b0 = (c - 2)/2, tau = 2 + 2 pi, and y by
     the Leibniz rule for the weight exp((tau1/c) A) A**((tau0 - c)/c)."""
-    c, (s0, zeta, _) = Fraction(family.c), map(Fraction, family.sigma_tilde)
+    c, (s0, zeta) = Fraction(family.c), map(Fraction, family.sigma_tilde)
     square = (c - 2) ** 2 - 4 * s0
     root = math.isqrt(int(square))
     assert root * root == square
@@ -82,6 +83,11 @@ def exact_chain(family, n):
 def ulps(x, exact):
     """|x - exact| in units in the last place of ``exact`` rounded."""
     return abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact)))
+
+
+#: ``TestSamplesAndResiduals.test_chain_bits_are_pinned``'s digest, the one
+#: the wider solver gave at tau_tilde = (2, 0) and an A**2 coefficient of 0.
+CHAIN_DIGEST = "038a8886f21b02b548e59a8393ccb0904d0649ee31e308e2f429d01b49ac0a4b"
 
 
 #: Half-decade masses from 1e6 to 1e12: zeta from 2e6 to 2e12, where the
@@ -254,12 +260,10 @@ class TestBranches:
                 assert (alphadelta + 2) ** 2 + 4 * omega == (2 * L + 1) ** 2
 
     def test_family_coefficients(self):
+        """c = -alphadelta and sigma_tilde's kappa-free (-omega, zeta);
+        tau_tilde = 2 and -kappa A**2 are the solver's own."""
         family = build_radial_family(ATOMIC, -3.0)
-        assert family.c == 3 + 0j
-        assert family.tau_tilde == (2 + 0j, 0j)
-        assert family.sigma_tilde == (0j, 2 + 0j, 0j)
-        problem = family.at(0.25)
-        assert problem.sigma_tilde == (0j, 2 + 0j, -0.25 + 0j)
+        assert family == nu.NuProblem(3.0, (-0.0, 2.0))
 
     def test_family_shallow_branch(self):
         family = build_radial_family(ATOMIC, -1.0)
@@ -648,6 +652,29 @@ class TestSamplesAndResiduals:
                 assert [x.hex() for x in (body.rate, body.power, *body.poly.coeffs)] == [
                     float(x).hex() for x in (want.rate, want.power, *want.poly)
                 ]
+
+    def test_chain_bits_are_pinned(self):
+        """One SHA-256 over the ``float.hex`` of kappa, K, pi, tau, the
+        residual at kappa and at 1.1 kappa, and y or its RodriguesFailure
+        text, for c on and off the two labels, three unit systems, L in
+        {0, 1, 2, 7} and n up to 171: 504 states, each built through
+        solve_state and assemble."""
+        digest = hashlib.sha256()
+        for c in (1.0, 3.0, 0.5, 1.7, 2.0, 4.0):
+            for units in ("atomic", "hbar30", "scaled"):
+                for L in (0, 1, 2, 7):
+                    params = dataclasses.replace(DIGEST_UNITS[units], angular_momentum=L)
+                    family = nu.NuProblem(c, (-params.omega, params.zeta))
+                    for n in (0, 1, 2, 7, 30, 170, 171):
+                        state = solve_state(family, n)
+                        detuned = assemble(family, 1.1 * state.kappa, n)
+                        row = (state.kappa, *state.branch[1:], ode_residual(state), ode_residual(detuned))
+                        try:
+                            y = " ".join(map(float.hex, rodrigues_y(state.branch, n)))
+                        except RodriguesFailure as err:
+                            y = str(err)
+                        digest.update((" ".join(map(float.hex, row)) + " | " + y + "\n").encode())
+        assert digest.hexdigest() == CHAIN_DIGEST
 
     def test_residual_makes_no_term_or_poly_calls(self, monkeypatch):
         """Spied the way test_state_is_assembled_once spies the solve, on

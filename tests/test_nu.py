@@ -1,7 +1,8 @@
-"""Generic hypergeometric-type pipeline: branch selection, integrating
-factors, Rodrigues polynomials, and eigenvalue quantization."""
+"""The Nikiforov-Uvarov pipeline for tau_tilde = 2: branch selection,
+integrating factors, Rodrigues polynomials, and eigenvalue quantization."""
 
 import cmath
+import dataclasses
 import hashlib
 import math
 import random
@@ -11,6 +12,7 @@ import pytest
 
 from phasenu.errors import NoBranch, NoSignChange, RodriguesFailure
 from phasenu.nu import (
+    RODRIGUES_MAX_N,
     NuBranch,
     NuProblem,
     eigen_residual,
@@ -25,20 +27,16 @@ import exact
 
 
 def radial_family(omega, zeta, alphadelta):
-    """Transformed Coulomb problem at kappa = 0, the form the quantization
-    takes."""
-    return NuProblem(-alphadelta, (-omega, zeta, 0.0), (2.0, 0.0))
+    """Transformed Coulomb problem less its kappa term, the form the
+    quantization takes."""
+    return NuProblem(-alphadelta, (-omega, zeta))
 
 
-def radial_problem(omega, zeta, kappa, alphadelta):
-    """The same problem at a fixed kappa."""
-    return radial_family(omega, zeta, alphadelta).at(kappa)
-
-
-def polys(problem):
-    """sigma = c A, sigma_tilde and tau_tilde of the record as exact
-    polynomials."""
-    return exact.poly((0, problem.c)), exact.poly(problem.sigma_tilde), exact.poly(problem.tau_tilde)
+def polys(family, kappa):
+    """sigma = c A, sigma_tilde = s0 + s1 A - kappa A**2 and tau_tilde = 2
+    of the equation at kappa as exact polynomials."""
+    s0, s1 = family.sigma_tilde
+    return exact.poly((0, family.c)), exact.poly((s0, s1, -kappa)), exact.poly((2,))
 
 
 def pi_tau(branch):
@@ -52,9 +50,9 @@ def phi_rho(branch):
     return tuple(exact.term((1,), *ab) for ab in (branch._factor, branch._weight))
 
 
-def half_difference(problem):
+def half_difference(family, kappa):
     """(sigma' - tau_tilde) / 2, exactly."""
-    sigma, _, tau_tilde = polys(problem)
+    sigma, _, tau_tilde = polys(family, kappa)
     return exact.mul((Fraction(1, 2),), exact.add(exact.derivative(sigma), exact.mul((-1,), tau_tilde)))
 
 
@@ -62,7 +60,7 @@ def half_difference(problem):
 RATIONAL_POINTS = (Fraction(1, 2), Fraction(7, 10), Fraction(13, 10), Fraction(14, 5), Fraction(49, 10))
 
 
-def reference_combinations(problem):
+def reference_combinations(family, kappa):
     """Every (K, sign) combination as (K, sign, pi, tau), pi and tau as
     (constant, slope) pairs, built from exact polynomial arithmetic and cmath
     alone: K zeroes the discriminant of the radicand
@@ -70,9 +68,9 @@ def reference_combinations(problem):
     u A + v is taken with Re(u) >= 0, from its larger end, and pi is
     (sigma' - tau_tilde)/2 + sign * (u A + v).  K, u and v may be complex,
     so the terms with them are summed coefficient by coefficient."""
-    c = problem.c
-    _, sigma_tilde, tau_tilde = polys(problem)
-    base = half_difference(problem)
+    c = family.c
+    _, sigma_tilde, tau_tilde = polys(family, kappa)
+    base = half_difference(family, kappa)
     q = exact.add(exact.mul(base, base), exact.mul((-1,), sigma_tilde))
     q0, q1, q2 = (float(exact.coefficient(q, k)) for k in range(3))
     # (q1 + K c)**2 - 4 q2 q0 = 0, by the stable quadratic formula
@@ -122,22 +120,21 @@ def grid_problems():
 
 
 def random_problems(count, seed):
-    """Seeded real problems with c > 0.  The constant of sigma_tilde is
-    at most zero, as -omega is for hydrogen, so q0 = b0**2 - s0 >= 0: a
-    negative q0 has complex K, which the complex reference would offer
-    and a real equation does not have (test_negative_radicand_has_no_branch
-    covers it).  q2 = b1**2 - s2 takes either sign."""
+    """Seeded real families, each at a kappa from 1e-3 to 10.  c takes
+    either sign, and no weight is admissible where c < 0.  The constant of
+    sigma_tilde is at most zero, as -omega is for hydrogen, so q0 =
+    b0**2 - s0 >= 0: a negative q0 has complex K, which the complex
+    reference would offer and a real equation does not have
+    (test_negative_radicand_has_no_branch covers it)."""
     rng = random.Random(seed)
-
-    def x():
-        return rng.uniform(-3.0, 3.0)
-
     for _ in range(count):
-        c, s0 = rng.uniform(0.1, 3.0), -rng.uniform(0.0, 3.0)
-        yield NuProblem(c, (s0, x(), x()), (x(), x()))
+        c = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0)
+        family = NuProblem(c, (-rng.uniform(0.0, 3.0), rng.uniform(-3.0, 3.0)))
+        yield family, 10.0 ** rng.uniform(-3.0, 1.0)
 
 
-DEEP = radial_problem(0.0, 2.0, 0.25, -3.0)
+#: The deep branch's ground state, as (family, kappa).
+DEEP = radial_family(0.0, 2.0, -3.0), 0.25
 
 #: ``TestRodrigues.test_coefficient_bits_are_pinned``'s digest, as
 #: ``rodrigues_y`` computes it in one product per coefficient.
@@ -147,16 +144,21 @@ RODRIGUES_DIGEST = "23cd413f80f199546bcf5ab34320abc7242ac1f5454f80c513c64b36c026
 class TestProblemValidation:
     def test_c_zero_and_non_finite_scalars_are_refused(self):
         with pytest.raises(ValueError, match="c must be nonzero"):
-            NuProblem(0.0, (0.0, 1.0, 0.0), (2.0, 0.0))
+            NuProblem(0.0, (0.0, 1.0))
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="non-finite"):
-                NuProblem(bad, (0.0, 1.0, 0.0), (2.0, 0.0))
+                NuProblem(bad, (0.0, 1.0))
             with pytest.raises(ValueError, match="non-finite"):
-                NuProblem(1.0, (0.0, bad, 0.0), (2.0, 0.0))
+                NuProblem(1.0, (0.0, bad))
             with pytest.raises(ValueError, match="non-finite"):
-                NuProblem(1.0, (0.0, 1.0, 0.0), (2.0, bad))
-            with pytest.raises(ValueError, match="non-finite"):
-                radial_family(0.0, 2.0, -3.0).at(bad)
+                select_branch(radial_family(0.0, 2.0, -3.0), bad)
+
+    def test_sigma_tilde_holds_two_entries(self):
+        """The record holds c and the kappa-free (s0, s1), nothing else."""
+        assert [f.name for f in dataclasses.fields(NuProblem)] == ["c", "sigma_tilde"]
+        for bad in ((), (0.0,), (0.0, 2.0, 0.0)):
+            with pytest.raises(ValueError, match=rf"^sigma_tilde must be \(s0, s1\), got {len(bad)} entries$"):
+                NuProblem(1.0, bad)
 
     def test_complex_scalars_are_refused_by_name(self):
         """nu solves real equations: a complex scalar is refused, even one
@@ -168,43 +170,42 @@ class TestProblemValidation:
             1 + 2j, complex(2.0, 0.0), complex(1.0, -math.inf), "1", " 2e0 ", None, True, False
         ):
             with pytest.raises(ValueError, match="c must be real"):
-                NuProblem(bad, (0.0, 1.0, 0.0), (2.0, 0.0))
+                NuProblem(bad, (0.0, 1.0))
             with pytest.raises(ValueError, match="sigma_tilde must be real"):
-                NuProblem(1.0, (0.0, bad, 0.0), (2.0, 0.0))
-            with pytest.raises(ValueError, match="tau_tilde must be real"):
-                NuProblem(1.0, (0.0, 1.0, 0.0), (2.0, bad))
+                NuProblem(1.0, (0.0, bad))
         for bad in (1 + 2j, complex(2.0, 0.0), complex(1.0, -math.inf), True):
             with pytest.raises(ValueError, match=r"^kappa must be real"):
-                radial_family(0.0, 2.0, -3.0).at(bad)
+                select_branch(radial_family(0.0, 2.0, -3.0), bad)
         with pytest.raises(ValueError, match="c must be real, got '1'"):
-            NuProblem("1", ("0", "2", "-0.25"), ("2", "0"))
+            NuProblem("1", ("0", "2"))
         for bad in (10**400, -(10**400), Fraction(10**400, 3)):
             with pytest.raises(ValueError, match="c is beyond the float range"):
-                NuProblem(bad, (0.0, 1.0, 0.0), (2.0, 0.0))
+                NuProblem(bad, (0.0, 1.0))
             with pytest.raises(ValueError, match="sigma_tilde is beyond the float range"):
-                NuProblem(1.0, (0.0, bad, 0.0), (2.0, 0.0))
-            with pytest.raises(ValueError, match="tau_tilde is beyond the float range"):
-                NuProblem(1.0, (0.0, 1.0, 0.0), (2.0, bad))
+                NuProblem(1.0, (0.0, bad))
 
     def test_kappa_shift_that_overflows_is_refused(self):
-        """at(kappa) re-checks only the sums, which alone can overflow; a
-        finite kappa whose difference overflows names the difference."""
-        family = NuProblem(1.0, (0.0, 1.0, -1e308), (2.0, 0.0))
-        with pytest.raises(ValueError, match=r"^non-finite value not admitted: sigma_tilde\[2\] - kappa = -inf$"):
-            family.at(1e308)
-        with pytest.raises(ValueError, match="non-finite"):
-            NuProblem(1.0, (0.0, 1.0, -math.inf), (2.0, 0.0))
+        """A finite kappa whose K is beyond the float range is refused
+        naming K: at c = 1e-300 and kappa = 1e300, K = 2 u v / c with
+        u = 1e150 and v = -1."""
+        family = NuProblem(1e-300, (0.0, 0.0))
+        for shifted in (
+            lambda kappa: select_branch(family, kappa),
+            lambda kappa: eigen_residual(family, kappa, 0),
+        ):
+            with pytest.raises(ValueError, match=r"^non-finite value not admitted: K = -inf$"):
+                shifted(1e300)
 
     def test_kappa_the_subtraction_refuses_is_named(self):
         """A kappa beyond the float range, complex, non-finite or not a
-        number at all, is refused naming kappa, by at(kappa) and by
-        eigen_residual, where the subtraction or the sign test would raise
-        a bare OverflowError or TypeError, or name the difference
-        sigma_tilde[2] - kappa.  A finite kappa whose difference overflows
-        is refused naming the difference, by eigen_residual too, which
-        tests the sign only after at(kappa)."""
+        number at all, is refused naming kappa, by select_branch and by
+        eigen_residual, where the sign test or the square root would raise
+        a bare OverflowError or TypeError."""
         family = radial_family(0.0, 2.0, -1.0)
-        for shifted in (family.at, lambda kappa: eigen_residual(family, kappa, 0)):
+        for shifted in (
+            lambda kappa: select_branch(family, kappa),
+            lambda kappa: eigen_residual(family, kappa, 0),
+        ):
             for bad in (10**400, Fraction(10**400, 3)):
                 with pytest.raises(ValueError, match="kappa is beyond the float range"):
                     shifted(bad)
@@ -214,148 +215,112 @@ class TestProblemValidation:
             for bad in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=f"^non-finite value not admitted: kappa = {bad!r}$"):
                     shifted(bad)
-        huge = NuProblem(1.0, (0.0, 1.0, 1e308), (2.0, 0.0))
-        message = r"^non-finite value not admitted: sigma_tilde\[2\] - kappa = inf$"
-        for shifted in (huge.at, lambda kappa: eigen_residual(huge, kappa, 0)):
-            with pytest.raises(ValueError, match=message):
-                shifted(-1e308)
-
-    def test_kappa_shift_is_one_validated_record(self):
-        family = radial_family(2.0, 2.0, -1.0)
-        shifted = family.at(0.25)
-        assert type(shifted) is NuProblem
-        assert shifted == NuProblem(family.c, shifted.sigma_tilde, family.tau_tilde)
-        assert shifted.c is family.c and shifted.tau_tilde is family.tau_tilde
-        assert all(type(s) is float for s in shifted.sigma_tilde)
-        assert family.sigma_tilde == (-2.0, 2.0, 0.0)
 
     def test_family_instantiation(self):
         family = radial_family(0.0, 2.0, -3.0)
-        problem = family.at(0.25)
-        assert problem.sigma_tilde == (0.0, 2.0, -0.25)
+        assert family == NuProblem(3, (0, 2))
+        assert all(type(s) is float for s in (family.c, *family.sigma_tilde))
+        assert math.copysign(1.0, family.sigma_tilde[0]) == -1.0
 
     def test_kappa_shift_has_the_bits_of_poly_arithmetic(self):
-        """at(kappa) gives the coefficients of the exact sum sigma_tilde +
-        kappa * (0, 0, -1), on the kappa grid and at a few kappa of either
-        sign: the A**2 coefficient has the bits of the sum's, rounded once,
-        and s0 and s1 are carried over bit for bit, so a -0.0 constant
-        (-omega at L = 0) stays -0.0 where the rounded sum reads +0.0."""
+        """kappa enters only as -kappa A**2: in the exact radicand
+        ((sigma' - 2)/2)**2 - sigma_tilde, q2 is kappa and q1 is -s1, so
+        on the kappa grid and at a few kappa with zeta = 0 too, pi' is
+        -sqrt(kappa) rounded once, tau' is 2 pi', and tau0 is 2 + 2 pi0
+        rounded once."""
         cases = list(grid_problems())
-        cases += [
-            (radial_family(0.0, zeta, -1.0), k)
-            for zeta in (0.0, 2.0)
-            for k in (0.0, -0.5, 3.0)
-        ]
+        cases += [(radial_family(0.0, zeta, -1.0), k) for zeta in (0.0, 2.0) for k in (1e-300, 0.5, 3.0)]
         for family, kappa in cases:
-            want = exact.add(family.sigma_tilde, exact.mul((kappa,), (0, 0, -1)))
-            want = tuple(float(exact.coefficient(want, k)) for k in range(3))
-            got = family.at(kappa).sigma_tilde
-            assert got == want
-            s0, s1, _ = family.sigma_tilde
-            assert [c.hex() for c in got] == [s0.hex(), s1.hex(), want[2].hex()]
+            base = half_difference(family, kappa)
+            _, sigma_tilde, _ = polys(family, kappa)
+            q = exact.add(exact.mul(base, base), exact.mul((-1,), sigma_tilde))
+            assert exact.coefficient(q, 2) == Fraction(kappa)
+            assert exact.coefficient(q, 1) == -Fraction(family.sigma_tilde[1])
+            branch = select_branch(family, kappa)
+            assert branch.pi1 == -math.sqrt(kappa) and branch.tau1 == 2.0 * branch.pi1
+            assert branch.tau0 == float(2 + 2 * Fraction(branch.pi0))
 
 
 class TestKCandidates:
     """The K roots select_branch tries, and the one it takes."""
 
     def test_deep_branch_pair(self):
-        roots = [K for K, sign, *_ in reference_combinations(DEEP) if sign == -1]
+        roots = [K for K, sign, *_ in reference_combinations(*DEEP) if sign == -1]
         assert roots == [pytest.approx(0.5), pytest.approx(5.0 / 6.0)]
-        assert select_branch(DEEP).K == pytest.approx(0.5)
+        assert select_branch(*DEEP).K == pytest.approx(0.5)
 
     def test_higher_angular_momentum(self):
-        branch = select_branch(radial_problem(2.0, 2.0, 1.0 / 9.0, -3.0))
+        branch = select_branch(radial_family(2.0, 2.0, -3.0), 1.0 / 9.0)
         assert branch.K == pytest.approx(1.0 / 3.0)
 
     def test_already_square_radicand(self):
-        problem = NuProblem(1.0, (0.0, 0.0, -1.0), (1.0, 0.0))
-        assert select_branch(problem).K == 0j
-        found = reference_combinations(problem)
+        """sigma = A, sigma_tilde = 1/4 - A**2: the radicand is A**2, a
+        square already, so K = 0 is a double root."""
+        family = NuProblem(1.0, (0.25, 0.0))
+        assert select_branch(family, 1.0).K == 0j
+        found = reference_combinations(family, 1.0)
         assert [K for K, sign, *_ in found if sign == -1] == [0j, 0j]
 
 
 class TestSelectBranch:
     def test_deep_branch_preferred_combo(self):
-        branch = select_branch(DEEP)
+        branch = select_branch(*DEEP)
         assert branch.K == pytest.approx(0.5)
         assert (branch.pi0, branch.pi1) == pytest.approx((1.0, -0.5))
         assert (branch.tau0, branch.tau1) == pytest.approx((4.0, -1.0))
 
     def test_configuration_branch(self):
-        branch = select_branch(radial_problem(0.0, 2.0, 1.0, -1.0))
+        branch = select_branch(radial_family(0.0, 2.0, -1.0), 1.0)
         assert (branch.tau0, branch.tau1) == pytest.approx((2.0, -2.0))
 
     def test_always_decaying_tau(self):
         for kappa in (0.04, 0.25, 1.0, 4.0):
             for alphadelta in (-1.0, -3.0):
-                branch = select_branch(radial_problem(2.0, 2.0, kappa, alphadelta))
+                branch = select_branch(radial_family(2.0, 2.0, alphadelta), kappa)
                 assert branch.tau1 < 0.0
 
     def test_negative_radicand_has_no_branch(self):
-        """A real equation has a real pi only where both radicands are
-        non-negative.  sigma = A, sigma_tilde = A^2, tau_tilde = 2 has
-        q2 = b1**2 - s2 = -1 (pi' would be -i, whose tau' = -2i never
-        decays); sigma = A, sigma_tilde = 1 - A^2, tau_tilde = 1 has
-        q2 = 1 but q0 = b0**2 - s0 = -1, so K would be complex."""
-        with pytest.raises(NoBranch, match=r"radicand q2 = b1\*\*2 - s2 = -1\.0 is negative"):
-            select_branch(NuProblem(1.0, (0.0, 0.0, 1.0), (2.0, 0.0)))
-        with pytest.raises(NoBranch, match=r"radicand q0 = b0\*\*2 - s0 = -1\.0 is negative"):
-            select_branch(NuProblem(1.0, (1.0, 0.0, -1.0), (1.0, 0.0)))
+        """A real equation has a real K only where q0 = b0**2 - s0 is
+        non-negative: sigma = A, sigma_tilde = 1 - kappa A^2 has b0 = -1/2
+        and q0 = -3/4, so K would be complex."""
+        with pytest.raises(NoBranch, match=r"radicand q0 = b0\*\*2 - s0 = -0\.75 is negative"):
+            select_branch(NuProblem(1.0, (1.0, 0.0)), 1.0)
 
     def test_vanishing_radicand_has_no_branch(self):
-        """sigma = A, sigma_tilde = 0, tau_tilde = 1: the radicand is
+        """sigma = 2A, sigma_tilde = 0 at kappa = 0: the radicand is
         identically zero, so u = v = 0, pi = 0 and tau' = 0, which does
-        not decay."""
-        problem = NuProblem(1.0, (0.0, 0.0, 0.0), (1.0, 0.0))
-        with pytest.raises(NoBranch, match=r"no \(K, sign\) combination gives tau' < 0"):
-            select_branch(problem)
+        not decay, and a negative kappa has no real pi'.  Each is refused
+        as kappa <= 0, before the radicand is formed."""
+        family = NuProblem(2.0, (0.0, 0.0))
+        for kappa in (0.0, -0.0, -1.0, -5e-324):
+            with pytest.raises(ValueError, match="^kappa must be positive$"):
+                select_branch(family, kappa)
 
     def test_no_admissible_weight_has_no_branch(self):
-        """sigma = -A, sigma_tilde = -A^2, tau_tilde = 0: tau' = -2 decays
-        for both combinations, but over c = -1 the rate of rho is +2, so
-        neither weight is admissible, in exact arithmetic too."""
-        problem = NuProblem(-1.0, (0.0, 0.0, -1.0), (0.0, 0.0))
+        """sigma = -A, sigma_tilde = -A^2: tau' = -2 decays for both
+        combinations, but over c = -1 the rate of rho is +2, so neither
+        weight is admissible, in exact arithmetic too."""
         with pytest.raises(
             NoBranch, match="no decaying combination has an admissible weight"
         ):
-            select_branch(problem)
-
-    def test_subnormal_tau_slope_tries_only_the_minus_sign(self):
-        """sigma = A, sigma_tilde = 0, tau_tilde = t1 A with a subnormal
-        t1: 0.5 * t1 rounds, and u = sqrt(b1**2) underflows to 0, so the +1
-        sign's tau' would be -5e-324, one subnormal step below zero.  Only
-        the -1 sign is tried: its first K candidate has power -1, and the
-        second wins with tau' = -5e-324."""
-        t1 = 1.5e-323
-        problem = NuProblem(1.0, (0.0, 0.0, 0.0), (0.0, t1))
-        plus_tau1 = t1 + 2.0 * (-0.5 * t1 + 0.0)
-        assert plus_tau1 < 0.0
-        branch = select_branch(problem)
-        assert branch.pi1 == -1e-323
-        assert branch.K == 1e-323
-        assert (branch.tau0, branch.tau1) == (2.0, -5e-324)
+            select_branch(NuProblem(-1.0, (0.0, 0.0)), 1.0)
 
     def test_tied_K_takes_the_exact_order(self):
-        """sigma = 4A, sigma_tilde = 3 + 1e20 A - A^2, tau_tilde = 0: u = 1
-        and v = +/-1, so K = (1e20 +/- 2)/4, which round to the same float.
+        """sigma = 4A, sigma_tilde = 1e20 A - A^2: b0 = 1, u = 1 and
+        v = +/-1, so K = (1e20 +/- 2)/4, which round to the same float.
         Exact arithmetic puts v = -1 first, and its weight power +0.5 is
-        admissible; v = +1 would give pi0 = 1 and power -0.5."""
-        problem = NuProblem(4.0, (3.0, 1e20, -1.0), (0.0, 0.0))
+        admissible; v = +1 would give pi0 = 0 and power -0.5."""
         assert (1e20 + 2.0) / 4.0 == (1e20 - 2.0) / 4.0
-        branch = select_branch(problem)
-        assert (branch.pi0, branch.tau0) == (3.0, 6.0)
+        branch = select_branch(NuProblem(4.0, (0.0, 1e20)), 1.0)
+        assert (branch.pi0, branch.tau0) == (2.0, 6.0)
         assert branch._weight == (-0.5, 0.5)
 
     def test_pi_slope_keeps_its_digits_at_small_kappa(self):
-        """sigma = A, sigma_tilde = 2A - kappa A^2, tau_tilde = 2: pi' is
-        -sqrt(kappa) exactly, and stays within a few ulps of it where the
-        K quadratic's discriminant cancels (4e-8 relative at 1e-10 when K
-        came from that quadratic)."""
+        """sigma = A, sigma_tilde = 2A - kappa A^2: pi' is -sqrt(kappa) bit
+        for bit where the K quadratic's discriminant cancels (4e-8 relative
+        at 1e-10 when K came from that quadratic)."""
         for kappa in (1e-4, 1e-6, 1e-8, 1e-10):
-            problem = NuProblem(1.0, (0.0, 2.0, -kappa), (2.0, 0.0))
-            pi1 = select_branch(problem).pi1
-            want = -math.sqrt(kappa)
-            assert abs(pi1 - want) <= 4.0 * math.ulp(want), kappa
+            assert select_branch(NuProblem(1.0, (0.0, 2.0)), kappa).pi1 == -math.sqrt(kappa)
 
     def test_matches_the_reference_rule(self):
         """On the kappa grid and on seeded random real problems, the
@@ -364,22 +329,20 @@ class TestSelectBranch:
         and the weight is admissible, and no combination of the reference
         with a smaller K passes both tests.  NoBranch is raised only where
         no combination of the reference passes them."""
-        problems = [family.at(kappa) for family, kappa in grid_problems()]
-        problems += random_problems(400, seed=8)
         selected = refused = 0
-        for problem in problems:
-            c = problem.c
-            found = reference_combinations(problem)
+        for family, kappa in [*grid_problems(), *random_problems(400, seed=8)]:
+            c = family.c
+            found = reference_combinations(family, kappa)
             try:
-                branch = select_branch(problem)
+                branch = select_branch(family, kappa)
             except NoBranch:
                 assert not any(
                     decays_with_admissible_weight(c, tau, 1e-9) for *_, tau in found
                 )
                 refused += 1
                 continue
-            sigma, sigma_tilde, tau_tilde = polys(problem)
-            base = half_difference(problem)
+            sigma, sigma_tilde, tau_tilde = polys(family, kappa)
+            base = half_difference(family, kappa)
             pi, _ = pi_tau(branch)
             root = exact.add(pi, exact.mul((-1,), base))
             square = exact.mul(base, base)
@@ -403,7 +366,7 @@ class TestSelectBranch:
                 )
                 assert not (smaller and decays_with_admissible_weight(c, tau, 1e-9))
             selected += 1
-        assert selected > 800 and refused > 100
+        assert selected > 800 and refused > 150
 
 
 class TestTauLambda:
@@ -431,7 +394,7 @@ class TestTauLambda:
 
 class TestIntegratingFactors:
     def test_phi_deep_branch(self):
-        rate, power = select_branch(DEEP)._factor
+        rate, power = select_branch(*DEEP)._factor
         assert rate == pytest.approx(-1.0 / 6.0)
         assert power == pytest.approx(1.0 / 3.0)
 
@@ -452,18 +415,18 @@ class TestIntegratingFactors:
         """phi'/phi = pi/sigma, with phi' the exact derivative: both terms
         share exp(rate*A), and phi' has phi's power less one, so the
         quotient is rational at a rational A."""
-        branch = select_branch(DEEP)
+        branch = select_branch(*DEEP)
         phi, _ = phi_rho(branch)
         pi, _ = pi_tau(branch)
         d = exact.term_derivative(phi)
         assert d.rate == phi.rate
         for z in RATIONAL_POINTS:
             lhs = exact.scaled_value(d, phi.power, z) / exact.scaled_value(phi, phi.power, z)
-            rhs = exact.value(pi, z) / (Fraction(DEEP.c) * z)
+            rhs = exact.value(pi, z) / (Fraction(DEEP[0].c) * z)
             assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
     def test_rho_deep_branch(self):
-        rate, power = select_branch(DEEP)._weight
+        rate, power = select_branch(*DEEP)._weight
         assert rate == pytest.approx(-1.0 / 3.0)
         assert power == pytest.approx(1.0 / 3.0)
 
@@ -474,17 +437,17 @@ class TestIntegratingFactors:
         assert power == pytest.approx(0.0)
 
     def test_rho_configuration_branch(self):
-        rate, power = select_branch(radial_problem(0.0, 2.0, 1.0, -1.0))._weight
+        rate, power = select_branch(radial_family(0.0, 2.0, -1.0), 1.0)._weight
         assert rate == pytest.approx(-2.0)
         assert power == pytest.approx(1.0)
 
     def test_rho_pearson_identity(self):
         """(sigma rho)' = tau rho, with the exact derivative, both sides
         divided by rho's exp(rate*A) * A**power."""
-        branch = select_branch(DEEP)
+        branch = select_branch(*DEEP)
         _, rho = phi_rho(branch)
         _, tau = pi_tau(branch)
-        d = exact.term_derivative(exact.term((0, DEEP.c), *branch._weight))
+        d = exact.term_derivative(exact.term((0, DEEP[0].c), *branch._weight))
         assert d.rate == rho.rate
         for z in RATIONAL_POINTS:
             lhs = exact.scaled_value(d, rho.power, z)
@@ -494,26 +457,26 @@ class TestIntegratingFactors:
 
 class TestRodrigues:
     def test_degree_zero_is_one(self):
-        assert rodrigues_y(select_branch(DEEP), 0) == (1.0,)
+        assert rodrigues_y(select_branch(*DEEP), 0) == (1.0,)
 
     def test_first_polynomial_proportional_to_tau(self):
-        branch = select_branch(DEEP)
+        branch = select_branch(*DEEP)
         y = rodrigues_y(branch, 1)
         ratio = y[0] / branch.tau0
         assert abs(y[1] - ratio * branch.tau1) <= 1e-10 * abs(ratio)
 
     def test_first_polynomial_on_configuration_branch(self):
-        y = rodrigues_y(select_branch(radial_problem(0.0, 2.0, 1.0, -1.0)), 1)
+        y = rodrigues_y(select_branch(radial_family(0.0, 2.0, -1.0), 1.0), 1)
         assert y[0] / y[1] == pytest.approx(-1.0)
 
     def test_matches_the_derivative_chain(self):
         """(1 / rho) d^n/dA^n [sigma**n rho], the derivatives taken exactly
         in the exponential-power family, for the weight of the branch."""
-        for problem in (DEEP, radial_problem(2.0, 2.0, 2.0 / 81.0, -3.0)):
-            branch = select_branch(problem)
+        for family, kappa in (DEEP, (radial_family(2.0, 2.0, -3.0), 2.0 / 81.0)):
+            branch = select_branch(family, kappa)
             rate, power = branch._weight
             for n in range(7):
-                term = exact.term((0,) * n + (problem.c**n,), rate, power)
+                term = exact.term((0,) * n + (family.c**n,), rate, power)
                 for _ in range(n):
                     term = exact.term_derivative(term)
                 assert term.rate == rate
@@ -526,31 +489,45 @@ class TestRodrigues:
                     assert abs(y[k] - exact.coefficient(want, k)) <= 1e-13 * scale
 
     def test_overflowing_coefficient_is_an_error(self):
-        """sigma = A, sigma_tilde = -100 A^2, tau_tilde = 1: rho = e^{-20 A},
-        and the largest coefficient of y is 7.4e303 at n = 150 and beyond
-        the float range at n = 160."""
-        problem = NuProblem(1.0, (0.0, 0.0, -100.0), (1.0, 0.0))
-        branch = select_branch(problem)
+        """sigma = A, sigma_tilde = 1/4 - 100 A^2: rho = e^{-20 A}, and the
+        largest coefficient of y is 7.4e303 at n = 150 and beyond the float
+        range at n = 160."""
+        branch = select_branch(NuProblem(1.0, (0.25, 0.0)), 100.0)
+        assert branch._weight == (-20.0, 0.0)
         y = rodrigues_y(branch, 150)
         assert len(y) == 151 and y[-1] != 0.0
         assert all(map(math.isfinite, y))
         with pytest.raises(RodriguesFailure, match="overflows at n=160"):
             rodrigues_y(branch, 160)
 
+    def test_levels_past_the_factorial_bound_are_refused(self):
+        """y's constant coefficient carries (b + n)...(b + 1) >= n! for the
+        weight power b >= 0 of every branch, and 171! is beyond the float
+        range: n = 171 is refused on both labels, with the text the full
+        product gives, while at b = 0 and a slow rate y is still built at
+        n = 170."""
+        branch = select_branch(NuProblem(1.0, (0.25, 0.0)), 2.25e-4)
+        assert branch._weight[1] == 0.0
+        y = rodrigues_y(branch, RODRIGUES_MAX_N)
+        assert len(y) == 171 and all(map(math.isfinite, y)) and y[-1] != 0.0
+        for alphadelta in (-1.0, -3.0):
+            state = solve_state(radial_family(0.0, 2.0, alphadelta), 171)
+            with pytest.raises(RodriguesFailure, match="^a Rodrigues coefficient overflows at n=171$"):
+                rodrigues_y(state.branch, 171)
+
     def test_underflowing_leading_coefficient_is_an_error(self):
-        """sigma = A, sigma_tilde = -1e-200 A^2, tau_tilde = 1: tau' = -2e-100,
-        whose fourth power underflows to zero, so y falls short of degree 4."""
-        problem = NuProblem(1.0, (0.0, 0.0, -1e-200), (1.0, 0.0))
-        branch = select_branch(problem)
+        """sigma = A, sigma_tilde = 1/4 - 1e-200 A^2: tau' = -2e-100, whose
+        fourth power underflows to zero, so y falls short of degree 4."""
+        branch = select_branch(NuProblem(1.0, (0.25, 0.0)), 1e-200)
         with pytest.raises(RodriguesFailure, match="degree 3, expected 4"):
             rodrigues_y(branch, 4)
 
     def test_polynomial_solves_the_reduced_equation(self):
         """sigma y'' + tau y' + lambda_n y vanishes for Rodrigues output, at
         more rational points than the degree of y, so identically."""
-        problem = radial_problem(2.0, 2.0, 2.0 / 81.0, -3.0)
-        branch = select_branch(problem)
-        sigma, _, _ = polys(problem)
+        family, kappa = radial_family(2.0, 2.0, -3.0), 2.0 / 81.0
+        branch = select_branch(family, kappa)
+        sigma, _, _ = polys(family, kappa)
         _, tau = pi_tau(branch)
         for n in (1, 2, 3):
             y = exact.poly(rodrigues_y(branch, n))
@@ -579,8 +556,8 @@ class TestRodrigues:
                     for n in (0, 3, 20, 40):
                         d = n + L + 1 if alphadelta == -1.0 else 3 * n + L + 2
                         kappa = zeta**2 / (4 * d * d)
-                        problem = radial_problem(L * (L + 1), zeta, kappa, alphadelta)
-                        y = rodrigues_y(select_branch(problem), n)
+                        family = radial_family(L * (L + 1), zeta, alphadelta)
+                        y = rodrigues_y(select_branch(family, kappa), n)
                         digest.update(" ".join(map(float.hex, y)).encode() + b"\n")
         assert digest.hexdigest() == RODRIGUES_DIGEST
 
@@ -594,7 +571,7 @@ class TestQuantization:
 
     def test_residual_requires_positive_kappa(self):
         family = radial_family(0.0, 2.0, -3.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^kappa must be positive$"):
             eigen_residual(family, 0.0, 0)
 
     def test_residual_monotone_in_sqrt_kappa(self):
@@ -625,19 +602,20 @@ class TestQuantization:
         )
 
     def test_no_root_without_attractive_term(self):
-        """zeta = 0 puts the root of the residual at sqrt(q2) = -0.0."""
-        with pytest.raises(NoSignChange, match=r"^no level n=0: .* sqrt\(q2\) = -0\.0$"):
+        """zeta = 0 puts the root of the residual at sqrt(q2) = 0.0."""
+        with pytest.raises(NoSignChange, match=r"^no level n=0: .* sqrt\(q2\) = 0\.0$"):
             solve_kappa(radial_family(2.0, 0.0, -1.0), 0)
 
-    def test_root_with_a_tau_slope_and_a_quadratic_term(self):
-        """sigma = 2A, sigma_tilde = -2 + 3A + A**2/2, tau_tilde = 1 + A:
-        b = (1/2, -1/2), q0 = 9/4, q1 = -7/2 and v = -3/2, so the residual
-        vanishes at u* = (q1/c - b1) / (2v/c - 1 - 2n) = 5/(10 + 8n),
-        and kappa = (u*)**2 - b1**2 + s2: 1/2 at n = 0 and 53/162 at n = 1,
-        where both -b1**2 and s2 count."""
-        family = NuProblem(2.0, (-2.0, 3.0, 0.5), (1.0, 1.0))
-        assert solve_kappa(family, 0) == pytest.approx(0.5, rel=1e-15)
-        assert solve_kappa(family, 1) == pytest.approx(53.0 / 162.0, rel=1e-15)
+    def test_root_off_the_two_labels(self):
+        """At c = 1/2, 2 and 4 the written-down root is the closed form
+        kappa = zeta^2 / (4 d^2), d = [c (2n + 1) + sqrt((c - 2)^2 +
+        4 omega)] / 2, which no integer d constrains off the two labels."""
+        for c in (0.5, 2.0, 4.0):
+            for omega in (0.0, 6.0):
+                for n in (0, 1, 7):
+                    d = (c * (2 * n + 1) + math.sqrt((c - 2.0) ** 2 + 4.0 * omega)) / 2.0
+                    kappa = solve_kappa(NuProblem(c, (-omega, 2.0)), n)
+                    assert kappa == pytest.approx(1.0 / (d * d), rel=1e-14)
 
     def test_negative_n_is_refused_by_name(self):
         """n = -1 makes the denominator 2v/c - 1 - 2n vanish on the -1
@@ -646,11 +624,11 @@ class TestQuantization:
             solve_kappa(radial_family(0.0, 2.0, -1.0), -1)
 
     def test_negative_c_is_refused_before_dividing(self):
-        """c = -1, sigma_tilde = 2 + A, tau_tilde = 2: v = -1/2 and
+        """c = -1, sigma_tilde = 2 + A - kappa A^2: v = -1/2 and
         2v/c - 1 - 2n vanishes at n = 0.  No weight with c < 0 decays, and
         the refusal is the one select_branch gives."""
         with pytest.raises(NoBranch, match="^no decaying combination has an admissible weight$"):
-            solve_kappa(NuProblem(-1.0, (2.0, 1.0, 0.0), (2.0, 0.0)), 0)
+            solve_kappa(NuProblem(-1.0, (2.0, 1.0)), 0)
 
     def test_configuration_ground_state_is_exact(self):
         state = solve_state(radial_family(0.0, 2.0, -1.0), 0)
@@ -661,21 +639,20 @@ class TestQuantization:
         the NuBranch select_branch returns for the equation at kappa,
         bit for bit, on a log grid of kappa from 1e-6 to 10."""
         for family, kappa in grid_problems():
-            branch = select_branch(family.at(kappa))
+            branch = select_branch(family, kappa)
             for n in (0, 3):
                 want = (branch.lam - branch.lam_n(n)).real
                 assert eigen_residual(family, kappa, n) == want
 
     def test_solve_state_assembly(self):
         state = solve_state(radial_family(0.0, 2.0, -3.0), 2)
-        kappa, problem = state.kappa, state.family.at(state.kappa)
+        kappa = state.kappa
         assert kappa == pytest.approx(1.0 / 64.0, rel=1e-10)
         assert state.n == 2
         assert len(rodrigues_y(state.branch, state.n)) == 3
         lam, lam_n = state.branch.lam, state.branch.lam_n(2)
         assert abs(lam - lam_n) <= 1e-10 * (1.0 + abs(lam_n))
         assert state.branch.tau1 < 0.0
-        assert problem.sigma_tilde[2] == pytest.approx(-kappa)
 
     def test_assemble_at_the_root_is_the_solved_state(self):
         family = radial_family(0.0, 2.0, -3.0)
@@ -692,7 +669,7 @@ class TestQuantization:
         exp(rate*A) * A**power, is rational at a rational A."""
         family = radial_family(0.0, 2.0, -3.0)
         state = solve_state(family, 1)
-        sigma, sigma_tilde, tau_tilde = polys(state.family.at(state.kappa))
+        sigma, sigma_tilde, tau_tilde = polys(state.family, state.kappa)
         phi, _ = phi_rho(state.branch)
         psi = exact.term(exact.mul(phi.poly, rodrigues_y(state.branch, state.n)), phi.rate, phi.power)
         d1 = exact.term_derivative(psi)

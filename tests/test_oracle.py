@@ -295,21 +295,21 @@ class TestLaguerre:
 
 class TestCommutatorCheck:
     def test_configuration_point(self):
-        value = commutator_check(OpPoint(1.0, 0.0, 0.0, -1.0), 1.0, COMMUTATOR_SAMPLES)
+        value = commutator_check(OpPoint(1.0, 0.0, 0.0, -1.0), COMMUTATOR_SAMPLES)
         assert value.real == pytest.approx(1.0, abs=1e-6)
         assert value.imag == pytest.approx(0.0, abs=1e-6)
 
     def test_deep_branch_point(self):
-        value = commutator_check(OpPoint(-3.0, 1.0, -2.0, 1.0), 1.0, COMMUTATOR_SAMPLES)
+        value = commutator_check(OpPoint(-3.0, 1.0, -2.0, 1.0), COMMUTATOR_SAMPLES)
         assert value.real == pytest.approx(1.0, abs=1e-6)
 
     def test_off_manifold_point(self):
-        value = commutator_check(OpPoint(1.0, 0.0, 0.0, -2.0), 1.0, COMMUTATOR_SAMPLES)
+        value = commutator_check(OpPoint(1.0, 0.0, 0.0, -2.0), COMMUTATOR_SAMPLES)
         assert value.real == pytest.approx(2.0, abs=1e-6)
 
     def test_tracks_the_algebraic_coefficient(self):
         rng = random.Random(90210)
         for _ in range(10):
             point = OpPoint(*(rng.uniform(-3.0, 3.0) for _ in range(4)))
-            measured = commutator_check(point, 1.0, COMMUTATOR_SAMPLES)
+            measured = commutator_check(point, COMMUTATOR_SAMPLES)
             assert abs(measured - commutator_coefficient(point)) < 1e-6
