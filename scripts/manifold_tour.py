@@ -26,7 +26,7 @@ from phasenu.errors import WavefunctionDependentAngle
 
 def show_point(label, p):
     tag = "manifold" if is_on_manifold(p) else "off-manifold"
-    print(f"  {label}: {p.as_tuple()}  c = {commutator_coefficient(p):+.3f}  [{tag}]")
+    print(f"  {label}: {tuple(p)}  c = {commutator_coefficient(p):+.3f}  [{tag}]")
 
 
 def main():

@@ -57,6 +57,10 @@ MUTANTS = [
     ("acceptance.py", "(x, y, 0, 0) if group[0] == 0 else (0, 0, x, y)",
      "(y, x, 0, 0) if group[0] == 0 else (0, 0, y, x)",
      "transform-algebra's complement takes its two counts in the other order"),
+    ("hydrogen.py", "not 0.0 < value < math.inf", "not 0.0 <= value < math.inf",
+     "PhysicalParams admits a zero constant, which zeta's message then refuses"),
+    ("opspace.py", "g.diag[3] * d", "g.diag[3] / d",
+     "apply_to_point divides the delta slot by its entry"),
 ]
 
 #: What the copy leaves out: history and what building and testing leave behind.

@@ -10,15 +10,13 @@ under test.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import hydrogen, nu, opspace, oracle
 from .errors import ForbiddenCombination, PhasenuError, UnsupportedRecovery
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     criterion: str
     detail: str
     passed: bool
@@ -383,7 +381,7 @@ def check_recovery_rule() -> list[CheckResult]:
         if not ok:
             all_ok = False
             notes.append(
-                f"point {p.as_tuple()} (alphadelta={alphadelta:g}): "
+                f"point {tuple(p)} (alphadelta={alphadelta:g}): "
                 f"recovered={did}, expected={should_recover}"
             )
     return [

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import dataclasses
 import functools
 import json
 import math
@@ -208,7 +207,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     units = _load_params(args.config, 0)
     for n in range(args.n_max + 1):
         for L in range(args.L_max + 1):
-            params = dataclasses.replace(units, angular_momentum=L)
+            params = hydrogen.PhysicalParams(*units[:4], angular_momentum=L)
             family = hydrogen.build_radial_family(params, args.alphadelta)
             state = nu.solve_state(family, n)
             energy = params.energy_of_kappa(state.kappa)
@@ -236,10 +235,10 @@ def _cmd_manifold(args: argparse.Namespace) -> int:
     document: dict[str, object] = {"g": list(composed.diag)}
     if args.point is not None:
         image, member = opspace.apply_to_point(composed, args.point)
-        if not all(map(math.isfinite, image.as_tuple())):
-            raise OverflowError(f"transformed point is not finite: {image.as_tuple()!r}")
-        document["point"] = list(args.point.as_tuple())
-        document["transformed"] = list(image.as_tuple())
+        if not all(map(math.isfinite, image)):
+            raise OverflowError(f"transformed point is not finite: {tuple(image)!r}")
+        document["point"] = list(args.point)
+        document["transformed"] = list(image)
         document["on_manifold"] = member
     _emit(_json(document) + "\n", args.out)
     return 0

@@ -23,6 +23,10 @@ class RodriguesFailure(PhasenuError):
     coefficient overflows, or its degree falls short of n."""
 
 
+class LevelTooHigh(PhasenuError):
+    """The level n is above the bound that a check of its state admits."""
+
+
 class NoSignChange(PhasenuError):
     """The eigenvalue residual has no zero at a positive kappa in the float
     range, or fails its gate there."""

@@ -23,22 +23,22 @@ of lambda = lambda_n in sqrt(kappa)); closed forms only cross-check.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import sys
-from dataclasses import dataclass
 from numbers import Real
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import nu
-from .errors import UnsupportedBranch, UnsupportedRecovery
+from .errors import LevelTooHigh, UnsupportedBranch, UnsupportedRecovery
 from .numeric import ExpPowerTerm
 from .opspace import MANIFOLD_TOL, OpPoint, is_on_manifold
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(NamedTuple("PhysicalParams", [
+    ("mass", float), ("hbar", float), ("coulomb_constant", float), ("charge_squared", float),
+    ("angular_momentum", int),
+])):
     """Physical constants plus the angular momentum quantum number.
 
     Defaults are atomic units (mass = hbar = coulomb_constant =
@@ -46,19 +46,22 @@ class PhysicalParams:
     sits at -0.5.
     """
 
-    mass: float = 1.0
-    hbar: float = 1.0
-    coulomb_constant: float = 1.0
-    charge_squared: float = 1.0
-    angular_momentum: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("mass", "hbar", "coulomb_constant", "charge_squared"):
-            value = getattr(self, name)
+    def __new__(
+        cls,
+        mass: float = 1.0,
+        hbar: float = 1.0,
+        coulomb_constant: float = 1.0,
+        charge_squared: float = 1.0,
+        angular_momentum: int = 0,
+    ) -> PhysicalParams:
+        self = tuple.__new__(cls, (mass, hbar, coulomb_constant, charge_squared, angular_momentum))
+        for name, value in zip(self._fields[:4], self):
             if isinstance(value, Real) and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
             nu._finite_real(name, value)  # names a non-number, or one beyond the float range
-        L = self.angular_momentum
+        L = angular_momentum
         if not isinstance(L, int) or type(L) is bool or L < 0:
             raise ValueError("angular_momentum must be a non-negative integer")
         if L * (L + 1) > sys.float_info.max:  # not printed: L may pass the int-to-str limit
@@ -67,6 +70,7 @@ class PhysicalParams:
             raise ValueError(
                 f"zeta = 2 e2 k m / hbar^2 must be finite and positive, got {self.zeta!r}"
             )
+        return self
 
     @property
     def omega(self) -> float:
@@ -144,7 +148,7 @@ def check_point(point: OpPoint, alphadelta: float) -> None:
     """Refuse a point off the manifold, or one whose alpha*delta is not
     alphadelta (the branch label the radial family depends on)."""
     if not is_on_manifold(point):
-        raise ValueError(f"point {point.as_tuple()} violates the commutator constraint")
+        raise ValueError(f"point {tuple(point)} violates the commutator constraint")
     product = point.alpha * point.delta
     if not abs(product - alphadelta) <= MANIFOLD_TOL * max(1.0, abs(product)):
         raise ValueError(
@@ -157,10 +161,10 @@ def canonical_config(alphadelta: float) -> OpPoint:
     return BRANCHES[branch_of(alphadelta)]
 
 
-@dataclass(frozen=True)
-class WavefunctionForm:
-    """Assembled eigenstate: a manifold point and the state solved on its
-    branch, whose body phi*y is a function of A = alpha*r + i*hbar*beta*pbar.
+class WavefunctionForm(NamedTuple):
+    """Assembled eigenstate: a manifold point, the state solved on its
+    branch, its body psi = phi * y as one term in A = alpha*r +
+    i*hbar*beta*pbar, and ``psi``, that body bound to the point's slice.
 
     ``prefactor_rate`` is gamma/delta, the coefficient of i*p*r/hbar in the
     prefactor exponent.  The prefactor lives in the untransformed momentum
@@ -169,21 +173,12 @@ class WavefunctionForm:
 
     point: OpPoint
     state: nu.NuState
+    body: ExpPowerTerm
+    psi: Callable[[float, complex, float], complex]
 
     @property
     def prefactor_rate(self) -> complex:
         return complex(self.point.gamma / self.point.delta)
-
-    @functools.cached_property
-    def body(self) -> ExpPowerTerm:
-        """psi = phi * y as one term, built on first read and kept."""
-        branch = self.state.branch
-        return ExpPowerTerm(nu.rodrigues_y(branch, self.state.n), *branch._factor)
-
-    @functools.cached_property
-    def _psi(self) -> Callable[[float, complex, float], complex]:
-        """The body along this point's slice, bound on first read and kept."""
-        return self.body.along(self.point.alpha, self.point.beta)
 
     @property
     def kappa(self) -> float:
@@ -200,17 +195,19 @@ class WavefunctionForm:
 def assemble_wavefunction(
     params: PhysicalParams, point: OpPoint, n: int
 ) -> WavefunctionForm:
-    """Quantize level n on the branch of the point's alpha*delta and build
-    phi*y in A; a point off the manifold raises ValueError."""
+    """Quantize level n on the branch of the point's alpha*delta, build
+    phi*y in A and bind it to the point's slice; a point off the manifold
+    raises ValueError."""
     alphadelta = point.alpha * point.delta
     check_point(point, alphadelta)
-    family = build_radial_family(params, alphadelta)
-    return WavefunctionForm(point, nu.solve_state(family, n))
+    state = nu.solve_state(build_radial_family(params, alphadelta), n)
+    body = ExpPowerTerm(nu.rodrigues_y(state.branch, n), *state.branch._factor)
+    return WavefunctionForm(point, state, body, body.along(point.alpha, point.beta))
 
 
 def eval_wavefunction(wf: WavefunctionForm, r: float, pbar: complex, hbar: float) -> complex:
     """Body value at A = alpha*r + i*hbar*beta*pbar (prefactor excluded)."""
-    return wf._psi(r, pbar, hbar)
+    return wf.psi(r, pbar, hbar)
 
 
 def _fractions() -> tuple[float, ...]:
@@ -222,6 +219,11 @@ def _fractions() -> tuple[float, ...]:
 #: mapped per state to x = u * (4n + 2|b| + 10) on the support of its
 #: Laguerre factor.
 SAMPLE_FRACTIONS = _fractions()
+
+#: The highest level whose residual is computed: its recurrence takes n steps
+#: at each sample, about 1 s at n = 10**5 (Python 3.11, 2 shared CPUs), and
+#: holds n step tuples, which at n = 10**12 run out of memory.
+RESIDUAL_MAX_N = 100_000
 
 
 def _laguerre_steps(n: int, beta: float) -> list[tuple]:
@@ -274,9 +276,12 @@ def ode_residual(state: nu.NuState) -> float:
 
     A state assembled at a detuned kappa (``nu.assemble``) carries the
     equation at that kappa, whose branch has lambda != lambda_n, so its
-    defect is large.  A non-finite defect reads inf.
+    defect is large.  A non-finite defect reads inf, and a level above
+    ``RESIDUAL_MAX_N`` raises :class:`LevelTooHigh` before any allocation.
     """
     n, branch = state.n, state.branch
+    if n > RESIDUAL_MAX_N:
+        raise LevelTooHigh(f"the residual is computed up to n={RESIDUAL_MAX_N}, not n={n}")
     c, pi0, pi1 = branch.c, branch.pi0, branch.pi1
     a, b = branch._weight
     s0, s1 = state.family.sigma_tilde

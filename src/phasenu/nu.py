@@ -34,7 +34,6 @@ is called only where y is printed or evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Real
 from typing import NamedTuple
 
@@ -68,8 +67,7 @@ def _finite_real(name: str, value: float) -> float:
     return x
 
 
-@dataclass(frozen=True)
-class NuProblem:
+class NuProblem(NamedTuple("NuProblem", [("c", float), ("sigma_tilde", tuple[float, float])])):
     """The equation with sigma = c*A, as the three real scalars the solver
     reads: c and the kappa-free part of sigma_tilde, s0 + s1 A, as
     (s0, s1), each finite, and c nonzero.
@@ -78,18 +76,16 @@ class NuProblem:
     sigma_tilde; the functions that take a problem take kappa beside it.
     """
 
-    c: float
-    sigma_tilde: tuple[float, float]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        c = _finite_real("c", self.c)
+    def __new__(cls, c: float, sigma_tilde: tuple[float, float]) -> NuProblem:
+        c = _finite_real("c", c)
         if c == 0:
             raise ValueError("c must be nonzero")
-        st = tuple(_finite_real("sigma_tilde", s) for s in self.sigma_tilde)
+        st = tuple(_finite_real("sigma_tilde", s) for s in sigma_tilde)
         if len(st) != 2:
             raise ValueError(f"sigma_tilde must be (s0, s1), got {len(st)} entries")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "sigma_tilde", st)
+        return tuple.__new__(cls, (c, st))
 
 
 class NuBranch(NamedTuple):
@@ -128,8 +124,7 @@ class NuBranch(NamedTuple):
         return -n * self.tau1
 
 
-@dataclass(frozen=True)
-class NuState:
+class NuState(NamedTuple):
     """Level n of a family, assembled at one kappa.
 
     Built only by :func:`assemble` (or :func:`solve_state`, at the

@@ -13,10 +13,9 @@ ones, with their sum.
 from __future__ import annotations
 
 from cmath import exp
-from dataclasses import dataclass
 from itertools import zip_longest
 from math import isfinite
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import BranchPointError
 from .nu import _finite_real
@@ -25,8 +24,7 @@ from .nu import _finite_real
 _ZERO_POWER_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(NamedTuple("Poly", [("coeffs", tuple[float, ...])])):
     """Polynomial with real coefficients, ascending degree order.
 
     The empty tuple is the zero polynomial.  Construction drops exact-zero
@@ -35,13 +33,13 @@ class Poly:
     and trimming those would change the polynomial, not clean it.
     """
 
-    coeffs: tuple[float, ...] = ()
+    __slots__ = ()
 
-    def __init__(self, coeffs: Iterable[float] = ()) -> None:
+    def __new__(cls, coeffs: Iterable[float] = ()) -> Poly:
         cs = [_finite_real("coeffs", c) for c in coeffs]
         while cs and cs[-1] == 0.0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        return tuple.__new__(cls, (tuple(cs),))
 
     def __add__(self, other: "Poly") -> "Poly":
         """Coefficient-wise sum, kept for the benchmark's tracer test (ROADMAP item 1)."""
@@ -50,8 +48,7 @@ class Poly:
         return Poly(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0.0))
 
 
-@dataclass(frozen=True)
-class ExpPowerTerm:
+class ExpPowerTerm(NamedTuple("ExpPowerTerm", [("poly", Poly), ("rate", float), ("power", float)])):
     """Term of the form ``P(A) * exp(rate*A) * A**power``.
 
     ``A**power`` uses the principal branch.  Canonical form: a zero
@@ -61,16 +58,14 @@ class ExpPowerTerm:
     it is tiny depends on the scale of the others.
     """
 
-    poly: Poly
-    rate: float = 0.0
-    power: float = 0.0
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         poly: Poly | Iterable[float],
         rate: float = 0.0,
         power: float = 0.0,
-    ) -> None:
+    ) -> ExpPowerTerm:
         if not isinstance(poly, Poly):
             poly = Poly(poly)
         rate = _finite_real("rate", rate)
@@ -81,9 +76,7 @@ class ExpPowerTerm:
             while poly.coeffs[0] == 0.0:
                 poly = Poly(poly.coeffs[1:])
                 power += 1
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "rate", rate)
-        object.__setattr__(self, "power", power)
+        return tuple.__new__(cls, (poly, rate, power))
 
     def along(self, alpha: float, beta: float) -> Callable[[float, complex, float], complex]:
         """The term on the slice ``A = alpha*r + i*hbar*beta*pbar`` as

@@ -17,8 +17,7 @@ mixed in one composition.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ForbiddenCombination, WavefunctionDependentAngle
 
@@ -26,24 +25,15 @@ from .errors import ForbiddenCombination, WavefunctionDependentAngle
 MANIFOLD_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class OpPoint:
+class OpPoint(NamedTuple):
     """Operator coefficient 4-tuple; membership of the constraint surface
     is a query, not a construction invariant, because transforms may move
     points off it."""
-
-    __slots__ = ("alpha", "beta", "gamma", "delta")
 
     alpha: float
     beta: float
     gamma: float
     delta: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.alpha, self.beta, self.gamma, self.delta)
-
-    def __reduce__(self):
-        return OpPoint, self.as_tuple()
 
 
 def manifold_point(alpha: float, beta: float, delta: float) -> OpPoint:
@@ -65,19 +55,16 @@ def is_on_manifold(p: OpPoint) -> bool:
     return abs(commutator_coefficient(p) - 1.0) <= MANIFOLD_TOL
 
 
-@dataclass(frozen=True)
-class GEta:
+class GEta(NamedTuple("GEta", [("diag", tuple[int, int, int, int])])):
     """Diagonal integer transform matrix, stored as its diagonal.  The
     complement I - g of a transform is one too: for a fundamental
     transform it has a single 1 marking the coefficient g zeroes.  Each
     entry must equal its ``int``; ``complement`` and ``compose`` skip
     this check, building their results from ints."""
 
-    __slots__ = ("diag",)
+    __slots__ = ()
 
-    diag: tuple[int, int, int, int]
-
-    def __init__(self, diag: Iterable[int]) -> None:
+    def __new__(cls, diag: Iterable[int]) -> GEta:
         raw = tuple(diag)
         try:
             d = tuple(map(int, raw))
@@ -87,21 +74,12 @@ class GEta:
             raise ValueError(f"diagonal entries must be integers, got {raw!r}")
         if len(d) != 4:
             raise ValueError("diagonal must have four entries")
-        _set_diag(self, d)
-
-    def __reduce__(self):
-        return GEta, (self.diag,)
-
-
-#: The slot's own setter, which the frozen ``__setattr__`` does not guard.
-_set_diag = GEta.diag.__set__
+        return tuple.__new__(cls, (d,))
 
 
 def _geta(diag: tuple[int, int, int, int]) -> GEta:
     """GEta from four ints already known to be valid, skipping the checks."""
-    g = object.__new__(GEta)
-    _set_diag(g, diag)
-    return g
+    return tuple.__new__(GEta, (diag,))
 
 
 def identity() -> GEta:
@@ -162,14 +140,14 @@ _FLOAT_OVERFLOW = 2**1024 - 2**970
 def apply_to_point(g: GEta, p: OpPoint) -> tuple[OpPoint, bool]:
     """Componentwise image g·(alpha,beta,gamma,delta) and its membership.
     An entry beyond the float range raises OverflowError naming its slot."""
-    a, b, c, d = p.as_tuple()
+    a, b, c, d = p
     try:
         image = OpPoint(g.diag[0] * a, g.diag[1] * b, g.diag[2] * c, g.diag[3] * d)
     except OverflowError:
         slot = next(name for name, k in zip(SLOTS, g.diag) if abs(k) >= _FLOAT_OVERFLOW)
         raise OverflowError(
             f"transform entry {slot} does not fit a float; cannot apply it to "
-            f"the point {p.as_tuple()!r}"
+            f"the point {tuple(p)!r}"
         ) from None
     return image, is_on_manifold(image)
 

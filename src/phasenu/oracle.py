@@ -17,11 +17,9 @@ q_k > |b_k| give q_{k+1} > |b_{k+1}| (as b_k^2/q_k < |b_k|), and so on.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, islice
-from math import exp, inf, nextafter, sqrt
-from statistics import fmean
-from typing import Callable, Sequence
+from math import exp, fsum, inf, nextafter, sqrt
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import GridTooCoarse
 from .hydrogen import PhysicalParams
@@ -37,20 +35,19 @@ FD_TOLERANCE = 1e-4
 Row = tuple[float, float, float]  # (d_k, b_{k-1}^2, |b_k|) of a tridiagonal matrix
 
 
-@dataclass(frozen=True)
-class RadialGrid:
+class RadialGrid(NamedTuple("RadialGrid", [("r_max", float), ("n_points", int)])):
     """Nodes r_i = r_max (i/N)^2, i = 0..N with N = n_points - 1: graded
     toward the origin, where the Coulomb term is steepest.  The outer wall
     w(r_max) = 0 is bounded by ``fd_spectrum``; the origin needs no wall."""
 
-    r_max: float
-    n_points: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.r_max < inf:
+    def __new__(cls, r_max: float, n_points: int) -> RadialGrid:
+        if not 0.0 < r_max < inf:
             raise ValueError("r_max must be positive and finite")
-        if not isinstance(self.n_points, int) or self.n_points < 100:
+        if not isinstance(n_points, int) or n_points < 100:
             raise ValueError("n_points must be an int of at least 100")
+        return tuple.__new__(cls, (r_max, n_points))
 
     @property
     def cells(self) -> int:
@@ -310,4 +307,5 @@ def commutator_check(point: OpPoint, samples: Sequence[tuple[float, float]]) -> 
         (rp(r, p) - pr(r, p)) / (1j * _gaussian_state(r, p))
         for r, p in samples
     ]
-    return complex(fmean(v.real for v in values), fmean(v.imag for v in values))
+    n = len(values)  # fsum over n is statistics.fmean, whose import no command needs
+    return complex(fsum(v.real for v in values) / n, fsum(v.imag for v in values) / n)

@@ -285,6 +285,13 @@ class TestScan:
         assert len(capsys.readouterr().out.splitlines()) == 1 + 12
         assert calls == []
 
+    def test_level_above_the_residual_bound_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(hydrogen, "RESIDUAL_MAX_N", 1)
+        assert cli.main(["scan", "--n-max", "2", "--L-max", "0", "--alphadelta", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "LevelTooHigh: the residual is computed up to n=1, not n=2\n"
+        assert captured.out == ""
+
     def test_round_trip_formatting(self):
         proc = run_cli("scan", "--n-max", "0", "--L-max", "0", "--alphadelta", "-1")
         value = proc.stdout.strip().splitlines()[1].split(",")[2]

@@ -2,12 +2,12 @@
 perfect-square branches, wavefunction assembly, and the recovery rule."""
 
 import collections
-import dataclasses
 import functools
 import hashlib
 import inspect
 import math
 import re
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -16,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasenu import hydrogen, nu
-from phasenu.errors import NoSignChange, RodriguesFailure, UnsupportedBranch, UnsupportedRecovery
+from phasenu.errors import (
+    LevelTooHigh,
+    NoSignChange,
+    RodriguesFailure,
+    UnsupportedBranch,
+    UnsupportedRecovery,
+)
 from phasenu.hydrogen import (
     BRANCHES,
     CONFIG_SPACE_POINT,
@@ -113,7 +119,7 @@ def solved_and_detuned(units, alphadelta):
     """Solved and 1.1*kappa-detuned states, L 0..5, n in {0, 1, 5, 20, 40}."""
     states = []
     for L in range(6):
-        params = dataclasses.replace(RESIDUAL_UNITS[units], angular_momentum=L)
+        params = PhysicalParams(*RESIDUAL_UNITS[units][:4], angular_momentum=L)
         family = build_radial_family(params, alphadelta)
         for n in (0, 1, 5, 20, 40):
             state = solve_state(family, n)
@@ -140,10 +146,10 @@ class TestParams:
         assert ATOMIC.angular_momentum == 0
 
     def test_positivity_enforced(self):
-        with pytest.raises(ValueError):
-            PhysicalParams(mass=0.0)
-        with pytest.raises(ValueError):
-            PhysicalParams(hbar=-1.0)
+        """A zero constant is refused by its own name, not by zeta's."""
+        for name, value in (("mass", 0.0), ("hbar", -1.0), ("hbar", 0.0)):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
+                PhysicalParams(**{name: value})
 
     @pytest.mark.parametrize("name", ["mass", "hbar", "coulomb_constant", "charge_squared"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -326,7 +332,7 @@ class TestSpectra:
         integer_d = {-1.0: lambda n, L: n + L + 1, -3.0: lambda n, L: L + 3 * n + 2}
         num = units.charge_squared**2 * units.coulomb_constant**2 * units.mass
         for L in range(61):
-            params = dataclasses.replace(units, angular_momentum=L)
+            params = PhysicalParams(*units[:4], angular_momentum=L)
             for alphadelta, d_of in integer_d.items():
                 for n in range(61):
                     d = d_of(n, L)
@@ -356,7 +362,7 @@ class TestSpectra:
     def test_deep_levels_track_the_closed_form(self, units):
         for alphadelta in BRANCHES:
             for L in (0, 3):
-                params = dataclasses.replace(units, angular_momentum=L)
+                params = PhysicalParams(*units[:4], angular_momentum=L)
                 for n in (0, 5, 20, 40):
                     want = closed_form_energy(params, n, alphadelta)
                     got = solve_energy(params, n, alphadelta)
@@ -479,7 +485,7 @@ class TestConfigs:
 class TestWavefunctions:
     def test_deep_ground_state(self):
         wf = assemble_wavefunction(ATOMIC, canonical_config(-3.0), 0)
-        assert [f.name for f in dataclasses.fields(wf)] == ["point", "state"]
+        assert wf._fields == ("point", "state", "body", "psi")
         assert wf.prefactor_rate == pytest.approx(-2.0)
         assert wf.kappa == pytest.approx(0.25, rel=1e-10)
         assert wf.body.rate == pytest.approx(-1.0 / 6.0)
@@ -498,6 +504,12 @@ class TestWavefunctions:
         assert wf.kappa == pytest.approx(1.0, rel=1e-10)
         assert wf.body.rate == pytest.approx(-1.0)
         assert wf.body.power == pytest.approx(0.0, abs=1e-12)
+
+    def test_prefactor_rate_is_gamma_over_delta(self):
+        """delta is -1 or 1 at both canonical points; at (1, 1, -2, -3) the
+        rate gamma/delta is 2/3."""
+        wf = assemble_wavefunction(ATOMIC, manifold_point(1.0, 1.0, -3.0), 0)
+        assert wf.prefactor_rate == complex(2.0 / 3.0)
 
     def test_eval_on_real_slice(self):
         wf = assemble_wavefunction(ATOMIC, canonical_config(-3.0), 0)
@@ -545,30 +557,30 @@ class TestWavefunctions:
             assemble_wavefunction(ATOMIC, OpPoint(0.0, 1.0, 1.0, 0.0), 0)
 
     def test_body_is_built_once(self, monkeypatch):
-        """Evaluation runs the record's kept evaluator: tabulating a grid
-        binds the body to the point's slice once per WavefunctionForm, not
-        phi*y, or its evaluator, at every point."""
+        """Assembly builds phi*y and binds it to the point's slice, once per
+        WavefunctionForm; evaluation runs that evaluator, so tabulating a
+        grid builds neither again at any point."""
         calls = collections.Counter()
-        init, along = ExpPowerTerm.__init__, ExpPowerTerm.along
+        new, along = ExpPowerTerm.__new__, ExpPowerTerm.along
 
-        def counted_init(self, *args, **kwargs):
-            calls["__init__"] += 1
-            init(self, *args, **kwargs)
+        def counted_new(cls, *args, **kwargs):
+            calls["__new__"] += 1
+            return new(cls, *args, **kwargs)
 
         def counted_along(self, *args):
             calls["along"] += 1
             return along(self, *args)
 
-        monkeypatch.setattr(ExpPowerTerm, "__init__", counted_init)
+        monkeypatch.setattr(ExpPowerTerm, "__new__", counted_new)
         monkeypatch.setattr(ExpPowerTerm, "along", counted_along)
         for n in (0, 5):
             calls.clear()
             wf = assemble_wavefunction(ATOMIC, canonical_config(-1.0), n)
-            assert calls == {}
+            assert calls == {"__new__": 1, "along": 1}
             for j in range(100):
                 eval_wavefunction(wf, 0.01 * (j + 1), 0.0, 1.0)
             assert len(wf.body.poly.coeffs) == n + 1
-            assert calls == {"__init__": 1, "along": 1}
+            assert calls == {"__new__": 1, "along": 1}
 
 
 class TestSamplesAndResiduals:
@@ -634,7 +646,7 @@ class TestSamplesAndResiduals:
         exact."""
         bounds = {"kappa": 5, "K": 9, "pi0": 0, "pi1": 2.5, "tau0": 0, "tau1": 2.5}
         for L in range(6):
-            params = dataclasses.replace(DIGEST_UNITS[units], angular_momentum=L)
+            params = PhysicalParams(*DIGEST_UNITS[units][:4], angular_momentum=L)
             family = build_radial_family(params, alphadelta)
             for n in range(41):
                 state = solve_state(family, n)
@@ -647,7 +659,9 @@ class TestSamplesAndResiduals:
                 # what lets solve print pi, tau and y untrimmed
                 assert state.branch.pi1 < 0.0 and state.branch.tau1 < 0.0
                 assert state_y[-1] != 0.0
-                body = hydrogen.WavefunctionForm(canonical_config(alphadelta), state).body
+                wf = assemble_wavefunction(params, canonical_config(alphadelta), n)
+                assert wf.state == state
+                body = wf.body
                 want = exact.term(exact.mul((1,), state_y), *state.branch._factor)
                 assert [x.hex() for x in (body.rate, body.power, *body.poly.coeffs)] == [
                     float(x).hex() for x in (want.rate, want.power, *want.poly)
@@ -663,7 +677,7 @@ class TestSamplesAndResiduals:
         for c in (1.0, 3.0, 0.5, 1.7, 2.0, 4.0):
             for units in ("atomic", "hbar30", "scaled"):
                 for L in (0, 1, 2, 7):
-                    params = dataclasses.replace(DIGEST_UNITS[units], angular_momentum=L)
+                    params = PhysicalParams(*DIGEST_UNITS[units][:4], angular_momentum=L)
                     family = nu.NuProblem(c, (-params.omega, params.zeta))
                     for n in (0, 1, 2, 7, 30, 170, 171):
                         state = solve_state(family, n)
@@ -678,9 +692,10 @@ class TestSamplesAndResiduals:
 
     def test_residual_makes_no_term_or_poly_calls(self, monkeypatch):
         """Spied the way test_state_is_assembled_once spies the solve, on
-        every method of Poly and ExpPowerTerm.  Neither the residual nor
-        an evaluation through a bound evaluator calls one; binding it shows
-        that the spy sees the calls it counts."""
+        every method of Poly and ExpPowerTerm, their checked ``__new__``
+        included.  Neither the residual nor an evaluation through a bound
+        evaluator calls one; assembly, which builds and binds the body,
+        shows that the spy sees the calls it counts."""
         state = solved_and_detuned("atomic", -3.0)[0]
         counts = collections.Counter()
 
@@ -695,16 +710,52 @@ class TestSamplesAndResiduals:
 
         for cls in (Poly, ExpPowerTerm):
             for name, value in list(vars(cls).items()):
-                if inspect.isfunction(value):
+                if inspect.isfunction(value) or isinstance(value, staticmethod):
                     spy(cls, name)
         ode_residual(state)
         assert counts == {}
-        wf = hydrogen.WavefunctionForm(canonical_config(-3.0), state)
-        eval_wavefunction(wf, 0.5, 0j, 1.0)
-        assert counts["ExpPowerTerm.along"] == 1
+        wf = assemble_wavefunction(RESIDUAL_UNITS["atomic"], canonical_config(-3.0), state.n)
+        assert wf.state == state
+        assert counts["ExpPowerTerm.__new__"] == counts["ExpPowerTerm.along"] == 1
         counts.clear()
+        eval_wavefunction(wf, 0.5, 0j, 1.0)
         eval_wavefunction(wf, 0.7, 0.3, 1.0)
         assert counts == {}
+
+    def test_residual_refuses_a_level_above_its_bound(self):
+        """The bound admits CI's scan to n = 1,000; a level above it is
+        refused by name, though it solves."""
+        assert hydrogen.RESIDUAL_MAX_N >= 1000
+        n = hydrogen.RESIDUAL_MAX_N + 1
+        state = solve_state(build_radial_family(ATOMIC, -1.0), n)
+        with pytest.raises(LevelTooHigh, match=f"^the residual is computed up to n=.*, not n={n}$"):
+            ode_residual(state)
+
+    def test_residual_of_a_huge_level_is_refused_at_once(self):
+        """Under a 1.5 GB address-space cap, the residual of level 10**12
+        ran out of memory after about 6 s, building one step per level; it
+        is refused before anything is allocated."""
+        code = """
+import resource, time
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 1_500_000_000 if hard == resource.RLIM_INFINITY else min(hard, 1_500_000_000)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from phasenu import hydrogen, nu
+family = hydrogen.build_radial_family(hydrogen.PhysicalParams(), -1.0)
+state = nu.solve_state(family, 10**12)
+start = time.perf_counter()
+try:
+    hydrogen.ode_residual(state)
+except Exception as err:
+    print(type(err).__name__, time.perf_counter() - start)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        name, seconds = proc.stdout.split()
+        assert name == "LevelTooHigh"
+        assert float(seconds) < 1.0
 
     @pytest.mark.parametrize("detuned", [False, True])
     def test_non_finite_defect_reads_inf(self, monkeypatch, detuned):

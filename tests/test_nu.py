@@ -2,7 +2,6 @@
 integrating factors, Rodrigues polynomials, and eigenvalue quantization."""
 
 import cmath
-import dataclasses
 import hashlib
 import math
 import random
@@ -155,7 +154,7 @@ class TestProblemValidation:
 
     def test_sigma_tilde_holds_two_entries(self):
         """The record holds c and the kappa-free (s0, s1), nothing else."""
-        assert [f.name for f in dataclasses.fields(NuProblem)] == ["c", "sigma_tilde"]
+        assert NuProblem._fields == ("c", "sigma_tilde")
         for bad in ((), (0.0,), (0.0, 2.0, 0.0)):
             with pytest.raises(ValueError, match=rf"^sigma_tilde must be \(s0, s1\), got {len(bad)} entries$"):
                 NuProblem(1.0, bad)

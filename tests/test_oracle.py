@@ -3,6 +3,7 @@ finite-difference commutator probe."""
 
 import math
 import random
+import statistics
 from itertools import accumulate
 
 import pytest
@@ -306,6 +307,25 @@ class TestCommutatorCheck:
     def test_off_manifold_point(self):
         value = commutator_check(OpPoint(1.0, 0.0, 0.0, -2.0), COMMUTATOR_SAMPLES)
         assert value.real == pytest.approx(2.0, abs=1e-6)
+
+    def test_mean_has_the_bits_of_statistics_fmean(self, monkeypatch):
+        """The mean is fsum over the count, which is what statistics.fmean
+        computes; on the samples of each point both give the same bits."""
+        sums = []
+
+        def spy(values):
+            sums.append(list(values))
+            return math.fsum(sums[-1])
+
+        monkeypatch.setattr(oracle, "fsum", spy)
+        rng = random.Random(5)
+        for _ in range(20):
+            sums.clear()
+            point = OpPoint(*(rng.uniform(-3.0, 3.0) for _ in range(4)))
+            value = commutator_check(point, COMMUTATOR_SAMPLES)
+            real, imag = sums
+            assert value.real.hex() == statistics.fmean(real).hex()
+            assert value.imag.hex() == statistics.fmean(imag).hex()
 
     def test_tracks_the_algebraic_coefficient(self):
         rng = random.Random(90210)

@@ -3,9 +3,29 @@ imported name is used, and every private module-level name and every
 method of a class is read."""
 
 import ast
+import copy
+import math
+import os
 import pathlib
+import pickle
+import subprocess
+import sys
+
+import pytest
 
 import phasenu
+from phasenu import (
+    ExpPowerTerm,
+    GEta,
+    NuBranch,
+    NuProblem,
+    NuState,
+    OpPoint,
+    PhysicalParams,
+    Poly,
+    RadialGrid,
+)
+from phasenu.acceptance import CheckResult
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -128,7 +148,7 @@ def unvaried_defaults(defining, calling):
     ``defining`` (name -> source text), for which no call in ``calling``
     passes a value other than the default's source text, by keyword, by
     position, or through ``*`` or ``**``.  A call matches by the name it
-    calls, a class's ``__init__`` by the class name."""
+    calls, a class's ``__init__`` or ``__new__`` by the class name."""
     params = {}  # callee -> [(parameter, positional index or None, default text, where)]
     for module, source in defining.items():
         tree = ast.parse(source)
@@ -145,7 +165,7 @@ def unvaried_defaults(defining, calling):
             positional = [a.arg for a in args.posonlyargs + args.args]
             if node in owner:  # a method: the call binds self
                 positional = positional[1:]
-            callee = owner[node] if node.name == "__init__" and node in owner else node.name
+            callee = owner[node] if node.name in ("__init__", "__new__") and node in owner else node.name
             pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults)]
             pairs += [(a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
             for name, default in pairs:
@@ -192,6 +212,9 @@ def test_every_default_is_varied_by_a_caller():
     assert unvaried_defaults({"a.py": src}, ["f(0, *a)\ng(0, 2, c=1)\n"]) == [
         "C(x) (a.py:3)", "f(c) (a.py:1)", "m(y) (a.py:4)"
     ]
+    new = "class D:\n    def __new__(cls, z=0): pass\n"
+    assert unvaried_defaults({"a.py": new}, ["D()\n"]) == ["D(z) (a.py:2)"]
+    assert unvaried_defaults({"a.py": new}, ["D(1)\n"]) == []
     sources = {f.name: f.read_text(encoding="utf-8") for f in sorted((ROOT / "src/phasenu").glob("*.py"))}
     readers = [f for d in ("src/phasenu", "scripts", "perfbench") for f in sorted((ROOT / d).glob("*.py"))]
     assert unvaried_defaults(sources, [f.read_text(encoding="utf-8") for f in readers]) == []
@@ -216,3 +239,66 @@ def test_the_solver_runs_on_floats():
         assert "cmath" not in imported_modules(source), name
     nu_source = (ROOT / "src/phasenu/nu.py").read_text(encoding="utf-8")
     assert "numeric" not in imported_modules(nu_source)
+
+
+def test_commands_import_no_dataclasses_inspect_or_statistics():
+    """A fresh ``import phasenu.cli``, the import of every command, loads
+    none of these: the records are NamedTuples and the oracle's mean is an
+    fsum.  ``-S`` keeps site's own imports out of the count."""
+    code = "import sys, phasenu.cli; print(*sorted({'dataclasses', 'inspect', 'statistics'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
+#: One of each record of the package but WavefunctionForm, whose bound
+#: evaluator is a closure, which pickle refuses.
+RECORDS = [
+    OpPoint(-3.0, 1.0, -2.0, 1.0),
+    GEta((1, 0, -1, 1)),
+    NuProblem(1.0, (-2.0, 2.0)),
+    NuState(NuProblem(1.0, (-2.0, 2.0)), 1, 0.25, NuBranch(1.0, -0.5, 1.5, -0.5, 5.0, -1.0)),
+    NuBranch(1.0, -0.5, 1.5, -0.5, 5.0, -1.0),
+    PhysicalParams(mass=2.0, angular_momentum=1),
+    Poly((1.0, 2.0)),
+    ExpPowerTerm((0.0, 1.0), -0.5, 1.5),
+    RadialGrid(50.0, 200),
+    CheckResult("criterion", "detail", True, "measure"),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_survive_pickle_and_deepcopy(record):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(record, protocol))
+        assert type(again) is type(record) and again == record
+    again = copy.deepcopy(record)
+    assert type(again) is type(record) and again == record
+
+
+#: Each checked record, fields its checks refuse, and the refusal.
+FORGED = [
+    (GEta, ((1.5, 1, 1, 1),), "diagonal entries must be integers"),
+    (NuProblem, (0.0, (1.0, 2.0)), "c must be nonzero"),
+    (PhysicalParams, (0.0, 1.0, 1.0, 1.0, 0), "mass must be finite and positive"),
+    (Poly, ((1.0, math.nan),), "non-finite value not admitted: coeffs"),
+    (ExpPowerTerm, (Poly((1.0,)), math.inf, 0.0), "non-finite value not admitted: rate"),
+    (RadialGrid, (100.0, 10), "n_points must be an int of at least 100"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, message", FORGED, ids=[c.__name__ for c, *_ in FORGED])
+def test_restored_records_are_checked_again(cls, fields, message):
+    """Unpickling (protocol 2 and up) and deepcopy rebuild a checked record
+    through its ``__new__``, so one forged around the checks is refused.
+    Protocols 0 and 1 rebuild a tuple subclass without calling it."""
+    forged = tuple.__new__(cls, fields)
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(forged, protocol)
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(data)
+    with pytest.raises(ValueError, match=message):
+        copy.deepcopy(forged)

@@ -66,6 +66,25 @@ def test_verify_times_names_every_criterion():
     assert all(re.fullmatch(r"\d+\.\d{6}", seconds) for seconds, _ in lines)
 
 
+def test_cli_times_names_every_command():
+    """One "<ms> <command>" line for the bare interpreter and each command,
+    in order, then the import breakdown, led by phasenu.cli, without site."""
+    spec = importlib.util.spec_from_file_location("cli_times", ROOT / "scripts" / "cli_times.py")
+    cli_times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_times)
+    proc = _run(["cli_times.py", "--runs", "1"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    times, imports = lines[: 1 + len(cli_times.COMMANDS)], lines[1 + len(cli_times.COMMANDS):]
+    labels = ["python -c pass", *(" ".join(argv) for argv in cli_times.COMMANDS)]
+    assert [line.split(" ", 1)[1] for line in times] == labels
+    assert all(re.fullmatch(r"\d+\.\d{3}", line.split(" ", 1)[0]) for line in times)
+    assert 1 < len(imports) <= cli_times.TOP
+    assert imports[0].endswith(" us import phasenu.cli")
+    assert all(re.fullmatch(r"\d+ us import [\w.]+", line) for line in imports)
+    assert not any(line.endswith(" import site") for line in imports)
+
+
 def test_output_digest_is_stable():
     """One 64-hex-digit line, the same under two hash seeds: the run set
     has a fixed order and the digest sees no temporary path.  --per-run
