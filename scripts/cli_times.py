@@ -5,7 +5,7 @@ import of ``phasenu.cli`` spends.
 Runs ``python -m phasenu`` with each argument list of ``COMMANDS`` as a
 subprocess, with ``python -c pass`` first for the interpreter's own
 start-up, interleaved: each round runs every command once.  Prints one
-line per command, "<ms> <command>", with the fastest of ``--runs``
+line per command, "<ms> <command>", with the fastest of ``RUNS``
 rounds, then the ``TOP`` modules of ``python -X importtime -c "import
 phasenu.cli"`` by cumulative time, "<us> us import <module>", each the
 fastest of as many runs: ``phasenu.cli`` and what its import loads,
@@ -15,7 +15,6 @@ stops if a command fails; compare two trees with
     PYTHONPATH=<tree>/src python3 scripts/cli_times.py
 """
 
-import argparse
 import subprocess
 import sys
 from time import perf_counter
@@ -28,6 +27,9 @@ COMMANDS = [
     ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-3", "--grid", "0.01,20,400"],
     ["verify", "--suite", "all"],
 ]
+
+#: How many rounds are run; the fastest of each command is printed.
+RUNS = 9
 
 #: How many modules of the import breakdown are printed.
 TOP = 12
@@ -65,16 +67,11 @@ def import_times(stderr):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=9, help="rounds; the fastest is printed")
-    runs = parser.parse_args().runs
-    if runs < 1:
-        parser.error("--runs must be at least 1")
     labels = ["python -c pass", *(" ".join(argv) for argv in COMMANDS)]
     argvs = [["-c", "pass"], *(["-m", "phasenu", *argv] for argv in COMMANDS)]
     best = [float("inf")] * len(argvs)
     imports = {}
-    for _ in range(runs):
+    for _ in range(RUNS):
         for i, argv in enumerate(argvs):
             best[i] = min(best[i], run(argv)[0])
         _, stderr = run(["-X", "importtime", "-c", "import phasenu.cli"])

@@ -66,15 +66,16 @@ def test_verify_times_names_every_criterion():
     assert all(re.fullmatch(r"\d+\.\d{6}", seconds) for seconds, _ in lines)
 
 
-def test_cli_times_names_every_command():
+def test_cli_times_names_every_command(monkeypatch, capsys):
     """One "<ms> <command>" line for the bare interpreter and each command,
     in order, then the import breakdown, led by phasenu.cli, without site."""
     spec = importlib.util.spec_from_file_location("cli_times", ROOT / "scripts" / "cli_times.py")
     cli_times = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cli_times)
-    proc = _run(["cli_times.py", "--runs", "1"])
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    monkeypatch.setattr(cli_times, "RUNS", 1)
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    cli_times.main()
+    lines = capsys.readouterr().out.splitlines()
     times, imports = lines[: 1 + len(cli_times.COMMANDS)], lines[1 + len(cli_times.COMMANDS):]
     labels = ["python -c pass", *(" ".join(argv) for argv in cli_times.COMMANDS)]
     assert [line.split(" ", 1)[1] for line in times] == labels
