@@ -6,9 +6,9 @@ off and on the manifold, runs a composition example, and shows which
 phase angles come out state-independent.
 """
 
-from phasenu import (
-    CONFIG_SPACE_POINT,
-    DEEP_BRANCH_POINT,
+from phasenu.errors import WavefunctionDependentAngle
+from phasenu.hydrogen import CONFIG_SPACE_POINT, DEEP_BRANCH_POINT
+from phasenu.opspace import (
     AngleKind,
     OpPoint,
     classify,
@@ -21,7 +21,6 @@ from phasenu import (
     manifold_point,
     phase_angle,
 )
-from phasenu.errors import WavefunctionDependentAngle
 
 
 def show_point(label, p):

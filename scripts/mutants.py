@@ -61,6 +61,12 @@ MUTANTS = [
      "PhysicalParams admits a zero constant, which zeta's message then refuses"),
     ("opspace.py", "g.diag[3] * d", "g.diag[3] / d",
      "apply_to_point divides the delta slot by its entry"),
+    ("hydrogen.py", "MANIFOLD_TOL * abs(label)", "MANIFOLD_TOL / abs(label)",
+     "branch_of's snap window shrinks at the -3 label instead of widening"),
+    ("hydrogen.py", "max(1.0, abs(product))", "max(2.0, abs(product))",
+     "check_point admits a product twice as far from a label of -1"),
+    ("nu.py", "default=-1)", "default=0)",
+     "rodrigues_y names degree 0 for a y whose every coefficient underflows"),
 ]
 
 #: What the copy leaves out: history and what building and testing leave behind.

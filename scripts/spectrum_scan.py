@@ -10,17 +10,10 @@ error.
 
 import argparse
 
-from phasenu import (
-    BRANCHES,
-    PhysicalParams,
-    RadialGrid,
-    closed_form_energy,
-    fd_spectrum,
-    solve_energy,
-)
 from phasenu.cli import _count_arg
 from phasenu.errors import GridTooCoarse
-from phasenu.oracle import DEFAULT_GRID
+from phasenu.hydrogen import BRANCHES, PhysicalParams, closed_form_energy, solve_energy
+from phasenu.oracle import DEFAULT_GRID, RadialGrid, fd_spectrum
 
 
 def scan_branch(alphadelta, n_max, L_max, want_fd, grid):

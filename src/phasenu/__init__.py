@@ -1,98 +1,3 @@
 """Phase-space hydrogen bound states via the Nikiforov-Uvarov method,
 with the operator-coefficient manifold algebra and independent
 finite-difference oracles."""
-
-from .errors import PhasenuError
-from .hydrogen import (
-    BRANCHES,
-    CONFIG_SPACE_POINT,
-    DEEP_BRANCH_POINT,
-    SAMPLE_FRACTIONS,
-    PhysicalParams,
-    WavefunctionForm,
-    assemble_wavefunction,
-    branch_of,
-    build_radial_family,
-    canonical_config,
-    check_point,
-    closed_form_energy,
-    eval_wavefunction,
-    ode_residual,
-    recover_configuration_space,
-    solve_energy,
-)
-from .numeric import ExpPowerTerm, Poly
-from .nu import (
-    NuBranch,
-    NuProblem,
-    NuState,
-    select_branch,
-    solve_kappa,
-    solve_state,
-)
-from .opspace import (
-    AngleKind,
-    GEta,
-    OpPoint,
-    SpaceKind,
-    apply_to_point,
-    classify,
-    commutator_coefficient,
-    complement,
-    compose,
-    fundamental,
-    identity,
-    is_on_manifold,
-    manifold_point,
-    phase_angle,
-)
-from .oracle import RadialGrid, commutator_check, fd_spectrum, laguerre
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AngleKind",
-    "BRANCHES",
-    "CONFIG_SPACE_POINT",
-    "DEEP_BRANCH_POINT",
-    "ExpPowerTerm",
-    "GEta",
-    "NuBranch",
-    "NuProblem",
-    "NuState",
-    "OpPoint",
-    "PhasenuError",
-    "PhysicalParams",
-    "Poly",
-    "RadialGrid",
-    "SAMPLE_FRACTIONS",
-    "SpaceKind",
-    "WavefunctionForm",
-    "apply_to_point",
-    "assemble_wavefunction",
-    "branch_of",
-    "build_radial_family",
-    "canonical_config",
-    "check_point",
-    "classify",
-    "closed_form_energy",
-    "commutator_check",
-    "commutator_coefficient",
-    "complement",
-    "compose",
-    "eval_wavefunction",
-    "fd_spectrum",
-    "fundamental",
-    "identity",
-    "is_on_manifold",
-    "laguerre",
-    "manifold_point",
-    "ode_residual",
-    "phase_angle",
-    "recover_configuration_space",
-    "select_branch",
-    "solve_energy",
-    "solve_kappa",
-    "solve_state",
-    "__version__",
-]

@@ -226,7 +226,7 @@ def _cmd_manifold(args: argparse.Namespace) -> int:
     composed = opspace.compose(g0, applications)
     # 0 means no limit, as before 3.10.7; 10**limit > 2**(3 limit) spares short entries the power
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    for slot, entry in zip(opspace.SLOTS, composed.diag):
+    for slot, entry in zip(opspace.OpPoint._fields, composed.diag):
         if limit and abs(entry).bit_length() > 3 * limit and abs(entry) >= 10**limit:
             raise OverflowError(
                 f"transform entry {slot} has more than {limit} digits, the limit "

@@ -129,9 +129,6 @@ def compose(g0: GEta, applications: Sequence[tuple[GEta, int]]) -> GEta:
     return _geta((a, b, c, d))
 
 
-#: The names of the four coefficient slots, in the order of ``GEta.diag``.
-SLOTS = ("alpha", "beta", "gamma", "delta")
-
 #: The least int magnitude that ``float`` refuses: halfway from the
 #: largest float to 2**1024, from where rounding goes up.
 _FLOAT_OVERFLOW = 2**1024 - 2**970
@@ -144,7 +141,7 @@ def apply_to_point(g: GEta, p: OpPoint) -> tuple[OpPoint, bool]:
     try:
         image = OpPoint(g.diag[0] * a, g.diag[1] * b, g.diag[2] * c, g.diag[3] * d)
     except OverflowError:
-        slot = next(name for name, k in zip(SLOTS, g.diag) if abs(k) >= _FLOAT_OVERFLOW)
+        slot = next(name for name, k in zip(OpPoint._fields, g.diag) if abs(k) >= _FLOAT_OVERFLOW)
         raise OverflowError(
             f"transform entry {slot} does not fit a float; cannot apply it to "
             f"the point {tuple(p)!r}"

@@ -282,8 +282,9 @@ class TestBranches:
     def test_branch_of_tolerates_rounding(self):
         assert branch_of(-3.0) == -3.0
         assert branch_of(-3.0000000000000004) == -3.0
+        assert branch_of(-3.0 - 2e-12) == -3.0  # the window is relative: 3e-12 at -3
         assert branch_of(-1.0 + 1e-13) == -1.0
-        for far in (-2.0, -3.0 + 1e-9, 0.0, float("nan")):
+        for far in (-2.0, -3.0 + 1e-9, -3.0 - 4e-12, 0.0, float("nan")):
             with pytest.raises(UnsupportedBranch):
                 branch_of(far)
 
@@ -475,6 +476,10 @@ class TestConfigs:
         with pytest.raises(ValueError, match="does not match the point product"):
             check_point(DEEP_BRANCH_POINT, -1.0)
         check_point(DEEP_BRANCH_POINT, -3.0)
+        # the product may miss by 1e-12 times the larger of 1 and |alpha*delta|
+        with pytest.raises(ValueError, match="does not match the point product"):
+            check_point(manifold_point(1.0, 1.0, -1.0 - 1.5e-12), -1.0)
+        check_point(manifold_point(1.0, 1.0, -3.0 - 2e-12), -3.0)
 
     def test_config_refuses_a_nan_product(self):
         """The product check fails closed: NaN compares false."""

@@ -516,10 +516,15 @@ class TestRodrigues:
 
     def test_underflowing_leading_coefficient_is_an_error(self):
         """sigma = A, sigma_tilde = 1/4 - 1e-200 A^2: tau' = -2e-100, whose
-        fourth power underflows to zero, so y falls short of degree 4."""
+        fourth power underflows to zero, so y falls short of degree 4.  At
+        c = tau' = 1e-200 every coefficient underflows: the zero polynomial
+        has degree -1."""
         branch = select_branch(NuProblem(1.0, (0.25, 0.0)), 1e-200)
         with pytest.raises(RodriguesFailure, match="degree 3, expected 4"):
             rodrigues_y(branch, 4)
+        branch = NuBranch(1e-200, 0.0, 0.0, 0.0, 1e-200, -1e-200)
+        with pytest.raises(RodriguesFailure, match="^Rodrigues output has degree -1, expected 2$"):
+            rodrigues_y(branch, 2)
 
     def test_polynomial_solves_the_reduced_equation(self):
         """sigma y'' + tau y' + lambda_n y vanishes for Rodrigues output, at

@@ -1,6 +1,6 @@
-"""The package's public surface: every exported name resolves, every
-imported name is used, and every private module-level name and every
-method of a class is read."""
+"""The package's public surface: every imported name is used, every
+private module-level name and every method of a class is read, and a
+module loads only the modules it imports."""
 
 import ast
 import copy
@@ -13,37 +13,19 @@ import sys
 
 import pytest
 
-import phasenu
-from phasenu import (
-    ExpPowerTerm,
-    GEta,
-    NuBranch,
-    NuProblem,
-    NuState,
-    OpPoint,
-    PhysicalParams,
-    Poly,
-    RadialGrid,
-)
 from phasenu.acceptance import CheckResult
+from phasenu.hydrogen import PhysicalParams
+from phasenu.nu import NuBranch, NuProblem, NuState
+from phasenu.numeric import ExpPowerTerm, Poly
+from phasenu.opspace import GEta, OpPoint
+from phasenu.oracle import RadialGrid
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in phasenu.__all__ if not hasattr(phasenu, name)]
-    assert missing == []
-
-
-def test_star_import_binds_every_exported_name():
-    namespace: dict = {}
-    exec("from phasenu import *", namespace)
-    assert set(phasenu.__all__) <= set(namespace)
-
-
 def unused_imports(source):
-    """Names a module imports and never uses; a name listed in ``__all__``
-    or read in a string annotation counts as used."""
+    """Names a module imports and never uses; a name read in a string
+    annotation counts as used."""
     tree = ast.parse(source)
     imported, used = {}, set()
     for node in ast.walk(tree):
@@ -55,10 +37,6 @@ def unused_imports(source):
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
         annotations = [getattr(node, key, None) for key in ("annotation", "returns")]
         for annotation in filter(None, annotations):
             for part in ast.walk(annotation):
@@ -241,17 +219,41 @@ def test_the_solver_runs_on_floats():
     assert "numeric" not in imported_modules(nu_source)
 
 
-def test_commands_import_no_dataclasses_inspect_or_statistics():
-    """A fresh ``import phasenu.cli``, the import of every command, loads
-    none of these: the records are NamedTuples and the oracle's mean is an
-    fsum.  ``-S`` keeps site's own imports out of the count."""
-    code = "import sys, phasenu.cli; print(*sorted({'dataclasses', 'inspect', 'statistics'} & set(sys.modules)))"
+def fresh_stdout(code):
+    """What ``code`` prints in a fresh interpreter that finds the package
+    in ``src/``; ``-S`` keeps site's own imports out of ``sys.modules``."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "\n"
+    return proc.stdout
+
+
+def test_commands_import_no_dataclasses_inspect_or_statistics():
+    """A fresh ``import phasenu.cli``, the import of every command, loads
+    none of these: the records are NamedTuples and the oracle's mean is an
+    fsum."""
+    code = "import sys, phasenu.cli; print(*sorted({'dataclasses', 'inspect', 'statistics'} & set(sys.modules)))"
+    assert fresh_stdout(code) == "\n"
+
+
+@pytest.mark.parametrize(
+    "layer, loaded",
+    [
+        ("opspace", ["phasenu", "phasenu.errors", "phasenu.opspace"]),
+        ("nu", ["phasenu", "phasenu.errors", "phasenu.nu"]),
+    ],
+    ids=["opspace", "nu"],
+)
+def test_a_layer_loads_only_the_modules_it_imports(layer, loaded):
+    """``phasenu`` itself imports nothing, so a fresh import of one layer
+    loads that layer and what it imports, not the oracle or the rest."""
+    code = (
+        f"import sys, phasenu.{layer}; "
+        "print(*sorted(n for n in sys.modules if n.partition('.')[0] == 'phasenu'))"
+    )
+    assert fresh_stdout(code).split() == loaded
 
 
 #: One of each record of the package but WavefunctionForm, whose bound
