@@ -67,6 +67,14 @@ MUTANTS = [
      "check_point admits a product twice as far from a label of -1"),
     ("nu.py", "default=-1)", "default=0)",
      "rodrigues_y names degree 0 for a y whose every coefficient underflows"),
+    ("hydrogen.py", "abs(point.gamma) > MANIFOLD_TOL", "abs(point.gamma) >= MANIFOLD_TOL",
+     "recover_configuration_space refuses a gamma exactly MANIFOLD_TOL from zero"),
+    ("hydrogen.py", "abs(point.beta) > MANIFOLD_TOL", "abs(point.beta) >= MANIFOLD_TOL",
+     "recover_configuration_space refuses a beta exactly MANIFOLD_TOL from zero"),
+    ("opspace.py", "2**1024 - 2**970", "2**1024 - 2**971",
+     "apply_to_point names an entry that fits a float as the one that overflows"),
+    ("acceptance.py", "while r >= n:", "while r > n:",
+     "transform-algebra's _randint accepts hi + 1 and leaves randint's draws"),
 ]
 
 #: What the copy leaves out: history and what building and testing leave behind.

@@ -216,6 +216,17 @@ def check_rodrigues_laguerre() -> list[CheckResult]:
 # ------------------------------------------------------ transform algebra
 
 
+def _randint(getrandbits: Callable[[int], int], lo: int, hi: int) -> int:
+    """``randint(lo, hi)`` of the Random whose ``getrandbits`` this is: the
+    rejection that randint and choice run through ``_randbelow``."""
+    n = hi - lo + 1
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return lo + r
+
+
 def check_transform_algebra() -> list[CheckResult]:
     crit = "transform-algebra"
     rows: list[CheckResult] = []
@@ -232,21 +243,21 @@ def check_transform_algebra() -> list[CheckResult]:
         )
     )
 
-    rng = random.Random(4251)
-    # randrange(lo, hi + 1) draws what randint(lo, hi) draws, in the same order
-    # the drawn entries are ints, so the records skip GEta's checks
-    randrange, compose, complement = rng.randrange, opspace.compose, opspace.complement
-    geta = opspace._geta
+    # _randint draws what randint draws, in the same order; the drawn
+    # entries are ints, so the records skip GEta's checks
+    draw = random.Random(4251).getrandbits
+    compose, complement, geta = opspace.compose, opspace.complement, opspace._geta
     involution_ok = additivity_ok = True
     for _ in range(1000):
-        g = geta((randrange(-5, 6), randrange(-5, 6), randrange(-5, 6), randrange(-5, 6)))
+        g = geta((_randint(draw, -5, 5), _randint(draw, -5, 5),
+                  _randint(draw, -5, 5), _randint(draw, -5, 5)))
         back = complement(complement(g))
         involution_ok = involution_ok and back.diag == g.diag
         # one-group complement, random counts, split vs merged application
-        group = rng.choice(((0, 1), (2, 3)))
-        x, y = randrange(-3, 4), randrange(-3, 4)
+        group = ((0, 1), (2, 3))[_randint(draw, 0, 1)]
+        x, y = _randint(draw, -3, 3), _randint(draw, -3, 3)
         comp = geta((x, y, 0, 0) if group[0] == 0 else (0, 0, x, y))
-        a, b = randrange(-4, 5), randrange(-4, 5)
+        a, b = _randint(draw, -4, 4), _randint(draw, -4, 4)
         split = compose(g, [(comp, a), (comp, b)])
         merged = compose(g, [(comp, a + b)])
         undone = compose(compose(g, [(comp, a)]), [(comp, -a)])

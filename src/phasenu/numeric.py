@@ -7,7 +7,8 @@ coefficient, rate and power is a finite float; complex arithmetic is
 left to evaluating at a complex A.  Only the term evaluates, by Horner
 recursion along a slice of operator space; a polynomial is a record of
 its coefficients, in ascending degree order without exact-zero trailing
-ones, with their sum.
+ones.  Its ``+`` is the coefficient-wise sum, kept only for the
+benchmark's tracer test (ROADMAP item 1).
 """
 
 from __future__ import annotations

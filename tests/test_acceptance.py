@@ -113,6 +113,22 @@ def test_transform_algebra_draws_its_cases_in_order(monkeypatch):
     assert records == want
 
 
+@pytest.mark.parametrize("seed", (0, 4251, 2**40 + 3))
+def test_randint_draws_what_random_draws(seed):
+    """``_randint`` over one Random's ``getrandbits`` equals another's
+    ``randint``, draw for draw, for widths 1, 2, 7, 9, 11, 16, 17 and
+    2**41 + 1, and indexing a pair by it equals ``choice``."""
+    bounds = [(lo, lo + width - 1) for lo, width in
+              ((0, 1), (3, 2), (-3, 7), (-4, 9), (-5, 11), (0, 16), (-8, 17))]
+    bounds.append((-2**40, 2**40))
+    ours, theirs = random.Random(seed), random.Random(seed)
+    pair = ((0, 1), (2, 3))
+    for _ in range(200):
+        for lo, hi in bounds:
+            assert acceptance._randint(ours.getrandbits, lo, hi) == theirs.randint(lo, hi)
+        assert pair[acceptance._randint(ours.getrandbits, 0, 1)] == theirs.choice(pair)
+
+
 def transform_rows(monkeypatch, name, mutant):
     """transform-algebra's pass or fail per row, with ``opspace.<name>``
     replaced by ``mutant``."""

@@ -42,7 +42,7 @@ from phasenu.hydrogen import (
 )
 from phasenu.numeric import ExpPowerTerm, Poly
 from phasenu.nu import assemble, rodrigues_y, solve_state
-from phasenu.opspace import OpPoint, manifold_point
+from phasenu.opspace import MANIFOLD_TOL, OpPoint, manifold_point
 
 import exact
 
@@ -873,6 +873,9 @@ class TestRecovery:
         # beta and gamma within MANIFOLD_TOL of zero become exact zeros
         recovered = recover_configuration_space(OpPoint(2.0, 1e-13, -1e-13, -0.5))
         assert recovered == OpPoint(2.0, 0.0, 0.0, -0.5)
+        # and so does either one exactly MANIFOLD_TOL from zero
+        for edge in (OpPoint(1.0, 0.0, MANIFOLD_TOL, -1.0), OpPoint(1.0, MANIFOLD_TOL, 0.0, -1.0)):
+            assert recover_configuration_space(edge) == OpPoint(1.0, 0.0, 0.0, -1.0)
         wf = assemble_wavefunction(ATOMIC, recovered, 0)
         assert wf.prefactor_rate == 0j
 

@@ -231,8 +231,8 @@ class TestTransforms:
     def test_apply_names_the_entry_beyond_float_range(self, slot, name):
         limit = 2**1024 - 2**970  # halfway to 2**1024: float() rounds up from here
         point = OpPoint(1.0, 1.0, 1.0, 1.0)
-        diag = [1, 1, 1, 1]
-        diag[slot] = limit - 1
+        # every other entry rounds to the largest float, so it is not named
+        diag = [limit - 1] * 4
         image, _ = apply_to_point(GEta(diag), point)
         assert image[slot] == sys.float_info.max
         for entry in (limit, -limit):
