@@ -75,6 +75,12 @@ MUTANTS = [
      "apply_to_point names an entry that fits a float as the one that overflows"),
     ("acceptance.py", "while r >= n:", "while r > n:",
      "transform-algebra's _randint accepts hi + 1 and leaves randint's draws"),
+    ("nu.py", "1.0 + abs(", "2.0 + abs(",
+     "solve_kappa's gate admits one more unit of residual than its terms' scale"),
+    ("nu.py", "+ 2.0 * n * u", "+ 3.0 * n * u",
+     "solve_kappa's gate scale takes |lambda_n| at 1.5 times its value"),
+    ("nu.py", "abs((2.0 * u * v - q1) / c) + u", "abs((3.0 * u * v - q1) / c) + u",
+     "solve_kappa's gate scale takes a K that is not the selected branch's"),
 ]
 
 #: What the copy leaves out: history and what building and testing leave behind.

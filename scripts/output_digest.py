@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """One SHA-256 over the output of a fixed set of CLI runs.
 
-Runs the README examples, a scan/solve/wavefunction grid in four unit
-systems on both branches, ``verify --suite all``, two edge inputs of
+Runs the ``phasenu`` lines of this tree's ``README.md`` as written
+(``verify --suite all`` among them), a scan/solve/wavefunction grid in
+four unit systems on both branches, two edge inputs of
 ``--alphadelta``, four ``solve --point`` refusals (a point off the
 manifold, and three whose alpha*delta is not the branch's), five edge
 grids of ``wavefunction`` (a body whose Horner value overflows, an
@@ -39,6 +40,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import shlex
 import tempfile
 
@@ -50,15 +52,6 @@ UNITS = {
     "scaled": {"unit_system": "custom", "m": 2.5, "hbar": 1.7, "k": 0.8, "e2": 1.3},
     "muonic": {"unit_system": "custom", "m": 186.0, "hbar": 1.0, "k": 1.0, "e2": 1.0},
 }
-
-README = [
-    ["solve", "--n", "0", "--L", "0", "--alphadelta", "-3"],
-    ["scan", "--n-max", "3", "--L-max", "2", "--alphadelta", "-3"],
-    ["manifold", "--apply", "3:2"],
-    ["manifold", "--apply", "3:1", "--point=-3,1,-2,1"],
-    ["wavefunction", "--n", "0", "--L", "0", "--alphadelta", "-3", "--grid", "0.01,20,400"],
-    ["verify", "--suite", "all"],
-]
 
 EDGES = [
     ["solve", "--n", "0", "--L", "0", "--alphadelta", "-2"],
@@ -122,7 +115,13 @@ def main():
     )
     per_run = parser.parse_args().per_run
     os.environ["COLUMNS"] = "80"  # argparse wraps its usage errors to this width
-    runs = [*README, *EDGES, *HIGH_N, *grid(None), *(argv for unit in UNITS for argv in grid(unit))]
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    examples = [
+        shlex.split(line, comments=True)[1:]
+        for line in readme.read_text(encoding="utf-8").splitlines()
+        if line.startswith("phasenu ")
+    ]
+    runs = [*examples, *EDGES, *HIGH_N, *grid(None), *(argv for unit in UNITS for argv in grid(unit))]
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}

@@ -203,6 +203,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    hydrogen.check_residual_level(args.n_max)
     lines = ["n,L,energy,residual"]
     units = _load_params(args.config, 0)
     for n in range(args.n_max + 1):

@@ -226,6 +226,11 @@ SAMPLE_FRACTIONS = _fractions()
 RESIDUAL_MAX_N = 100_000
 
 
+def check_residual_level(n: int) -> None:
+    if n > RESIDUAL_MAX_N:
+        raise LevelTooHigh(f"the residual is computed up to n={RESIDUAL_MAX_N}, not n={n}")
+
+
 def _laguerre_steps(n: int, beta: float) -> list[tuple]:
     """Per-k constants (p, q, r) of the forward recurrence
     (k+1) L_{k+1} = (2k + 1 + beta - x) L_k - (k + beta) L_{k-1}, k < n,
@@ -280,8 +285,7 @@ def ode_residual(state: nu.NuState) -> float:
     ``RESIDUAL_MAX_N`` raises :class:`LevelTooHigh` before any allocation.
     """
     n, branch = state.n, state.branch
-    if n > RESIDUAL_MAX_N:
-        raise LevelTooHigh(f"the residual is computed up to n={RESIDUAL_MAX_N}, not n={n}")
+    check_residual_level(n)
     c, pi0, pi1 = branch.c, branch.pi0, branch.pi1
     a, b = branch._weight
     s0, s1 = state.family.sigma_tilde

@@ -292,6 +292,20 @@ class TestScan:
         assert captured.err == "LevelTooHigh: the residual is computed up to n=1, not n=2\n"
         assert captured.out == ""
 
+    def test_level_above_the_residual_bound_is_refused_before_any_row(self, monkeypatch, capsys):
+        """A row costs 0.16 s at n = 10,000, so the rows below the bound
+        would take about a day before the level above it is refused."""
+
+        def solve_state(*args):
+            raise AssertionError("scan solved a row")
+
+        monkeypatch.setattr(nu, "solve_state", solve_state)
+        bound = hydrogen.RESIDUAL_MAX_N
+        assert cli.main(["scan", "--n-max", str(bound + 1), "--L-max", "0", "--alphadelta", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"LevelTooHigh: the residual is computed up to n={bound}, not n={bound + 1}\n"
+        assert captured.out == ""
+
     def test_round_trip_formatting(self):
         proc = run_cli("scan", "--n-max", "0", "--L-max", "0", "--alphadelta", "-1")
         value = proc.stdout.strip().splitlines()[1].split(",")[2]

@@ -11,6 +11,7 @@ import pytest
 
 from phasenu.errors import NoBranch, NoSignChange, RodriguesFailure
 from phasenu.nu import (
+    RESIDUAL_TOL,
     RODRIGUES_MAX_N,
     NuBranch,
     NuProblem,
@@ -633,6 +634,26 @@ class TestQuantization:
         the refusal is the one select_branch gives."""
         with pytest.raises(NoBranch, match="^no decaying combination has an admissible weight$"):
             solve_kappa(NuProblem(-1.0, (2.0, 1.0)), 0)
+
+    @pytest.mark.parametrize("c, s0, n", [(1.0, 0.0, 0), (1.0, 0.0, 7), (3.0, -2.0, 4)])
+    def test_gate_scale_is_the_terms_the_residual_sums(self, monkeypatch, c, s0, n):
+        """The gate admits a residual of 0.999 RESIDUAL_TOL (1 + |K| +
+        |pi'| + |lambda_n|), at the K, pi' and lambda_n of the branch
+        selected at kappa, and refuses 1.001 times that."""
+        family = NuProblem(c, (s0, 2.0))
+        kappa = solve_kappa(family, n)
+        for factor in (0.999, 1.001):
+
+            def residual(family, kappa, n):
+                b = select_branch(family, kappa)
+                return factor * RESIDUAL_TOL * (1.0 + abs(b.K) + abs(b.pi1) + abs(b.lam_n(n)))
+
+            monkeypatch.setattr("phasenu.nu.eigen_residual", residual)
+            if factor < 1.0:
+                assert solve_kappa(family, n) == kappa
+            else:
+                with pytest.raises(NoSignChange, match="is out of tolerance$"):
+                    solve_kappa(family, n)
 
     def test_configuration_ground_state_is_exact(self):
         state = solve_state(radial_family(0.0, 2.0, -1.0), 0)

@@ -1,6 +1,6 @@
 """The package's public surface: every imported name is used, every
-private module-level name and every method of a class is read, and a
-module loads only the modules it imports."""
+private module-level name and every method of a class is read, a module
+loads only the modules it imports, and every record keeps one contract."""
 
 import ast
 import copy
@@ -14,7 +14,7 @@ import sys
 import pytest
 
 from phasenu.acceptance import CheckResult
-from phasenu.hydrogen import PhysicalParams
+from phasenu.hydrogen import PhysicalParams, assemble_wavefunction, canonical_config
 from phasenu.nu import NuBranch, NuProblem, NuState
 from phasenu.numeric import ExpPowerTerm, Poly
 from phasenu.opspace import GEta, OpPoint
@@ -279,6 +279,20 @@ def test_records_survive_pickle_and_deepcopy(record):
         assert type(again) is type(record) and again == record
     again = copy.deepcopy(record)
     assert type(again) is type(record) and again == record
+
+
+@pytest.mark.parametrize(
+    "record",
+    [*RECORDS, assemble_wavefunction(PhysicalParams(), canonical_config(-3.0), 1)],
+    ids=lambda r: type(r).__name__,
+)
+def test_records_are_slotted_and_frozen(record):
+    """Each record has slots on its type and no ``__dict__``, and refuses
+    assignment to a field or to a new attribute."""
+    assert "__slots__" in vars(type(record)) and not hasattr(record, "__dict__")
+    for name in (*record._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
 
 
 #: Each checked record, fields its checks refuse, and the refusal.
