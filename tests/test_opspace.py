@@ -1,5 +1,6 @@
 """Coefficient manifold and the diagonal transform algebra."""
 
+import copy
 import math
 import pickle
 import random
@@ -274,10 +275,31 @@ class TestTransforms:
 
 
 class TestRecords:
-    """OpPoint and GEta hash and print as their fields; ``test_package``
-    holds the contract every record keeps."""
+    """OpPoint and GEta are NamedTuples with empty slots and no ``__dict__``."""
 
     RECORDS = [OpPoint(-3.0, 1.0, -2.0, 1.0), GEta((1, 0, -1, 1)), complement(fundamental(3))]
+    IDS = ["OpPoint", "GEta", "complement"]
+
+    @pytest.mark.parametrize("record", RECORDS, ids=IDS)
+    def test_slotted_without_a_dict(self, record):
+        assert "__slots__" in vars(type(record))
+        assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize("record", RECORDS, ids=IDS)
+    def test_fields_are_frozen(self, record):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            record.extra = 0
+
+    @pytest.mark.parametrize("record", RECORDS, ids=IDS)
+    def test_pickle_and_deepcopy_round_trip(self, record):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(record, protocol))
+            assert type(again) is type(record) and again == record
+        again = copy.deepcopy(record)
+        assert type(again) is type(record) and again == record
 
     def test_hash_and_repr_are_the_fields(self):
         texts = [
