@@ -75,12 +75,14 @@ MUTANTS = [
      "apply_to_point names an entry that fits a float as the one that overflows"),
     ("acceptance.py", "while r >= n:", "while r > n:",
      "transform-algebra's _randint accepts hi + 1 and leaves randint's draws"),
-    ("nu.py", "1.0 + abs(", "2.0 + abs(",
-     "solve_kappa's gate admits one more unit of residual than its terms' scale"),
-    ("nu.py", "+ 2.0 * n * u", "+ 3.0 * n * u",
-     "solve_kappa's gate scale takes |lambda_n| at 1.5 times its value"),
-    ("nu.py", "abs((2.0 * u * v - q1) / c) + u", "abs((3.0 * u * v - q1) / c) + u",
-     "solve_kappa's gate scale takes a K that is not the selected branch's"),
+    ("nu.py", "(1.0 + abs(b.K)", "(2.0 + abs(b.K)",
+     "solve_state's gate admits one more unit of residual than its terms' scale"),
+    ("nu.py", "abs(b.K)", "abs(b.lam)",
+     "solve_state's gate scale takes |lambda| = |K + pi'| for |K|"),
+    ("nu.py", "abs(b.pi1)", "abs(b.tau1)",
+     "solve_state's gate scale takes |tau'| = 2 |pi'| for |pi'|"),
+    ("nu.py", "abs(lam_n))", "1.5 * abs(lam_n))",
+     "solve_state's gate scale takes |lambda_n| at 1.5 times its value"),
 ]
 
 #: What the copy leaves out: history and what building and testing leave behind.

@@ -19,6 +19,10 @@ d = n + L + 1, the -3 branch yields the deeper d = L + 3n + 2 family.
 These two are the products solved here.  Everything goes through
 ``nu``, the NU solver of this equation for any c > 0 (kappa as the root
 of lambda = lambda_n in sqrt(kappa)); closed forms only cross-check.
+
+The state is Psi = e psi(A), e = exp(i (gamma/delta) p r / hbar) the
+prefactor; as dA/dr = alpha, gamma p Psi + i hbar delta dPsi/dr =
+-i hbar c e psi'(A) with c = -alphadelta: p_op acts as -i hbar c d/dA.
 """
 
 from __future__ import annotations
@@ -140,8 +144,7 @@ def closed_form_energy(params: PhysicalParams, n: int, alphadelta: float) -> flo
 
 def solve_energy(params: PhysicalParams, n: int, alphadelta: float) -> float:
     """Energy from the NU pipeline, no closed form consulted."""
-    kappa = nu.solve_kappa(build_radial_family(params, alphadelta), n)
-    return params.energy_of_kappa(kappa)
+    return params.energy_of_kappa(nu.solve_state(build_radial_family(params, alphadelta), n).kappa)
 
 
 def check_point(point: OpPoint, alphadelta: float) -> None:

@@ -27,8 +27,8 @@ in u, so the root is written down too -- deliberately independent of any
 closed-form spectrum.  :class:`NuProblem` holds the equation less its
 kappa term, :func:`select_branch` resolves it at a kappa into
 :class:`NuBranch`, whose scalars give pi, tau, phi, rho and both lambdas,
-and :class:`NuState` adds n and kappa.  :func:`rodrigues_y` builds y, and
-is called only where y is printed or evaluated.
+and :class:`NuState` adds n and kappa; :func:`solve_state` gates it at
+the root.  :func:`rodrigues_y` builds y where y is printed or evaluated.
 """
 
 from __future__ import annotations
@@ -218,13 +218,6 @@ def rodrigues_y(branch: NuBranch, n: int) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-def eigen_residual(family: NuProblem, kappa: float, n: int) -> float:
-    """lambda - lambda_n for the branch selected at this kappa, which
-    :func:`select_branch` checks."""
-    b = select_branch(family, kappa)
-    return b.lam - b.lam_n(n)
-
-
 def solve_kappa(family: NuProblem, n: int) -> float:
     """Quantized kappa for level n: the root of the eigenvalue residual,
     written down.
@@ -240,10 +233,7 @@ def solve_kappa(family: NuProblem, n: int) -> float:
     ValueError and c <= 0 :class:`NoBranch`, before anything is divided;
     a root u* <= 0, or a kappa that is not a positive float ((u*)**2
     overflows, or underflows to zero), raises :class:`NoSignChange`
-    naming n.  The gate evaluates the residual once at kappa and requires
-    it below ``RESIDUAL_TOL`` relative to the terms it sums,
-    1 + |K| + |pi'| + |lambda_n|: float rounding of K + pi' - lambda_n
-    grows with them.
+    naming n.  :func:`solve_state` gates the state assembled there.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -256,12 +246,6 @@ def solve_kappa(family: NuProblem, n: int) -> float:
     if not 0.0 < kappa < math.inf:
         raise NoSignChange(
             f"level n={n} lies at kappa = {kappa!r}, outside the positive float range"
-        )
-    residual = abs(eigen_residual(family, kappa, n))
-    scale = 1.0 + abs((2.0 * u * v - q1) / c) + u + 2.0 * n * u
-    if not residual <= RESIDUAL_TOL * scale:
-        raise NoSignChange(
-            f"the eigenvalue residual {residual:.3e} at kappa={kappa!r} is out of tolerance"
         )
     return kappa
 
@@ -276,9 +260,16 @@ def assemble(family: NuProblem, kappa: float, n: int) -> NuState:
 
 
 def solve_state(family: NuProblem, n: int) -> NuState:
-    """Quantize level n and assemble the state at the root.
-
-    The written-down root and its gate run on scalars, and so does the
-    assembly: a state holds floats only.
-    """
-    return assemble(family, solve_kappa(family, n), n)
+    """Quantize level n, assemble the state at the root and gate it: the
+    residual lambda - lambda_n of its branch must lie within ``RESIDUAL_TOL``
+    times the terms it sums, 1 + |K| + |pi'| + |lambda_n|, whose float
+    rounding it carries, or :class:`NoSignChange` is raised."""
+    state = assemble(family, solve_kappa(family, n), n)
+    b = state.branch
+    lam_n = b.lam_n(n)
+    residual = abs(b.lam - lam_n)
+    if not residual <= RESIDUAL_TOL * (1.0 + abs(b.K) + abs(b.pi1) + abs(lam_n)):
+        raise NoSignChange(
+            f"the eigenvalue residual {residual:.3e} at kappa={state.kappa!r} is out of tolerance"
+        )
+    return state

@@ -19,11 +19,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import accumulate, islice
 from math import exp, fsum, inf, nextafter, sqrt
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import GridTooCoarse
-from .hydrogen import PhysicalParams
-from .opspace import OpPoint
+
+if TYPE_CHECKING:  # annotations only: the oracle runs no solver code
+    from .hydrogen import PhysicalParams
+    from .opspace import OpPoint
 
 #: Central-difference step for the commutator probe.
 FD_STEP = 1e-4

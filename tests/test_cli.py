@@ -155,16 +155,15 @@ class TestSolve:
 
             monkeypatch.setattr(module, name, counted)
 
-        for name in ("rodrigues_y", "select_branch", "eigen_residual"):
+        for name in ("rodrigues_y", "select_branch", "solve_kappa"):
             count(nu, name)
         count(hydrogen, "build_radial_family")
         assert cli.main(["solve", "--n", "2", "--L", "1", "--alphadelta", "-3"]) == 0
         assert json.loads(capsys.readouterr().out)["residual"] < 1e-8
         assert counts["rodrigues_y"] == 1
-        # kappa is written down: one residual evaluation, the gate's, and one
-        # more branch screen, the assembly's
-        assert counts["eigen_residual"] == 1
-        assert counts["select_branch"] == 2
+        # kappa is written down, and the gate reads the branch assembled there
+        assert counts["solve_kappa"] == 1
+        assert counts["select_branch"] == 1
         assert counts["build_radial_family"] == 1
 
     def test_overflowing_polynomial_is_a_solver_error(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Phase-space hydrogen pipeline: radial family, spectra on both
 perfect-square branches, wavefunction assembly, and the recovery rule."""
 
+import cmath
 import collections
 import functools
 import hashlib
@@ -371,17 +372,18 @@ class TestSpectra:
 
     def test_median_residual_evaluations_per_state(self, monkeypatch):
         """Over n 0..40, L 0..5, both branches, and masses 1, 186 and 900,
-        every state takes one evaluation, the gate's: the residual is
-        affine in sqrt(q2), so its root is written down (a Brent-Dekker
-        search in sqrt(kappa) took 3 or 4, one in kappa itself up to 51)."""
+        every state takes one evaluation, the gate's on the one branch
+        solve_state selects: the residual is affine in sqrt(q2), so its
+        root is written down (a Brent-Dekker search in sqrt(kappa) took 3
+        or 4, one in kappa itself up to 51)."""
         counts = []
-        original = nu.eigen_residual
+        original = nu.select_branch
 
-        def counted(family, kappa, n):
+        def counted(family, kappa):
             counts[-1] += 1
-            return original(family, kappa, n)
+            return original(family, kappa)
 
-        monkeypatch.setattr(nu, "eigen_residual", counted)
+        monkeypatch.setattr(nu, "select_branch", counted)
         for mass in (1.0, 186.0, 900.0):
             for alphadelta in BRANCHES:
                 for L in range(6):
@@ -401,21 +403,23 @@ class TestSpectra:
         the residual reads 1.7e-10, which a bound of 1e-10 (1 +
         |lambda_n|) refused."""
         for family, n, want in heavy_levels():
-            assert nu.solve_kappa(family, n) == pytest.approx(want, rel=1e-14)
+            assert nu.solve_state(family, n).kappa == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("detuning", [1e-9, -1e-9])
     def test_detuned_heavy_levels_fail_the_gate(self, monkeypatch, detuning):
-        """The gate's residual, taken at kappa (1 + detuning) instead of
-        the written-down kappa, is out of tolerance at every heavy level."""
-        original = nu.eigen_residual
+        """A branch selected at kappa (1 + detuning) instead of the
+        written-down kappa leaves solve_kappa's root as it is, and its
+        residual is out of solve_state's tolerance at every heavy level."""
+        original = nu.select_branch
 
-        def detuned(family, kappa, n):
-            return original(family, kappa * (1.0 + detuning), n)
+        def detuned(family, kappa):
+            return original(family, kappa * (1.0 + detuning))
 
-        monkeypatch.setattr(nu, "eigen_residual", detuned)
-        for family, n, _ in heavy_levels():
+        monkeypatch.setattr(nu, "select_branch", detuned)
+        for family, n, want in heavy_levels():
+            assert nu.solve_kappa(family, n) == pytest.approx(want, rel=1e-14)
             with pytest.raises(NoSignChange, match="out of tolerance"):
-                nu.solve_kappa(family, n)
+                nu.solve_state(family, n)
 
     def test_heavy_deep_levels_assemble_in_full_degree(self):
         """m = 900, n = 40: y has degree 40 on both branches and every L."""
@@ -515,6 +519,39 @@ class TestWavefunctions:
         rate gamma/delta is 2/3."""
         wf = assemble_wavefunction(ATOMIC, manifold_point(1.0, 1.0, -3.0), 0)
         assert wf.prefactor_rate == complex(2.0 / 3.0)
+
+    def test_momentum_operator_is_a_derivative_in_a(self):
+        """Psi = e psi(A), e = exp(i (gamma/delta) p r / hbar) from
+        prefactor_rate and psi from eval_wavefunction, satisfies
+        gamma p Psi + i hbar delta dPsi/dr = -i hbar c e psi'(A),
+        c = -alpha delta, at four manifold points, (n, L) in {(0, 0),
+        (2, 1)} and five samples (r, p).  Derivatives are central
+        differences in r of step 1e-5, psi'(A) that of psi over alpha; at
+        the deep point every sample keeps |Im A| >= 0.3, off the cut of
+        A**(1/3)."""
+        hbar, h = ATOMIC.hbar, 1e-5
+        points = (CONFIG_SPACE_POINT, DEEP_BRANCH_POINT, OpPoint(3.0, 1.0, -2.0, -1.0),
+                  OpPoint(1.0, 1.0, -2.0, -3.0))
+        samples = ((0.7, 0.3), (1.3, -0.4), (2.1, 0.9), (0.4, 1.1), (3.0, -1.2))
+        worst = 0.0
+        for point in points:
+            alpha, _, gamma, delta = point
+            for n, L in ((0, 0), (2, 1)):
+                wf = assemble_wavefunction(PhysicalParams(angular_momentum=L), point, n)
+                for r, p in samples:
+
+                    def e(x):
+                        return cmath.exp(1j * wf.prefactor_rate * p * x / hbar)
+
+                    def psi(x):
+                        return eval_wavefunction(wf, x, p, hbar)
+
+                    d_psi = (psi(r + h) - psi(r - h)) / (2.0 * h) / alpha
+                    d_state = (e(r + h) * psi(r + h) - e(r - h) * psi(r - h)) / (2.0 * h)
+                    lhs = gamma * p * e(r) * psi(r) + 1j * hbar * delta * d_state
+                    rhs = -1j * hbar * (-alpha * delta) * e(r) * d_psi
+                    worst = max(worst, abs(lhs - rhs) / abs(rhs))
+        assert worst <= 1e-7
 
     def test_eval_on_real_slice(self):
         wf = assemble_wavefunction(ATOMIC, canonical_config(-3.0), 0)

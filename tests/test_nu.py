@@ -15,7 +15,6 @@ from phasenu.nu import (
     RODRIGUES_MAX_N,
     NuBranch,
     NuProblem,
-    eigen_residual,
     rodrigues_y,
     select_branch,
     assemble,
@@ -37,6 +36,13 @@ def polys(family, kappa):
     of the equation at kappa as exact polynomials."""
     s0, s1 = family.sigma_tilde
     return exact.poly((0, family.c)), exact.poly((s0, s1, -kappa)), exact.poly((2,))
+
+
+def residual_at(family, kappa, n):
+    """lambda - lambda_n of the branch selected at kappa: what the gate of
+    solve_state reads at the root."""
+    branch = select_branch(family, kappa)
+    return branch.lam - branch.lam_n(n)
 
 
 def pi_tau(branch):
@@ -191,7 +197,7 @@ class TestProblemValidation:
         family = NuProblem(1e-300, (0.0, 0.0))
         for shifted in (
             lambda kappa: select_branch(family, kappa),
-            lambda kappa: eigen_residual(family, kappa, 0),
+            lambda kappa: assemble(family, kappa, 0),
         ):
             with pytest.raises(ValueError, match=r"^non-finite value not admitted: K = -inf$"):
                 shifted(1e300)
@@ -199,12 +205,12 @@ class TestProblemValidation:
     def test_kappa_the_subtraction_refuses_is_named(self):
         """A kappa beyond the float range, complex, non-finite or not a
         number at all, is refused naming kappa, by select_branch and by
-        eigen_residual, where the sign test or the square root would raise
+        assemble, where the sign test or the square root would raise
         a bare OverflowError or TypeError."""
         family = radial_family(0.0, 2.0, -1.0)
         for shifted in (
             lambda kappa: select_branch(family, kappa),
-            lambda kappa: eigen_residual(family, kappa, 0),
+            lambda kappa: assemble(family, kappa, 0),
         ):
             for bad in (10**400, Fraction(10**400, 3)):
                 with pytest.raises(ValueError, match="kappa is beyond the float range"):
@@ -570,19 +576,19 @@ class TestRodrigues:
 class TestQuantization:
     def test_residual_sign_structure(self):
         family = radial_family(0.0, 2.0, -3.0)
-        assert abs(eigen_residual(family, 0.25, 0)) < 1e-12
-        assert eigen_residual(family, 0.16, 0) > 0.0
-        assert eigen_residual(family, 0.36, 0) < 0.0
+        assert abs(residual_at(family, 0.25, 0)) < 1e-12
+        assert residual_at(family, 0.16, 0) > 0.0
+        assert residual_at(family, 0.36, 0) < 0.0
 
     def test_residual_requires_positive_kappa(self):
         family = radial_family(0.0, 2.0, -3.0)
         with pytest.raises(ValueError, match="^kappa must be positive$"):
-            eigen_residual(family, 0.0, 0)
+            assemble(family, 0.0, 0)
 
     def test_residual_monotone_in_sqrt_kappa(self):
         family = radial_family(0.0, 2.0, -3.0)
         values = [
-            eigen_residual(family, (0.1 + 0.9 * i / 99.0) ** 2, 0) for i in range(100)
+            residual_at(family, (0.1 + 0.9 * i / 99.0) ** 2, 0) for i in range(100)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -637,37 +643,52 @@ class TestQuantization:
 
     @pytest.mark.parametrize("c, s0, n", [(1.0, 0.0, 0), (1.0, 0.0, 7), (3.0, -2.0, 4)])
     def test_gate_scale_is_the_terms_the_residual_sums(self, monkeypatch, c, s0, n):
-        """The gate admits a residual of 0.999 RESIDUAL_TOL (1 + |K| +
-        |pi'| + |lambda_n|), at the K, pi' and lambda_n of the branch
-        selected at kappa, and refuses 1.001 times that."""
+        """solve_state's gate admits a residual of 0.999 RESIDUAL_TOL (1 +
+        |K| + |pi'| + |lambda_n|), at the K, pi' and lambda_n of the branch
+        it assembles, and refuses 1.001 times that."""
         family = NuProblem(c, (s0, 2.0))
         kappa = solve_kappa(family, n)
         for factor in (0.999, 1.001):
 
-            def residual(family, kappa, n):
-                b = select_branch(family, kappa)
-                return factor * RESIDUAL_TOL * (1.0 + abs(b.K) + abs(b.pi1) + abs(b.lam_n(n)))
+            class Off(NuBranch):
+                """The selected branch, with lambda that far from lambda_n."""
 
-            monkeypatch.setattr("phasenu.nu.eigen_residual", residual)
+                __slots__ = ()
+
+                @property
+                def lam(self):
+                    lam_n = self.lam_n(n)
+                    scale = 1.0 + abs(self.K) + abs(self.pi1) + abs(lam_n)
+                    return lam_n + factor * RESIDUAL_TOL * scale
+
+            monkeypatch.setattr(
+                "phasenu.nu.select_branch", lambda family, kappa: Off(*select_branch(family, kappa))
+            )
             if factor < 1.0:
-                assert solve_kappa(family, n) == kappa
+                assert solve_state(family, n).kappa == kappa
             else:
                 with pytest.raises(NoSignChange, match="is out of tolerance$"):
-                    solve_kappa(family, n)
+                    solve_state(family, n)
 
     def test_configuration_ground_state_is_exact(self):
         state = solve_state(radial_family(0.0, 2.0, -1.0), 0)
         assert state.kappa == 1.0
 
     def test_residual_is_that_of_the_selected_branch(self):
-        """eigen_residual, computed on scalars, equals lambda - lambda_n of
-        the NuBranch select_branch returns for the equation at kappa,
-        bit for bit, on a log grid of kappa from 1e-6 to 10."""
+        """The branch the gate reads is the one select_branch returns for
+        the equation at kappa, bit for bit, on a log grid of kappa from
+        1e-6 to 10, and its lambda - lambda_n is u (2v/c - 1 - 2n) - q1/c,
+        u = sqrt(kappa), the affine form whose root solve_kappa writes
+        down, to the rounding of the terms it sums."""
         for family, kappa in grid_problems():
             branch = select_branch(family, kappa)
+            c, (s0, s1) = family
+            v = -math.sqrt((0.5 * (c - 2.0)) ** 2 - s0)
             for n in (0, 3):
-                want = (branch.lam - branch.lam_n(n)).real
-                assert eigen_residual(family, kappa, n) == want
+                assert assemble(family, kappa, n).branch == branch
+                want = math.sqrt(kappa) * (2.0 * v / c - 1.0 - 2.0 * n) + s1 / c
+                scale = 1.0 + abs(branch.K) + abs(branch.pi1) + abs(branch.lam_n(n))
+                assert abs(residual_at(family, kappa, n) - want) <= 1e-15 * scale
 
     def test_solve_state_assembly(self):
         state = solve_state(radial_family(0.0, 2.0, -3.0), 2)

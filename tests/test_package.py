@@ -243,12 +243,14 @@ def test_commands_import_no_dataclasses_inspect_or_statistics():
     [
         ("opspace", ["phasenu", "phasenu.errors", "phasenu.opspace"]),
         ("nu", ["phasenu", "phasenu.errors", "phasenu.nu"]),
+        ("oracle", ["phasenu", "phasenu.errors", "phasenu.oracle"]),
     ],
-    ids=["opspace", "nu"],
+    ids=["opspace", "nu", "oracle"],
 )
 def test_a_layer_loads_only_the_modules_it_imports(layer, loaded):
     """``phasenu`` itself imports nothing, so a fresh import of one layer
-    loads that layer and what it imports, not the oracle or the rest."""
+    loads that layer and what it imports, not the rest; the oracle names
+    the solver's records in annotations only, so it loads no solver module."""
     code = (
         f"import sys, phasenu.{layer}; "
         "print(*sorted(n for n in sys.modules if n.partition('.')[0] == 'phasenu'))"
