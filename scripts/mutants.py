@@ -83,6 +83,8 @@ MUTANTS = [
      "solve_state's gate scale takes |tau'| = 2 |pi'| for |pi'|"),
     ("nu.py", "abs(lam_n))", "1.5 * abs(lam_n))",
      "solve_state's gate scale takes |lambda_n| at 1.5 times its value"),
+    ("acceptance.py", "not value <= worst", "value > worst",
+     "acceptance's _worst drops a NaN, so a NaN measure passes its row"),
 ]
 
 #: What the copy leaves out: history and what building and testing leave behind.

@@ -9,8 +9,9 @@ under test.
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import hydrogen, nu, opspace, oracle
 from .errors import ForbiddenCombination, PhasenuError, UnsupportedRecovery
@@ -43,25 +44,33 @@ def _solved_state(n: int, L: int, alphadelta: float) -> nu.NuState:
     return nu.solve_state(hydrogen.build_radial_family(params, alphadelta), n)
 
 
+def _worst(pairs: Iterable[tuple[float, object]], at: object) -> tuple[float, object]:
+    """The largest ``(value, where)`` of ``pairs``, or ``(0.0, at)`` if none
+    is positive; the first NaN counts as the largest."""
+    worst = 0.0
+    for value, where in pairs:
+        if not math.isnan(worst) and not value <= worst:  # larger, or the first NaN
+            worst, at = value, where
+    return worst, at
+
+
+def _bounded(crit: str, detail: str, label: str, value: float, tol: str,
+             at: str = "") -> CheckResult:
+    """The row that passes iff ``value <= tol``, so a NaN fails it; ``tol``
+    is the tolerance as printed."""
+    return CheckResult(crit, detail, value <= float(tol), f"{label} {value:.3e}{at} (tol {tol})")
+
+
 def _spectrum_rows(
     criterion: str,
     alphadelta: float,
     ref: Callable[[int, int], float],
     solved: dict[tuple[int, int], float],
 ) -> CheckResult:
-    worst = 0.0
-    worst_at = (0, 0)
-    for (n, L), got in solved.items():
-        want = ref(n, L)
-        rel = abs(got - want) / abs(want)
-        if rel > worst:
-            worst, worst_at = rel, (n, L)
-    return CheckResult(
-        criterion,
-        f"solved spectrum vs closed form, n<=5, L<=3, alphadelta={alphadelta:g}",
-        worst <= 1e-10,
-        f"max rel err {worst:.3e} at (n,L)={worst_at} (tol 1e-10)",
-    )
+    rels = ((abs(got - ref(n, L)) / abs(ref(n, L)), (n, L)) for (n, L), got in solved.items())
+    worst, at = _worst(rels, (0, 0))
+    detail = f"solved spectrum vs closed form, n<=5, L<=3, alphadelta={alphadelta:g}"
+    return _bounded(criterion, detail, "max rel err", worst, "1e-10", f" at (n,L)={at}")
 
 
 def check_deep_branch_spectrum() -> list[CheckResult]:
@@ -94,12 +103,9 @@ def check_configuration_limit() -> list[CheckResult]:
             measure = f"{type(err).__name__}: {err}"
             rows.append(CheckResult(crit, detail, False, measure))
             continue
-        worst = 0.0
-        for idx, fd_val in enumerate(fd):
-            want = solved[idx, L]
-            worst = max(worst, abs(fd_val - want) / abs(want))
-        measure = f"max rel err {worst:.3e} (tol 1e-4)"
-        rows.append(CheckResult(crit, detail, worst <= 1e-4, measure))
+        rels = ((abs(got - solved[n, L]) / abs(solved[n, L]), n) for n, got in enumerate(fd))
+        worst, _ = _worst(rels, 0)
+        rows.append(_bounded(crit, detail, "max rel err", worst, "1e-4"))
     return rows
 
 
@@ -114,25 +120,21 @@ def check_ground_state_chain() -> list[CheckResult]:
     phi=e^{-A/6}A^{1/3}, rho=e^{-A/3}A^{1/3}.
     """
     crit = "ground-state-chain"
-    tol = 1e-12
     state = _solved_state(0, 0, -3.0)
     branch = state.branch
-
-    def max_gap(got: tuple[float, ...], want: tuple[float, ...]) -> float:
-        return max(abs(g - w) for g, w in zip(got, want))
-
     rows = [
-        ("kappa", abs(state.kappa - 0.25)),
-        ("K", abs(branch.K - 0.5)),
-        ("pi", max_gap((branch.pi0, branch.pi1), (1.0, -0.5))),
-        ("tau", max_gap((branch.tau0, branch.tau1), (4.0, -1.0))),
-        ("lambda and lambda_0", max(abs(branch.lam), abs(branch.lam_n(state.n)))),
-        ("phi", max_gap(branch._factor, (-1.0 / 6.0, 1.0 / 3.0))),
-        ("rho", max_gap(branch._weight, (-1.0 / 3.0, 1.0 / 3.0))),
+        ("kappa", (state.kappa,), (0.25,)),
+        ("K", (branch.K,), (0.5,)),
+        ("pi", (branch.pi0, branch.pi1), (1.0, -0.5)),
+        ("tau", (branch.tau0, branch.tau1), (4.0, -1.0)),
+        ("lambda and lambda_0", (branch.lam, branch.lam_n(state.n)), (0.0, 0.0)),
+        ("phi", branch._factor, (-1.0 / 6.0, 1.0 / 3.0)),
+        ("rho", branch._weight, (-1.0 / 3.0, 1.0 / 3.0)),
     ]
     return [
-        CheckResult(crit, name, gap <= tol, f"abs gap {gap:.3e} (tol 1e-12)")
-        for name, gap in rows
+        _bounded(crit, name, "abs gap",
+                 _worst(((abs(g - w), w) for g, w in zip(got, want)), 0.0)[0], "1e-12")
+        for name, got, want in rows
     ]
 
 
@@ -142,8 +144,7 @@ def check_ground_state_chain() -> list[CheckResult]:
 def check_residual_detector() -> list[CheckResult]:
     """Solved states satisfy their equation; detuned ones visibly fail."""
     crit = "residual-detector"
-    worst_solved = 0.0
-    worst_solved_at = ("", 0, 0)
+    solved = []
     weakest_detuned = float("inf")
     weakest_at = ("", 0, 0)
     for alphadelta in (-3.0, -1.0):
@@ -151,19 +152,14 @@ def check_residual_detector() -> list[CheckResult]:
             for L in range(3):
                 state = _solved_state(n, L, alphadelta)
                 tag = (f"alphadelta={alphadelta:g}", n, L)
-                solved = hydrogen.ode_residual(state)
-                if solved > worst_solved:
-                    worst_solved, worst_solved_at = solved, tag
+                solved.append((hydrogen.ode_residual(state), tag))
                 detuned = hydrogen.ode_residual(nu.assemble(state.family, 1.1 * state.kappa, n))
                 if detuned < weakest_detuned:
                     weakest_detuned, weakest_at = detuned, tag
+    worst, worst_at = _worst(solved, ("", 0, 0))
     return [
-        CheckResult(
-            crit,
-            "equation residual at quantized kappa, n<=5, L<=2, both branches",
-            worst_solved <= 1e-8,
-            f"max residual {worst_solved:.3e} at {worst_solved_at} (tol 1e-8)",
-        ),
+        _bounded(crit, "equation residual at quantized kappa, n<=5, L<=2, both branches",
+                 "max residual", worst, "1e-8", f" at {worst_at}"),
         CheckResult(
             crit,
             "residual under a 10% kappa detuning",
@@ -184,8 +180,7 @@ def check_rodrigues_laguerre() -> list[CheckResult]:
     the ratio across sample points has to be flat.
     """
     crit = "rodrigues-laguerre"
-    worst_spread = 0.0
-    worst_at = (0, 0)
+    spreads = []
     points = [0.3 + 2.7 * j / 19.0 for j in range(20)]
     for n in range(9):
         for L in (0, 1, 2):
@@ -200,15 +195,14 @@ def check_rodrigues_laguerre() -> list[CheckResult]:
                     y = y * A + c
                 ratios.append(y / oracle.laguerre(n, a, scale * A))
             mean = sum(ratios) / len(ratios)
-            spread = max(abs(r - mean) for r in ratios) / abs(mean)
-            if spread > worst_spread:
-                worst_spread, worst_at = spread, (n, L)
+            spreads.append((max(abs(r - mean) for r in ratios) / abs(mean), (n, L)))
+    worst, at = _worst(spreads, (0, 0))
     return [
         CheckResult(
             crit,
             "y_n / L_n ratio flatness, n<=8, L<=2, 20 points",
-            worst_spread < 1e-9,
-            f"max rel spread {worst_spread:.3e} at (n,L)={worst_at} (tol 1e-9)",
+            worst < 1e-9,
+            f"max rel spread {worst:.3e} at (n,L)={at} (tol 1e-9)",
         )
     ]
 
@@ -309,28 +303,24 @@ def check_manifold_invariants() -> list[CheckResult]:
     rows: list[CheckResult] = []
     rng = random.Random(90125)
 
-    worst = 0.0
+    gaps = []
     for _ in range(1000):
         alpha = rng.uniform(-3.0, 3.0)
         beta = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0)
         delta = rng.uniform(-3.0, 3.0)
         p = opspace.manifold_point(alpha, beta, delta)
-        worst = max(worst, abs(opspace.commutator_coefficient(p) - 1.0))
-    rows.append(
-        CheckResult(crit, "constraint residual on 1000 constructor points",
-                    worst <= 1e-12, f"max |bg-ad-1| = {worst:.3e} (tol 1e-12)")
-    )
+        gaps.append((abs(opspace.commutator_coefficient(p) - 1.0), p))
+    rows.append(_bounded(crit, "constraint residual on 1000 constructor points",
+                         "max |bg-ad-1| =", _worst(gaps, None)[0], "1e-12"))
 
-    worst = 0.0
+    gaps = []
     for _ in range(200):
         delta = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 3.0)
         beta = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0)
         p = opspace.manifold_point(-3.0 / delta, beta, delta)
-        worst = max(worst, abs(p.beta * p.gamma - (-2.0)))
-    rows.append(
-        CheckResult(crit, "beta*gamma = -2 on alphadelta=-3 manifold points",
-                    worst <= 1e-12, f"max |bg+2| = {worst:.3e} (tol 1e-12)")
-    )
+        gaps.append((abs(p.beta * p.gamma - (-2.0)), p))
+    rows.append(_bounded(crit, "beta*gamma = -2 on alphadelta=-3 manifold points",
+                         "max |bg+2| =", _worst(gaps, None)[0], "1e-12"))
 
     probes = [(0.3, -0.4), (-0.9, 0.2), (0.5, 1.1), (-1.2, -0.7), (0.0, 0.6)]
     pts = [
@@ -343,11 +333,11 @@ def check_manifold_invariants() -> list[CheckResult]:
     ]
     pts.append(opspace.OpPoint(1.0, 0.0, 0.0, -2.0))  # off the surface
     pts.append(opspace.OpPoint(0.5, 1.5, -1.0, 1.0))  # off the surface
-    worst = 0.0
     off_n = sum(1 for p in pts if not opspace.is_on_manifold(p))
-    for p in pts:
-        got = oracle.commutator_check(p, probes)
-        worst = max(worst, abs(got - opspace.commutator_coefficient(p)))
+    worst, _ = _worst(
+        ((abs(oracle.commutator_check(p, probes) - opspace.commutator_coefficient(p)), p)
+         for p in pts), None
+    )
     rows.append(
         CheckResult(
             crit,
@@ -429,5 +419,8 @@ def run_suite(suite: str) -> list[CheckResult]:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     results: list[CheckResult] = []
     for name in SUITES[suite]:
-        results.extend(CRITERIA[name]())
+        try:
+            results.extend(CRITERIA[name]())
+        except Exception as err:  # a fault in the code under check fails its row
+            results.append(CheckResult(name, "raised", False, f"{type(err).__name__}: {err}"))
     return results

@@ -6,12 +6,13 @@ tolerances live in the acceptance module itself; these tests do not
 loosen or restate them.
 """
 
+import math
 import random
 import time
 
 import pytest
 
-from phasenu import acceptance, nu, opspace
+from phasenu import acceptance, cli, hydrogen, nu, opspace, oracle
 
 
 def run_criterion(name):
@@ -170,6 +171,69 @@ def test_recovery_rule(monkeypatch):
     monkeypatch.setattr(nu, "solve_state", lambda *args: calls.append(args))
     assert_all_passed(run_criterion("recovery-rule"))
     assert calls == []
+
+
+def nan_where(original, hit):
+    """``original``, but NaN for the calls whose arguments ``hit`` accepts."""
+    return lambda *args: math.nan if hit(*args) else original(*args)
+
+
+def nan_second_level(original):
+    return lambda *args: [x if i != 1 else math.nan for i, x in enumerate(original(*args))]
+
+
+def nan_pi1(original):
+    def solved_state(*args):
+        state = original(*args)
+        return state._replace(branch=state.branch._replace(pi1=math.nan))
+    return solved_state
+
+
+@pytest.mark.parametrize(
+    "name, target, attr, fault, failing",
+    [
+        ("deep-branch-spectrum", hydrogen, "solve_energy",
+         lambda f: nan_where(f, lambda params, n, ad: (n, params.angular_momentum) == (2, 1)),
+         [0]),
+        ("configuration-limit", oracle, "fd_spectrum", nan_second_level, [1, 2]),
+        ("ground-state-chain", acceptance, "_solved_state", nan_pi1, [2]),
+        ("rodrigues-laguerre", oracle, "laguerre",
+         lambda f: nan_where(f, lambda n, a, x: n == 4), [0]),
+        ("manifold-invariants", opspace, "commutator_coefficient",
+         lambda f: lambda p: math.nan, [0, 2]),
+    ],
+    ids=["solve_energy", "fd_spectrum", "pi1", "laguerre", "commutator_coefficient"],
+)
+def test_a_nan_measure_fails_its_row(monkeypatch, name, target, attr, fault, failing):
+    """A NaN in what a row measures makes the row FAIL and print ``nan``,
+    however many finite values come before or after it."""
+    monkeypatch.setattr(target, attr, fault(getattr(target, attr)))
+    rows = acceptance.CRITERIA[name]()
+    for i in failing:
+        assert not rows[i].passed, rows[i]
+        assert "nan" in rows[i].measure, rows[i]
+
+
+def test_a_criterion_that_raises_is_one_failed_row(monkeypatch, capsys):
+    """verify prints every other row as a sound run does, one FAIL row
+    naming the raised class in place of the faulty criterion's rows, and
+    exits 1."""
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    sound = capsys.readouterr().out.splitlines()[:-1]
+
+    def faulty():
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setitem(acceptance.CRITERIA, "ground-state-chain", faulty)
+    assert cli.main(["verify", "--suite", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    width = max(len(name) for name in acceptance.CRITERIA)
+    raised = (f"FAIL  {'ground-state-chain':<{width}}  raised  "
+              "[ZeroDivisionError: float division by zero]")
+    kept = [line for line in sound if "  ground-state-chain  " not in line]
+    at = next(i for i, line in enumerate(sound) if "  ground-state-chain  " in line)
+    assert lines[:-1] == kept[:at] + [raised] + kept[at:]
+    assert lines[-1] == f"{len(kept)}/{len(kept) + 1} checks passed"
 
 
 def test_registry_and_suites_are_consistent():
