@@ -14,9 +14,13 @@ directory and the one replacement made there.  Then
     python -m phasenu verify --suite all
 
 run in the copy, one mutant at a time.  One line per mutant gives the
-first failing test or "survived", and whether the digest and the stdout
-of ``verify`` moved against an unmutated copy.  The script exits 1 if
-any mutant survives tier-1; score two trees with
+first failing test or "survived", whether the digest moved against an
+unmutated copy, and what ``verify`` flags that the unmutated copy does
+not: each criterion with a FAIL row, a criterion that raised with the
+class it raised, or, when ``verify`` prints no table, its exit code and
+the last line of its stderr.  The last two lines count the mutants that
+tier-1 kills and those that ``verify`` flags.  The script exits 1 if any
+mutant survives tier-1; score two trees with
 
     python3 scripts/mutants.py --tree <tree>
 
@@ -26,6 +30,7 @@ Each mutant costs up to one tier-1 run, so a full table takes minutes.
 import argparse
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -85,6 +90,8 @@ MUTANTS = [
      "solve_state's gate scale takes |lambda_n| at 1.5 times its value"),
     ("acceptance.py", "not value <= worst", "value > worst",
      "acceptance's _worst drops a NaN, so a NaN measure passes its row"),
+    ("cli.py", "if command is None or extra:", "if command is None:",
+     "main drops the top-level fallback, so extra arguments are silently ignored"),
 ]
 
 #: What the copy leaves out: history and what building and testing leave behind.
@@ -117,10 +124,23 @@ def run(copy, *argv, timeout=None):
 
 
 def outputs(copy):
-    """The digest's last line and verify's stdout."""
+    """The digest's last line, and what verify flags in the order it prints:
+    "<criterion>" for a FAIL row, "<criterion> raised <class>" for a raise,
+    or "exit <code>: <last stderr line>" when verify prints no table."""
     digest = run(copy, "scripts/output_digest.py").stdout.splitlines()[-1:]
-    verify = run(copy, "-m", "phasenu", "verify", "--suite", "all").stdout
-    return digest, verify
+    verify = run(copy, "-m", "phasenu", "verify", "--suite", "all")
+    lines = verify.stdout.splitlines()
+    if not (lines and lines[-1].endswith(" checks passed")):
+        stderr = verify.stderr.splitlines() or [""]
+        return digest, (f"exit {verify.returncode}: {stderr[-1]}",)
+    flags = {}
+    for line in lines:
+        row = re.fullmatch(r"FAIL  (\S+) +(.*?)  \[(.*)\]", line)
+        if row:
+            criterion, detail, measure = row.groups()
+            raised = f" raised {measure.split(':')[0]}" if detail == "raised" else ""
+            flags[criterion + raised] = None
+    return digest, tuple(flags)
 
 
 def first_failure(copy):
@@ -148,8 +168,8 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         pristine = pathlib.Path(tmp) / "pristine"
         shutil.copytree(tree, pristine, ignore=IGNORED)
-        base_digest, base_verify = outputs(pristine)
-        survivors = 0
+        base_digest, base_flags = outputs(pristine)
+        survivors = flagged = 0
         for number, (module, old, new, why) in enumerate(MUTANTS, 1):
             copy = pathlib.Path(tmp) / f"mutant{number}"
             shutil.copytree(tree, copy, ignore=IGNORED)
@@ -158,17 +178,20 @@ def main():
             start = time.perf_counter()
             result = first_failure(copy)
             seconds = time.perf_counter() - start
-            digest, verify = outputs(copy)
+            digest, flags = outputs(copy)
+            flags = [flag for flag in flags if flag not in base_flags]
             survivors += result == "survived"
+            flagged += bool(flags)
             print(f"{number}. {module}: {old!r} -> {new!r} ({why})")
             print(
                 f"   {result} ({seconds:.1f} s); digest "
-                f"{'moved' if digest != base_digest else 'same'}; verify stdout "
-                f"{'moved' if verify != base_verify else 'same'}",
+                f"{'moved' if digest != base_digest else 'same'}; verify flags "
+                f"{', '.join(flags) or 'nothing'}",
                 flush=True,
             )
             shutil.rmtree(copy)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed by tier-1")
+    print(f"verify flags {flagged} of {len(MUTANTS)}")
     return 1 if survivors else 0
 
 

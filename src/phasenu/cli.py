@@ -290,7 +290,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built once per process: parsing leaves
     it unchanged, and each call of :func:`main` parses into a fresh
-    namespace."""
+    namespace.  Its ``commands`` maps each command name to that command's
+    own parser."""
     parser = argparse.ArgumentParser(
         prog="phasenu",
         description="Phase-space hydrogen solver and operator-manifold toolkit",
@@ -335,12 +336,22 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", choices=tuple(SUITES), default="all")
     verify.set_defaults(handler=_cmd_verify)
 
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level pass over a known command only hands argv[1:] to that
+    # command's parser, so that parser alone parses it.  Any other argv, and
+    # one whose command's parser leaves arguments over, goes through the
+    # top-level parser, which prints argparse's own message.
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+    if command is None or extra:
+        args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except (PhasenuError, OverflowError) as err:

@@ -713,12 +713,85 @@ class TestConfigFile:
         assert proc.returncode == 2
 
 
+#: argv at the edges of argparse's top-level pass: no command, the top
+#: level's own options, a command with what its parser leaves over, and
+#: options that only a command's parser knows.
+EDGE_ARGV = (
+    [],
+    ["-h"],
+    ["--he"],
+    ["-hsolve"],
+    ["frobnicate"],
+    ["sol"],
+    ["solve", "-h"],
+    ["solve"],
+    [*SOLVE, "extra"],
+    [*SOLVE, "--bogus", "1"],
+    ["solve", "--n", "0", "--L", "0", "--alpha", "-3"],
+    ["solve", "--", "--n", "0"],
+    ["--", *SOLVE],
+    [*SOLVE, "--out"],
+    ["solve", "--n", "x", "--L", "0", "--alphadelta", "-1"],
+    [*SOLVE, "--n", "1"],
+    [*SOLVE, "--alphadelta=-3"],
+    ["-x", *SOLVE],
+    [*SOLVE, "--", "extra"],
+    ["scan", "--n-max", "1", "--L-max", "1", "--alphadelta", "-1", "extra", "more"],
+    ["manifold", "--apply", "3:2", "--point"],
+    ["manifold", "--apply", "3:2", "-p", "1"],
+    ["verify", "--suite", "nope"],
+    [*WAVEFUNCTION, "--grid", "0.01,1,3", "x"],
+)
+
+
+def run_in_process(main, argv):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def parse_then_handle(argv):
+    """The top-level parser's pass over all of argv, then the handler."""
+    args = cli.build_parser().parse_args(argv)
+    return args.handler(args)
+
+
 class TestTopLevel:
     def test_no_arguments_is_a_usage_error(self):
         assert run_cli().returncode == 2
 
     def test_unknown_subcommand_is_a_usage_error(self):
         assert run_cli("frobnicate").returncode == 2
+
+    @pytest.mark.parametrize("argv", EDGE_ARGV, ids=lambda argv: " ".join(argv) or "none")
+    def test_main_prints_what_the_top_level_parser_prints(self, argv):
+        assert run_in_process(cli.main, argv) == run_in_process(parse_then_handle, argv)
+
+    def test_an_extra_argument_is_refused_by_the_top_level_prog(self):
+        code, out, err = run_in_process(cli.main, [*SOLVE, "extra"])
+        assert (code, out) == (2, "")
+        assert err.endswith("\nphasenu: error: unrecognized arguments: extra\n")
+
+    def test_a_known_command_skips_the_top_level_pass(self, monkeypatch):
+        """SOLVE is parsed by solve's parser alone; the top-level parser
+        parses only an argv that solve's parser leaves arguments over."""
+        parser, seen = cli.build_parser(), []
+        parse_known_args = parser.parse_known_args
+
+        def spy(args=None, namespace=None):
+            seen.append(list(args))
+            return parse_known_args(args, namespace)
+
+        monkeypatch.setattr(parser, "parse_known_args", spy)
+        assert run_in_process(cli.main, SOLVE)[0] == 0
+        assert seen == []
+        assert run_in_process(cli.main, [*SOLVE, "extra"])[0] == 2
+        assert seen == [[*SOLVE, "extra"]]
 
     def test_parser_is_built_once_without_changing_output(self):
         """Interleaved in-process calls give the same stdout, stderr and
@@ -735,27 +808,18 @@ class TestTopLevel:
             ["scan", "--n-max", "-1", "--L-max", "0", "--alphadelta", "-3"],
             ["manifold", "--apply", "3:2"],
             ["solve", "--help"],
+            [*SOLVE, "extra"],
             ["solve", "--n", "2", "--L", "1", "--alphadelta", "-3"],
         )
-
-        def run(argv):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main(argv)
-                except SystemExit as stop:
-                    code = stop.code
-            return code, out.getvalue(), err.getvalue()
-
         cli.build_parser.cache_clear()
-        cached = [run(argv) for argv in calls]
+        cached = [run_in_process(cli.main, argv) for argv in calls]
         assert cli.build_parser.cache_info().misses == 1
         fresh = []
         for argv in calls:
             cli.build_parser.cache_clear()
-            fresh.append(run(argv))
+            fresh.append(run_in_process(cli.main, argv))
         assert cached == fresh
-        assert [code for code, _, _ in cached] == [2, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0]
+        assert [code for code, _, _ in cached] == [2, 0, 0, 0, 0, 0, 2, 2, 0, 0, 2, 0]
 
 
 JSON_VALUES = st.recursive(

@@ -68,7 +68,8 @@ def test_verify_times_names_every_criterion():
 
 def test_cli_times_names_every_command(monkeypatch, capsys):
     """One "<ms> <command>" line for the bare interpreter and each command,
-    in order, then the import breakdown, led by phasenu.cli, without site."""
+    in order, one "<us> us main <command>" line for each command, then the
+    import breakdown, led by phasenu.cli, without site."""
     spec = importlib.util.spec_from_file_location("cli_times", ROOT / "scripts" / "cli_times.py")
     cli_times = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cli_times)
@@ -76,10 +77,13 @@ def test_cli_times_names_every_command(monkeypatch, capsys):
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
     cli_times.main()
     lines = capsys.readouterr().out.splitlines()
-    times, imports = lines[: 1 + len(cli_times.COMMANDS)], lines[1 + len(cli_times.COMMANDS):]
+    count = len(cli_times.COMMANDS)
+    times, mains, imports = lines[: 1 + count], lines[1 + count: 1 + 2 * count], lines[1 + 2 * count:]
     labels = ["python -c pass", *(" ".join(argv) for argv in cli_times.COMMANDS)]
     assert [line.split(" ", 1)[1] for line in times] == labels
     assert all(re.fullmatch(r"\d+\.\d{3}", line.split(" ", 1)[0]) for line in times)
+    assert [line.split(" us main ", 1)[1] for line in mains] == labels[1:]
+    assert all(re.fullmatch(r"\d+ us main .+", line) for line in mains)
     assert 1 < len(imports) <= cli_times.TOP
     assert imports[0].endswith(" us import phasenu.cli")
     assert all(re.fullmatch(r"\d+ us import [\w.]+", line) for line in imports)
@@ -116,8 +120,10 @@ def test_mutants_refuses_a_tree_without_a_target(tmp_path):
 
 @pytest.mark.parametrize("survivor", [None, 3])
 def test_mutants_exit_status_counts_survivors(tmp_path, monkeypatch, capsys, survivor):
-    """Exit 0 when tier-1 kills every row, 1 when one row survives; the
-    runs themselves are stubbed, so only the scoring is under test."""
+    """Exit 0 when tier-1 kills every row, 1 when one row survives, and a
+    last line that counts the rows whose verify flags what the unmutated
+    copy's does not; the runs themselves are stubbed, so only the scoring
+    is under test."""
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
@@ -127,12 +133,21 @@ def test_mutants_exit_status_counts_survivors(tmp_path, monkeypatch, capsys, sur
         for number in range(1, len(mutants.MUTANTS) + 1)
     )
     monkeypatch.setattr(mutants, "first_failure", lambda copy: next(results))
-    monkeypatch.setattr(mutants, "outputs", lambda copy: ([], ""))
+    flags = {
+        "pristine": ("configuration-limit",),
+        "mutant1": ("configuration-limit", "recovery-rule raised IndexError"),
+        "mutant2": ("configuration-limit",),
+    }
+    monkeypatch.setattr(mutants, "outputs", lambda copy: ([], flags.get(copy.name, ())))
     monkeypatch.setattr(sys, "argv", ["mutants.py", "--tree", str(tmp_path)])
     assert mutants.main() == (0 if survivor is None else 1)
     killed = len(mutants.MUTANTS) - (survivor is not None)
-    assert capsys.readouterr().out.endswith(
+    out = capsys.readouterr().out
+    assert out.count("; verify flags nothing\n") == len(mutants.MUTANTS) - 1
+    assert "; verify flags recovery-rule raised IndexError\n" in out
+    assert out.endswith(
         f"{killed} of {len(mutants.MUTANTS)} mutants killed by tier-1\n"
+        f"verify flags 1 of {len(mutants.MUTANTS)}\n"
     )
 
 
