@@ -20,7 +20,8 @@ not: each criterion with a FAIL row, a criterion that raised with the
 class it raised, or, when ``verify`` prints no table, its exit code and
 the last line of its stderr.  The last two lines count the mutants that
 tier-1 kills and those that ``verify`` flags.  The script exits 1 if any
-mutant survives tier-1; score two trees with
+mutant survives tier-1, and 143 when SIGTERM stops it, after it has
+removed its copies; score two trees with
 
     python3 scripts/mutants.py --tree <tree>
 
@@ -32,6 +33,7 @@ import os
 import pathlib
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -92,6 +94,12 @@ MUTANTS = [
      "acceptance's _worst drops a NaN, so a NaN measure passes its row"),
     ("cli.py", "if command is None or extra:", "if command is None:",
      "main drops the top-level fallback, so extra arguments are silently ignored"),
+    ("acceptance.py", "(not math.isnan(r[0]), r[0])", "r[0]",
+     "residual-detector's detuned min skips a NaN, so a NaN residual passes its row"),
+    ("hydrogen.py", "self.point.gamma / self.point.delta", "self.point.gamma * self.point.delta",
+     "prefactor_rate multiplies gamma by delta instead of dividing"),
+    ("opspace.py", "(p * r / hbar) * (point.gamma", "(p * r * hbar) * (point.gamma",
+     "the phi3 angle multiplies by hbar instead of dividing"),
 ]
 
 #: What the copy leaves out: history and what building and testing leave behind.
@@ -165,34 +173,40 @@ def main():
     )
     tree = parser.parse_args().tree.resolve()
     check_targets(tree)
-    with tempfile.TemporaryDirectory() as tmp:
-        pristine = pathlib.Path(tmp) / "pristine"
-        shutil.copytree(tree, pristine, ignore=IGNORED)
-        base_digest, base_flags = outputs(pristine)
-        survivors = flagged = 0
-        for number, (module, old, new, why) in enumerate(MUTANTS, 1):
-            copy = pathlib.Path(tmp) / f"mutant{number}"
-            shutil.copytree(tree, copy, ignore=IGNORED)
-            path = copy / "src" / "phasenu" / module
-            path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
-            start = time.perf_counter()
-            result = first_failure(copy)
-            seconds = time.perf_counter() - start
-            digest, flags = outputs(copy)
-            flags = [flag for flag in flags if flag not in base_flags]
-            survivors += result == "survived"
-            flagged += bool(flags)
-            print(f"{number}. {module}: {old!r} -> {new!r} ({why})")
-            print(
-                f"   {result} ({seconds:.1f} s); digest "
-                f"{'moved' if digest != base_digest else 'same'}; verify flags "
-                f"{', '.join(flags) or 'nothing'}",
-                flush=True,
-            )
-            shutil.rmtree(copy)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed by tier-1")
-    print(f"verify flags {flagged} of {len(MUTANTS)}")
-    return 1 if survivors else 0
+    # SIGTERM as SystemExit, so the with block removes the copies
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            pristine = pathlib.Path(tmp) / "pristine"
+            shutil.copytree(tree, pristine, ignore=IGNORED)
+            base_digest, base_flags = outputs(pristine)
+            survivors = flagged = 0
+            for number, (module, old, new, why) in enumerate(MUTANTS, 1):
+                copy = pathlib.Path(tmp) / f"mutant{number}"
+                shutil.copytree(tree, copy, ignore=IGNORED)
+                path = copy / "src" / "phasenu" / module
+                path.write_text(path.read_text(encoding="utf-8").replace(old, new),
+                                encoding="utf-8")
+                start = time.perf_counter()
+                result = first_failure(copy)
+                seconds = time.perf_counter() - start
+                digest, flags = outputs(copy)
+                flags = [flag for flag in flags if flag not in base_flags]
+                survivors += result == "survived"
+                flagged += bool(flags)
+                print(f"{number}. {module}: {old!r} -> {new!r} ({why})")
+                print(
+                    f"   {result} ({seconds:.1f} s); digest "
+                    f"{'moved' if digest != base_digest else 'same'}; verify flags "
+                    f"{', '.join(flags) or 'nothing'}",
+                    flush=True,
+                )
+                shutil.rmtree(copy)
+        print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed by tier-1")
+        print(f"verify flags {flagged} of {len(MUTANTS)}")
+        return 1 if survivors else 0
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

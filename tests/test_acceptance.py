@@ -178,6 +178,14 @@ def nan_where(original, hit):
     return lambda *args: math.nan if hit(*args) else original(*args)
 
 
+def detuned_at(alphadelta, n, L):
+    """Whether ``ode_residual``'s state is residual-detector's detuned level
+    (n, L) on the branch of alphadelta."""
+    family = hydrogen.build_radial_family(hydrogen.PhysicalParams(angular_momentum=L), alphadelta)
+    kappa = 1.1 * nu.solve_state(family, n).kappa
+    return lambda state: state == nu.assemble(family, kappa, n)
+
+
 def nan_second_level(original):
     return lambda *args: [x if i != 1 else math.nan for i, x in enumerate(original(*args))]
 
@@ -197,12 +205,15 @@ def nan_pi1(original):
          [0]),
         ("configuration-limit", oracle, "fd_spectrum", nan_second_level, [1, 2]),
         ("ground-state-chain", acceptance, "_solved_state", nan_pi1, [2]),
+        ("residual-detector", hydrogen, "ode_residual",
+         lambda f: nan_where(f, detuned_at(-1.0, 2, 1)), [1]),
         ("rodrigues-laguerre", oracle, "laguerre",
          lambda f: nan_where(f, lambda n, a, x: n == 4), [0]),
         ("manifold-invariants", opspace, "commutator_coefficient",
          lambda f: lambda p: math.nan, [0, 2]),
     ],
-    ids=["solve_energy", "fd_spectrum", "pi1", "laguerre", "commutator_coefficient"],
+    ids=["solve_energy", "fd_spectrum", "pi1", "ode_residual", "laguerre",
+         "commutator_coefficient"],
 )
 def test_a_nan_measure_fails_its_row(monkeypatch, name, target, attr, fault, failing):
     """A NaN in what a row measures makes the row FAIL and print ``nan``,
@@ -212,6 +223,36 @@ def test_a_nan_measure_fails_its_row(monkeypatch, name, target, attr, fault, fai
     for i in failing:
         assert not rows[i].passed, rows[i]
         assert "nan" in rows[i].measure, rows[i]
+
+
+@pytest.mark.parametrize(
+    "fault, measure",
+    [
+        (lambda f: nan_where(f, detuned_at(-1.0, 2, 1)),
+         "min residual nan at ('alphadelta=-1', 2, 1) (floor 1e-4)"),
+        (lambda f: lambda state: 1e-12,
+         "min residual 1.000e-12 at ('alphadelta=-3', 0, 0) (floor 1e-4)"),
+    ],
+    ids=["nan", "at_the_root"],
+)
+def test_the_detuned_row_fails_on_its_weakest_residual(monkeypatch, fault, measure):
+    """The detuned row names the first NaN residual, wherever it falls,
+    and fails when a detuned residual reads as small as a solved one: the
+    detector then detects nothing.  The solved row passes either way."""
+    monkeypatch.setattr(hydrogen, "ode_residual", fault(hydrogen.ode_residual))
+    solved, detuned = acceptance.CRITERIA["residual-detector"]()
+    assert solved.passed
+    assert not detuned.passed
+    assert detuned.measure == measure
+
+
+def test_a_commutator_row_without_an_off_manifold_point_fails(monkeypatch):
+    """The finite-difference commutator row must see a point off the
+    surface; when every point reads as on it, the row fails."""
+    monkeypatch.setattr(opspace, "is_on_manifold", lambda p: True)
+    rows = acceptance.CRITERIA["manifold-invariants"]()
+    assert [row.passed for row in rows] == [True, True, False]
+    assert "(0 off-manifold)" in rows[2].detail
 
 
 def test_a_criterion_that_raises_is_one_failed_row(monkeypatch, capsys):

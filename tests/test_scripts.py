@@ -5,8 +5,10 @@ import os
 import pathlib
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -149,6 +151,28 @@ def test_mutants_exit_status_counts_survivors(tmp_path, monkeypatch, capsys, sur
         f"{killed} of {len(mutants.MUTANTS)} mutants killed by tier-1\n"
         f"verify flags 1 of {len(mutants.MUTANTS)}\n"
     )
+
+
+def test_mutants_removes_its_copies_when_sigterm_stops_it(tmp_path, monkeypatch):
+    """SIGTERM during a run exits 143 after the temporary copies are
+    removed, and main leaves the SIGTERM handler as it found it."""
+    tree, tmp = tmp_path / "tree", tmp_path / "tmp"
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    tmp.mkdir()
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    monkeypatch.setattr(mutants, "outputs", lambda copy: ([], ()))
+    monkeypatch.setattr(mutants, "first_failure",
+                        lambda copy: os.kill(os.getpid(), signal.SIGTERM))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    monkeypatch.setattr(sys, "argv", ["mutants.py", "--tree", str(tree)])
+    handler = signal.getsignal(signal.SIGTERM)
+    with pytest.raises(SystemExit) as stop:
+        mutants.main()
+    assert stop.value.code == 143
+    assert list(tmp.iterdir()) == []
+    assert signal.getsignal(signal.SIGTERM) is handler
 
 
 def _run(script, **env_extra):
