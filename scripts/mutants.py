@@ -61,9 +61,8 @@ MUTANTS = [
      "complement's last slot is no involution"),
     ("opspace.py", "for shift, count in applications:", "for shift, count in applications[:1]:",
      "compose adds only the first application"),
-    ("acceptance.py", "(x, y, 0, 0) if group[0] == 0 else (0, 0, x, y)",
-     "(y, x, 0, 0) if group[0] == 0 else (0, 0, y, x)",
-     "transform-algebra's complement takes its two counts in the other order"),
+    ("acceptance.py", "(2, -1, 0, 0)", "(-1, 2, 0, 0)",
+     "transform-algebra's (2, -1) complement takes its two entries in the other order"),
     ("hydrogen.py", "not 0.0 < value < math.inf", "not 0.0 <= value < math.inf",
      "PhysicalParams admits a zero constant, which zeta's message then refuses"),
     ("opspace.py", "g.diag[3] * d", "g.diag[3] / d",
@@ -80,8 +79,6 @@ MUTANTS = [
      "recover_configuration_space refuses a beta exactly MANIFOLD_TOL from zero"),
     ("opspace.py", "2**1024 - 2**970", "2**1024 - 2**971",
      "apply_to_point names an entry that fits a float as the one that overflows"),
-    ("acceptance.py", "while r >= n:", "while r > n:",
-     "transform-algebra's _randint accepts hi + 1 and leaves randint's draws"),
     ("nu.py", "(1.0 + abs(b.K)", "(2.0 + abs(b.K)",
      "solve_state's gate admits one more unit of residual than its terms' scale"),
     ("nu.py", "abs(b.K)", "abs(b.lam)",

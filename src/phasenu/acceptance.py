@@ -9,6 +9,7 @@ under test.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import Callable, Iterable, NamedTuple
@@ -199,17 +200,6 @@ def check_rodrigues_laguerre() -> list[CheckResult]:
 # ------------------------------------------------------ transform algebra
 
 
-def _randint(getrandbits: Callable[[int], int], lo: int, hi: int) -> int:
-    """``randint(lo, hi)`` of the Random whose ``getrandbits`` this is: the
-    rejection that randint and choice run through ``_randbelow``."""
-    n = hi - lo + 1
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return lo + r
-
-
 def check_transform_algebra() -> list[CheckResult]:
     crit = "transform-algebra"
     rows: list[CheckResult] = []
@@ -226,31 +216,26 @@ def check_transform_algebra() -> list[CheckResult]:
         )
     )
 
-    # _randint draws what randint draws, in the same order; the drawn
-    # entries are ints, so the records skip GEta's checks
-    draw = random.Random(4251).getrandbits
+    # integer identities over a fixed grid: every diagonal with entries in
+    # -2..2, and every 26th, (a, b, a, b), which puts each entry in each
+    # slot; the entries are ints, so the records skip GEta's checks
     compose, complement, geta = opspace.compose, opspace.complement, opspace._geta
-    involution_ok = additivity_ok = True
-    for _ in range(1000):
-        g = geta((_randint(draw, -5, 5), _randint(draw, -5, 5),
-                  _randint(draw, -5, 5), _randint(draw, -5, 5)))
-        back = complement(complement(g))
-        involution_ok = involution_ok and back.diag == g.diag
-        # one-group complement, random counts, split vs merged application
-        group = ((0, 1), (2, 3))[_randint(draw, 0, 1)]
-        x, y = _randint(draw, -3, 3), _randint(draw, -3, 3)
-        comp = geta((x, y, 0, 0) if group[0] == 0 else (0, 0, x, y))
-        a, b = _randint(draw, -4, 4), _randint(draw, -4, 4)
-        split = compose(g, [(comp, a), (comp, b)])
-        merged = compose(g, [(comp, a + b)])
-        undone = compose(compose(g, [(comp, a)]), [(comp, -a)])
-        additivity_ok = additivity_ok and split.diag == merged.diag and undone.diag == g.diag
-    rows.append(
-        CheckResult(crit, "complement involution, 1000 random diagonals", involution_ok,
-                    "exact equality" if involution_ok else "mismatch found")
+    grid = [geta(diag) for diag in itertools.product(range(-2, 3), repeat=4)]
+    involution_ok = all(complement(complement(g)).diag == g.diag for g in grid)
+    comps = [geta(diag) for diag in ((1, 0, 0, 0), (0, 1, 0, 0), (2, -1, 0, 0),
+                                     (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 2, -1))]
+    additivity_ok = all(
+        compose(g, [(comp, a), (comp, b)]).diag == compose(g, [(comp, a + b)]).diag
+        and compose(compose(g, [(comp, a)]), [(comp, -a)]).diag == g.diag
+        for g in grid[::26] for comp in comps for a, b in ((1, 1), (2, -1), (-3, 2))
     )
     rows.append(
-        CheckResult(crit, "composition additivity and inverses, 1000 random cases",
+        CheckResult(crit, "complement involution, all 625 diagonals with entries in -2..2",
+                    involution_ok, "exact equality" if involution_ok else "mismatch found")
+    )
+    rows.append(
+        CheckResult(crit, "composition additivity and inverses, 25 diagonals x 6 "
+                    "one-group complements x 3 count pairs, 450 cases",
                     additivity_ok, "exact equality" if additivity_ok else "mismatch found")
     )
 

@@ -23,6 +23,9 @@ of lambda = lambda_n in sqrt(kappa)); closed forms only cross-check.
 The state is Psi = e psi(A), e = exp(i (gamma/delta) p r / hbar) the
 prefactor; as dA/dr = alpha, gamma p Psi + i hbar delta dPsi/dr =
 -i hbar c e psi'(A) with c = -alphadelta: p_op acts as -i hbar c d/dA.
+As dA/dp = i hbar beta, alpha r Psi + i hbar beta dPsi/dp = (-r/delta) Psi
+- hbar^2 beta^2 e psi'(A): r_op acts as multiplication by A only where
+beta = 0, where -1/delta = alpha; on the -3 label beta is never 0.
 """
 
 from __future__ import annotations

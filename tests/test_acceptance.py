@@ -7,7 +7,6 @@ loosen or restate them.
 """
 
 import math
-import random
 import time
 
 import pytest
@@ -88,9 +87,10 @@ def test_transform_algebra():
 
 
 def test_transform_algebra_draws_its_cases_in_order(monkeypatch):
-    """The 1,000 random cases are those that ``randint`` draws from seed
-    4251 in this order: four diagonal entries, the group, one count per
-    slot of the group, then a and b."""
+    """The additivity row composes exactly 450 cases, in this order: the
+    25 diagonals (a, b, a, b) with a, b in -2..2, which are every 26th
+    diagonal with entries in -2..2, each of six one-group complements and
+    each of three count pairs."""
     records = []
     original = opspace.compose
 
@@ -102,32 +102,10 @@ def test_transform_algebra_draws_its_cases_in_order(monkeypatch):
 
     monkeypatch.setattr(opspace, "compose", spy)
     assert_all_passed(run_criterion("transform-algebra"))
-    rng = random.Random(4251)
-    want = []
-    for _ in range(1000):
-        diag = tuple(rng.randint(-5, 5) for _ in range(4))
-        cd = [0, 0, 0, 0]
-        for slot in rng.choice(((0, 1), (2, 3))):
-            cd[slot] = rng.randint(-3, 3)
-        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
-        want.append((diag, tuple(cd), a, b))
-    assert records == want
-
-
-@pytest.mark.parametrize("seed", (0, 4251, 2**40 + 3))
-def test_randint_draws_what_random_draws(seed):
-    """``_randint`` over one Random's ``getrandbits`` equals another's
-    ``randint``, draw for draw, for widths 1, 2, 7, 9, 11, 16, 17 and
-    2**41 + 1, and indexing a pair by it equals ``choice``."""
-    bounds = [(lo, lo + width - 1) for lo, width in
-              ((0, 1), (3, 2), (-3, 7), (-4, 9), (-5, 11), (0, 16), (-8, 17))]
-    bounds.append((-2**40, 2**40))
-    ours, theirs = random.Random(seed), random.Random(seed)
-    pair = ((0, 1), (2, 3))
-    for _ in range(200):
-        for lo, hi in bounds:
-            assert acceptance._randint(ours.getrandbits, lo, hi) == theirs.randint(lo, hi)
-        assert pair[acceptance._randint(ours.getrandbits, 0, 1)] == theirs.choice(pair)
+    diags = [(a, b, a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    comps = [(1, 0, 0, 0), (0, 1, 0, 0), (2, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 2, -1)]
+    counts = [(1, 1), (2, -1), (-3, 2)]
+    assert records == [(d, c, a, b) for d in diags for c in comps for a, b in counts]
 
 
 def transform_rows(monkeypatch, name, mutant):
@@ -146,7 +124,7 @@ def test_transform_algebra_catches_a_wrong_complement(monkeypatch):
         return opspace.GEta((1 - a, 1 - b, 1 - c, 1 + d))
 
     rows = transform_rows(monkeypatch, "complement", mutant)
-    assert rows["complement involution, 1000 random diagonals"] is False
+    assert rows["complement involution, all 625 diagonals with entries in -2..2"] is False
 
 
 def test_transform_algebra_catches_a_dropped_application(monkeypatch):
@@ -158,7 +136,9 @@ def test_transform_algebra_catches_a_dropped_application(monkeypatch):
         return original(g0, applications[:1])
 
     rows = transform_rows(monkeypatch, "compose", mutant)
-    assert rows["composition additivity and inverses, 1000 random cases"] is False
+    detail = ("composition additivity and inverses, 25 diagonals x 6 one-group "
+              "complements x 3 count pairs, 450 cases")
+    assert rows[detail] is False
 
 
 def test_manifold_invariants():

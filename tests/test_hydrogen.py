@@ -60,6 +60,14 @@ RESIDUAL_UNITS = {
 #: The unit systems of scripts/output_digest.py.
 DIGEST_UNITS = {**RESIDUAL_UNITS, "muonic": PhysicalParams(mass=186.0)}
 
+#: Where the operator identities of the half-transform are checked: four
+#: manifold points, two states (n, L) and five samples (r, p).  At the deep
+#: point every sample keeps |Im A| >= 0.3, off the cut of A**(1/3).
+OPERATOR_POINTS = (CONFIG_SPACE_POINT, DEEP_BRANCH_POINT, OpPoint(3.0, 1.0, -2.0, -1.0),
+                   OpPoint(1.0, 1.0, -2.0, -3.0))
+OPERATOR_STATES = ((0, 0), (2, 1))
+OPERATOR_SAMPLES = ((0.7, 0.3), (1.3, -0.4), (2.1, 0.9), (0.4, 1.1), (3.0, -1.2))
+
 
 def exact_chain(family, n):
     """kappa, (K, pi0, pi1, tau0, tau1) and the y coefficients of level n
@@ -524,21 +532,16 @@ class TestWavefunctions:
         """Psi = e psi(A), e = exp(i (gamma/delta) p r / hbar) from
         prefactor_rate and psi from eval_wavefunction, satisfies
         gamma p Psi + i hbar delta dPsi/dr = -i hbar c e psi'(A),
-        c = -alpha delta, at four manifold points, (n, L) in {(0, 0),
-        (2, 1)} and five samples (r, p).  Derivatives are central
-        differences in r of step 1e-5, psi'(A) that of psi over alpha; at
-        the deep point every sample keeps |Im A| >= 0.3, off the cut of
-        A**(1/3)."""
+        c = -alpha delta, at OPERATOR_POINTS, OPERATOR_STATES and
+        OPERATOR_SAMPLES.  Derivatives are central differences in r of step
+        1e-5, psi'(A) that of psi over alpha."""
         hbar, h = ATOMIC.hbar, 1e-5
-        points = (CONFIG_SPACE_POINT, DEEP_BRANCH_POINT, OpPoint(3.0, 1.0, -2.0, -1.0),
-                  OpPoint(1.0, 1.0, -2.0, -3.0))
-        samples = ((0.7, 0.3), (1.3, -0.4), (2.1, 0.9), (0.4, 1.1), (3.0, -1.2))
         worst = 0.0
-        for point in points:
+        for point in OPERATOR_POINTS:
             alpha, _, gamma, delta = point
-            for n, L in ((0, 0), (2, 1)):
+            for n, L in OPERATOR_STATES:
                 wf = assemble_wavefunction(PhysicalParams(angular_momentum=L), point, n)
-                for r, p in samples:
+                for r, p in OPERATOR_SAMPLES:
 
                     def e(x):
                         return cmath.exp(1j * wf.prefactor_rate * p * x / hbar)
@@ -552,6 +555,46 @@ class TestWavefunctions:
                     rhs = -1j * hbar * (-alpha * delta) * e(r) * d_psi
                     worst = max(worst, abs(lhs - rhs) / abs(rhs))
         assert worst <= 1e-7
+
+    def test_position_operator_is_a_multiplier_only_where_beta_is_zero(self):
+        """Psi = e psi(A) as above satisfies alpha r Psi + i hbar beta
+        dPsi/dp = (-r/delta) Psi - hbar^2 beta^2 e psi'(A) at
+        OPERATOR_POINTS, OPERATOR_STATES and OPERATOR_SAMPLES.  Derivatives
+        are central differences in p of step 1e-5; psi'(A) is dpsi/dp over
+        i hbar beta, so the last term is i hbar beta e dpsi/dp.  So r_op
+        acts as multiplication by A only where beta = 0, where -1/delta =
+        alpha: it agrees with A Psi at CONFIG_SPACE_POINT and differs from
+        it by at least 0.3 at the three points with beta != 0.  Gaps are
+        |x - y| / (|x| + |y|)."""
+        hbar, h = ATOMIC.hbar, 1e-5
+
+        def gap(x, y):
+            return abs(x - y) / (abs(x) + abs(y))
+
+        worst, apart = 0.0, {}
+        for point in OPERATOR_POINTS:
+            alpha, beta, _, delta = point
+            for n, L in OPERATOR_STATES:
+                wf = assemble_wavefunction(PhysicalParams(angular_momentum=L), point, n)
+                for r, p in OPERATOR_SAMPLES:
+
+                    def e(y):
+                        return cmath.exp(1j * wf.prefactor_rate * y * r / hbar)
+
+                    def psi(y):
+                        return eval_wavefunction(wf, r, y, hbar)
+
+                    state = e(p) * psi(p)
+                    d_psi = (psi(p + h) - psi(p - h)) / (2.0 * h)
+                    d_state = (e(p + h) * psi(p + h) - e(p - h) * psi(p - h)) / (2.0 * h)
+                    r_op = alpha * r * state + 1j * hbar * beta * d_state
+                    rhs = (-r / delta) * state + 1j * hbar * beta * e(p) * d_psi
+                    worst = max(worst, gap(r_op, rhs))
+                    a_state = (alpha * r + 1j * hbar * beta * p) * state
+                    apart[point] = min(apart.get(point, math.inf), gap(r_op, a_state))
+        assert worst <= 1e-7
+        assert apart.pop(CONFIG_SPACE_POINT) <= 1e-12
+        assert min(apart.values()) >= 0.3
 
     def test_eval_on_real_slice(self):
         wf = assemble_wavefunction(ATOMIC, canonical_config(-3.0), 0)
