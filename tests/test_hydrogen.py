@@ -556,45 +556,49 @@ class TestWavefunctions:
                     worst = max(worst, abs(lhs - rhs) / abs(rhs))
         assert worst <= 1e-7
 
-    def test_position_operator_is_a_multiplier_only_where_beta_is_zero(self):
+    @pytest.mark.parametrize(
+        "point", OPERATOR_POINTS, ids=("config", "deep", "beta1-delta-1", "beta1-delta-3")
+    )
+    def test_position_operator_is_a_multiplier_only_where_beta_is_zero(self, point):
         """Psi = e psi(A) as above satisfies alpha r Psi + i hbar beta
-        dPsi/dp = (-r/delta) Psi - hbar^2 beta^2 e psi'(A) at
-        OPERATOR_POINTS, OPERATOR_STATES and OPERATOR_SAMPLES.  Derivatives
-        are central differences in p of step 1e-5; psi'(A) is dpsi/dp over
-        i hbar beta, so the last term is i hbar beta e dpsi/dp.  So r_op
-        acts as multiplication by A only where beta = 0, where -1/delta =
-        alpha: it agrees with A Psi at CONFIG_SPACE_POINT and differs from
-        it by at least 0.3 at the three points with beta != 0.  Gaps are
-        |x - y| / (|x| + |y|)."""
+        dPsi/dp = (-r/delta) Psi - hbar^2 beta^2 e psi'(A) at each of
+        OPERATOR_POINTS, for OPERATOR_STATES and OPERATOR_SAMPLES.
+        Derivatives are central differences in p of step 1e-5; psi'(A) is
+        dpsi/dp over i hbar beta, so the last term is i hbar beta e dpsi/dp.
+        So r_op acts as multiplication by A only where beta = 0, where
+        -1/delta = alpha: it agrees with A Psi at CONFIG_SPACE_POINT and
+        differs from it by at least 0.3 at every sample of the three points
+        with beta != 0.  Gaps are |x - y| / (|x| + |y|)."""
         hbar, h = ATOMIC.hbar, 1e-5
+        alpha, beta, _, delta = point
 
         def gap(x, y):
             return abs(x - y) / (abs(x) + abs(y))
 
-        worst, apart = 0.0, {}
-        for point in OPERATOR_POINTS:
-            alpha, beta, _, delta = point
-            for n, L in OPERATOR_STATES:
-                wf = assemble_wavefunction(PhysicalParams(angular_momentum=L), point, n)
-                for r, p in OPERATOR_SAMPLES:
+        worst, apart = 0.0, []
+        for n, L in OPERATOR_STATES:
+            wf = assemble_wavefunction(PhysicalParams(angular_momentum=L), point, n)
+            for r, p in OPERATOR_SAMPLES:
 
-                    def e(y):
-                        return cmath.exp(1j * wf.prefactor_rate * y * r / hbar)
+                def e(y):
+                    return cmath.exp(1j * wf.prefactor_rate * y * r / hbar)
 
-                    def psi(y):
-                        return eval_wavefunction(wf, r, y, hbar)
+                def psi(y):
+                    return eval_wavefunction(wf, r, y, hbar)
 
-                    state = e(p) * psi(p)
-                    d_psi = (psi(p + h) - psi(p - h)) / (2.0 * h)
-                    d_state = (e(p + h) * psi(p + h) - e(p - h) * psi(p - h)) / (2.0 * h)
-                    r_op = alpha * r * state + 1j * hbar * beta * d_state
-                    rhs = (-r / delta) * state + 1j * hbar * beta * e(p) * d_psi
-                    worst = max(worst, gap(r_op, rhs))
-                    a_state = (alpha * r + 1j * hbar * beta * p) * state
-                    apart[point] = min(apart.get(point, math.inf), gap(r_op, a_state))
+                state = e(p) * psi(p)
+                d_psi = (psi(p + h) - psi(p - h)) / (2.0 * h)
+                d_state = (e(p + h) * psi(p + h) - e(p - h) * psi(p - h)) / (2.0 * h)
+                r_op = alpha * r * state + 1j * hbar * beta * d_state
+                rhs = (-r / delta) * state + 1j * hbar * beta * e(p) * d_psi
+                worst = max(worst, gap(r_op, rhs))
+                apart.append(gap(r_op, (alpha * r + 1j * hbar * beta * p) * state))
         assert worst <= 1e-7
-        assert apart.pop(CONFIG_SPACE_POINT) <= 1e-12
-        assert min(apart.values()) >= 0.3
+        if point == CONFIG_SPACE_POINT:
+            assert max(apart) <= 1e-12
+        else:
+            assert beta != 0.0
+            assert min(apart) >= 0.3
 
     def test_eval_on_real_slice(self):
         wf = assemble_wavefunction(ATOMIC, canonical_config(-3.0), 0)
