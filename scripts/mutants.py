@@ -97,6 +97,10 @@ MUTANTS = [
      "prefactor_rate multiplies gamma by delta instead of dividing"),
     ("opspace.py", "(p * r / hbar) * (point.gamma", "(p * r * hbar) * (point.gamma",
      "the phi3 angle multiplies by hbar instead of dividing"),
+    ("oracle.py", "elif mid >= b:\n                hi = mid", "elif mid >= b:\n                lo = mid",
+     "a mid beyond the bracket's upper end is decided as below the level"),
+    ("oracle.py", "hi = b = mid", "hi = mid",
+     "a counted mid above the level no longer narrows the bracket: same bits, more counts"),
 ]
 
 #: What the copy leaves out: history and what building and testing leave behind.

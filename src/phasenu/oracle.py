@@ -12,6 +12,15 @@ confirm was arrived at twice.
 Each Sturm count stops once no later pivot q_k = d_k - x - b_{k-1}^2/q_{k-1}
 can turn negative: d_k - x >= |b_{k-1}| + |b_k| on every later row and
 q_k > |b_k| give q_{k+1} > |b_{k+1}| (as b_k^2/q_k < |b_k|), and so on.
+
+The bisection counts only where it must.  The count computed as
+(d_k - x) - b_{k-1}^2/q_{k-1} is monotone in x in IEEE arithmetic (J. W.
+Demmel, I. S. Dhillon and H. Ren, ETNA 3, 1995), so a point once counted
+decides every mid on its side.  Each level keeps a certified bracket, and
+once it is narrow a secant on the twisted pivot of T - x (I. S. Dhillon and
+B. N. Parlett, LAA 387, 2004) proposes two points about the level, which
+are counted too.  Every decision is the one plain bisection makes, so the
+levels have its bits; the proposal changes only how many counts are made.
 """
 
 from __future__ import annotations
@@ -143,6 +152,63 @@ def _last_weight(rows: Sequence[Row], level: float) -> float:
     return 0.5 * gap * (1.0 / below - 1.0 / above)
 
 
+def _twisted(rows: Sequence[Row], x: float, k: int) -> float:
+    """gamma_k(x) = q+_k + q-_k - (d_k - x) = 1 / (T - x)^{-1}_{kk}, with
+    q+ the pivots of ``_sturm`` and q- those of the rows taken in reverse."""
+    q = p = inf
+    for d, c, _ in rows[: k + 1]:
+        q = d - x - c / q
+    for d, _, b in reversed(rows[k:]):
+        p = d - x - b * b / p
+    return q + p - (d - x)
+
+
+def _near_level(
+    rows: Sequence[Row], tail: Sequence[float], lo: float, hi: float
+) -> tuple[float, ...]:
+    """Two points 2e-13 relative either side of a level near (lo, hi), or
+    none: on the default grid the count changes within 1.7e-13 of the
+    secant's root.
+
+    The twisted pivot gamma_k of ``_twisted`` vanishes at each level, and
+    about a level it is most nearly linear at the twist row k where
+    |gamma_k| is least (Dhillon and Parlett), at or before the Gershgorin
+    exit of ``tail``: past the exit the eigenvector does not grow.  It
+    decays there by about 1 / (t + sqrt(t^2 - 1)) per row, t = (d - hi) /
+    (|b_{k-1}| + |b_k|), and the rows after it has decayed 1e-8 are left
+    out.  A secant on gamma_k starts at the mid of (lo, hi) and stops once
+    a step is 1e-12 relative; an exact zero pivot, a flat secant or 8
+    steps without that propose nothing.
+    """
+    x = 0.5 * (lo + hi)
+    try:
+        end = start = bisect_left(tail, hi)
+        decay = 1.0
+        for d, c, b in islice(rows, start, None):
+            t = (d - hi) / (sqrt(c) + b)
+            decay /= t + sqrt(max(t * t - 1.0, 0.0))  # t >= 1 up to rounding
+            end += 1
+            if decay < 1e-8:
+                break
+        rows = rows[:end]
+        q = p = inf
+        forward = [q := d - x - c / q for d, c, _ in rows[: start + 1]]
+        backward = [p := d - x - b * b / p for d, _, b in reversed(rows)][::-1]
+        gammas = [f + g - (d - x) for f, g, (d, _, _) in zip(forward, backward, rows)]
+        least = [abs(g) for g in gammas]
+        k = least.index(min(least))
+        y = x + 1e-6 * (hi - lo)
+        gx, gy = gammas[k], _twisted(rows, y, k)
+        for _ in range(8):
+            x, y = y, y - gy * (y - x) / (gy - gx)
+            if abs(y - x) <= 1e-12 * abs(y):
+                return (y - 2e-13 * abs(y), y + 2e-13 * abs(y))
+            gx, gy = gy, _twisted(rows, y, k)
+    except ZeroDivisionError:
+        pass
+    return ()
+
+
 def _levels(
     rows: Sequence[Row], n_states: int, seeds: Sequence[float] | None = None
 ) -> list[float]:
@@ -160,6 +226,14 @@ def _levels(
     wherever it lies.  Each count stops early on the suffix minima of the
     rows' Gershgorin lower bounds: they do not decrease, so a bisection
     finds the exit row.
+
+    The bisection also keeps a certified bracket (a, b), count(a) <= j <
+    count(b), from the counts it takes: a mid at or beyond a or b is
+    decided without a count, and only a mid inside is counted.  When b - a
+    first is at most 1e-3 * max(1, |lo|, |hi|), the two points of
+    ``_near_level`` inside (a, b) are counted and narrow it.  As the count
+    is monotone in x, each decision is the one that counting the mid
+    would give, so the mids and the level are those of plain bisection.
     """
     tail = list(accumulate((d - sqrt(c) - b for d, c, b in reversed(rows)), min))[::-1]
     floor, ceiling = tail[0], max(d + sqrt(c) + b for d, c, b in rows)
@@ -180,14 +254,24 @@ def _levels(
                     break
                 near, step = far, 4.0 * step
             lo, hi = (far, near) if below else (near, far)
+        a, b, propose = lo, hi, True
         while hi - lo > 1e-14 * max(1.0, abs(lo), abs(hi)):
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            if _sturm(rows, mid, tail)[0] > j:
-                hi = mid
-            else:
+            if propose and b - a <= 1e-3 * max(1.0, abs(lo), abs(hi)):
+                propose = False
+                for x in _near_level(rows, tail, a, b):
+                    if a < x < b:
+                        a, b = (a, x) if _sturm(rows, x, tail)[0] > j else (x, b)
+            if mid <= a:
                 lo = mid
+            elif mid >= b:
+                hi = mid
+            elif _sturm(rows, mid, tail)[0] > j:
+                hi = b = mid
+            else:
+                lo = a = mid
         levels.append(0.5 * (lo + hi))
     return levels
 
@@ -217,8 +301,8 @@ def fd_spectrum(params: PhysicalParams, grid: RadialGrid, n_states: int) -> list
     when a returned level is not bound (box truncation, not physics), and
     when the companion grid has fewer unknowns than n_states.
     """
-    if n_states < 1:
-        raise ValueError("n_states must be at least 1")
+    if isinstance(n_states, bool) or not isinstance(n_states, int) or n_states < 1:
+        raise ValueError("n_states must be an int of at least 1")
     try:
         companion = grid.halved()
     except ValueError as exc:

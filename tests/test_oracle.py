@@ -183,6 +183,13 @@ class TestFdSpectrum:
         with pytest.raises(ValueError):
             fd_spectrum(ATOMIC, DEFAULT_GRID, 0)
 
+    @pytest.mark.parametrize("n_states", [2.5, "3", True], ids=["float", "str", "bool"])
+    def test_state_count_must_be_an_int(self, n_states):
+        """A float or a string once raised a bare TypeError from inside the
+        search, and True was taken as one state."""
+        with pytest.raises(ValueError, match="n_states must be an int of at least 1"):
+            fd_spectrum(ATOMIC, DEFAULT_GRID, n_states)
+
     def test_more_states_than_unknowns_detected(self):
         with pytest.raises(GridTooCoarse, match="500 states requested.* 499 unknowns"):
             fd_spectrum(ATOMIC, DEFAULT_GRID, 500)
@@ -260,6 +267,84 @@ class TestSturmExit:
             assert _sturm(unread, x, tail)[0] == _sturm(rows, x)[0]
         with pytest.raises(AssertionError, match="past the exit"):
             _sturm(unread, -0.3)
+
+
+#: fd_spectrum cases whose levels must not depend on the proposed points
+BRACKET_CASES = [
+    (ATOMIC, DEFAULT_GRID, 3),
+    (PhysicalParams(angular_momentum=1), RadialGrid(60.0, 800), 3),
+    (PhysicalParams(mass=2.5, hbar=1.7, angular_momentum=2), RadialGrid(150.0, 1500), 2),
+    (PhysicalParams(coulomb_constant=2.0, charge_squared=0.75), RadialGrid(40.0, 600), 4),
+]
+
+
+def _all_levels(rng_seed):
+    """Every fd_spectrum case of BRACKET_CASES, then _levels on 100 random
+    tridiagonals, one in ten couplings zero, unseeded and seeded from
+    points drawn near the levels."""
+    out = [fd_spectrum(*case) for case in BRACKET_CASES]
+    rng = random.Random(rng_seed)
+    for _ in range(100):
+        size = rng.randrange(2, 40)
+        diag = [rng.uniform(-20.0, 20.0) for _ in range(size)]
+        off = [rng.uniform(-10.0, 10.0) if rng.random() < 0.9 else 0.0 for _ in range(size - 1)]
+        rows = _rows(diag, off)
+        n = rng.randrange(1, min(size, 5) + 1)
+        plain = _levels(rows, n)
+        seeds = sorted(e + rng.uniform(-1.0, 1.0) for e in plain)
+        out += [plain, _levels(rows, n, seeds)]
+    return out
+
+
+class TestCertifiedBracket:
+    """The bisection decides a mid without a count when a counted point
+    lies beyond it, and counts two proposed points once the bracket is
+    narrow.  The count is monotone in x, so every level has the bits of
+    plain bisection, whatever is proposed."""
+
+    @pytest.fixture(scope="class")
+    def plain(self):
+        # with no point proposed, _levels is plain bisection
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(oracle, "_near_level", lambda rows, tail, lo, hi: ())
+            return _all_levels(1618)
+
+    def test_levels_do_not_depend_on_the_proposal(self, plain):
+        assert _all_levels(1618) == plain
+
+    def test_wrong_proposals_keep_the_bits(self, plain, monkeypatch):
+        rng = random.Random(31)
+        true = oracle._near_level
+
+        def anywhere(rows, tail, lo, hi):
+            # inside the bracket, or up to its width beyond either end
+            return tuple(rng.uniform(2.0 * lo - hi, 2.0 * hi - lo) for _ in range(2))
+
+        def shifted(by):
+            return lambda *args: tuple(x + by * abs(x) for x in true(*args))
+
+        below, above = shifted(-1e-9), shifted(1e-9)
+        for liar in (anywhere, below, above):
+            monkeypatch.setattr(oracle, "_near_level", liar)
+            assert _all_levels(1618) == plain
+
+    def test_proposal_at_a_gershgorin_bound(self):
+        # t = (d - hi) / (|b_{k-1}| + |b_k|) rounds to 1 - 3.6e-15 with hi
+        # on the bound 5.3 - 0.1, where sqrt(t^2 - 1) would raise
+        rows = _rows([5.3, 5.3], [0.1])
+        points = oracle._near_level(rows, _suffix_minima(rows), 5.0, 5.2)
+        assert points == pytest.approx([5.2, 5.2], rel=1e-12)
+
+    @pytest.mark.parametrize("L, sweeps", [(0, 92), (1, 63)])
+    def test_sweep_count(self, L, sweeps, monkeypatch):
+        """Counts taken by the configuration-limit call; plain bisection
+        takes 267 and 241.  A change that keeps the bits but gives back
+        the speed moves these numbers."""
+        calls = []
+        count = oracle._sturm
+        monkeypatch.setattr(oracle, "_sturm", lambda *args: calls.append(1) or count(*args))
+        fd_spectrum(PhysicalParams(angular_momentum=L), DEFAULT_GRID, 3)
+        assert len(calls) == sweeps
 
 
 class TestLaguerre:
