@@ -101,6 +101,12 @@ MUTANTS = [
      "a mid beyond the bracket's upper end is decided as below the level"),
     ("oracle.py", "hi = b = mid", "hi = mid",
      "a counted mid above the level no longer narrows the bracket: same bits, more counts"),
+    ("oracle.py", "above = d - hi - c / above", "above = d - lo - c / above",
+     "the wall guard's fused sweep takes the pivots above the level at the point below it"),
+    ("oracle.py", "d - radius - b", "d - radius + b",
+     "the Gershgorin lower bounds add |b_k| instead of subtracting it"),
+    ("oracle.py", "@lru_cache(maxsize=2)", "@lru_cache(maxsize=1)",
+     "the geometry memo keeps one grid, so each fd_spectrum builds both: same bits, more work"),
 ]
 
 #: What the copy leaves out: history and what building and testing leave behind.

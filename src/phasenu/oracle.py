@@ -26,8 +26,9 @@ levels have its bits; the proposal changes only how many counts are made.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from itertools import accumulate, islice
-from math import exp, fsum, inf, nextafter, sqrt
+from math import exp, fsum, inf, sqrt
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import GridTooCoarse
@@ -73,6 +74,20 @@ class RadialGrid(NamedTuple("RadialGrid", [("r_max", float), ("n_points", int)])
 DEFAULT_GRID = RadialGrid(100.0, 1000)
 
 
+@lru_cache(maxsize=2)  # a grid and its companion
+def _geometry(grid: RadialGrid) -> tuple[tuple[float, ...], ...]:
+    """Nodes r_i, cell edges r_{i+1/2}, widths r_{i+1} - r_i and edge ratios
+    p_i = r_{i-1/2} / r_{i+1/2} (p_0 = 0) of ``grid``: the part of
+    ``_weighted_coulomb`` that depends on the grid alone, built once per
+    grid for every L, in tuples that no caller can change."""
+    n, R = grid.cells, grid.r_max
+    r = tuple(R * (i / n) ** 2 for i in range(n + 1))
+    edge = tuple(R * ((i + 0.5) / n) ** 2 for i in range(n))
+    width = tuple(b - a for a, b in zip(r, r[1:]))
+    ratio = (0.0, *(a / b for a, b in zip(edge, edge[1:])))
+    return r, edge, width, ratio
+
+
 def _weighted_coulomb(params: PhysicalParams, grid: RadialGrid) -> tuple[list[Row], float]:
     """Rows of the weighted finite-volume operator, and u'(r_max)^2 per
     unit squared last component of a unit eigenvector.
@@ -87,18 +102,16 @@ def _weighted_coulomb(params: PhysicalParams, grid: RadialGrid) -> tuple[list[Ro
     M (``vol``), V and F are scaled by r_{i+1/2}^(2s+1) and written in
     p = r_{i-1/2} / r_{i+1/2}, so that no power of r over- or underflows.
     """
-    s, n, R = params.angular_momentum + 1, grid.cells, grid.r_max
+    s = params.angular_momentum + 1
     kin = params.hbar**2 / (2.0 * params.mass)
     coul = params.coulomb_constant * params.charge_squared
-    r = [R * (i / n) ** 2 for i in range(n + 1)]
-    edge = [R * ((i + 0.5) / n) ** 2 for i in range(n)]
-    width = [b - a for a, b in zip(r, r[1:])]
-    ratio = [0.0] + [a / b for a, b in zip(edge, edge[1:])]
+    r, edge, width, ratio = _geometry(grid)
     vol = [(1.0 - p ** (2 * s + 1)) / (2 * s + 1) for p in ratio]
-    inflow = [0.0] + [kin * p ** (2 * s) / h for p, h in zip(ratio[1:], width)]
+    power = [p ** (2 * s) for p in ratio]
+    inflow = [0.0] + [kin * w / h for w, h in zip(power[1:], width)]
     diag = [
-        (f + kin / h - coul * (1.0 - p ** (2 * s)) / (2 * s)) / (e * m)
-        for f, h, p, e, m in zip(inflow, width, ratio, edge, vol)
+        (f + kin / h - coul * (1.0 - w) / (2 * s)) / (e * m)
+        for f, h, w, e, m in zip(inflow, width, power, edge, vol)
     ]
     off = [
         kin / h * p ** (s + 0.5) / (e * sqrt(m * m1))
@@ -117,6 +130,12 @@ def _sturm(rows: Sequence[Row], x: float, tail: Sequence[float] | None = None) -
     minima of d_k - |b_{k-1}| - |b_k|, the sweep stops at the first pivot
     q_k > |b_k| once every later row has d - x >= |b_{k-1}| + |b_k|, and
     the pivot returned is then not the last.
+
+    At an exact zero pivot x is an eigenvalue of a leading block, and the
+    count is the one just above x, where that pivot is a negative
+    infinitesimal (LAPACK's dlaebz takes -pivmin): it counts, and the next
+    pivot is +inf, or d - x where the block decouples, so the count stays
+    monotone in x.
     """
     stop = None if tail is None else bisect_left(tail, x)
     count, q = 0, inf  # b_{-1}^2 / q vanishes on the first row
@@ -133,8 +152,11 @@ def _sturm(rows: Sequence[Row], x: float, tail: Sequence[float] | None = None) -
             if q < 0.0:
                 count += 1
     except ZeroDivisionError:
-        # an exact zero pivot: x is an eigenvalue of a leading block
-        return _sturm(rows, nextafter(x, inf), tail)
+        count, q = 0, inf
+        for d, c, _ in rows:
+            q = d - x - c / q if q else inf if c else d - x
+            if q <= 0.0:
+                count += 1
     return count, q
 
 
@@ -144,11 +166,19 @@ def _last_weight(rows: Sequence[Row], level: float) -> float:
     The final pivot of T - x is 1 / (T - x)^{-1}_{-1,-1} =
     1 / (w / (level - x) + B(x)), where B, the sum over the other levels,
     is smooth near ``level``; the pivots a gap below and above it differ
-    by 2 gap / w in their reciprocals, and B cancels.
+    by 2 gap / w in their reciprocals, and B cancels.  One sweep takes
+    both pivot sequences, each the one ``_sturm`` computes; at an exact
+    zero pivot the two ``_sturm`` calls take over.
     """
     gap = 1e-8 * max(1.0, abs(level))
-    below = _sturm(rows, level - gap)[1]
-    above = _sturm(rows, level + gap)[1]
+    lo, hi = level - gap, level + gap
+    below = above = inf
+    try:
+        for d, c, _ in rows:
+            below = d - lo - c / below
+            above = d - hi - c / above
+    except ZeroDivisionError:
+        below, above = _sturm(rows, lo)[1], _sturm(rows, hi)[1]
     return 0.5 * gap * (1.0 / below - 1.0 / above)
 
 
@@ -156,9 +186,9 @@ def _twisted(rows: Sequence[Row], x: float, k: int) -> float:
     """gamma_k(x) = q+_k + q-_k - (d_k - x) = 1 / (T - x)^{-1}_{kk}, with
     q+ the pivots of ``_sturm`` and q- those of the rows taken in reverse."""
     q = p = inf
-    for d, c, _ in rows[: k + 1]:
+    for d, c, _ in islice(rows, k + 1):
         q = d - x - c / q
-    for d, _, b in reversed(rows[k:]):
+    for d, _, b in islice(reversed(rows), len(rows) - k):
         p = d - x - b * b / p
     return q + p - (d - x)
 
@@ -186,7 +216,8 @@ def _near_level(
         decay = 1.0
         for d, c, b in islice(rows, start, None):
             t = (d - hi) / (sqrt(c) + b)
-            decay /= t + sqrt(max(t * t - 1.0, 0.0))  # t >= 1 up to rounding
+            u = t * t - 1.0  # t >= 1 up to rounding
+            decay /= t + (sqrt(u) if u > 0.0 else 0.0)
             end += 1
             if decay < 1e-8:
                 break
@@ -195,8 +226,7 @@ def _near_level(
         forward = [q := d - x - c / q for d, c, _ in rows[: start + 1]]
         backward = [p := d - x - b * b / p for d, _, b in reversed(rows)][::-1]
         gammas = [f + g - (d - x) for f, g, (d, _, _) in zip(forward, backward, rows)]
-        least = [abs(g) for g in gammas]
-        k = least.index(min(least))
+        k = gammas.index(min(gammas, key=abs))
         y = x + 1e-6 * (hi - lo)
         gx, gy = gammas[k], _twisted(rows, y, k)
         for _ in range(8):
@@ -225,7 +255,9 @@ def _levels(
     its seed.  Either way a level that is not bound is still found
     wherever it lies.  Each count stops early on the suffix minima of the
     rows' Gershgorin lower bounds: they do not decrease, so a bisection
-    finds the exit row.
+    finds the exit row.  One pass over the rows takes the lower and upper
+    bounds d -+ |b_{k-1}| -+ |b_k| with one square root per row; the least
+    lower bound and the greatest upper bound are ``floor`` and ``ceiling``.
 
     The bisection also keeps a certified bracket (a, b), count(a) <= j <
     count(b), from the counts it takes: a mid at or beyond a or b is
@@ -235,8 +267,13 @@ def _levels(
     is monotone in x, each decision is the one that counting the mid
     would give, so the mids and the level are those of plain bisection.
     """
-    tail = list(accumulate((d - sqrt(c) - b for d, c, b in reversed(rows)), min))[::-1]
-    floor, ceiling = tail[0], max(d + sqrt(c) + b for d, c, b in rows)
+    lower, upper = [], []
+    for d, c, b in rows:
+        radius = sqrt(c)
+        lower.append(d - radius - b)
+        upper.append(d + radius + b)
+    tail = list(accumulate(reversed(lower), min))[::-1]
+    floor, ceiling = tail[0], max(upper)
     bound = _sturm(rows, 0.0, tail)[0] if seeds is None else 0
     levels: list[float] = []
     for j in range(n_states):

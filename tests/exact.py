@@ -1,5 +1,6 @@
-"""Exact polynomials and exponential-power terms over Fraction: the
-reference the tests hold the float solver to.
+"""Exact polynomials and exponential-power terms over Fraction, and an
+exact eigenvalue count of a tridiagonal matrix: the reference the tests
+hold the float solver and oracle to.
 
 A polynomial is a tuple of Fractions in ascending degree order with no
 zero trailing coefficient; every function takes any iterable of floats,
@@ -88,3 +89,15 @@ def scaled_value(t, power, z):
     k = t.power - Fraction(power)
     assert k.denominator == 1, k
     return value(t.poly, z) * Fraction(z) ** k
+
+
+def levels_below(rows, x):
+    """Eigenvalues strictly below a rational x of the symmetric tridiagonal
+    matrix with ``rows`` (d_k, b_{k-1}^2, |b_k|): the negative pivots of
+    the LDL^T factorization of T - x, by Sylvester's law of inertia.  A
+    zero pivot before the last raises ZeroDivisionError."""
+    count, q = 0, None
+    for d, c, _ in rows:
+        q = Fraction(d) - Fraction(x) - (0 if q is None else Fraction(c) / q)
+        count += q < 0
+    return count

@@ -131,3 +131,14 @@ class TestTerm:
         assert exact.scaled_value(t, Fraction(1, 3), z) == exact.value((1, 2), z) * z
         with pytest.raises(AssertionError):
             exact.scaled_value(t, 0, z)
+
+
+class TestLevelsBelow:
+    def test_counts_a_two_by_two(self):
+        # [[1, -1], [-1, 1]] has eigenvalues 0 and 2
+        rows = [(1.0, 0.0, 1.0), (1.0, 1.0, 0.0)]
+        assert [exact.levels_below(rows, x) for x in (-1, 0, 0.5, 2, 3)] == [0, 0, 1, 1, 2]
+
+    def test_a_zero_pivot_before_the_last_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            exact.levels_below([(1.0, 0.0, 1.0), (1.0, 1.0, 0.0)], Fraction(1))

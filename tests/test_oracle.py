@@ -4,17 +4,21 @@ finite-difference commutator probe."""
 import math
 import random
 import statistics
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
 
 from phasenu import oracle
+from phasenu.acceptance import CRITERIA
 from phasenu.errors import GridTooCoarse
 from phasenu.hydrogen import PhysicalParams
 from phasenu.opspace import OpPoint, commutator_coefficient
 from phasenu.oracle import (
     DEFAULT_GRID,
     RadialGrid,
+    _geometry,
+    _last_weight,
     _levels,
     _sturm,
     _weighted_coulomb,
@@ -22,6 +26,8 @@ from phasenu.oracle import (
     fd_spectrum,
     laguerre,
 )
+
+import exact
 
 ATOMIC = PhysicalParams()
 
@@ -164,6 +170,21 @@ class TestFdSpectrum:
         assert _sturm(rows, 1.0)[0] == 1
         assert _sturm(rows, 2.5)[0] == 2
         assert _sturm(rows, -0.5)[0] == 0
+
+    def test_count_ends_at_a_zero_pivot_at_zero(self):
+        """At x = 0 the leading block [[4, 2], [2, 1]] is singular.  A retry
+        at nextafter(0, inf) = 5e-324 moved no d - x, so the bound count of
+        ``_levels`` recursed until RecursionError.  The count is the one
+        just above x, monotone in x, and each level lies where the exact
+        count steps."""
+        rows = _rows([4.0, 1.0, 2.0, 5.0, -2.0, 3.0], [2.0, 1.0, 2.0, 1.0, 1.0])
+        tiny = Fraction(1, 10**30)
+        counts = [_sturm(rows, x)[0] for x in (-5e-324, 0.0, 5e-324)]
+        assert counts == [exact.levels_below(rows, x) for x in (-tiny, tiny, tiny)]
+        for j, level in enumerate(_levels(rows, 6)):
+            step = Fraction(1e-12 * max(1.0, abs(level)))
+            below, above = (exact.levels_below(rows, level + s) for s in (-step, step))
+            assert below <= j < above
 
     def test_seeded_brackets_find_the_unseeded_levels(self):
         rows = _weighted_coulomb(ATOMIC, DEFAULT_GRID)[0]
@@ -335,16 +356,61 @@ class TestCertifiedBracket:
         points = oracle._near_level(rows, _suffix_minima(rows), 5.0, 5.2)
         assert points == pytest.approx([5.2, 5.2], rel=1e-12)
 
-    @pytest.mark.parametrize("L, sweeps", [(0, 92), (1, 63)])
+    @pytest.mark.parametrize("L, sweeps", [(0, 86), (1, 57)])
     def test_sweep_count(self, L, sweeps, monkeypatch):
         """Counts taken by the configuration-limit call; plain bisection
-        takes 267 and 241.  A change that keeps the bits but gives back
-        the speed moves these numbers."""
+        takes 261 and 235.  The six wall-guard sweeps are not counts.  A
+        change that keeps the bits but gives back the speed moves these
+        numbers."""
         calls = []
         count = oracle._sturm
         monkeypatch.setattr(oracle, "_sturm", lambda *args: calls.append(1) or count(*args))
         fd_spectrum(PhysicalParams(angular_momentum=L), DEFAULT_GRID, 3)
         assert len(calls) == sweeps
+
+
+class TestOnePass:
+    """Work that ``fd_spectrum`` once did twice is done once, with the
+    same bits."""
+
+    @staticmethod
+    def two_sweeps(rows, level):
+        gap = 1e-8 * max(1.0, abs(level))
+        below, above = _sturm(rows, level - gap)[1], _sturm(rows, level + gap)[1]
+        return 0.5 * gap * (1.0 / below - 1.0 / above)
+
+    @pytest.mark.parametrize("case", BRACKET_CASES, ids=["L0", "L1", "L2-units", "coulomb"])
+    def test_last_weight_is_two_sweeps_in_one(self, case, monkeypatch):
+        """At every level the wall guard weighs, one fused sweep gives the
+        bits of the two ``_sturm`` sweeps."""
+        seen = []
+        fused = oracle._last_weight
+        monkeypatch.setattr(oracle, "_last_weight", lambda *args: seen.append(args) or fused(*args))
+        fd_spectrum(*case)
+        assert len(seen) == case[2]
+        for rows, level in seen:
+            assert _last_weight(rows, level).hex() == self.two_sweeps(rows, level).hex()
+
+    def test_last_weight_at_a_zero_pivot(self, monkeypatch):
+        # the first pivot a gap below the level is exactly zero, so the
+        # fused sweep divides by it and the two counts take over
+        level = 1.0
+        rows = _rows([level - 1e-8, 3.0, 2.0], [1.0, 0.5])
+        want = self.two_sweeps(rows, level)
+        calls = []
+        count = oracle._sturm
+        monkeypatch.setattr(oracle, "_sturm", lambda *args: calls.append(1) or count(*args))
+        assert _last_weight(rows, level).hex() == want.hex()
+        assert len(calls) == 2
+
+    def test_each_grid_geometry_is_built_once(self):
+        """configuration-limit's two ``fd_spectrum`` calls share the fine
+        grid's geometry and the companion's, which no caller can change."""
+        _geometry.cache_clear()
+        CRITERIA["configuration-limit"]()
+        info = _geometry.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+        assert all(isinstance(part, tuple) for part in _geometry(DEFAULT_GRID))
 
 
 class TestLaguerre:

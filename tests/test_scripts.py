@@ -60,12 +60,17 @@ def test_scan_reports_more_states_than_the_grid_holds():
 
 
 def test_verify_times_names_every_criterion():
-    """One "<seconds> <criterion>" line per criterion, in suite order."""
+    """One "<seconds> <criterion>" line per criterion, in suite order, then
+    one "<calls> oracle.<name>" line per counted oracle function."""
     proc = _run(["verify_times.py"])
     assert proc.returncode == 0, proc.stderr
     lines = [line.split(" ") for line in proc.stdout.splitlines()]
-    assert [name for _, name in lines] == list(CRITERIA)
-    assert all(re.fullmatch(r"\d+\.\d{6}", seconds) for seconds, _ in lines)
+    times, counts = lines[: len(CRITERIA)], lines[len(CRITERIA):]
+    assert [name for _, name in times] == list(CRITERIA)
+    assert all(re.fullmatch(r"\d+\.\d{6}", seconds) for seconds, _ in times)
+    names = ["oracle._sturm", "oracle._twisted", "oracle._weighted_coulomb"]
+    assert [name for _, name in counts] == names
+    assert all(re.fullmatch(r"[1-9]\d*", calls) for calls, _ in counts)
 
 
 def test_cli_times_names_every_command(monkeypatch, capsys):
