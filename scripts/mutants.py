@@ -107,6 +107,10 @@ MUTANTS = [
      "the Gershgorin lower bounds add |b_k| instead of subtracting it"),
     ("oracle.py", "@lru_cache(maxsize=2)", "@lru_cache(maxsize=1)",
      "the geometry memo keeps one grid, so each fd_spectrum builds both: same bits, more work"),
+    ("oracle.py", "if q <= 0.0:\n            count += 1\n            q = q or _PIVMIN\n    for",
+     "if q < 0.0:\n            count += 1\n            q = q or _PIVMIN\n    for",
+     "the count before the exit skips an exact zero pivot: the count just below x on the "
+     "last row, a ZeroDivisionError on the next"),
 ]
 
 #: What the copy leaves out: history and what building and testing leave behind.

@@ -10,8 +10,8 @@ probe for phase-space operator coefficient tuples.  Anything these
 confirm was arrived at twice.
 
 Each Sturm count stops once no later pivot q_k = d_k - x - b_{k-1}^2/q_{k-1}
-can turn negative: d_k - x >= |b_{k-1}| + |b_k| on every later row and
-q_k > |b_k| give q_{k+1} > |b_{k+1}| (as b_k^2/q_k < |b_k|), and so on.
+can turn negative or zero: d_k - x > |b_{k-1}| + |b_k| on every later row
+and q_k > |b_k| give q_{k+1} > |b_{k+1}| (as b_k^2/q_k <= |b_k|), and so on.
 
 The bisection counts only where it must.  The count computed as
 (d_k - x) - b_{k-1}^2/q_{k-1} is monotone in x in IEEE arithmetic (J. W.
@@ -25,7 +25,7 @@ levels have its bits; the proposal changes only how many counts are made.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import accumulate, islice
 from math import exp, fsum, inf, sqrt
@@ -45,6 +45,11 @@ FD_STEP = 1e-4
 FD_TOLERANCE = 1e-4
 
 Row = tuple[float, float, float]  # (d_k, b_{k-1}^2, |b_k|) of a tridiagonal matrix
+
+#: An exact zero pivot is taken as this negative infinitesimal, the negative
+#: float nearest zero, as LAPACK's dlaebz takes -pivmin.  The next pivot is
+#: then d - x + b^2 * 2^1074: +inf for |b| > 3e-8, d - x where b = 0.
+_PIVMIN = -5e-324
 
 
 class RadialGrid(NamedTuple("RadialGrid", [("r_max", float), ("n_points", int)])):
@@ -122,42 +127,34 @@ def _weighted_coulomb(params: PhysicalParams, grid: RadialGrid) -> tuple[list[Ro
     return rows, slope
 
 
-def _sturm(rows: Sequence[Row], x: float, tail: Sequence[float] | None = None) -> tuple[int, float]:
-    """Negative pivots and last pivot of the LDL^T factorization of T - x.
+def _sturm(rows: Sequence[Row], x: float, tail: Sequence[float]) -> int:
+    """Levels of T below x: the negative pivots of the LDL^T factorization
+    of T - x, T symmetric tridiagonal with ``rows``, taken in order.
 
-    T is symmetric tridiagonal with ``rows``, taken in order; the negative
-    pivots count the levels strictly below x.  With ``tail``, the suffix
-    minima of d_k - |b_{k-1}| - |b_k|, the sweep stops at the first pivot
-    q_k > |b_k| once every later row has d - x >= |b_{k-1}| + |b_k|, and
-    the pivot returned is then not the last.
+    ``tail`` holds the suffix minima of d_k - |b_{k-1}| - |b_k|; the sweep
+    stops at the first pivot q_k > |b_k| once every later row has
+    d - x > |b_{k-1}| + |b_k|.  A row with d - x = |b_{k-1}| + |b_k|
+    admits a zero pivot (diag(1, 0) at x = 0), so it is swept.
 
-    At an exact zero pivot x is an eigenvalue of a leading block, and the
-    count is the one just above x, where that pivot is a negative
-    infinitesimal (LAPACK's dlaebz takes -pivmin): it counts, and the next
-    pivot is +inf, or d - x where the block decouples, so the count stays
-    monotone in x.
+    An exact zero pivot counts, on every row, and is taken as ``_PIVMIN``:
+    x is then an eigenvalue of a leading block, and the count is the one
+    just above x, monotone in x.
     """
-    stop = None if tail is None else bisect_left(tail, x)
     count, q = 0, inf  # b_{-1}^2 / q vanishes on the first row
     sweep = iter(rows)
-    try:
-        for d, c, _ in islice(sweep, stop):
-            q = d - x - c / q
-            if q < 0.0:
-                count += 1
-        for d, c, b in sweep:
-            q = d - x - c / q
-            if q > b:
-                break
-            if q < 0.0:
-                count += 1
-    except ZeroDivisionError:
-        count, q = 0, inf
-        for d, c, _ in rows:
-            q = d - x - c / q if q else inf if c else d - x
-            if q <= 0.0:
-                count += 1
-    return count, q
+    for d, c, _ in islice(sweep, bisect_right(tail, x)):
+        q = d - x - c / q
+        if q <= 0.0:
+            count += 1
+            q = q or _PIVMIN
+    for d, c, b in sweep:
+        q = d - x - c / q
+        if q > b:
+            break
+        if q <= 0.0:
+            count += 1
+            q = q or _PIVMIN
+    return count
 
 
 def _last_weight(rows: Sequence[Row], level: float) -> float:
@@ -167,18 +164,15 @@ def _last_weight(rows: Sequence[Row], level: float) -> float:
     1 / (w / (level - x) + B(x)), where B, the sum over the other levels,
     is smooth near ``level``; the pivots a gap below and above it differ
     by 2 gap / w in their reciprocals, and B cancels.  One sweep takes
-    both pivot sequences, each the one ``_sturm`` computes; at an exact
-    zero pivot the two ``_sturm`` calls take over.
+    both pivot sequences, an exact zero taken as ``_PIVMIN`` as in
+    ``_sturm``.
     """
     gap = 1e-8 * max(1.0, abs(level))
     lo, hi = level - gap, level + gap
     below = above = inf
-    try:
-        for d, c, _ in rows:
-            below = d - lo - c / below
-            above = d - hi - c / above
-    except ZeroDivisionError:
-        below, above = _sturm(rows, lo)[1], _sturm(rows, hi)[1]
+    for d, c, _ in rows:
+        below = d - lo - c / below or _PIVMIN
+        above = d - hi - c / above or _PIVMIN
     return 0.5 * gap * (1.0 / below - 1.0 / above)
 
 
@@ -274,7 +268,7 @@ def _levels(
         upper.append(d + radius + b)
     tail = list(accumulate(reversed(lower), min))[::-1]
     floor, ceiling = tail[0], max(upper)
-    bound = _sturm(rows, 0.0, tail)[0] if seeds is None else 0
+    bound = _sturm(rows, 0.0, tail) if seeds is None else 0
     levels: list[float] = []
     for j in range(n_states):
         if seeds is None:
@@ -284,10 +278,10 @@ def _levels(
             near, scale = seeds[j], max(1.0, abs(seeds[j]))
             step = 2.0 * abs(levels[-1] - seeds[j - 1]) if levels else 1e-4 * scale
             step = max(step, 1e-14 * scale)
-            below = _sturm(rows, near, tail)[0] > j
+            below = _sturm(rows, near, tail) > j
             while True:
                 far = min(max(near - step if below else near + step, floor), ceiling)
-                if far == near or (_sturm(rows, far, tail)[0] > j) != below:
+                if far == near or (_sturm(rows, far, tail) > j) != below:
                     break
                 near, step = far, 4.0 * step
             lo, hi = (far, near) if below else (near, far)
@@ -300,12 +294,12 @@ def _levels(
                 propose = False
                 for x in _near_level(rows, tail, a, b):
                     if a < x < b:
-                        a, b = (a, x) if _sturm(rows, x, tail)[0] > j else (x, b)
+                        a, b = (a, x) if _sturm(rows, x, tail) > j else (x, b)
             if mid <= a:
                 lo = mid
             elif mid >= b:
                 hi = mid
-            elif _sturm(rows, mid, tail)[0] > j:
+            elif _sturm(rows, mid, tail) > j:
                 hi = b = mid
             else:
                 lo = a = mid
@@ -335,8 +329,9 @@ def fd_spectrum(params: PhysicalParams, grid: RadialGrid, n_states: int) -> list
 
     The origin needs no guard: u = r^(L+1) w there exactly.  The call
     raises ``GridTooCoarse`` when either term exceeds ``FD_TOLERANCE``,
-    when a returned level is not bound (box truncation, not physics), and
-    when the companion grid has fewer unknowns than n_states.
+    when a returned level is not bound (box truncation, not physics), when
+    the companion grid has fewer unknowns than n_states, and when building
+    the rows of either grid overflows or divides by zero.
     """
     if isinstance(n_states, bool) or not isinstance(n_states, int) or n_states < 1:
         raise ValueError("n_states must be an int of at least 1")
@@ -351,8 +346,15 @@ def fd_spectrum(params: PhysicalParams, grid: RadialGrid, n_states: int) -> list
             f"{n_states} states requested, but the companion grid has only "
             f"{companion.cells} unknowns"
         )
-    coarse = _levels(_weighted_coulomb(params, companion)[0], n_states)
-    rows, slope = _weighted_coulomb(params, grid)
+    try:
+        coarse_rows = _weighted_coulomb(params, companion)[0]
+        rows, slope = _weighted_coulomb(params, grid)
+    except ArithmeticError as exc:
+        raise GridTooCoarse(
+            f"the cells of a grid with r_max={grid.r_max:g} leave the float "
+            f"range ({type(exc).__name__}); choose r_max on the scale of the states"
+        ) from exc
+    coarse = _levels(coarse_rows, n_states)
     fine = _levels(rows, n_states, seeds=coarse)
     s2 = (grid.cells / companion.cells) ** 2
     levels = [f + (f - c) / (s2 - 1.0) for f, c in zip(fine, coarse)]

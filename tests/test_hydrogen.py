@@ -615,6 +615,21 @@ class TestWavefunctions:
         wf = assemble_wavefunction(ATOMIC, canonical_config(-1.0), 0)
         assert eval_wavefunction(wf, 1.0, 0.0, 1.0) == pytest.approx(math.exp(-1.0))
 
+    @pytest.mark.parametrize("L", range(9))
+    @pytest.mark.parametrize("alphadelta", sorted(BRANCHES))
+    def test_solved_bodies_have_no_branch_point_at_zero(self, alphadelta, L):
+        """At A = 0 a solved body is P(0) where phi's power is 0, the -1
+        branch at L = 0, and 0 elsewhere: phi's power is L on the -1
+        branch and (L + 1)/3 on the -3 branch, so BranchPointError, which
+        a negative power would raise, cannot occur."""
+        params = PhysicalParams(angular_momentum=L)
+        for n in range(4):
+            wf = assemble_wavefunction(params, canonical_config(alphadelta), n)
+            phi_power = wf.state.branch._factor[1]
+            assert (phi_power == 0.0) == (alphadelta == -1.0 and L == 0)
+            want = complex(wf.body.poly.coeffs[0]) if phi_power == 0.0 else 0j
+            assert eval_wavefunction(wf, 0.0, 0j, 1.0) == want
+
     @settings(max_examples=40, deadline=None)
     @given(
         alphadelta=st.sampled_from(sorted(BRANCHES)),

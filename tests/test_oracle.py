@@ -3,6 +3,7 @@ finite-difference commutator probe."""
 
 import math
 import random
+import re
 import statistics
 from fractions import Fraction
 from itertools import accumulate
@@ -167,9 +168,10 @@ class TestFdSpectrum:
         # [[1, -1], [-1, 1]] has eigenvalues 0 and 2; at x = 1 the first
         # pivot is exactly zero
         rows = _rows([1.0, 1.0], [1.0])
-        assert _sturm(rows, 1.0)[0] == 1
-        assert _sturm(rows, 2.5)[0] == 2
-        assert _sturm(rows, -0.5)[0] == 0
+        tail = _suffix_minima(rows)
+        assert _sturm(rows, 1.0, tail) == 1
+        assert _sturm(rows, 2.5, tail) == 2
+        assert _sturm(rows, -0.5, tail) == 0
 
     def test_count_ends_at_a_zero_pivot_at_zero(self):
         """At x = 0 the leading block [[4, 2], [2, 1]] is singular.  A retry
@@ -179,7 +181,8 @@ class TestFdSpectrum:
         count steps."""
         rows = _rows([4.0, 1.0, 2.0, 5.0, -2.0, 3.0], [2.0, 1.0, 2.0, 1.0, 1.0])
         tiny = Fraction(1, 10**30)
-        counts = [_sturm(rows, x)[0] for x in (-5e-324, 0.0, 5e-324)]
+        tail = _suffix_minima(rows)
+        counts = [_sturm(rows, x, tail) for x in (-5e-324, 0.0, 5e-324)]
         assert counts == [exact.levels_below(rows, x) for x in (-tiny, tiny, tiny)]
         for j, level in enumerate(_levels(rows, 6)):
             step = Fraction(1e-12 * max(1.0, abs(level)))
@@ -216,6 +219,19 @@ class TestFdSpectrum:
             fd_spectrum(ATOMIC, DEFAULT_GRID, 500)
 
     @pytest.mark.parametrize(
+        "grid",
+        [RadialGrid(1e300, 1000), RadialGrid(1e-150, 1000), RadialGrid(1e-300, 1000),
+         RadialGrid(1e200, 100000)],
+        ids=["1e300", "1e-150", "1e-300", "1e200-100000"],
+    )
+    def test_grid_beyond_the_float_range_is_refused_by_name(self, grid):
+        """A cell width whose square overflows, or underflows to zero,
+        once escaped as OverflowError or ZeroDivisionError."""
+        name = re.escape(f"r_max={grid.r_max:g} leave the float range")
+        with pytest.raises(GridTooCoarse, match=name):
+            fd_spectrum(ATOMIC, grid, 1)
+
+    @pytest.mark.parametrize(
         "L, want",
         [
             (0, ["-0x1.ffffffcff993cp-2", "-0x1.ffffffa85968ap-4", "-0x1.c71c7165d01d0p-5"]),
@@ -230,7 +246,7 @@ class TestFdSpectrum:
         levels = fd_spectrum(params, DEFAULT_GRID, 3)
         assert [e.hex() for e in levels] == want
         full = oracle._sturm
-        monkeypatch.setattr(oracle, "_sturm", lambda rows, x, tail=None: full(rows, x))
+        monkeypatch.setattr(oracle, "_sturm", lambda rows, x, tail: full(rows, x, _no_exit(rows)))
         assert fd_spectrum(params, DEFAULT_GRID, 3) == levels
 
 
@@ -244,9 +260,28 @@ def _suffix_minima(rows):
     return list(accumulate((d - c**0.5 - b for d, c, b in reversed(rows)), min))[::-1]
 
 
+def _pivots(rows, x, number):
+    """Every pivot of T - x under the zero-pivot rule, in ``number``
+    arithmetic; inf after an exact zero."""
+    q, out = math.inf, []
+    for d, c, _ in rows:
+        d, c = number(d), number(c)
+        if q == 0:
+            q = math.inf if c else d - x
+        else:
+            q = d - x - (0 if q == math.inf else c / q)
+        out.append(q)
+    return out
+
+
+def _no_exit(rows):
+    """A tail under which ``_sturm`` sweeps every row."""
+    return [-math.inf] * len(rows)
+
+
 class TestSturmExit:
     """The count stops at the first pivot q_k > |b_k| once every later row
-    satisfies d - x >= |b_{k-1}| + |b_k|, and still counts what the full
+    satisfies d - x > |b_{k-1}| + |b_k|, and still counts what the full
     sweep counts."""
 
     def test_early_and_full_counts_agree(self):
@@ -266,14 +301,14 @@ class TestSturmExit:
                 xs += [level + k * math.ulp(level) for k in range(-3, 4)]
                 xs += [level * (1.0 + s * e) for s in (-1, 1) for e in (1e-15, 1e-9, 1e-3)]
             for x in xs:
-                assert _sturm(rows, x, tail)[0] == _sturm(rows, x)[0]
+                assert _sturm(rows, x, tail) == _sturm(rows, x, _no_exit(rows))
         for _ in range(100):
             size = rng.randrange(2, 60)
             diag = [rng.uniform(-20.0, 20.0) for _ in range(size)]
             rows = _rows(diag, [rng.uniform(-10.0, 10.0) for _ in range(size - 1)])
             tail = _suffix_minima(rows)
             for x in (rng.uniform(-30.0, 30.0) for _ in range(10)):
-                assert _sturm(rows, x, tail)[0] == _sturm(rows, x)[0]
+                assert _sturm(rows, x, tail) == _sturm(rows, x, _no_exit(rows))
 
     def test_sweep_stops_before_the_last_row(self):
         class Unread(float):
@@ -285,9 +320,43 @@ class TestSturmExit:
         unread = rows[:-1] + [(Unread(d), c, b)]
         tail = _suffix_minima(rows)
         for x in (-0.6, -0.5, -0.2, -0.1251):
-            assert _sturm(unread, x, tail)[0] == _sturm(rows, x)[0]
+            assert _sturm(unread, x, tail) == _sturm(rows, x, _no_exit(rows))
         with pytest.raises(AssertionError, match="past the exit"):
-            _sturm(unread, -0.3)
+            _sturm(unread, -0.3, _no_exit(rows))
+
+
+class TestZeroPivot:
+    """An exact zero pivot counts on every row, so the count is the one
+    just above x, also where x is an eigenvalue of T."""
+
+    def test_a_zero_pivot_counts_on_every_row(self):
+        # diag(1, 0) and diag(0, 1) both have the spectrum {0, 1}; the
+        # zero pivot at x = 0 falls on the last row and on the first
+        # (a coupled first row: test_count_survives_an_exact_zero_pivot)
+        for rows in (_rows([1.0, 0.0], [0.0]), _rows([0.0, 1.0], [0.0])):
+            assert _sturm(rows, 0.0, _suffix_minima(rows)) == 1
+
+    def test_count_is_the_one_just_above_x(self):
+        """Small integer tridiagonals at dyadic x, wherever the float sweep
+        meets an exact zero pivot and every float pivot is the exact one
+        (a pivot that rounds to 4e-16 instead of 0 is another matter)."""
+        rng = random.Random(7)
+        probes = [k / 8 for k in range(-32, 49)]
+        checked = 0
+        for _ in range(1500):
+            size = rng.randrange(1, 7)
+            rows = _rows(
+                [float(rng.randint(-3, 5)) for _ in range(size)],
+                [float(rng.randint(0, 2)) for _ in range(size - 1)],
+            )
+            tail = _suffix_minima(rows)
+            for x in probes:
+                pivots = _pivots(rows, x, float)
+                if 0.0 in pivots and pivots == _pivots(rows, Fraction(x), Fraction):
+                    above = exact.levels_below(rows, Fraction(x) + Fraction(1, 10**40))
+                    assert _sturm(rows, x, tail) == above, (rows, x)
+                    checked += 1
+        assert checked > 1000
 
 
 #: fd_spectrum cases whose levels must not depend on the proposed points
@@ -376,13 +445,13 @@ class TestOnePass:
     @staticmethod
     def two_sweeps(rows, level):
         gap = 1e-8 * max(1.0, abs(level))
-        below, above = _sturm(rows, level - gap)[1], _sturm(rows, level + gap)[1]
+        below, above = (_pivots(rows, level + s, float)[-1] for s in (-gap, gap))
         return 0.5 * gap * (1.0 / below - 1.0 / above)
 
     @pytest.mark.parametrize("case", BRACKET_CASES, ids=["L0", "L1", "L2-units", "coulomb"])
     def test_last_weight_is_two_sweeps_in_one(self, case, monkeypatch):
         """At every level the wall guard weighs, one fused sweep gives the
-        bits of the two ``_sturm`` sweeps."""
+        bits of two sweeps."""
         seen = []
         fused = oracle._last_weight
         monkeypatch.setattr(oracle, "_last_weight", lambda *args: seen.append(args) or fused(*args))
@@ -392,8 +461,8 @@ class TestOnePass:
             assert _last_weight(rows, level).hex() == self.two_sweeps(rows, level).hex()
 
     def test_last_weight_at_a_zero_pivot(self, monkeypatch):
-        # the first pivot a gap below the level is exactly zero, so the
-        # fused sweep divides by it and the two counts take over
+        # the first pivot a gap below the level is exactly zero, and the
+        # fused sweep takes it as ``_sturm`` does, without a count
         level = 1.0
         rows = _rows([level - 1e-8, 3.0, 2.0], [1.0, 0.5])
         want = self.two_sweeps(rows, level)
@@ -401,7 +470,7 @@ class TestOnePass:
         count = oracle._sturm
         monkeypatch.setattr(oracle, "_sturm", lambda *args: calls.append(1) or count(*args))
         assert _last_weight(rows, level).hex() == want.hex()
-        assert len(calls) == 2
+        assert not calls
 
     def test_each_grid_geometry_is_built_once(self):
         """configuration-limit's two ``fd_spectrum`` calls share the fine

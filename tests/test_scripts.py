@@ -59,6 +59,20 @@ def test_scan_reports_more_states_than_the_grid_holds():
     ) in proc.stdout
 
 
+@pytest.mark.parametrize("r_max", ["1e300", "1e-150", "1e-300"])
+def test_scan_reports_a_grid_beyond_the_float_range(r_max):
+    """Cells whose width squared overflows or underflows to zero are
+    refused by name, like a grid too small for the states asked."""
+    proc = _run(["spectrum_scan.py", "--fd", "--grid", f"{r_max},1000",
+                 "--n-max", "0", "--L-max", "0"])
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (
+        f"fd oracle unavailable for L=0: the cells of a grid with r_max={float(r_max):g} "
+        "leave the float range"
+    ) in proc.stdout
+
+
 def test_verify_times_names_every_criterion():
     """One "<seconds> <criterion>" line per criterion, in suite order, then
     one "<calls> oracle.<name>" line per counted oracle function."""
