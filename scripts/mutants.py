@@ -101,6 +101,8 @@ MUTANTS = [
      "a mid beyond the bracket's upper end is decided as below the level"),
     ("oracle.py", "hi = b = mid", "hi = mid",
      "a counted mid above the level no longer narrows the bracket: same bits, more counts"),
+    ("oracle.py", "_sturm(rows, seed, tail) > j", "_sturm(rows, seed, tail) >= j",
+     "the seed's count is read on the wrong side: a seed just below the level ends its bracket"),
     ("oracle.py", "above = d - hi - c / above", "above = d - lo - c / above",
      "the wall guard's fused sweep takes the pivots above the level at the point below it"),
     ("oracle.py", "d - radius - b", "d - radius + b",

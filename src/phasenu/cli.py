@@ -81,6 +81,17 @@ def _g0_arg(text: str) -> opspace.GEta:
         raise argparse.ArgumentTypeError(f"bad --g0: {err}") from None
 
 
+#: Most rows ``wavefunction`` prints: a row holds about 0.26 kB until the
+#: table is written and takes about 5 us, so the bound keeps a table under
+#: about 260 MB and 5 s.
+WAVEFUNCTION_MAX_ROWS = 1_000_000
+
+#: Most rows ``scan`` prints, (n_max + 1)(L_max + 1): a row holds about
+#: 0.2 kB and takes at least 57 us (more at high n), so the bound keeps a
+#: table under about 200 MB and costs at least a minute.
+SCAN_MAX_ROWS = 1_000_000
+
+
 def _grid_arg(text: str) -> tuple[float, float, int]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -99,6 +110,10 @@ def _grid_arg(text: str) -> tuple[float, float, int]:
         span = math.inf
     if not math.isfinite(span):
         raise argparse.ArgumentTypeError("--grid span (steps - 1) * (rmax - rmin) overflows")
+    if steps > WAVEFUNCTION_MAX_ROWS:
+        raise argparse.ArgumentTypeError(
+            f"--grid steps {steps} exceed the bound of {WAVEFUNCTION_MAX_ROWS:,} rows"
+        )
     return rmin, rmax, steps
 
 
@@ -204,6 +219,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     hydrogen.check_residual_level(args.n_max)
+    rows = (args.n_max + 1) * (args.L_max + 1)
+    if rows > SCAN_MAX_ROWS:
+        raise ValueError(f"scan asks for {rows:,} rows, above the bound of {SCAN_MAX_ROWS:,}")
     lines = ["n,L,energy,residual"]
     units = _load_params(args.config, 0)
     for n in range(args.n_max + 1):

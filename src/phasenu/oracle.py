@@ -17,10 +17,10 @@ The bisection counts only where it must.  The count computed as
 (d_k - x) - b_{k-1}^2/q_{k-1} is monotone in x in IEEE arithmetic (J. W.
 Demmel, I. S. Dhillon and H. Ren, ETNA 3, 1995), so a point once counted
 decides every mid on its side.  Each level keeps a certified bracket, and
-once it is narrow a secant on the twisted pivot of T - x (I. S. Dhillon and
-B. N. Parlett, LAA 387, 2004) proposes two points about the level, which
-are counted too.  Every decision is the one plain bisection makes, so the
-levels have its bits; the proposal changes only how many counts are made.
+a seed and, once the bracket is narrow, a secant on the twisted pivot of
+T - x (I. S. Dhillon and B. N. Parlett, LAA 387, 2004) propose points about
+the level, which are counted too.  Every decision is the one plain bisection
+makes, so the levels have its bits; a proposal changes only the counts.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ FD_STEP = 1e-4
 #: its params (hartree in atomic units).
 FD_TOLERANCE = 1e-4
 
+#: Most points a ``RadialGrid`` takes: one state of ``fd_spectrum`` holds
+#: about 535 B and takes about 54 us per point, so the bound keeps a state
+#: under about 54 MB and 5 s.
+MAX_POINTS = 100_000
+
 Row = tuple[float, float, float]  # (d_k, b_{k-1}^2, |b_k|) of a tridiagonal matrix
 
 #: An exact zero pivot is taken as this negative infinitesimal, the negative
@@ -62,8 +67,8 @@ class RadialGrid(NamedTuple("RadialGrid", [("r_max", float), ("n_points", int)])
     def __new__(cls, r_max: float, n_points: int) -> RadialGrid:
         if not 0.0 < r_max < inf:
             raise ValueError("r_max must be positive and finite")
-        if not isinstance(n_points, int) or n_points < 100:
-            raise ValueError("n_points must be an int of at least 100")
+        if not isinstance(n_points, int) or not 100 <= n_points <= MAX_POINTS:
+            raise ValueError(f"n_points must be an int of at least 100 and at most {MAX_POINTS:,}")
         return tuple.__new__(cls, (r_max, n_points))
 
     @property
@@ -238,28 +243,27 @@ def _levels(
 ) -> list[float]:
     """Lowest n_states eigenvalues by bisection on the count function.
 
-    Without seeds each level is bracketed from below by the previous
-    level (or the Gershgorin bound) and from above by zero while the count
-    at zero confirms that the level is bound, by the Gershgorin bound
-    otherwise.  With seeds (the same levels on a nearby grid) the count at
-    the seed tells on which side the level lies, and the bracket grows
-    from the seed to that side in steps of 4x until the count confirms it
-    or it reaches a Gershgorin bound; the first step is 1e-4 * max(1,
-    |seed|), later ones start at twice the previous level's distance from
-    its seed.  Either way a level that is not bound is still found
-    wherever it lies.  Each count stops early on the suffix minima of the
-    rows' Gershgorin lower bounds: they do not decrease, so a bisection
-    finds the exit row.  One pass over the rows takes the lower and upper
-    bounds d -+ |b_{k-1}| -+ |b_k| with one square root per row; the least
-    lower bound and the greatest upper bound are ``floor`` and ``ceiling``.
+    Each level is bracketed from below by the previous level (or the
+    Gershgorin bound) and from above by zero while the count at zero
+    confirms that the level is bound, by the Gershgorin bound otherwise,
+    so a level that is not bound is still found wherever it lies.  Each
+    count stops early on the suffix minima of the rows' Gershgorin lower
+    bounds: they do not decrease, so a bisection finds the exit row.  One
+    pass over the rows takes the lower and upper bounds d -+ |b_{k-1}| -+
+    |b_k| with one square root per row; the least lower bound and the
+    greatest upper bound are ``floor`` and ``ceiling``.
 
     The bisection also keeps a certified bracket (a, b), count(a) <= j <
     count(b), from the counts it takes: a mid at or beyond a or b is
-    decided without a count, and only a mid inside is counted.  When b - a
-    first is at most 1e-3 * max(1, |lo|, |hi|), the two points of
-    ``_near_level`` inside (a, b) are counted and narrow it.  As the count
-    is monotone in x, each decision is the one that counting the mid
-    would give, so the mids and the level are those of plain bisection.
+    decided without a count, and only a mid inside is counted.  A seed
+    (the same level on a nearby grid) is counted, and so are the two
+    points of ``_near_level`` in the window 1e-4 * max(1, |seed|) wide
+    beside it on the level's side.  When b - a first is at most 1e-3 *
+    max(1, |lo|, |hi|) but still wider than 1e-12 of that, the two points
+    of ``_near_level`` inside (a, b) are counted too.  As the count is
+    monotone in x, each decision is the one that counting the mid would
+    give, so the mids and the level are those of plain bisection, with
+    or without seeds: a seed or a proposal changes only the counts.
     """
     lower, upper = [], []
     for d, c, b in rows:
@@ -268,29 +272,25 @@ def _levels(
         upper.append(d + radius + b)
     tail = list(accumulate(reversed(lower), min))[::-1]
     floor, ceiling = tail[0], max(upper)
-    bound = _sturm(rows, 0.0, tail) if seeds is None else 0
+    bound = _sturm(rows, 0.0, tail)
     levels: list[float] = []
     for j in range(n_states):
-        if seeds is None:
-            lo = levels[-1] if levels else floor
-            hi = 0.0 if j < bound else ceiling
-        else:
-            near, scale = seeds[j], max(1.0, abs(seeds[j]))
-            step = 2.0 * abs(levels[-1] - seeds[j - 1]) if levels else 1e-4 * scale
-            step = max(step, 1e-14 * scale)
-            below = _sturm(rows, near, tail) > j
-            while True:
-                far = min(max(near - step if below else near + step, floor), ceiling)
-                if far == near or (_sturm(rows, far, tail) > j) != below:
-                    break
-                near, step = far, 4.0 * step
-            lo, hi = (far, near) if below else (near, far)
+        lo = levels[-1] if levels else floor
+        hi = 0.0 if j < bound else ceiling
         a, b, propose = lo, hi, True
-        while hi - lo > 1e-14 * max(1.0, abs(lo), abs(hi)):
+        if seeds is not None:
+            seed, width = seeds[j], 1e-4 * max(1.0, abs(seeds[j]))
+            below = seed >= b or (seed > a and _sturm(rows, seed, tail) > j)
+            a, b = (a, min(b, seed)) if below else (max(a, seed), b)
+            window = (seed - width, seed) if below else (seed, seed + width)
+            for x in _near_level(rows, tail, *window):
+                if a < x < b:
+                    a, b = (a, x) if _sturm(rows, x, tail) > j else (x, b)
+        while hi - lo > 1e-14 * (scale := max(1.0, abs(lo), abs(hi))):
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            if propose and b - a <= 1e-3 * max(1.0, abs(lo), abs(hi)):
+            if propose and 1e-12 * scale < b - a <= 1e-3 * scale:
                 propose = False
                 for x in _near_level(rows, tail, a, b):
                     if a < x < b:

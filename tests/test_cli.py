@@ -305,6 +305,24 @@ class TestScan:
         assert captured.err == f"LevelTooHigh: the residual is computed up to n={bound}, not n={bound + 1}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("n_max, L_max", [(0, 1_000_000), (999, 1000)], ids=["L-max", "both"])
+    def test_rows_above_the_bound_are_refused_before_any_row(self, n_max, L_max, monkeypatch, capsys):
+        """A row holds about 0.2 kB and takes at least 57 us, and --L-max
+        had no bound: the table was built before its first row printed."""
+
+        def solve_state(*args):
+            raise AssertionError("scan solved a row")
+
+        monkeypatch.setattr(nu, "solve_state", solve_state)
+        argv = ["scan", "--n-max", str(n_max), "--L-max", str(L_max), "--alphadelta", "-1"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        rows = (n_max + 1) * (L_max + 1)
+        assert captured.err == (
+            f"error: scan asks for {rows:,} rows, above the bound of {cli.SCAN_MAX_ROWS:,}\n"
+        )
+        assert captured.out == ""
+
     def test_round_trip_formatting(self):
         proc = run_cli("scan", "--n-max", "0", "--L-max", "0", "--alphadelta", "-1")
         value = proc.stdout.strip().splitlines()[1].split(",")[2]
@@ -450,6 +468,24 @@ class TestWavefunction:
         assert proc.returncode == 0
         first = proc.stdout.strip().splitlines()[2].split(",")
         assert [float(x) for x in first] == [0.0, 0.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("steps", ["1000001", "1000000000"])
+    def test_steps_above_the_bound_are_a_usage_error(self, steps, monkeypatch, capsys):
+        """A row holds about 0.26 kB until the table is written, so
+        ``--grid 0,1,1000000000`` would have built about 260 GB of rows."""
+
+        def compute(*args):
+            raise AssertionError("wavefunction computed a row")
+
+        monkeypatch.setattr(hydrogen, "assemble_wavefunction", compute)
+        monkeypatch.setattr(hydrogen, "eval_wavefunction", compute)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*WAVEFUNCTION, "--grid", f"0,1,{steps}"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        bound = f"{cli.WAVEFUNCTION_MAX_ROWS:,}"
+        assert f"--grid steps {steps} exceed the bound of {bound} rows" in captured.err
 
     def test_bad_grid_is_a_usage_error(self):
         proc = run_cli(

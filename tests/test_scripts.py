@@ -41,6 +41,16 @@ def test_scan_refuses_a_malformed_grid(grid):
     assert "Traceback" not in proc.stderr
 
 
+def test_scan_refuses_a_grid_above_the_point_bound():
+    """A grid of more than 100,000 points is a usage error before any
+    level: one state holds about 535 B per point."""
+    proc = _run(["spectrum_scan.py", "--fd", "--grid", "100,100001", "--n-max", "0", "--L-max", "0"])
+    assert proc.returncode == 2
+    assert "at most 100,000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not proc.stdout
+
+
 @pytest.mark.parametrize("flag", ["--n-max", "--L-max"])
 def test_scan_refuses_a_negative_count(flag):
     proc = _run(["spectrum_scan.py", flag, "-1"])
