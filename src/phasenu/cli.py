@@ -86,10 +86,16 @@ def _g0_arg(text: str) -> opspace.GEta:
 #: about 260 MB and 5 s.
 WAVEFUNCTION_MAX_ROWS = 1_000_000
 
-#: Most rows ``scan`` prints, (n_max + 1)(L_max + 1): a row holds about
-#: 0.2 kB and takes at least 57 us (more at high n), so the bound keeps a
-#: table under about 200 MB and costs at least a minute.
-SCAN_MAX_ROWS = 1_000_000
+#: Work units of a ``scan`` row at level n: n + SCAN_ROW_UNITS.  A row takes
+#: about 46 + 7.3 (n + 1) us up to n = 1,000 (scan tables of both labels,
+#: Python 3.11.7, 2 shared CPUs), so a unit is about 7.3 us, and 9.6 us at
+#: n = 20,000, where every residual sample runs the scaled pass too.
+SCAN_ROW_UNITS = 7
+
+#: Most units a ``scan`` table may sum: about 40 s.  Each row costs at least
+#: SCAN_ROW_UNITS units and holds about 0.2 kB until the table is written,
+#: so the bound also keeps a table under 714,285 rows and about 150 MB.
+SCAN_MAX_UNITS = 5_000_000
 
 
 def _grid_arg(text: str) -> tuple[float, float, int]:
@@ -219,9 +225,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     hydrogen.check_residual_level(args.n_max)
-    rows = (args.n_max + 1) * (args.L_max + 1)
-    if rows > SCAN_MAX_ROWS:
-        raise ValueError(f"scan asks for {rows:,} rows, above the bound of {SCAN_MAX_ROWS:,}")
+    work = (args.L_max + 1) * (args.n_max + 1) * (args.n_max + 2 * SCAN_ROW_UNITS) // 2
+    if work > SCAN_MAX_UNITS:
+        # an int past sys.get_int_max_str_digits() has no str
+        shown = f"{work:,}" if work < 10**18 else "more than 10**18"
+        raise ValueError(
+            f"scan asks for {shown} units of work (n + {SCAN_ROW_UNITS} a row at level n), "
+            f"above the bound of {SCAN_MAX_UNITS:,}"
+        )
     lines = ["n,L,energy,residual"]
     units = _load_params(args.config, 0)
     for n in range(args.n_max + 1):

@@ -238,27 +238,30 @@ def check_residual_level(n: int) -> None:
 
 
 def _laguerre_steps(n: int, beta: float) -> list[tuple]:
-    """Per-k constants (p, q, r) of the forward recurrence
+    """Per-k constants (p_k, q_k, r_k) of the forward recurrence
     (k+1) L_{k+1} = (2k + 1 + beta - x) L_k - (k + beta) L_{k-1}, k < n,
-    written L_{k+1} = (p - q x) L_k - r L_{k-1}."""
+    written L_{k+1} = (p_k - q_k x) L_k - r_k L_{k-1}."""
     return [((2 * k + 1 + beta) / (k + 1), 1.0 / (k + 1), (k + beta) / (k + 1)) for k in range(n)]
 
 
 def _laguerre_pair(steps: list[tuple], x: float) -> tuple:
-    """(L_{n-1}, L_n) of order beta at x, from ``_laguerre_steps(n, beta)``;
-    L_{-1} = 0.  Where L_n leaves (-2**600, 2**600), a second pass scales
-    the pair by 2**-600 whenever L_k leaves it, an exact power of two."""
+    """(L_{n-1}, L_n) of order beta at x, from ``_laguerre_steps(n, beta)``,
+    scaled by 2**-600, an exact power of two, whenever L_k leaves
+    (-2**600, 2**600); L_{-1} = 0.  ``ode_residual`` runs the plain pass
+    itself and calls this only where that pass leaves the range."""
     l1, l0 = 0.0, 1.0
-    for p, q, r in steps:
-        l1, l0 = l0, (p - q * x) * l0 - r * l1
-    if -2.0**600 < l0 < 2.0**600:
-        return l1, l0
-    l1, l0 = 0.0, 1.0
-    for p, q, r in steps:
-        l1, l0 = l0, (p - q * x) * l0 - r * l1
+    for p_k, q_k, r_k in steps:
+        l1, l0 = l0, (p_k - q_k * x) * l0 - r_k * l1
         if not -2.0**600 < l0 < 2.0**600:
             l1, l0 = l1 * 2.0**-600, l0 * 2.0**-600
     return l1, l0
+
+
+def _sample_points(n: int, b: float) -> list[float]:
+    """The residual's samples x = u (4n + 2|b| + 10), one per fraction u of
+    ``SAMPLE_FRACTIONS``."""
+    span = 4 * n + 2 * abs(b) + 10
+    return [u * span for u in SAMPLE_FRACTIONS]
 
 
 def ode_residual(state: nu.NuState) -> float:
@@ -266,11 +269,12 @@ def ode_residual(state: nu.NuState) -> float:
 
     With sigma = c A and rho = e^{aA} A^b, the branch's weight, the
     Rodrigues polynomial is y_n(A) = c^n n! L_n^(b)(-aA).  Each fraction u
-    of ``SAMPLE_FRACTIONS`` gives a sample x = u (4n + 2|b| + 10), A =
-    x / (-a), on the real support of the Laguerre factor, among its nodes
-    and into its decay, at every mass; as u >= 0.01 and a < 0, A > 0, so
-    sigma never vanishes there.  The equation is analytic in A, so an
-    identity that holds on a real interval holds everywhere.
+    of ``SAMPLE_FRACTIONS`` gives a sample x = u (4n + 2|b| + 10)
+    (``_sample_points``), A = x / (-a), on the real support of the
+    Laguerre factor, among its nodes and into its decay, at every mass;
+    as u >= 0.01 and a < 0, A > 0, so sigma never vanishes there.  The
+    equation is analytic in A, so an identity that holds on a real
+    interval holds everywhere.
 
     phi is divided out analytically: with g = pi / sigma, psi'/phi =
     y' + g y and psi''/phi = y'' + 2 g y' + (g' + g^2) y.  The defect is
@@ -278,12 +282,14 @@ def ode_residual(state: nu.NuState) -> float:
     (2 / sigma) psi' and (sigma_tilde / sigma^2) psi, each times
     sigma^2 / (phi c^n n!): polynomials in A, with no exponential and no
     power to overflow.  y, y' and y'' come from one recurrence in
-    beta = b + 1 (``_laguerre_pair``), by L_n^(b) = L_n^(beta) -
+    beta = b + 1 (``_laguerre_steps``), by L_n^(b) = L_n^(beta) -
     L_{n-1}^(beta), L_n^(b)' = -L_{n-1}^(beta) and x L_{n-1}^(beta)' =
     (n-1) L_{n-1}^(beta) - (n-1+beta) L_{n-2}^(beta), with L_{n-2} taken
-    from the recurrence; never from the equation under test.  The defect
-    is homogeneous in that pair, so the power of two by which its scaled
-    pass shrinks a pair beyond 2**600 drops out, bit for bit.
+    from the recurrence; never from the equation under test.  The 64
+    samples run its plain pass in this one frame; a sample whose L_n
+    leaves (-2**600, 2**600) runs ``_laguerre_pair``'s scaled pass too.
+    The defect is homogeneous in the pair, so the power of two by which
+    that pass shrinks it drops out, bit for bit.
 
     A state assembled at a detuned kappa (``nu.assemble``) carries the
     equation at that kappa, whose branch has lambda != lambda_n, so its
@@ -297,15 +303,17 @@ def ode_residual(state: nu.NuState) -> float:
     s0, s1 = state.family.sigma_tilde
     s2 = -state.kappa
     steps = _laguerre_steps(n, b + 1.0)
-    span = 4 * n + 2 * abs(b) + 10
-    ca, c_pi0, n_beta = c * a, c * pi0, n + b + 1.0
+    ca, c_pi0, n_beta, neg_a, n_f = c * a, c * pi0, n + b + 1.0, -a, float(n)
     worst = 0.0
-    for u in SAMPLE_FRACTIONS:
-        x = u * span
-        A = x / -a
-        l1, l0 = _laguerre_pair(steps, x)
+    for x in _sample_points(n, b):
+        A = x / neg_a
+        l1, l0 = 0.0, 1.0
+        for p_k, q_k, r_k in steps:
+            l1, l0 = l0, (p_k - q_k * x) * l0 - r_k * l1
+        if not -2.0**600 < l0 < 2.0**600:
+            l1, l0 = _laguerre_pair(steps, x)
         # y and y' over c^n n!, and sigma^2 y'' = c a sigma x_d2
-        y, dy, x_d2 = l0 - l1, a * l1, n * l0 - (n_beta - x) * l1
+        y, dy, x_d2 = l0 - l1, a * l1, n_f * l0 - (n_beta - x) * l1
         sig, p = c * A, pi0 + pi1 * A
         # sigma^2 (g' + g^2) = pi^2 - c pi0
         t_1 = sig * (ca * x_d2 + 2.0 * p * dy) + (p * p - c_pi0) * y

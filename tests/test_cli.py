@@ -305,10 +305,19 @@ class TestScan:
         assert captured.err == f"LevelTooHigh: the residual is computed up to n={bound}, not n={bound + 1}\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("n_max, L_max", [(0, 1_000_000), (999, 1000)], ids=["L-max", "both"])
-    def test_rows_above_the_bound_are_refused_before_any_row(self, n_max, L_max, monkeypatch, capsys):
-        """A row holds about 0.2 kB and takes at least 57 us, and --L-max
-        had no bound: the table was built before its first row printed."""
+    @pytest.mark.parametrize(
+        "n_max, L_max, shown",
+        [(0, 1_000_000, "7,000,007"), (999, 1000, "507,006,500"), (999, 999, "506,500,000"),
+         (100_000, 10**4000, "more than 10**18")],
+        ids=["L-max", "both", "hour", "huge"],
+    )
+    def test_tables_above_the_bound_are_refused_before_any_row(
+        self, n_max, L_max, shown, monkeypatch, capsys
+    ):
+        """A row at level n costs n + 7 units of about 7.3 us.  --L-max had
+        no bound, and then a bound on rows alone: 1,000 x 1,000 rows up to
+        n = 999 would have run for about an hour.  A table too large for
+        str() is still refused by name."""
 
         def solve_state(*args):
             raise AssertionError("scan solved a row")
@@ -317,11 +326,25 @@ class TestScan:
         argv = ["scan", "--n-max", str(n_max), "--L-max", str(L_max), "--alphadelta", "-1"]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
-        rows = (n_max + 1) * (L_max + 1)
         assert captured.err == (
-            f"error: scan asks for {rows:,} rows, above the bound of {cli.SCAN_MAX_ROWS:,}\n"
+            f"error: scan asks for {shown} units of work (n + 7 a row at level n), "
+            f"above the bound of {cli.SCAN_MAX_UNITS:,}\n"
         )
         assert captured.out == ""
+
+    @pytest.mark.parametrize("alphadelta", ["-1", "-3"])
+    def test_ci_table_is_admitted(self, alphadelta, monkeypatch):
+        """CI's table to n = 1,000 at L <= 1 sums 1,015,014 units."""
+
+        class Admitted(Exception):
+            pass
+
+        def solve_state(*args):
+            raise Admitted
+
+        monkeypatch.setattr(nu, "solve_state", solve_state)
+        with pytest.raises(Admitted):
+            cli.main(["scan", "--n-max", "1000", "--L-max", "1", "--alphadelta", alphadelta])
 
     def test_round_trip_formatting(self):
         proc = run_cli("scan", "--n-max", "0", "--L-max", "0", "--alphadelta", "-1")

@@ -105,6 +105,34 @@ def ulps(x, exact):
 CHAIN_DIGEST = "038a8886f21b02b548e59a8393ccb0904d0649ee31e308e2f429d01b49ac0a4b"
 
 
+#: ``repr`` of ``ode_residual`` at L = 2 for the solved and the
+#: 1.1*kappa-detuned state, then the solved state's samples whose plain
+#: pass leaves (-2**600, 2**600) and take the scaled one: at n = 351 and
+#: 1000 one call mixes both kinds.
+RESIDUAL_REPRS = {
+    ("atomic", -1.0, 0): ("2.428510720243593e-16", "0.19998541626656965", 0),
+    ("atomic", -1.0, 5): ("1.1675102208422008e-15", "1.0", 0),
+    ("atomic", -1.0, 40): ("3.4012834787895127e-15", "1.0", 0),
+    ("atomic", -1.0, 351): ("2.3213636262538546e-14", "1.0", 24),
+    ("atomic", -1.0, 1000): ("4.612065513426405e-14", "1.0", 50),
+    ("atomic", -3.0, 0): ("5.549081123944037e-16", "0.2129993952222948", 0),
+    ("atomic", -3.0, 5): ("3.699146183164073e-15", "0.9727098455982023", 0),
+    ("atomic", -3.0, 40): ("3.403915907396762e-14", "1.0", 0),
+    ("atomic", -3.0, 351): ("7.092996204035443e-14", "1.0", 25),
+    ("atomic", -3.0, 1000): ("3.101359043400915e-14", "1.0", 50),
+    ("muonic", -1.0, 0): ("3.906861449293441e-16", "0.1999854162665701", 0),
+    ("muonic", -1.0, 5): ("1.1972087670223248e-15", "1.0", 0),
+    ("muonic", -1.0, 40): ("8.337659501103409e-15", "1.0", 0),
+    ("muonic", -1.0, 351): ("2.7242449167605026e-14", "1.0", 24),
+    ("muonic", -1.0, 1000): ("2.580057932719248e-14", "1.0", 50),
+    ("muonic", -3.0, 0): ("5.718306272326246e-16", "0.2129993952222952", 0),
+    ("muonic", -3.0, 5): ("6.057528487570119e-15", "0.9727098455982066", 0),
+    ("muonic", -3.0, 40): ("3.183890924789374e-14", "1.0", 0),
+    ("muonic", -3.0, 351): ("7.108706051664002e-14", "1.0", 25),
+    ("muonic", -3.0, 1000): ("2.8376136529029166e-14", "1.0", 50),
+}
+
+
 #: Half-decade masses from 1e6 to 1e12: zeta from 2e6 to 2e12, where the
 #: float rounding of K + pi' - lambda_n grows with K.
 HEAVY_MASSES = tuple(10.0 ** (6 + k / 2) for k in range(13))
@@ -699,15 +727,16 @@ class TestSamplesAndResiduals:
     @pytest.mark.parametrize("mass", [1.0, 186.0])
     def test_samples_land_on_the_support(self, monkeypatch, mass, alphadelta):
         """x = u (4n + 2b + 10) on the real axis, past the last node of y:
-        at n <= 5 the samples see all n sign changes of L_n^(b)(x)."""
-        seen, pair_of = [], hydrogen._laguerre_pair
+        one call per state gives the 64 samples, and at n <= 5 they see
+        all n sign changes of L_n^(b)(x), taken exactly."""
+        seen, points_of = [], hydrogen._sample_points
 
-        def spy(steps, x):
-            pair = pair_of(steps, x)
-            seen.append((x, pair[1] - pair[0]))
-            return pair
+        def spy(n, b):
+            points = points_of(n, b)
+            seen.append(points)
+            return points
 
-        monkeypatch.setattr(hydrogen, "_laguerre_pair", spy)
+        monkeypatch.setattr(hydrogen, "_sample_points", spy)
         for L in (0, 2):
             family = build_radial_family(PhysicalParams(mass=mass, angular_momentum=L), alphadelta)
             for n in (0, 1, 5, 40):
@@ -716,11 +745,13 @@ class TestSamplesAndResiduals:
                 ode_residual(state)
                 a, b = (w.real for w in state.branch._weight)
                 span = 4 * n + 2 * b + 10
-                assert len(seen) == 64 and a < 0.0
-                assert all(type(x) is float and 0.01 * span <= x <= span for x, _ in seen)
+                assert len(seen) == 1 and a < 0.0
+                xs = seen[0]
+                assert len(xs) == 64
+                assert all(type(x) is float and 0.01 * span <= x <= span for x in xs)
                 if n <= 5:
-                    ys = [y for _, y in sorted(seen)]
-                    assert sum(u * v < 0.0 for u, v in zip(ys, ys[1:])) == n
+                    ys = [exact_laguerre(n, Fraction(b), Fraction(x)) for x in sorted(xs)]
+                    assert sum(u * v < 0 for u, v in zip(ys, ys[1:])) == n
 
     def test_solved_states_have_tiny_residual(self):
         ground = solve_state(build_radial_family(ATOMIC, -3.0), 0)
@@ -793,6 +824,29 @@ class TestSamplesAndResiduals:
                             y = str(err)
                         digest.update((" ".join(map(float.hex, row)) + " | " + y + "\n").encode())
         assert digest.hexdigest() == CHAIN_DIGEST
+
+    def test_residual_bits_are_pinned_past_the_scaled_threshold(self, monkeypatch):
+        """The chain digest (n <= 171) and the output digest (n <= 8) stop
+        before any sample leaves the plain pass's range; these pins reach
+        n = 1,000 on both labels, where one call mixes both passes."""
+        scaled, pair_of = [], hydrogen._laguerre_pair
+
+        def spy(steps, x):
+            scaled.append(x)
+            return pair_of(steps, x)
+
+        monkeypatch.setattr(hydrogen, "_laguerre_pair", spy)
+        got = {}
+        for units, alphadelta, n in RESIDUAL_REPRS:
+            params = PhysicalParams(*DIGEST_UNITS[units][:4], angular_momentum=2)
+            family = build_radial_family(params, alphadelta)
+            state = solve_state(family, n)
+            scaled.clear()
+            solved = repr(ode_residual(state))
+            count = len(scaled)
+            detuned = repr(ode_residual(assemble(family, 1.1 * state.kappa, n)))
+            got[units, alphadelta, n] = (solved, detuned, count)
+        assert got == RESIDUAL_REPRS
 
     def test_residual_makes_no_term_or_poly_calls(self, monkeypatch):
         """Spied the way test_state_is_assembled_once spies the solve, on

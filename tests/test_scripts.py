@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under ``scripts/`` against the source tree."""
 
 import importlib.util
+import json
 import os
 import pathlib
 import re
@@ -213,3 +214,76 @@ def _run(script, **env_extra):
         timeout=120,
         env=env,
     )
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: Benchmark summaries of three pairs, as perfbench prints them: base, head.
+AB_LINES = [
+    ('{"correct": true, "attempted": 24, "failed": 0, "metrics": {"op_ms_p90": '
+     '{"value": 10.5, "unit": "ms"}, "ops_per_s": {"value": 200.0, "unit": "1/s"}}}',
+     '{"correct": true, "attempted": 24, "failed": 0, "metrics": {"op_ms_p90": '
+     '{"value": 10.1, "unit": "ms"}, "ops_per_s": {"value": 210.0, "unit": "1/s"}}}'),
+    ('{"correct": true, "attempted": 24, "failed": 0, "metrics": {"op_ms_p90": '
+     '{"value": 9.8, "unit": "ms"}, "ops_per_s": {"value": 205.0, "unit": "1/s"}}}',
+     '{"correct": true, "attempted": 24, "failed": 1, "metrics": {"op_ms_p90": '
+     '{"value": 10.0, "unit": "ms"}, "ops_per_s": {"value": 205.0, "unit": "1/s"}}}'),
+    ('{"correct": true, "attempted": 24, "failed": 0, "metrics": {"op_ms_p90": '
+     '{"value": 10.9, "unit": "ms"}, "ops_per_s": {"value": 190.0, "unit": "1/s"}}}',
+     '{"correct": false, "attempted": 24, "failed": 0, "metrics": {"op_ms_p90": '
+     '{"value": 10.2, "unit": "ms"}, "ops_per_s": {"value": 201.0, "unit": "1/s"}}}'),
+]
+
+AB_METRICS = [
+    {"name": "op_ms_p90", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+
+
+def test_ab_summary_gives_medians_quartiles_and_wins():
+    """Quartiles are inclusive: over (9.8, 10.5, 10.9) they are 10.15 and
+    10.7.  A lower p90 and a higher rate win; a tie counts for neither."""
+    ab = _load_script("ab")
+    pairs = [{"base": json.loads(base), "head": json.loads(head)} for base, head in AB_LINES]
+    assert ab.summary(pairs, AB_METRICS) == [
+        "op_ms_p90 (ms, lower is better): base 10.5 [10.15, 10.7], head 10.1 [10.05, 10.15]; "
+        "head won 2, base 1 of 3 pairs",
+        "ops_per_s (1/s, higher is better): base 200 [195, 202.5], head 205 [203, 207.5]; "
+        "head won 2, base 0 of 3 pairs",
+        "runs not correct or with failed ops: base 0, head 2",
+    ]
+
+
+def test_ab_alternates_which_side_runs_first(monkeypatch, capsys, tmp_path):
+    """Pair 1 runs base first, pair 2 head first, pair 3 base first."""
+    ab = _load_script("ab")
+    base, head = tmp_path / "base", tmp_path / "head"
+    base.mkdir()
+    head.mkdir()
+    (base / "BENCHMARK.json").write_text(
+        json.dumps({"command": ["python3", "perfbench/run.py"], "end_to_end": AB_METRICS})
+    )
+    order = []
+    documents = iter(json.loads(line) for pair in AB_LINES for line in pair)
+
+    def run(tree, command, args):
+        order.append(tree.name)
+        assert command == ["python3", "perfbench/run.py"] and args.workload == "verify"
+        return next(documents)
+
+    monkeypatch.setattr(ab, "run", run)
+    monkeypatch.setattr(sys, "argv", ["ab.py", "--base", str(base), "--head", str(head),
+                                      "--workload", "verify", "--pairs", "3"])
+    ab.main()
+    assert order == ["base", "head", "head", "base", "base", "head"]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[:3] for line in lines[:6]] == [
+        ["pair", "1", "base"], ["pair", "1", "head"], ["pair", "2", "head"],
+        ["pair", "2", "base"], ["pair", "3", "base"], ["pair", "3", "head"],
+    ]
+    assert len(lines) == 6 + len(AB_METRICS) + 1
