@@ -114,11 +114,15 @@ MUTANTS = [
      "the count before the exit skips an exact zero pivot: the count just below x on the "
      "last row, a ZeroDivisionError on the next"),
     ("hydrogen.py",
-     "- r_k * l1\n        if not -2.0**600 < l0 < 2.0**600:\n            l1, l0 = _laguerre_pair",
-     "+ r_k * l1\n        if not -2.0**600 < l0 < 2.0**600:\n            l1, l0 = _laguerre_pair",
+     "- r_k * l1\n            if not -2.0**600 < l0 < 2.0**600:",
+     "+ r_k * l1\n            if not -2.0**600 < l0 < 2.0**600:",
      "ode_residual's plain recurrence step adds r_k L_{k-1} instead of subtracting it"),
     ("hydrogen.py", "l1, l0 = l1 * 2.0**-600, l0 * 2.0**-600", "l1, l0 = l1, l0 * 2.0**-600",
      "the scaled pass shrinks L_k but not L_{k-1}: the pair's direction survives, its size not"),
+    ("hydrogen.py", "bound = x", "bound = 0.0",
+     "after one overflow every later sample skips the plain pass: same bits, more scaled passes"),
+    ("numeric.py", "if hbar is not last_hbar or pbar is not last_pbar:", "if hbar is not last_hbar:",
+     "psi reuses the last slice offset for a new pbar at the same hbar"),
 ]
 
 #: What the copy leaves out: history and what building and testing leave behind.

@@ -87,9 +87,11 @@ def _g0_arg(text: str) -> opspace.GEta:
 WAVEFUNCTION_MAX_ROWS = 1_000_000
 
 #: Work units of a ``scan`` row at level n: n + SCAN_ROW_UNITS.  A row takes
-#: about 46 + 7.3 (n + 1) us up to n = 1,000 (scan tables of both labels,
-#: Python 3.11.7, 2 shared CPUs), so a unit is about 7.3 us, and 9.6 us at
-#: n = 20,000, where every residual sample runs the scaled pass too.
+#: about 7.3 (n + 1) us up to n = 1,000 (scan tables of both labels,
+#: Python 3.11.7, 2 shared CPUs), and a unit 6 to 7 us at n = 20,000: once a
+#: residual sample's plain pass leaves (-2**600, 2**600), each later sample at
+#: or beyond its x runs the scaled pass alone, so a unit costs about the same
+#: at every n.
 SCAN_ROW_UNITS = 7
 
 #: Most units a ``scan`` table may sum: about 40 s.  Each row costs at least
@@ -284,9 +286,10 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         f" kappa={wf.kappa!r} n={args.n} L={args.L} alphadelta={args.alphadelta!r}"
     )
     lines = [header, "r,A_re,A_im,psi_re,psi_im"]
+    offset = 1j * params.hbar * point.beta * args.pbar
     for j in range(steps):
         r = rmin + j * (rmax - rmin) / (steps - 1)
-        a_val = point.alpha * r + 1j * params.hbar * point.beta * args.pbar
+        a_val = point.alpha * r + offset
         try:
             psi = hydrogen.eval_wavefunction(wf, r, args.pbar, params.hbar)
         except OverflowError as err:  # exp or z**power beyond the float range

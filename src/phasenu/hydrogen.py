@@ -287,9 +287,11 @@ def ode_residual(state: nu.NuState) -> float:
     (n-1) L_{n-1}^(beta) - (n-1+beta) L_{n-2}^(beta), with L_{n-2} taken
     from the recurrence; never from the equation under test.  The 64
     samples run its plain pass in this one frame; a sample whose L_n
-    leaves (-2**600, 2**600) runs ``_laguerre_pair``'s scaled pass too.
-    The defect is homogeneous in the pair, so the power of two by which
-    that pass shrinks it drops out, bit for bit.
+    leaves (-2**600, 2**600) runs ``_laguerre_pair``'s scaled pass too,
+    and so, without the plain pass, does every later sample at or beyond
+    ``bound``, the smallest such x.  The scaled pass equals the plain
+    pass until it scales, and the defect is homogeneous in the pair, so
+    the power of two by which that pass shrinks it drops out, bit for bit.
 
     A state assembled at a detuned kappa (``nu.assemble``) carries the
     equation at that kappa, whose branch has lambda != lambda_n, so its
@@ -304,13 +306,17 @@ def ode_residual(state: nu.NuState) -> float:
     s2 = -state.kappa
     steps = _laguerre_steps(n, b + 1.0)
     ca, c_pi0, n_beta, neg_a, n_f = c * a, c * pi0, n + b + 1.0, -a, float(n)
-    worst = 0.0
+    worst, bound = 0.0, math.inf
     for x in _sample_points(n, b):
         A = x / neg_a
-        l1, l0 = 0.0, 1.0
-        for p_k, q_k, r_k in steps:
-            l1, l0 = l0, (p_k - q_k * x) * l0 - r_k * l1
-        if not -2.0**600 < l0 < 2.0**600:
+        if x < bound:
+            l1, l0 = 0.0, 1.0
+            for p_k, q_k, r_k in steps:
+                l1, l0 = l0, (p_k - q_k * x) * l0 - r_k * l1
+            if not -2.0**600 < l0 < 2.0**600:
+                bound = x
+                l1, l0 = _laguerre_pair(steps, x)
+        else:
             l1, l0 = _laguerre_pair(steps, x)
         # y and y' over c^n n!, and sigma^2 y'' = c a sigma x_d2
         y, dy, x_d2 = l0 - l1, a * l1, n_f * l0 - (n_beta - x) * l1

@@ -94,6 +94,13 @@ class ExpPowerTerm(NamedTuple("ExpPowerTerm", [("poly", Poly), ("rate", float), 
         complex recursion.  Its value meets the tail as complex(value, 0.0)
         on CPython 3.10-3.13; 3.14 mixes them by C99 rules (gh-69639), and
         may differ.
+
+        The offset ``1j*hbar*beta*pbar`` is constant along a tabulated
+        slice, so it is computed once per (hbar, pbar): a call passing the
+        same objects (``is``) as the last stored pair reuses it, with the
+        same bits.  A pair is stored, as one tuple, only when hbar is a
+        built-in float or int and pbar a built-in complex, float or int,
+        which cannot change in place.
         """
         real = self.poly.coeffs[::-1]
         top_down = tuple(map(complex, real))  # complex + complex is faster than + float
@@ -101,9 +108,17 @@ class ExpPowerTerm(NamedTuple("ExpPowerTerm", [("poly", Poly), ("rate", float), 
         rate, power, b = complex(self.rate), complex(self.power), self.power
         p0 = top_down[-1] if top_down else 0j  # P(0): c0 is nonzero in normal form
         at_zero = p0 if abs(b) <= _ZERO_POWER_TOL else 0j if b > 0.0 else None
+        unset = object()
+        last = (unset, unset, 0j)  # (hbar, pbar, 1j*hbar*beta*pbar) of the last slice
 
         def psi(r: float, pbar: complex, hbar: float) -> complex:
-            z = alpha * r + 1j * hbar * beta * pbar
+            nonlocal last
+            last_hbar, last_pbar, offset = last
+            if hbar is not last_hbar or pbar is not last_pbar:
+                offset = 1j * hbar * beta * pbar
+                if type(hbar) in (float, int) and type(pbar) in (complex, float, int):
+                    last = (hbar, pbar, offset)
+            z = alpha * r + offset
             if z.imag == 0.0:
                 x = z.real
                 if x == 0.0:

@@ -226,6 +226,62 @@ class TestTermBitIdentity:
         assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
 
 
+class Mutable:
+    """A number stand-in whose value changes in place."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __rmul__(self, other):
+        return other * self.value
+
+
+@pytest.mark.parametrize("at", [CONFIG_SPACE_POINT, DEEP_BRANCH_POINT], ids=["-1", "-3"])
+class TestSliceOffset:
+    """``psi`` keeps the offset 1j*hbar*beta*pbar of the last (hbar, pbar)
+    objects it was passed; whatever the sequence of calls, each has the bits
+    of the expression built from its own arguments."""
+
+    TERM = ExpPowerTerm(Poly((1.0, -2.0, 0.5)), -0.5, 1.5)
+
+    def check(self, at, calls):
+        psi = self.TERM.along(at.alpha, at.beta)
+        for r, pbar, hbar in calls:
+            want = outcome(slice_reference, self.TERM, at, r, pbar, hbar)
+            assert outcome(psi, r, pbar, hbar) == want, (r, pbar, hbar)
+
+    def test_alternating_objects(self, at):
+        p1, p2, h1, h2 = 0.7j, complex(0.7, 0.0), 1.0, 2.0
+        pairs = [(p1, h1), (p1, h1), (p2, h1), (p1, h1), (p1, h2), (p2, h2), (p2, h1)]
+        self.check(at, [(r, p, h) for r in (0.0, 0.5, 1.5) for p, h in pairs])
+
+    def test_equal_but_distinct_objects(self, at):
+        pbars = [complex("0.7+0.5j"), complex("0.7+0.5j"), 0.7, float("0.7"), 1, 1.0]
+        hbars = [float("1.5"), float("1.5"), 2, 2.0]
+        self.check(at, [(1.5, p, h) for p in pbars for h in hbars for _ in range(2)])
+
+    def test_signed_zero_components(self, at):
+        zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0.0, -0.0, 0,
+                 complex(-0.7, 0.0), complex(-0.7, -0.0), complex(-0.0, 0.7), complex(0.0, 0.7)]
+        self.check(at, [(r, p, 1.0) for r in (0.0, -0.0, 1.5) for p in zeros + zeros[::-1]])
+
+    def test_non_finite_pbar(self, at):
+        inf, nan = math.inf, math.nan
+        odd = [complex(inf, 0.0), complex(0.0, inf), complex(-inf, 1.0), complex(nan, 0.0),
+               complex(inf, nan), inf, -inf, nan]
+        self.check(at, [(r, p, 1.0) for r in (0.0, 1.5) for p in odd for _ in range(2)])
+
+    def test_mutable_arguments_are_never_kept(self, at):
+        """Stand-ins changed in place between calls that pass the same objects."""
+        psi = self.TERM.along(at.alpha, at.beta)
+        pbar, hbar = Mutable(0.7j), Mutable(1.0)
+        for p, h in ((pbar, 1.0), (0.7j, hbar), (pbar, hbar)):
+            for p_value, h_value in ((0.7j, 1.0), (0.7 + 0j, 1.0), (0.7 + 0j, 2.0), (-0.0, 0.5)):
+                pbar.value, hbar.value = p_value, h_value
+                want = outcome(slice_reference, self.TERM, at, 1.5, p, h)
+                assert outcome(psi, 1.5, p, h) == want, (p_value, h_value)
+
+
 class TestExpPowerTerm:
     def test_leading_zero_folds_into_power(self):
         t = ExpPowerTerm(Poly((0.0, 1.0)), rate=-2.0, power=0.0)

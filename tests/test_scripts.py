@@ -98,6 +98,26 @@ def test_verify_times_names_every_criterion():
     assert all(re.fullmatch(r"[1-9]\d*", calls) for calls, _ in counts)
 
 
+def test_op_counts_names_every_item_and_repeats_its_counts(monkeypatch, capsys):
+    """One "<opcodes> <item>" line per criterion in suite order, per solve
+    and per tabulate batch, each a positive int, and the same ints on a
+    second run.  Every criterion is counted as the small recovery-rule
+    check, which keeps the test short: the whole table takes about a second."""
+    op_counts = _load_script("op_counts")
+    monkeypatch.setattr(op_counts, "CRITERIA", dict.fromkeys(CRITERIA, CRITERIA["recovery-rule"]))
+    runs = []
+    for _ in range(2):
+        op_counts.main()
+        runs.append([line.split(" ", 1) for line in capsys.readouterr().out.splitlines()])
+    names = [*CRITERIA, *(" ".join(argv) for argv in op_counts.SOLVES)]
+    assert [name for _, name in runs[0][: len(names)]] == names
+    batches = [name for _, name in runs[0][len(names):]]
+    assert len(batches) == len(op_counts.BATCHES)
+    assert all(name.startswith("tabulate 500 points, n 30 L 2 alphadelta -") for name in batches)
+    assert all(re.fullmatch(r"[1-9]\d*", count) for count, _ in runs[0])
+    assert runs[0] == runs[1]
+
+
 def test_cli_times_names_every_command(monkeypatch, capsys):
     """One "<ms> <command>" line for the bare interpreter and each command,
     in order, one "<us> us main <command>" line for each command, then the
